@@ -2,7 +2,7 @@
 
 The package models the two surface-centric transceiver paradigms at desk
 scale: an RF chain-free transmitter (digital baseband written straight into
-per-cell reflection coefficients that modulate an air-fed carrier tone) and
+per-stream reflection coefficients that modulate an air-fed carrier tone) and
 a space-down-conversion receiver (a time-linear phase ramp across the
 surface translating the carrier by 1/period), plus the channel, receive
 chain, and spectral metrology needed to score both.
@@ -15,9 +15,7 @@ from .core import (
     ConfigurationError,
     ContractViolation,
     PointSet,
-    ReflectionCoefficient,
     SurfaceGeometry,
-    cell_position,
     cell_positions,
     resample_hold,
     tone_envelope,
@@ -28,22 +26,17 @@ from .metasurface import (
     CONTINUOUS,
     QuantizationModel,
     StaircaseRampSpec,
-    apply_schedule,
     compile_staircase,
     frequency_shift,
-    quantize,
     quantize_values,
-    reflect,
 )
 from .propagation import (
     ChannelModel,
     ChannelSet,
     build_channels,
-    free_space_gain,
-    illuminate,
-    superpose,
+    surface_pass,
 )
-from .spectral import Spectrum, dft_direct, line_power, periodogram, staircase_harmonics
+from .spectral import Spectrum, line_power, periodogram, staircase_harmonics
 from .txrx import (
     DetectionError,
     FrameSpec,

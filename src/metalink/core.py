@@ -124,19 +124,6 @@ class SurfaceGeometry:
         return (0.0, 0.0, 1.0)
 
 
-def cell_position(geometry: SurfaceGeometry, n: int, m: int) -> np.ndarray:
-    """3-D position (meters) of cell (n, m); grid centered on the origin."""
-    if not (0 <= n < geometry.rows and 0 <= m < geometry.cols):
-        raise ValueError(
-            f"cell index ({n}, {m}) outside {geometry.rows}x{geometry.cols} grid")
-    ox, oy, oz = geometry.origin
-    return np.array([
-        ox + (m - (geometry.cols - 1) / 2) * geometry.spacing,
-        oy + (n - (geometry.rows - 1) / 2) * geometry.spacing,
-        oz,
-    ])
-
-
 def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
     """All cell positions, shape (num_cells, 3), row-major from lower-left."""
     n, m = np.divmod(np.arange(geometry.num_cells), geometry.cols)
@@ -146,40 +133,15 @@ def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
     return np.column_stack([x, y, np.full_like(x, oz)])
 
 
-@dataclass(frozen=True)
-class ReflectionCoefficient:
-    """Per-cell complex reflection coefficient A * exp(j*phi).
-
-    amplitude is clipped to 1.0 when within 1e-12 above it (float dust from
-    |exp(j*phi)| arithmetic); larger values are rejected. phase is stored
-    normalized to [0, 2*pi).
-    """
-
-    amplitude: float
-    phase: float
-
-    def __post_init__(self):
-        a = float(self.amplitude)
-        if not 0.0 <= a <= 1.0 + 1e-12:
-            raise ValueError(f"amplitude {a} outside [0, 1]")
-        object.__setattr__(self, "amplitude", min(a, 1.0))
-        object.__setattr__(self, "phase", wrap_phase(float(self.phase)))
-
-    @property
-    def value(self) -> complex:
-        return self.amplitude * complex(np.cos(self.phase), np.sin(self.phase))
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "ReflectionCoefficient":
-        return cls(abs(z), float(np.angle(z)))
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientSchedule:
-    """Per-cell piecewise-constant reflection coefficients at the control rate.
+    """Per-stream piecewise-constant reflection coefficients at the control rate.
 
-    values has shape (num_cells, num_steps); each value is held for
-    1 / control_rate seconds (zero-order hold). Magnitudes must not exceed 1.
+    values has shape (num_streams, num_steps); every cell of stream s holds
+    row s, and each value is held for 1 / control_rate seconds (zero-order
+    hold). A per-cell schedule is the case of one stream per cell. Each
+    coefficient A * exp(j*phi) is a plain complex number; magnitudes must
+    not exceed 1.
     """
 
     values: np.ndarray
@@ -196,7 +158,7 @@ class CoefficientSchedule:
         object.__setattr__(self, "values", values)
 
     @property
-    def num_cells(self) -> int:
+    def num_streams(self) -> int:
         return self.values.shape[0]
 
     @property
@@ -206,16 +168,6 @@ class CoefficientSchedule:
     @property
     def duration(self) -> float:
         return self.num_steps / self.control_rate
-
-    def coefficient(self, cell: int, step: int) -> ReflectionCoefficient:
-        return ReflectionCoefficient.from_complex(self.values[cell, step])
-
-    @classmethod
-    def from_coefficients(cls, per_cell, control_rate: float) -> "CoefficientSchedule":
-        """Build from nested sequences of ReflectionCoefficient."""
-        values = np.array([[c.value for c in row] for row in per_cell],
-                          dtype=np.complex128)
-        return cls(values, control_rate)
 
 
 def resample_hold(schedule: CoefficientSchedule, target_rate: float) -> CoefficientSchedule:

@@ -1,10 +1,10 @@
 """Time-varying reflection control of the unit-cell grid.
 
-Implements the per-cell reflection product, schedule application, staircase
-phase ramps for frequency translation, and finite-resolution coefficient
-quantization. A down-shifting ramp with period T moves a tone by -1/T; the
-L-step staircase approximation concentrates sin(pi/L)/(pi/L) of the phasor
-amplitude at that line and spreads the remainder over harmonics.
+Implements staircase phase ramps for frequency translation and
+finite-resolution coefficient quantization. A down-shifting ramp with
+period T moves a tone by -1/T; the L-step staircase approximation
+concentrates sin(pi/L)/(pi/L) of the phasor amplitude at that line and
+spreads the remainder over harmonics.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .core import (
     CoefficientSchedule,
     ComplexEnvelope,
     ConfigurationError,
-    ContractViolation,
-    ReflectionCoefficient,
     wrap_phase,
 )
 
@@ -81,34 +79,9 @@ class StaircaseRampSpec:
         return self.direction / self.period
 
 
-def reflect(coefficient: ReflectionCoefficient, incident):
-    """Reflected field sample(s): A * exp(j*phi) * incident."""
-    return coefficient.value * incident
-
-
-def apply_schedule(incident: ComplexEnvelope, schedule: CoefficientSchedule,
-                   cell: int) -> ComplexEnvelope:
-    """Sample-wise product of an envelope with one cell's held coefficients.
-
-    The schedule must already be at the envelope sample rate (resample_hold)
-    and cover exactly the same number of samples.
-    """
-    if not (0 <= cell < schedule.num_cells):
-        raise ValueError(f"cell {cell} outside schedule with {schedule.num_cells} cells")
-    if not np.isclose(schedule.control_rate, incident.sample_rate, rtol=1e-12, atol=0.0):
-        raise ContractViolation(
-            f"schedule rate {schedule.control_rate} Hz does not match envelope "
-            f"rate {incident.sample_rate} Hz; resample_hold it first")
-    if schedule.num_steps != len(incident):
-        raise ContractViolation(
-            f"schedule length {schedule.num_steps} does not match envelope "
-            f"length {len(incident)}")
-    return incident.with_samples(incident.samples * schedule.values[cell])
-
-
 def compile_staircase(spec: StaircaseRampSpec, control_rate: float,
                       duration: float) -> CoefficientSchedule:
-    """Single-cell schedule stepping the phase linearly through 2*pi per period.
+    """One-stream schedule stepping the phase linearly through 2*pi per period.
 
     Requires control_rate * period == steps_per_period exactly (one control
     sample per step); fractional ratios are rejected so spectra stay
@@ -162,7 +135,11 @@ def _quantize_amplitudes(amplitudes: np.ndarray, levels: int) -> np.ndarray:
 
 
 def quantize_values(values: np.ndarray, model: QuantizationModel) -> np.ndarray:
-    """Vectorized quantization of complex coefficients A * exp(j*phi)."""
+    """Snap complex coefficients A * exp(j*phi) to the nearest levels.
+
+    Phase distance is circular, amplitude distance Euclidean; exact ties go
+    to the lower level index. Continuous models return the input unchanged.
+    """
     if model.is_continuous:
         return values
     amplitudes = np.minimum(np.abs(values), 1.0)
@@ -172,23 +149,3 @@ def quantize_values(values: np.ndarray, model: QuantizationModel) -> np.ndarray:
     if model.amplitude_levels is not None:
         amplitudes = _quantize_amplitudes(amplitudes, model.amplitude_levels)
     return amplitudes * np.exp(1j * phases)
-
-
-def quantize(coefficient: ReflectionCoefficient,
-             model: QuantizationModel) -> ReflectionCoefficient:
-    """Snap a coefficient to the nearest quantization levels.
-
-    Phase distance is circular, amplitude distance Euclidean; exact ties go
-    to the lower level index. Continuous models return the input unchanged.
-    """
-    if model.is_continuous:
-        return coefficient
-    amplitude = coefficient.amplitude
-    phase = coefficient.phase
-    if model.phase_levels is not None:
-        phase = float(_quantize_phases(np.asarray([phase]), model.phase_levels,
-                                       model.phase_offset)[0])
-    if model.amplitude_levels is not None:
-        amplitude = float(_quantize_amplitudes(np.asarray([amplitude]),
-                                               model.amplitude_levels)[0])
-    return ReflectionCoefficient(amplitude, phase)

@@ -1,4 +1,4 @@
-"""Feed-to-cell illumination, cell-to-point channels, and field superposition.
+"""Feed-to-cell and cell-to-point channels, the surface pass, and receiver noise.
 
 Channels are narrowband: one complex gain per (source, destination) pair,
 valid across the whole envelope bandwidth. The free-space model is the
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CoefficientSchedule,
     ComplexEnvelope,
     ConfigurationError,
     ContractViolation,
@@ -79,15 +80,7 @@ class ChannelSet:
         return self.obs_gains.shape[1]
 
 
-def free_space_gain(src, dst, wavelength: float) -> complex:
-    """Spherical-wave gain (lambda / (4*pi*r)) * exp(-j*2*pi*r/lambda)."""
-    r = float(np.linalg.norm(np.asarray(dst, float) - np.asarray(src, float)))
-    if r == 0.0:
-        raise ValueError("source and destination coincide (zero distance)")
-    return (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
-
-
-def _free_space_gains(src: np.ndarray, dsts: np.ndarray, wavelength: float) -> np.ndarray:
+def _spherical_gains(src: np.ndarray, dsts: np.ndarray, wavelength: float) -> np.ndarray:
     r = np.linalg.norm(dsts - src, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("a point coincides with a cell position (zero distance)")
@@ -114,14 +107,14 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
         obs = np.ones((num_cells, len(obs_idx)), dtype=np.complex128)
     elif model.kind == "free_space":
         if feed_idx:
-            feed = _free_space_gains(points.positions[feed_idx[0]], cells,
-                                     model.wavelength)
+            feed = _spherical_gains(points.positions[feed_idx[0]], cells,
+                                    model.wavelength)
         else:
             feed = np.ones(num_cells, dtype=np.complex128)
         obs = np.empty((num_cells, len(obs_idx)), dtype=np.complex128)
         for col, p in enumerate(obs_idx):
-            obs[:, col] = _free_space_gains(points.positions[p], cells,
-                                            model.wavelength)
+            obs[:, col] = _spherical_gains(points.positions[p], cells,
+                                           model.wavelength)
     else:  # explicit_matrix
         if model.matrix.shape != (num_cells, len(obs_idx)):
             raise ConfigurationError(
@@ -132,40 +125,48 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
     return ChannelSet(feed, obs)
 
 
-def illuminate(carrier: ComplexEnvelope, feed_gains) -> list:
-    """Per-cell incident envelopes: feed_gain * carrier for every cell."""
-    gains = np.asarray(feed_gains, dtype=np.complex128)
-    return [carrier.with_samples(g * carrier.samples) for g in gains]
+def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
+                 stream_of_cell, channels: ChannelSet, noise_psd: float = 0.0,
+                 noise_seeds=None) -> list:
+    """Received envelope at every observation point, in channel order.
 
+    Cell c is lit by feed_gains[c] * incident, holds row stream_of_cell[c]
+    of the schedule, and reaches point p through obs_gains[c, p]. The chain
+    is linear and narrowband, so each point sees
+    rx_p = incident * sum_s G[s, p] * w_s with the effective per-stream gain
+    G[s, p] = sum over the cells c of stream s of feed_gains[c] * obs_gains[c, p].
+    The cost is O(streams x samples) whatever the cell count.
 
-def superpose(fields, gains, noise_psd: float = 0.0, rng_seed=None) -> ComplexEnvelope:
-    """Weighted sum of per-cell envelopes at one observation point.
-
-    Adds i.i.d. circular complex Gaussian noise of variance noise_psd per
-    sample when noise_psd > 0; the noise sequence is a pure function of
-    rng_seed. With noise_psd == 0 no RNG is touched and the output is the
-    exact weighted sum.
+    The schedule must already be at the envelope sample rate (resample_hold)
+    and cover exactly the same number of samples. When noise_psd > 0, point
+    p adds i.i.d. circular complex Gaussian noise of variance noise_psd per
+    sample, drawn from default_rng(noise_seeds[p]): real parts, then
+    imaginary parts.
     """
-    fields = list(fields)
-    if not fields:
-        raise ContractViolation("superpose needs at least one field")
-    first = fields[0]
-    for env in fields[1:]:
-        if (len(env) != len(first)
-                or env.sample_rate != first.sample_rate
-                or env.t0 != first.t0
-                or env.carrier_freq != first.carrier_freq):
-            raise ContractViolation("per-cell envelopes must share rate, length, "
-                                    "t0, and carrier")
-    gains = np.asarray(gains, dtype=np.complex128)
-    if gains.shape != (len(fields),):
+    if not np.isclose(schedule.control_rate, incident.sample_rate, rtol=1e-12, atol=0.0):
         raise ContractViolation(
-            f"need one gain per cell: {gains.shape} vs {len(fields)} fields")
-    stacked = np.stack([env.samples for env in fields])
-    total = gains @ stacked
+            f"schedule rate {schedule.control_rate} Hz does not match envelope "
+            f"rate {incident.sample_rate} Hz; resample_hold it first")
+    if schedule.num_steps != len(incident):
+        raise ContractViolation(
+            f"schedule length {schedule.num_steps} does not match envelope "
+            f"length {len(incident)}")
+    streams = np.asarray(stream_of_cell, dtype=np.int64)
+    if streams.shape != (channels.num_cells,):
+        raise ContractViolation(
+            f"need one stream id per cell: {streams.shape} vs {channels.num_cells} cells")
+    if np.any(streams < 0) or np.any(streams >= schedule.num_streams):
+        raise ContractViolation(
+            f"stream ids must index the {schedule.num_streams} schedule rows")
+    gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
+    np.add.at(gains, streams, channels.feed_gains[:, np.newaxis] * channels.obs_gains)
+    rx = incident.samples * (gains.T @ schedule.values)
     if noise_psd > 0.0:
-        rng = np.random.default_rng(rng_seed)
+        if noise_seeds is None or len(noise_seeds) != channels.num_points:
+            raise ContractViolation("noise needs one seed per observation point")
         scale = np.sqrt(noise_psd / 2.0)
-        total = total + scale * (rng.standard_normal(total.size)
-                                 + 1j * rng.standard_normal(total.size))
-    return first.with_samples(total)
+        for p, seed in enumerate(noise_seeds):
+            rng = np.random.default_rng(seed)
+            rx[p] = rx[p] + scale * (rng.standard_normal(rx.shape[1])
+                                     + 1j * rng.standard_normal(rx.shape[1]))
+    return [incident.with_samples(row) for row in rx]

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -113,7 +114,13 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; json.loads accepts NaN and +/-Infinity."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _is_int(v) -> bool:
@@ -477,25 +484,6 @@ class ScenarioResult:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _surface_pass(sc: Scenario, incident: core.ComplexEnvelope,
-                  held: core.CoefficientSchedule, feed_gains, obs_gains,
-                  noise_seeds) -> list:
-    """incident -> per-cell illumination -> schedule -> superposed rx envelopes."""
-    fields = propagation.illuminate(incident, feed_gains)
-    applied = [metasurface.apply_schedule(env, held, c)
-               for c, env in enumerate(fields)]
-    del fields
-    return [propagation.superpose(applied, obs_gains[:, p], sc.noise_psd, seed)
-            for p, seed in enumerate(noise_seeds)]
-
-
-def _broadcast_schedule(held: core.CoefficientSchedule,
-                        num_cells: int) -> core.CoefficientSchedule:
-    """Drive every cell with the same single-cell schedule (no copy)."""
-    values = np.broadcast_to(held.values[0], (num_cells, held.num_steps))
-    return core.CoefficientSchedule(values, held.control_rate)
-
-
 def _link_phase(sc: Scenario, channels: propagation.ChannelSet,
                 bits_seed, noise_seeds) -> txrx.LinkReport:
     scheme = txrx.get_scheme(sc.modulation)
@@ -506,12 +494,12 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet,
                                     frame.payload_length * scheme.bits_per_symbol))
     symbols = np.stack([txrx.map_bits(bits[s], scheme)
                         for s in range(partition.num_streams)])
-    schedule = txrx.symbols_to_schedule(symbols, partition, frame, sc.quantization)
+    schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
     held = core.resample_hold(schedule, sc.envelope_rate())
     carrier = core.tone_envelope(held.num_steps, sc.envelope_rate(),
                                  sc.carrier_freq_hz)
-    rx = _surface_pass(sc, carrier, held, channels.feed_gains, channels.obs_gains,
-                       noise_seeds)
+    rx = propagation.surface_pass(carrier, held, partition.stream_of_cell, channels,
+                                  sc.noise_psd, noise_seeds)
     report = txrx.receive_frame(rx, frame, scheme, 0.0, reference=symbols)
     report.spectra["rx0"] = spectral.periodogram(
         rx[0], sc.spectrum_length(len(rx[0])))
@@ -549,12 +537,12 @@ def _run_sdc(sc: Scenario) -> ScenarioResult:
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel_model())
     duration = sc.sdc_periods * sc.staircase.period
     single = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz, duration)
-    held = _broadcast_schedule(core.resample_hold(single, sc.envelope_rate()),
-                               sc.geometry.num_cells)
+    held = core.resample_hold(single, sc.envelope_rate())
     carrier = core.tone_envelope(held.num_steps, sc.envelope_rate(),
                                  sc.carrier_freq_hz)
-    rx = _surface_pass(sc, carrier, held, channels.feed_gains, channels.obs_gains,
-                       seeds[1:1 + channels.num_points])
+    whole = txrx.SurfacePartition.full_surface(sc.geometry)
+    rx = propagation.surface_pass(carrier, held, whole.stream_of_cell, channels,
+                                  sc.noise_psd, seeds[1:1 + channels.num_points])
     report = txrx.LinkReport()
     report.spectra["input"] = spectral.periodogram(carrier)
     report.spectra["output"] = spectral.periodogram(rx[0])
@@ -571,7 +559,7 @@ def _run_integrated(sc: Scenario) -> ScenarioResult:
     seeds = np.random.SeedSequence(sc.rng_seed).spawn(2 + len(sc.points) + 1)
     model = sc.channel_model()
 
-    # transmit phase: feed illuminates, surface modulates, rx points observe
+    # transmit phase: feed lights the surface, surface modulates, rx points observe
     channels_tx = propagation.build_channels(sc.geometry, sc.points, model)
     tx_report = _link_phase(sc, channels_tx, seeds[0],
                             seeds[2:2 + channels_tx.num_points])
@@ -597,10 +585,10 @@ def _run_integrated(sc: Scenario) -> ScenarioResult:
         sc.carrier_freq_hz)
     single = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
                                            len(incident) / env_rate)
-    held = _broadcast_schedule(core.resample_hold(single, env_rate),
-                               sc.geometry.num_cells)
-    rx = _surface_pass(sc, incident, held, channels_rx.feed_gains,
-                       channels_rx.obs_gains, seeds[-1:])
+    held = core.resample_hold(single, env_rate)
+    whole = txrx.SurfacePartition.full_surface(sc.geometry)
+    rx = propagation.surface_pass(incident, held, whole.stream_of_cell, channels_rx,
+                                  sc.noise_psd, seeds[-1:])
     rx_report = txrx.receive_frame(rx, frame, scheme,
                                    expected_shift=sc.staircase.frequency_shift,
                                    reference=symbols[np.newaxis, :])

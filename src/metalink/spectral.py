@@ -96,15 +96,3 @@ def staircase_harmonics(steps_per_period: int, harmonic_indices) -> np.ndarray:
         coeff = np.sum(steps * (edges[1:] - edges[:-1])) / (2j * np.pi * qi)
         out[i] = abs(coeff)
     return out
-
-
-def dft_direct(x) -> np.ndarray:
-    """O(N^2) direct DFT, the anti-regression oracle for the fast transform."""
-    x = np.asarray(x, dtype=np.complex128)
-    n_total = x.size
-    n = np.arange(n_total)
-    out = np.empty(n_total, dtype=np.complex128)
-    for start in range(0, n_total, 256):  # bound the (k, n) phase matrix size
-        k = np.arange(start, min(start + 256, n_total))
-        out[k] = np.exp(-2j * np.pi * np.outer(k, n) / n_total) @ x
-    return out

@@ -1,7 +1,7 @@
 """Digital baseband to coefficient schedules and the full receive chain.
 
 Transmit side: bits are Gray-mapped to peak-normalized constellation points
-and written directly into per-cell reflection coefficients, one symbol held
+and written directly into per-stream reflection coefficients, one symbol held
 for samples_per_symbol control samples, pilots first. There is no RF chain;
 the carrier is an air-fed single tone.
 
@@ -229,22 +229,19 @@ class FrameSpec:
                    samples_per_symbol)
 
 
-def symbols_to_schedule(stream_symbols, partition: SurfacePartition,
-                        frame: FrameSpec,
+def symbols_to_schedule(stream_symbols, frame: FrameSpec,
                         quant: QuantizationModel | None = None) -> CoefficientSchedule:
-    """Compile per-stream symbol sequences into the per-cell schedule.
+    """Compile per-stream symbol sequences into the per-stream schedule.
 
-    Every cell of stream s carries (A, phi) = (|symbol|, arg symbol) held for
-    samples_per_symbol control samples; the frame's pilots precede the
-    payload. Coefficients are quantized per `quant` when given.
+    Row s holds (A, phi) = (|symbol|, arg symbol) of stream s, each symbol
+    held for samples_per_symbol control samples; the frame's pilots precede
+    the payload. Every cell of stream s carries row s (see
+    SurfacePartition). Coefficients are quantized per `quant` when given.
     """
     symbols = np.atleast_2d(np.asarray(stream_symbols, dtype=np.complex128))
-    if symbols.shape[0] != partition.num_streams:
-        raise ValueError(
-            f"{symbols.shape[0]} symbol streams for a {partition.num_streams}-stream "
-            f"partition")
     if symbols.shape[0] != frame.num_streams:
-        raise ValueError("frame pilot streams must match the partition streams")
+        raise ValueError(
+            f"{symbols.shape[0]} symbol streams for a {frame.num_streams}-stream frame")
     if symbols.shape[1] != frame.payload_length:
         raise ValueError(
             f"payload length {symbols.shape[1]} does not match frame "
@@ -252,9 +249,8 @@ def symbols_to_schedule(stream_symbols, partition: SurfacePartition,
     full = np.concatenate([frame.pilots, symbols], axis=1)
     if quant is not None:
         full = quantize_values(full, quant)
-    per_stream = np.repeat(full, frame.samples_per_symbol, axis=1)
-    values = per_stream[partition.stream_of_cell]
-    return CoefficientSchedule(values, frame.control_rate)
+    return CoefficientSchedule(np.repeat(full, frame.samples_per_symbol, axis=1),
+                               frame.control_rate)
 
 
 def symbols_to_waveform(symbols, samples_per_symbol: int, sample_rate: float,

@@ -1,0 +1,42 @@
+"""Scalar reference implementations that the tests check production code against.
+
+Each one restates a formula element by element, independent of the
+vectorised code it checks: cell_position for core.cell_positions,
+free_space_gain for the channel gains of propagation.build_channels, and
+dft_direct for the fast transform behind spectral.periodogram.
+"""
+
+import numpy as np
+
+
+def cell_position(geometry, n: int, m: int) -> np.ndarray:
+    """3-D position (meters) of cell (n, m); grid centered on the origin."""
+    if not (0 <= n < geometry.rows and 0 <= m < geometry.cols):
+        raise ValueError(
+            f"cell index ({n}, {m}) outside {geometry.rows}x{geometry.cols} grid")
+    ox, oy, oz = geometry.origin
+    return np.array([
+        ox + (m - (geometry.cols - 1) / 2) * geometry.spacing,
+        oy + (n - (geometry.rows - 1) / 2) * geometry.spacing,
+        oz,
+    ])
+
+
+def free_space_gain(src, dst, wavelength: float) -> complex:
+    """Spherical-wave gain (lambda / (4*pi*r)) * exp(-j*2*pi*r/lambda)."""
+    r = float(np.linalg.norm(np.asarray(dst, float) - np.asarray(src, float)))
+    if r == 0.0:
+        raise ValueError("source and destination coincide (zero distance)")
+    return (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
+
+
+def dft_direct(x) -> np.ndarray:
+    """O(N^2) direct DFT, the anti-regression oracle for the fast transform."""
+    x = np.asarray(x, dtype=np.complex128)
+    n_total = x.size
+    n = np.arange(n_total)
+    out = np.empty(n_total, dtype=np.complex128)
+    for start in range(0, n_total, 256):  # bound the (k, n) phase matrix size
+        k = np.arange(start, min(start + 256, n_total))
+        out[k] = np.exp(-2j * np.pi * np.outer(k, n) / n_total) @ x
+    return out

@@ -13,7 +13,6 @@ import pytest
 from metalink import scenario as scen
 from metalink.core import (
     CoefficientSchedule,
-    ReflectionCoefficient,
     SurfaceGeometry,
     cell_positions,
     resample_hold,
@@ -22,21 +21,22 @@ from metalink.core import (
 from metalink.metasurface import (
     QuantizationModel,
     StaircaseRampSpec,
-    apply_schedule,
     compile_staircase,
     frequency_shift,
-    quantize,
+    quantize_values,
 )
 from metalink.propagation import (
     ChannelModel,
+    ChannelSet,
     PointSet,
     build_channels,
-    free_space_gain,
-    illuminate,
-    superpose,
+    surface_pass,
 )
-from metalink.spectral import dft_direct, line_power, periodogram, staircase_harmonics
+from metalink.spectral import line_power, periodogram, staircase_harmonics
 from metalink.txrx import demap_symbols, get_scheme, map_bits
+from oracles import dft_direct, free_space_gain
+
+UNIT_CELL = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
 
 
 def simulate_bundled(name, **overrides):
@@ -76,7 +76,7 @@ def test_criterion_2_staircase_harmonic_structure():
         sched = compile_staircase(spec, 1e8, duration=periods * L * 1e-8)
         held = resample_hold(sched, oversample * 1e8)
         env = tone_envelope(held.num_steps, held.control_rate, 0.0)
-        spectrum = periodogram(apply_schedule(env, held, 0))
+        spectrum = periodogram(surface_pass(env, held, [0], UNIT_CELL)[0])
         total = spectrum.total_power
         # harmonic index q of the down-ramp basis: q = -freq * period
         q = np.rint(-spectrum.frequencies * spec.period).astype(int)
@@ -92,14 +92,14 @@ def test_criterion_2_staircase_harmonic_structure():
     sched2 = compile_staircase(spec2, 1e8, duration=2e-8)
     held2 = resample_hold(sched2, 65536 * 1e8)
     env2 = tone_envelope(held2.num_steps, held2.control_rate, 0.0)
-    spectrum2 = periodogram(apply_schedule(env2, held2, 0))
+    spectrum2 = periodogram(surface_pass(env2, held2, [0], UNIT_CELL)[0])
     measured = np.sqrt(line_power(spectrum2, spec2.frequency_shift))
     assert abs(measured - 2 / np.pi) < 1e-9
 
     # the production transform agrees with the direct O(N^2) oracle
-    probe = apply_schedule(
+    probe = surface_pass(
         tone_envelope(1024, 64e8, 0.0),
-        resample_hold(compile_staircase(spec2, 1e8, 16e-8), 64e8), 0)
+        resample_hold(compile_staircase(spec2, 1e8, 16e-8), 64e8), [0], UNIT_CELL)[0]
     fast = np.fft.fft(probe.samples)
     direct = dft_direct(probe.samples)
     assert np.allclose(fast, direct, rtol=1e-9, atol=1e-9 * np.abs(direct).max())
@@ -175,11 +175,8 @@ def test_criterion_5_superposition_matches_brute_force_double_sum():
     held = resample_hold(schedule, 1e8)
     carrier = tone_envelope(n_samples, 1e8, 4.25e9)
 
-    # production pipeline
-    fields = illuminate(carrier, channels.feed_gains)
-    applied = [apply_schedule(f, held, c) for c, f in enumerate(fields)]
-    outputs = [superpose(applied, channels.obs_gains[:, p], 0.0, None)
-               for p in range(3)]
+    # production pipeline, one schedule row per cell
+    outputs = surface_pass(carrier, held, np.arange(num_cells), channels)
 
     # independent brute-force double sum over rows and columns
     cells = cell_positions(geometry)
@@ -207,12 +204,10 @@ def test_criterion_6_single_cell_identity_chain_reduces_to_reflection():
     rng = np.random.default_rng(31)
     carrier = tone_envelope(512, 1e8, 4.25e9, freq_offset=3e6)
     for _ in range(10):
-        coeff = ReflectionCoefficient(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
-        schedule = CoefficientSchedule(np.full((1, 512), coeff.value), 1e8)
-        fields = illuminate(carrier, np.ones(1))
-        applied = apply_schedule(fields[0], schedule, 0)
-        received = superpose([applied], np.ones(1))
-        assert np.array_equal(received.samples, carrier.samples * coeff.value)
+        coeff = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        schedule = CoefficientSchedule(np.full((1, 512), coeff), 1e8)
+        received = surface_pass(carrier, schedule, [0], UNIT_CELL)[0]
+        assert np.array_equal(received.samples, carrier.samples * coeff)
     print("\nPASS criterion 6: single-cell identity chain is exactly "
           "A*exp(j*phi) * input for 10 random coefficients")
 
@@ -244,11 +239,11 @@ def test_criterion_7_determinism_and_round_trips(tmp_path):
                                 phase_offset=rng.uniform(0, 2 * np.pi))
               for _ in range(10)]
     for i in range(1000):
-        coeff = ReflectionCoefficient(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
+        coeff = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         model = models[i % len(models)]
-        once = quantize(coeff, model)
-        twice = quantize(once, model)
-        assert twice.amplitude == once.amplitude and twice.phase == once.phase
+        once = quantize_values(np.array([coeff]), model)
+        twice = quantize_values(once, model)
+        assert np.array_equal(twice, once)
 
     print("\nPASS criterion 7: byte-identical reruns, exhaustive map/demap "
           "round trips, quantize idempotent over 10^3 draws")

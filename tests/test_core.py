@@ -8,14 +8,13 @@ from metalink.core import (
     ComplexEnvelope,
     ConfigurationError,
     PointSet,
-    ReflectionCoefficient,
     SurfaceGeometry,
-    cell_position,
     cell_positions,
     resample_hold,
     tone_envelope,
     wrap_phase,
 )
+from oracles import cell_position
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def test_geometry_rejects_degenerate_parameters(rows, cols, spacing):
 
 
 # ---------------------------------------------------------------------------
-# phase wrapping and reflection coefficients
+# phase wrapping
 # ---------------------------------------------------------------------------
 
 @given(st.floats(-100.0, 100.0))
@@ -94,29 +93,6 @@ def test_wrap_phase_lands_in_range(phi):
 def test_wrap_phase_folds_the_seam():
     assert wrap_phase(-1e-20) == 0.0
     assert wrap_phase(TWO_PI) == 0.0
-
-
-def test_reflection_coefficient_normalizes_phase():
-    c = ReflectionCoefficient(0.5, -np.pi / 2)
-    assert c.phase == pytest.approx(3 * np.pi / 2)
-    assert c.value == pytest.approx(-0.5j, abs=1e-15)  # 0.5 * exp(j*3pi/2)
-
-
-def test_reflection_coefficient_value():
-    c = ReflectionCoefficient(1.0, np.pi / 2)
-    assert c.value == pytest.approx(1j, abs=1e-15)
-
-
-@pytest.mark.parametrize("amplitude", [-0.1, 1.1])
-def test_reflection_coefficient_rejects_bad_amplitude(amplitude):
-    with pytest.raises(ValueError):
-        ReflectionCoefficient(amplitude, 0.0)
-
-
-def test_from_complex_round_trip():
-    c = ReflectionCoefficient.from_complex(0.3 - 0.4j)
-    assert c.amplitude == pytest.approx(0.5)
-    assert c.value == pytest.approx(0.3 - 0.4j)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +120,6 @@ def test_tone_envelope_offset_frequency():
 # ---------------------------------------------------------------------------
 # schedules and resampling
 # ---------------------------------------------------------------------------
-
-def test_schedule_from_coefficients_and_accessor():
-    sched = CoefficientSchedule.from_coefficients(
-        [[ReflectionCoefficient(1.0, 0.0), ReflectionCoefficient(0.5, np.pi)]], 1e8)
-    assert sched.num_cells == 1 and sched.num_steps == 2
-    c = sched.coefficient(0, 1)
-    assert c.amplitude == pytest.approx(0.5)
-    assert c.phase == pytest.approx(np.pi)
-
 
 def test_schedule_rejects_overdriven_magnitudes():
     with pytest.raises(ValueError):

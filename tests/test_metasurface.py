@@ -5,32 +5,38 @@ from hypothesis import given, strategies as st
 from metalink.core import (
     TWO_PI,
     CoefficientSchedule,
+    ComplexEnvelope,
     ConfigurationError,
     ContractViolation,
-    ReflectionCoefficient,
     resample_hold,
     tone_envelope,
+    wrap_phase,
 )
 from metalink.metasurface import (
     CONTINUOUS,
     QuantizationModel,
     StaircaseRampSpec,
-    apply_schedule,
     compile_staircase,
     frequency_shift,
-    quantize,
     quantize_values,
-    reflect,
 )
+from metalink.propagation import ChannelSet, surface_pass
 from metalink.spectral import line_power, periodogram
+
+UNIT_CELL = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
 
 
 def constant_schedule(value, steps, rate=1e8, cells=1):
     return CoefficientSchedule(np.full((cells, steps), value, dtype=complex), rate)
 
 
+def reflect_once(incident, schedule):
+    """Envelope behind a single-cell, unit-gain surface driven by `schedule`."""
+    return surface_pass(incident, schedule, [0], UNIT_CELL)[0]
+
+
 # ---------------------------------------------------------------------------
-# reflect
+# reflection product A * exp(j*phi) * incident
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("amp,phase,incident,expected", [
@@ -39,17 +45,18 @@ def constant_schedule(value, steps, rate=1e8, cells=1):
     (1.0, np.pi / 2, 2 + 0j, 2j),
 ])
 def test_reflect(amp, phase, incident, expected):
-    out = reflect(ReflectionCoefficient(amp, phase), incident)
-    assert out == pytest.approx(expected, abs=1e-15)
+    env = ComplexEnvelope(np.array([incident]), 1e8, 0.0)
+    out = reflect_once(env, constant_schedule(amp * np.exp(1j * phase), 1))
+    assert out.samples[0] == pytest.approx(expected, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# apply_schedule
+# schedule application on a single-cell surface
 # ---------------------------------------------------------------------------
 
 def test_identity_coefficient_passes_envelope_through():
     env = tone_envelope(64, 1e8, 4.25e9, freq_offset=1e6)
-    out = apply_schedule(env, constant_schedule(1.0, 64), 0)
+    out = reflect_once(env, constant_schedule(1.0, 64))
     assert np.array_equal(out.samples, env.samples)
     assert out.sample_rate == env.sample_rate
     assert out.carrier_freq == env.carrier_freq
@@ -58,18 +65,18 @@ def test_identity_coefficient_passes_envelope_through():
 
 def test_pi_phase_negates_tone():
     env = tone_envelope(32, 1e8, 4.25e9)
-    out = apply_schedule(env, constant_schedule(-1.0, 32), 0)
+    out = reflect_once(env, constant_schedule(-1.0, 32))
     assert np.allclose(out.samples, -env.samples, atol=1e-15)
 
 
 def test_apply_schedule_rejects_rate_and_length_mismatch():
     env = tone_envelope(32, 1e8, 4.25e9)
     with pytest.raises(ContractViolation):
-        apply_schedule(env, constant_schedule(1.0, 32, rate=2e8), 0)
+        reflect_once(env, constant_schedule(1.0, 32, rate=2e8))
     with pytest.raises(ContractViolation):
-        apply_schedule(env, constant_schedule(1.0, 16), 0)
-    with pytest.raises(ValueError):
-        apply_schedule(env, constant_schedule(1.0, 32), 3)
+        reflect_once(env, constant_schedule(1.0, 16))
+    with pytest.raises(ContractViolation):  # stream id beyond the schedule rows
+        surface_pass(env, constant_schedule(1.0, 32), [3], UNIT_CELL)
 
 
 def test_staircase_on_tone_moves_line_down_by_one_over_period():
@@ -79,7 +86,7 @@ def test_staircase_on_tone_moves_line_down_by_one_over_period():
     sched = compile_staircase(spec, control_rate, duration=8 * 4e-6)
     held = resample_hold(sched, 16 * control_rate)
     env = tone_envelope(held.num_steps, held.control_rate, 4.25e9)
-    out = apply_schedule(env, held, 0)
+    out = reflect_once(env, held)
     spectrum = periodogram(out)
     strongest = spectrum.frequencies[np.argmax(spectrum.power)]
     assert strongest == pytest.approx(-250e3, abs=1e-9)
@@ -93,9 +100,9 @@ def test_apply_schedule_is_linear():
     e2 = tone_envelope(128, 1e8, 0.0, freq_offset=-3e6)
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
     combined = e1.with_samples(a * e1.samples + b * e2.samples)
-    lhs = apply_schedule(combined, sched, 0).samples
-    rhs = (a * apply_schedule(e1, sched, 0).samples
-           + b * apply_schedule(e2, sched, 0).samples)
+    lhs = reflect_once(combined, sched).samples
+    rhs = (a * reflect_once(e1, sched).samples
+           + b * reflect_once(e2, sched).samples)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
 
@@ -106,7 +113,7 @@ def test_output_power_never_exceeds_input_power(seed):
               * np.exp(1j * rng.uniform(0, TWO_PI, (1, 32))))
     sched = CoefficientSchedule(values, 1e8)
     env = tone_envelope(32, 1e8, 0.0, amplitude=2.0, freq_offset=1e6)
-    out = apply_schedule(env, sched, 0)
+    out = reflect_once(env, sched)
     assert np.all(np.abs(out.samples) <= np.abs(env.samples) * (1 + 1e-12))
 
 
@@ -117,7 +124,7 @@ def test_output_power_never_exceeds_input_power(seed):
 def test_four_step_down_ramp_phases():
     sched = compile_staircase(StaircaseRampSpec(period=4e-8, steps_per_period=4),
                               control_rate=1e8, duration=4e-8)
-    phases = [sched.coefficient(0, k).phase for k in range(4)]
+    phases = wrap_phase(np.angle(sched.values[0]))
     assert phases == pytest.approx([0.0, 3 * np.pi / 2, np.pi, np.pi / 2])
 
 
@@ -168,7 +175,7 @@ def test_shifted_line_fraction_grows_with_step_count():
         sched = compile_staircase(spec, control_rate, duration=4 * period)
         held = resample_hold(sched, 16 * control_rate)
         env = tone_envelope(held.num_steps, held.control_rate, 0.0)
-        spectrum = periodogram(apply_schedule(env, held, 0))
+        spectrum = periodogram(reflect_once(env, held))
         fractions.append(line_power(spectrum, spec.frequency_shift)
                          / spectrum.total_power)
     assert all(a < b for a, b in zip(fractions, fractions[1:]))
@@ -179,41 +186,42 @@ def test_shifted_line_fraction_grows_with_step_count():
 # quantization
 # ---------------------------------------------------------------------------
 
+def snap(amplitude, phase, model):
+    """Quantized (amplitude, phase) of the coefficient A * exp(j*phi)."""
+    z = quantize_values(np.array([amplitude * np.exp(1j * phase)]), model)[0]
+    return abs(z), wrap_phase(np.angle(z))
+
+
 def test_continuous_model_is_identity():
-    c = ReflectionCoefficient(0.77, 1.234)
-    assert quantize(c, CONTINUOUS) is c
+    values = np.array([0.77 * np.exp(1.234j)])
+    assert quantize_values(values, CONTINUOUS) is values
 
 
 def test_two_level_phase_snaps_to_nearest():
     model = QuantizationModel(phase_levels=2)
-    out = quantize(ReflectionCoefficient(1.0, 0.4 * np.pi), model)
-    assert out.phase == 0.0
-    out = quantize(ReflectionCoefficient(1.0, 0.6 * np.pi), model)
-    assert out.phase == pytest.approx(np.pi)
+    assert snap(1.0, 0.4 * np.pi, model)[1] == 0.0
+    assert snap(1.0, 0.6 * np.pi, model)[1] == pytest.approx(np.pi)
 
 
 def test_exact_tie_breaks_to_lower_level_index():
     model = QuantizationModel(phase_levels=4)
     # 0.25*pi sits exactly between levels 0 and pi/2
-    out = quantize(ReflectionCoefficient(1.0, 0.25 * np.pi), model)
-    assert out.phase == 0.0
+    assert snap(1.0, 0.25 * np.pi, model)[1] == 0.0
     # 1.75*pi ties between level 3 (3pi/2) and level 0 (2pi); index 0 wins
-    out = quantize(ReflectionCoefficient(1.0, 1.75 * np.pi), model)
-    assert out.phase == 0.0
+    assert snap(1.0, 1.75 * np.pi, model)[1] == 0.0
 
 
 def test_amplitude_quantization_levels():
     model = QuantizationModel(amplitude_levels=3)  # levels {0, 0.5, 1}
-    assert quantize(ReflectionCoefficient(0.6, 0.0), model).amplitude == 0.5
-    assert quantize(ReflectionCoefficient(0.9, 0.0), model).amplitude == 1.0
+    assert snap(0.6, 0.0, model)[0] == 0.5
+    assert snap(0.9, 0.0, model)[0] == 1.0
     # exact tie at 0.25 goes down to 0
-    assert quantize(ReflectionCoefficient(0.25, 0.0), model).amplitude == 0.0
+    assert snap(0.25, 0.0, model)[0] == 0.0
 
 
 def test_phase_offset_shifts_the_grid():
     model = QuantizationModel(phase_levels=2, phase_offset=np.pi / 2)
-    out = quantize(ReflectionCoefficient(1.0, 0.4 * np.pi), model)
-    assert out.phase == pytest.approx(np.pi / 2)
+    assert snap(1.0, 0.4 * np.pi, model)[1] == pytest.approx(np.pi / 2)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, TWO_PI, exclude_max=True),
@@ -221,20 +229,11 @@ def test_phase_offset_shifts_the_grid():
        st.floats(0.0, TWO_PI, exclude_max=True))
 def test_quantize_is_idempotent(amp, phase, phase_levels, amp_levels, offset):
     model = QuantizationModel(phase_levels, amp_levels, offset)
-    once = quantize(ReflectionCoefficient(amp, phase), model)
-    twice = quantize(once, model)
-    assert twice.amplitude == once.amplitude
-    assert twice.phase == once.phase
-
-
-def test_quantize_values_matches_scalar_quantize():
-    rng = np.random.default_rng(3)
-    model = QuantizationModel(phase_levels=8, amplitude_levels=4)
-    coeffs = rng.uniform(0, 1, 50) * np.exp(1j * rng.uniform(0, TWO_PI, 50))
-    vec = quantize_values(coeffs, model)
-    for z, qz in zip(coeffs, vec):
-        scalar = quantize(ReflectionCoefficient.from_complex(z), model)
-        assert qz == pytest.approx(scalar.value, abs=1e-15)
+    once = quantize_values(np.array([amp * np.exp(1j * phase)]), model)
+    twice = quantize_values(once, model)
+    # a component left continuous passes through |z| and arg z again,
+    # which may move it by a few ulps
+    assert np.allclose(twice, once, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

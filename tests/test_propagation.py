@@ -12,14 +12,28 @@ from metalink.core import (
     tone_envelope,
     wavelength_of,
 )
-from metalink.metasurface import apply_schedule
 from metalink.propagation import (
     ChannelModel,
+    ChannelSet,
     build_channels,
-    free_space_gain,
-    illuminate,
-    superpose,
+    surface_pass,
 )
+from oracles import free_space_gain
+
+UNIT_CELL = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
+
+
+def ones_schedule(streams, steps, rate=1e8):
+    return CoefficientSchedule(np.ones((streams, steps), dtype=complex), rate)
+
+
+def per_cell_pass(incident, values, feed_gains, obs_gains, noise_psd=0.0,
+                  noise_seeds=None):
+    """Surface pass with one stream per cell, so each cell has its own row."""
+    channels = ChannelSet(feed_gains, obs_gains)
+    schedule = CoefficientSchedule(values, incident.sample_rate)
+    return surface_pass(incident, schedule, np.arange(channels.num_cells),
+                        channels, noise_psd, noise_seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +135,13 @@ def test_two_feeds_are_rejected():
 
 
 # ---------------------------------------------------------------------------
-# illuminate
+# feed leg
 # ---------------------------------------------------------------------------
 
 def test_unit_feed_gains_pass_carrier_unchanged():
+    # point p observes only cell p, so rx_p is what cell p reflects
     carrier = tone_envelope(16, 1e8, 4.25e9)
-    fields = illuminate(carrier, np.ones(3))
+    fields = per_cell_pass(carrier, np.ones((3, 16)), np.ones(3), np.eye(3))
     assert len(fields) == 3
     for env in fields:
         assert np.array_equal(env.samples, carrier.samples)
@@ -134,7 +149,7 @@ def test_unit_feed_gains_pass_carrier_unchanged():
 
 def test_zero_feed_gain_silences_a_cell():
     carrier = tone_envelope(16, 1e8, 4.25e9)
-    fields = illuminate(carrier, [0.0, 1.0])
+    fields = per_cell_pass(carrier, np.ones((2, 16)), [0.0, 1.0], np.eye(2))
     assert np.all(fields[0].samples == 0.0)
 
 
@@ -146,92 +161,128 @@ def test_spherical_feed_over_16x16_matches_oracle():
     chans = build_channels(geo, points, ChannelModel("free_space",
                                                      wavelength=wavelength))
     carrier = tone_envelope(4, 1e8, 4.25e9)
-    fields = illuminate(carrier, chans.feed_gains)
+    probed = (0, 17, 255)
+    taps = np.zeros((geo.num_cells, len(probed)))
+    taps[probed, range(len(probed))] = 1.0  # point k observes cell probed[k]
+    fields = per_cell_pass(carrier, np.ones((geo.num_cells, 4)),
+                           chans.feed_gains, taps)
     cells = cell_positions(geo)
-    for c in (0, 17, 255):
+    for k, c in enumerate(probed):
         expected = free_space_gain(feed_pos, cells[c], wavelength)
-        assert np.allclose(fields[c].samples, expected * carrier.samples,
+        assert np.allclose(fields[k].samples, expected * carrier.samples,
                            rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# superpose
+# superposition at the observation points
 # ---------------------------------------------------------------------------
 
 def test_single_cell_unit_gain_is_identity():
     env = tone_envelope(32, 1e8, 4.25e9, freq_offset=1e6)
-    out = superpose([env], [1.0])
+    out = surface_pass(env, ones_schedule(1, 32), [0], UNIT_CELL)[0]
     assert np.array_equal(out.samples, env.samples)
 
 
 def test_opposite_gains_cancel():
     env = tone_envelope(32, 1e8, 4.25e9, freq_offset=1e6)
-    out = superpose([env, env], [1.0, -1.0])
+    out = surface_pass(env, ones_schedule(1, 32), [0, 0],
+                       ChannelSet(np.ones(2), np.array([[1.0], [-1.0]])))[0]
     assert np.all(out.samples == 0.0)
 
 
 def test_superpose_matches_brute_force_double_sum():
     rng = np.random.default_rng(42)
     geo = SurfaceGeometry(4, 4, 0.05)
-    envs = [tone_envelope(64, 1e8, 0.0, freq_offset=f)
-            for f in rng.uniform(-4e7, 4e7, geo.num_cells)]
-    gains = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    out = superpose(envs, gains)
-    brute = np.zeros(64, dtype=complex)
-    for n in range(geo.rows):
-        for m in range(geo.cols):
-            c = n * geo.cols + m
-            brute = brute + gains[c] * envs[c].samples
-    scale = np.max(np.abs(brute))
-    assert np.all(np.abs(out.samples - brute) <= 1e-12 * scale)
+    incident = tone_envelope(64, 1e8, 0.0, freq_offset=3e6)
+    values = np.exp(1j * rng.uniform(0, 2 * np.pi, (geo.num_cells, 64)))
+    feed = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    gains = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    out = per_cell_pass(incident, values, feed, gains)
+    for p in range(2):
+        brute = np.zeros(64, dtype=complex)
+        for n in range(geo.rows):
+            for m in range(geo.cols):
+                c = n * geo.cols + m
+                brute = brute + gains[c, p] * values[c] * feed[c] * incident.samples
+        scale = np.max(np.abs(brute))
+        assert np.all(np.abs(out[p].samples - brute) <= 1e-12 * scale)
 
 
 def test_superpose_rejects_mismatched_envelopes():
-    a = tone_envelope(32, 1e8, 4.25e9)
-    b = tone_envelope(16, 1e8, 4.25e9)
+    env = tone_envelope(32, 1e8, 4.25e9)
+    unit = ChannelSet(np.ones(2), np.ones((2, 1)))
     with pytest.raises(ContractViolation):
-        superpose([a, b], [1.0, 1.0])
-    c = tone_envelope(32, 2e8, 4.25e9)
+        surface_pass(env, ones_schedule(1, 16), [0, 0], unit)
     with pytest.raises(ContractViolation):
-        superpose([a, c], [1.0, 1.0])
-    with pytest.raises(ContractViolation):
-        superpose([a], [1.0, 1.0])
+        surface_pass(env, ones_schedule(1, 32, rate=2e8), [0, 0], unit)
+    with pytest.raises(ContractViolation):  # one stream id for two cells
+        surface_pass(env, ones_schedule(1, 32), [0], unit)
+    with pytest.raises(ContractViolation):  # noise needs a seed per point
+        surface_pass(env, ones_schedule(1, 32), [0, 0], unit, noise_psd=0.1)
 
 
 def test_superpose_is_linear_in_gains():
     rng = np.random.default_rng(5)
-    envs = [tone_envelope(64, 1e8, 0.0, freq_offset=f)
-            for f in (1e6, -2e6, 3e6)]
-    g1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    g2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    lhs = superpose(envs, g1 + g2).samples
-    rhs = superpose(envs, g1).samples + superpose(envs, g2).samples
+    incident = tone_envelope(64, 1e8, 0.0, freq_offset=1e6)
+    values = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 64)))
+    g1 = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    g2 = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    feed = np.ones(3)
+    lhs = per_cell_pass(incident, values, feed, g1 + g2)[0].samples
+    rhs = (per_cell_pass(incident, values, feed, g1)[0].samples
+           + per_cell_pass(incident, values, feed, g2)[0].samples)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
+
+
+def test_scaling_feed_gains_scales_every_point():
+    rng = np.random.default_rng(8)
+    incident = tone_envelope(64, 1e8, 0.0, freq_offset=-2e6)
+    values = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 64)))
+    stream_of_cell = rng.integers(0, 2, 12)
+    feed = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    obs = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    schedule = CoefficientSchedule(values, 1e8)
+    a = 0.6 - 1.3j
+    base = surface_pass(incident, schedule, stream_of_cell, ChannelSet(feed, obs))
+    scaled = surface_pass(incident, schedule, stream_of_cell,
+                          ChannelSet(a * feed, obs))
+    for b, s in zip(base, scaled):
+        assert np.allclose(s.samples, a * b.samples, rtol=1e-12, atol=1e-15)
 
 
 def test_superpose_is_linear_in_each_field():
-    envs = [tone_envelope(64, 1e8, 0.0, freq_offset=f) for f in (1e6, -2e6)]
-    gains = np.array([0.4 - 0.1j, -0.7 + 0.3j])
+    # the cells' reflected fields add: scaling one cell's feed gain by alpha
+    # adds (alpha - 1) times that cell's contribution
+    incident = tone_envelope(64, 1e8, 0.0, freq_offset=1e6)
+    values = np.stack([np.ones(64), np.exp(2j * np.pi * 3e6 * np.arange(64) / 1e8)])
+    gains = np.array([[0.4 - 0.1j], [-0.7 + 0.3j]])
     alpha = 1.7 - 0.6j
-    scaled = [envs[0].with_samples(alpha * envs[0].samples), envs[1]]
-    lhs = superpose(scaled, gains).samples
-    rhs = (superpose(envs, gains).samples
-           + (alpha - 1) * gains[0] * envs[0].samples)
+    lhs = per_cell_pass(incident, values, [alpha, 1.0], gains)[0].samples
+    rhs = (per_cell_pass(incident, values, [1.0, 1.0], gains)[0].samples
+           + (alpha - 1) * gains[0, 0] * values[0] * incident.samples)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# receiver noise
+# ---------------------------------------------------------------------------
+
 def test_noise_is_deterministic_given_seed():
     env = tone_envelope(128, 1e8, 4.25e9)
-    out1 = superpose([env], [1.0], noise_psd=0.1, rng_seed=1234)
-    out2 = superpose([env], [1.0], noise_psd=0.1, rng_seed=1234)
-    out3 = superpose([env], [1.0], noise_psd=0.1, rng_seed=1235)
+
+    def noisy(seed):
+        return surface_pass(env, ones_schedule(1, 128), [0], UNIT_CELL,
+                            noise_psd=0.1, noise_seeds=[seed])[0]
+
+    out1, out2, out3 = noisy(1234), noisy(1234), noisy(1235)
     assert np.array_equal(out1.samples, out2.samples)
     assert not np.array_equal(out1.samples, out3.samples)
 
 
 def test_noise_variance_is_calibrated():
     env = tone_envelope(200_000, 1e8, 4.25e9, amplitude=0.0)
-    out = superpose([env], [1.0], noise_psd=0.25, rng_seed=9)
+    out = surface_pass(env, ones_schedule(1, 200_000), [0], UNIT_CELL,
+                       noise_psd=0.25, noise_seeds=[9])[0]
     measured = np.mean(np.abs(out.samples) ** 2)
     assert measured == pytest.approx(0.25, rel=0.02)
 
@@ -241,7 +292,5 @@ def test_single_cell_chain_reduces_to_reflection_product():
     carrier = tone_envelope(64, 1e8, 4.25e9, freq_offset=2e6)
     coeff = 0.8 * np.exp(0.3j)
     sched = CoefficientSchedule(np.full((1, 64), coeff), 1e8)
-    fields = illuminate(carrier, [1.0])
-    applied = apply_schedule(fields[0], sched, 0)
-    out = superpose([applied], [1.0])
+    out = surface_pass(carrier, sched, [0], UNIT_CELL)[0]
     assert np.array_equal(out.samples, carrier.samples * coeff)

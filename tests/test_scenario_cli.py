@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def test_integrated_scenario_round_trip(tmp_path):
     assert peak == pytest.approx(-5e6, abs=spectrum.resolution / 2)
 
 
+def test_wide_surface_simulates_in_bounded_memory():
+    # 1024 cells x 51 200 samples: the surface pass holds per-stream rows
+    # only, never one envelope per cell (840 MB for each such copy)
+    data = scen.apply_overrides(scen.load_scenario("sdc_5mhz"),
+                                {"geometry.rows": "32", "geometry.cols": "32"})
+    sc = scen.Scenario.from_dict(data)
+    tracemalloc.start()
+    try:
+        result = scen.simulate(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.summary["strongest_line_hz"] == -5e6
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
 def test_invalid_scenario_raises_listing_every_field(tiny_link):
     tiny_link["geometry"]["spacing_m"] = 0.0
     tiny_link["rng_seed"] = -3
@@ -187,6 +204,17 @@ def test_cli_validate_failure(tiny_link, tmp_path, capsys):
     path.write_text(json.dumps(tiny_link))
     assert cli.main(["validate", str(path)]) == 1
     assert "geometry.spacing_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("channel.noise_psd", "NaN"),
+    ("carrier_freq_hz", "Infinity"),
+    ("carrier_freq_hz", "1" + "0" * 400),  # an int too large for a float
+], ids=["nan", "infinity", "huge_int"])
+def test_cli_validate_rejects_non_finite_numbers(field, value, capsys):
+    assert cli.main(["validate", "mimo2x2_16qam",
+                     "--override", f"{field}={value}"]) == 1
+    assert f"violation: {field}" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_scenario(capsys):

@@ -8,8 +8,8 @@ from metalink.core import (
     resample_hold,
     tone_envelope,
 )
-from metalink.metasurface import QuantizationModel, apply_schedule
-from metalink.propagation import illuminate, superpose
+from metalink.metasurface import QuantizationModel
+from metalink.propagation import ChannelSet, surface_pass
 from metalink.txrx import (
     DetectionError,
     FrameSpec,
@@ -155,23 +155,20 @@ def test_frame_control_rate():
 # ---------------------------------------------------------------------------
 
 def test_single_constant_symbol_schedule():
-    geo = SurfaceGeometry(2, 2, 0.05)
-    part = SurfacePartition.full_surface(geo)
     frame = FrameSpec.with_default_pilots(1, 1, 1e6, 4)
-    sched = symbols_to_schedule([[1.0 + 0j]], part, frame)
-    assert sched.num_cells == 4
+    sched = symbols_to_schedule([[1.0 + 0j]], frame)
+    assert sched.num_streams == 1
     assert sched.num_steps == (4 + 1) * 4
     assert np.all(sched.values[:, -4:] == 1.0)  # payload after the pilots
-    assert np.array_equal(sched.values[:, :16],
-                          np.repeat(frame.pilots[0], 4)[None, :].repeat(4, axis=0))
+    assert np.array_equal(sched.values[0, :16], np.repeat(frame.pilots[0], 4))
 
 
 def test_two_stream_bpsk_schedule_sets_halves():
     geo = SurfaceGeometry(2, 4, 0.05)
     part = SurfacePartition.left_right(geo)
     frame = FrameSpec.with_default_pilots(2, 1, 1e6, 2)
-    sched = symbols_to_schedule([[1.0], [-1.0]], part, frame)
-    payload = sched.values[:, -2:]
+    sched = symbols_to_schedule([[1.0], [-1.0]], frame)
+    payload = sched.values[part.stream_of_cell, -2:]  # what each cell holds
     left = part.stream_of_cell == 0
     assert np.all(payload[left] == 1.0)
     assert np.all(payload[~left] == -1.0)
@@ -187,22 +184,18 @@ def test_symbol_rate_for_20mbps_aggregate():
 
 
 def test_quantized_schedule_snaps_payload():
-    geo = SurfaceGeometry(1, 1, 0.05)
-    part = SurfacePartition.full_surface(geo)
     frame = FrameSpec.with_default_pilots(1, 1, 1e6, 1)
     quant = QuantizationModel(phase_levels=2)
-    sched = symbols_to_schedule([[np.exp(0.4j * np.pi)]], part, frame, quant)
+    sched = symbols_to_schedule([[np.exp(0.4j * np.pi)]], frame, quant)
     assert sched.values[0, -1] == pytest.approx(1.0)
 
 
 def test_schedule_length_mismatch_is_rejected():
-    geo = SurfaceGeometry(1, 2, 0.05)
-    part = SurfacePartition.full_surface(geo)
     frame = FrameSpec.with_default_pilots(1, 2, 1e6, 1)
     with pytest.raises(ValueError):
-        symbols_to_schedule([[1.0]], part, frame)
+        symbols_to_schedule([[1.0]], frame)
     with pytest.raises(ValueError):
-        symbols_to_schedule([[1.0, 1.0], [1.0, 1.0]], part, frame)
+        symbols_to_schedule([[1.0, 1.0], [1.0, 1.0]], frame)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +253,12 @@ def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
     symbols = np.stack([map_bits(bits[s], scheme) for s in range(streams)])
     frame = FrameSpec.with_default_pilots(streams, payload, 1e6,
                                           samples_per_symbol)
-    waves = [symbols_to_waveform(
-        np.concatenate([frame.pilots[s], symbols[s]]), samples_per_symbol,
-        frame.control_rate, 4.25e9) for s in range(streams)]
+    # one unit-fed cell per stream whose gain to antenna a is h[a, s]
+    schedule = symbols_to_schedule(symbols, frame)
+    carrier = tone_envelope(schedule.num_steps, frame.control_rate, 4.25e9)
     noise_seeds = np.random.SeedSequence(seed).spawn(antennas)
-    rx = [superpose(waves, h[a], noise_psd, noise_seeds[a])
-          for a in range(antennas)]
+    rx = surface_pass(carrier, schedule, np.arange(streams),
+                      ChannelSet(np.ones(streams), h.T), noise_psd, noise_seeds)
     return receive_frame(rx, frame, scheme, reference=symbols), h, symbols
 
 
@@ -338,7 +331,8 @@ def test_receive_frame_contract_checks():
 
 
 def test_partition_permutation_leaves_stream_products_unchanged():
-    # identity channel: shuffling cells within a stream cannot change the sum
+    # swapping the channel gains of cells within a stream keeps every
+    # effective stream gain, so the received envelopes cannot change
     geo = SurfaceGeometry(2, 4, 0.05)
     part = SurfacePartition.left_right(geo)
     frame = FrameSpec.with_default_pilots(2, 8, 1e6, 2)
@@ -346,21 +340,22 @@ def test_partition_permutation_leaves_stream_products_unchanged():
     scheme = get_scheme("QPSK")
     symbols = np.stack([map_bits(rng.integers(0, 2, 16), scheme)
                         for _ in range(2)])
-    sched = symbols_to_schedule(symbols, part, frame)
+    sched = symbols_to_schedule(symbols, frame)
+    feed = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    obs = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
 
     perm = np.arange(8)
-    left = np.flatnonzero(part.stream_of_cell == 0)
-    perm[left] = left[::-1]  # reverse the left-stream cells
-    shuffled = SurfacePartition(part.stream_of_cell[perm], 2)
-    sched_perm = symbols_to_schedule(symbols, shuffled, frame)
+    for s in range(2):
+        cells = np.flatnonzero(part.stream_of_cell == s)
+        perm[cells] = rng.permutation(cells)
+    assert not np.array_equal(perm, np.arange(8))
 
     carrier = tone_envelope(sched.num_steps, frame.control_rate, 4.25e9)
-    gains = np.ones(8, dtype=complex)
-    out = superpose([apply_schedule(f, sched, c)
-                     for c, f in enumerate(illuminate(carrier, gains))], gains)
-    out_perm = superpose([apply_schedule(f, sched_perm, c)
-                          for c, f in enumerate(illuminate(carrier, gains))], gains)
-    assert np.allclose(out.samples, out_perm.samples, rtol=1e-12, atol=1e-15)
+    out = surface_pass(carrier, sched, part.stream_of_cell, ChannelSet(feed, obs))
+    out_perm = surface_pass(carrier, sched, part.stream_of_cell,
+                            ChannelSet(feed[perm], obs[perm]))
+    for a, b in zip(out, out_perm):
+        assert np.allclose(a.samples, b.samples, rtol=1e-12, atol=1e-15)
 
 
 def test_noiseless_loopback_all_schemes():
