@@ -24,7 +24,7 @@ A scenario is a JSON object with explicit units in its field names:
   sdc_periods         int >= 1, tone duration in staircase periods  (SDC mode)
   quantization        {phase_levels, amplitude_levels, phase_offset_rad},
                       optional; null levels mean continuous
-  spectrum_bins       int >= 2 or null; DFT length cap for artifact spectra
+  spectrum_bins       int >= 2 or null; artifact DFT length cap, null in SDC mode
 
 Modes:
   transmit_link          feed tone -> data-modulating surface -> rx antennas
@@ -40,7 +40,6 @@ plus rng_seed, so repeated runs produce byte-identical CSVs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -253,6 +252,9 @@ def validate(data: dict) -> list:
     bins = data.get("spectrum_bins")
     if bins is not None and (not _is_int(bins) or bins < 2):
         errs.append("spectrum_bins: must be null or an integer >= 2")
+    if bins is not None and mode == "space_down_conversion":
+        errs.append("spectrum_bins: must be null in space_down_conversion mode, since "
+                    "the harmonic table needs the DFT to span whole ramp periods")
 
     if mode in LINK_MODES or mode is None:
         errs.extend(_validate_link_fields(data, mode, num_cells, num_obs))
@@ -632,27 +634,20 @@ def _summarize(sc: Scenario, reports: dict) -> dict:
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+CSV_BLOCK_ROWS = 4096
 
 
-def _write_constellation(path: Path, detected, reference) -> None:
+def _write_csv(path: Path, header: str, row_fmt: str, columns) -> None:
+    """Write equal-length columns with one %-format per block of rows.
+
+    %.17g prints what f"{v:.17g}" prints, numbers never need CSV quoting,
+    and only one block is stacked at a time, so memory stays bounded.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["symbol_index", "i", "q", "ref_i", "ref_q"])
-        for idx, (d, r) in enumerate(zip(detected, reference)):
-            writer.writerow([idx, _fmt(d.real), _fmt(d.imag),
-                             _fmt(r.real), _fmt(r.imag)])
-
-
-def _write_spectrum(path: Path, spectrum: spectral.Spectrum) -> None:
-    with np.errstate(divide="ignore"):
-        power_db = 10.0 * np.log10(spectrum.power)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["freq_hz", "power_linear", "power_db"])
-        for f, p, db in zip(spectrum.frequencies, spectrum.power, power_db):
-            writer.writerow([_fmt(f), _fmt(p), _fmt(db)])
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_artifacts(result: ScenarioResult, out_dir) -> list:
@@ -666,12 +661,17 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
             if not report.reference_symbols:
                 continue
             path = out / f"constellation_{prefix}{s}.csv"
-            _write_constellation(path, report.detected_symbols[s],
-                                 report.reference_symbols[s])
+            d, r = report.detected_symbols[s], report.reference_symbols[s]
+            _write_csv(path, "symbol_index,i,q,ref_i,ref_q",
+                       "%d,%.17g,%.17g,%.17g,%.17g\n",
+                       (np.arange(len(d)), d.real, d.imag, r.real, r.imag))
             paths.append(path)
         for tag, spectrum in report.spectra.items():
             path = out / f"spectrum_{tag}.csv"
-            _write_spectrum(path, spectrum)
+            with np.errstate(divide="ignore"):
+                power_db = 10.0 * np.log10(spectrum.power)
+            _write_csv(path, "freq_hz,power_linear,power_db", "%.17g,%.17g,%.17g\n",
+                       (spectrum.frequencies, spectrum.power, power_db))
             paths.append(path)
     result.summary["artifacts"] = sorted(p.name for p in paths) + ["summary.json"]
     summary_path = out / "summary.json"

@@ -2,9 +2,13 @@
 
 Each one restates a formula element by element, independent of the
 vectorised code it checks: cell_position for core.cell_positions,
-free_space_gain for the channel gains of propagation.build_channels, and
-dft_direct for the fast transform behind spectral.periodogram.
+free_space_gain for the channel gains of propagation.build_channels,
+dft_direct for the fast transform behind spectral.periodogram, and the
+row-at-a-time csv.writer writers for the CSV artifacts of
+scenario.write_artifacts.
 """
+
+import csv
 
 import numpy as np
 
@@ -40,3 +44,26 @@ def dft_direct(x) -> np.ndarray:
         k = np.arange(start, min(start + 256, n_total))
         out[k] = np.exp(-2j * np.pi * np.outer(k, n) / n_total) @ x
     return out
+
+
+def _fmt(v: float) -> str:
+    return f"{v:.17g}"
+
+
+def write_constellation(path, detected, reference) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["symbol_index", "i", "q", "ref_i", "ref_q"])
+        for idx, (d, r) in enumerate(zip(detected, reference)):
+            writer.writerow([idx, _fmt(d.real), _fmt(d.imag),
+                             _fmt(r.real), _fmt(r.imag)])
+
+
+def write_spectrum(path, spectrum) -> None:
+    with np.errstate(divide="ignore"):
+        power_db = 10.0 * np.log10(spectrum.power)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["freq_hz", "power_linear", "power_db"])
+        for f, p, db in zip(spectrum.frequencies, spectrum.power, power_db):
+            writer.writerow([_fmt(f), _fmt(p), _fmt(db)])

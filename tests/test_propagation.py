@@ -72,6 +72,19 @@ def test_free_space_gain_is_reciprocal(ax, ay, az, bx, by, bz):
     assert g_ab == g_ba
 
 
+@given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 3),
+       st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 3))
+def test_build_channels_free_space_gains_are_reciprocal(ax, ay, az, bx, by, bz):
+    # swapping which of A and B is the feed swaps the feed and observation legs
+    geo = SurfaceGeometry(3, 4, 0.035)
+    a, b = [ax, ay, az], [bx, by, bz]
+    model = ChannelModel("free_space", wavelength=0.07)
+    ab = build_channels(geo, PointSet(np.array([a, b]), ("feed", "rx")), model)
+    ba = build_channels(geo, PointSet(np.array([b, a]), ("feed", "rx")), model)
+    np.testing.assert_allclose(ba.feed_gains, ab.obs_gains[:, 0], rtol=1e-12)
+    np.testing.assert_allclose(ba.obs_gains[:, 0], ab.feed_gains, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # build_channels
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ import pytest
 from metalink import cli
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
+from metalink.spectral import Spectrum
+from metalink.txrx import LinkReport
+from oracles import write_constellation, write_spectrum
 
 
 @pytest.fixture()
@@ -82,6 +85,16 @@ def test_explicit_matrix_shape_is_checked(tiny_link):
     assert any("channel.matrix" in v for v in violations)
 
 
+def test_sdc_mode_rejects_spectrum_bins():
+    # a capped DFT would not span whole ramp periods, moving the harmonic
+    # lines off the bin grid; SDC runs used to ignore the cap silently
+    data = scen.apply_overrides(scen.load_scenario("sdc_5mhz"),
+                                {"spectrum_bins": "1024"})
+    violations = scen.validate(data)
+    assert any(v.startswith("spectrum_bins:") and "whole ramp periods" in v
+               for v in violations)
+
+
 # ---------------------------------------------------------------------------
 # simulation behaviour
 # ---------------------------------------------------------------------------
@@ -120,6 +133,41 @@ def test_run_scenario_writes_expected_artifacts(tiny_link, tmp_path):
     assert result.artifact_paths
 
 
+def _edge_spectrum(n, rng):
+    """n random bins with -0.0, nan, zero (-inf dB), subnormal and huge values."""
+    freqs = rng.uniform(-5e7, 5e7, n)
+    power = rng.exponential(size=n)
+    freqs[0], power[0], power[-1] = -0.0, 0.0, 5e-324
+    if n > 3:
+        freqs[1], power[1], power[2] = np.nan, 1.7e308, -0.0
+    return Spectrum(freqs, power, 1.0)
+
+
+def _written_bytes(report, out_dir):
+    paths = scen.write_artifacts(scen.ScenarioResult(None, {"link": report}, {}),
+                                 out_dir)
+    return {p.name: p.read_bytes() for p in paths if p.suffix == ".csv"}
+
+
+@pytest.mark.parametrize("n", [2, scen.CSV_BLOCK_ROWS - 1, scen.CSV_BLOCK_ROWS,
+                               scen.CSV_BLOCK_ROWS + 1, 2 * scen.CSV_BLOCK_ROWS + 3])
+def test_spectrum_csv_matches_csv_writer_oracle(n, tmp_path):
+    spectrum = _edge_spectrum(n, np.random.default_rng(n))
+    written = _written_bytes(LinkReport(spectra={"edge": spectrum}), tmp_path / "new")
+    write_spectrum(tmp_path / "ref.csv", spectrum)
+    assert written == {"spectrum_edge.csv": (tmp_path / "ref.csv").read_bytes()}
+
+
+def test_constellation_csv_matches_csv_writer_oracle(tmp_path):
+    rng = np.random.default_rng(10_001)
+    detected, reference = rng.normal(size=(2, 10_001, 2)) @ np.array([1.0, 1j])
+    detected[0], reference[-1] = complex(-0.0, 5e-324), complex(1.7e308, -0.0)
+    report = LinkReport(detected_symbols=[detected], reference_symbols=[reference])
+    written = _written_bytes(report, tmp_path / "new")
+    write_constellation(tmp_path / "ref.csv", detected, reference)
+    assert written == {"constellation_0.csv": (tmp_path / "ref.csv").read_bytes()}
+
+
 def test_integrated_scenario_round_trip(tmp_path):
     result = scen.run_scenario("integrated_switch", tmp_path,
                                overrides={"frame.payload_symbols": "64"})
@@ -133,6 +181,30 @@ def test_integrated_scenario_round_trip(tmp_path):
     spectrum = result.reports["receive"].spectra["sdc_rx0"]
     peak = spectrum.frequencies[np.argmax(spectrum.power)]
     assert peak == pytest.approx(-5e6, abs=spectrum.resolution / 2)
+
+
+def test_integrated_mode_caps_artifact_spectra(tmp_path):
+    scen.run_scenario("integrated_switch", tmp_path,
+                      overrides={"frame.payload_symbols": "64",
+                                 "spectrum_bins": "1024"})
+    for name in ("spectrum_tx_rx0.csv", "spectrum_sdc_rx0.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 1 + 1024
+
+
+def test_flipping_ramp_direction_mirrors_the_spectrum():
+    # the up ramp is the conjugate of the down ramp, so P_up(f) = P_down(-f);
+    # bins run from -fs/2 + df to +fs/2, and +fs/2 alone has no mirror bin
+    results = {}
+    for direction in ("down", "up"):
+        data = scen.apply_overrides(scen.load_scenario("sdc_5mhz"),
+                                    {"staircase.direction": direction})
+        results[direction] = scen.simulate(scen.Scenario.from_dict(data))
+    down, up = (results[d].reports["link"].spectra["output"] for d in ("down", "up"))
+    assert np.array_equal(up.frequencies[:-1], -down.frequencies[-2::-1])
+    mismatch = np.max(np.abs(up.power[:-1] - down.power[-2::-1]))
+    assert mismatch <= 1e-12 * np.max(down.power)
+    line = results["down"].summary["strongest_line_hz"]
+    assert line != 0.0 and results["up"].summary["strongest_line_hz"] == -line
 
 
 def test_wide_surface_simulates_in_bounded_memory():
