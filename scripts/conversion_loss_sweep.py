@@ -15,7 +15,7 @@ import csv
 
 import numpy as np
 
-from metalink.core import resample_hold, tone_envelope
+from metalink.core import tone_envelope
 from metalink.metasurface import StaircaseRampSpec, compile_staircase
 from metalink.propagation import ChannelSet, surface_pass
 from metalink.spectral import line_power, periodogram, staircase_harmonics
@@ -24,10 +24,9 @@ from metalink.spectral import line_power, periodogram, staircase_harmonics
 def measure_loss_db(L, oversample=256, periods=8):
     spec = StaircaseRampSpec(period=L * 1e-8, steps_per_period=L)
     sched = compile_staircase(spec, 1e8, duration=periods * L * 1e-8)
-    held = resample_hold(sched, oversample * 1e8)
-    env = tone_envelope(held.num_steps, held.control_rate, 0.0)
+    env = tone_envelope(sched.num_steps * oversample, oversample * 1e8, 0.0)
     unit_cell = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
-    spectrum = periodogram(surface_pass(env, held, [0], unit_cell)[0])
+    spectrum = periodogram(surface_pass(env, sched, [0], unit_cell)[0])
     fraction = line_power(spectrum, spec.frequency_shift) / spectrum.total_power
     strongest_spur = staircase_harmonics(L, [1 - L])[0]
     return -10 * np.log10(fraction), strongest_spur

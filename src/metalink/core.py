@@ -135,13 +135,14 @@ def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSchedule:
-    """Per-stream piecewise-constant reflection coefficients at the control rate.
+    """Per-stream piecewise-constant reflection coefficients at their update rate.
 
     values has shape (num_streams, num_steps); every cell of stream s holds
     row s, and each value is held for 1 / control_rate seconds (zero-order
-    hold). A per-cell schedule is the case of one stream per cell. Each
-    coefficient A * exp(j*phi) is a plain complex number; magnitudes must
-    not exceed 1.
+    hold). control_rate is the rate the values change at: the DAC rate for a
+    staircase, the symbol rate for a transmit frame. A per-cell schedule is
+    the case of one stream per cell. Each coefficient A * exp(j*phi) is a
+    plain complex number; magnitudes must not exceed 1.
     """
 
     values: np.ndarray
@@ -170,18 +171,26 @@ class CoefficientSchedule:
         return self.num_steps / self.control_rate
 
 
+def _hold_ratio(rate: float, target_rate: float) -> int | None:
+    """target_rate / rate when it is a whole number >= 1 (within 1e-9), else None."""
+    ratio_f = target_rate / rate
+    ratio = int(round(ratio_f))
+    if ratio < 1 or abs(ratio_f - ratio) > 1e-9 * ratio_f:
+        return None
+    return ratio
+
+
 def resample_hold(schedule: CoefficientSchedule, target_rate: float) -> CoefficientSchedule:
     """Zero-order-hold resampling of a schedule to an integer multiple rate.
 
     Each coefficient is repeated target_rate / control_rate times; fractional
     ratios are rejected rather than interpolated.
     """
-    ratio_f = target_rate / schedule.control_rate
-    ratio = int(round(ratio_f))
-    if ratio < 1 or abs(ratio_f - ratio) > 1e-9 * ratio_f:
+    ratio = _hold_ratio(schedule.control_rate, target_rate)
+    if ratio is None:
         raise ConfigurationError(
             f"target_rate must be an integer multiple of control_rate "
-            f"(got ratio {ratio_f})")
+            f"(got ratio {target_rate / schedule.control_rate})")
     if ratio == 1:
         return schedule
     return CoefficientSchedule(np.repeat(schedule.values, ratio, axis=1), target_rate)

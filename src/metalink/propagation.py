@@ -20,6 +20,7 @@ from .core import (
     ContractViolation,
     PointSet,
     SurfaceGeometry,
+    _hold_ratio,
     cell_positions,
 )
 
@@ -137,20 +138,24 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     G[s, p] = sum over the cells c of stream s of feed_gains[c] * obs_gains[c, p].
     The cost is O(streams x samples) whatever the cell count.
 
-    The schedule must already be at the envelope sample rate (resample_hold)
-    and cover exactly the same number of samples. When noise_psd > 0, point
-    p adds i.i.d. circular complex Gaussian noise of variance noise_psd per
-    sample, drawn from default_rng(noise_seeds[p]): real parts, then
-    imaginary parts.
+    The schedule may run at any rate that divides the envelope rate a whole
+    number of times, hold = sample_rate / control_rate; each of its steps
+    covers hold envelope samples (zero-order hold), so
+    rx_p[n] = incident[n] * sum_s G[s, p] * w_s[n // hold], and the schedule
+    is never expanded to the envelope rate. Its steps must cover the
+    envelope exactly. When noise_psd > 0, point p adds i.i.d. circular
+    complex Gaussian noise of variance noise_psd per sample, drawn from
+    default_rng(noise_seeds[p]): real parts, then imaginary parts.
     """
-    if not np.isclose(schedule.control_rate, incident.sample_rate, rtol=1e-12, atol=0.0):
+    hold = _hold_ratio(schedule.control_rate, incident.sample_rate)
+    if hold is None:
         raise ContractViolation(
-            f"schedule rate {schedule.control_rate} Hz does not match envelope "
-            f"rate {incident.sample_rate} Hz; resample_hold it first")
-    if schedule.num_steps != len(incident):
+            f"envelope rate {incident.sample_rate} Hz is not a whole multiple of "
+            f"schedule rate {schedule.control_rate} Hz")
+    if schedule.num_steps * hold != len(incident):
         raise ContractViolation(
-            f"schedule length {schedule.num_steps} does not match envelope "
-            f"length {len(incident)}")
+            f"schedule covers {schedule.num_steps} x {hold} samples, envelope "
+            f"has {len(incident)}")
     streams = np.asarray(stream_of_cell, dtype=np.int64)
     if streams.shape != (channels.num_cells,):
         raise ContractViolation(
@@ -160,13 +165,16 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
             f"stream ids must index the {schedule.num_streams} schedule rows")
     gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
     np.add.at(gains, streams, channels.feed_gains[:, np.newaxis] * channels.obs_gains)
-    rx = incident.samples * (gains.T @ schedule.values)
+    weights = gains.T @ schedule.values  # (points, steps), at the schedule's rate
+    blocks = incident.samples.reshape(schedule.num_steps, hold)
+    rx = (blocks * weights[:, :, np.newaxis]).reshape(channels.num_points,
+                                                       len(incident))
     if noise_psd > 0.0:
         if noise_seeds is None or len(noise_seeds) != channels.num_points:
             raise ContractViolation("noise needs one seed per observation point")
         scale = np.sqrt(noise_psd / 2.0)
+        n = len(incident)
         for p, seed in enumerate(noise_seeds):
             rng = np.random.default_rng(seed)
-            rx[p] = rx[p] + scale * (rng.standard_normal(rx.shape[1])
-                                     + 1j * rng.standard_normal(rx.shape[1]))
+            rx[p] += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return [incident.with_samples(row) for row in rx]

@@ -19,12 +19,19 @@ A scenario is a JSON object with explicit units in its field names:
   partition           "full" | "left_right" | [stream id per cell]   (link modes)
   modulation          "BPSK" | "QPSK" | "8PSK" | "16QAM"             (link modes)
   frame               {symbol_rate_baud, samples_per_symbol, payload_symbols}
+                                                                    (link modes)
   staircase           {steps_per_period, period_s, direction: "down" | "up",
                        amplitude}                                   (SDC modes)
-  sdc_periods         int >= 1, tone duration in staircase periods  (SDC mode)
+  sdc_periods         int >= 1, tone duration in staircase periods
+                                                   (space_down_conversion only)
   quantization        {phase_levels, amplitude_levels, phase_offset_rad},
-                      optional; null levels mean continuous
-  spectrum_bins       int >= 2 or null; artifact DFT length cap, null in SDC mode
+                      optional; null levels mean continuous         (link modes)
+  spectrum_bins       int >= 2 or null; artifact DFT length cap
+                                         (null in space_down_conversion mode)
+
+Link modes are transmit_link and integrated; SDC modes are
+space_down_conversion and integrated. A field marked with modes must be
+absent or null in every other mode: validate reports it rather than ignore it.
 
 Modes:
   transmit_link          feed tone -> data-modulating surface -> rx antennas
@@ -53,6 +60,12 @@ from . import core, metasurface, propagation, spectral, txrx
 MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
+# fields a mode never reads; a non-null value there is reported, not ignored
+UNUSED_FIELDS = {
+    "transmit_link": ("staircase", "sdc_periods"),
+    "space_down_conversion": ("modulation", "partition", "frame", "quantization"),
+    "integrated": ("sdc_periods",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +156,9 @@ def validate(data: dict) -> list:
     if mode not in MODES:
         errs.append(f"mode: must be one of {MODES}")
         mode = None
+    else:
+        errs.extend(f"{key}: not used in {mode} mode; remove it or set it to null"
+                    for key in UNUSED_FIELDS[mode] if data.get(key) is not None)
 
     for key in ("carrier_freq_hz", "control_rate_hz"):
         v = data.get(key)
@@ -497,11 +513,11 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet,
     symbols = np.stack([txrx.map_bits(bits[s], scheme)
                         for s in range(partition.num_streams)])
     schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
-    held = core.resample_hold(schedule, sc.envelope_rate())
-    carrier = core.tone_envelope(held.num_steps, sc.envelope_rate(),
-                                 sc.carrier_freq_hz)
-    rx = propagation.surface_pass(carrier, held, partition.stream_of_cell, channels,
-                                  sc.noise_psd, noise_seeds)
+    carrier = core.tone_envelope(
+        frame.num_symbols * frame.samples_per_symbol * sc.oversample,
+        sc.envelope_rate(), sc.carrier_freq_hz)
+    rx = propagation.surface_pass(carrier, schedule, partition.stream_of_cell,
+                                  channels, sc.noise_psd, noise_seeds)
     report = txrx.receive_frame(rx, frame, scheme, 0.0, reference=symbols)
     report.spectra["rx0"] = spectral.periodogram(
         rx[0], sc.spectrum_length(len(rx[0])))
@@ -538,12 +554,11 @@ def _run_sdc(sc: Scenario) -> ScenarioResult:
     seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel_model())
     duration = sc.sdc_periods * sc.staircase.period
-    single = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz, duration)
-    held = core.resample_hold(single, sc.envelope_rate())
-    carrier = core.tone_envelope(held.num_steps, sc.envelope_rate(),
+    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz, duration)
+    carrier = core.tone_envelope(ramp.num_steps * sc.oversample, sc.envelope_rate(),
                                  sc.carrier_freq_hz)
     whole = txrx.SurfacePartition.full_surface(sc.geometry)
-    rx = propagation.surface_pass(carrier, held, whole.stream_of_cell, channels,
+    rx = propagation.surface_pass(carrier, ramp, whole.stream_of_cell, channels,
                                   sc.noise_psd, seeds[1:1 + channels.num_points])
     report = txrx.LinkReport()
     report.spectra["input"] = spectral.periodogram(carrier)
@@ -585,11 +600,10 @@ def _run_integrated(sc: Scenario) -> ScenarioResult:
     incident = txrx.symbols_to_waveform(
         all_symbols, sc.samples_per_symbol * sc.oversample, env_rate,
         sc.carrier_freq_hz)
-    single = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                           len(incident) / env_rate)
-    held = core.resample_hold(single, env_rate)
+    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                         len(incident) / env_rate)
     whole = txrx.SurfacePartition.full_surface(sc.geometry)
-    rx = propagation.surface_pass(incident, held, whole.stream_of_cell, channels_rx,
+    rx = propagation.surface_pass(incident, ramp, whole.stream_of_cell, channels_rx,
                                   sc.noise_psd, seeds[-1:])
     rx_report = txrx.receive_frame(rx, frame, scheme,
                                    expected_shift=sc.staircase.frequency_shift,

@@ -1,9 +1,9 @@
 """Digital baseband to coefficient schedules and the full receive chain.
 
 Transmit side: bits are Gray-mapped to peak-normalized constellation points
-and written directly into per-stream reflection coefficients, one symbol held
-for samples_per_symbol control samples, pilots first. There is no RF chain;
-the carrier is an air-fed single tone.
+and written directly into per-stream reflection coefficients, one coefficient
+per symbol interval, pilots first. There is no RF chain; the carrier is an
+air-fed single tone.
 
 Receive side: optional derotation by a known frequency shift, integrate-and-
 dump over symbol intervals, least-squares channel estimation from the pilot
@@ -233,10 +233,12 @@ def symbols_to_schedule(stream_symbols, frame: FrameSpec,
                         quant: QuantizationModel | None = None) -> CoefficientSchedule:
     """Compile per-stream symbol sequences into the per-stream schedule.
 
-    Row s holds (A, phi) = (|symbol|, arg symbol) of stream s, each symbol
-    held for samples_per_symbol control samples; the frame's pilots precede
-    the payload. Every cell of stream s carries row s (see
-    SurfacePartition). Coefficients are quantized per `quant` when given.
+    Row s holds (A, phi) = (|symbol|, arg symbol) of stream s, one column
+    per symbol at frame.symbol_rate; the frame's pilots precede the payload.
+    The surface pass holds each column for its symbol interval, so the
+    schedule is never expanded to the control or envelope rate. Every cell
+    of stream s carries row s (see SurfacePartition). Coefficients are
+    quantized per `quant` when given.
     """
     symbols = np.atleast_2d(np.asarray(stream_symbols, dtype=np.complex128))
     if symbols.shape[0] != frame.num_streams:
@@ -249,8 +251,7 @@ def symbols_to_schedule(stream_symbols, frame: FrameSpec,
     full = np.concatenate([frame.pilots, symbols], axis=1)
     if quant is not None:
         full = quantize_values(full, quant)
-    return CoefficientSchedule(np.repeat(full, frame.samples_per_symbol, axis=1),
-                               frame.control_rate)
+    return CoefficientSchedule(full, frame.symbol_rate)
 
 
 def symbols_to_waveform(symbols, samples_per_symbol: int, sample_rate: float,
@@ -340,12 +341,16 @@ def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme,
         raise ContractViolation(
             f"rx length {len(first)} != {frame.num_symbols} symbols x {sps} samples")
 
-    samples = np.stack([env.samples for env in rx])
+    rotation = None
     if expected_shift != 0.0:
         n = np.arange(expected_len)
-        samples = samples * np.exp(-2j * np.pi * expected_shift * n / fs)
-    # integrate and dump: rectangular matched filter, synchronized by construction
-    symbols = samples.reshape(num_antennas, frame.num_symbols, sps).mean(axis=2)
+        rotation = np.exp(-2j * np.pi * expected_shift * n / fs)
+    # integrate and dump per antenna: rectangular matched filter, synchronized
+    # by construction; only the per-symbol means are stacked
+    symbols = np.empty((num_antennas, frame.num_symbols), dtype=np.complex128)
+    for a, env in enumerate(rx):
+        samples = env.samples if rotation is None else env.samples * rotation
+        symbols[a] = samples.reshape(frame.num_symbols, sps).mean(axis=1)
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 

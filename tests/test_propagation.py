@@ -9,6 +9,7 @@ from metalink.core import (
     PointSet,
     SurfaceGeometry,
     cell_positions,
+    resample_hold,
     tone_envelope,
     wavelength_of,
 )
@@ -232,6 +233,37 @@ def test_superpose_rejects_mismatched_envelopes():
         surface_pass(env, ones_schedule(1, 32), [0], unit)
     with pytest.raises(ContractViolation):  # noise needs a seed per point
         surface_pass(env, ones_schedule(1, 32), [0, 0], unit, noise_psd=0.1)
+    env = tone_envelope(30, 1e8, 4.25e9)
+    with pytest.raises(ContractViolation):  # 1e8 / 3e7 is not a whole number
+        surface_pass(env, ones_schedule(1, 9, rate=3e7), [0, 0], unit)
+    with pytest.raises(ContractViolation):  # 2 steps x hold 10 miss 30 samples
+        surface_pass(env, ones_schedule(1, 2, rate=1e7), [0, 0], unit)
+    with pytest.raises(ContractViolation):  # 4 steps x hold 10 overrun them
+        surface_pass(env, ones_schedule(1, 4, rate=1e7), [0, 0], unit)
+
+
+@pytest.mark.parametrize("noise_psd", [0.0, 0.1])
+@pytest.mark.parametrize("hold", [1, 3, 16])
+@pytest.mark.parametrize("streams", [1, 2])
+def test_implicit_hold_equals_explicit_hold(streams, hold, noise_psd):
+    # a control-rate schedule is held inside the pass exactly as
+    # resample_hold holds it up to the envelope rate
+    rng = np.random.default_rng(100 * streams + hold)
+    steps = 24
+    schedule = CoefficientSchedule(
+        rng.uniform(0.1, 1.0, (streams, steps))
+        * np.exp(1j * rng.uniform(0, 2 * np.pi, (streams, steps))), 1e7)
+    incident = tone_envelope(steps * hold, hold * 1e7, 4.25e9, freq_offset=1.3e6)
+    stream_of_cell = np.arange(6) % streams
+    channels = ChannelSet(rng.standard_normal(6) + 1j * rng.standard_normal(6),
+                          rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    seeds = [11, 12, 13]
+    implicit = surface_pass(incident, schedule, stream_of_cell, channels,
+                            noise_psd, seeds)
+    explicit = surface_pass(incident, resample_hold(schedule, incident.sample_rate),
+                            stream_of_cell, channels, noise_psd, seeds)
+    for a, b in zip(implicit, explicit):
+        assert np.array_equal(a.samples, b.samples)
 
 
 def test_superpose_is_linear_in_gains():

@@ -95,6 +95,29 @@ def test_sdc_mode_rejects_spectrum_bins():
                for v in violations)
 
 
+@pytest.mark.parametrize("name, field, value", [
+    ("sdc_5mhz", "modulation", "64QAM"),
+    ("sdc_5mhz", "partition", "bogus"),
+    ("sdc_5mhz", "frame", "7"),
+    ("sdc_5mhz", "quantization", '{"phase_levels": 4}'),
+    ("mimo2x2_16qam", "staircase", "7"),
+    ("mimo2x2_16qam", "sdc_periods", "-3"),
+    ("integrated_switch", "sdc_periods", "-3"),
+])
+def test_fields_of_another_mode_are_reported(name, field, value):
+    # these fields used to validate and then be ignored by the run
+    data = scen.apply_overrides(scen.load_scenario(name), {field: value})
+    mode = data["mode"]
+    assert scen.validate(data) == [
+        f"{field}: not used in {mode} mode; remove it or set it to null"]
+
+
+def test_null_fields_of_another_mode_are_accepted():
+    data = scen.apply_overrides(scen.load_scenario("sdc_5mhz"),
+                                {"modulation": "null", "quantization": "null"})
+    assert scen.validate(data) == []
+
+
 # ---------------------------------------------------------------------------
 # simulation behaviour
 # ---------------------------------------------------------------------------
@@ -221,6 +244,21 @@ def test_wide_surface_simulates_in_bounded_memory():
         tracemalloc.stop()
     assert result.summary["strongest_line_hz"] == -5e6
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_mimo_frame_simulates_in_bounded_memory():
+    # 2 x 10^4 symbols over 400 320 samples: schedules stay at the symbol
+    # rate and the receive chain stacks only per-symbol means, so the two
+    # received envelopes (12.8 MB) dominate the peak
+    sc = scen.Scenario.from_dict(scen.load_scenario("mimo2x2_16qam"))
+    tracemalloc.start()
+    try:
+        result = scen.simulate(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(result.reports["link"].ber == 0.0)
+    assert peak < 36 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_invalid_scenario_raises_listing_every_field(tiny_link):

@@ -158,17 +158,21 @@ def test_single_constant_symbol_schedule():
     frame = FrameSpec.with_default_pilots(1, 1, 1e6, 4)
     sched = symbols_to_schedule([[1.0 + 0j]], frame)
     assert sched.num_streams == 1
-    assert sched.num_steps == (4 + 1) * 4
-    assert np.all(sched.values[:, -4:] == 1.0)  # payload after the pilots
-    assert np.array_equal(sched.values[0, :16], np.repeat(frame.pilots[0], 4))
+    assert sched.num_steps == 4 + 1  # one column per symbol
+    assert sched.control_rate == frame.symbol_rate
+    held = resample_hold(sched, frame.control_rate)
+    assert held.num_steps == (4 + 1) * 4
+    assert np.all(held.values[:, -4:] == 1.0)  # payload after the pilots
+    assert np.array_equal(held.values[0, :16], np.repeat(frame.pilots[0], 4))
 
 
 def test_two_stream_bpsk_schedule_sets_halves():
     geo = SurfaceGeometry(2, 4, 0.05)
     part = SurfacePartition.left_right(geo)
     frame = FrameSpec.with_default_pilots(2, 1, 1e6, 2)
-    sched = symbols_to_schedule([[1.0], [-1.0]], frame)
-    payload = sched.values[part.stream_of_cell, -2:]  # what each cell holds
+    held = resample_hold(symbols_to_schedule([[1.0], [-1.0]], frame),
+                         frame.control_rate)
+    payload = held.values[part.stream_of_cell, -2:]  # what each cell holds
     left = part.stream_of_cell == 0
     assert np.all(payload[left] == 1.0)
     assert np.all(payload[~left] == -1.0)
@@ -255,7 +259,8 @@ def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
                                           samples_per_symbol)
     # one unit-fed cell per stream whose gain to antenna a is h[a, s]
     schedule = symbols_to_schedule(symbols, frame)
-    carrier = tone_envelope(schedule.num_steps, frame.control_rate, 4.25e9)
+    carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
+                            frame.control_rate, 4.25e9)
     noise_seeds = np.random.SeedSequence(seed).spawn(antennas)
     rx = surface_pass(carrier, schedule, np.arange(streams),
                       ChannelSet(np.ones(streams), h.T), noise_psd, noise_seeds)
@@ -350,7 +355,8 @@ def test_partition_permutation_leaves_stream_products_unchanged():
         perm[cells] = rng.permutation(cells)
     assert not np.array_equal(perm, np.arange(8))
 
-    carrier = tone_envelope(sched.num_steps, frame.control_rate, 4.25e9)
+    carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
+                            frame.control_rate, 4.25e9)
     out = surface_pass(carrier, sched, part.stream_of_cell, ChannelSet(feed, obs))
     out_perm = surface_pass(carrier, sched, part.stream_of_cell,
                             ChannelSet(feed[perm], obs[perm]))
