@@ -22,6 +22,12 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
+def _report(violations) -> int:
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    return 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metalink",
@@ -51,7 +57,7 @@ def main(argv=None) -> int:
     if args.command == "list-scenarios":
         for name in scen.bundled_scenario_names():
             data = scen.load_scenario(name)
-            desc = data.get("description", "")
+            desc = data.get("description")
             print(f"{name}: {desc}" if desc else name)
         return 0
 
@@ -66,25 +72,16 @@ def main(argv=None) -> int:
     if args.command == "validate":
         violations = scen.validate(data)
         if violations:
-            for v in violations:
-                print(f"violation: {v}", file=sys.stderr)
-            return 1
-        print(f"{data.get('name', args.scenario)}: ok")
+            return _report(violations)
+        print(f"{data['name']}: ok")
         return 0
 
     # run
-    if args.seed is not None:
-        data["rng_seed"] = args.seed
-    violations = scen.validate(data)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return 1
-    out_dir = args.out_dir or f"metalink_out/{data['name']}"
+    out_dir = args.out_dir or f"metalink_out/{data.get('name')}"
     try:
-        sc = scen.Scenario.from_dict(data)
-        result = scen.simulate(sc)
-        scen.write_artifacts(result, out_dir)
+        result = scen.run_scenario(data, out_dir, seed=args.seed)
+    except scen.ValidationError as exc:
+        return _report(exc.violations)
     except Exception as exc:  # noqa: BLE001 - map any failure to exit code 2
         print(f"runtime error in scenario {data.get('name')!r}: {exc}",
               file=sys.stderr)

@@ -69,9 +69,6 @@ class ComplexEnvelope:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
-
     def with_samples(self, samples) -> "ComplexEnvelope":
         """New envelope with the same rates/origin but different samples."""
         return ComplexEnvelope(samples, self.sample_rate, self.carrier_freq, self.t0)
@@ -118,10 +115,6 @@ class SurfaceGeometry:
     @property
     def num_cells(self) -> int:
         return self.rows * self.cols
-
-    @property
-    def normal(self) -> tuple:
-        return (0.0, 0.0, 1.0)
 
 
 def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
@@ -223,6 +216,3 @@ class PointSet:
 
     def indices_with_role(self, role: str) -> list:
         return [i for i, r in enumerate(self.roles) if r == role]
-
-    def positions_with_role(self, role: str) -> np.ndarray:
-        return self.positions[self.indices_with_role(role)]

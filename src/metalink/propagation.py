@@ -123,6 +123,11 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
                 f"({num_cells} cells, {len(obs_idx)} observation points)")
         feed = np.ones(num_cells, dtype=np.complex128)
         obs = model.matrix
+    if not (np.isfinite(feed).all() and np.isfinite(obs).all()):
+        raise ConfigurationError(
+            f"channel gains are not finite: {np.sum(~np.isfinite(feed))} "
+            f"feed-to-cell and {np.sum(~np.isfinite(obs))} cell-to-point gains; "
+            "check the cell pitch, the point positions and the wavelength")
     return ChannelSet(feed, obs)
 
 
@@ -145,7 +150,8 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     is never expanded to the envelope rate. Its steps must cover the
     envelope exactly. When noise_psd > 0, point p adds i.i.d. circular
     complex Gaussian noise of variance noise_psd per sample, drawn from
-    default_rng(noise_seeds[p]): real parts, then imaginary parts.
+    default_rng(noise_seeds[p]): real parts, then imaginary parts. Gains
+    so large that the received power would overflow are a ConfigurationError.
     """
     hold = _hold_ratio(schedule.control_rate, incident.sample_rate)
     if hold is None:
@@ -164,7 +170,13 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
         raise ContractViolation(
             f"stream ids must index the {schedule.num_streams} schedule rows")
     gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
-    np.add.at(gains, streams, channels.feed_gains[:, np.newaxis] * channels.obs_gains)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(gains, streams,
+                  channels.feed_gains[:, np.newaxis] * channels.obs_gains)
+        if not np.isfinite(np.abs(gains).sum() ** 2):
+            raise ConfigurationError(
+                "effective stream gains are too large: the received power would "
+                "overflow; check the channel gains and the wavelength")
     weights = gains.T @ schedule.values  # (points, steps), at the schedule's rate
     blocks = incident.samples.reshape(schedule.num_steps, hold)
     rx = (blocks * weights[:, :, np.newaxis]).reshape(channels.num_points,

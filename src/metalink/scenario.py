@@ -1,37 +1,13 @@
 """Declarative scenario configurations and the end-to-end pipeline runner.
 
-A scenario is a JSON object with explicit units in its field names:
-
-  name                str, scenario identifier
-  description         str, optional free text
-  mode                "transmit_link" | "space_down_conversion" | "integrated"
-  carrier_freq_hz     float > 0
-  control_rate_hz     float > 0, DAC update rate
-  oversample          int >= 1, envelope sample rate = oversample * control rate
-  rng_seed            int >= 0
-  geometry            {rows, cols, spacing_m, origin_m: [x, y, z]}
-  points              [{position_m: [x, y, z], role: "feed" | "rx"}, ...]
-                      exactly one feed; every other point is an observer
-  channel             {kind: "identity" | "free_space" | "explicit_matrix",
-                       noise_psd: float >= 0,
-                       matrix: [[[re, im] per point] per cell]  (explicit only),
-                       wavelength_m: float, optional free_space override}
-  partition           "full" | "left_right" | [stream id per cell]   (link modes)
-  modulation          "BPSK" | "QPSK" | "8PSK" | "16QAM"             (link modes)
-  frame               {symbol_rate_baud, samples_per_symbol, payload_symbols}
-                                                                    (link modes)
-  staircase           {steps_per_period, period_s, direction: "down" | "up",
-                       amplitude}                                   (SDC modes)
-  sdc_periods         int >= 1, tone duration in staircase periods
-                                                   (space_down_conversion only)
-  quantization        {phase_levels, amplitude_levels, phase_offset_rad},
-                      optional; null levels mean continuous         (link modes)
-  spectrum_bins       int >= 2 or null; artifact DFT length cap
-                                         (null in space_down_conversion mode)
-
-Link modes are transmit_link and integrated; SDC modes are
-space_down_conversion and integrated. A field marked with modes must be
-absent or null in every other mode: validate reports it rather than ignore it.
+A scenario is a JSON object with explicit units in its field names. FIELDS
+below is its schema: each row names one field by its dotted path, the
+values it accepts, its default, and the modes and channel kinds that read
+it. validate walks that table and then checks the rules that tie fields
+together; Scenario.from_dict reads every value and default through it.
+An absent field and a null one mean the same thing. A non-null field that
+the mode or the channel kind does not read, and a key the table does not
+name, are reported rather than ignored.
 
 Modes:
   transmit_link          feed tone -> data-modulating surface -> rx antennas
@@ -60,12 +36,7 @@ from . import core, metasurface, propagation, spectral, txrx
 MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
-# fields a mode never reads; a non-null value there is reported, not ignored
-UNUSED_FIELDS = {
-    "transmit_link": ("staircase", "sdc_periods"),
-    "space_down_conversion": ("modulation", "partition", "frame", "quantization"),
-    "integrated": ("sdc_periods",),
-}
+KINDS = propagation.CHANNEL_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +84,9 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
         node = out
         parts = dotted.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if node.get(part) is None:  # absent or null: start an object
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise core.ConfigurationError(
                     f"override {dotted!r} descends into a non-object field")
@@ -122,8 +95,36 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# schema and validation
 # ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a field that must be given
+
+
+@dataclass(frozen=True)
+class Field:
+    """One schema field: where it sits, what it accepts and who reads it.
+
+    check is applied to non-null values, and rule says what it accepts.
+    An absent or null value takes default, unless that is REQUIRED. In a
+    mode outside modes, or with a channel kind outside kinds, the field
+    must be absent or null.
+    """
+
+    path: str
+    check: object
+    rule: str
+    default: object = REQUIRED
+    modes: tuple = MODES
+    kinds: tuple = KINDS
+    parent: str = field(init=False)
+    key: str = field(init=False)
+
+    def __post_init__(self):
+        parent, _, key = self.path.rpartition(".")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "key", key)
+
 
 def _is_num(v) -> bool:
     """A finite JSON number; json.loads accepts NaN and +/-Infinity."""
@@ -139,241 +140,234 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _positive(v) -> bool:
+    return _is_num(v) and v > 0
+
+
+def _int_from(low):
+    return lambda v: _is_int(v) and v >= low
+
+
 def _point3(v) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == 3 and all(_is_num(x) for x in v)
 
 
+def _is_point(p) -> bool:
+    return (isinstance(p, dict) and p.keys() == {"position_m", "role"}
+            and _point3(p["position_m"]) and isinstance(p["role"], str))
+
+
+def _is_matrix(m) -> bool:
+    return (isinstance(m, list) and len(m) > 0
+            and all(isinstance(r, list) and len(r) == len(m[0])
+                    and all(isinstance(e, list) and len(e) == 2
+                            and all(_is_num(x) for x in e) for e in r)
+                    for r in m))
+
+
+def _is_partition(v) -> bool:
+    return v in ("full", "left_right") or (
+        isinstance(v, list) and len(v) > 0 and all(_is_int(s) and s >= 0 for s in v))
+
+
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+# parents come before their children, and mode and channel.kind before the
+# fields they gate
+FIELDS = (
+    Field("name", lambda v: isinstance(v, str) and v != "",
+          "must be a non-empty string"),
+    Field("description", lambda v: isinstance(v, str), "must be a string", ""),
+    Field("mode", MODES.__contains__, f"must be one of {MODES}"),
+    Field("carrier_freq_hz", _positive, "must be a number > 0"),
+    Field("control_rate_hz", _positive, "must be a number > 0 (DAC update rate)"),
+    Field("oversample", _int_from(1),
+          "must be an integer >= 1 (envelope rate = oversample * control rate)", 16),
+    Field("rng_seed", _int_from(0), "must be an integer >= 0"),
+    Field("geometry", _is_object,
+          "must be an object {rows, cols, spacing_m, origin_m}"),
+    Field("geometry.rows", _int_from(1), "must be an integer >= 1"),
+    Field("geometry.cols", _int_from(1), "must be an integer >= 1"),
+    Field("geometry.spacing_m", _positive, "must be > 0 (cell pitch in meters)"),
+    Field("geometry.origin_m", _point3, "must be a 3-number list (grid center)",
+          (0.0, 0.0, 0.0)),
+    Field("points", lambda v: isinstance(v, list) and v and all(map(_is_point, v)),
+          "must be a non-empty list of {position_m: [x, y, z], role: string}; "
+          "role 'feed' marks the feed antenna, every other point observes"),
+    Field("channel", _is_object, "must be an object {kind, noise_psd, ...}"),
+    Field("channel.kind", KINDS.__contains__, f"must be one of {KINDS}"),
+    Field("channel.noise_psd", lambda v: _is_num(v) and v >= 0,
+          "must be a number >= 0 (noise variance per received sample)", 0.0),
+    Field("channel.matrix", _is_matrix, "must be [[[re, im] per point] per cell]",
+          kinds=("explicit_matrix",)),
+    Field("channel.wavelength_m", _positive,
+          "must be a number > 0 (overrides the carrier's wavelength)", None,
+          kinds=("free_space",)),
+    Field("partition", _is_partition,
+          "must be 'full', 'left_right', or a list of stream ids >= 0, one per cell",
+          modes=LINK_MODES),
+    Field("modulation",
+          lambda v: isinstance(v, str) and v.upper() in txrx.SCHEME_NAMES,
+          f"must be one of {txrx.SCHEME_NAMES}", modes=LINK_MODES),
+    Field("frame", _is_object,
+          "must be an object {symbol_rate_baud, samples_per_symbol, payload_symbols}",
+          modes=LINK_MODES),
+    Field("frame.symbol_rate_baud", _positive, "must be a number > 0"),
+    Field("frame.samples_per_symbol", _int_from(1), "must be an integer >= 1"),
+    Field("frame.payload_symbols", _int_from(1), "must be an integer >= 1"),
+    Field("quantization", _is_object,
+          "must be an object {phase_levels, amplitude_levels, phase_offset_rad}",
+          None, modes=LINK_MODES),
+    Field("quantization.phase_levels", _int_from(1),
+          "must be an integer >= 1 (null means continuous)", None),
+    Field("quantization.amplitude_levels", _int_from(1),
+          "must be an integer >= 1 (null means continuous)", None),
+    Field("quantization.phase_offset_rad", _is_num, "must be a number", 0.0),
+    Field("staircase", _is_object,
+          "must be an object {steps_per_period, period_s, direction, amplitude}",
+          modes=SDC_MODES),
+    Field("staircase.steps_per_period", _int_from(2), "must be an integer >= 2"),
+    Field("staircase.period_s", _positive, "must be a number > 0"),
+    Field("staircase.direction", ("down", "up").__contains__,
+          "must be 'down' or 'up'", "down"),
+    Field("staircase.amplitude", lambda v: _is_num(v) and 0 <= v <= 1,
+          "must lie in [0, 1]", 1.0),
+    Field("sdc_periods", _int_from(1),
+          "must be an integer >= 1 (tone duration in staircase periods)",
+          modes=("space_down_conversion",)),
+    Field("spectrum_bins", _int_from(2),
+          "must be an integer >= 2 (cap on the artifact DFT length)", None),
+)
+_FIELD = {f.path: f for f in FIELDS}
+_NAMES = {}  # the keys of each object the table describes
+for _f in FIELDS:
+    _NAMES.setdefault(_f.parent, set()).add(_f.key)
+
+
 def validate(data: dict) -> list:
     """Exhaustive scenario validation; returns every violation, runs nothing."""
-    errs = []
     if not isinstance(data, dict):
         return ["scenario must be a JSON object"]
+    errs = [f"{k}: unknown field" for k in data if k not in _NAMES[""]]
+    valid = {"": data}  # path -> accepted value or default
+    for f in FIELDS:
+        parent = valid.get(f.parent)
+        if not isinstance(parent, dict):
+            continue  # reported at the parent, or the parent is null
+        value = parent.get(f.key)
+        mode, kind = valid.get("mode"), valid.get("channel.kind")
+        if mode is not None and mode not in f.modes:
+            if value is not None:
+                errs.append(f"{f.path}: not used in {mode} mode; "
+                            "remove it or set it to null")
+        elif kind is not None and kind not in f.kinds:
+            if value is not None:
+                errs.append(f"{f.path}: not used by {kind} channels; "
+                            "remove it or set it to null")
+        elif value is None:
+            if f.default is not REQUIRED:
+                valid[f.path] = f.default
+            # a field read by some modes or kinds only is required once
+            # the mode and the kind are known
+            elif (mode is not None or f.modes == MODES) and \
+                    (kind is not None or f.kinds == KINDS):
+                errs.append(f"{f.path}: required; {f.rule}")
+        elif not f.check(value):
+            errs.append(f"{f.path}: {f.rule}")
+        else:
+            valid[f.path] = value
+            if isinstance(value, dict):
+                errs.extend(f"{f.path}.{k}: unknown field"
+                            for k in value if k not in _NAMES.get(f.path, ()))
+    return errs + _cross_field_violations(valid)
 
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        errs.append("name: required non-empty string")
-    mode = data.get("mode")
-    if mode not in MODES:
-        errs.append(f"mode: must be one of {MODES}")
-        mode = None
-    else:
-        errs.extend(f"{key}: not used in {mode} mode; remove it or set it to null"
-                    for key in UNUSED_FIELDS[mode] if data.get(key) is not None)
 
-    for key in ("carrier_freq_hz", "control_rate_hz"):
-        v = data.get(key)
-        if not _is_num(v) or v <= 0:
-            errs.append(f"{key}: required number > 0")
-    oversample = data.get("oversample", 16)
-    if not _is_int(oversample) or oversample < 1:
-        errs.append("oversample: must be an integer >= 1")
-    seed = data.get("rng_seed")
-    if not _is_int(seed) or seed < 0:
-        errs.append("rng_seed: required integer >= 0")
+def _cross_field_violations(valid: dict) -> list:
+    """The rules that tie accepted fields together."""
+    errs = []
+    mode, control = valid.get("mode"), valid.get("control_rate_hz")
+    rows, cols, spacing, origin = (valid.get(f"geometry.{k}") for k in
+                                   ("rows", "cols", "spacing_m", "origin_m"))
+    num_cells = rows * cols if None not in (rows, cols) else None
 
-    geometry = data.get("geometry")
-    num_cells = None
-    if not isinstance(geometry, dict):
-        errs.append("geometry: required object {rows, cols, spacing_m, origin_m}")
-        geometry = {}
-    rows, cols = geometry.get("rows"), geometry.get("cols")
-    if not _is_int(rows) or rows < 1:
-        errs.append("geometry.rows: integer >= 1 required")
-    if not _is_int(cols) or cols < 1:
-        errs.append("geometry.cols: integer >= 1 required")
-    spacing = geometry.get("spacing_m")
-    if not _is_num(spacing) or spacing <= 0:
-        errs.append("geometry.spacing_m: must be > 0 (cell pitch in meters)")
-    origin = geometry.get("origin_m", [0.0, 0.0, 0.0])
-    if not _point3(origin):
-        errs.append("geometry.origin_m: must be a 3-number list")
-    if _is_int(rows) and rows >= 1 and _is_int(cols) and cols >= 1:
-        num_cells = rows * cols
-
-    points = data.get("points")
-    num_obs = None
-    if not isinstance(points, list) or not points:
-        errs.append("points: required non-empty list of {position_m, role}")
-        points = []
-    feed_count = 0
-    for i, p in enumerate(points):
-        if not isinstance(p, dict) or not _point3(p.get("position_m")) \
-                or not isinstance(p.get("role"), str):
-            errs.append(f"points[{i}]: needs position_m [x, y, z] and a role string")
-            continue
-        if p["role"] == "feed":
-            feed_count += 1
-    if points:
-        if feed_count != 1:
+    points, num_obs = valid.get("points"), None
+    if points is not None:
+        feeds = sum(p["role"] == "feed" for p in points)
+        if feeds != 1:
             errs.append("points: exactly one point must have role 'feed'")
-        num_obs = len(points) - feed_count
+        num_obs = len(points) - feeds
         if num_obs < 1:
             errs.append("points: at least one observation (non-feed) point required")
-    if (num_cells is not None and _is_num(spacing) and spacing > 0
-            and _point3(origin) and points):
-        geo = core.SurfaceGeometry(rows, cols, spacing, tuple(origin))
-        cells = core.cell_positions(geo)
-        for i, p in enumerate(points):
-            pos = p.get("position_m")
-            if _point3(pos):
-                d = np.linalg.norm(cells - np.asarray(pos, float), axis=1)
-                if np.any(d == 0.0):
-                    errs.append(f"points[{i}]: coincides with a unit-cell position")
+        if None not in (num_cells, spacing, origin):
+            cells = core.cell_positions(
+                core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
+            at = np.array([p["position_m"] for p in points], dtype=float)
+            d = np.linalg.norm(cells[:, np.newaxis] - at, axis=2)  # (cells, points)
+            errs.extend(f"points[{i}]: coincides with a unit-cell position"
+                        for i in np.flatnonzero(np.any(d == 0.0, axis=0)))
 
-    channel = data.get("channel")
-    if not isinstance(channel, dict):
-        errs.append("channel: required object {kind, noise_psd, ...}")
-        channel = {}
-    kind = channel.get("kind")
-    if kind not in propagation.CHANNEL_KINDS:
-        errs.append(f"channel.kind: must be one of {propagation.CHANNEL_KINDS}")
-    noise = channel.get("noise_psd", 0.0)
-    if not _is_num(noise) or noise < 0:
-        errs.append("channel.noise_psd: must be a number >= 0")
-    if kind == "explicit_matrix":
-        matrix = channel.get("matrix")
-        shape_ok = (isinstance(matrix, list) and matrix
-                    and all(isinstance(r, list) and len(r) == len(matrix[0])
-                            and all(isinstance(e, list) and len(e) == 2
-                                    and all(_is_num(x) for x in e) for e in r)
-                            for r in matrix))
-        if not shape_ok:
-            errs.append("channel.matrix: must be [[[re, im] per point] per cell]")
-        elif num_cells is not None and num_obs is not None:
-            if len(matrix) != num_cells or len(matrix[0]) != num_obs:
-                errs.append(
-                    f"channel.matrix: shape ({len(matrix)}, {len(matrix[0])}) must be "
-                    f"(cells, observation points) = ({num_cells}, {num_obs})")
-        if mode == "integrated":
-            errs.append("channel.kind: integrated mode needs identity or free_space "
-                        "(the two phases observe from different points)")
-    if kind == "free_space":
-        wl = channel.get("wavelength_m")
-        if wl is not None and (not _is_num(wl) or wl <= 0):
-            errs.append("channel.wavelength_m: must be > 0 when given")
-
-    quant = data.get("quantization")
-    if quant is not None:
-        if not isinstance(quant, dict):
-            errs.append("quantization: must be an object when given")
-        else:
-            for key in ("phase_levels", "amplitude_levels"):
-                v = quant.get(key)
-                if v is not None and (not _is_int(v) or v < 1):
-                    errs.append(f"quantization.{key}: must be null or an integer >= 1")
-            off = quant.get("phase_offset_rad", 0.0)
-            if not _is_num(off):
-                errs.append("quantization.phase_offset_rad: must be a number")
-
-    bins = data.get("spectrum_bins")
-    if bins is not None and (not _is_int(bins) or bins < 2):
-        errs.append("spectrum_bins: must be null or an integer >= 2")
-    if bins is not None and mode == "space_down_conversion":
+    matrix = valid.get("channel.matrix")
+    if matrix is not None and None not in (num_cells, num_obs) \
+            and (len(matrix), len(matrix[0])) != (num_cells, num_obs):
+        errs.append(f"channel.matrix: shape ({len(matrix)}, {len(matrix[0])}) must "
+                    f"be (cells, observation points) = ({num_cells}, {num_obs})")
+    if mode == "integrated" and valid.get("channel.kind") == "explicit_matrix":
+        errs.append("channel.kind: integrated mode needs identity or free_space "
+                    "(the two phases observe from different points)")
+    if mode == "space_down_conversion" and valid.get("spectrum_bins") is not None:
         errs.append("spectrum_bins: must be null in space_down_conversion mode, since "
                     "the harmonic table needs the DFT to span whole ramp periods")
 
-    if mode in LINK_MODES or mode is None:
-        errs.extend(_validate_link_fields(data, mode, num_cells, num_obs))
-    if mode in SDC_MODES:
-        errs.extend(_validate_staircase_fields(data, mode))
-    return errs
-
-
-def _validate_link_fields(data, mode, num_cells, num_obs) -> list:
-    errs = []
-    required = mode in LINK_MODES
-    modulation = data.get("modulation")
-    if modulation is None:
-        if required:
-            errs.append("modulation: required for transmit/integrated modes")
-    elif not isinstance(modulation, str) or modulation.upper() not in txrx.SCHEME_NAMES:
-        errs.append(f"modulation: must be one of {txrx.SCHEME_NAMES}")
-
-    partition = data.get("partition")
-    num_streams = None
-    if partition is None:
-        if required:
-            errs.append("partition: required for transmit/integrated modes")
-    elif isinstance(partition, str):
-        if partition not in ("full", "left_right"):
-            errs.append("partition: string form must be 'full' or 'left_right'")
-        else:
-            num_streams = 1 if partition == "full" else 2
-            if partition == "left_right" and isinstance(data.get("geometry"), dict):
-                cols = data["geometry"].get("cols")
-                if _is_int(cols) and cols % 2 != 0:
-                    errs.append("partition: left_right needs an even column count")
-    elif isinstance(partition, list):
-        if not partition or not all(_is_int(s) and s >= 0 for s in partition):
-            errs.append("partition: list form must hold stream ids >= 0")
-        else:
-            if num_cells is not None and len(partition) != num_cells:
-                errs.append(f"partition: needs one stream id per cell ({num_cells})")
-            ids = sorted(set(partition))
-            if ids != list(range(len(ids))):
-                errs.append("partition: stream ids must cover 0..S-1 with no gaps")
-            num_streams = len(ids)
-    else:
-        errs.append("partition: must be 'full', 'left_right', or a per-cell list")
-
-    frame = data.get("frame")
-    if not isinstance(frame, dict):
-        if required:
-            errs.append("frame: required object {symbol_rate_baud, "
-                        "samples_per_symbol, payload_symbols}")
-        frame = {}
-    rate = frame.get("symbol_rate_baud")
-    if frame and (not _is_num(rate) or rate <= 0):
-        errs.append("frame.symbol_rate_baud: required number > 0")
-    sps = frame.get("samples_per_symbol")
-    if frame and (not _is_int(sps) or sps < 1):
-        errs.append("frame.samples_per_symbol: integer >= 1 required")
-    payload = frame.get("payload_symbols")
-    if frame and (not _is_int(payload) or payload < 1):
-        errs.append("frame.payload_symbols: integer >= 1 required")
-    control = data.get("control_rate_hz")
-    if _is_num(rate) and rate > 0 and _is_int(sps) and sps >= 1 \
-            and _is_num(control) and control > 0:
-        if abs(rate * sps - control) > 1e-9 * control:
-            errs.append("frame: symbol_rate_baud * samples_per_symbol must equal "
-                        "control_rate_hz")
-    if num_streams is not None and num_obs is not None and num_obs < num_streams:
+    partition, num_streams = valid.get("partition"), None
+    if partition == "full":
+        num_streams = 1
+    elif partition == "left_right":
+        num_streams = 2
+        if cols is not None and cols % 2 != 0:
+            errs.append("partition: left_right needs an even column count")
+    elif partition is not None:
+        if num_cells is not None and len(partition) != num_cells:
+            errs.append(f"partition: needs one stream id per cell ({num_cells})")
+        ids = sorted(set(partition))
+        if ids != list(range(len(ids))):
+            errs.append("partition: stream ids must cover 0..S-1 with no gaps")
+        num_streams = len(ids)
+    if None not in (num_streams, num_obs) and num_obs < num_streams:
         errs.append(f"points: {num_obs} observation antennas cannot resolve "
                     f"{num_streams} streams")
+
+    rate = valid.get("frame.symbol_rate_baud")
+    sps = valid.get("frame.samples_per_symbol")
+    if None not in (rate, sps, control) and abs(rate * sps - control) > 1e-9 * control:
+        errs.append("frame: symbol_rate_baud * samples_per_symbol must equal "
+                    "control_rate_hz")
+    steps = valid.get("staircase.steps_per_period")
+    period = valid.get("staircase.period_s")
+    if None not in (steps, period, control) and \
+            abs(control * period - steps) > 1e-9 * steps:
+        errs.append("staircase: control_rate_hz * period_s must equal "
+                    "steps_per_period exactly (integer samples per period)")
     return errs
 
 
-def _validate_staircase_fields(data, mode) -> list:
-    errs = []
-    staircase = data.get("staircase")
-    if not isinstance(staircase, dict):
-        errs.append("staircase: required object {steps_per_period, period_s, "
-                    "direction, amplitude} for SDC/integrated modes")
-        staircase = {}
-    steps = staircase.get("steps_per_period")
-    if staircase and (not _is_int(steps) or steps < 2):
-        errs.append("staircase.steps_per_period: integer >= 2 required")
-    period = staircase.get("period_s")
-    if staircase and (not _is_num(period) or period <= 0):
-        errs.append("staircase.period_s: required number > 0")
-    direction = staircase.get("direction", "down")
-    if direction not in ("down", "up"):
-        errs.append("staircase.direction: must be 'down' or 'up'")
-    amp = staircase.get("amplitude", 1.0)
-    if not _is_num(amp) or not 0 <= amp <= 1:
-        errs.append("staircase.amplitude: must lie in [0, 1]")
-    control = data.get("control_rate_hz")
-    if _is_num(control) and control > 0 and _is_int(steps) and steps >= 2 \
-            and _is_num(period) and period > 0:
-        if abs(control * period - steps) > 1e-9 * steps:
-            errs.append("staircase: control_rate_hz * period_s must equal "
-                        "steps_per_period exactly (integer samples per period)")
-    if mode == "space_down_conversion":
-        periods = data.get("sdc_periods")
-        if not _is_int(periods) or periods < 1:
-            errs.append("sdc_periods: integer >= 1 required for "
-                        "space_down_conversion mode")
-    return errs
+class ValidationError(core.ConfigurationError):
+    """A scenario that fails validation; violations lists every reason."""
+
+    def __init__(self, violations: list):
+        super().__init__("invalid scenario:\n  " + "\n  ".join(violations))
+        self.violations = violations
+
+
+def _value(data: dict, path: str):
+    """The value at a dotted path of a valid scenario, or the field's default."""
+    f = _FIELD[path]
+    parent = _value(data, f.parent) if f.parent else data
+    value = parent.get(f.key) if isinstance(parent, dict) else None
+    if value is None and f.default is not REQUIRED:
+        return f.default
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -405,62 +399,55 @@ class Scenario:
     sdc_periods: int | None
     quantization: metasurface.QuantizationModel
     spectrum_bins: int | None
-    description: str = ""
+    description: str
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         violations = validate(data)
         if violations:
-            raise core.ConfigurationError("invalid scenario:\n  " +
-                                          "\n  ".join(violations))
+            raise ValidationError(violations)
+
+        def get(path):
+            return _value(data, path)
+
         geometry = core.SurfaceGeometry(
-            data["geometry"]["rows"], data["geometry"]["cols"],
-            data["geometry"]["spacing_m"],
-            tuple(data["geometry"].get("origin_m", (0.0, 0.0, 0.0))))
-        points = core.PointSet(
-            np.array([p["position_m"] for p in data["points"]], dtype=float),
-            tuple(p["role"] for p in data["points"]))
-        channel = data["channel"]
-        matrix = None
-        if channel["kind"] == "explicit_matrix":
-            raw = np.asarray(channel["matrix"], dtype=float)
+            get("geometry.rows"), get("geometry.cols"), get("geometry.spacing_m"),
+            tuple(get("geometry.origin_m")))
+        points = get("points")
+        points = core.PointSet(np.array([p["position_m"] for p in points], dtype=float),
+                               tuple(p["role"] for p in points))
+        matrix = get("channel.matrix")
+        if matrix is not None:
+            raw = np.asarray(matrix, dtype=float)
             matrix = raw[..., 0] + 1j * raw[..., 1]
         staircase = None
-        if data.get("staircase") is not None:
-            sc = data["staircase"]
+        if get("staircase") is not None:
             staircase = metasurface.StaircaseRampSpec(
-                period=sc["period_s"], steps_per_period=sc["steps_per_period"],
-                direction=-1 if sc.get("direction", "down") == "down" else 1,
-                amplitude=sc.get("amplitude", 1.0))
+                period=get("staircase.period_s"),
+                steps_per_period=get("staircase.steps_per_period"),
+                direction=-1 if get("staircase.direction") == "down" else 1,
+                amplitude=get("staircase.amplitude"))
         quant = metasurface.CONTINUOUS
-        if data.get("quantization") is not None:
-            q = data["quantization"]
+        if get("quantization") is not None:
             quant = metasurface.QuantizationModel(
-                phase_levels=q.get("phase_levels"),
-                amplitude_levels=q.get("amplitude_levels"),
-                phase_offset=q.get("phase_offset_rad", 0.0))
-        frame = data.get("frame") or {}
+                phase_levels=get("quantization.phase_levels"),
+                amplitude_levels=get("quantization.amplitude_levels"),
+                phase_offset=get("quantization.phase_offset_rad"))
         return cls(
-            name=data["name"], mode=data["mode"],
-            carrier_freq_hz=float(data["carrier_freq_hz"]),
-            control_rate_hz=float(data["control_rate_hz"]),
-            oversample=int(data.get("oversample", 16)),
-            rng_seed=int(data["rng_seed"]),
-            geometry=geometry, points=points,
-            channel_kind=channel["kind"],
-            noise_psd=float(channel.get("noise_psd", 0.0)),
-            channel_matrix=matrix,
-            wavelength_m=channel.get("wavelength_m"),
-            partition_spec=data.get("partition"),
-            modulation=data.get("modulation"),
-            symbol_rate_baud=frame.get("symbol_rate_baud"),
-            samples_per_symbol=frame.get("samples_per_symbol"),
-            payload_symbols=frame.get("payload_symbols"),
-            staircase=staircase,
-            sdc_periods=data.get("sdc_periods"),
-            quantization=quant,
-            spectrum_bins=data.get("spectrum_bins"),
-            description=data.get("description", ""))
+            name=get("name"), mode=get("mode"),
+            carrier_freq_hz=float(get("carrier_freq_hz")),
+            control_rate_hz=float(get("control_rate_hz")),
+            oversample=int(get("oversample")), rng_seed=int(get("rng_seed")),
+            geometry=geometry, points=points, channel_kind=get("channel.kind"),
+            noise_psd=float(get("channel.noise_psd")), channel_matrix=matrix,
+            wavelength_m=get("channel.wavelength_m"),
+            partition_spec=get("partition"), modulation=get("modulation"),
+            symbol_rate_baud=get("frame.symbol_rate_baud"),
+            samples_per_symbol=get("frame.samples_per_symbol"),
+            payload_symbols=get("frame.payload_symbols"),
+            staircase=staircase, sdc_periods=get("sdc_periods"),
+            quantization=quant, spectrum_bins=get("spectrum_bins"),
+            description=get("description"))
 
     def channel_model(self) -> propagation.ChannelModel:
         wavelength = self.wavelength_m or core.wavelength_of(self.carrier_freq_hz)
@@ -528,6 +515,9 @@ def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
     ramp = sc.staircase
     L = ramp.steps_per_period
     total = spectrum.total_power
+    if total == 0.0:  # a zero channel, or a power that underflowed
+        raise txrx.DetectionError("space-down-converted output carries no power",
+                                  math.inf)
     rows = []
     for k in range(-3, 4):
         q = 1 + k * L

@@ -27,7 +27,6 @@ class Spectrum:
     power: np.ndarray
     resolution: float
     carrier_freq: float = 0.0
-    window: str = "rectangular"
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)

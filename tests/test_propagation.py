@@ -141,6 +141,18 @@ def test_explicit_matrix_dimension_mismatch():
                                                  matrix=np.ones((3, 1))))
 
 
+@pytest.mark.parametrize("spacing, wavelength", [
+    (1e300, 0.07),  # the distances overflow
+    (0.05, np.inf),  # lambda / r is infinite
+], ids=["huge_pitch", "infinite_wavelength"])
+def test_non_finite_gains_are_named(spacing, wavelength):
+    geo = SurfaceGeometry(2, 2, spacing)
+    points = PointSet(np.array([[0, 0, 0.5], [0.3, 0.1, 0.6]]), ("feed", "rx"))
+    with pytest.raises(ConfigurationError,
+                       match="not finite: 4 feed-to-cell and 4 cell-to-point gains"):
+        build_channels(geo, points, ChannelModel("free_space", wavelength=wavelength))
+
+
 def test_two_feeds_are_rejected():
     geo = SurfaceGeometry(1, 1, 0.05)
     points = PointSet(np.array([[0, 0, 0.5], [0, 0, 1.0]]), ("feed", "feed"))
@@ -220,6 +232,16 @@ def test_superpose_matches_brute_force_double_sum():
                 brute = brute + gains[c, p] * values[c] * feed[c] * incident.samples
         scale = np.max(np.abs(brute))
         assert np.all(np.abs(out[p].samples - brute) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("gain", [1e200, 1e154], ids=["product_overflows",
+                                                    "power_overflows"])
+def test_surface_pass_rejects_gains_whose_power_overflows(gain):
+    # 1e200 * 1e200 overflows the effective gain itself; 2 x 1e154 is finite,
+    # but its square, the received power, is not
+    big = ChannelSet(np.full(2, gain), np.ones((2, 1)))
+    with pytest.raises(ConfigurationError, match="power would overflow"):
+        surface_pass(tone_envelope(4, 1e8, 4.25e9), ones_schedule(1, 4), [0, 0], big)
 
 
 def test_superpose_rejects_mismatched_envelopes():
