@@ -1,6 +1,7 @@
-"""Command-line front end: run, validate, and list scenarios.
+"""Command-line front end: run, validate, export and list scenarios.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime error.
+Exit codes: 0 success, 1 validation failure or unusable input, 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "wireless transceivers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate a scenario and write CSV artifacts")
+    run = sub.add_parser("run", help="simulate a scenario and write .npy artifacts "
+                                     "and summary.json")
     run.add_argument("scenario", help="scenario JSON path or bundled name")
     run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     run.add_argument("--out-dir", default=None,
@@ -46,6 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a scenario without running it")
     val.add_argument("scenario", help="scenario JSON path or bundled name")
     val.add_argument("--override", action="append", metavar="KEY=VALUE")
+
+    export = sub.add_parser("export", help="write <stem>.csv next to each "
+                                           "<stem>.npy artifact of a run")
+    export.add_argument("dir", metavar="DIR", help="output directory of a run")
 
     sub.add_parser("list-scenarios", help="list bundled scenarios")
     return parser
@@ -59,6 +65,15 @@ def main(argv=None) -> int:
             data = scen.load_scenario(name)
             desc = data.get("description")
             print(f"{name}: {desc}" if desc else name)
+        return 0
+
+    if args.command == "export":
+        try:
+            paths = scen.export_csv(args.dir)
+        except ConfigurationError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 1
+        print(f"{len(paths)} CSV files written to {args.dir}")
         return 0
 
     try:

@@ -82,10 +82,13 @@ class ChannelSet:
 
 
 def _spherical_gains(src: np.ndarray, dsts: np.ndarray, wavelength: float) -> np.ndarray:
-    r = np.linalg.norm(dsts - src, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("a point coincides with a cell position (zero distance)")
-    return (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
+    # a huge distance or a tiny wavelength gives inf or nan gains, which
+    # build_channels names; numpy's warnings about them would be noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = np.linalg.norm(dsts - src, axis=-1)
+        if np.any(r == 0.0):
+            raise ValueError("a point coincides with a cell position (zero distance)")
+        return (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
 
 
 def build_channels(geometry: SurfaceGeometry, points: PointSet,

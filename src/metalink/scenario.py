@@ -16,9 +16,11 @@ Modes:
                          ramp while the first rx point transmits a modulated
                          frame back through it to the feed antenna
 
-Artifacts written by run_scenario: constellation_{stream}.csv,
-spectrum_{tag}.csv, summary.json. Runs are pure functions of the scenario
-plus rng_seed, so repeated runs produce byte-identical CSVs.
+Artifacts written by run_scenario: constellation_{stream}.npy and
+spectrum_{tag}.npy, each a structured table whose fields are its columns
+(CONSTELLATION_DTYPE, SPECTRUM_DTYPE), and summary.json. export_csv writes
+the same tables as CSV. Runs are pure functions of the scenario plus
+rng_seed, so repeated runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -304,7 +306,10 @@ def _cross_field_violations(valid: dict) -> list:
             cells = core.cell_positions(
                 core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
             at = np.array([p["position_m"] for p in points], dtype=float)
-            d = np.linalg.norm(cells[:, np.newaxis] - at, axis=2)  # (cells, points)
+            # a huge geometry overflows to inf or nan, which never reads as
+            # coincident; a free-space run then names the non-finite gains
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                d = np.linalg.norm(cells[:, np.newaxis] - at, axis=2)  # (cells, points)
             errs.extend(f"points[{i}]: coincides with a unit-cell position"
                         for i in np.flatnonzero(np.any(d == 0.0, axis=0)))
 
@@ -627,9 +632,8 @@ def _summarize(sc: Scenario, reports: dict) -> dict:
             "condition_number": report.condition_number,
         }
         if report.channel_estimate is not None:
-            entry["channel_estimate"] = [
-                [[float(v.real), float(v.imag)] for v in row]
-                for row in report.channel_estimate]
+            h = report.channel_estimate
+            entry["channel_estimate"] = np.stack([h.real, h.imag], axis=-1).tolist()
         out["reports"][key] = entry
     return out
 
@@ -638,7 +642,22 @@ def _summarize(sc: Scenario, reports: dict) -> dict:
 # artifacts
 # ---------------------------------------------------------------------------
 
+# One table per artifact: each field is a column, in file order. The dtypes
+# are little-endian, so the bytes of a written file do not depend on the host.
+CONSTELLATION_DTYPE = np.dtype([("symbol_index", "<i8"), ("i", "<f8"), ("q", "<f8"),
+                                ("ref_i", "<f8"), ("ref_q", "<f8")])
+SPECTRUM_DTYPE = np.dtype([("freq_hz", "<f8"), ("power_linear", "<f8"),
+                           ("power_db", "<f8")])
+ARTIFACT_DTYPES = {"constellation_": CONSTELLATION_DTYPE, "spectrum_": SPECTRUM_DTYPE}
 CSV_BLOCK_ROWS = 4096
+
+
+def _table(dtype: np.dtype, columns) -> np.ndarray:
+    """A structured array whose fields, in dtype order, hold columns."""
+    table = np.empty(len(columns[0]), dtype)
+    for name, column in zip(dtype.names, columns):
+        table[name] = column
+    return table
 
 
 def _write_csv(path: Path, header: str, row_fmt: str, columns) -> None:
@@ -655,6 +674,7 @@ def _write_csv(path: Path, header: str, row_fmt: str, columns) -> None:
 
 
 def write_artifacts(result: ScenarioResult, out_dir) -> list:
+    """Write each constellation and spectrum as a .npy table, then summary.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -664,18 +684,19 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
         for s in range(report.num_streams):
             if not report.reference_symbols:
                 continue
-            path = out / f"constellation_{prefix}{s}.csv"
+            path = out / f"constellation_{prefix}{s}.npy"
             d, r = report.detected_symbols[s], report.reference_symbols[s]
-            _write_csv(path, "symbol_index,i,q,ref_i,ref_q",
-                       "%d,%.17g,%.17g,%.17g,%.17g\n",
-                       (np.arange(len(d)), d.real, d.imag, r.real, r.imag))
+            np.save(path, _table(CONSTELLATION_DTYPE, (np.arange(len(d)), d.real,
+                                                       d.imag, r.real, r.imag)),
+                    allow_pickle=False)
             paths.append(path)
         for tag, spectrum in report.spectra.items():
-            path = out / f"spectrum_{tag}.csv"
+            path = out / f"spectrum_{tag}.npy"
             with np.errstate(divide="ignore"):
                 power_db = 10.0 * np.log10(spectrum.power)
-            _write_csv(path, "freq_hz,power_linear,power_db", "%.17g,%.17g,%.17g\n",
-                       (spectrum.frequencies, spectrum.power, power_db))
+            np.save(path, _table(SPECTRUM_DTYPE, (spectrum.frequencies, spectrum.power,
+                                                  power_db)),
+                    allow_pickle=False)
             paths.append(path)
     result.summary["artifacts"] = sorted(p.name for p in paths) + ["summary.json"]
     summary_path = out / "summary.json"
@@ -683,6 +704,43 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
                             + "\n")
     paths.append(summary_path)
     result.artifact_paths = paths
+    return paths
+
+
+def export_csv(out_dir) -> list:
+    """Write <stem>.csv next to each .npy artifact in out_dir; returns the paths.
+
+    The header is the table's field names and each row formats integer
+    fields with %d and float fields with %.17g, so a float64 reads back
+    exactly. Raises ConfigurationError naming out_dir when it is missing or
+    holds no artifact, and naming the file when an artifact cannot be read
+    or has another layout.
+    """
+    out = Path(out_dir)
+    if not out.is_dir():
+        raise core.ConfigurationError(f"{str(out)!r} is not a directory")
+    tables = [(npy, dtype) for npy in sorted(out.glob("*.npy"))
+              for prefix, dtype in ARTIFACT_DTYPES.items()
+              if npy.name.startswith(prefix)]
+    if not tables:
+        raise core.ConfigurationError(
+            f"{str(out)!r} holds no constellation_*.npy or spectrum_*.npy artifact")
+    paths = []
+    for npy, dtype in tables:
+        try:
+            table = np.load(npy, allow_pickle=False)
+        except (ValueError, EOFError) as exc:  # truncated, or not .npy at all
+            raise core.ConfigurationError(f"{str(npy)!r} cannot be read: {exc}")
+        if table.dtype != dtype or table.ndim != 1:
+            raise core.ConfigurationError(
+                f"{str(npy)!r} is not a metalink artifact: expected a 1-D "
+                f"{dtype} table, found a {table.shape} {table.dtype} array")
+        path = npy.with_suffix(".csv")
+        row_fmt = ",".join("%d" if dtype[n].kind == "i" else "%.17g"
+                           for n in dtype.names) + "\n"
+        _write_csv(path, ",".join(dtype.names), row_fmt,
+                   [table[n] for n in dtype.names])
+        paths.append(path)
     return paths
 
 

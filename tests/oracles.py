@@ -3,9 +3,10 @@
 Each one restates a formula element by element, independent of the
 vectorised code it checks: cell_position for core.cell_positions,
 free_space_gain for the channel gains of propagation.build_channels,
-dft_direct for the fast transform behind spectral.periodogram, and the
-row-at-a-time csv.writer writers for the CSV artifacts of
-scenario.write_artifacts.
+dft_direct for the fast transform behind spectral.periodogram,
+channel_estimate_pairs for the channel estimate in scenario summaries, and
+the row-at-a-time csv.writer writers for the CSV that scenario.export_csv
+writes from each artifact table.
 """
 
 import csv
@@ -44,6 +45,11 @@ def dft_direct(x) -> np.ndarray:
         k = np.arange(start, min(start + 256, n_total))
         out[k] = np.exp(-2j * np.pi * np.outer(k, n) / n_total) @ x
     return out
+
+
+def channel_estimate_pairs(h) -> list:
+    """The S x P complex matrix as nested [re, im] Python floats, per element."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in h]
 
 
 def _fmt(v: float) -> str:

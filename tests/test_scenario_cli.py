@@ -1,7 +1,9 @@
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.spectral import Spectrum
 from metalink.txrx import LinkReport
-from oracles import write_constellation, write_spectrum
+from oracles import channel_estimate_pairs, write_constellation, write_spectrum
 
 
 @pytest.fixture()
@@ -144,16 +146,31 @@ def test_overrides_reach_the_pipeline(tiny_link):
 def test_run_scenario_writes_expected_artifacts(tiny_link, tmp_path):
     result = scen.run_scenario(tiny_link, tmp_path / "out")
     names = sorted(p.name for p in (tmp_path / "out").iterdir())
-    assert names == ["constellation_0.csv", "spectrum_rx0.csv", "summary.json"]
+    assert names == ["constellation_0.npy", "spectrum_rx0.npy", "summary.json"]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["scenario"] == "tiny"
     assert summary["reports"]["link"]["ber"] == [0.0]
     assert summary["artifacts"] == names
-    header = (tmp_path / "out" / "constellation_0.csv").read_text().splitlines()[0]
-    assert header == "symbol_index,i,q,ref_i,ref_q"
-    header = (tmp_path / "out" / "spectrum_rx0.csv").read_text().splitlines()[0]
-    assert header == "freq_hz,power_linear,power_db"
+    constellation = np.load(tmp_path / "out" / "constellation_0.npy")
+    assert constellation.dtype.names == ("symbol_index", "i", "q", "ref_i", "ref_q")
+    assert constellation.shape == (32,)
+    spectrum = np.load(tmp_path / "out" / "spectrum_rx0.npy")
+    assert spectrum.dtype.names == ("freq_hz", "power_linear", "power_db")
+    assert spectrum.shape == (len(result.reports["link"].spectra["rx0"].power),)
     assert result.artifact_paths
+
+
+def test_summary_channel_estimate_matches_loop_oracle():
+    # random parts plus the values a float conversion could mangle: -0.0
+    # and the smallest subnormal
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h[0, 0], h[3, 5], h[7, 7] = complex(-0.0, 5e-324), complex(5e-324, -0.0), -0.0
+    sc = SimpleNamespace(name="h", mode="transmit_link", rng_seed=0)
+    summary = scen._summarize(sc, {"link": LinkReport(channel_estimate=h)})
+    written = summary["reports"]["link"]["channel_estimate"]
+    # json.dumps writes each float's repr, so equal text means equal bits
+    assert json.dumps(written) == json.dumps(channel_estimate_pairs(h))
 
 
 def _edge_spectrum(n, rng):
@@ -166,27 +183,69 @@ def _edge_spectrum(n, rng):
     return Spectrum(freqs, power, 1.0)
 
 
-def _written_bytes(report, out_dir):
-    paths = scen.write_artifacts(scen.ScenarioResult(None, {"link": report}, {}),
-                                 out_dir)
-    return {p.name: p.read_bytes() for p in paths if p.suffix == ".csv"}
+def _write(report, out_dir):
+    return scen.write_artifacts(scen.ScenarioResult(None, {"link": report}, {}),
+                                out_dir)
 
 
-@pytest.mark.parametrize("n", [2, scen.CSV_BLOCK_ROWS - 1, scen.CSV_BLOCK_ROWS,
-                               scen.CSV_BLOCK_ROWS + 1, 2 * scen.CSV_BLOCK_ROWS + 3])
+def _exported_bytes(report, out_dir):
+    _write(report, out_dir)
+    return {p.name: p.read_bytes() for p in scen.export_csv(out_dir)}
+
+
+def _edge_constellation():
+    rng = np.random.default_rng(10_001)
+    detected, reference = rng.normal(size=(2, 10_001, 2)) @ np.array([1.0, 1j])
+    detected[0], reference[-1] = complex(-0.0, 5e-324), complex(1.7e308, -0.0)
+    return detected, reference
+
+
+def _same_bits(a, b) -> bool:
+    # compares -0.0, nan payloads and subnormals bit for bit
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+BLOCK_SIZES = [2, scen.CSV_BLOCK_ROWS - 1, scen.CSV_BLOCK_ROWS,
+               scen.CSV_BLOCK_ROWS + 1, 2 * scen.CSV_BLOCK_ROWS + 3]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_spectrum_npy_round_trips_bit_exactly(n, tmp_path):
+    spectrum = _edge_spectrum(n, np.random.default_rng(n))
+    _write(LinkReport(spectra={"edge": spectrum}), tmp_path)
+    table = np.load(tmp_path / "spectrum_edge.npy", allow_pickle=False)
+    with np.errstate(divide="ignore"):
+        power_db = 10.0 * np.log10(spectrum.power)
+    assert table.dtype == scen.SPECTRUM_DTYPE
+    assert _same_bits(table["freq_hz"], spectrum.frequencies)
+    assert _same_bits(table["power_linear"], spectrum.power)
+    assert _same_bits(table["power_db"], power_db)
+
+
+def test_constellation_npy_round_trips_bit_exactly(tmp_path):
+    detected, reference = _edge_constellation()
+    _write(LinkReport(detected_symbols=[detected], reference_symbols=[reference]),
+           tmp_path)
+    table = np.load(tmp_path / "constellation_0.npy", allow_pickle=False)
+    assert table.dtype == scen.CONSTELLATION_DTYPE
+    assert np.array_equal(table["symbol_index"], np.arange(len(detected)))
+    for name, column in (("i", detected.real), ("q", detected.imag),
+                         ("ref_i", reference.real), ("ref_q", reference.imag)):
+        assert _same_bits(table[name], column), name
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_spectrum_csv_matches_csv_writer_oracle(n, tmp_path):
     spectrum = _edge_spectrum(n, np.random.default_rng(n))
-    written = _written_bytes(LinkReport(spectra={"edge": spectrum}), tmp_path / "new")
+    written = _exported_bytes(LinkReport(spectra={"edge": spectrum}), tmp_path / "new")
     write_spectrum(tmp_path / "ref.csv", spectrum)
     assert written == {"spectrum_edge.csv": (tmp_path / "ref.csv").read_bytes()}
 
 
 def test_constellation_csv_matches_csv_writer_oracle(tmp_path):
-    rng = np.random.default_rng(10_001)
-    detected, reference = rng.normal(size=(2, 10_001, 2)) @ np.array([1.0, 1j])
-    detected[0], reference[-1] = complex(-0.0, 5e-324), complex(1.7e308, -0.0)
+    detected, reference = _edge_constellation()
     report = LinkReport(detected_symbols=[detected], reference_symbols=[reference])
-    written = _written_bytes(report, tmp_path / "new")
+    written = _exported_bytes(report, tmp_path / "new")
     write_constellation(tmp_path / "ref.csv", detected, reference)
     assert written == {"constellation_0.csv": (tmp_path / "ref.csv").read_bytes()}
 
@@ -197,9 +256,11 @@ def test_integrated_scenario_round_trip(tmp_path):
     assert result.reports["transmit"].ber[0] == 0.0
     assert result.reports["receive"].ber[0] == 0.0
     names = {p.name for p in tmp_path.iterdir()}
-    assert "constellation_transmit_0.csv" in names
-    assert "constellation_receive_0.csv" in names
-    assert "spectrum_sdc_rx0.csv" in names
+    assert {"constellation_transmit_0.npy", "constellation_receive_0.npy",
+            "spectrum_sdc_rx0.npy"} <= names
+    table = np.load(tmp_path / "constellation_receive_0.npy")
+    assert table.dtype.names == ("symbol_index", "i", "q", "ref_i", "ref_q")
+    assert table.shape == (64,)
     # the received spectrum peaks 5 MHz below the incoming carrier
     spectrum = result.reports["receive"].spectra["sdc_rx0"]
     peak = spectrum.frequencies[np.argmax(spectrum.power)]
@@ -210,8 +271,10 @@ def test_integrated_mode_caps_artifact_spectra(tmp_path):
     scen.run_scenario("integrated_switch", tmp_path,
                       overrides={"frame.payload_symbols": "64",
                                  "spectrum_bins": "1024"})
-    for name in ("spectrum_tx_rx0.csv", "spectrum_sdc_rx0.csv"):
-        assert len((tmp_path / name).read_text().splitlines()) == 1 + 1024
+    for name in ("spectrum_tx_rx0.npy", "spectrum_sdc_rx0.npy"):
+        table = np.load(tmp_path / name)
+        assert table.dtype.names == ("freq_hz", "power_linear", "power_db")
+        assert table.shape == (1024,)
 
 
 def test_flipping_ramp_direction_mirrors_the_spectrum():
@@ -290,7 +353,10 @@ def test_sdc_summary_contains_harmonic_table(tmp_path):
         assert row["power_fraction"] == pytest.approx(
             row["predicted_fraction"], rel=1e-3)
     names = {p.name for p in tmp_path.iterdir()}
-    assert {"spectrum_input.csv", "spectrum_output.csv"} <= names
+    assert {"spectrum_input.npy", "spectrum_output.npy"} <= names
+    output = np.load(tmp_path / "spectrum_output.npy")
+    assert output.dtype.names == ("freq_hz", "power_linear", "power_db")
+    assert output.shape == (len(result.reports["link"].spectra["output"].power),)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +420,57 @@ def test_cli_run_runtime_error_exits_two(tiny_link, tmp_path):
     path.write_text(json.dumps(tiny_link))
     rc = cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_cli_export_writes_one_csv_per_table(tiny_link, tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny_link))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out-dir", str(out)]) == 0
+    assert cli.main(["export", str(out)]) == 0
+    assert f"2 CSV files written to {out}" in capsys.readouterr().out
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["constellation_0.csv", "constellation_0.npy",
+                     "spectrum_rx0.csv", "spectrum_rx0.npy", "summary.json"]
+    lines = (out / "constellation_0.csv").read_text().splitlines()
+    assert lines[0] == "symbol_index,i,q,ref_i,ref_q" and len(lines) == 1 + 32
+    assert lines[1].startswith("0,") and lines[-1].startswith("31,")
+    header = (out / "spectrum_rx0.csv").read_text().splitlines()[0]
+    assert header == "freq_hz,power_linear,power_db"
+
+
+@pytest.mark.parametrize("files", [None, [], ["summary.json", "notes.npy"]],
+                         ids=["missing", "empty", "no_tables"])
+def test_cli_export_without_tables_exits_one_naming_dir(files, tmp_path, capsys):
+    out = tmp_path / "runs"
+    if files is not None:
+        out.mkdir()
+        for name in files:
+            (out / name).write_text("{}")
+    assert cli.main(["export", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def _npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("content", [
+    _npy_bytes(np.zeros(4)),
+    _npy_bytes(np.zeros((2, 2), scen.SPECTRUM_DTYPE)),
+    b"",
+    _npy_bytes(np.zeros(64, scen.SPECTRUM_DTYPE))[:-100],
+    b"not a numpy file",
+], ids=["plain_array", "two_dimensional", "empty", "truncated", "not_npy"])
+def test_export_rejects_an_unreadable_or_foreign_table(content, tmp_path):
+    path = tmp_path / "spectrum_rx0.npy"
+    path.write_bytes(content)
+    with pytest.raises(ConfigurationError, match="spectrum_rx0.npy"):
+        scen.export_csv(tmp_path)
+    assert not path.with_suffix(".csv").exists()
 
 
 def test_cli_seed_flag_overrides_seed(tiny_link, tmp_path):
