@@ -660,6 +660,19 @@ def _table(dtype: np.dtype, columns) -> np.ndarray:
     return table
 
 
+def _unlinked(path: Path) -> Path:
+    """path, with any file already there removed so that a new one is written.
+
+    Rewriting a file in place truncates it, and ext4 (auto_da_alloc) then
+    starts writing the new contents to disk when the file is closed, so a
+    rerun into the same directory would wait on the disk once per
+    artifact, for as long as the disk is busy. A new file stays in the
+    page cache like any other write.
+    """
+    path.unlink(missing_ok=True)
+    return path
+
+
 def _write_csv(path: Path, header: str, row_fmt: str, columns) -> None:
     """Write equal-length columns with one %-format per block of rows.
 
@@ -684,14 +697,14 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
         for s in range(report.num_streams):
             if not report.reference_symbols:
                 continue
-            path = out / f"constellation_{prefix}{s}.npy"
+            path = _unlinked(out / f"constellation_{prefix}{s}.npy")
             d, r = report.detected_symbols[s], report.reference_symbols[s]
             np.save(path, _table(CONSTELLATION_DTYPE, (np.arange(len(d)), d.real,
                                                        d.imag, r.real, r.imag)),
                     allow_pickle=False)
             paths.append(path)
         for tag, spectrum in report.spectra.items():
-            path = out / f"spectrum_{tag}.npy"
+            path = _unlinked(out / f"spectrum_{tag}.npy")
             with np.errstate(divide="ignore"):
                 power_db = 10.0 * np.log10(spectrum.power)
             np.save(path, _table(SPECTRUM_DTYPE, (spectrum.frequencies, spectrum.power,
@@ -699,7 +712,7 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
                     allow_pickle=False)
             paths.append(path)
     result.summary["artifacts"] = sorted(p.name for p in paths) + ["summary.json"]
-    summary_path = out / "summary.json"
+    summary_path = _unlinked(out / "summary.json")
     summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True)
                             + "\n")
     paths.append(summary_path)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -158,6 +159,19 @@ def test_run_scenario_writes_expected_artifacts(tiny_link, tmp_path):
     assert spectrum.dtype.names == ("freq_hz", "power_linear", "power_db")
     assert spectrum.shape == (len(result.reports["link"].spectra["rx0"].power),)
     assert result.artifact_paths
+
+
+def test_rerun_replaces_artifacts_instead_of_rewriting_them(tiny_link, tmp_path):
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    first = {p.name: p.read_bytes() for p in scen.run_scenario(tiny_link, out).artifact_paths}
+    kept.mkdir()
+    for name in first:  # a second link to each file shows whether it is rewritten
+        os.link(out / name, kept / name)
+    scen.run_scenario(tiny_link, out, overrides={"frame.payload_symbols": "8"})
+    for name, data in first.items():
+        assert (out / name).stat().st_nlink == 1
+        assert (kept / name).read_bytes() == data
+    assert np.load(out / "constellation_0.npy").shape == (8,)
 
 
 def test_summary_channel_estimate_matches_loop_oracle():
