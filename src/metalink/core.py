@@ -77,11 +77,15 @@ class ComplexEnvelope:
 def tone_envelope(num_samples: int, sample_rate: float, carrier_freq: float,
                   amplitude: float = 1.0, freq_offset: float = 0.0,
                   t0: float = 0.0) -> ComplexEnvelope:
-    """Complex exponential at `freq_offset` from the carrier (constant for 0)."""
+    """Complex exponential at `freq_offset` from the carrier.
+
+    For freq_offset 0 the samples are a read-only broadcast view of one
+    constant, so a carrier of any length allocates nothing.
+    """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     if freq_offset == 0.0:
-        samples = np.full(num_samples, amplitude, dtype=np.complex128)
+        samples = np.broadcast_to(np.complex128(amplitude), (num_samples,))
     else:
         n = np.arange(num_samples)
         samples = amplitude * np.exp(2j * np.pi * freq_offset * n / sample_rate)

@@ -469,9 +469,8 @@ class Scenario:
         return txrx.SurfacePartition(ids, int(ids.max()) + 1)
 
     def frame(self, num_streams: int) -> txrx.FrameSpec:
-        return txrx.FrameSpec.with_default_pilots(
-            num_streams, self.payload_symbols, self.symbol_rate_baud,
-            self.samples_per_symbol)
+        return txrx.FrameSpec(num_streams, self.payload_symbols,
+                              self.symbol_rate_baud, self.samples_per_symbol)
 
     def envelope_rate(self) -> float:
         return self.oversample * self.control_rate_hz
@@ -502,15 +501,14 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet,
     rng = np.random.default_rng(bits_seed)
     bits = rng.integers(0, 2, size=(partition.num_streams,
                                     frame.payload_length * scheme.bits_per_symbol))
-    symbols = np.stack([txrx.map_bits(bits[s], scheme)
-                        for s in range(partition.num_streams)])
+    symbols = txrx.map_bits(bits.ravel(), scheme).reshape(partition.num_streams, -1)
     schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
     carrier = core.tone_envelope(
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)
     rx = propagation.surface_pass(carrier, schedule, partition.stream_of_cell,
                                   channels, sc.noise_psd, noise_seeds)
-    report = txrx.receive_frame(rx, frame, scheme, 0.0, reference=symbols)
+    report = txrx.receive_frame(rx, frame, scheme, bits)
     report.spectra["rx0"] = spectral.periodogram(
         rx[0], sc.spectrum_length(len(rx[0])))
     return report
@@ -600,9 +598,8 @@ def _run_integrated(sc: Scenario) -> ScenarioResult:
     whole = txrx.SurfacePartition.full_surface(sc.geometry)
     rx = propagation.surface_pass(incident, ramp, whole.stream_of_cell, channels_rx,
                                   sc.noise_psd, seeds[-1:])
-    rx_report = txrx.receive_frame(rx, frame, scheme,
-                                   expected_shift=sc.staircase.frequency_shift,
-                                   reference=symbols[np.newaxis, :])
+    rx_report = txrx.receive_frame(rx, frame, scheme, bits[np.newaxis, :],
+                                   expected_shift=sc.staircase.frequency_shift)
     rx_report.spectra["sdc_rx0"] = spectral.periodogram(
         rx[0], sc.spectrum_length(len(rx[0])))
 
@@ -694,11 +691,9 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
     single = len(result.reports) == 1
     for key, report in result.reports.items():
         prefix = "" if single else f"{key}_"
-        for s in range(report.num_streams):
-            if not report.reference_symbols:
-                continue
+        for s, (d, r) in enumerate(zip(report.detected_symbols,
+                                       report.reference_symbols)):
             path = _unlinked(out / f"constellation_{prefix}{s}.npy")
-            d, r = report.detected_symbols[s], report.reference_symbols[s]
             np.save(path, _table(CONSTELLATION_DTYPE, (np.arange(len(d)), d.real,
                                                        d.imag, r.real, r.imag)),
                     allow_pickle=False)

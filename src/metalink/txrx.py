@@ -8,7 +8,9 @@ air-fed single tone.
 Receive side: optional derotation by a known frequency shift, integrate-and-
 dump over symbol intervals, least-squares channel estimation from the pilot
 block, zero-forcing detection, nearest-point demapping, and EVM/BER against
-the transmitted reference.
+the transmitted bits. The pilots are Hadamard rows, whose Gram matrix is
+pilot_length times the identity, so the estimate divides by the pilot
+length. Demapping forms its distance table DEMAP_BLOCK symbols at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
 from .metasurface import QuantizationModel, quantize_values
 
 CONDITION_LIMIT = 1e8
+DEMAP_BLOCK = 4096  # symbols per (block x points) distance table in demap_symbols
 
 
 class DetectionError(RuntimeError):
@@ -113,10 +116,17 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
 
 
 def demap_symbols(symbols, scheme: ModulationScheme):
-    """Nearest-point hard decisions: (bits, decided constellation points)."""
+    """Nearest-point hard decisions: (bits, decided constellation points).
+
+    Distances are tabulated DEMAP_BLOCK symbols at a time, so memory stays
+    bounded; a tie goes to the lowest bit word.
+    """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    distances = np.abs(symbols[:, np.newaxis] - scheme.points[np.newaxis, :])
-    words = np.argmin(distances, axis=1)
+    words = np.empty(len(symbols), dtype=np.intp)
+    for i in range(0, len(symbols), DEMAP_BLOCK):
+        block = symbols[i:i + DEMAP_BLOCK]
+        words[i:i + DEMAP_BLOCK] = np.argmin(
+            np.abs(block[:, np.newaxis] - scheme.points), axis=1)
     b = scheme.bits_per_symbol
     shifts = np.arange(b - 1, -1, -1)
     bits = ((words[:, np.newaxis] >> shifts) & 1).reshape(-1)
@@ -183,32 +193,24 @@ def make_pilots(num_streams: int) -> np.ndarray:
 class FrameSpec:
     """Pilot block plus payload dimensions and symbol timing.
 
-    pilots has shape (num_streams, pilot_length) with orthogonal rows; the
-    control rate is symbol_rate * samples_per_symbol.
+    pilots are make_pilots(num_streams), shape (num_streams, pilot_length);
+    the control rate is symbol_rate * samples_per_symbol.
     """
 
-    pilots: np.ndarray
+    num_streams: int
     payload_length: int
     symbol_rate: float
     samples_per_symbol: int
+    pilots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pilots = np.asarray(self.pilots, dtype=np.complex128)
-        if pilots.ndim != 2 or pilots.size == 0:
-            raise ConfigurationError("pilots must form a (streams, length) array")
-        if np.linalg.matrix_rank(pilots) != pilots.shape[0]:
-            raise ConfigurationError("pilot rows must be linearly independent")
         if self.payload_length < 1:
             raise ConfigurationError("payload_length must be >= 1")
         if self.symbol_rate <= 0:
             raise ConfigurationError("symbol_rate must be positive")
         if self.samples_per_symbol < 1:
             raise ConfigurationError("samples_per_symbol must be >= 1")
-        object.__setattr__(self, "pilots", pilots)
-
-    @property
-    def num_streams(self) -> int:
-        return self.pilots.shape[0]
+        object.__setattr__(self, "pilots", make_pilots(self.num_streams))
 
     @property
     def pilot_length(self) -> int:
@@ -221,12 +223,6 @@ class FrameSpec:
     @property
     def control_rate(self) -> float:
         return self.symbol_rate * self.samples_per_symbol
-
-    @classmethod
-    def with_default_pilots(cls, num_streams: int, payload_length: int,
-                            symbol_rate: float, samples_per_symbol: int) -> "FrameSpec":
-        return cls(make_pilots(num_streams), payload_length, symbol_rate,
-                   samples_per_symbol)
 
 
 def symbols_to_schedule(stream_symbols, frame: FrameSpec,
@@ -287,14 +283,20 @@ def ber(detected_bits, reference_bits) -> float:
     return float(np.mean(detected_bits != reference_bits))
 
 
+def _no_symbols() -> np.ndarray:
+    return np.zeros((0, 0), dtype=np.complex128)
+
+
 @dataclass
 class LinkReport:
-    """Outputs of one demodulated frame (or one spectral measurement)."""
+    """Outputs of one demodulated frame (or one spectral measurement).
 
-    detected_symbols: list = field(default_factory=list)
-    reference_symbols: list = field(default_factory=list)
-    detected_bits: list = field(default_factory=list)
-    reference_bits: list = field(default_factory=list)
+    detected_symbols and reference_symbols are (streams, payload) arrays,
+    0 x 0 when no frame was demodulated.
+    """
+
+    detected_symbols: np.ndarray = field(default_factory=_no_symbols)
+    reference_symbols: np.ndarray = field(default_factory=_no_symbols)
     evm_percent: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ber: np.ndarray = field(default_factory=lambda: np.zeros(0))
     channel_estimate: np.ndarray | None = None
@@ -306,15 +308,17 @@ class LinkReport:
         return len(self.detected_symbols)
 
 
-def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme,
-                  expected_shift: float = 0.0, reference=None) -> LinkReport:
+def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
+                  expected_shift: float = 0.0) -> LinkReport:
     """Demodulate one frame from per-antenna envelopes.
 
     Pipeline: derotate by expected_shift (the known frequency offset of the
     wanted signal, e.g. -1/period after a down-conversion ramp), integrate
     and dump over each symbol, LS-estimate the channel from the pilot block,
     zero-force with the pseudo-inverse, demap to nearest points, and score
-    EVM/BER against the transmitted reference payload when provided.
+    EVM against the mapped reference_bits and BER against reference_bits,
+    the transmitted payload bits of shape
+    (num_streams, payload_length * bits_per_symbol).
 
     rx envelopes must be time-aligned (equal t0) and cover exactly
     frame.num_symbols symbol intervals.
@@ -325,6 +329,11 @@ def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme,
     if num_antennas < num_streams:
         raise ContractViolation(
             f"{num_antennas} antennas cannot resolve {num_streams} streams")
+    reference_bits = np.asarray(reference_bits)
+    if reference_bits.shape != (num_streams,
+                                frame.payload_length * scheme.bits_per_symbol):
+        raise ContractViolation(
+            "reference bits must be (streams, payload x bits per symbol)")
     first = rx[0]
     for env in rx[1:]:
         if (len(env) != len(first) or env.sample_rate != first.sample_rate
@@ -354,31 +363,19 @@ def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme,
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
-    pilots = frame.pilots
-    gram = pilots @ pilots.conj().T
-    h_est = y_pilot @ pilots.conj().T @ np.linalg.inv(gram)
+    # Hadamard pilots: pilots @ pilots^H == pilot_length * I exactly
+    h_est = y_pilot @ frame.pilots.conj().T / frame.pilot_length
     cond = float(np.linalg.cond(h_est))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DetectionError("estimated channel is rank deficient", cond)
     equalized = np.linalg.pinv(h_est) @ y_payload
 
-    report = LinkReport(channel_estimate=h_est, condition_number=cond)
-    if reference is not None:
-        reference = np.atleast_2d(np.asarray(reference, dtype=np.complex128))
-        if reference.shape != (num_streams, frame.payload_length):
-            raise ContractViolation("reference symbols must be (streams, payload)")
-    evms = []
-    bers = []
+    reference = map_bits(reference_bits.ravel(), scheme).reshape(num_streams, -1)
+    evms = np.empty(num_streams)
+    bers = np.empty(num_streams)
     for s in range(num_streams):
-        bits, _ = demap_symbols(equalized[s], scheme)
-        report.detected_symbols.append(equalized[s])
-        report.detected_bits.append(bits)
-        if reference is not None:
-            ref_bits, _ = demap_symbols(reference[s], scheme)
-            report.reference_symbols.append(reference[s])
-            report.reference_bits.append(ref_bits)
-            evms.append(evm(equalized[s], reference[s]))
-            bers.append(ber(bits, ref_bits))
-    report.evm_percent = np.asarray(evms)
-    report.ber = np.asarray(bers)
-    return report
+        evms[s] = evm(equalized[s], reference[s])
+        bers[s] = ber(demap_symbols(equalized[s], scheme)[0], reference_bits[s])
+    return LinkReport(detected_symbols=equalized, reference_symbols=reference,
+                      evm_percent=evms, ber=bers, channel_estimate=h_est,
+                      condition_number=cond)

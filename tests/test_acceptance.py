@@ -213,7 +213,7 @@ def test_criterion_6_single_cell_identity_chain_reduces_to_reflection():
 
 
 def test_criterion_7_determinism_and_round_trips(tmp_path):
-    # identical seeds produce byte-identical CSV artifacts
+    # identical seeds produce byte-identical .npy artifacts
     overrides = {"frame.payload_symbols": "400", "spectrum_bins": "4096"}
     scen.run_scenario("mimo2x2_16qam", tmp_path / "a", overrides=overrides)
     scen.run_scenario("mimo2x2_16qam", tmp_path / "b", overrides=overrides)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +116,20 @@ def test_envelope_duration_and_times():
 def test_tone_envelope_offset_frequency():
     env = tone_envelope(16, 16.0, 0.0, freq_offset=4.0)
     assert np.allclose(env.samples, np.exp(2j * np.pi * 4.0 * np.arange(16) / 16.0))
+
+
+def test_constant_carrier_allocates_nothing():
+    # 10^7 samples would be 160 MB; a broadcast view of one value is not
+    tracemalloc.start()
+    try:
+        env = tone_envelope(10 ** 7, 1e9, 4.25e9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert not env.samples.flags.writeable
+    assert len(env) == 10 ** 7 and env.samples.dtype == np.complex128
+    assert np.all(env.samples[[0, -1]] == 1.0)
 
 
 # ---------------------------------------------------------------------------

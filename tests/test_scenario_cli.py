@@ -238,8 +238,8 @@ def test_spectrum_npy_round_trips_bit_exactly(n, tmp_path):
 
 def test_constellation_npy_round_trips_bit_exactly(tmp_path):
     detected, reference = _edge_constellation()
-    _write(LinkReport(detected_symbols=[detected], reference_symbols=[reference]),
-           tmp_path)
+    _write(LinkReport(detected_symbols=detected[np.newaxis],
+                      reference_symbols=reference[np.newaxis]), tmp_path)
     table = np.load(tmp_path / "constellation_0.npy", allow_pickle=False)
     assert table.dtype == scen.CONSTELLATION_DTYPE
     assert np.array_equal(table["symbol_index"], np.arange(len(detected)))
@@ -258,7 +258,8 @@ def test_spectrum_csv_matches_csv_writer_oracle(n, tmp_path):
 
 def test_constellation_csv_matches_csv_writer_oracle(tmp_path):
     detected, reference = _edge_constellation()
-    report = LinkReport(detected_symbols=[detected], reference_symbols=[reference])
+    report = LinkReport(detected_symbols=detected[np.newaxis],
+                        reference_symbols=reference[np.newaxis])
     written = _exported_bytes(report, tmp_path / "new")
     write_constellation(tmp_path / "ref.csv", detected, reference)
     assert written == {"constellation_0.csv": (tmp_path / "ref.csv").read_bytes()}
