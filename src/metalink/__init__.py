@@ -42,7 +42,6 @@ from .txrx import (
     FrameSpec,
     LinkReport,
     ModulationScheme,
-    SurfacePartition,
     ber,
     demap_symbols,
     evm,

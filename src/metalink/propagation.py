@@ -33,13 +33,11 @@ class ChannelModel:
 
     kind "identity" gives unit gains, "free_space" the spherical-wave model,
     "explicit_matrix" copies a user matrix of shape (num_cells, num_points).
-    noise_psd is the complex-Gaussian noise variance per received sample.
     """
 
     kind: str
     wavelength: float | None = None
     matrix: np.ndarray | None = None
-    noise_psd: float = 0.0
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
@@ -53,8 +51,6 @@ class ChannelModel:
             if matrix.ndim != 2:
                 raise ConfigurationError("channel matrix must be 2-D (cells x points)")
             object.__setattr__(self, "matrix", matrix)
-        if self.noise_psd < 0:
-            raise ConfigurationError("noise_psd must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +135,9 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
                  noise_seeds=None) -> list:
     """Received envelope at every observation point, in channel order.
 
-    Cell c is lit by feed_gains[c] * incident, holds row stream_of_cell[c]
-    of the schedule, and reaches point p through obs_gains[c, p]. The chain
-    is linear and narrowband, so each point sees
+    Cell c (row-major flat index) is lit by feed_gains[c] * incident, holds
+    row stream_of_cell[c] of the schedule, and reaches point p through
+    obs_gains[c, p]. The chain is linear and narrowband, so each point sees
     rx_p = incident * sum_s G[s, p] * w_s with the effective per-stream gain
     G[s, p] = sum over the cells c of stream s of feed_gains[c] * obs_gains[c, p].
     The cost is O(streams x samples) whatever the cell count.
@@ -153,9 +149,12 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     is never expanded to the envelope rate. Its steps must cover the
     envelope exactly. When noise_psd > 0, point p adds i.i.d. circular
     complex Gaussian noise of variance noise_psd per sample, drawn from
-    default_rng(noise_seeds[p]): real parts, then imaginary parts. Gains
-    so large that the received power would overflow are a ConfigurationError.
+    default_rng(noise_seeds[p]): real parts, then imaginary parts. A
+    negative or NaN noise_psd is a ContractViolation. Gains so large that
+    the received power would overflow are a ConfigurationError.
     """
+    if not noise_psd >= 0.0:
+        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
     hold = _hold_ratio(schedule.control_rate, incident.sample_rate)
     if hold is None:
         raise ContractViolation(

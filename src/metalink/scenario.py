@@ -4,7 +4,8 @@ A scenario is a JSON object with explicit units in its field names. FIELDS
 below is its schema: each row names one field by its dotted path, the
 values it accepts, its default, and the modes and channel kinds that read
 it. validate walks that table and then checks the rules that tie fields
-together; Scenario.from_dict reads every value and default through it.
+together; Scenario.from_dict builds the scenario's objects from the values
+and defaults that walk accepted.
 An absent field and a null one mean the same thing. A non-null field that
 the mode or the channel kind does not read, and a key the table does not
 name, are reported rather than ignored.
@@ -242,7 +243,6 @@ FIELDS = (
     Field("spectrum_bins", _int_from(2),
           "must be an integer >= 2 (cap on the artifact DFT length)", None),
 )
-_FIELD = {f.path: f for f in FIELDS}
 _NAMES = {}  # the keys of each object the table describes
 for _f in FIELDS:
     _NAMES.setdefault(_f.parent, set()).add(_f.key)
@@ -250,10 +250,16 @@ for _f in FIELDS:
 
 def validate(data: dict) -> list:
     """Exhaustive scenario validation; returns every violation, runs nothing."""
+    return _walk(data)[0]
+
+
+def _walk(data: dict) -> tuple:
+    """(violations, accepted): accepted maps each dotted path whose field
+    was accepted to its value, or to its default when absent or null."""
     if not isinstance(data, dict):
-        return ["scenario must be a JSON object"]
+        return ["scenario must be a JSON object"], {}
     errs = [f"{k}: unknown field" for k in data if k not in _NAMES[""]]
-    valid = {"": data}  # path -> accepted value or default
+    valid = {"": data}
     for f in FIELDS:
         parent = valid.get(f.parent)
         if not isinstance(parent, dict):
@@ -283,7 +289,7 @@ def validate(data: dict) -> list:
             if isinstance(value, dict):
                 errs.extend(f"{f.path}.{k}: unknown field"
                             for k in value if k not in _NAMES.get(f.path, ()))
-    return errs + _cross_field_violations(valid)
+    return errs + _cross_field_violations(valid), valid
 
 
 def _cross_field_violations(valid: dict) -> list:
@@ -365,23 +371,17 @@ class ValidationError(core.ConfigurationError):
         self.violations = violations
 
 
-def _value(data: dict, path: str):
-    """The value at a dotted path of a valid scenario, or the field's default."""
-    f = _FIELD[path]
-    parent = _value(data, f.parent) if f.parent else data
-    value = parent.get(f.key) if isinstance(parent, dict) else None
-    if value is None and f.default is not REQUIRED:
-        return f.default
-    return value
-
-
 # ---------------------------------------------------------------------------
 # typed scenario
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Scenario:
-    """Validated, typed view of a scenario dict."""
+    """Validated, typed view of a scenario dict.
+
+    stream_of_cell assigns each cell (row-major flat index) to a transmit
+    stream; it and scheme are None outside the link modes.
+    """
 
     name: str
     mode: str
@@ -391,12 +391,10 @@ class Scenario:
     rng_seed: int
     geometry: core.SurfaceGeometry
     points: core.PointSet
-    channel_kind: str
+    channel: propagation.ChannelModel
     noise_psd: float
-    channel_matrix: np.ndarray | None
-    wavelength_m: float | None
-    partition_spec: object
-    modulation: str | None
+    stream_of_cell: np.ndarray | None
+    scheme: txrx.ModulationScheme | None
     symbol_rate_baud: float | None
     samples_per_symbol: int | None
     payload_symbols: int | None
@@ -408,13 +406,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        violations = validate(data)
+        violations, accepted = _walk(data)
         if violations:
             raise ValidationError(violations)
+        get = accepted.get
 
-        def get(path):
-            return _value(data, path)
-
+        carrier = float(get("carrier_freq_hz"))
         geometry = core.SurfaceGeometry(
             get("geometry.rows"), get("geometry.cols"), get("geometry.spacing_m"),
             tuple(get("geometry.origin_m")))
@@ -425,6 +422,21 @@ class Scenario:
         if matrix is not None:
             raw = np.asarray(matrix, dtype=float)
             matrix = raw[..., 0] + 1j * raw[..., 1]
+        channel = propagation.ChannelModel(
+            kind=get("channel.kind"),
+            wavelength=get("channel.wavelength_m") or core.wavelength_of(carrier),
+            matrix=matrix)
+        partition = get("partition")
+        if partition == "full":
+            stream_of_cell = np.zeros(geometry.num_cells, dtype=np.int64)
+        elif partition == "left_right":  # stream 1 on the right half columns
+            column = np.arange(geometry.num_cells) % geometry.cols
+            stream_of_cell = (column >= geometry.cols // 2).astype(np.int64)
+        elif partition is not None:
+            stream_of_cell = np.asarray(partition, dtype=np.int64)
+        else:
+            stream_of_cell = None
+        modulation = get("modulation")
         staircase = None
         if get("staircase") is not None:
             staircase = metasurface.StaircaseRampSpec(
@@ -439,34 +451,18 @@ class Scenario:
                 amplitude_levels=get("quantization.amplitude_levels"),
                 phase_offset=get("quantization.phase_offset_rad"))
         return cls(
-            name=get("name"), mode=get("mode"),
-            carrier_freq_hz=float(get("carrier_freq_hz")),
+            name=get("name"), mode=get("mode"), carrier_freq_hz=carrier,
             control_rate_hz=float(get("control_rate_hz")),
             oversample=int(get("oversample")), rng_seed=int(get("rng_seed")),
-            geometry=geometry, points=points, channel_kind=get("channel.kind"),
-            noise_psd=float(get("channel.noise_psd")), channel_matrix=matrix,
-            wavelength_m=get("channel.wavelength_m"),
-            partition_spec=get("partition"), modulation=get("modulation"),
+            geometry=geometry, points=points, channel=channel,
+            noise_psd=float(get("channel.noise_psd")), stream_of_cell=stream_of_cell,
+            scheme=None if modulation is None else txrx.get_scheme(modulation),
             symbol_rate_baud=get("frame.symbol_rate_baud"),
             samples_per_symbol=get("frame.samples_per_symbol"),
             payload_symbols=get("frame.payload_symbols"),
             staircase=staircase, sdc_periods=get("sdc_periods"),
             quantization=quant, spectrum_bins=get("spectrum_bins"),
             description=get("description"))
-
-    def channel_model(self) -> propagation.ChannelModel:
-        wavelength = self.wavelength_m or core.wavelength_of(self.carrier_freq_hz)
-        return propagation.ChannelModel(
-            kind=self.channel_kind, wavelength=wavelength,
-            matrix=self.channel_matrix, noise_psd=self.noise_psd)
-
-    def partition(self) -> txrx.SurfacePartition:
-        if self.partition_spec == "full":
-            return txrx.SurfacePartition.full_surface(self.geometry)
-        if self.partition_spec == "left_right":
-            return txrx.SurfacePartition.left_right(self.geometry)
-        ids = np.asarray(self.partition_spec, dtype=np.int64)
-        return txrx.SurfacePartition(ids, int(ids.max()) + 1)
 
     def frame(self, num_streams: int) -> txrx.FrameSpec:
         return txrx.FrameSpec(num_streams, self.payload_symbols,
@@ -493,23 +489,61 @@ class ScenarioResult:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _link_phase(sc: Scenario, channels: propagation.ChannelSet,
-                bits_seed, noise_seeds) -> txrx.LinkReport:
-    scheme = txrx.get_scheme(sc.modulation)
-    partition = sc.partition()
-    frame = sc.frame(partition.num_streams)
-    rng = np.random.default_rng(bits_seed)
-    bits = rng.integers(0, 2, size=(partition.num_streams,
-                                    frame.payload_length * scheme.bits_per_symbol))
-    symbols = txrx.map_bits(bits.ravel(), scheme).reshape(partition.num_streams, -1)
+def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
+    """Payload bits (streams x payload x bits per symbol) drawn from seed,
+    and the (streams x payload) symbols they map to."""
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=(frame.num_streams, frame.payload_length * sc.scheme.bits_per_symbol))
+    symbols = txrx.map_bits(bits.ravel(), sc.scheme).reshape(frame.num_streams, -1)
+    return bits, symbols
+
+
+def _ramp_pass(sc: Scenario, incident: core.ComplexEnvelope,
+               channels: propagation.ChannelSet, noise_seeds) -> list:
+    """The surface pass with every cell on the staircase for the incident's
+    duration."""
+    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                         len(incident) / incident.sample_rate)
+    return propagation.surface_pass(
+        incident, ramp, np.zeros(channels.num_cells, dtype=np.int64), channels,
+        sc.noise_psd, noise_seeds)
+
+
+def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
+                noise_seeds, tag: str) -> txrx.LinkReport:
+    """The surface writes a frame onto the feed's tone and the observation
+    points receive it; the first point's spectrum goes under tag. Its
+    envelopes are freed on return, before an integrated receive phase."""
+    frame = sc.frame(int(sc.stream_of_cell.max()) + 1)
+    bits, symbols = _payload(sc, frame, bits_seed)
     schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
     carrier = core.tone_envelope(
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)
-    rx = propagation.surface_pass(carrier, schedule, partition.stream_of_cell,
+    rx = propagation.surface_pass(carrier, schedule, sc.stream_of_cell,
                                   channels, sc.noise_psd, noise_seeds)
-    report = txrx.receive_frame(rx, frame, scheme, bits)
-    report.spectra["rx0"] = spectral.periodogram(
+    report = txrx.receive_frame(rx, frame, sc.scheme, bits)
+    report.spectra[tag] = spectral.periodogram(rx[0], sc.spectrum_length(len(rx[0])))
+    return report
+
+
+def _receive_phase(sc: Scenario, bits_seed, noise_seed) -> txrx.LinkReport:
+    """The first rx point sends a one-stream frame, the surface ramps, and
+    the feed antenna, switched to a receive chain, observes."""
+    feed_idx = sc.points.indices_with_role("feed")[0]
+    obs_idx = [i for i in range(len(sc.points)) if i != feed_idx]
+    back_points = core.PointSet(
+        sc.points.positions[[obs_idx[0], feed_idx]], ("feed", "rx"))
+    channels = propagation.build_channels(sc.geometry, back_points, sc.channel)
+    frame = sc.frame(1)
+    bits, symbols = _payload(sc, frame, bits_seed)
+    incident = txrx.symbols_to_waveform(
+        np.concatenate([frame.pilots, symbols], axis=1)[0],
+        sc.samples_per_symbol * sc.oversample, sc.envelope_rate(), sc.carrier_freq_hz)
+    rx = _ramp_pass(sc, incident, channels, [noise_seed])
+    report = txrx.receive_frame(rx, frame, sc.scheme, bits,
+                                expected_shift=sc.staircase.frequency_shift)
+    report.spectra["sdc_rx0"] = spectral.periodogram(
         rx[0], sc.spectrum_length(len(rx[0])))
     return report
 
@@ -535,87 +569,49 @@ def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
     return rows
 
 
-def _run_transmit_link(sc: Scenario) -> ScenarioResult:
-    seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
-    channels = propagation.build_channels(sc.geometry, sc.points, sc.channel_model())
-    report = _link_phase(sc, channels, seeds[0], seeds[1:1 + channels.num_points])
-    summary = _summarize(sc, {"link": report})
-    return ScenarioResult(sc, {"link": report}, summary)
-
-
-def _run_sdc(sc: Scenario) -> ScenarioResult:
-    seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
-    channels = propagation.build_channels(sc.geometry, sc.points, sc.channel_model())
-    duration = sc.sdc_periods * sc.staircase.period
-    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz, duration)
-    carrier = core.tone_envelope(ramp.num_steps * sc.oversample, sc.envelope_rate(),
-                                 sc.carrier_freq_hz)
-    whole = txrx.SurfacePartition.full_surface(sc.geometry)
-    rx = propagation.surface_pass(carrier, ramp, whole.stream_of_cell, channels,
-                                  sc.noise_psd, seeds[1:1 + channels.num_points])
-    report = txrx.LinkReport()
-    report.spectra["input"] = spectral.periodogram(carrier)
-    report.spectra["output"] = spectral.periodogram(rx[0])
-    summary = _summarize(sc, {"link": report})
-    out_spec = report.spectra["output"]
-    summary["strongest_line_hz"] = float(
-        out_spec.frequencies[int(np.argmax(out_spec.power))])
-    summary["expected_line_hz"] = sc.staircase.frequency_shift
-    summary["harmonics"] = _harmonic_table(sc, out_spec)
-    return ScenarioResult(sc, {"link": report}, summary)
-
-
-def _run_integrated(sc: Scenario) -> ScenarioResult:
-    seeds = np.random.SeedSequence(sc.rng_seed).spawn(2 + len(sc.points) + 1)
-    model = sc.channel_model()
-
-    # transmit phase: feed lights the surface, surface modulates, rx points observe
-    channels_tx = propagation.build_channels(sc.geometry, sc.points, model)
-    tx_report = _link_phase(sc, channels_tx, seeds[0],
-                            seeds[2:2 + channels_tx.num_points])
-    tx_report.spectra["tx_rx0"] = tx_report.spectra.pop("rx0")
-
-    # receive phase: the first rx point transmits a frame, the surface ramps,
-    # and the feed antenna (switched to a receive chain) observes
-    feed_idx = sc.points.indices_with_role("feed")[0]
-    obs_idx = [i for i in range(len(sc.points)) if i != feed_idx]
-    back_points = core.PointSet(
-        sc.points.positions[[obs_idx[0], feed_idx]], ("feed", "rx"))
-    channels_rx = propagation.build_channels(sc.geometry, back_points, model)
-
-    scheme = txrx.get_scheme(sc.modulation)
-    frame = sc.frame(1)
-    rng = np.random.default_rng(seeds[1])
-    bits = rng.integers(0, 2, size=frame.payload_length * scheme.bits_per_symbol)
-    symbols = txrx.map_bits(bits, scheme)
-    all_symbols = np.concatenate([frame.pilots[0], symbols])
-    env_rate = sc.envelope_rate()
-    incident = txrx.symbols_to_waveform(
-        all_symbols, sc.samples_per_symbol * sc.oversample, env_rate,
-        sc.carrier_freq_hz)
-    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                         len(incident) / env_rate)
-    whole = txrx.SurfacePartition.full_surface(sc.geometry)
-    rx = propagation.surface_pass(incident, ramp, whole.stream_of_cell, channels_rx,
-                                  sc.noise_psd, seeds[-1:])
-    rx_report = txrx.receive_frame(rx, frame, scheme, bits[np.newaxis, :],
-                                   expected_shift=sc.staircase.frequency_shift)
-    rx_report.spectra["sdc_rx0"] = spectral.periodogram(
-        rx[0], sc.spectrum_length(len(rx[0])))
-
-    reports = {"transmit": tx_report, "receive": rx_report}
-    summary = _summarize(sc, reports)
-    summary["expected_line_hz"] = sc.staircase.frequency_shift
-    return ScenarioResult(sc, reports, summary)
-
-
 def simulate(sc: Scenario) -> ScenarioResult:
-    """Run a validated scenario without writing artifacts."""
-    if sc.mode == "transmit_link":
-        return _run_transmit_link(sc)
+    """Run a validated scenario without writing artifacts.
+
+    The feed lights the surface and the observation points receive. In
+    space_down_conversion mode the surface ramps a plain tone; otherwise it
+    carries a frame, and in integrated mode the receive phase follows.
+
+    Seed layout, on which a noisy run's bytes depend: rng_seed seeds a
+    SeedSequence with 3 + len(points) children. Child 0 draws the
+    transmitted payload and child 1 the integrated receive payload.
+    Observation point p draws its noise from child 1 + p, or 2 + p in
+    integrated mode, and the feed antenna of the receive phase from the last
+    child. A child depends only on its index, so each mode draws what it
+    drew when it spawned fewer children.
+    """
+    seeds = np.random.SeedSequence(sc.rng_seed).spawn(3 + len(sc.points))
+    channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
+    integrated = sc.mode == "integrated"
+    first = 2 if integrated else 1
+    noise_seeds = seeds[first:first + channels.num_points]
     if sc.mode == "space_down_conversion":
-        return _run_sdc(sc)
-    return _run_integrated(sc)
+        carrier = core.tone_envelope(
+            sc.sdc_periods * sc.staircase.steps_per_period * sc.oversample,
+            sc.envelope_rate(), sc.carrier_freq_hz)
+        rx = _ramp_pass(sc, carrier, channels, noise_seeds)
+        report = txrx.LinkReport(spectra={"input": spectral.periodogram(carrier),
+                                          "output": spectral.periodogram(rx[0])})
+    else:
+        report = _link_phase(sc, channels, seeds[0], noise_seeds,
+                             "tx_rx0" if integrated else "rx0")
+    reports = {"link": report}
+    if integrated:
+        reports = {"transmit": report,
+                   "receive": _receive_phase(sc, seeds[1], seeds[-1])}
+    summary = _summarize(sc, reports)
+    if sc.mode == "space_down_conversion":
+        out_spec = report.spectra["output"]
+        summary["strongest_line_hz"] = float(
+            out_spec.frequencies[int(np.argmax(out_spec.power))])
+        summary["harmonics"] = _harmonic_table(sc, out_spec)
+    if sc.staircase is not None:
+        summary["expected_line_hz"] = sc.staircase.frequency_shift
+    return ScenarioResult(sc, reports, summary)
 
 
 def _summarize(sc: Scenario, reports: dict) -> dict:

@@ -26,7 +26,6 @@ class Spectrum:
     frequencies: np.ndarray
     power: np.ndarray
     resolution: float
-    carrier_freq: float = 0.0
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -55,8 +54,7 @@ def periodogram(env: ComplexEnvelope, dft_length: int | None = None) -> Spectrum
     k[k > length // 2] -= length  # bins span (-fs/2, fs/2]
     order = np.argsort(k, kind="stable")
     resolution = env.sample_rate / length
-    return Spectrum(k[order] * resolution, power[order], resolution,
-                    carrier_freq=env.carrier_freq)
+    return Spectrum(k[order] * resolution, power[order], resolution)
 
 
 def line_power(spec: Spectrum, freq: float) -> float:

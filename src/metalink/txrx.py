@@ -24,9 +24,8 @@ from .core import (
     CoefficientSchedule,
     ConfigurationError,
     ContractViolation,
-    SurfaceGeometry,
 )
-from .metasurface import QuantizationModel, quantize_values
+from .metasurface import CONTINUOUS, QuantizationModel, quantize_values
 
 CONDITION_LIMIT = 1e8
 DEMAP_BLOCK = 4096  # symbols per (block x points) distance table in demap_symbols
@@ -89,7 +88,7 @@ class ModulationScheme:
         object.__setattr__(self, "points", points)
 
 
-SCHEME_NAMES = ("BPSK", "QPSK", "8PSK", "16QAM")
+SCHEME_NAMES = tuple(_CONSTELLATIONS)
 
 
 def get_scheme(name: str) -> ModulationScheme:
@@ -131,44 +130,6 @@ def demap_symbols(symbols, scheme: ModulationScheme):
     shifts = np.arange(b - 1, -1, -1)
     bits = ((words[:, np.newaxis] >> shifts) & 1).reshape(-1)
     return bits, scheme.points[words]
-
-
-@dataclass(frozen=True, eq=False)
-class SurfacePartition:
-    """Assignment of every cell (row-major flat index) to one stream."""
-
-    stream_of_cell: np.ndarray
-    num_streams: int
-
-    def __post_init__(self):
-        assignment = np.asarray(self.stream_of_cell, dtype=np.int64)
-        if assignment.ndim != 1 or assignment.size == 0:
-            raise ConfigurationError("partition needs a non-empty 1-D assignment")
-        if self.num_streams < 1:
-            raise ConfigurationError("need at least one stream")
-        if np.any(assignment < 0) or np.any(assignment >= self.num_streams):
-            raise ConfigurationError("stream ids must lie in [0, num_streams)")
-        present = np.unique(assignment)
-        if present.size != self.num_streams:
-            missing = sorted(set(range(self.num_streams)) - set(present.tolist()))
-            raise ConfigurationError(f"streams {missing} have no cells")
-        object.__setattr__(self, "stream_of_cell", assignment)
-
-    @property
-    def num_cells(self) -> int:
-        return self.stream_of_cell.size
-
-    @classmethod
-    def full_surface(cls, geometry: SurfaceGeometry) -> "SurfacePartition":
-        return cls(np.zeros(geometry.num_cells, dtype=np.int64), 1)
-
-    @classmethod
-    def left_right(cls, geometry: SurfaceGeometry) -> "SurfacePartition":
-        """Stream 0 on the left half columns, stream 1 on the right half."""
-        if geometry.cols % 2 != 0:
-            raise ConfigurationError("left_right partition needs an even column count")
-        m = np.arange(geometry.num_cells) % geometry.cols
-        return cls((m >= geometry.cols // 2).astype(np.int64), 2)
 
 
 def _hadamard(order: int) -> np.ndarray:
@@ -226,15 +187,15 @@ class FrameSpec:
 
 
 def symbols_to_schedule(stream_symbols, frame: FrameSpec,
-                        quant: QuantizationModel | None = None) -> CoefficientSchedule:
+                        quant: QuantizationModel = CONTINUOUS) -> CoefficientSchedule:
     """Compile per-stream symbol sequences into the per-stream schedule.
 
     Row s holds (A, phi) = (|symbol|, arg symbol) of stream s, one column
     per symbol at frame.symbol_rate; the frame's pilots precede the payload.
     The surface pass holds each column for its symbol interval, so the
     schedule is never expanded to the control or envelope rate. Every cell
-    of stream s carries row s (see SurfacePartition). Coefficients are
-    quantized per `quant` when given.
+    of stream s carries row s (see propagation.surface_pass). Coefficients
+    are quantized per quant.
     """
     symbols = np.atleast_2d(np.asarray(stream_symbols, dtype=np.complex128))
     if symbols.shape[0] != frame.num_streams:
@@ -244,9 +205,7 @@ def symbols_to_schedule(stream_symbols, frame: FrameSpec,
         raise ValueError(
             f"payload length {symbols.shape[1]} does not match frame "
             f"payload_length {frame.payload_length}")
-    full = np.concatenate([frame.pilots, symbols], axis=1)
-    if quant is not None:
-        full = quantize_values(full, quant)
+    full = quantize_values(np.concatenate([frame.pilots, symbols], axis=1), quant)
     return CoefficientSchedule(full, frame.symbol_rate)
 
 

@@ -7,8 +7,8 @@ dft_direct for the fast transform behind spectral.periodogram,
 channel_estimate_pairs for the channel estimate in scenario summaries, the
 row-at-a-time csv.writer writers for the CSV that scenario.export_csv
 writes from each artifact table, demap_symbols for the blocked
-txrx.demap_symbols, and receive_frame for the detection half of
-txrx.receive_frame.
+txrx.demap_symbols, receive_frame for the detection half of
+txrx.receive_frame, and simulate for scenario.simulate.
 """
 
 import csv
@@ -16,7 +16,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from metalink import core, metasurface, propagation, spectral, txrx
 from metalink.core import ContractViolation
+from metalink.scenario import Scenario, ScenarioResult, _harmonic_table, _summarize
 from metalink.txrx import CONDITION_LIMIT, DetectionError, ber, evm
 
 
@@ -163,3 +165,138 @@ def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None
     report.evm_percent = np.asarray(evms)
     report.ber = np.asarray(bers)
     return report
+
+
+# ---------------------------------------------------------------------------
+# simulate: one runner per mode, each with its own seeds and channels
+# ---------------------------------------------------------------------------
+
+def _channel_model(data: dict) -> propagation.ChannelModel:
+    channel = data["channel"]
+    matrix = channel.get("matrix")
+    if matrix is not None:
+        raw = np.asarray(matrix, dtype=float)
+        matrix = raw[..., 0] + 1j * raw[..., 1]
+    wavelength = channel.get("wavelength_m") or core.wavelength_of(
+        float(data["carrier_freq_hz"]))
+    return propagation.ChannelModel(kind=channel["kind"], wavelength=wavelength,
+                                    matrix=matrix)
+
+
+def _partition(sc: Scenario, spec) -> SimpleNamespace:
+    """stream_of_cell and num_streams of a 'full', 'left_right' or list spec."""
+    cells = np.arange(sc.geometry.num_cells)
+    if spec == "full":
+        ids = np.zeros_like(cells)
+    elif spec == "left_right":
+        ids = (cells % sc.geometry.cols >= sc.geometry.cols // 2).astype(int)
+    else:
+        ids = np.asarray(spec)
+    return SimpleNamespace(stream_of_cell=ids.astype(np.int64),
+                           num_streams=int(ids.max()) + 1)
+
+
+def _link_phase(sc, data, channels, bits_seed, noise_seeds):
+    scheme = txrx.get_scheme(data["modulation"])
+    partition = _partition(sc, data["partition"])
+    frame = sc.frame(partition.num_streams)
+    rng = np.random.default_rng(bits_seed)
+    bits = rng.integers(0, 2, size=(partition.num_streams,
+                                    frame.payload_length * scheme.bits_per_symbol))
+    symbols = txrx.map_bits(bits.ravel(), scheme).reshape(partition.num_streams, -1)
+    schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
+    carrier = core.tone_envelope(
+        frame.num_symbols * frame.samples_per_symbol * sc.oversample,
+        sc.envelope_rate(), sc.carrier_freq_hz)
+    rx = propagation.surface_pass(carrier, schedule, partition.stream_of_cell,
+                                  channels, sc.noise_psd, noise_seeds)
+    report = txrx.receive_frame(rx, frame, scheme, bits)
+    report.spectra["rx0"] = spectral.periodogram(
+        rx[0], sc.spectrum_length(len(rx[0])))
+    return report
+
+
+def _run_transmit_link(sc, data):
+    seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
+    channels = propagation.build_channels(sc.geometry, sc.points, _channel_model(data))
+    report = _link_phase(sc, data, channels, seeds[0], seeds[1:1 + channels.num_points])
+    summary = _summarize(sc, {"link": report})
+    return ScenarioResult(sc, {"link": report}, summary)
+
+
+def _run_sdc(sc, data):
+    seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
+    channels = propagation.build_channels(sc.geometry, sc.points, _channel_model(data))
+    duration = sc.sdc_periods * sc.staircase.period
+    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz, duration)
+    carrier = core.tone_envelope(ramp.num_steps * sc.oversample, sc.envelope_rate(),
+                                 sc.carrier_freq_hz)
+    whole = _partition(sc, "full")
+    rx = propagation.surface_pass(carrier, ramp, whole.stream_of_cell, channels,
+                                  sc.noise_psd, seeds[1:1 + channels.num_points])
+    report = txrx.LinkReport()
+    report.spectra["input"] = spectral.periodogram(carrier)
+    report.spectra["output"] = spectral.periodogram(rx[0])
+    summary = _summarize(sc, {"link": report})
+    out_spec = report.spectra["output"]
+    summary["strongest_line_hz"] = float(
+        out_spec.frequencies[int(np.argmax(out_spec.power))])
+    summary["expected_line_hz"] = sc.staircase.frequency_shift
+    summary["harmonics"] = _harmonic_table(sc, out_spec)
+    return ScenarioResult(sc, {"link": report}, summary)
+
+
+def _run_integrated(sc, data):
+    seeds = np.random.SeedSequence(sc.rng_seed).spawn(2 + len(sc.points) + 1)
+    model = _channel_model(data)
+
+    # transmit phase: feed lights the surface, surface modulates, rx points observe
+    channels_tx = propagation.build_channels(sc.geometry, sc.points, model)
+    tx_report = _link_phase(sc, data, channels_tx, seeds[0],
+                            seeds[2:2 + channels_tx.num_points])
+    tx_report.spectra["tx_rx0"] = tx_report.spectra.pop("rx0")
+
+    # receive phase: the first rx point transmits a frame, the surface ramps,
+    # and the feed antenna (switched to a receive chain) observes
+    feed_idx = sc.points.indices_with_role("feed")[0]
+    obs_idx = [i for i in range(len(sc.points)) if i != feed_idx]
+    back_points = core.PointSet(
+        sc.points.positions[[obs_idx[0], feed_idx]], ("feed", "rx"))
+    channels_rx = propagation.build_channels(sc.geometry, back_points, model)
+
+    scheme = txrx.get_scheme(data["modulation"])
+    frame = sc.frame(1)
+    rng = np.random.default_rng(seeds[1])
+    bits = rng.integers(0, 2, size=frame.payload_length * scheme.bits_per_symbol)
+    symbols = txrx.map_bits(bits, scheme)
+    all_symbols = np.concatenate([frame.pilots[0], symbols])
+    env_rate = sc.envelope_rate()
+    incident = txrx.symbols_to_waveform(
+        all_symbols, sc.samples_per_symbol * sc.oversample, env_rate,
+        sc.carrier_freq_hz)
+    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                         len(incident) / env_rate)
+    whole = _partition(sc, "full")
+    rx = propagation.surface_pass(incident, ramp, whole.stream_of_cell, channels_rx,
+                                  sc.noise_psd, seeds[-1:])
+    rx_report = txrx.receive_frame(rx, frame, scheme, bits[np.newaxis, :],
+                                   expected_shift=sc.staircase.frequency_shift)
+    rx_report.spectra["sdc_rx0"] = spectral.periodogram(
+        rx[0], sc.spectrum_length(len(rx[0])))
+
+    reports = {"transmit": tx_report, "receive": rx_report}
+    summary = _summarize(sc, reports)
+    summary["expected_line_hz"] = sc.staircase.frequency_shift
+    return ScenarioResult(sc, reports, summary)
+
+
+def simulate(data: dict) -> ScenarioResult:
+    """Run a valid scenario dict through the runner of its mode.
+
+    The partition, the channel model and the scheme are built from data;
+    every other value comes from Scenario.from_dict(data).
+    """
+    sc = Scenario.from_dict(data)
+    run = {"transmit_link": _run_transmit_link, "space_down_conversion": _run_sdc,
+           "integrated": _run_integrated}[sc.mode]
+    return run(sc, data)

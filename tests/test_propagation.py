@@ -264,6 +264,14 @@ def test_superpose_rejects_mismatched_envelopes():
         surface_pass(env, ones_schedule(1, 4, rate=1e7), [0, 0], unit)
 
 
+@pytest.mark.parametrize("noise_psd", [-0.1, -1e-300, float("nan")])
+def test_negative_or_nan_noise_level_is_rejected(noise_psd):
+    # it must not read as "no noise" and return the noiseless envelope
+    env = tone_envelope(32, 1e8, 4.25e9)
+    with pytest.raises(ContractViolation, match="noise_psd"):
+        surface_pass(env, ones_schedule(1, 32), [0], UNIT_CELL, noise_psd, [0])
+
+
 @pytest.mark.parametrize("noise_psd", [0.0, 0.1])
 @pytest.mark.parametrize("hold", [1, 3, 16])
 @pytest.mark.parametrize("streams", [1, 2])

@@ -1,10 +1,11 @@
-"""The scenario field table: what validate reports, what from_dict reads, and
-the promise that an accepted scenario runs to finite numbers or fails with a
-named error."""
+"""The scenario field table: what validate reports, what from_dict reads, the
+promise that an accepted scenario runs to finite numbers or fails with a
+named error, and simulate's seeds and wiring against the reference runners."""
 
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,8 @@ from metalink import cli
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.txrx import DetectionError
+
+import oracles
 
 
 # the bundled scenarios at a few milliseconds per run
@@ -89,6 +92,28 @@ def test_absent_and_null_read_the_same_default():
         assert (sc.oversample, sc.geometry.origin, sc.noise_psd) == (16, (0, 0, 0), 0)
         assert (sc.staircase.direction, sc.staircase.amplitude) == (-1, 1.0)
         assert sc.description == ""
+
+
+# a link on a 2 x 4 surface with unit gains
+TWO_BY_FOUR = {"geometry.rows": 2, "geometry.cols": 4, "channel.kind": "identity",
+               "channel.matrix": None}
+
+
+def test_left_right_partition_splits_columns():
+    sc = scen.Scenario.from_dict(bundled("mimo2x2_16qam", TWO_BY_FOUR))
+    assert sc.stream_of_cell.dtype == np.int64
+    assert sc.stream_of_cell.tolist() == [0, 0, 1, 1, 0, 0, 1, 1]
+
+
+def test_left_right_needs_even_columns():
+    data = bundled("mimo2x2_16qam", {**TWO_BY_FOUR, "geometry.cols": 3})
+    assert scen.validate(data) == ["partition: left_right needs an even column count"]
+
+
+def test_partition_requires_every_stream_populated():
+    data = bundled("mimo2x2_16qam", {**TWO_BY_FOUR, "partition": [0, 0, 2, 2] * 2})
+    assert scen.validate(data) == [
+        "partition: stream ids must cover 0..S-1 with no gaps"]
 
 
 def test_override_into_a_null_object_starts_one():
@@ -205,3 +230,39 @@ def test_every_single_change_runs_to_finite_numbers_or_a_named_error(name, path)
                                st.sampled_from(VALUES), min_size=2, max_size=2))
 def test_pairs_of_changes_run_to_finite_numbers_or_a_named_error(name, changes):
     check_runs_or_names_its_error(name, changes)
+
+
+# ---------------------------------------------------------------------------
+# simulate against the reference runners: same seeds, same wiring, same bits
+# ---------------------------------------------------------------------------
+
+WIRING_CASES = [
+    pytest.param(name, {"channel.noise_psd": psd, "rng_seed": seed},
+                 id=f"{name}-psd{psd}-seed{seed}")
+    for name in sorted(SHRUNK) for psd in (0, 0.01) for seed in (0, 1, 2)
+] + [
+    pytest.param("integrated_switch", {
+        "channel.noise_psd": 0.01, "partition": "left_right",
+        "points": SHRUNK_DATA["integrated_switch"]["points"] + [
+            {"position_m": [-0.25, 0.0, 0.55], "role": "rx"}]}, id="left_right"),
+    pytest.param("mimo2x2_16qam", {
+        "channel.noise_psd": 0.01, "partition": [0, 1] * 4 + [1, 0] * 4},
+        id="partition_list"),
+]
+
+
+@pytest.mark.parametrize("name, overrides", WIRING_CASES)
+def test_simulate_matches_the_reference_runners(name, overrides):
+    data = scen.apply_overrides(SHRUNK_DATA[name], overrides)
+    got = scen.simulate(scen.Scenario.from_dict(data))
+    want = oracles.simulate(data)
+    assert got.summary == want.summary
+    assert got.reports.keys() == want.reports.keys()
+    for key, report in got.reports.items():
+        ref = want.reports[key]
+        assert np.array_equal(report.detected_symbols, ref.detected_symbols)
+        assert np.array_equal(report.reference_symbols, ref.reference_symbols)
+        assert report.spectra.keys() == ref.spectra.keys()
+        for tag, spectrum in report.spectra.items():
+            assert np.array_equal(spectrum.frequencies, ref.spectra[tag].frequencies)
+            assert np.array_equal(spectrum.power, ref.spectra[tag].power)

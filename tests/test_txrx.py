@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from metalink.core import (
     ContractViolation,
-    SurfaceGeometry,
     resample_hold,
     tone_envelope,
 )
@@ -14,7 +13,6 @@ from metalink.txrx import (
     DEMAP_BLOCK,
     DetectionError,
     FrameSpec,
-    SurfacePartition,
     ber,
     demap_symbols,
     evm,
@@ -137,24 +135,8 @@ def test_blocked_demap_matches_one_table_oracle(name, size):
 
 
 # ---------------------------------------------------------------------------
-# partitions, pilots, frames
+# pilots, frames
 # ---------------------------------------------------------------------------
-
-def test_left_right_partition_splits_columns():
-    geo = SurfaceGeometry(2, 4, 0.05)
-    part = SurfacePartition.left_right(geo)
-    assert np.array_equal(part.stream_of_cell, [0, 0, 1, 1, 0, 0, 1, 1])
-
-
-def test_left_right_needs_even_columns():
-    with pytest.raises(Exception):
-        SurfacePartition.left_right(SurfaceGeometry(2, 3, 0.05))
-
-
-def test_partition_requires_every_stream_populated():
-    with pytest.raises(Exception):
-        SurfacePartition(np.array([0, 0, 0]), 2)
-
 
 @pytest.mark.parametrize("streams", range(1, 10))
 def test_pilots_are_orthogonal_pm_one(streams):
@@ -191,13 +173,12 @@ def test_single_constant_symbol_schedule():
 
 
 def test_two_stream_bpsk_schedule_sets_halves():
-    geo = SurfaceGeometry(2, 4, 0.05)
-    part = SurfacePartition.left_right(geo)
+    stream_of_cell = np.array([0, 0, 1, 1, 0, 0, 1, 1])  # left and right halves
     frame = FrameSpec(2, 1, 1e6, 2)
     held = resample_hold(symbols_to_schedule([[1.0], [-1.0]], frame),
                          frame.control_rate)
-    payload = held.values[part.stream_of_cell, -2:]  # what each cell holds
-    left = part.stream_of_cell == 0
+    payload = held.values[stream_of_cell, -2:]  # what each cell holds
+    left = stream_of_cell == 0
     assert np.all(payload[left] == 1.0)
     assert np.all(payload[~left] == -1.0)
 
@@ -420,8 +401,7 @@ def test_receive_frame_contract_checks():
 def test_partition_permutation_leaves_stream_products_unchanged():
     # swapping the channel gains of cells within a stream keeps every
     # effective stream gain, so the received envelopes cannot change
-    geo = SurfaceGeometry(2, 4, 0.05)
-    part = SurfacePartition.left_right(geo)
+    stream_of_cell = np.array([0, 0, 1, 1, 0, 0, 1, 1])  # left and right halves
     frame = FrameSpec(2, 8, 1e6, 2)
     rng = np.random.default_rng(23)
     scheme = get_scheme("QPSK")
@@ -433,14 +413,14 @@ def test_partition_permutation_leaves_stream_products_unchanged():
 
     perm = np.arange(8)
     for s in range(2):
-        cells = np.flatnonzero(part.stream_of_cell == s)
+        cells = np.flatnonzero(stream_of_cell == s)
         perm[cells] = rng.permutation(cells)
     assert not np.array_equal(perm, np.arange(8))
 
     carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
                             frame.control_rate, 4.25e9)
-    out = surface_pass(carrier, sched, part.stream_of_cell, ChannelSet(feed, obs))
-    out_perm = surface_pass(carrier, sched, part.stream_of_cell,
+    out = surface_pass(carrier, sched, stream_of_cell, ChannelSet(feed, obs))
+    out_perm = surface_pass(carrier, sched, stream_of_cell,
                             ChannelSet(feed[perm], obs[perm]))
     for a, b in zip(out, out_perm):
         assert np.allclose(a.samples, b.samples, rtol=1e-12, atol=1e-15)
