@@ -9,7 +9,8 @@ observation points; the surface itself is passive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +131,123 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
     return ChannelSet(feed, obs)
 
 
+BLOCK_SAMPLES = 2 ** 16  # envelope samples per point in one block of a streamed pass
+
+
+@dataclass(eq=False)
+class SurfacePass:
+    """A checked surface pass, run over the envelope block by block.
+
+    Built by prepare_pass and advanced by pass_block. weights[p, k] =
+    sum_s G[s, p] * w_s[k] is point p's gain while schedule step k holds,
+    which is for hold envelope samples. position counts the steps done.
+    noise holds, per point, the generator of the real parts and that of
+    the imaginary parts; they are one generator when the pass is one block.
+    """
+
+    weights: np.ndarray
+    hold: int
+    block_samples: int
+    buffer: np.ndarray
+    noise_scale: float = 0.0
+    noise: list = field(default_factory=list)
+    position: int = 0
+
+
+def prepare_pass(sample_rate: float, num_samples: int, schedule: CoefficientSchedule,
+                 stream_of_cell, channels: ChannelSet, noise_psd: float = 0.0,
+                 noise_seeds=None, symbol_samples: int = 1) -> SurfacePass:
+    """Check a surface pass over num_samples envelope samples and form its
+    per-point weights = G.T @ schedule.values.
+
+    Cell c (row-major flat index) is lit by feed_gains[c], holds row
+    stream_of_cell[c] of the schedule, and reaches point p through
+    obs_gains[c, p]; G[s, p] sums feed_gains[c] * obs_gains[c, p] over the
+    cells c of stream s. A block is the longest run of whole symbols of
+    symbol_samples and whole schedule steps that fits in BLOCK_SAMPLES, at
+    least one of each and at most the whole envelope; the last block may
+    be shorter. A symbol as long as the envelope makes the pass one block.
+    The checks are those surface_pass documents.
+    """
+    if not noise_psd >= 0.0:
+        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
+    hold = _hold_ratio(schedule.control_rate, sample_rate)
+    if hold is None:
+        raise ContractViolation(
+            f"envelope rate {sample_rate} Hz is not a whole multiple of "
+            f"schedule rate {schedule.control_rate} Hz")
+    if schedule.num_steps * hold != num_samples:
+        raise ContractViolation(
+            f"schedule covers {schedule.num_steps} x {hold} samples, envelope "
+            f"has {num_samples}")
+    streams = np.asarray(stream_of_cell, dtype=np.int64)
+    if streams.shape != (channels.num_cells,):
+        raise ContractViolation(
+            f"need one stream id per cell: {streams.shape} vs {channels.num_cells} cells")
+    if np.any(streams < 0) or np.any(streams >= schedule.num_streams):
+        raise ContractViolation(
+            f"stream ids must index the {schedule.num_streams} schedule rows")
+    gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(gains, streams,
+                  channels.feed_gains[:, np.newaxis] * channels.obs_gains)
+        if not np.isfinite(np.abs(gains).sum() ** 2):
+            raise ConfigurationError(
+                "effective stream gains are too large: the received power would "
+                "overflow; check the channel gains and the wavelength")
+    if noise_psd > 0.0 and (noise_seeds is None
+                            or len(noise_seeds) != channels.num_points):
+        raise ContractViolation("noise needs one seed per observation point")
+    unit = math.lcm(hold, symbol_samples)
+    block_samples = min(max(1, BLOCK_SAMPLES // unit) * unit, num_samples)
+    buffer = np.empty((channels.num_points, block_samples), dtype=np.complex128)
+    sp = SurfacePass(gains.T @ schedule.values, hold, block_samples, buffer)
+    if noise_psd > 0.0:
+        sp.noise_scale = np.sqrt(noise_psd / 2.0)
+        for seed in noise_seeds:
+            real = np.random.default_rng(seed)
+            imag = real
+            if block_samples < num_samples:  # skip past the real parts
+                imag = np.random.default_rng(seed)
+                drop = np.empty(block_samples)
+                for start in range(0, num_samples, block_samples):
+                    imag.standard_normal(out=drop[:num_samples - start])
+            sp.noise.append((real, imag))
+    return sp
+
+
+def pass_block(sp: SurfacePass, incident) -> np.ndarray:
+    """Received samples of the next block at every point, (points, n).
+
+    incident holds the block's n incident samples, the next n envelope
+    samples of the pass; n is sp.block_samples except for a shorter last
+    block. The block kernel: rx[p, n] = incident[n] * weights[p, n // hold],
+    plus noise. The result is a view of sp.buffer, which the next block
+    overwrites.
+
+    The noise of a point continues one draw order over the whole pass, as
+    one call of surface_pass draws it: all real parts, then all imaginary
+    parts, from default_rng(noise_seeds[p]). A pass of several blocks reads
+    the imaginary parts from a second generator that skipped the real ones,
+    so the samples do not depend on the block length.
+    """
+    incident = np.asarray(incident)
+    n, rest = divmod(len(incident), sp.hold)
+    k = sp.position
+    if rest or not 0 < n <= min(sp.block_samples // sp.hold,
+                                 sp.weights.shape[1] - k):
+        raise ContractViolation(
+            f"block of {len(incident)} samples does not fit step {k} of the pass")
+    rx = sp.buffer[:, :n * sp.hold]
+    np.multiply(incident.reshape(n, sp.hold), sp.weights[:, k:k + n, np.newaxis],
+                out=rx.reshape(-1, n, sp.hold))
+    for row, (real, imag) in zip(rx, sp.noise):
+        row += sp.noise_scale * (real.standard_normal(len(row))
+                                 + 1j * imag.standard_normal(len(row)))
+    sp.position = k + n
+    return rx
+
+
 def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
                  stream_of_cell, channels: ChannelSet, noise_psd: float = 0.0,
                  noise_seeds=None) -> list:
@@ -152,43 +270,10 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     default_rng(noise_seeds[p]): real parts, then imaginary parts. A
     negative or NaN noise_psd is a ContractViolation. Gains so large that
     the received power would overflow are a ConfigurationError.
+
+    The whole envelope is one block of prepare_pass and pass_block; a
+    caller that needs only per-block reductions runs those two itself.
     """
-    if not noise_psd >= 0.0:
-        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
-    hold = _hold_ratio(schedule.control_rate, incident.sample_rate)
-    if hold is None:
-        raise ContractViolation(
-            f"envelope rate {incident.sample_rate} Hz is not a whole multiple of "
-            f"schedule rate {schedule.control_rate} Hz")
-    if schedule.num_steps * hold != len(incident):
-        raise ContractViolation(
-            f"schedule covers {schedule.num_steps} x {hold} samples, envelope "
-            f"has {len(incident)}")
-    streams = np.asarray(stream_of_cell, dtype=np.int64)
-    if streams.shape != (channels.num_cells,):
-        raise ContractViolation(
-            f"need one stream id per cell: {streams.shape} vs {channels.num_cells} cells")
-    if np.any(streams < 0) or np.any(streams >= schedule.num_streams):
-        raise ContractViolation(
-            f"stream ids must index the {schedule.num_streams} schedule rows")
-    gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(gains, streams,
-                  channels.feed_gains[:, np.newaxis] * channels.obs_gains)
-        if not np.isfinite(np.abs(gains).sum() ** 2):
-            raise ConfigurationError(
-                "effective stream gains are too large: the received power would "
-                "overflow; check the channel gains and the wavelength")
-    weights = gains.T @ schedule.values  # (points, steps), at the schedule's rate
-    blocks = incident.samples.reshape(schedule.num_steps, hold)
-    rx = (blocks * weights[:, :, np.newaxis]).reshape(channels.num_points,
-                                                       len(incident))
-    if noise_psd > 0.0:
-        if noise_seeds is None or len(noise_seeds) != channels.num_points:
-            raise ContractViolation("noise needs one seed per observation point")
-        scale = np.sqrt(noise_psd / 2.0)
-        n = len(incident)
-        for p, seed in enumerate(noise_seeds):
-            rng = np.random.default_rng(seed)
-            rx[p] += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return [incident.with_samples(row) for row in rx]
+    sp = prepare_pass(incident.sample_rate, len(incident), schedule, stream_of_cell,
+                      channels, noise_psd, noise_seeds, symbol_samples=len(incident))
+    return [incident.with_samples(row) for row in pass_block(sp, incident.samples)]

@@ -498,38 +498,62 @@ def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
     return bits, symbols
 
 
-def _ramp_pass(sc: Scenario, incident: core.ComplexEnvelope,
-               channels: propagation.ChannelSet, noise_seeds) -> list:
-    """The surface pass with every cell on the staircase for the incident's
-    duration."""
-    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                         len(incident) / incident.sample_rate)
-    return propagation.surface_pass(
-        incident, ramp, np.zeros(channels.num_cells, dtype=np.int64), channels,
-        sc.noise_psd, noise_seeds)
+def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
+    """The staircase that every cell holds for num_samples envelope samples."""
+    return metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                         num_samples / sc.envelope_rate())
+
+
+def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, sps: int, incident,
+                  schedule: core.CoefficientSchedule, stream_of_cell, channels,
+                  noise_seeds, expected_shift: float = 0.0) -> tuple:
+    """The surface pass and integrate-and-dump of a frame, block by block;
+    incident(start, stop) gives the incident samples of each block.
+
+    Returns the (points x symbols) per-symbol means and the first
+    spectrum_length samples at the first point, which is all that detection
+    and the periodogram read, so no whole envelope is held. The pass's
+    weights and block buffer are freed on return, before detection.
+    """
+    num_samples = frame.num_symbols * sps
+    sp = propagation.prepare_pass(sc.envelope_rate(), num_samples, schedule,
+                                  stream_of_cell, channels, sc.noise_psd,
+                                  noise_seeds, sps)
+    means = np.empty((channels.num_points, frame.num_symbols), dtype=np.complex128)
+    head = np.empty(sc.spectrum_length(num_samples), dtype=np.complex128)
+    for start in range(0, num_samples, sp.block_samples):
+        stop = min(start + sp.block_samples, num_samples)
+        rx = propagation.pass_block(sp, incident(start, stop))
+        means[:, start // sps:stop // sps] = txrx.integrate_and_dump(
+            rx, sps, start, expected_shift, sc.envelope_rate())
+        if start < len(head):
+            head[start:stop] = rx[0, :len(head) - start]
+    return means, head
 
 
 def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
                 noise_seeds, tag: str) -> txrx.LinkReport:
     """The surface writes a frame onto the feed's tone and the observation
-    points receive it; the first point's spectrum goes under tag. Its
-    envelopes are freed on return, before an integrated receive phase."""
+    points receive it; the first point's spectrum goes under tag."""
     frame = sc.frame(int(sc.stream_of_cell.max()) + 1)
     bits, symbols = _payload(sc, frame, bits_seed)
-    schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
     carrier = core.tone_envelope(
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)
-    rx = propagation.surface_pass(carrier, schedule, sc.stream_of_cell,
-                                  channels, sc.noise_psd, noise_seeds)
-    report = txrx.receive_frame(rx, frame, sc.scheme, bits)
-    report.spectra[tag] = spectral.periodogram(rx[0], sc.spectrum_length(len(rx[0])))
+    sps = txrx.symbol_timing(len(carrier), carrier.sample_rate, frame)
+    means, head = _stream_frame(
+        sc, frame, sps, lambda start, stop: carrier.samples[start:stop],
+        txrx.symbols_to_schedule(symbols, frame, sc.quantization),
+        sc.stream_of_cell, channels, noise_seeds)
+    report = txrx.detect(means, frame, sc.scheme, bits)
+    report.spectra[tag] = spectral.periodogram(carrier.with_samples(head))
     return report
 
 
 def _receive_phase(sc: Scenario, bits_seed, noise_seed) -> txrx.LinkReport:
     """The first rx point sends a one-stream frame, the surface ramps, and
-    the feed antenna, switched to a receive chain, observes."""
+    the feed antenna, switched to a receive chain, observes. The frame's
+    waveform is built one block at a time."""
     feed_idx = sc.points.indices_with_role("feed")[0]
     obs_idx = [i for i in range(len(sc.points)) if i != feed_idx]
     back_points = core.PointSet(
@@ -537,14 +561,21 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seed) -> txrx.LinkReport:
     channels = propagation.build_channels(sc.geometry, back_points, sc.channel)
     frame = sc.frame(1)
     bits, symbols = _payload(sc, frame, bits_seed)
-    incident = txrx.symbols_to_waveform(
-        np.concatenate([frame.pilots, symbols], axis=1)[0],
-        sc.samples_per_symbol * sc.oversample, sc.envelope_rate(), sc.carrier_freq_hz)
-    rx = _ramp_pass(sc, incident, channels, [noise_seed])
-    report = txrx.receive_frame(rx, frame, sc.scheme, bits,
-                                expected_shift=sc.staircase.frequency_shift)
-    report.spectra["sdc_rx0"] = spectral.periodogram(
-        rx[0], sc.spectrum_length(len(rx[0])))
+    sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
+    num_samples = len(sent) * sc.samples_per_symbol * sc.oversample
+    sps = txrx.symbol_timing(num_samples, sc.envelope_rate(), frame)
+
+    def incident(start, stop):
+        return txrx.symbols_to_waveform(sent[start // sps:stop // sps], sps,
+                                        sc.envelope_rate(), sc.carrier_freq_hz).samples
+
+    means, head = _stream_frame(
+        sc, frame, sps, incident, _ramp(sc, num_samples),
+        np.zeros(channels.num_cells, dtype=np.int64), channels, [noise_seed],
+        sc.staircase.frequency_shift)
+    report = txrx.detect(means, frame, sc.scheme, bits)
+    report.spectra["sdc_rx0"] = spectral.periodogram(core.ComplexEnvelope(
+        head, sc.envelope_rate(), sc.carrier_freq_hz))
     return report
 
 
@@ -583,6 +614,14 @@ def simulate(sc: Scenario) -> ScenarioResult:
     integrated mode, and the feed antenna of the receive phase from the last
     child. A child depends only on its index, so each mode draws what it
     drew when it spawned fewer children.
+
+    Each frame of a link or receive phase streams through the surface pass
+    and integrate-and-dump in blocks of whole symbols (about
+    propagation.BLOCK_SAMPLES samples per point), so memory does not hold
+    a whole received envelope. Neither the seed layout nor a point's noise
+    draw order (all real parts, then all imaginary parts) depends on the
+    blocks, so the results equal a whole-envelope run bit for bit. SDC mode
+    takes its envelope whole, for the DFT over whole ramp periods.
     """
     seeds = np.random.SeedSequence(sc.rng_seed).spawn(3 + len(sc.points))
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
@@ -593,7 +632,11 @@ def simulate(sc: Scenario) -> ScenarioResult:
         carrier = core.tone_envelope(
             sc.sdc_periods * sc.staircase.steps_per_period * sc.oversample,
             sc.envelope_rate(), sc.carrier_freq_hz)
-        rx = _ramp_pass(sc, carrier, channels, noise_seeds)
+        # whole: the harmonic table needs a DFT over whole ramp periods
+        rx = propagation.surface_pass(
+            carrier, _ramp(sc, len(carrier)),
+            np.zeros(channels.num_cells, dtype=np.int64), channels, sc.noise_psd,
+            noise_seeds)
         report = txrx.LinkReport(spectra={"input": spectral.periodogram(carrier),
                                           "output": spectral.periodogram(rx[0])})
     else:

@@ -6,11 +6,13 @@ per symbol interval, pilots first. There is no RF chain; the carrier is an
 air-fed single tone.
 
 Receive side: optional derotation by a known frequency shift, integrate-and-
-dump over symbol intervals, least-squares channel estimation from the pilot
-block, zero-forcing detection, nearest-point demapping, and EVM/BER against
-the transmitted bits. The pilots are Hadamard rows, whose Gram matrix is
-pilot_length times the identity, so the estimate divides by the pilot
-length. Demapping forms its distance table DEMAP_BLOCK symbols at a time.
+dump over symbol intervals (integrate_and_dump, which takes any block of
+whole symbols), then detect: least-squares channel estimation from the
+pilot block, zero-forcing detection, nearest-point demapping, and EVM/BER
+against the transmitted bits. The pilots are Hadamard rows, whose Gram
+matrix is pilot_length times the identity, so the estimate divides by the
+pilot length. Demapping forms its distance table DEMAP_BLOCK symbols at a
+time.
 """
 
 from __future__ import annotations
@@ -267,58 +269,66 @@ class LinkReport:
         return len(self.detected_symbols)
 
 
-def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
-                  expected_shift: float = 0.0) -> LinkReport:
-    """Demodulate one frame from per-antenna envelopes.
+def symbol_timing(num_samples: int, sample_rate: float, frame: FrameSpec) -> int:
+    """Envelope samples per symbol of an envelope that carries frame.
 
-    Pipeline: derotate by expected_shift (the known frequency offset of the
-    wanted signal, e.g. -1/period after a down-conversion ramp), integrate
-    and dump over each symbol, LS-estimate the channel from the pilot block,
-    zero-force with the pseudo-inverse, demap to nearest points, and score
-    EVM against the mapped reference_bits and BER against reference_bits,
-    the transmitted payload bits of shape
-    (num_streams, payload_length * bits_per_symbol).
-
-    rx envelopes must be time-aligned (equal t0) and cover exactly
-    frame.num_symbols symbol intervals.
+    The sample rate must be a whole multiple of the symbol rate, and the
+    envelope must cover exactly frame.num_symbols symbol intervals.
     """
-    rx = list(rx)
-    num_antennas = len(rx)
-    num_streams = frame.num_streams
-    if num_antennas < num_streams:
-        raise ContractViolation(
-            f"{num_antennas} antennas cannot resolve {num_streams} streams")
-    reference_bits = np.asarray(reference_bits)
-    if reference_bits.shape != (num_streams,
-                                frame.payload_length * scheme.bits_per_symbol):
-        raise ContractViolation(
-            "reference bits must be (streams, payload x bits per symbol)")
-    first = rx[0]
-    for env in rx[1:]:
-        if (len(env) != len(first) or env.sample_rate != first.sample_rate
-                or env.t0 != first.t0):
-            raise ContractViolation("rx envelopes must be aligned and equal length")
-    fs = first.sample_rate
-    sps_f = fs / frame.symbol_rate
+    sps_f = sample_rate / frame.symbol_rate
     sps = int(round(sps_f))
     if abs(sps_f - sps) > 1e-9 * sps_f or sps < 1:
         raise ContractViolation(
-            f"sample rate {fs} is not an integer multiple of the symbol rate")
-    expected_len = frame.num_symbols * sps
-    if len(first) != expected_len:
+            f"sample rate {sample_rate} is not an integer multiple of the symbol rate")
+    if num_samples != frame.num_symbols * sps:
         raise ContractViolation(
-            f"rx length {len(first)} != {frame.num_symbols} symbols x {sps} samples")
+            f"rx length {num_samples} != {frame.num_symbols} symbols x {sps} samples")
+    return sps
 
-    rotation = None
+
+def integrate_and_dump(samples, samples_per_symbol: int, start: int = 0,
+                       expected_shift: float = 0.0,
+                       sample_rate: float = 1.0) -> np.ndarray:
+    """Per-symbol means of a block of whole symbols: rectangular matched
+    filter, synchronized by construction.
+
+    samples is (antennas, n * samples_per_symbol) and starts at envelope
+    sample start; the result is (antennas, n). With expected_shift != 0 the
+    block is first derotated by exp(-j*2*pi*expected_shift*t) at the times
+    t = (start + i) / sample_rate of its own samples, so a frame integrated
+    block by block gives the means of one whole-frame call bit for bit.
+    """
+    samples = np.asarray(samples)
     if expected_shift != 0.0:
-        n = np.arange(expected_len)
-        rotation = np.exp(-2j * np.pi * expected_shift * n / fs)
-    # integrate and dump per antenna: rectangular matched filter, synchronized
-    # by construction; only the per-symbol means are stacked
-    symbols = np.empty((num_antennas, frame.num_symbols), dtype=np.complex128)
-    for a, env in enumerate(rx):
-        samples = env.samples if rotation is None else env.samples * rotation
-        symbols[a] = samples.reshape(frame.num_symbols, sps).mean(axis=1)
+        n = np.arange(start, start + samples.shape[1])
+        samples = samples * np.exp(-2j * np.pi * expected_shift * n / sample_rate)
+    return samples.reshape(len(samples), -1, samples_per_symbol).mean(axis=2)
+
+
+def _checked_reference(num_antennas: int, frame: FrameSpec, scheme: ModulationScheme,
+                       reference_bits) -> np.ndarray:
+    if num_antennas < frame.num_streams:
+        raise ContractViolation(
+            f"{num_antennas} antennas cannot resolve {frame.num_streams} streams")
+    reference_bits = np.asarray(reference_bits)
+    if reference_bits.shape != (frame.num_streams,
+                                frame.payload_length * scheme.bits_per_symbol):
+        raise ContractViolation(
+            "reference bits must be (streams, payload x bits per symbol)")
+    return reference_bits
+
+
+def detect(symbols, frame: FrameSpec, scheme: ModulationScheme,
+           reference_bits) -> LinkReport:
+    """Detect one frame from its per-symbol means, (antennas, frame.num_symbols).
+
+    LS-estimate the channel from the pilot block, zero-force with the
+    pseudo-inverse, demap to nearest points, and score EVM against the
+    mapped reference_bits and BER against reference_bits, the transmitted
+    payload bits of shape (num_streams, payload_length * bits_per_symbol).
+    """
+    reference_bits = _checked_reference(len(symbols), frame, scheme, reference_bits)
+    num_streams = frame.num_streams
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
@@ -338,3 +348,28 @@ def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme, reference_bits
     return LinkReport(detected_symbols=equalized, reference_symbols=reference,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)
+
+
+def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
+                  expected_shift: float = 0.0) -> LinkReport:
+    """Demodulate one frame from per-antenna envelopes.
+
+    Derotate by expected_shift (the known frequency offset of the wanted
+    signal, e.g. -1/period after a down-conversion ramp), integrate and
+    dump over each symbol (integrate_and_dump), then detect. rx envelopes
+    must be time-aligned (equal t0) and cover exactly frame.num_symbols
+    symbol intervals.
+    """
+    rx = list(rx)
+    _checked_reference(len(rx), frame, scheme, reference_bits)
+    first = rx[0]
+    for env in rx[1:]:
+        if (len(env) != len(first) or env.sample_rate != first.sample_rate
+                or env.t0 != first.t0):
+            raise ContractViolation("rx envelopes must be aligned and equal length")
+    sps = symbol_timing(len(first), first.sample_rate, frame)
+    symbols = np.empty((len(rx), frame.num_symbols), dtype=np.complex128)
+    for a, env in enumerate(rx):
+        symbols[a] = integrate_and_dump(env.samples[np.newaxis], sps, 0,
+                                        expected_shift, first.sample_rate)[0]
+    return detect(symbols, frame, scheme, reference_bits)

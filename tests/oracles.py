@@ -7,8 +7,10 @@ dft_direct for the fast transform behind spectral.periodogram,
 channel_estimate_pairs for the channel estimate in scenario summaries, the
 row-at-a-time csv.writer writers for the CSV that scenario.export_csv
 writes from each artifact table, demap_symbols for the blocked
-txrx.demap_symbols, receive_frame for the detection half of
-txrx.receive_frame, and simulate for scenario.simulate.
+txrx.demap_symbols, surface_pass for the block kernel of
+propagation.prepare_pass and pass_block, integrate for the blockwise
+txrx.integrate_and_dump, receive_frame for txrx.receive_frame, and
+simulate for scenario.simulate, which streams its frames in blocks.
 """
 
 import csv
@@ -17,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from metalink import core, metasurface, propagation, spectral, txrx
-from metalink.core import ContractViolation
+from metalink.core import ConfigurationError, ContractViolation
 from metalink.scenario import Scenario, ScenarioResult, _harmonic_table, _summarize
 from metalink.txrx import CONDITION_LIMIT, DetectionError, ber, evm
 
@@ -94,6 +96,60 @@ def demap_symbols(symbols, scheme):
     return bits, scheme.points[words]
 
 
+def surface_pass(incident, schedule, stream_of_cell, channels, noise_psd=0.0,
+                 noise_seeds=None) -> list:
+    """The whole-envelope surface pass: every point's received envelope as one
+    array, noise drawn per point as n real parts, then n imaginary parts."""
+    if not noise_psd >= 0.0:
+        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
+    ratio = incident.sample_rate / schedule.control_rate
+    hold = int(round(ratio))
+    if hold < 1 or abs(ratio - hold) > 1e-9 * ratio:
+        raise ContractViolation("envelope rate is not a multiple of the schedule's")
+    if schedule.num_steps * hold != len(incident):
+        raise ContractViolation("schedule steps do not cover the envelope")
+    streams = np.asarray(stream_of_cell, dtype=np.int64)
+    if streams.shape != (channels.num_cells,):
+        raise ContractViolation("need one stream id per cell")
+    if np.any(streams < 0) or np.any(streams >= schedule.num_streams):
+        raise ContractViolation("stream ids must index the schedule rows")
+    gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(gains, streams,
+                  channels.feed_gains[:, np.newaxis] * channels.obs_gains)
+        if not np.isfinite(np.abs(gains).sum() ** 2):
+            raise ConfigurationError("the received power would overflow")
+    weights = gains.T @ schedule.values
+    blocks = incident.samples.reshape(schedule.num_steps, hold)
+    rx = (blocks * weights[:, :, np.newaxis]).reshape(channels.num_points,
+                                                       len(incident))
+    if noise_psd > 0.0:
+        if noise_seeds is None or len(noise_seeds) != channels.num_points:
+            raise ContractViolation("noise needs one seed per observation point")
+        scale = np.sqrt(noise_psd / 2.0)
+        n = len(incident)
+        for p, seed in enumerate(noise_seeds):
+            rng = np.random.default_rng(seed)
+            rx[p] += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return [incident.with_samples(row) for row in rx]
+
+
+def integrate(rx, num_symbols: int, expected_shift: float = 0.0) -> np.ndarray:
+    """Per-symbol means of whole envelopes, one antenna at a time, derotated
+    by one rotation over the whole envelope."""
+    fs = rx[0].sample_rate
+    sps = len(rx[0]) // num_symbols
+    rotation = None
+    if expected_shift != 0.0:
+        n = np.arange(len(rx[0]))
+        rotation = np.exp(-2j * np.pi * expected_shift * n / fs)
+    symbols = np.empty((len(rx), num_symbols), dtype=np.complex128)
+    for a, env in enumerate(rx):
+        samples = env.samples if rotation is None else env.samples * rotation
+        symbols[a] = samples.reshape(num_symbols, sps).mean(axis=1)
+    return symbols
+
+
 def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None):
     """Demodulate with the general least-squares estimate inv(gram), and score
     BER against bits demapped again from the reference symbols.
@@ -124,14 +180,7 @@ def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None
         raise ContractViolation(
             f"rx length {len(first)} != {frame.num_symbols} symbols x {sps} samples")
 
-    rotation = None
-    if expected_shift != 0.0:
-        n = np.arange(expected_len)
-        rotation = np.exp(-2j * np.pi * expected_shift * n / fs)
-    symbols = np.empty((num_antennas, frame.num_symbols), dtype=np.complex128)
-    for a, env in enumerate(rx):
-        samples = env.samples if rotation is None else env.samples * rotation
-        symbols[a] = samples.reshape(frame.num_symbols, sps).mean(axis=1)
+    symbols = integrate(rx, frame.num_symbols, expected_shift)
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
@@ -196,6 +245,15 @@ def _partition(sc: Scenario, spec) -> SimpleNamespace:
                            num_streams=int(ids.max()) + 1)
 
 
+def _link_report(ns) -> txrx.LinkReport:
+    """A scored receive_frame namespace as the LinkReport simulate returns."""
+    return txrx.LinkReport(
+        detected_symbols=np.stack(ns.detected_symbols),
+        reference_symbols=np.stack(ns.reference_symbols),
+        evm_percent=ns.evm_percent, ber=ns.ber,
+        channel_estimate=ns.channel_estimate, condition_number=ns.condition_number)
+
+
 def _link_phase(sc, data, channels, bits_seed, noise_seeds):
     scheme = txrx.get_scheme(data["modulation"])
     partition = _partition(sc, data["partition"])
@@ -208,9 +266,9 @@ def _link_phase(sc, data, channels, bits_seed, noise_seeds):
     carrier = core.tone_envelope(
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)
-    rx = propagation.surface_pass(carrier, schedule, partition.stream_of_cell,
-                                  channels, sc.noise_psd, noise_seeds)
-    report = txrx.receive_frame(rx, frame, scheme, bits)
+    rx = surface_pass(carrier, schedule, partition.stream_of_cell,
+                      channels, sc.noise_psd, noise_seeds)
+    report = _link_report(receive_frame(rx, frame, scheme, reference=symbols))
     report.spectra["rx0"] = spectral.periodogram(
         rx[0], sc.spectrum_length(len(rx[0])))
     return report
@@ -232,8 +290,8 @@ def _run_sdc(sc, data):
     carrier = core.tone_envelope(ramp.num_steps * sc.oversample, sc.envelope_rate(),
                                  sc.carrier_freq_hz)
     whole = _partition(sc, "full")
-    rx = propagation.surface_pass(carrier, ramp, whole.stream_of_cell, channels,
-                                  sc.noise_psd, seeds[1:1 + channels.num_points])
+    rx = surface_pass(carrier, ramp, whole.stream_of_cell, channels,
+                      sc.noise_psd, seeds[1:1 + channels.num_points])
     report = txrx.LinkReport()
     report.spectra["input"] = spectral.periodogram(carrier)
     report.spectra["output"] = spectral.periodogram(rx[0])
@@ -277,10 +335,10 @@ def _run_integrated(sc, data):
     ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
                                          len(incident) / env_rate)
     whole = _partition(sc, "full")
-    rx = propagation.surface_pass(incident, ramp, whole.stream_of_cell, channels_rx,
-                                  sc.noise_psd, seeds[-1:])
-    rx_report = txrx.receive_frame(rx, frame, scheme, bits[np.newaxis, :],
-                                   expected_shift=sc.staircase.frequency_shift)
+    rx = surface_pass(incident, ramp, whole.stream_of_cell, channels_rx,
+                      sc.noise_psd, seeds[-1:])
+    rx_report = _link_report(receive_frame(
+        rx, frame, scheme, sc.staircase.frequency_shift, reference=symbols))
     rx_report.spectra["sdc_rx0"] = spectral.periodogram(
         rx[0], sc.spectrum_length(len(rx[0])))
 

@@ -13,13 +13,17 @@ from metalink.core import (
     tone_envelope,
     wavelength_of,
 )
+from metalink import propagation
 from metalink.propagation import (
+    BLOCK_SAMPLES,
     ChannelModel,
     ChannelSet,
     build_channels,
+    pass_block,
+    prepare_pass,
     surface_pass,
 )
-from oracles import free_space_gain
+from oracles import free_space_gain, surface_pass as whole_pass
 
 UNIT_CELL = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
 
@@ -369,3 +373,89 @@ def test_single_cell_chain_reduces_to_reflection_product():
     sched = CoefficientSchedule(np.full((1, 64), coeff), 1e8)
     out = surface_pass(carrier, sched, [0], UNIT_CELL)[0]
     assert np.array_equal(out.samples, carrier.samples * coeff)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the whole-array reference
+# ---------------------------------------------------------------------------
+
+def mixed_pass_inputs(steps=37, hold=5):
+    """Two streams over three cells into three points, held schedule, tone."""
+    rng = np.random.default_rng(41)
+    incident = tone_envelope(steps * hold, 1e8, 4.25e9, freq_offset=3e6)
+    values = 0.9 * np.exp(2j * np.pi * rng.random((2, steps)))
+    schedule = CoefficientSchedule(values, 1e8 / hold)
+    feed, obs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                 for shape in (3, (3, 3)))
+    channels = ChannelSet(feed, obs)
+    seeds = np.random.SeedSequence(8).spawn(3)
+    return incident, schedule, [0, 1, 1], channels, seeds
+
+
+def test_chunked_normal_draws_equal_one_draw():
+    # the streamed noise order rests on this: a generator's draws do not
+    # depend on how they are split into calls
+    whole = np.random.default_rng(5).standard_normal(1000)
+    rng = np.random.default_rng(5)
+    parts = [rng.standard_normal(n) for n in (1, 333, 7, 659)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("noise_psd", [0.0, 0.3])
+@pytest.mark.parametrize("block_samples", [5, 35, 62, 185, 1000])
+def test_blocks_match_the_whole_array_pass(noise_psd, block_samples, monkeypatch):
+    # 185 samples in steps of 5: blocks of 1 step, a short last block (62
+    # rounds down to 60), exactly one block, and a block longer than the
+    # pass; the noise continues across blocks
+    monkeypatch.setattr(propagation, "BLOCK_SAMPLES", block_samples)
+    incident, schedule, streams, channels, seeds = mixed_pass_inputs()
+    whole = whole_pass(incident, schedule, streams, channels, noise_psd, seeds)
+    want = np.stack([env.samples for env in whole])
+    sp = prepare_pass(incident.sample_rate, len(incident), schedule, streams,
+                      channels, noise_psd, seeds)
+    assert sp.block_samples == min(block_samples // 5 * 5, 185)
+    got = [pass_block(sp, incident.samples[start:start + sp.block_samples]).copy()
+           for start in range(0, len(incident), sp.block_samples)]
+    assert np.array_equal(np.concatenate(got, axis=1), want)
+
+
+@pytest.mark.parametrize("noise_psd", [0.0, 0.3])
+def test_surface_pass_matches_the_whole_array_pass(noise_psd):
+    incident, schedule, streams, channels, seeds = mixed_pass_inputs()
+    got = surface_pass(incident, schedule, streams, channels, noise_psd, seeds)
+    want = whole_pass(incident, schedule, streams, channels, noise_psd, seeds)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.samples, b.samples)
+
+
+def test_blocks_are_whole_symbols_and_steps():
+    # hold 16 and 640-sample symbols: the longest run of whole symbols
+    # within BLOCK_SAMPLES
+    schedule = ones_schedule(1, 8192, rate=1e8 / 16)
+    sp = prepare_pass(1e8, 8192 * 16, schedule, [0], UNIT_CELL, symbol_samples=640)
+    assert sp.block_samples == BLOCK_SAMPLES // 640 * 640
+    assert sp.buffer.shape == (1, sp.block_samples)
+    # hold 6 and 4-sample symbols: blocks of whole 12-sample runs
+    schedule = ones_schedule(1, 2 ** 14, rate=1e8 / 6)
+    sp = prepare_pass(1e8, 6 * 2 ** 14, schedule, [0], UNIT_CELL, symbol_samples=4)
+    assert sp.block_samples == BLOCK_SAMPLES // 12 * 12
+    # a pass shorter than one block, or one whole-envelope symbol, is one block
+    short = prepare_pass(1e8, 64, ones_schedule(1, 64), [0], UNIT_CELL)
+    assert short.block_samples == 64
+    schedule = ones_schedule(1, 2 ** 17)
+    whole = prepare_pass(1e8, 2 ** 17, schedule, [0], UNIT_CELL, symbol_samples=2 ** 17)
+    assert whole.block_samples == 2 ** 17
+
+
+def test_pass_block_takes_whole_steps_in_order(monkeypatch):
+    monkeypatch.setattr(propagation, "BLOCK_SAMPLES", 10)
+    incident, schedule, streams, channels, _ = mixed_pass_inputs(steps=6, hold=5)
+    sp = prepare_pass(1e8, 30, schedule, streams, channels)
+    with pytest.raises(ContractViolation):  # not whole steps
+        pass_block(sp, incident.samples[:7])
+    with pytest.raises(ContractViolation):  # longer than a block
+        pass_block(sp, incident.samples[:15])
+    for start in (0, 10, 20):
+        pass_block(sp, incident.samples[start:start + 10])
+    with pytest.raises(ContractViolation):  # past the end of the pass
+        pass_block(sp, incident.samples[:5])

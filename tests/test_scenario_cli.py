@@ -324,19 +324,49 @@ def test_wide_surface_simulates_in_bounded_memory():
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
-def test_mimo_frame_simulates_in_bounded_memory():
-    # 2 x 10^4 symbols over 400 320 samples: schedules stay at the symbol
-    # rate and the receive chain stacks only per-symbol means, so the two
-    # received envelopes (12.8 MB) dominate the peak
-    sc = scen.Scenario.from_dict(scen.load_scenario("mimo2x2_16qam"))
+def traced_simulate(overrides: dict) -> tuple:
+    """simulate(mimo2x2_16qam) with overrides: (result, tracemalloc peak)."""
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
+    sc = scen.Scenario.from_dict(data)
     tracemalloc.start()
     try:
         result = scen.simulate(sc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_mimo_frame_simulates_in_bounded_memory():
+    # 2 x 10^4 symbols over 400 320 samples: the surface pass and the
+    # receive chain run in blocks of whole symbols, so no received envelope
+    # is held whole (each would be 6.4 MB); the payload bits, the schedule,
+    # the per-symbol means and the detected and reference symbols remain
+    result, peak = traced_simulate({})
     assert np.all(result.reports["link"].ber == 0.0)
-    assert peak < 36 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_long_noisy_frame_simulates_in_bounded_memory():
+    # 2 x 10^5 symbols with noise: the noise is drawn block by block too,
+    # so the peak grows only with the per-symbol arrays (whole envelopes
+    # and noise draws would take over 250 MB)
+    result, peak = traced_simulate({"frame.payload_symbols": 100000,
+                                    "channel.noise_psd": 1e-3})
+    assert np.all(result.reports["link"].ber == 0.0)
+    assert peak < 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_integrated_switch_decodes_under_moderate_noise():
+    # noise_psd is an absolute per-sample variance, and the free-space legs
+    # receive about 1.5e-7; at 1e-7 both phases decode with a few percent
+    # EVM, each over about 330 000 samples in several blocks
+    data = scen.apply_overrides(scen.load_scenario("integrated_switch"),
+                                {"channel.noise_psd": 1e-7})
+    reports = scen.simulate(scen.Scenario.from_dict(data)).reports
+    for key in ("transmit", "receive"):
+        assert np.all(reports[key].ber == 0.0), key
+        assert 1.0 < reports[key].evm_percent[0] < 10.0, key
 
 
 def test_invalid_scenario_raises_listing_every_field(tiny_link):

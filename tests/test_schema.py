@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metalink import cli
+from metalink import cli, propagation
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.txrx import DetectionError
@@ -250,8 +250,36 @@ WIRING_CASES = [
         id="partition_list"),
 ]
 
+# simulate streams each frame in blocks of whole symbols; these cases restore
+# the bundled frame sizes, which span several blocks: 7 in mimo2x2_16qam,
+# whose 65 536-bin spectrum head ends in its second block, and 6 in each
+# phase of integrated_switch, which decodes at this noise level
+FULL_SIZE = {"mimo2x2_16qam": {"frame.payload_symbols": 10000},
+             "integrated_switch": {"frame.payload_symbols": 512, "oversample": 16}}
+STREAMED_CASES = [
+    pytest.param("mimo2x2_16qam", {**FULL_SIZE["mimo2x2_16qam"],
+                                   "channel.noise_psd": 0.01}, id="blocks-head"),
+    pytest.param("mimo2x2_16qam", {**FULL_SIZE["mimo2x2_16qam"],
+                                   "channel.noise_psd": 0.01, "spectrum_bins": None},
+                 id="blocks-whole-spectrum"),
+    pytest.param("integrated_switch", {**FULL_SIZE["integrated_switch"],
+                                       "channel.noise_psd": 1e-7},
+                 id="blocks-integrated"),
+]
 
-@pytest.mark.parametrize("name, overrides", WIRING_CASES)
+
+@pytest.mark.parametrize("name, overrides", STREAMED_CASES)
+def test_streamed_cases_span_several_blocks(name, overrides):
+    sc = scen.Scenario.from_dict(scen.apply_overrides(SHRUNK_DATA[name], overrides))
+    sps = sc.samples_per_symbol * sc.oversample
+    symbols_per_block = propagation.BLOCK_SAMPLES // sps
+    for streams in (1, 2):
+        assert sc.frame(streams).num_symbols > 2 * symbols_per_block
+    if sc.spectrum_bins is not None:
+        assert sc.spectrum_bins > symbols_per_block * sps
+
+
+@pytest.mark.parametrize("name, overrides", WIRING_CASES + STREAMED_CASES)
 def test_simulate_matches_the_reference_runners(name, overrides):
     data = scen.apply_overrides(SHRUNK_DATA[name], overrides)
     got = scen.simulate(scen.Scenario.from_dict(data))

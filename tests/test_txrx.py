@@ -15,16 +15,23 @@ from metalink.txrx import (
     FrameSpec,
     ber,
     demap_symbols,
+    detect,
     evm,
     get_scheme,
+    integrate_and_dump,
     make_pilots,
     map_bits,
     receive_frame,
+    symbol_timing,
     symbols_to_schedule,
     symbols_to_waveform,
 )
 
-from oracles import demap_symbols as demap_oracle, receive_frame as receive_oracle
+from oracles import (
+    demap_symbols as demap_oracle,
+    integrate as integrate_oracle,
+    receive_frame as receive_oracle,
+)
 
 ALL_SCHEMES = ["BPSK", "QPSK", "8PSK", "16QAM"]
 
@@ -396,6 +403,49 @@ def test_receive_frame_contract_checks():
     with pytest.raises(ContractViolation):  # one bit short of the payload
         receive_frame([symbols_to_waveform(np.ones(8), 2, 2e6, 4.25e9)], frame1,
                       scheme, np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("expected_shift", [0.0, 3e6, -1.25e5])
+@pytest.mark.parametrize("symbols_per_block", [1, 3, 7, 40])
+def test_integrate_block_by_block_matches_whole_envelopes(expected_shift,
+                                                          symbols_per_block):
+    # each block derotates at its own sample times, so the means equal the
+    # whole-envelope loop bit for bit, short last block included
+    rng = np.random.default_rng(17)
+    sps, num_symbols, fs = 12, 40, 8e6
+    samples = (rng.standard_normal((3, sps * num_symbols))
+               + 1j * rng.standard_normal((3, sps * num_symbols)))
+    rx = [tone_envelope(sps * num_symbols, fs, 4.25e9).with_samples(row)
+          for row in samples]
+    step = symbols_per_block * sps
+    got = np.concatenate([integrate_and_dump(samples[:, i:i + step], sps, i,
+                                             expected_shift, fs)
+                          for i in range(0, samples.shape[1], step)], axis=1)
+    assert np.array_equal(got, integrate_oracle(rx, num_symbols, expected_shift))
+
+
+def test_detect_on_the_means_is_receive_frame():
+    scheme = get_scheme("QPSK")
+    h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j]])
+    rx, frame, bits, _ = explicit_link_envelopes(h, scheme, 48, 1e-3, seed=3)
+    want = receive_frame(rx, frame, scheme, bits)
+    got = detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits)
+    assert np.array_equal(got.detected_symbols, want.detected_symbols)
+    assert np.array_equal(got.channel_estimate, want.channel_estimate)
+    assert np.array_equal(got.ber, want.ber)
+    with pytest.raises(ContractViolation):  # one antenna for two streams
+        detect(np.ones((1, frame.num_symbols)), frame, scheme, bits)
+    with pytest.raises(ContractViolation):  # one bit short of the payload
+        detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits[:, 1:])
+
+
+def test_symbol_timing_needs_whole_symbols_covering_the_frame():
+    frame = FrameSpec(1, 4, 1e6, 2)  # 4 pilot + 4 payload symbols
+    assert symbol_timing(16, 2e6, frame) == 2
+    with pytest.raises(ContractViolation):  # 2.5 samples per symbol
+        symbol_timing(20, 2.5e6, frame)
+    with pytest.raises(ContractViolation):  # one sample short
+        symbol_timing(15, 2e6, frame)
 
 
 def test_partition_permutation_leaves_stream_products_unchanged():
