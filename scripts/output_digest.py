@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest of the artifacts of each reference run.
+
+Two checkouts that print the same lines write the same artifacts, bit for
+bit, on these runs:
+
+  - each bundled scenario, noiseless and at channel.noise_psd=0.01;
+  - mimo2x2_16qam at frame.payload_symbols=100000 and channel.noise_psd=1e-3,
+    a frame that streams through 62 blocks with noise at each point;
+  - the param_sweep cases of bench/workloads.py for seeds 1 to 10, one line
+    per seed covering its 136 cases in order.
+
+A digest covers every file a run writes, by name and content. metalink is
+imported from src/ of the checkout that holds this script.
+
+Usage, from anywhere:
+    python scripts/output_digest.py
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import metalink as ml  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SWEEP_SEEDS = range(1, 11)
+
+
+def _bundled_runs():
+    for name in ml.bundled_scenario_names():
+        yield name, name, {}
+        yield f"{name} noise_psd=0.01", name, {"channel.noise_psd": 0.01}
+    yield ("mimo2x2_16qam payload_symbols=100000 noise_psd=1e-3", "mimo2x2_16qam",
+           {"frame.payload_symbols": 100000, "channel.noise_psd": 1e-3})
+
+
+def _add_dir(digest, out_dir: Path) -> None:
+    """Feed every file under out_dir, by relative name and content, into digest."""
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+
+
+def main() -> None:
+    sweep = WORKLOADS["param_sweep"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (label, name, overrides) in enumerate(_bundled_runs()):
+            out_dir = Path(tmp, f"bundled-{index}")
+            ml.run_scenario(name, out_dir, overrides=overrides)
+            digest = hashlib.sha256()
+            _add_dir(digest, out_dir)
+            print(f"{digest.hexdigest()}  {label}", flush=True)
+        for seed in SWEEP_SEEDS:
+            out_dir = Path(tmp, f"param_sweep-{seed}")
+            for index, case in enumerate(sweep.build(ml, seed)):
+                result = sweep.run(ml, case, None)
+                ml.scenario.write_artifacts(result, out_dir / f"{index:03d}")
+            digest = hashlib.sha256()
+            _add_dir(digest, out_dir)
+            print(f"{digest.hexdigest()}  param_sweep seed {seed}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

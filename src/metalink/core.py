@@ -8,6 +8,7 @@ operation in this package mutates its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,8 @@ class SurfaceGeometry:
             raise ConfigurationError("geometry needs rows >= 1 and cols >= 1")
         if self.spacing <= 0:
             raise ConfigurationError("cell spacing must be positive")
-        origin = tuple(float(v) for v in self.origin)
+        # + 0.0 stores -0.0 as 0.0, so equal geometries have equal cells
+        origin = tuple(float(v) + 0.0 for v in self.origin)
         if len(origin) != 3:
             raise ConfigurationError("origin must be a 3-D point")
         object.__setattr__(self, "origin", origin)
@@ -122,12 +124,22 @@ class SurfaceGeometry:
 
 
 def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
-    """All cell positions, shape (num_cells, 3), row-major from lower-left."""
+    """All cell positions, shape (num_cells, 3), row-major from lower-left.
+
+    The array is built once per geometry and shared, so it is read-only.
+    """
+    return _cell_positions(geometry)
+
+
+@functools.lru_cache(maxsize=4)  # a run reads one geometry; large ones are MBs
+def _cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
     n, m = np.divmod(np.arange(geometry.num_cells), geometry.cols)
     ox, oy, oz = geometry.origin
     x = ox + (m - (geometry.cols - 1) / 2) * geometry.spacing
     y = oy + (n - (geometry.rows - 1) / 2) * geometry.spacing
-    return np.column_stack([x, y, np.full_like(x, oz)])
+    cells = np.column_stack([x, y, np.full_like(x, oz)])
+    cells.flags.writeable = False
+    return cells
 
 
 @dataclass(frozen=True, eq=False)

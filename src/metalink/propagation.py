@@ -79,6 +79,7 @@ class ChannelSet:
 
 
 def _spherical_gains(src: np.ndarray, dsts: np.ndarray, wavelength: float) -> np.ndarray:
+    # src and dsts broadcast over their leading axes, the last holds x, y, z;
     # a huge distance or a tiny wavelength gives inf or nan gains, which
     # build_channels names; numpy's warnings about them would be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -107,15 +108,11 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
         feed = np.ones(num_cells, dtype=np.complex128)
         obs = np.ones((num_cells, len(obs_idx)), dtype=np.complex128)
     elif model.kind == "free_space":
-        if feed_idx:
-            feed = _spherical_gains(points.positions[feed_idx[0]], cells,
-                                    model.wavelength)
-        else:
-            feed = np.ones(num_cells, dtype=np.complex128)
-        obs = np.empty((num_cells, len(obs_idx)), dtype=np.complex128)
-        for col, p in enumerate(obs_idx):
-            obs[:, col] = _spherical_gains(points.positions[p], cells,
-                                           model.wavelength)
+        # (feed, then each observation point) x cells, in one call
+        gains = _spherical_gains(points.positions[feed_idx + obs_idx, np.newaxis],
+                                 cells, model.wavelength)
+        feed = gains[0] if feed_idx else np.ones(num_cells, dtype=np.complex128)
+        obs = np.ascontiguousarray(gains[len(feed_idx):].T)
     else:  # explicit_matrix
         if model.matrix.shape != (num_cells, len(obs_idx)):
             raise ConfigurationError(

@@ -52,9 +52,17 @@ def bundled_scenario_names() -> list:
 
 
 def load_scenario(source) -> dict:
-    """Load a scenario dict from a mapping, a JSON file path, or a bundled name."""
+    """Load a scenario dict from a mapping, a JSON file path, or a bundled name.
+
+    A mapping is deep-copied through JSON; one that holds a value JSON
+    cannot (an array, say) raises ConfigurationError naming its type.
+    """
     if isinstance(source, dict):
-        return json.loads(json.dumps(source))  # deep copy, JSON-clean
+        try:
+            return json.loads(json.dumps(source))  # deep copy, JSON-clean
+        except TypeError as exc:
+            raise core.ConfigurationError(
+                f"scenario must hold only JSON values: {exc}") from None
     name = str(source)
     path = Path(name)
     if path.is_file():
@@ -75,25 +83,46 @@ def load_scenario(source) -> dict:
     return data
 
 
+# the characters a JSON text can start with, after its leading whitespace
+_JSON_STARTS = frozenset('{["-0123456789tfnNI')
+
+
+def _override_value(value):
+    """The JSON literal a string spells, or the value as given. A string
+    that no JSON text starts like, such as "QPSK", is kept without a parse."""
+    if isinstance(value, str) and value.lstrip(" \t\n\r")[:1] in _JSON_STARTS:
+        try:
+            return json.loads(value)
+        except json.JSONDecodeError:
+            pass  # keep as plain string
+    return value
+
+
 def apply_overrides(data: dict, overrides: dict) -> dict:
-    """Apply {"dotted.key": value} overrides; values may be JSON literals."""
-    out = json.loads(json.dumps(data))
+    """Apply {"dotted.key": value} overrides; values may be JSON literals.
+
+    data is left as it is: the result copies the objects on each
+    override's path and shares every other value with data.
+    """
+    out = dict(data)
+    # the objects made here, by id; holding them keeps their ids unique
+    copies = {id(out): out}
     for dotted, value in overrides.items():
-        if isinstance(value, str):
-            try:
-                value = json.loads(value)
-            except json.JSONDecodeError:
-                pass  # keep as plain string
         node = out
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if node.get(part) is None:  # absent or null: start an object
-                node[part] = {}
-            node = node[part]
-            if not isinstance(node, dict):
+        *parents, leaf = dotted.split(".")
+        for part in parents:
+            child = node.get(part)
+            if child is None:  # absent or null: start an object
+                child = {}
+            elif not isinstance(child, dict):
                 raise core.ConfigurationError(
                     f"override {dotted!r} descends into a non-object field")
-        node[parts[-1]] = value
+            elif copies.get(id(child)) is not child:
+                child = dict(child)
+            copies[id(child)] = child
+            node[part] = child
+            node = child
+        node[leaf] = _override_value(value)
     return out
 
 
@@ -161,11 +190,17 @@ def _is_point(p) -> bool:
 
 
 def _is_matrix(m) -> bool:
-    return (isinstance(m, list) and len(m) > 0
-            and all(isinstance(r, list) and len(r) == len(m[0])
-                    and all(isinstance(e, list) and len(e) == 2
-                            and all(_is_num(x) for x in e) for e in r)
-                    for r in m))
+    if not (isinstance(m, list) and m and isinstance(m[0], list)):
+        return False
+    width = len(m[0])
+    for row in m:
+        if not (isinstance(row, list) and len(row) == width):
+            return False
+        for e in row:
+            if not (isinstance(e, list) and len(e) == 2
+                    and _is_num(e[0]) and _is_num(e[1])):
+                return False
+    return True
 
 
 def _is_partition(v) -> bool:
@@ -489,6 +524,16 @@ class ScenarioResult:
 # simulation
 # ---------------------------------------------------------------------------
 
+def _seed(sc: Scenario, index: int) -> np.random.SeedSequence:
+    """Child index of SeedSequence(sc.rng_seed), as spawn would make it."""
+    return np.random.SeedSequence(sc.rng_seed, spawn_key=(index,))
+
+
+def _noise_seeds(sc: Scenario, indices) -> list | None:
+    """The children of indices when the run draws noise, else None."""
+    return [_seed(sc, i) for i in indices] if sc.noise_psd > 0.0 else None
+
+
 def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
     """Payload bits (streams x payload x bits per symbol) drawn from seed,
     and the (streams x payload) symbols they map to."""
@@ -545,12 +590,12 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
         sc, frame, sps, lambda start, stop: carrier.samples[start:stop],
         txrx.symbols_to_schedule(symbols, frame, sc.quantization),
         sc.stream_of_cell, channels, noise_seeds)
-    report = txrx.detect(means, frame, sc.scheme, bits)
+    report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     report.spectra[tag] = spectral.periodogram(carrier.with_samples(head))
     return report
 
 
-def _receive_phase(sc: Scenario, bits_seed, noise_seed) -> txrx.LinkReport:
+def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
     """The first rx point sends a one-stream frame, the surface ramps, and
     the feed antenna, switched to a receive chain, observes. The frame's
     waveform is built one block at a time."""
@@ -571,9 +616,9 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seed) -> txrx.LinkReport:
 
     means, head = _stream_frame(
         sc, frame, sps, incident, _ramp(sc, num_samples),
-        np.zeros(channels.num_cells, dtype=np.int64), channels, [noise_seed],
+        np.zeros(channels.num_cells, dtype=np.int64), channels, noise_seeds,
         sc.staircase.frequency_shift)
-    report = txrx.detect(means, frame, sc.scheme, bits)
+    report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     report.spectra["sdc_rx0"] = spectral.periodogram(core.ComplexEnvelope(
         head, sc.envelope_rate(), sc.carrier_freq_hz))
     return report
@@ -586,13 +631,13 @@ def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
     if total == 0.0:  # a zero channel, or a power that underflowed
         raise txrx.DetectionError("space-down-converted output carries no power",
                                   math.inf)
+    indices = [1 + k * L for k in range(-3, 4)]
     rows = []
-    for k in range(-3, 4):
-        q = 1 + k * L
+    for q, amplitude in zip(indices, spectral.staircase_harmonics(L, indices)):
         freq = q * ramp.frequency_shift
         if abs(freq) > sc.envelope_rate() / 2:
             continue
-        predicted = float(spectral.staircase_harmonics(L, [q])[0] ** 2)
+        predicted = float(amplitude ** 2)
         measured = spectral.line_power(spectrum, freq) / total
         rows.append({"harmonic_index": q, "freq_hz": freq,
                      "power_fraction": measured,
@@ -613,7 +658,10 @@ def simulate(sc: Scenario) -> ScenarioResult:
     Observation point p draws its noise from child 1 + p, or 2 + p in
     integrated mode, and the feed antenna of the receive phase from the last
     child. A child depends only on its index, so each mode draws what it
-    drew when it spawned fewer children.
+    drew when it spawned fewer children. Each child is built by its index
+    when the run reads it, as SeedSequence(rng_seed, spawn_key=(i,)), which
+    equals child i of spawn; noise children are built only when
+    noise_psd > 0.
 
     Each frame of a link or receive phase streams through the surface pass
     and integrate-and-dump in blocks of whole symbols (about
@@ -623,11 +671,10 @@ def simulate(sc: Scenario) -> ScenarioResult:
     blocks, so the results equal a whole-envelope run bit for bit. SDC mode
     takes its envelope whole, for the DFT over whole ramp periods.
     """
-    seeds = np.random.SeedSequence(sc.rng_seed).spawn(3 + len(sc.points))
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
     first = 2 if integrated else 1
-    noise_seeds = seeds[first:first + channels.num_points]
+    noise_seeds = _noise_seeds(sc, range(first, first + channels.num_points))
     if sc.mode == "space_down_conversion":
         carrier = core.tone_envelope(
             sc.sdc_periods * sc.staircase.steps_per_period * sc.oversample,
@@ -640,12 +687,12 @@ def simulate(sc: Scenario) -> ScenarioResult:
         report = txrx.LinkReport(spectra={"input": spectral.periodogram(carrier),
                                           "output": spectral.periodogram(rx[0])})
     else:
-        report = _link_phase(sc, channels, seeds[0], noise_seeds,
+        report = _link_phase(sc, channels, _seed(sc, 0), noise_seeds,
                              "tx_rx0" if integrated else "rx0")
     reports = {"link": report}
     if integrated:
-        reports = {"transmit": report,
-                   "receive": _receive_phase(sc, seeds[1], seeds[-1])}
+        reports = {"transmit": report, "receive": _receive_phase(
+            sc, _seed(sc, 1), _noise_seeds(sc, [2 + len(sc.points)]))}
     summary = _summarize(sc, reports)
     if sc.mode == "space_down_conversion":
         out_spec = report.spectra["output"]

@@ -50,11 +50,12 @@ def periodogram(env: ComplexEnvelope, dft_length: int | None = None) -> Spectrum
         raise ValueError(f"dft_length {length} exceeds sample count {n_total}")
     spectrum = np.fft.fft(env.samples[:length])
     power = (np.abs(spectrum) / length) ** 2
-    k = np.arange(length)
-    k[k > length // 2] -= length  # bins span (-fs/2, fs/2]
-    order = np.argsort(k, kind="stable")
+    # bins span (-fs/2, fs/2]: bins above length // 2 are the negative ones
+    h = length // 2
+    k = np.arange(h + 1 - length, h + 1)
     resolution = env.sample_rate / length
-    return Spectrum(k[order] * resolution, power[order], resolution)
+    return Spectrum(k * resolution, np.concatenate([power[h + 1:], power[:h + 1]]),
+                    resolution)
 
 
 def line_power(spec: Spectrum, freq: float) -> float:

@@ -17,6 +17,8 @@ time.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,14 +144,25 @@ def _hadamard(order: int) -> np.ndarray:
 
 
 def make_pilots(num_streams: int) -> np.ndarray:
-    """Orthogonal +/-1 pilot rows: Hadamard rows, each chip repeated 4 times."""
+    """Orthogonal +/-1 pilot rows: Hadamard rows, each chip repeated 4 times.
+
+    The array is built once per stream count and shared, so it is read-only.
+    """
+    num_streams = operator.index(num_streams)  # 2.0 must not share 2's entry
     if num_streams < 1:
         raise ConfigurationError("need at least one stream")
+    return _pilots(num_streams)
+
+
+@functools.lru_cache(maxsize=8)
+def _pilots(num_streams: int) -> np.ndarray:
     order = 1
     while order < num_streams:
         order *= 2
     rows = _hadamard(order)[:num_streams]
-    return np.kron(rows, np.ones(4)).astype(np.complex128)
+    pilots = np.kron(rows, np.ones(4)).astype(np.complex128)
+    pilots.flags.writeable = False
+    return pilots
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,17 +331,20 @@ def _checked_reference(num_antennas: int, frame: FrameSpec, scheme: ModulationSc
     return reference_bits
 
 
-def detect(symbols, frame: FrameSpec, scheme: ModulationScheme,
-           reference_bits) -> LinkReport:
+def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
+           reference_symbols) -> LinkReport:
     """Detect one frame from its per-symbol means, (antennas, frame.num_symbols).
 
     LS-estimate the channel from the pilot block, zero-force with the
-    pseudo-inverse, demap to nearest points, and score EVM against the
-    mapped reference_bits and BER against reference_bits, the transmitted
-    payload bits of shape (num_streams, payload_length * bits_per_symbol).
+    pseudo-inverse, demap to nearest points, and score EVM against
+    reference_symbols and BER against reference_bits: the transmitted
+    payload bits, (num_streams, payload_length * bits_per_symbol), and the
+    (num_streams, payload_length) symbols they map to.
     """
     reference_bits = _checked_reference(len(symbols), frame, scheme, reference_bits)
     num_streams = frame.num_streams
+    if np.shape(reference_symbols) != (num_streams, frame.payload_length):
+        raise ContractViolation("reference symbols must be (streams, payload)")
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
@@ -339,13 +355,12 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme,
         raise DetectionError("estimated channel is rank deficient", cond)
     equalized = np.linalg.pinv(h_est) @ y_payload
 
-    reference = map_bits(reference_bits.ravel(), scheme).reshape(num_streams, -1)
     evms = np.empty(num_streams)
     bers = np.empty(num_streams)
     for s in range(num_streams):
-        evms[s] = evm(equalized[s], reference[s])
+        evms[s] = evm(equalized[s], reference_symbols[s])
         bers[s] = ber(demap_symbols(equalized[s], scheme)[0], reference_bits[s])
-    return LinkReport(detected_symbols=equalized, reference_symbols=reference,
+    return LinkReport(detected_symbols=equalized, reference_symbols=reference_symbols,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)
 
@@ -356,12 +371,12 @@ def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme, reference_bits
 
     Derotate by expected_shift (the known frequency offset of the wanted
     signal, e.g. -1/period after a down-conversion ramp), integrate and
-    dump over each symbol (integrate_and_dump), then detect. rx envelopes
-    must be time-aligned (equal t0) and cover exactly frame.num_symbols
-    symbol intervals.
+    dump over each symbol (integrate_and_dump), then detect against the
+    symbols reference_bits map to. rx envelopes must be time-aligned
+    (equal t0) and cover exactly frame.num_symbols symbol intervals.
     """
     rx = list(rx)
-    _checked_reference(len(rx), frame, scheme, reference_bits)
+    reference_bits = _checked_reference(len(rx), frame, scheme, reference_bits)
     first = rx[0]
     for env in rx[1:]:
         if (len(env) != len(first) or env.sample_rate != first.sample_rate
@@ -372,4 +387,5 @@ def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme, reference_bits
     for a, env in enumerate(rx):
         symbols[a] = integrate_and_dump(env.samples[np.newaxis], sps, 0,
                                         expected_shift, first.sample_rate)[0]
-    return detect(symbols, frame, scheme, reference_bits)
+    reference = map_bits(reference_bits.ravel(), scheme).reshape(frame.num_streams, -1)
+    return detect(symbols, frame, scheme, reference_bits, reference)

@@ -2,15 +2,16 @@
 
 Each one restates a formula element by element, independent of the
 vectorised code it checks: cell_position for core.cell_positions,
-free_space_gain for the channel gains of propagation.build_channels,
-dft_direct for the fast transform behind spectral.periodogram,
-channel_estimate_pairs for the channel estimate in scenario summaries, the
-row-at-a-time csv.writer writers for the CSV that scenario.export_csv
-writes from each artifact table, demap_symbols for the blocked
-txrx.demap_symbols, surface_pass for the block kernel of
-propagation.prepare_pass and pass_block, integrate for the blockwise
-txrx.integrate_and_dump, receive_frame for txrx.receive_frame, and
-simulate for scenario.simulate, which streams its frames in blocks.
+hadamard_pilots for txrx.make_pilots, free_space_gain for the channel
+gains of propagation.build_channels, dft_direct for the fast transform
+behind spectral.periodogram, channel_estimate_pairs for the channel
+estimate in scenario summaries, the row-at-a-time csv.writer writers for
+the CSV that scenario.export_csv writes from each artifact table,
+demap_symbols for the blocked txrx.demap_symbols, surface_pass for the
+block kernel of propagation.prepare_pass and pass_block, integrate for
+the blockwise txrx.integrate_and_dump, receive_frame for
+txrx.receive_frame, and simulate for scenario.simulate, which streams its
+frames in blocks.
 """
 
 import csv
@@ -35,6 +36,17 @@ def cell_position(geometry, n: int, m: int) -> np.ndarray:
         oy + (n - (geometry.rows - 1) / 2) * geometry.spacing,
         oz,
     ])
+
+
+def hadamard_pilots(num_streams: int) -> np.ndarray:
+    """The first num_streams rows of the Sylvester-Hadamard matrix of the
+    next power-of-two order, built by the recursion H -> [[H, H], [H, -H]]
+    on lists, with each chip repeated 4 times."""
+    rows = [[1.0]]
+    while len(rows) < num_streams:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return np.array([[chip for chip in row for _ in range(4)]
+                     for row in rows[:num_streams]], dtype=np.complex128)
 
 
 def free_space_gain(src, dst, wavelength: float) -> complex:

@@ -144,6 +144,22 @@ def test_overrides_reach_the_pipeline(tiny_link):
     assert result.reports["link"].evm_percent[0] > 0.0
 
 
+def _json_or_kept(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+@pytest.mark.parametrize("text", [
+    " 1", "\t[1, 2]", "NaN", "-Infinity", "Infinity", "true", "false", "null",
+    "{}", ' {"a": 1}', "1e3", "-2.5", '"quoted"', "\n\r 7", "", " ", "\x0c1",
+    "full", "free_space", "QPSK", "16QAM", "-x", "tru", "Inf", "- 1"])
+def test_string_overrides_read_as_json_or_stay_strings(text):
+    got = scen.apply_overrides({}, {"field": text})["field"]
+    assert repr(got) == repr(_json_or_kept(text))  # repr tells 1 from 1.0, nan too
+
+
 def test_run_scenario_writes_expected_artifacts(tiny_link, tmp_path):
     result = scen.run_scenario(tiny_link, tmp_path / "out")
     names = sorted(p.name for p in (tmp_path / "out").iterdir())

@@ -118,9 +118,38 @@ def test_partition_requires_every_stream_populated():
 
 def test_override_into_a_null_object_starts_one():
     # mimo2x2_16qam has "quantization": null, which must act as if absent
-    data = bundled("mimo2x2_16qam", {"quantization.phase_levels": "16"})
+    base = scen.load_scenario("mimo2x2_16qam")
+    data = scen.apply_overrides(base, {"quantization.phase_levels": "16"})
     assert data["quantization"] == {"phase_levels": 16}
+    assert base["quantization"] is None
     assert scen.validate(data) == []
+
+
+def test_overrides_copy_only_the_objects_on_their_paths():
+    base = scen.load_scenario("mimo2x2_16qam")
+    before = copy.deepcopy(base)
+    data = scen.apply_overrides(base, {"frame.payload_symbols": "8",
+                                       "frame.samples_per_symbol": 2})
+    assert data["frame"] == {**before["frame"], "payload_symbols": 8,
+                             "samples_per_symbol": 2}
+    assert base == before
+    assert data["frame"] is not base["frame"]
+    assert data["channel"] is base["channel"]  # off every path: shared
+
+
+def test_a_later_override_leaves_an_earlier_value_unchanged():
+    frame = {"symbol_rate_baud": 1e6}
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"),
+                                {"frame": frame, "frame.payload_symbols": 8})
+    assert data["frame"] == {"symbol_rate_baud": 1e6, "payload_symbols": 8}
+    assert frame == {"symbol_rate_baud": 1e6}
+
+
+def test_loading_a_dict_that_holds_a_non_json_value_names_its_type():
+    data = scen.load_scenario("mimo2x2_16qam")
+    data["points"][0]["position_m"] = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ConfigurationError, match="ndarray"):
+        scen.load_scenario(data)
 
 
 def test_from_dict_raises_with_the_violation_list():
@@ -266,6 +295,13 @@ STREAMED_CASES = [
                                        "channel.noise_psd": 1e-7},
                  id="blocks-integrated"),
 ]
+
+
+@pytest.mark.parametrize("name, overrides", WIRING_CASES + STREAMED_CASES)
+def test_overrides_leave_the_shared_scenarios_unchanged(name, overrides):
+    before = copy.deepcopy(SHRUNK_DATA)
+    scen.apply_overrides(SHRUNK_DATA[name], overrides)
+    assert SHRUNK_DATA == before
 
 
 @pytest.mark.parametrize("name, overrides", STREAMED_CASES)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metalink.core import (
+    ConfigurationError,
     ContractViolation,
     resample_hold,
     tone_envelope,
@@ -29,6 +30,7 @@ from metalink.txrx import (
 
 from oracles import (
     demap_symbols as demap_oracle,
+    hadamard_pilots,
     integrate as integrate_oracle,
     receive_frame as receive_oracle,
 )
@@ -154,6 +156,30 @@ def test_pilots_are_orthogonal_pm_one(streams):
     assert np.all(np.abs(pilots) == 1.0)
     gram = pilots @ pilots.conj().T
     assert np.array_equal(gram, np.eye(streams) * pilots.shape[1])
+
+
+@pytest.mark.parametrize("streams", [1, 2, 3, 5, 8, 9])
+def test_pilots_are_built_once_read_only_and_equal_the_recursion(streams):
+    pilots = make_pilots(streams)
+    assert np.array_equal(pilots, hadamard_pilots(streams))
+    assert pilots.dtype == np.complex128
+    assert make_pilots(streams) is pilots  # shared, hence read-only
+    assert not pilots.flags.writeable
+    with pytest.raises(ValueError):
+        pilots[0, 0] = -1.0
+
+
+def test_zero_streams_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ConfigurationError):
+            make_pilots(0)
+
+
+def test_a_non_integer_stream_count_is_refused_even_when_its_value_is_cached():
+    make_pilots(2)
+    with pytest.raises(TypeError):
+        make_pilots(2.0)
+    assert np.array_equal(make_pilots(np.int64(2)), make_pilots(2))
 
 
 def test_frame_control_rate():
@@ -427,16 +453,22 @@ def test_integrate_block_by_block_matches_whole_envelopes(expected_shift,
 def test_detect_on_the_means_is_receive_frame():
     scheme = get_scheme("QPSK")
     h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j]])
-    rx, frame, bits, _ = explicit_link_envelopes(h, scheme, 48, 1e-3, seed=3)
+    rx, frame, bits, sent = explicit_link_envelopes(h, scheme, 48, 1e-3, seed=3)
     want = receive_frame(rx, frame, scheme, bits)
-    got = detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits)
+    got = detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits, sent)
     assert np.array_equal(got.detected_symbols, want.detected_symbols)
     assert np.array_equal(got.channel_estimate, want.channel_estimate)
     assert np.array_equal(got.ber, want.ber)
+    assert np.array_equal(got.evm_percent, want.evm_percent)
+    assert np.array_equal(got.reference_symbols, want.reference_symbols)
     with pytest.raises(ContractViolation):  # one antenna for two streams
-        detect(np.ones((1, frame.num_symbols)), frame, scheme, bits)
+        detect(np.ones((1, frame.num_symbols)), frame, scheme, bits, sent)
     with pytest.raises(ContractViolation):  # one bit short of the payload
-        detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits[:, 1:])
+        detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits[:, 1:],
+               sent)
+    with pytest.raises(ContractViolation):  # one symbol short of the payload
+        detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits,
+               sent[:, 1:])
 
 
 def test_symbol_timing_needs_whole_symbols_covering_the_frame():
