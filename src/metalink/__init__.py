@@ -48,7 +48,6 @@ from .txrx import (
     get_scheme,
     make_pilots,
     map_bits,
-    receive_frame,
     symbols_to_schedule,
     symbols_to_waveform,
 )

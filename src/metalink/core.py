@@ -47,13 +47,12 @@ class ComplexEnvelope:
     """Uniformly sampled complex baseband waveform around a reference carrier.
 
     samples are dimensionless field amplitudes; sample_rate and carrier_freq
-    are in Hz; t0 is the time of the first sample in seconds.
+    are in Hz. Sample i lies at time i / sample_rate.
     """
 
     samples: np.ndarray
     sample_rate: float
     carrier_freq: float
-    t0: float = 0.0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -71,13 +70,12 @@ class ComplexEnvelope:
         return self.samples.size / self.sample_rate
 
     def with_samples(self, samples) -> "ComplexEnvelope":
-        """New envelope with the same rates/origin but different samples."""
-        return ComplexEnvelope(samples, self.sample_rate, self.carrier_freq, self.t0)
+        """New envelope with the same rates but different samples."""
+        return ComplexEnvelope(samples, self.sample_rate, self.carrier_freq)
 
 
 def tone_envelope(num_samples: int, sample_rate: float, carrier_freq: float,
-                  amplitude: float = 1.0, freq_offset: float = 0.0,
-                  t0: float = 0.0) -> ComplexEnvelope:
+                  amplitude: float = 1.0, freq_offset: float = 0.0) -> ComplexEnvelope:
     """Complex exponential at `freq_offset` from the carrier.
 
     For freq_offset 0 the samples are a read-only broadcast view of one
@@ -90,7 +88,7 @@ def tone_envelope(num_samples: int, sample_rate: float, carrier_freq: float,
     else:
         n = np.arange(num_samples)
         samples = amplitude * np.exp(2j * np.pi * freq_offset * n / sample_rate)
-    return ComplexEnvelope(samples, sample_rate, carrier_freq, t0)
+    return ComplexEnvelope(samples, sample_rate, carrier_freq)
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,9 @@ def resample_hold(schedule: CoefficientSchedule, target_rate: float) -> Coeffici
     """Zero-order-hold resampling of a schedule to an integer multiple rate.
 
     Each coefficient is repeated target_rate / control_rate times; fractional
-    ratios are rejected rather than interpolated.
+    ratios are rejected rather than interpolated. The surface pass holds each
+    step itself, so production never calls this; it stays public because
+    the acceptance gate builds its held schedules with it.
     """
     ratio = _hold_ratio(schedule.control_rate, target_rate)
     if ratio is None:

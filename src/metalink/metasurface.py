@@ -105,7 +105,9 @@ def frequency_shift(envelope: ComplexEnvelope, shift_hz: float) -> ComplexEnvelo
     """Ideal continuous-phase ramp: exact frequency translation by shift_hz.
 
     The ramp is referenced to the first sample, matching a schedule that
-    starts at the envelope start.
+    starts at the envelope start. Production ramps with staircases, so it
+    never calls this; it stays public because the acceptance gate checks
+    the ideal-ramp limit with it.
     """
     n = np.arange(len(envelope))
     ramp = np.exp(2j * np.pi * shift_hz * n / envelope.sample_rate)

@@ -270,6 +270,9 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
 
     The whole envelope is one block of prepare_pass and pass_block; a
     caller that needs only per-block reductions runs those two itself.
+    Space-down-conversion mode calls this, since its DFT reads the whole
+    envelope, and it stays public because the acceptance gate drives the
+    surface through it.
     """
     sp = prepare_pass(incident.sample_rate, len(incident), schedule, stream_of_cell,
                       channels, noise_psd, noise_seeds, symbol_samples=len(incident))

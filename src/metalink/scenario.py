@@ -55,29 +55,29 @@ def load_scenario(source) -> dict:
     """Load a scenario dict from a mapping, a JSON file path, or a bundled name.
 
     A mapping is deep-copied through JSON; one that holds a value JSON
-    cannot (an array, say) raises ConfigurationError naming its type.
+    cannot (an array, say), contains itself or nests too deeply for the
+    JSON codec raises ConfigurationError saying which; a file that is not
+    readable UTF-8 JSON raises one naming the file.
     """
     if isinstance(source, dict):
         try:
             return json.loads(json.dumps(source))  # deep copy, JSON-clean
-        except TypeError as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise core.ConfigurationError(
                 f"scenario must hold only JSON values: {exc}") from None
     name = str(source)
     path = Path(name)
-    if path.is_file():
-        text = path.read_text()
-    else:
+    if not path.is_file():
         stem = name[:-5] if name.endswith(".json") else name
-        if stem in bundled_scenario_names():
-            text = (resources.files("metalink.scenarios") / f"{stem}.json").read_text()
-        else:
+        if stem not in bundled_scenario_names():
             raise core.ConfigurationError(
                 f"no scenario file or bundled scenario named {name!r}")
+        path = resources.files("metalink.scenarios") / f"{stem}.json"
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise core.ConfigurationError(f"scenario {name!r} is not valid JSON: {exc}")
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8/JSON
+        raise core.ConfigurationError(
+            f"scenario {name!r} cannot be read as JSON: {exc}") from None
     if not isinstance(data, dict):
         raise core.ConfigurationError(f"scenario {name!r} must be a JSON object")
     return data
@@ -87,14 +87,18 @@ def load_scenario(source) -> dict:
 _JSON_STARTS = frozenset('{["-0123456789tfnNI')
 
 
-def _override_value(value):
+def _override_value(dotted: str, value):
     """The JSON literal a string spells, or the value as given. A string
-    that no JSON text starts like, such as "QPSK", is kept without a parse."""
+    that no JSON text starts like, such as "QPSK", is kept without a parse;
+    one nested too deeply to parse is a ConfigurationError naming dotted."""
     if isinstance(value, str) and value.lstrip(" \t\n\r")[:1] in _JSON_STARTS:
         try:
             return json.loads(value)
         except json.JSONDecodeError:
             pass  # keep as plain string
+        except RecursionError:
+            raise core.ConfigurationError(
+                f"override {dotted!r} nests too deeply to parse") from None
     return value
 
 
@@ -122,7 +126,7 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
             copies[id(child)] = child
             node[part] = child
             node = child
-        node[leaf] = _override_value(value)
+        node[leaf] = _override_value(dotted, value)
     return out
 
 
@@ -549,17 +553,18 @@ def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
                                          num_samples / sc.envelope_rate())
 
 
-def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, sps: int, incident,
+def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
                   schedule: core.CoefficientSchedule, stream_of_cell, channels,
                   noise_seeds, expected_shift: float = 0.0) -> tuple:
     """The surface pass and integrate-and-dump of a frame, block by block;
     incident(start, stop) gives the incident samples of each block.
 
-    Returns the (points x symbols) per-symbol means and the first
-    spectrum_length samples at the first point, which is all that detection
-    and the periodogram read, so no whole envelope is held. The pass's
-    weights and block buffer are freed on return, before detection.
+    Returns the (points x symbols) per-symbol means and the envelope of the
+    first spectrum_length samples at the first point, which is all that
+    detection and the periodogram read, so no whole envelope is held. The
+    pass's weights and block buffer are freed on return, before detection.
     """
+    sps = sc.samples_per_symbol * sc.oversample
     num_samples = frame.num_symbols * sps
     sp = propagation.prepare_pass(sc.envelope_rate(), num_samples, schedule,
                                   stream_of_cell, channels, sc.noise_psd,
@@ -573,7 +578,7 @@ def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, sps: int, incident,
             rx, sps, start, expected_shift, sc.envelope_rate())
         if start < len(head):
             head[start:stop] = rx[0, :len(head) - start]
-    return means, head
+    return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
 
 
 def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
@@ -583,15 +588,14 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
     frame = sc.frame(int(sc.stream_of_cell.max()) + 1)
     bits, symbols = _payload(sc, frame, bits_seed)
     carrier = core.tone_envelope(
-        frame.num_symbols * frame.samples_per_symbol * sc.oversample,
-        sc.envelope_rate(), sc.carrier_freq_hz)
-    sps = txrx.symbol_timing(len(carrier), carrier.sample_rate, frame)
+        frame.num_symbols * sc.samples_per_symbol * sc.oversample,
+        sc.envelope_rate(), sc.carrier_freq_hz).samples
     means, head = _stream_frame(
-        sc, frame, sps, lambda start, stop: carrier.samples[start:stop],
+        sc, frame, lambda start, stop: carrier[start:stop],
         txrx.symbols_to_schedule(symbols, frame, sc.quantization),
         sc.stream_of_cell, channels, noise_seeds)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
-    report.spectra[tag] = spectral.periodogram(carrier.with_samples(head))
+    report.spectra[tag] = spectral.periodogram(head)
     return report
 
 
@@ -607,20 +611,18 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
     frame = sc.frame(1)
     bits, symbols = _payload(sc, frame, bits_seed)
     sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
-    num_samples = len(sent) * sc.samples_per_symbol * sc.oversample
-    sps = txrx.symbol_timing(num_samples, sc.envelope_rate(), frame)
+    sps = sc.samples_per_symbol * sc.oversample
 
     def incident(start, stop):
         return txrx.symbols_to_waveform(sent[start // sps:stop // sps], sps,
                                         sc.envelope_rate(), sc.carrier_freq_hz).samples
 
     means, head = _stream_frame(
-        sc, frame, sps, incident, _ramp(sc, num_samples),
+        sc, frame, incident, _ramp(sc, len(sent) * sps),
         np.zeros(channels.num_cells, dtype=np.int64), channels, noise_seeds,
         sc.staircase.frequency_shift)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
-    report.spectra["sdc_rx0"] = spectral.periodogram(core.ComplexEnvelope(
-        head, sc.envelope_rate(), sc.carrier_freq_hz))
+    report.spectra["sdc_rx0"] = spectral.periodogram(head)
     return report
 
 
@@ -823,7 +825,7 @@ def export_csv(out_dir) -> list:
     for npy, dtype in tables:
         try:
             table = np.load(npy, allow_pickle=False)
-        except (ValueError, EOFError) as exc:  # truncated, or not .npy at all
+        except (ValueError, EOFError, OSError) as exc:  # truncated, not .npy, a directory
             raise core.ConfigurationError(f"{str(npy)!r} cannot be read: {exc}")
         if table.dtype != dtype or table.ndim != 1:
             raise core.ConfigurationError(

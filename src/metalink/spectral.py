@@ -40,15 +40,11 @@ class Spectrum:
         return float(self.power.sum())
 
 
-def periodogram(env: ComplexEnvelope, dft_length: int | None = None) -> Spectrum:
-    """Rectangular-window periodogram of the first dft_length samples."""
-    n_total = len(env)
-    length = n_total if dft_length is None else int(dft_length)
-    if length < 2:
-        raise ValueError("dft_length must be >= 2")
-    if length > n_total:
-        raise ValueError(f"dft_length {length} exceeds sample count {n_total}")
-    spectrum = np.fft.fft(env.samples[:length])
+def periodogram(env: ComplexEnvelope) -> Spectrum:
+    """Rectangular-window periodogram of the whole envelope; a caller that
+    wants fewer bins passes the samples it wants."""
+    length = len(env)
+    spectrum = np.fft.fft(env.samples)
     power = (np.abs(spectrum) / length) ** 2
     # bins span (-fs/2, fs/2]: bins above length // 2 are the negative ones
     h = length // 2

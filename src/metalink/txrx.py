@@ -225,13 +225,13 @@ def symbols_to_schedule(stream_symbols, frame: FrameSpec,
 
 
 def symbols_to_waveform(symbols, samples_per_symbol: int, sample_rate: float,
-                        carrier_freq: float, t0: float = 0.0) -> ComplexEnvelope:
+                        carrier_freq: float) -> ComplexEnvelope:
     """Zero-order-hold symbol waveform, as a conventional transmitter emits."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 1 or symbols.size == 0:
         raise ValueError("symbols must form a non-empty 1-D sequence")
     samples = np.repeat(symbols, samples_per_symbol)
-    return ComplexEnvelope(samples, sample_rate, carrier_freq, t0)
+    return ComplexEnvelope(samples, sample_rate, carrier_freq)
 
 
 def evm(detected, reference) -> float:
@@ -282,23 +282,6 @@ class LinkReport:
         return len(self.detected_symbols)
 
 
-def symbol_timing(num_samples: int, sample_rate: float, frame: FrameSpec) -> int:
-    """Envelope samples per symbol of an envelope that carries frame.
-
-    The sample rate must be a whole multiple of the symbol rate, and the
-    envelope must cover exactly frame.num_symbols symbol intervals.
-    """
-    sps_f = sample_rate / frame.symbol_rate
-    sps = int(round(sps_f))
-    if abs(sps_f - sps) > 1e-9 * sps_f or sps < 1:
-        raise ContractViolation(
-            f"sample rate {sample_rate} is not an integer multiple of the symbol rate")
-    if num_samples != frame.num_symbols * sps:
-        raise ContractViolation(
-            f"rx length {num_samples} != {frame.num_symbols} symbols x {sps} samples")
-    return sps
-
-
 def integrate_and_dump(samples, samples_per_symbol: int, start: int = 0,
                        expected_shift: float = 0.0,
                        sample_rate: float = 1.0) -> np.ndarray:
@@ -318,19 +301,6 @@ def integrate_and_dump(samples, samples_per_symbol: int, start: int = 0,
     return samples.reshape(len(samples), -1, samples_per_symbol).mean(axis=2)
 
 
-def _checked_reference(num_antennas: int, frame: FrameSpec, scheme: ModulationScheme,
-                       reference_bits) -> np.ndarray:
-    if num_antennas < frame.num_streams:
-        raise ContractViolation(
-            f"{num_antennas} antennas cannot resolve {frame.num_streams} streams")
-    reference_bits = np.asarray(reference_bits)
-    if reference_bits.shape != (frame.num_streams,
-                                frame.payload_length * scheme.bits_per_symbol):
-        raise ContractViolation(
-            "reference bits must be (streams, payload x bits per symbol)")
-    return reference_bits
-
-
 def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
            reference_symbols) -> LinkReport:
     """Detect one frame from its per-symbol means, (antennas, frame.num_symbols).
@@ -341,8 +311,14 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     payload bits, (num_streams, payload_length * bits_per_symbol), and the
     (num_streams, payload_length) symbols they map to.
     """
-    reference_bits = _checked_reference(len(symbols), frame, scheme, reference_bits)
     num_streams = frame.num_streams
+    if len(symbols) < num_streams:
+        raise ContractViolation(
+            f"{len(symbols)} antennas cannot resolve {num_streams} streams")
+    if np.shape(reference_bits) != (num_streams,
+                                    frame.payload_length * scheme.bits_per_symbol):
+        raise ContractViolation(
+            "reference bits must be (streams, payload x bits per symbol)")
     if np.shape(reference_symbols) != (num_streams, frame.payload_length):
         raise ContractViolation("reference symbols must be (streams, payload)")
     y_pilot = symbols[:, :frame.pilot_length]
@@ -364,28 +340,3 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)
 
-
-def receive_frame(rx, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
-                  expected_shift: float = 0.0) -> LinkReport:
-    """Demodulate one frame from per-antenna envelopes.
-
-    Derotate by expected_shift (the known frequency offset of the wanted
-    signal, e.g. -1/period after a down-conversion ramp), integrate and
-    dump over each symbol (integrate_and_dump), then detect against the
-    symbols reference_bits map to. rx envelopes must be time-aligned
-    (equal t0) and cover exactly frame.num_symbols symbol intervals.
-    """
-    rx = list(rx)
-    reference_bits = _checked_reference(len(rx), frame, scheme, reference_bits)
-    first = rx[0]
-    for env in rx[1:]:
-        if (len(env) != len(first) or env.sample_rate != first.sample_rate
-                or env.t0 != first.t0):
-            raise ContractViolation("rx envelopes must be aligned and equal length")
-    sps = symbol_timing(len(first), first.sample_rate, frame)
-    symbols = np.empty((len(rx), frame.num_symbols), dtype=np.complex128)
-    for a, env in enumerate(rx):
-        symbols[a] = integrate_and_dump(env.samples[np.newaxis], sps, 0,
-                                        expected_shift, first.sample_rate)[0]
-    reference = map_bits(reference_bits.ravel(), scheme).reshape(frame.num_streams, -1)
-    return detect(symbols, frame, scheme, reference_bits, reference)

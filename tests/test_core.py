@@ -120,7 +120,7 @@ def test_envelope_validation():
 
 
 def test_envelope_duration_and_times():
-    env = tone_envelope(8, 4.0, 1e9, t0=0.5)
+    env = tone_envelope(8, 4.0, 1e9)
     assert env.duration == 2.0
 
 

@@ -60,7 +60,6 @@ def test_identity_coefficient_passes_envelope_through():
     assert np.array_equal(out.samples, env.samples)
     assert out.sample_rate == env.sample_rate
     assert out.carrier_freq == env.carrier_freq
-    assert out.t0 == env.t0
 
 
 def test_pi_phase_negates_tone():

@@ -459,6 +459,41 @@ def test_cli_rejects_unknown_scenario(capsys):
     assert "no_such_scenario" in capsys.readouterr().err
 
 
+DEEP_ARRAY = "[" * 5000 + "]" * 5000  # deeper than the JSON codec recurses
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text", [
+    b'{"name": "\xff\xfe"}',
+    b'{"name": ' + DEEP_ARRAY.encode() + b"}",
+], ids=["not_utf8", "nested_too_deeply"])
+def test_cli_unreadable_scenario_file_exits_one_naming_it(command, text, tmp_path,
+                                                          capsys):
+    path = tmp_path / "broken.json"
+    path.write_bytes(text)
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert f"{str(path)!r} cannot be read as JSON" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_override_nested_too_deeply_exits_one_naming_it(command, tmp_path,
+                                                            capsys):
+    argv = [command, "mimo2x2_16qam", "--override", f"frame.pilots={DEEP_ARRAY}"]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert "'frame.pilots'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_writes_artifacts(tiny_link, tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(tiny_link))
@@ -532,6 +567,21 @@ def test_export_rejects_an_unreadable_or_foreign_table(content, tmp_path):
     with pytest.raises(ConfigurationError, match="spectrum_rx0.npy"):
         scen.export_csv(tmp_path)
     assert not path.with_suffix(".csv").exists()
+
+
+def test_cli_export_of_a_directory_named_like_a_table_exits_one(tiny_link,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny_link))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out-dir", str(out)]) == 0
+    (out / "constellation_0.npy").unlink()
+    (out / "constellation_0.npy").mkdir()
+    capsys.readouterr()
+    assert cli.main(["export", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert "constellation_0.npy" in err[0] and "cannot be read" in err[0]
 
 
 def test_cli_seed_flag_overrides_seed(tiny_link, tmp_path):

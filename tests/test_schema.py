@@ -152,6 +152,43 @@ def test_loading_a_dict_that_holds_a_non_json_value_names_its_type():
         scen.load_scenario(data)
 
 
+def _nested(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_loading_a_dict_that_contains_itself_is_a_configuration_error():
+    data = scen.load_scenario("mimo2x2_16qam")
+    data["frame"]["self"] = data
+    with pytest.raises(ConfigurationError, match="Circular reference"):
+        scen.load_scenario(data)
+
+
+def test_loading_a_dict_nested_too_deeply_is_a_configuration_error():
+    data = scen.load_scenario("mimo2x2_16qam")
+    data["description"] = _nested(5000)
+    with pytest.raises(ConfigurationError, match="only JSON values"):
+        scen.load_scenario(data)
+
+
+@pytest.mark.parametrize("text", [b'{"name": "\xff\xfe"}', b"[" * 5000 + b"]" * 5000],
+                         ids=["not_utf8", "nested_too_deeply"])
+def test_loading_an_unusable_file_names_it(text, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigurationError, match="cannot be read as JSON") as excinfo:
+        scen.load_scenario(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_an_override_nested_too_deeply_names_it():
+    base = scen.load_scenario("mimo2x2_16qam")
+    with pytest.raises(ConfigurationError, match="'frame.pilots' nests too deeply"):
+        scen.apply_overrides(base, {"frame.pilots": "[" * 5000 + "]" * 5000})
+
+
 def test_from_dict_raises_with_the_violation_list():
     data = bundled("mimo2x2_16qam", {"oversampel": "2", "rng_seed": "-1"})
     with pytest.raises(scen.ValidationError) as excinfo:

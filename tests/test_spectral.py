@@ -74,14 +74,6 @@ def test_bins_span_half_open_interval():
     assert odd.frequencies[0] == -3.0 and odd.frequencies[-1] == 3.0
 
 
-def test_periodogram_validates_dft_length():
-    env = tone_envelope(16, 16.0, 0.0)
-    with pytest.raises(ValueError):
-        periodogram(env, 1)
-    with pytest.raises(ValueError):
-        periodogram(env, 17)
-
-
 def test_shift_theorem_circularly_shifts_the_spectrum():
     env = tone_envelope(128, 128.0, 0.0, freq_offset=7.0)
     base = periodogram(env)

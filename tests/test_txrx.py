@@ -22,8 +22,6 @@ from metalink.txrx import (
     integrate_and_dump,
     make_pilots,
     map_bits,
-    receive_frame,
-    symbol_timing,
     symbols_to_schedule,
     symbols_to_waveform,
 )
@@ -149,7 +147,7 @@ def test_blocked_demap_matches_one_table_oracle(name, size):
 
 @pytest.mark.parametrize("streams", range(1, 10))
 def test_pilots_are_orthogonal_pm_one(streams):
-    # receive_frame divides by the pilot length, which needs this exactly
+    # detect divides by the pilot length, which needs this exactly
     pilots = make_pilots(streams)
     order = 1 << (streams - 1).bit_length()
     assert pilots.shape == (streams, 4 * order)
@@ -281,7 +279,7 @@ def test_ber_counts_flips():
 
 
 # ---------------------------------------------------------------------------
-# receive_frame
+# the receive chain: integrate_and_dump, then detect
 # ---------------------------------------------------------------------------
 
 def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
@@ -306,6 +304,20 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
     return rx, frame, bits, symbols
 
 
+def receive(rx, frame, scheme, bits, symbols, expected_shift=0.0,
+            symbols_per_block=None):
+    """The receive chain simulate runs: integrate_and_dump over blocks of
+    symbols_per_block whole symbols (default the whole frame), then detect."""
+    samples = np.stack([env.samples for env in rx])
+    sps = samples.shape[1] // frame.num_symbols
+    step = sps * (symbols_per_block or frame.num_symbols)
+    means = np.concatenate(
+        [integrate_and_dump(samples[:, i:i + step], sps, i, expected_shift,
+                            rx[0].sample_rate)
+         for i in range(0, samples.shape[1], step)], axis=1)
+    return detect(means, frame, scheme, bits, symbols)
+
+
 def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
                       samples_per_symbol=4):
     """Loopback through an explicit stream-level channel matrix h (A x S)."""
@@ -313,19 +325,23 @@ def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
     scheme = get_scheme(scheme_name)
     rx, frame, bits, symbols = explicit_link_envelopes(
         h, scheme, payload, noise_psd, seed, samples_per_symbol)
-    return receive_frame(rx, frame, scheme, bits), h, symbols
+    return receive(rx, frame, scheme, bits, symbols), h, symbols
 
 
 def assert_detection_matches_oracle(rx, frame, scheme, bits, symbols,
                                     expected_shift=0.0):
-    report = receive_frame(rx, frame, scheme, bits, expected_shift)
     oracle = receive_oracle(rx, frame, scheme, expected_shift, reference=symbols)
-    assert np.array_equal(report.channel_estimate, oracle.channel_estimate)
-    assert report.condition_number == oracle.condition_number
-    assert np.array_equal(report.detected_symbols, np.stack(oracle.detected_symbols))
-    assert np.array_equal(report.reference_symbols, np.stack(oracle.reference_symbols))
-    assert np.array_equal(report.evm_percent, oracle.evm_percent)
-    assert np.array_equal(report.ber, oracle.ber)
+    for symbols_per_block in (1, 7, None):  # None: the whole frame at once
+        report = receive(rx, frame, scheme, bits, symbols, expected_shift,
+                         symbols_per_block)
+        assert np.array_equal(report.channel_estimate, oracle.channel_estimate)
+        assert report.condition_number == oracle.condition_number
+        assert np.array_equal(report.detected_symbols,
+                              np.stack(oracle.detected_symbols))
+        assert np.array_equal(report.reference_symbols,
+                              np.stack(oracle.reference_symbols))
+        assert np.array_equal(report.evm_percent, oracle.evm_percent)
+        assert np.array_equal(report.ber, oracle.ber)
     return report
 
 
@@ -410,25 +426,10 @@ def test_expected_shift_derotation():
                                8, 8e6, 4.25e9)
     n = np.arange(len(wave))
     shifted = wave.with_samples(wave.samples * np.exp(2j * np.pi * 3e6 * n / 8e6))
-    report = receive_frame([shifted], frame, scheme, bits[None, :],
-                           expected_shift=3e6)
+    report = receive([shifted], frame, scheme, bits[None, :], symbols[None, :],
+                     expected_shift=3e6)
     assert report.ber[0] == 0.0
     assert report.evm_percent[0] < 1e-9
-
-
-def test_receive_frame_contract_checks():
-    scheme = get_scheme("BPSK")
-    frame = FrameSpec(2, 4, 1e6, 2)
-    wave = symbols_to_waveform(np.ones(8), 2, 2e6, 4.25e9)
-    with pytest.raises(ContractViolation):
-        receive_frame([wave], frame, scheme, np.ones((2, 4)))  # 1 antenna, 2 streams
-    frame1 = FrameSpec(1, 4, 1e6, 2)
-    short = symbols_to_waveform(np.ones(7), 2, 2e6, 4.25e9)
-    with pytest.raises(ContractViolation):
-        receive_frame([short], frame1, scheme, np.ones((1, 4)))
-    with pytest.raises(ContractViolation):  # one bit short of the payload
-        receive_frame([symbols_to_waveform(np.ones(8), 2, 2e6, 4.25e9)], frame1,
-                      scheme, np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("expected_shift", [0.0, 3e6, -1.25e5])
@@ -450,34 +451,18 @@ def test_integrate_block_by_block_matches_whole_envelopes(expected_shift,
     assert np.array_equal(got, integrate_oracle(rx, num_symbols, expected_shift))
 
 
-def test_detect_on_the_means_is_receive_frame():
+def test_detect_rejects_too_few_antennas_and_misshapen_references():
     scheme = get_scheme("QPSK")
     h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j]])
     rx, frame, bits, sent = explicit_link_envelopes(h, scheme, 48, 1e-3, seed=3)
-    want = receive_frame(rx, frame, scheme, bits)
-    got = detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits, sent)
-    assert np.array_equal(got.detected_symbols, want.detected_symbols)
-    assert np.array_equal(got.channel_estimate, want.channel_estimate)
-    assert np.array_equal(got.ber, want.ber)
-    assert np.array_equal(got.evm_percent, want.evm_percent)
-    assert np.array_equal(got.reference_symbols, want.reference_symbols)
+    means = integrate_oracle(rx, frame.num_symbols)
+    detect(means, frame, scheme, bits, sent)
     with pytest.raises(ContractViolation):  # one antenna for two streams
-        detect(np.ones((1, frame.num_symbols)), frame, scheme, bits, sent)
+        detect(means[:1], frame, scheme, bits, sent)
     with pytest.raises(ContractViolation):  # one bit short of the payload
-        detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits[:, 1:],
-               sent)
+        detect(means, frame, scheme, bits[:, 1:], sent)
     with pytest.raises(ContractViolation):  # one symbol short of the payload
-        detect(integrate_oracle(rx, frame.num_symbols), frame, scheme, bits,
-               sent[:, 1:])
-
-
-def test_symbol_timing_needs_whole_symbols_covering_the_frame():
-    frame = FrameSpec(1, 4, 1e6, 2)  # 4 pilot + 4 payload symbols
-    assert symbol_timing(16, 2e6, frame) == 2
-    with pytest.raises(ContractViolation):  # 2.5 samples per symbol
-        symbol_timing(20, 2.5e6, frame)
-    with pytest.raises(ContractViolation):  # one sample short
-        symbol_timing(15, 2e6, frame)
+        detect(means, frame, scheme, bits, sent[:, 1:])
 
 
 def test_partition_permutation_leaves_stream_products_unchanged():
