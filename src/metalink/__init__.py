@@ -42,9 +42,7 @@ from .txrx import (
     FrameSpec,
     LinkReport,
     ModulationScheme,
-    ber,
     demap_symbols,
-    evm,
     get_scheme,
     make_pilots,
     map_bits,

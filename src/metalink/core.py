@@ -65,10 +65,6 @@ class ComplexEnvelope:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def with_samples(self, samples) -> "ComplexEnvelope":
         """New envelope with the same rates but different samples."""
         return ComplexEnvelope(samples, self.sample_rate, self.carrier_freq)
@@ -172,10 +168,6 @@ class CoefficientSchedule:
     @property
     def num_steps(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return self.num_steps / self.control_rate
 
 
 def _hold_ratio(rate: float, target_rate: float) -> int | None:

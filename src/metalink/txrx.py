@@ -8,16 +8,18 @@ air-fed single tone.
 Receive side: optional derotation by a known frequency shift, integrate-and-
 dump over symbol intervals (integrate_and_dump, which takes any block of
 whole symbols), then detect: least-squares channel estimation from the
-pilot block, zero-forcing detection, nearest-point demapping, and EVM/BER
-against the transmitted bits. The pilots are Hadamard rows, whose Gram
-matrix is pilot_length times the identity, so the estimate divides by the
-pilot length. Demapping forms its distance table DEMAP_BLOCK symbols at a
-time.
+pilot block, zero-forcing detection, and EVM/BER against the transmitted
+payload. The pilots are Hadamard rows, whose Gram matrix is pilot_length
+times the identity, so the estimate divides by the pilot length. A symbol
+closer to its reference point than the scheme's decision_radius cannot be
+decided wrongly, so detect runs nearest-point demapping only on the other
+symbols; demapping forms its distance table DEMAP_BLOCK symbols at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -71,36 +73,44 @@ def _build_constellations() -> dict:
     return {"BPSK": bpsk, "QPSK": qpsk, "8PSK": psk8, "16QAM": qam16}
 
 
-_CONSTELLATIONS = _build_constellations()
-
-
 @dataclass(frozen=True, eq=False)
 class ModulationScheme:
     """Gray-coded constellation, peak-normalized so max |point| = 1.
 
-    points are indexed by the symbol's bit word read MSB-first.
+    points are indexed by the symbol's bit word read MSB-first, and are a
+    read-only copy, so decision_radius cannot go stale. decision_radius is
+    (1 - 1e-9) * d_min / 2, where d_min is the smallest distance between
+    the points of two different words, 0 when two words share a point.
     """
 
     name: str
     bits_per_symbol: int
     points: np.ndarray
+    decision_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.complex128)
-        if points.size != 2 ** self.bits_per_symbol:
+        if self.bits_per_symbol < 1:
+            raise ConfigurationError("a symbol must carry at least one bit")
+        points = np.array(self.points, dtype=np.complex128)
+        if points.shape != (2 ** self.bits_per_symbol,):
             raise ConfigurationError("constellation size must be 2**bits_per_symbol")
+        points.flags.writeable = False
+        d_min = min(abs(a - b) for a, b in itertools.combinations(points.tolist(), 2))
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "decision_radius", float((1.0 - 1e-9) * d_min / 2.0))
 
 
-SCHEME_NAMES = tuple(_CONSTELLATIONS)
+_SCHEMES = {name: ModulationScheme(name, int(np.log2(points.size)), points)
+            for name, points in _build_constellations().items()}
+SCHEME_NAMES = tuple(_SCHEMES)
 
 
 def get_scheme(name: str) -> ModulationScheme:
+    """The scheme of a name, in any case; one shared instance per name."""
     key = name.upper()
-    if key not in _CONSTELLATIONS:
+    if key not in _SCHEMES:
         raise ConfigurationError(f"unknown modulation {name!r}; choose from {SCHEME_NAMES}")
-    points = _CONSTELLATIONS[key]
-    return ModulationScheme(key, int(np.log2(points.size)), points)
+    return _SCHEMES[key]
 
 
 def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
@@ -234,29 +244,6 @@ def symbols_to_waveform(symbols, samples_per_symbol: int, sample_rate: float,
     return ComplexEnvelope(samples, sample_rate, carrier_freq)
 
 
-def evm(detected, reference) -> float:
-    """RMS error vector magnitude in percent of the reference RMS."""
-    detected = np.asarray(detected, dtype=np.complex128)
-    reference = np.asarray(reference, dtype=np.complex128)
-    if detected.shape != reference.shape:
-        raise ContractViolation("detected and reference must have equal length")
-    ref_rms = np.sqrt(np.mean(np.abs(reference) ** 2))
-    if ref_rms == 0.0:
-        raise ValueError("reference power is zero")
-    return float(100.0 * np.sqrt(np.mean(np.abs(detected - reference) ** 2)) / ref_rms)
-
-
-def ber(detected_bits, reference_bits) -> float:
-    """Bit error ratio: Hamming distance over length."""
-    detected_bits = np.asarray(detected_bits, dtype=np.int64)
-    reference_bits = np.asarray(reference_bits, dtype=np.int64)
-    if detected_bits.shape != reference_bits.shape:
-        raise ContractViolation("bit sequences must have equal length")
-    if detected_bits.size == 0:
-        raise ValueError("bit sequences must be non-empty")
-    return float(np.mean(detected_bits != reference_bits))
-
-
 def _no_symbols() -> np.ndarray:
     return np.zeros((0, 0), dtype=np.complex128)
 
@@ -306,21 +293,39 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     """Detect one frame from its per-symbol means, (antennas, frame.num_symbols).
 
     LS-estimate the channel from the pilot block, zero-force with the
-    pseudo-inverse, demap to nearest points, and score EVM against
-    reference_symbols and BER against reference_bits: the transmitted
-    payload bits, (num_streams, payload_length * bits_per_symbol), and the
-    (num_streams, payload_length) symbols they map to.
+    pseudo-inverse, and score each stream against the transmitted payload:
+    reference_bits, (num_streams, payload_length * bits_per_symbol), and
+    reference_symbols, the (num_streams, payload_length) points that
+    map_bits gives for them. Callers must pass exactly those points, as
+    scenario._payload does; the BER below relies on it.
+
+    EVM is the RMS of the error magnitudes |equalized - reference| in
+    percent of the reference RMS. BER is the share of reference bits that
+    differ from the nearest-point decisions of demap_symbols, which runs
+    only on the symbols whose error is not below r = scheme.decision_radius
+    (so a NaN error is demapped too). The others cannot be in error: the
+    point of every other word lies at least d_min from the reference point,
+    so a symbol closer than r < d_min / 2 to the reference point is farther
+    than d_min - r > r from every other word's point. The gap between the
+    two distances, above 1e-9 * d_min, dwarfs the rounding of the computed
+    distances (relative 1e-16), so demap_symbols would decide the reference
+    word, whose bits are the reference bits. When two words share a point,
+    r is 0 and every symbol is demapped.
     """
     num_streams = frame.num_streams
     if len(symbols) < num_streams:
         raise ContractViolation(
             f"{len(symbols)} antennas cannot resolve {num_streams} streams")
+    if np.shape(symbols)[1] != frame.num_symbols:
+        raise ContractViolation("means must cover the frame's symbols")
     if np.shape(reference_bits) != (num_streams,
                                     frame.payload_length * scheme.bits_per_symbol):
         raise ContractViolation(
             "reference bits must be (streams, payload x bits per symbol)")
     if np.shape(reference_symbols) != (num_streams, frame.payload_length):
         raise ContractViolation("reference symbols must be (streams, payload)")
+    reference_bits = np.asarray(reference_bits)
+    reference_symbols = np.asarray(reference_symbols, dtype=np.complex128)
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
@@ -334,8 +339,15 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     evms = np.empty(num_streams)
     bers = np.empty(num_streams)
     for s in range(num_streams):
-        evms[s] = evm(equalized[s], reference_symbols[s])
-        bers[s] = ber(demap_symbols(equalized[s], scheme)[0], reference_bits[s])
+        ref_rms = np.sqrt(np.mean(np.abs(reference_symbols[s]) ** 2))
+        if ref_rms == 0.0:
+            raise ValueError("reference power is zero")
+        errors = np.abs(equalized[s] - reference_symbols[s])
+        evms[s] = 100.0 * np.sqrt(np.mean(errors ** 2)) / ref_rms
+        doubtful = np.flatnonzero(~(errors < scheme.decision_radius))
+        decided = demap_symbols(equalized[s, doubtful], scheme)[0]
+        sent = reference_bits[s].reshape(-1, scheme.bits_per_symbol)[doubtful]
+        bers[s] = np.count_nonzero(decided != sent.ravel()) / reference_bits.shape[1]
     return LinkReport(detected_symbols=equalized, reference_symbols=reference_symbols,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)

@@ -7,7 +7,9 @@ gains of propagation.build_channels, dft_direct for the fast transform
 behind spectral.periodogram, channel_estimate_pairs for the channel
 estimate in scenario summaries, the row-at-a-time csv.writer writers for
 the CSV that scenario.export_csv writes from each artifact table,
-demap_symbols for the blocked txrx.demap_symbols, surface_pass for the
+demap_symbols for the blocked txrx.demap_symbols, evm and ber for the
+scores txrx.detect forms from its error magnitudes and from demapping only
+the symbols that could be in error, surface_pass for the
 block kernel of propagation.prepare_pass and pass_block, integrate for
 the blockwise txrx.integrate_and_dump, and simulate for scenario.simulate,
 which streams its frames in blocks.
@@ -29,7 +31,7 @@ import numpy as np
 from metalink import core, metasurface, propagation, spectral, txrx
 from metalink.core import ConfigurationError, ContractViolation
 from metalink.scenario import Scenario, ScenarioResult, _harmonic_table, _summarize
-from metalink.txrx import CONDITION_LIMIT, DetectionError, ber, evm
+from metalink.txrx import CONDITION_LIMIT, DetectionError
 
 
 def cell_position(geometry, n: int, m: int) -> np.ndarray:
@@ -113,6 +115,29 @@ def demap_symbols(symbols, scheme):
     shifts = np.arange(b - 1, -1, -1)
     bits = ((words[:, np.newaxis] >> shifts) & 1).reshape(-1)
     return bits, scheme.points[words]
+
+
+def evm(detected, reference) -> float:
+    """RMS error vector magnitude in percent of the reference RMS."""
+    detected = np.asarray(detected, dtype=np.complex128)
+    reference = np.asarray(reference, dtype=np.complex128)
+    if detected.shape != reference.shape:
+        raise ContractViolation("detected and reference must have equal length")
+    ref_rms = np.sqrt(np.mean(np.abs(reference) ** 2))
+    if ref_rms == 0.0:
+        raise ValueError("reference power is zero")
+    return float(100.0 * np.sqrt(np.mean(np.abs(detected - reference) ** 2)) / ref_rms)
+
+
+def ber(detected_bits, reference_bits) -> float:
+    """Bit error ratio: Hamming distance over length."""
+    detected_bits = np.asarray(detected_bits, dtype=np.int64)
+    reference_bits = np.asarray(reference_bits, dtype=np.int64)
+    if detected_bits.shape != reference_bits.shape:
+        raise ContractViolation("bit sequences must have equal length")
+    if detected_bits.size == 0:
+        raise ValueError("bit sequences must be non-empty")
+    return float(np.mean(detected_bits != reference_bits))
 
 
 def surface_pass(incident, schedule, stream_of_cell, channels, noise_psd=0.0,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metalink import scenario as scen, txrx
 from metalink.core import (
     ConfigurationError,
     ContractViolation,
@@ -14,10 +15,9 @@ from metalink.txrx import (
     DEMAP_BLOCK,
     DetectionError,
     FrameSpec,
-    ber,
+    ModulationScheme,
     demap_symbols,
     detect,
-    evm,
     get_scheme,
     integrate_and_dump,
     make_pilots,
@@ -27,7 +27,9 @@ from metalink.txrx import (
 )
 
 from oracles import (
+    ber,
     demap_symbols as demap_oracle,
+    evm,
     hadamard_pilots,
     integrate as integrate_oracle,
     receive_frame as receive_oracle,
@@ -36,10 +38,13 @@ from oracles import (
 ALL_SCHEMES = ["BPSK", "QPSK", "8PSK", "16QAM"]
 
 
-def all_words_bits(bits_per_symbol):
-    words = np.arange(2 ** bits_per_symbol)
+def word_bits(words, bits_per_symbol):
     shifts = np.arange(bits_per_symbol - 1, -1, -1)
-    return ((words[:, None] >> shifts) & 1).reshape(-1)
+    return ((np.asarray(words)[:, None] >> shifts) & 1).reshape(-1)
+
+
+def all_words_bits(bits_per_symbol):
+    return word_bits(np.arange(2 ** bits_per_symbol), bits_per_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,41 @@ def test_gray_adjacency_around_the_psk_circle():
     for i in range(8):
         a, b = order[i], order[(i + 1) % 8]
         assert bin(int(a) ^ int(b)).count("1") == 1
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_schemes_are_shared_and_their_points_read_only(name):
+    scheme = get_scheme(name)
+    assert get_scheme(name.lower()) is scheme
+    assert not scheme.points.flags.writeable
+    first = scheme.points[0]
+    with pytest.raises(ValueError):
+        scheme.points[0] = 5.0
+    assert get_scheme(name).points[0] == first
+
+
+def test_a_scheme_copies_the_points_it_is_given():
+    points = np.array([1.0, -1.0], dtype=np.complex128)
+    scheme = ModulationScheme("OWN", 1, points)
+    points[0] = 5.0
+    assert points.flags.writeable and scheme.points[0] == 1.0
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_decision_radius_is_just_under_half_the_smallest_gap(name):
+    scheme = get_scheme(name)
+    p = scheme.points
+    d_min = min(abs(p[i] - p[j]) for i in range(p.size) for j in range(p.size)
+                if i != j)
+    assert scheme.decision_radius == (1.0 - 1e-9) * d_min / 2.0
+
+
+def test_a_repeated_point_gives_radius_zero_and_bad_shapes_are_refused():
+    assert ModulationScheme("REPEAT", 2, [1.0, -1.0, 1j, 1.0]).decision_radius == 0.0
+    with pytest.raises(ConfigurationError):
+        ModulationScheme("NONE", 0, [1.0])
+    with pytest.raises(ConfigurationError):
+        ModulationScheme("GRID", 2, [[1.0, -1.0], [1j, -1j]])
 
 
 def test_map_bits_rejects_ragged_input():
@@ -276,6 +316,109 @@ def test_ber_counts_flips():
     assert ber(flipped, bits) == pytest.approx(0.001)
     with pytest.raises(ContractViolation):
         ber([0, 1], [0, 1, 1])
+
+
+# ---------------------------------------------------------------------------
+# scoring: demapping only the symbols outside the decision radius
+# ---------------------------------------------------------------------------
+
+def count_demapped(monkeypatch) -> list:
+    """Record the number of symbols of each later demap_symbols call."""
+    demapped = []
+    brute_force = txrx.demap_symbols
+
+    def spy(symbols, scheme):
+        demapped.append(len(symbols))
+        return brute_force(symbols, scheme)
+
+    monkeypatch.setattr(txrx, "demap_symbols", spy)
+    return demapped
+
+
+def assert_scores_match_brute_force(report, scheme, bits):
+    """BER and EVM equal (==) the oracles on a full demap of every symbol."""
+    for s, (detected, reference) in enumerate(zip(report.detected_symbols,
+                                                  report.reference_symbols)):
+        assert report.ber[s] == ber(demap_oracle(detected, scheme)[0], bits[s])
+        assert report.evm_percent[s] == evm(detected, reference)
+
+
+def detect_as_equalized(received, words, scheme):
+    """detect on a one-stream frame whose channel estimate is exactly 1, so
+    the equalized symbols are received bit for bit; the references are the
+    points of words."""
+    bits = word_bits(words, scheme.bits_per_symbol)[None, :]
+    frame = FrameSpec(1, len(received), 1e6, 1)
+    means = np.concatenate([frame.pilots[0], received])[None, :]
+    report = detect(means, frame, scheme, bits, map_bits(bits[0], scheme)[None, :])
+    assert np.array_equal(report.detected_symbols[0], received)
+    return report, bits
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_scores_match_brute_force_from_0_to_40_db(name, monkeypatch):
+    scheme = get_scheme(name)
+    rng = np.random.default_rng(ALL_SCHEMES.index(name))
+    h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j], [0.2, 0.1j]])
+    frame = FrameSpec(2, 2000, 1e6, 1)
+    demapped = count_demapped(monkeypatch)
+    for snr_db in range(0, 41, 5):
+        bits = rng.integers(0, 2, size=(2, frame.payload_length * scheme.bits_per_symbol))
+        symbols = np.stack([map_bits(row, scheme) for row in bits])
+        sent = np.concatenate([frame.pilots, symbols], axis=1)
+        clean = h @ sent
+        sigma = np.sqrt(np.mean(np.abs(clean) ** 2) / 10 ** (snr_db / 10) / 2)
+        noise = sigma * (rng.standard_normal(clean.shape)
+                         + 1j * rng.standard_normal(clean.shape))
+        demapped.clear()
+        report = detect(clean + noise, frame, scheme, bits, symbols)
+        assert_scores_match_brute_force(report, scheme, bits)
+        if snr_db == 0:  # both the demapped and the skipped symbols occur
+            assert np.all(report.ber > 0)
+            assert 0 < sum(demapped) < 2 * frame.payload_length
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_scores_match_brute_force_on_boundaries_and_at_the_radius(name):
+    scheme = get_scheme(name)
+    points, r = scheme.points, scheme.decision_radius
+    received, words = [0j], [0]
+    for i in range(points.size):  # every pairwise midpoint, scored against both
+        for j in range(points.size):
+            if i != j:
+                received.append((points[i] + points[j]) / 2)
+                words.append(i)
+    for w in range(points.size):  # at r, one ulp and 1e-12 inside and outside
+        for k in range(16):
+            for rho in (r, np.nextafter(r, 0.0), np.nextafter(r, 2.0),
+                        r * (1 - 1e-12), r * (1 + 1e-12)):
+                received.append(points[w] + rho * np.exp(1j * np.pi * k / 8))
+                words.append(w)
+    received = np.array(received)
+    errors = np.abs(received - points[words])
+    assert np.any(errors == r) and np.any(errors < r) and np.any(errors > r)
+    report, bits = detect_as_equalized(received, words, scheme)
+    assert_scores_match_brute_force(report, scheme, bits)
+
+
+def test_a_repeated_point_demaps_every_symbol(monkeypatch):
+    scheme = ModulationScheme("REPEAT", 2, [1.0, -1.0, 1j, 1.0])
+    words = np.arange(64) % 4
+    demapped = count_demapped(monkeypatch)
+    report, bits = detect_as_equalized(scheme.points[words], words, scheme)
+    assert demapped == [64]
+    assert report.ber[0] == 2 * 16 / 128  # word 3 decides as word 0
+    assert_scores_match_brute_force(report, scheme, bits)
+
+
+def test_the_noiseless_bundled_mimo_frame_demaps_no_symbol(monkeypatch):
+    demapped = count_demapped(monkeypatch)
+    sc = scen.Scenario.from_dict(scen.load_scenario("mimo2x2_16qam"))
+    report = scen.simulate(sc).reports["link"]
+    assert demapped == [0, 0]
+    assert np.all(report.ber == 0.0)
+    assert_scores_match_brute_force(report, sc.scheme, np.stack(
+        [demap_oracle(row, sc.scheme)[0] for row in report.reference_symbols]))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +602,8 @@ def test_detect_rejects_too_few_antennas_and_misshapen_references():
     detect(means, frame, scheme, bits, sent)
     with pytest.raises(ContractViolation):  # one antenna for two streams
         detect(means[:1], frame, scheme, bits, sent)
+    with pytest.raises(ContractViolation):  # one symbol short of the frame
+        detect(means[:, 1:], frame, scheme, bits, sent)
     with pytest.raises(ContractViolation):  # one bit short of the payload
         detect(means, frame, scheme, bits[:, 1:], sent)
     with pytest.raises(ContractViolation):  # one symbol short of the payload
