@@ -5,8 +5,12 @@ Two checkouts that print the same lines write the same artifacts, bit for
 bit, on these runs:
 
   - each bundled scenario, noiseless and at channel.noise_psd=0.01;
-  - mimo2x2_16qam at frame.payload_symbols=100000 and channel.noise_psd=1e-3,
-    a frame that streams through 62 blocks with noise at each point;
+  - mimo2x2_16qam at frame.payload_symbols=100000, noiseless and at
+    channel.noise_psd=1e-3, a frame that streams through 62 blocks with
+    noise at each point;
+  - um_mimo64: 64 QPSK streams on 2 x 2-cell blocks of a 16 x 16 surface,
+    fed from 2 m, each received at its own point of an 8 x 8 grid of
+    0.07 m pitch 0.15 m above the surface, free space, noiseless;
   - the param_sweep cases of bench/workloads.py for seeds 1 to 10, one line
     per seed covering its 136 cases in order.
 
@@ -29,6 +33,15 @@ import metalink as ml  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SWEEP_SEEDS = range(1, 11)
+# um_mimo64, as overrides of mimo2x2_16qam
+UM_MIMO64 = {
+    "geometry.rows": 16, "geometry.cols": 16, "modulation": "QPSK",
+    "points": [{"position_m": [0.0, 0.0, 2.0], "role": "feed"}] + [
+        {"position_m": [(i - 3.5) * 0.07, (j - 3.5) * 0.07, 0.15], "role": "rx"}
+        for j in range(8) for i in range(8)],
+    "channel": {"kind": "free_space", "noise_psd": 0.0},
+    "partition": [(n // 2) * 8 + m // 2 for n in range(16) for m in range(16)],
+}
 
 
 def _bundled_runs():
@@ -37,6 +50,9 @@ def _bundled_runs():
         yield f"{name} noise_psd=0.01", name, {"channel.noise_psd": 0.01}
     yield ("mimo2x2_16qam payload_symbols=100000 noise_psd=1e-3", "mimo2x2_16qam",
            {"frame.payload_symbols": 100000, "channel.noise_psd": 1e-3})
+    yield ("mimo2x2_16qam payload_symbols=100000", "mimo2x2_16qam",
+           {"frame.payload_symbols": 100000})
+    yield "um_mimo64", "mimo2x2_16qam", UM_MIMO64
 
 
 def _add_dir(digest, out_dir: Path) -> None:

@@ -9,6 +9,7 @@ observation points; the surface itself is passive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -145,10 +146,15 @@ class SurfacePass:
     weights: np.ndarray
     hold: int
     block_samples: int
-    buffer: np.ndarray
     noise_scale: float = 0.0
     noise: list = field(default_factory=list)
     position: int = 0
+
+    @functools.cached_property
+    def buffer(self) -> np.ndarray:
+        """The (points, block_samples) block buffer, made on first use, so a
+        caller that reads only the weights allocates none."""
+        return np.empty((len(self.weights), self.block_samples), dtype=np.complex128)
 
 
 def prepare_pass(sample_rate: float, num_samples: int, schedule: CoefficientSchedule,
@@ -164,7 +170,9 @@ def prepare_pass(sample_rate: float, num_samples: int, schedule: CoefficientSche
     symbol_samples and whole schedule steps that fits in BLOCK_SAMPLES, at
     least one of each and at most the whole envelope; the last block may
     be shorter. A symbol as long as the envelope makes the pass one block.
-    The checks are those surface_pass documents.
+    The checks are those surface_pass documents. The block buffer is made
+    by the first pass_block, so a caller that takes only the weights, as a
+    noiseless link frame does, allocates none.
     """
     if not noise_psd >= 0.0:
         raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
@@ -197,8 +205,7 @@ def prepare_pass(sample_rate: float, num_samples: int, schedule: CoefficientSche
         raise ContractViolation("noise needs one seed per observation point")
     unit = math.lcm(hold, symbol_samples)
     block_samples = min(max(1, BLOCK_SAMPLES // unit) * unit, num_samples)
-    buffer = np.empty((channels.num_points, block_samples), dtype=np.complex128)
-    sp = SurfacePass(gains.T @ schedule.values, hold, block_samples, buffer)
+    sp = SurfacePass(gains.T @ schedule.values, hold, block_samples)
     if noise_psd > 0.0:
         sp.noise_scale = np.sqrt(noise_psd / 2.0)
         for seed in noise_seeds:

@@ -581,19 +581,46 @@ def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
     return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
 
 
+def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels,
+                noise_seeds) -> tuple:
+    """The per-symbol means and the spectrum head of a link frame, as
+    _stream_frame returns them: the surface writes the symbols onto the
+    feed's constant tone.
+
+    A noisy frame streams through the pass. A noiseless one needs no
+    samples: every sample of symbol k at point p is held[p, k] =
+    carrier * weights[p, k], so its mean is taken over a zero-stride view
+    of held, numpy's same pairwise sum over the same values as a written
+    block, and the spectrum head repeats the first symbols of point 0. The
+    results are those of the streamed pass, bit for bit.
+    """
+    sps = sc.samples_per_symbol * sc.oversample
+    num_samples = frame.num_symbols * sps
+    carrier = core.tone_envelope(num_samples, sc.envelope_rate(),
+                                 sc.carrier_freq_hz).samples
+    schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
+    if sc.noise_psd > 0.0:
+        return _stream_frame(sc, frame, lambda start, stop: carrier[start:stop],
+                             schedule, sc.stream_of_cell, channels, noise_seeds)
+    held = propagation.prepare_pass(sc.envelope_rate(), num_samples, schedule,
+                                    sc.stream_of_cell, channels,
+                                    symbol_samples=sps).weights  # its own array
+    del schedule  # freed before the means are formed
+    held *= carrier[0]
+    means = np.empty(held.shape, dtype=np.complex128)
+    np.broadcast_to(held[:, :, np.newaxis], held.shape + (sps,)).mean(axis=2, out=means)
+    length = sc.spectrum_length(num_samples)
+    head = np.repeat(held[0, :-(-length // sps)], sps)[:length]
+    return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
+
+
 def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
                 noise_seeds, tag: str) -> txrx.LinkReport:
     """The surface writes a frame onto the feed's tone and the observation
     points receive it; the first point's spectrum goes under tag."""
     frame = sc.frame(int(sc.stream_of_cell.max()) + 1)
     bits, symbols = _payload(sc, frame, bits_seed)
-    carrier = core.tone_envelope(
-        frame.num_symbols * sc.samples_per_symbol * sc.oversample,
-        sc.envelope_rate(), sc.carrier_freq_hz).samples
-    means, head = _stream_frame(
-        sc, frame, lambda start, stop: carrier[start:stop],
-        txrx.symbols_to_schedule(symbols, frame, sc.quantization),
-        sc.stream_of_cell, channels, noise_seeds)
+    means, head = _link_frame(sc, frame, symbols, channels, noise_seeds)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     report.spectra[tag] = spectral.periodogram(head)
     return report
@@ -665,13 +692,17 @@ def simulate(sc: Scenario) -> ScenarioResult:
     equals child i of spawn; noise children are built only when
     noise_psd > 0.
 
-    Each frame of a link or receive phase streams through the surface pass
-    and integrate-and-dump in blocks of whole symbols (about
-    propagation.BLOCK_SAMPLES samples per point), so memory does not hold
-    a whole received envelope. Neither the seed layout nor a point's noise
-    draw order (all real parts, then all imaginary parts) depends on the
-    blocks, so the results equal a whole-envelope run bit for bit. SDC mode
-    takes its envelope whole, for the DFT over whole ramp periods.
+    Each frame of a noisy link phase and of the receive phase streams
+    through the surface pass and integrate-and-dump in blocks of whole
+    symbols (about propagation.BLOCK_SAMPLES samples per point), so memory
+    does not hold a whole received envelope. Neither the seed layout nor a
+    point's noise draw order (all real parts, then all imaginary parts)
+    depends on the blocks, so the results equal a whole-envelope run bit
+    for bit. A noiseless link frame writes no samples: it takes its means
+    from the held coefficients, carrier * weights per point and symbol,
+    and builds only the spectrum head, with the same results bit for bit
+    (_link_frame). SDC mode takes its envelope whole, for the DFT over
+    whole ramp periods.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"

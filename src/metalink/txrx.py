@@ -206,10 +206,6 @@ class FrameSpec:
     def num_symbols(self) -> int:
         return self.pilot_length + self.payload_length
 
-    @property
-    def control_rate(self) -> float:
-        return self.symbol_rate * self.samples_per_symbol
-
 
 def symbols_to_schedule(stream_symbols, frame: FrameSpec,
                         quant: QuantizationModel = CONTINUOUS) -> CoefficientSchedule:

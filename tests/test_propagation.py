@@ -434,6 +434,7 @@ def test_blocks_are_whole_symbols_and_steps():
     schedule = ones_schedule(1, 8192, rate=1e8 / 16)
     sp = prepare_pass(1e8, 8192 * 16, schedule, [0], UNIT_CELL, symbol_samples=640)
     assert sp.block_samples == BLOCK_SAMPLES // 640 * 640
+    assert "buffer" not in vars(sp)  # made by the first pass_block or read
     assert sp.buffer.shape == (1, sp.block_samples)
     # hold 6 and 4-sample symbols: blocks of whole 12-sample runs
     schedule = ones_schedule(1, 2 ** 14, rate=1e8 / 6)

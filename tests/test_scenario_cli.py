@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from metalink import cli
+from metalink import cli, core, propagation, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.spectral import Spectrum
@@ -371,6 +371,85 @@ def test_long_noisy_frame_simulates_in_bounded_memory():
                                     "channel.noise_psd": 1e-3})
     assert np.all(result.reports["link"].ber == 0.0)
     assert peak < 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 50), (64, 7)])
+def test_the_mean_over_a_held_view_equals_the_mean_of_a_written_block(shape):
+    # a noiseless link frame takes each per-symbol mean over a zero-stride
+    # view of its held coefficients; numpy must reduce that view as it
+    # reduces the same values written out sample by sample, as pass_block
+    # lays them out, bit for bit
+    rng = np.random.default_rng(sum(shape))
+    held = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    held[0, 0] = -0.0 - 0.0j
+    for sps in [*range(1, 141), 255, 256, 257, 1000, 4096]:
+        view = np.broadcast_to(held[:, :, np.newaxis], shape + (sps,))
+        block = np.repeat(held, sps, axis=1)
+        want = txrx.integrate_and_dump(block, sps)
+        got = np.empty(shape, dtype=np.complex128)
+        view.mean(axis=2, out=got)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), sps
+
+
+def spied_simulate(monkeypatch, overrides: dict) -> tuple:
+    """simulate(mimo2x2_16qam) with overrides, counting pass_block calls:
+    (result, calls, the SurfacePass of each prepare_pass call)."""
+    calls, passes = [], []
+    pass_block, prepare_pass = propagation.pass_block, propagation.prepare_pass
+
+    def count(sp, incident):
+        calls.append(len(incident))
+        return pass_block(sp, incident)
+
+    def keep(*args, **kwargs):
+        passes.append(prepare_pass(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(propagation, "pass_block", count)
+    monkeypatch.setattr(propagation, "prepare_pass", keep)
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
+    return scen.simulate(scen.Scenario.from_dict(data)), calls, passes
+
+
+def test_a_noiseless_link_frame_writes_no_samples(monkeypatch):
+    result, calls, passes = spied_simulate(monkeypatch, {})
+    assert np.all(result.reports["link"].ber == 0.0)
+    assert calls == [] and len(passes) == 1
+    assert "buffer" not in vars(passes[0])  # no block buffer was made
+
+
+def test_a_noisy_link_frame_still_streams_through_the_pass(monkeypatch):
+    result, calls, passes = spied_simulate(monkeypatch, {"channel.noise_psd": 1e-3})
+    assert np.all(result.reports["link"].ber == 0.0)
+    assert sum(calls) == 40 * 10008 and len(calls) == 7
+    assert passes[0].buffer.shape == (2, passes[0].block_samples)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"spectrum_bins": None}, {"spectrum_bins": 2}, {"spectrum_bins": 41},
+    {"oversample": 3, "control_rate_hz": 1e8, "quantization": {
+        "phase_levels": 4, "amplitude_levels": 2, "phase_offset_rad": 0.1}},
+    {"frame.payload_symbols": 3}])
+def test_a_noiseless_link_frame_equals_its_streamed_pass(overrides):
+    # the held means and spectrum head against the streamed pass, which a
+    # noisy frame runs, on the same schedule with no noise drawn
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
+    sc = scen.Scenario.from_dict(data)
+    frame = sc.frame(2)
+    channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
+    _, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
+    means, head = scen._link_frame(sc, frame, symbols, channels, None)
+    carrier = core.tone_envelope(frame.num_symbols * sc.samples_per_symbol
+                                 * sc.oversample, sc.envelope_rate(), 0.0).samples
+    want_means, want_head = scen._stream_frame(
+        sc, frame, lambda start, stop: carrier[start:stop],
+        txrx.symbols_to_schedule(symbols, frame, sc.quantization),
+        sc.stream_of_cell, channels, None)
+    assert np.array_equal(means.view(np.uint64), want_means.view(np.uint64))
+    assert np.array_equal(head.samples.view(np.uint64),
+                          want_head.samples.view(np.uint64))
+    assert (head.sample_rate, head.carrier_freq) == (want_head.sample_rate,
+                                                     want_head.carrier_freq)
 
 
 def test_integrated_switch_decodes_under_moderate_noise():

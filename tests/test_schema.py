@@ -319,7 +319,8 @@ WIRING_CASES = [
 # simulate streams each frame in blocks of whole symbols; these cases restore
 # the bundled frame sizes, which span several blocks: 7 in mimo2x2_16qam,
 # whose 65 536-bin spectrum head ends in its second block, and 6 in each
-# phase of integrated_switch, which decodes at this noise level
+# phase of integrated_switch, which decodes at this noise level; without
+# noise the link phase takes its means from the held coefficients instead
 FULL_SIZE = {"mimo2x2_16qam": {"frame.payload_symbols": 10000},
              "integrated_switch": {"frame.payload_symbols": 512, "oversample": 16}}
 STREAMED_CASES = [
@@ -331,6 +332,9 @@ STREAMED_CASES = [
     pytest.param("integrated_switch", {**FULL_SIZE["integrated_switch"],
                                        "channel.noise_psd": 1e-7},
                  id="blocks-integrated"),
+    pytest.param("mimo2x2_16qam", FULL_SIZE["mimo2x2_16qam"], id="held-head"),
+    pytest.param("integrated_switch", FULL_SIZE["integrated_switch"],
+                 id="held-integrated"),
 ]
 
 

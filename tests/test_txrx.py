@@ -222,7 +222,7 @@ def test_a_non_integer_stream_count_is_refused_even_when_its_value_is_cached():
 
 def test_frame_control_rate():
     frame = FrameSpec(2, 100, 2.5e6, 40)
-    assert frame.control_rate == 1e8
+    assert frame.symbol_rate * frame.samples_per_symbol == 1e8
     assert frame.pilot_length == 8
     assert frame.num_symbols == 108
 
@@ -237,7 +237,7 @@ def test_single_constant_symbol_schedule():
     assert sched.num_streams == 1
     assert sched.num_steps == 4 + 1  # one column per symbol
     assert sched.control_rate == frame.symbol_rate
-    held = resample_hold(sched, frame.control_rate)
+    held = resample_hold(sched, frame.symbol_rate * frame.samples_per_symbol)
     assert held.num_steps == (4 + 1) * 4
     assert np.all(held.values[:, -4:] == 1.0)  # payload after the pilots
     assert np.array_equal(held.values[0, :16], np.repeat(frame.pilots[0], 4))
@@ -247,7 +247,7 @@ def test_two_stream_bpsk_schedule_sets_halves():
     stream_of_cell = np.array([0, 0, 1, 1, 0, 0, 1, 1])  # left and right halves
     frame = FrameSpec(2, 1, 1e6, 2)
     held = resample_hold(symbols_to_schedule([[1.0], [-1.0]], frame),
-                         frame.control_rate)
+                         frame.symbol_rate * frame.samples_per_symbol)
     payload = held.values[stream_of_cell, -2:]  # what each cell holds
     left = stream_of_cell == 0
     assert np.all(payload[left] == 1.0)
@@ -258,7 +258,7 @@ def test_symbol_rate_for_20mbps_aggregate():
     # 2 streams x 4 bits x 2.5 MBd = 20 Mbps; 100 MHz control -> 40 samples
     frame = FrameSpec(2, 10, 2.5e6, 40)
     assert frame.samples_per_symbol == 40
-    assert frame.control_rate == pytest.approx(1e8)
+    assert frame.symbol_rate * frame.samples_per_symbol == pytest.approx(1e8)
     aggregate_bps = 2 * 4 * frame.symbol_rate
     assert aggregate_bps == pytest.approx(20e6)
 
@@ -440,7 +440,8 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
     # one unit-fed cell per stream whose gain to antenna a is h[a, s]
     schedule = symbols_to_schedule(symbols, frame)
     carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
-                            frame.control_rate, 4.25e9, freq_offset=freq_offset)
+                            frame.symbol_rate * frame.samples_per_symbol, 4.25e9,
+                            freq_offset=freq_offset)
     noise_seeds = np.random.SeedSequence(seed).spawn(antennas)
     rx = surface_pass(carrier, schedule, np.arange(streams),
                       ChannelSet(np.ones(streams), h.T), noise_psd, noise_seeds)
@@ -630,7 +631,7 @@ def test_partition_permutation_leaves_stream_products_unchanged():
     assert not np.array_equal(perm, np.arange(8))
 
     carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
-                            frame.control_rate, 4.25e9)
+                            frame.symbol_rate * frame.samples_per_symbol, 4.25e9)
     out = surface_pass(carrier, sched, stream_of_cell, ChannelSet(feed, obs))
     out_perm = surface_pass(carrier, sched, stream_of_cell,
                             ChannelSet(feed[perm], obs[perm]))
