@@ -16,10 +16,11 @@ def main():
     parser.add_argument("--out", default="results", help="output root directory")
     parser.add_argument("--seed", type=int, default=None, help="override rng_seed")
     args = parser.parse_args()
+    overrides = {} if args.seed is None else {"rng_seed": args.seed}
 
     for name in scen.bundled_scenario_names():
         start = time.perf_counter()
-        result = scen.run_scenario(name, f"{args.out}/{name}", seed=args.seed)
+        result = scen.run_scenario(name, f"{args.out}/{name}", overrides=overrides)
         elapsed = time.perf_counter() - start
         parts = [f"{name:18s} {elapsed:6.2f} s"]
         for key, entry in result.summary["reports"].items():

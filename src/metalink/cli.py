@@ -78,6 +78,8 @@ def main(argv=None) -> int:
 
     try:
         overrides = _parse_overrides(args.override)
+        if getattr(args, "seed", None) is not None:  # wins over --override rng_seed=
+            overrides["rng_seed"] = args.seed
         data = scen.load_scenario(args.scenario)
         data = scen.apply_overrides(data, overrides)
     except ConfigurationError as exc:
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
     # run
     out_dir = args.out_dir or f"metalink_out/{data.get('name')}"
     try:
-        result = scen.run_scenario(data, out_dir, seed=args.seed)
+        result = scen.run_scenario(data, out_dir)
     except scen.ValidationError as exc:
         return _report(exc.violations)
     except Exception as exc:  # noqa: BLE001 - map any failure to exit code 2

@@ -9,9 +9,8 @@ observation points; the surface itself is passive.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,50 +131,18 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
 BLOCK_SAMPLES = 2 ** 16  # envelope samples per point in one block of a streamed pass
 
 
-@dataclass(eq=False)
-class SurfacePass:
-    """A checked surface pass, run over the envelope block by block.
-
-    Built by prepare_pass and advanced by pass_block. weights[p, k] =
-    sum_s G[s, p] * w_s[k] is point p's gain while schedule step k holds,
-    which is for hold envelope samples. position counts the steps done.
-    noise holds, per point, the generator of the real parts and that of
-    the imaginary parts; they are one generator when the pass is one block.
-    """
-
-    weights: np.ndarray
-    hold: int
-    block_samples: int
-    noise_scale: float = 0.0
-    noise: list = field(default_factory=list)
-    position: int = 0
-
-    @functools.cached_property
-    def buffer(self) -> np.ndarray:
-        """The (points, block_samples) block buffer, made on first use, so a
-        caller that reads only the weights allocates none."""
-        return np.empty((len(self.weights), self.block_samples), dtype=np.complex128)
-
-
-def prepare_pass(sample_rate: float, num_samples: int, schedule: CoefficientSchedule,
-                 stream_of_cell, channels: ChannelSet, noise_psd: float = 0.0,
-                 noise_seeds=None, symbol_samples: int = 1) -> SurfacePass:
-    """Check a surface pass over num_samples envelope samples and form its
-    per-point weights = G.T @ schedule.values.
+def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSchedule,
+                 stream_of_cell, channels: ChannelSet) -> tuple:
+    """Check a surface pass over num_samples envelope samples; return its
+    per-point weights = G.T @ schedule.values and its hold.
 
     Cell c (row-major flat index) is lit by feed_gains[c], holds row
     stream_of_cell[c] of the schedule, and reaches point p through
     obs_gains[c, p]; G[s, p] sums feed_gains[c] * obs_gains[c, p] over the
-    cells c of stream s. A block is the longest run of whole symbols of
-    symbol_samples and whole schedule steps that fits in BLOCK_SAMPLES, at
-    least one of each and at most the whole envelope; the last block may
-    be shorter. A symbol as long as the envelope makes the pass one block.
-    The checks are those surface_pass documents. The block buffer is made
-    by the first pass_block, so a caller that takes only the weights, as a
-    noiseless link frame does, allocates none.
+    cells c of stream s. weights[p, k] is point p's gain while schedule
+    step k holds, which is for hold envelope samples. The checks are those
+    surface_pass documents, but for the noise ones, which run_pass adds.
     """
-    if not noise_psd >= 0.0:
-        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
     hold = _hold_ratio(schedule.control_rate, sample_rate)
     if hold is None:
         raise ContractViolation(
@@ -200,56 +167,63 @@ def prepare_pass(sample_rate: float, num_samples: int, schedule: CoefficientSche
             raise ConfigurationError(
                 "effective stream gains are too large: the received power would "
                 "overflow; check the channel gains and the wavelength")
+    return gains.T @ schedule.values, hold
+
+
+def run_pass(incident, sample_rate: float, num_samples: int,
+             schedule: CoefficientSchedule, stream_of_cell, channels: ChannelSet,
+             noise_psd: float, noise_seeds, symbol_samples: int, take) -> None:
+    """Run a checked surface pass block by block, handing each block to
+    take(start, rx).
+
+    incident(start, stop) gives the incident samples start:stop of the
+    envelope. A block is the longest run of whole symbols of symbol_samples
+    and whole schedule steps that fits in BLOCK_SAMPLES, at least one of
+    each and at most the whole envelope; the last block may be shorter, and
+    a symbol as long as the envelope makes the pass one block. rx holds the
+    received samples start:start + rx.shape[1] at every point, (points, n):
+    rx[p, n] = incident[n] * weights[p, n // hold] (pass_weights), plus
+    noise. It is a view of one buffer, which the next block overwrites.
+
+    The noise of a point continues one draw order over the whole pass: all
+    real parts, then all imaginary parts, from default_rng(noise_seeds[p]).
+    A pass of several blocks reads the imaginary parts from a second
+    generator that skipped the real ones, so the samples do not depend on
+    the block length. The checks are those surface_pass documents.
+    """
+    if not noise_psd >= 0.0:
+        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
+    weights, hold = pass_weights(sample_rate, num_samples, schedule, stream_of_cell,
+                                 channels)
     if noise_psd > 0.0 and (noise_seeds is None
                             or len(noise_seeds) != channels.num_points):
         raise ContractViolation("noise needs one seed per observation point")
     unit = math.lcm(hold, symbol_samples)
     block_samples = min(max(1, BLOCK_SAMPLES // unit) * unit, num_samples)
-    sp = SurfacePass(gains.T @ schedule.values, hold, block_samples)
+    buffer = np.empty((channels.num_points, block_samples), dtype=np.complex128)
+    noise = []
     if noise_psd > 0.0:
-        sp.noise_scale = np.sqrt(noise_psd / 2.0)
+        # the skipped draws land in the buffer, which the first block
+        # overwrites, so skipping allocates nothing
+        drop = buffer[0].view(np.float64)[:block_samples]
         for seed in noise_seeds:
-            real = np.random.default_rng(seed)
-            imag = real
+            real = imag = np.random.default_rng(seed)
             if block_samples < num_samples:  # skip past the real parts
                 imag = np.random.default_rng(seed)
-                drop = np.empty(block_samples)
                 for start in range(0, num_samples, block_samples):
                     imag.standard_normal(out=drop[:num_samples - start])
-            sp.noise.append((real, imag))
-    return sp
-
-
-def pass_block(sp: SurfacePass, incident) -> np.ndarray:
-    """Received samples of the next block at every point, (points, n).
-
-    incident holds the block's n incident samples, the next n envelope
-    samples of the pass; n is sp.block_samples except for a shorter last
-    block. The block kernel: rx[p, n] = incident[n] * weights[p, n // hold],
-    plus noise. The result is a view of sp.buffer, which the next block
-    overwrites.
-
-    The noise of a point continues one draw order over the whole pass, as
-    one call of surface_pass draws it: all real parts, then all imaginary
-    parts, from default_rng(noise_seeds[p]). A pass of several blocks reads
-    the imaginary parts from a second generator that skipped the real ones,
-    so the samples do not depend on the block length.
-    """
-    incident = np.asarray(incident)
-    n, rest = divmod(len(incident), sp.hold)
-    k = sp.position
-    if rest or not 0 < n <= min(sp.block_samples // sp.hold,
-                                 sp.weights.shape[1] - k):
-        raise ContractViolation(
-            f"block of {len(incident)} samples does not fit step {k} of the pass")
-    rx = sp.buffer[:, :n * sp.hold]
-    np.multiply(incident.reshape(n, sp.hold), sp.weights[:, k:k + n, np.newaxis],
-                out=rx.reshape(-1, n, sp.hold))
-    for row, (real, imag) in zip(rx, sp.noise):
-        row += sp.noise_scale * (real.standard_normal(len(row))
-                                 + 1j * imag.standard_normal(len(row)))
-    sp.position = k + n
-    return rx
+            noise.append((real, imag))
+    scale = np.sqrt(noise_psd / 2.0)
+    for start in range(0, num_samples, block_samples):
+        stop = min(start + block_samples, num_samples)
+        k, n = start // hold, (stop - start) // hold
+        rx = buffer[:, :stop - start]
+        np.multiply(incident(start, stop).reshape(n, hold), weights[:, k:k + n, np.newaxis],
+                    out=rx.reshape(-1, n, hold))
+        for row, (real, imag) in zip(rx, noise):
+            row += scale * (real.standard_normal(len(row))
+                            + 1j * imag.standard_normal(len(row)))
+        take(start, rx)
 
 
 def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
@@ -275,12 +249,13 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     negative or NaN noise_psd is a ContractViolation. Gains so large that
     the received power would overflow are a ConfigurationError.
 
-    The whole envelope is one block of prepare_pass and pass_block; a
-    caller that needs only per-block reductions runs those two itself.
-    Space-down-conversion mode calls this, since its DFT reads the whole
-    envelope, and it stays public because the acceptance gate drives the
-    surface through it.
+    The whole envelope is one block of run_pass; a caller that needs only
+    per-block reductions runs run_pass itself. Space-down-conversion mode
+    calls this, since its DFT reads the whole envelope, and it stays public
+    because the acceptance gate drives the surface through it.
     """
-    sp = prepare_pass(incident.sample_rate, len(incident), schedule, stream_of_cell,
-                      channels, noise_psd, noise_seeds, symbol_samples=len(incident))
-    return [incident.with_samples(row) for row in pass_block(sp, incident.samples)]
+    rx = []
+    run_pass(lambda start, stop: incident.samples[start:stop], incident.sample_rate,
+             len(incident), schedule, stream_of_cell, channels, noise_psd, noise_seeds,
+             len(incident), lambda start, block: rx.extend(block))
+    return [incident.with_samples(row) for row in rx]

@@ -219,8 +219,10 @@ def _is_object(v) -> bool:
 # parents come before their children, and mode and channel.kind before the
 # fields they gate
 FIELDS = (
-    Field("name", lambda v: isinstance(v, str) and v != "",
-          "must be a non-empty string"),
+    Field("name", lambda v: (isinstance(v, str) and v not in ("", ".", "..")
+                             and not any(c in v for c in "/\\\0")),
+          "must be a non-empty string without '/', '\\' or NUL, other than '.' "
+          "and '..' (it names the default output directory)"),
     Field("description", lambda v: isinstance(v, str), "must be a string", ""),
     Field("mode", MODES.__contains__, f"must be one of {MODES}"),
     Field("carrier_freq_hz", _positive, "must be a number > 0"),
@@ -556,8 +558,9 @@ def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
 def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
                   schedule: core.CoefficientSchedule, stream_of_cell, channels,
                   noise_seeds, expected_shift: float = 0.0) -> tuple:
-    """The surface pass and integrate-and-dump of a frame, block by block;
-    incident(start, stop) gives the incident samples of each block.
+    """The surface pass and integrate-and-dump of a frame, block by block
+    (propagation.run_pass); incident(start, stop) gives the incident
+    samples of each block.
 
     Returns the (points x symbols) per-symbol means and the envelope of the
     first spectrum_length samples at the first point, which is all that
@@ -566,18 +569,18 @@ def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
     """
     sps = sc.samples_per_symbol * sc.oversample
     num_samples = frame.num_symbols * sps
-    sp = propagation.prepare_pass(sc.envelope_rate(), num_samples, schedule,
-                                  stream_of_cell, channels, sc.noise_psd,
-                                  noise_seeds, sps)
     means = np.empty((channels.num_points, frame.num_symbols), dtype=np.complex128)
     head = np.empty(sc.spectrum_length(num_samples), dtype=np.complex128)
-    for start in range(0, num_samples, sp.block_samples):
-        stop = min(start + sp.block_samples, num_samples)
-        rx = propagation.pass_block(sp, incident(start, stop))
+
+    def take(start, rx):
+        stop = start + rx.shape[1]
         means[:, start // sps:stop // sps] = txrx.integrate_and_dump(
             rx, sps, start, expected_shift, sc.envelope_rate())
         if start < len(head):
             head[start:stop] = rx[0, :len(head) - start]
+
+    propagation.run_pass(incident, sc.envelope_rate(), num_samples, schedule,
+                         stream_of_cell, channels, sc.noise_psd, noise_seeds, sps, take)
     return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
 
 
@@ -588,11 +591,12 @@ def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels,
     feed's constant tone.
 
     A noisy frame streams through the pass. A noiseless one needs no
-    samples: every sample of symbol k at point p is held[p, k] =
-    carrier * weights[p, k], so its mean is taken over a zero-stride view
-    of held, numpy's same pairwise sum over the same values as a written
-    block, and the spectrum head repeats the first symbols of point 0. The
-    results are those of the streamed pass, bit for bit.
+    samples, only the checked weights of propagation.pass_weights: every
+    sample of symbol k at point p is held[p, k] = carrier * weights[p, k],
+    so its mean is taken over a zero-stride view of held, numpy's same
+    pairwise sum over the same values as a written block, and the spectrum
+    head repeats the first symbols of point 0. The results are those of the
+    streamed pass, bit for bit.
     """
     sps = sc.samples_per_symbol * sc.oversample
     num_samples = frame.num_symbols * sps
@@ -602,9 +606,8 @@ def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels,
     if sc.noise_psd > 0.0:
         return _stream_frame(sc, frame, lambda start, stop: carrier[start:stop],
                              schedule, sc.stream_of_cell, channels, noise_seeds)
-    held = propagation.prepare_pass(sc.envelope_rate(), num_samples, schedule,
-                                    sc.stream_of_cell, channels,
-                                    symbol_samples=sps).weights  # its own array
+    held, _ = propagation.pass_weights(sc.envelope_rate(), num_samples, schedule,
+                                       sc.stream_of_cell, channels)  # its own array
     del schedule  # freed before the means are formed
     held *= carrier[0]
     means = np.empty(held.shape, dtype=np.complex128)
@@ -692,17 +695,18 @@ def simulate(sc: Scenario) -> ScenarioResult:
     equals child i of spawn; noise children are built only when
     noise_psd > 0.
 
-    Each frame of a noisy link phase and of the receive phase streams
-    through the surface pass and integrate-and-dump in blocks of whole
-    symbols (about propagation.BLOCK_SAMPLES samples per point), so memory
-    does not hold a whole received envelope. Neither the seed layout nor a
-    point's noise draw order (all real parts, then all imaginary parts)
-    depends on the blocks, so the results equal a whole-envelope run bit
-    for bit. A noiseless link frame writes no samples: it takes its means
-    from the held coefficients, carrier * weights per point and symbol,
-    and builds only the spectrum head, with the same results bit for bit
-    (_link_frame). SDC mode takes its envelope whole, for the DFT over
-    whole ramp periods.
+    Each frame of a noisy link phase and of the receive phase is one
+    propagation.run_pass call, which hands _stream_frame blocks of whole
+    symbols (about propagation.BLOCK_SAMPLES samples per point) to
+    integrate and dump, so memory does not hold a whole received envelope.
+    Neither the seed layout nor a point's noise draw order (all real parts,
+    then all imaginary parts) depends on the blocks, so the results equal a
+    whole-envelope run bit for bit. A noiseless link frame writes no
+    samples: it takes its means from the held coefficients, carrier *
+    weights per point and symbol (propagation.pass_weights), and builds
+    only the spectrum head, with the same results bit for bit
+    (_link_frame). SDC mode takes its envelope whole, as the one block of
+    surface_pass, for the DFT over whole ramp periods.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
@@ -871,14 +875,11 @@ def export_csv(out_dir) -> list:
     return paths
 
 
-def run_scenario(source, out_dir, seed: int | None = None,
-                 overrides: dict | None = None) -> ScenarioResult:
+def run_scenario(source, out_dir, overrides: dict | None = None) -> ScenarioResult:
     """Load, validate, simulate, and write artifacts; the CLI entry path."""
     data = load_scenario(source)
     if overrides:
         data = apply_overrides(data, overrides)
-    if seed is not None:
-        data["rng_seed"] = seed
     sc = Scenario.from_dict(data)
     result = simulate(sc)
     write_artifacts(result, out_dir)

@@ -10,7 +10,8 @@ the CSV that scenario.export_csv writes from each artifact table,
 demap_symbols for the blocked txrx.demap_symbols, evm and ber for the
 scores txrx.detect forms from its error magnitudes and from demapping only
 the symbols that could be in error, surface_pass for the
-block kernel of propagation.prepare_pass and pass_block, integrate for
+block kernel of propagation.run_pass and the weights of pass_weights,
+integrate for
 the blockwise txrx.integrate_and_dump, and simulate for scenario.simulate,
 which streams its frames in blocks.
 

@@ -234,7 +234,7 @@ def test_each_exemption_is_still_needed():
 
 
 def test_a_same_named_field_of_another_class_is_not_a_use_of_a_property():
-    # as before FrameSpec.control_rate was deleted: only prepare_pass reads
+    # as before FrameSpec.control_rate was deleted: only pass_weights reads
     # a control_rate, and it reads the schedule's field
     core = ("class CoefficientSchedule:\n"
             "    control_rate: float\n"
@@ -249,7 +249,7 @@ def test_a_same_named_field_of_another_class_is_not_a_use_of_a_property():
             "    @property\n"
             "    def num_steps(self):\n"
             "        return 1\n")
-    user = ("def prepare_pass(schedule: core.CoefficientSchedule, frame: 'FrameSpec'):\n"
+    user = ("def pass_weights(schedule: core.CoefficientSchedule, frame: 'FrameSpec'):\n"
             "    return schedule.control_rate, schedule.num_steps\n")
     assert scan([core, txrx], [user]) == (["FrameSpec.control_rate",
                                            "FrameSpec.num_steps"], [])

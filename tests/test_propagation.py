@@ -19,8 +19,8 @@ from metalink.propagation import (
     ChannelModel,
     ChannelSet,
     build_channels,
-    pass_block,
-    prepare_pass,
+    pass_weights,
+    run_pass,
     surface_pass,
 )
 from oracles import free_space_gain, surface_pass as whole_pass
@@ -238,42 +238,60 @@ def test_superpose_matches_brute_force_double_sum():
         assert np.all(np.abs(out[p].samples - brute) <= 1e-12 * scale)
 
 
+def _run_pass(env, schedule, streams, channels, noise_psd=0.0, noise_seeds=None):
+    def take(start, rx):
+        raise AssertionError("a pass that fails a check must not run a block")
+
+    run_pass(lambda start, stop: env.samples[start:stop], env.sample_rate, len(env),
+             schedule, streams, channels, noise_psd, noise_seeds, 1, take)
+
+
+def _pass_weights(env, schedule, streams, channels):
+    pass_weights(env.sample_rate, len(env), schedule, streams, channels)
+
+
+MISMATCHES = {
+    "short_schedule": (32, ones_schedule(1, 16), [0, 0], {}),
+    "faster_schedule": (32, ones_schedule(1, 32, rate=2e8), [0, 0], {}),
+    "one_id_two_cells": (32, ones_schedule(1, 32), [0], {}),
+    "no_noise_seeds": (32, ones_schedule(1, 32), [0, 0], {"noise_psd": 0.1}),
+    "hold_not_whole": (30, ones_schedule(1, 9, rate=3e7), [0, 0], {}),  # 1e8 / 3e7
+    "steps_miss": (30, ones_schedule(1, 2, rate=1e7), [0, 0], {}),  # 2 x hold 10 < 30
+    "steps_overrun": (30, ones_schedule(1, 4, rate=1e7), [0, 0], {}),  # 4 x hold 10 > 30
+}
+
+
+# pass_weights runs every check but the noise ones, which run_pass adds
+@pytest.mark.parametrize("run, case", [
+    pytest.param(run, case, id=f"{run.__name__.lstrip('_')}-{case}")
+    for run in (surface_pass, _run_pass, _pass_weights) for case in MISMATCHES
+    if not (run is _pass_weights and MISMATCHES[case][3])])
+def test_superpose_rejects_mismatched_envelopes(run, case):
+    samples, schedule, streams, noise = MISMATCHES[case]
+    unit = ChannelSet(np.ones(2), np.ones((2, 1)))
+    with pytest.raises(ContractViolation):
+        run(tone_envelope(samples, 1e8, 4.25e9), schedule, streams, unit, **noise)
+
+
+@pytest.mark.parametrize("run", [surface_pass, _run_pass, _pass_weights],
+                         ids=["surface_pass", "run_pass", "pass_weights"])
 @pytest.mark.parametrize("gain", [1e200, 1e154], ids=["product_overflows",
                                                     "power_overflows"])
-def test_surface_pass_rejects_gains_whose_power_overflows(gain):
+def test_surface_pass_rejects_gains_whose_power_overflows(gain, run):
     # 1e200 * 1e200 overflows the effective gain itself; 2 x 1e154 is finite,
     # but its square, the received power, is not
     big = ChannelSet(np.full(2, gain), np.ones((2, 1)))
     with pytest.raises(ConfigurationError, match="power would overflow"):
-        surface_pass(tone_envelope(4, 1e8, 4.25e9), ones_schedule(1, 4), [0, 0], big)
+        run(tone_envelope(4, 1e8, 4.25e9), ones_schedule(1, 4), [0, 0], big)
 
 
-def test_superpose_rejects_mismatched_envelopes():
-    env = tone_envelope(32, 1e8, 4.25e9)
-    unit = ChannelSet(np.ones(2), np.ones((2, 1)))
-    with pytest.raises(ContractViolation):
-        surface_pass(env, ones_schedule(1, 16), [0, 0], unit)
-    with pytest.raises(ContractViolation):
-        surface_pass(env, ones_schedule(1, 32, rate=2e8), [0, 0], unit)
-    with pytest.raises(ContractViolation):  # one stream id for two cells
-        surface_pass(env, ones_schedule(1, 32), [0], unit)
-    with pytest.raises(ContractViolation):  # noise needs a seed per point
-        surface_pass(env, ones_schedule(1, 32), [0, 0], unit, noise_psd=0.1)
-    env = tone_envelope(30, 1e8, 4.25e9)
-    with pytest.raises(ContractViolation):  # 1e8 / 3e7 is not a whole number
-        surface_pass(env, ones_schedule(1, 9, rate=3e7), [0, 0], unit)
-    with pytest.raises(ContractViolation):  # 2 steps x hold 10 miss 30 samples
-        surface_pass(env, ones_schedule(1, 2, rate=1e7), [0, 0], unit)
-    with pytest.raises(ContractViolation):  # 4 steps x hold 10 overrun them
-        surface_pass(env, ones_schedule(1, 4, rate=1e7), [0, 0], unit)
-
-
+@pytest.mark.parametrize("run", [surface_pass, _run_pass], ids=["surface_pass", "run_pass"])
 @pytest.mark.parametrize("noise_psd", [-0.1, -1e-300, float("nan")])
-def test_negative_or_nan_noise_level_is_rejected(noise_psd):
+def test_negative_or_nan_noise_level_is_rejected(noise_psd, run):
     # it must not read as "no noise" and return the noiseless envelope
     env = tone_envelope(32, 1e8, 4.25e9)
     with pytest.raises(ContractViolation, match="noise_psd"):
-        surface_pass(env, ones_schedule(1, 32), [0], UNIT_CELL, noise_psd, [0])
+        run(env, ones_schedule(1, 32), [0], UNIT_CELL, noise_psd, [0])
 
 
 @pytest.mark.parametrize("noise_psd", [0.0, 0.1])
@@ -411,11 +429,11 @@ def test_blocks_match_the_whole_array_pass(noise_psd, block_samples, monkeypatch
     incident, schedule, streams, channels, seeds = mixed_pass_inputs()
     whole = whole_pass(incident, schedule, streams, channels, noise_psd, seeds)
     want = np.stack([env.samples for env in whole])
-    sp = prepare_pass(incident.sample_rate, len(incident), schedule, streams,
-                      channels, noise_psd, seeds)
-    assert sp.block_samples == min(block_samples // 5 * 5, 185)
-    got = [pass_block(sp, incident.samples[start:start + sp.block_samples]).copy()
-           for start in range(0, len(incident), sp.block_samples)]
+    got = []
+    run_pass(lambda start, stop: incident.samples[start:stop], incident.sample_rate,
+             len(incident), schedule, streams, channels, noise_psd, seeds, 1,
+             lambda start, rx: got.append(rx.copy()))
+    assert got[0].shape == (3, min(block_samples // 5 * 5, 185))
     assert np.array_equal(np.concatenate(got, axis=1), want)
 
 
@@ -428,35 +446,24 @@ def test_surface_pass_matches_the_whole_array_pass(noise_psd):
         assert np.array_equal(a.samples, b.samples)
 
 
-def test_blocks_are_whole_symbols_and_steps():
+@pytest.mark.parametrize("num_samples, hold, symbol_samples, width", [
     # hold 16 and 640-sample symbols: the longest run of whole symbols
     # within BLOCK_SAMPLES
-    schedule = ones_schedule(1, 8192, rate=1e8 / 16)
-    sp = prepare_pass(1e8, 8192 * 16, schedule, [0], UNIT_CELL, symbol_samples=640)
-    assert sp.block_samples == BLOCK_SAMPLES // 640 * 640
-    assert "buffer" not in vars(sp)  # made by the first pass_block or read
-    assert sp.buffer.shape == (1, sp.block_samples)
+    (8192 * 16, 16, 640, BLOCK_SAMPLES // 640 * 640),
     # hold 6 and 4-sample symbols: blocks of whole 12-sample runs
-    schedule = ones_schedule(1, 2 ** 14, rate=1e8 / 6)
-    sp = prepare_pass(1e8, 6 * 2 ** 14, schedule, [0], UNIT_CELL, symbol_samples=4)
-    assert sp.block_samples == BLOCK_SAMPLES // 12 * 12
+    (6 * 2 ** 14, 6, 4, BLOCK_SAMPLES // 12 * 12),
     # a pass shorter than one block, or one whole-envelope symbol, is one block
-    short = prepare_pass(1e8, 64, ones_schedule(1, 64), [0], UNIT_CELL)
-    assert short.block_samples == 64
-    schedule = ones_schedule(1, 2 ** 17)
-    whole = prepare_pass(1e8, 2 ** 17, schedule, [0], UNIT_CELL, symbol_samples=2 ** 17)
-    assert whole.block_samples == 2 ** 17
-
-
-def test_pass_block_takes_whole_steps_in_order(monkeypatch):
-    monkeypatch.setattr(propagation, "BLOCK_SAMPLES", 10)
-    incident, schedule, streams, channels, _ = mixed_pass_inputs(steps=6, hold=5)
-    sp = prepare_pass(1e8, 30, schedule, streams, channels)
-    with pytest.raises(ContractViolation):  # not whole steps
-        pass_block(sp, incident.samples[:7])
-    with pytest.raises(ContractViolation):  # longer than a block
-        pass_block(sp, incident.samples[:15])
-    for start in (0, 10, 20):
-        pass_block(sp, incident.samples[start:start + 10])
-    with pytest.raises(ContractViolation):  # past the end of the pass
-        pass_block(sp, incident.samples[:5])
+    (64, 1, 1, 64),
+    (2 ** 17, 1, 2 ** 17, 2 ** 17),
+])
+def test_blocks_are_whole_symbols_and_steps(num_samples, hold, symbol_samples, width):
+    incident = np.ones(num_samples, dtype=complex)
+    blocks = []
+    run_pass(lambda start, stop: incident[start:stop], 1e8, num_samples,
+             ones_schedule(1, num_samples // hold, rate=1e8 / hold), [0], UNIT_CELL,
+             0.0, None, symbol_samples,
+             lambda start, rx: blocks.append((start, rx.shape)))
+    starts = range(0, num_samples, width)
+    assert [start for start, _ in blocks] == list(starts)
+    assert [shape for _, shape in blocks] == [
+        (1, min(width, num_samples - start)) for start in starts]

@@ -377,7 +377,7 @@ def test_long_noisy_frame_simulates_in_bounded_memory():
 def test_the_mean_over_a_held_view_equals_the_mean_of_a_written_block(shape):
     # a noiseless link frame takes each per-symbol mean over a zero-stride
     # view of its held coefficients; numpy must reduce that view as it
-    # reduces the same values written out sample by sample, as pass_block
+    # reduces the same values written out sample by sample, as run_pass
     # lays them out, bit for bit
     rng = np.random.default_rng(sum(shape))
     held = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -392,37 +392,43 @@ def test_the_mean_over_a_held_view_equals_the_mean_of_a_written_block(shape):
 
 
 def spied_simulate(monkeypatch, overrides: dict) -> tuple:
-    """simulate(mimo2x2_16qam) with overrides, counting pass_block calls:
-    (result, calls, the SurfacePass of each prepare_pass call)."""
-    calls, passes = [], []
-    pass_block, prepare_pass = propagation.pass_block, propagation.prepare_pass
+    """simulate(mimo2x2_16qam) with overrides, spying on the pass: (result,
+    the block widths of each run_pass call, the number of pass_weights
+    calls, run_pass's own included)."""
+    runs, weights = [], []
+    run_pass, pass_weights = propagation.run_pass, propagation.pass_weights
 
-    def count(sp, incident):
-        calls.append(len(incident))
-        return pass_block(sp, incident)
+    def spy_run(*args):
+        runs.append([])
+        take = args[-1]
 
-    def keep(*args, **kwargs):
-        passes.append(prepare_pass(*args, **kwargs))
-        return passes[-1]
+        def spy_take(start, rx):
+            runs[-1].append(rx.shape[1])
+            take(start, rx)
 
-    monkeypatch.setattr(propagation, "pass_block", count)
-    monkeypatch.setattr(propagation, "prepare_pass", keep)
+        run_pass(*args[:-1], spy_take)
+
+    def spy_weights(*args, **kwargs):
+        weights.append(args)
+        return pass_weights(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "run_pass", spy_run)
+    monkeypatch.setattr(propagation, "pass_weights", spy_weights)
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
-    return scen.simulate(scen.Scenario.from_dict(data)), calls, passes
+    return scen.simulate(scen.Scenario.from_dict(data)), runs, len(weights)
 
 
 def test_a_noiseless_link_frame_writes_no_samples(monkeypatch):
-    result, calls, passes = spied_simulate(monkeypatch, {})
+    result, runs, weights = spied_simulate(monkeypatch, {})
     assert np.all(result.reports["link"].ber == 0.0)
-    assert calls == [] and len(passes) == 1
-    assert "buffer" not in vars(passes[0])  # no block buffer was made
+    assert runs == [] and weights == 1
 
 
 def test_a_noisy_link_frame_still_streams_through_the_pass(monkeypatch):
-    result, calls, passes = spied_simulate(monkeypatch, {"channel.noise_psd": 1e-3})
+    result, runs, weights = spied_simulate(monkeypatch, {"channel.noise_psd": 1e-3})
     assert np.all(result.reports["link"].ber == 0.0)
-    assert sum(calls) == 40 * 10008 and len(calls) == 7
-    assert passes[0].buffer.shape == (2, passes[0].block_samples)
+    assert len(runs) == 1 and len(runs[0]) == 7 and sum(runs[0]) == 40 * 10008
+    assert weights == 1  # inside run_pass
 
 
 @pytest.mark.parametrize("overrides", [
@@ -669,6 +675,11 @@ def test_cli_seed_flag_overrides_seed(tiny_link, tmp_path):
     assert cli.main(["run", str(path), "--seed", "99",
                      "--out-dir", str(tmp_path / "a")]) == 0
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["rng_seed"] == 99
+    # --seed goes in last, so it wins over an rng_seed override
+    assert cli.main(["run", str(path), "--seed", "99", "--override", "rng_seed=3",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     assert summary["rng_seed"] == 99
 
 

@@ -3,6 +3,7 @@ promise that an accepted scenario runs to finite numbers or fails with a
 named error, and simulate's seeds and wiring against the reference runners."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -53,6 +54,28 @@ def test_empty_object_reports_every_missing_leaf(name, parent, leaves):
 ])
 def test_unknown_keys_are_reported(name, path):
     assert scen.validate(bundled(name, {path: "32"})) == [f"{path}: unknown field"]
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "/abs", ".", "..",
+                                  "a\0b"])
+def test_a_name_that_is_not_one_path_component_is_reported(name, tmp_path,
+                                                           monkeypatch, capsys):
+    # the name is the default output directory under metalink_out/, so it
+    # must not lead out of it
+    data = bundled("mimo2x2_16qam", {"name": name})
+    violations = scen.validate(data)
+    assert len(violations) == 1 and violations[0].startswith("name: must be ")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(path)]) == 1
+    assert "violation: name: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("name", ["a..b", "x.y", "..a", "n a m e"])
+def test_a_name_with_dots_inside_one_component_is_accepted(name):
+    assert scen.validate(bundled("mimo2x2_16qam", {"name": name})) == []
 
 
 def test_matrix_on_a_free_space_channel_is_reported():
