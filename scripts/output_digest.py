@@ -6,8 +6,9 @@ bit, on these runs:
 
   - each bundled scenario, noiseless and at channel.noise_psd=0.01;
   - mimo2x2_16qam at frame.payload_symbols=100000, noiseless and at
-    channel.noise_psd=1e-3, a frame that streams through 62 blocks with
-    noise at each point;
+    channel.noise_psd=1e-3: both take their means from the held
+    coefficients, and the noisy one draws per-sample noise over its
+    65 536-sample spectrum head and one value per other symbol mean;
   - um_mimo64: 64 QPSK streams on 2 x 2-cell blocks of a 16 x 16 surface,
     fed from 2 m, each received at its own point of an 8 x 8 grid of
     0.07 m pitch 0.15 m above the surface, free space, noiseless;

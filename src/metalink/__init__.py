@@ -6,57 +6,20 @@ per-stream reflection coefficients that modulate an air-fed carrier tone) and
 a space-down-conversion receiver (a time-linear phase ramp across the
 surface translating the carrier by 1/period), plus the channel, receive
 chain, and spectral metrology needed to score both.
+
+The package re-exports the scenario API and txrx.make_pilots; everything else
+is imported from its submodule (core, metasurface, propagation, spectral,
+txrx, scenario).
 """
 
-from .core import (
-    SPEED_OF_LIGHT,
-    CoefficientSchedule,
-    ComplexEnvelope,
-    ConfigurationError,
-    ContractViolation,
-    PointSet,
-    SurfaceGeometry,
-    cell_positions,
-    resample_hold,
-    tone_envelope,
-    wavelength_of,
-    wrap_phase,
-)
-from .metasurface import (
-    CONTINUOUS,
-    QuantizationModel,
-    StaircaseRampSpec,
-    compile_staircase,
-    frequency_shift,
-    quantize_values,
-)
-from .propagation import (
-    ChannelModel,
-    ChannelSet,
-    build_channels,
-    surface_pass,
-)
-from .spectral import Spectrum, line_power, periodogram, staircase_harmonics
-from .txrx import (
-    DetectionError,
-    FrameSpec,
-    LinkReport,
-    ModulationScheme,
-    demap_symbols,
-    get_scheme,
-    make_pilots,
-    map_bits,
-    symbols_to_schedule,
-    symbols_to_waveform,
-)
 from .scenario import (
     Scenario,
-    ScenarioResult,
     bundled_scenario_names,
     load_scenario,
     run_scenario,
     simulate,
     validate,
 )
+from .txrx import make_pilots
 
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
-"""Feed-to-cell and cell-to-point channels, the surface pass, and receiver noise.
+"""Feed-to-cell and cell-to-point channels, and the surface pass.
 
 Channels are narrowband: one complex gain per (source, destination) pair,
 valid across the whole envelope bandwidth. The free-space model is the
 scalar spherical wave (lambda / (4*pi*r)) * exp(-j*2*pi*r/lambda) with no
 element pattern or polarization. Receiver noise is injected only at the
-observation points; the surface itself is passive.
+observation points; the surface itself is passive. surface_pass adds it to
+the whole envelope it returns. run_pass, which streams a pass in blocks,
+adds none: a frame's noise is drawn where its per-symbol means are formed
+(scenario).
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSche
     obs_gains[c, p]; G[s, p] sums feed_gains[c] * obs_gains[c, p] over the
     cells c of stream s. weights[p, k] is point p's gain while schedule
     step k holds, which is for hold envelope samples. The checks are those
-    surface_pass documents, but for the noise ones, which run_pass adds.
+    surface_pass documents, but for the noise ones, which surface_pass adds.
     """
     hold = _hold_ratio(schedule.control_rate, sample_rate)
     if hold is None:
@@ -172,7 +175,7 @@ def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSche
 
 def run_pass(incident, sample_rate: float, num_samples: int,
              schedule: CoefficientSchedule, stream_of_cell, channels: ChannelSet,
-             noise_psd: float, noise_seeds, symbol_samples: int, take) -> None:
+             symbol_samples: int, take) -> None:
     """Run a checked surface pass block by block, handing each block to
     take(start, rx).
 
@@ -182,47 +185,21 @@ def run_pass(incident, sample_rate: float, num_samples: int,
     each and at most the whole envelope; the last block may be shorter, and
     a symbol as long as the envelope makes the pass one block. rx holds the
     received samples start:start + rx.shape[1] at every point, (points, n):
-    rx[p, n] = incident[n] * weights[p, n // hold] (pass_weights), plus
-    noise. It is a view of one buffer, which the next block overwrites.
-
-    The noise of a point continues one draw order over the whole pass: all
-    real parts, then all imaginary parts, from default_rng(noise_seeds[p]).
-    A pass of several blocks reads the imaginary parts from a second
-    generator that skipped the real ones, so the samples do not depend on
-    the block length. The checks are those surface_pass documents.
+    rx[p, n] = incident[n] * weights[p, n // hold] (pass_weights), without
+    noise. It is a view of one buffer, which the next block overwrites. The
+    checks are those of pass_weights.
     """
-    if not noise_psd >= 0.0:
-        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
     weights, hold = pass_weights(sample_rate, num_samples, schedule, stream_of_cell,
                                  channels)
-    if noise_psd > 0.0 and (noise_seeds is None
-                            or len(noise_seeds) != channels.num_points):
-        raise ContractViolation("noise needs one seed per observation point")
     unit = math.lcm(hold, symbol_samples)
     block_samples = min(max(1, BLOCK_SAMPLES // unit) * unit, num_samples)
     buffer = np.empty((channels.num_points, block_samples), dtype=np.complex128)
-    noise = []
-    if noise_psd > 0.0:
-        # the skipped draws land in the buffer, which the first block
-        # overwrites, so skipping allocates nothing
-        drop = buffer[0].view(np.float64)[:block_samples]
-        for seed in noise_seeds:
-            real = imag = np.random.default_rng(seed)
-            if block_samples < num_samples:  # skip past the real parts
-                imag = np.random.default_rng(seed)
-                for start in range(0, num_samples, block_samples):
-                    imag.standard_normal(out=drop[:num_samples - start])
-            noise.append((real, imag))
-    scale = np.sqrt(noise_psd / 2.0)
     for start in range(0, num_samples, block_samples):
         stop = min(start + block_samples, num_samples)
         k, n = start // hold, (stop - start) // hold
         rx = buffer[:, :stop - start]
         np.multiply(incident(start, stop).reshape(n, hold), weights[:, k:k + n, np.newaxis],
                     out=rx.reshape(-1, n, hold))
-        for row, (real, imag) in zip(rx, noise):
-            row += scale * (real.standard_normal(len(row))
-                            + 1j * imag.standard_normal(len(row)))
         take(start, rx)
 
 
@@ -246,16 +223,26 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     envelope exactly. When noise_psd > 0, point p adds i.i.d. circular
     complex Gaussian noise of variance noise_psd per sample, drawn from
     default_rng(noise_seeds[p]): real parts, then imaginary parts. A
-    negative or NaN noise_psd is a ContractViolation. Gains so large that
-    the received power would overflow are a ConfigurationError.
+    negative or NaN noise_psd, or noise without one seed per point, is a
+    ContractViolation. Gains so large that the received power would
+    overflow are a ConfigurationError.
 
-    The whole envelope is one block of run_pass; a caller that needs only
-    per-block reductions runs run_pass itself. Space-down-conversion mode
+    The whole envelope is one block of run_pass. Space-down-conversion mode
     calls this, since its DFT reads the whole envelope, and it stays public
     because the acceptance gate drives the surface through it.
     """
+    if not noise_psd >= 0.0:
+        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
+    if noise_psd > 0.0 and (noise_seeds is None
+                            or len(noise_seeds) != channels.num_points):
+        raise ContractViolation("noise needs one seed per observation point")
     rx = []
     run_pass(lambda start, stop: incident.samples[start:stop], incident.sample_rate,
-             len(incident), schedule, stream_of_cell, channels, noise_psd, noise_seeds,
-             len(incident), lambda start, block: rx.extend(block))
+             len(incident), schedule, stream_of_cell, channels, len(incident),
+             lambda start, block: rx.extend(block))
+    if noise_psd > 0.0:
+        scale = np.sqrt(noise_psd / 2.0)
+        for row, seed in zip(rx, noise_seeds):
+            rng = np.random.default_rng(seed)
+            row += scale * (rng.standard_normal(len(row)) + 1j * rng.standard_normal(len(row)))
     return [incident.with_samples(row) for row in rx]

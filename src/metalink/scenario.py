@@ -557,9 +557,9 @@ def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
 
 def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
                   schedule: core.CoefficientSchedule, stream_of_cell, channels,
-                  noise_seeds, expected_shift: float = 0.0) -> tuple:
-    """The surface pass and integrate-and-dump of a frame, block by block
-    (propagation.run_pass); incident(start, stop) gives the incident
+                  expected_shift: float = 0.0) -> tuple:
+    """The noiseless surface pass and integrate-and-dump of a frame, block by
+    block (propagation.run_pass); incident(start, stop) gives the incident
     samples of each block.
 
     Returns the (points x symbols) per-symbol means and the envelope of the
@@ -580,32 +580,27 @@ def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
             head[start:stop] = rx[0, :len(head) - start]
 
     propagation.run_pass(incident, sc.envelope_rate(), num_samples, schedule,
-                         stream_of_cell, channels, sc.noise_psd, noise_seeds, sps, take)
+                         stream_of_cell, channels, sps, take)
     return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
 
 
-def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels,
-                noise_seeds) -> tuple:
-    """The per-symbol means and the spectrum head of a link frame, as
+def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels) -> tuple:
+    """The noiseless per-symbol means and spectrum head of a link frame, as
     _stream_frame returns them: the surface writes the symbols onto the
     feed's constant tone.
 
-    A noisy frame streams through the pass. A noiseless one needs no
-    samples, only the checked weights of propagation.pass_weights: every
-    sample of symbol k at point p is held[p, k] = carrier * weights[p, k],
-    so its mean is taken over a zero-stride view of held, numpy's same
-    pairwise sum over the same values as a written block, and the spectrum
-    head repeats the first symbols of point 0. The results are those of the
-    streamed pass, bit for bit.
+    No sample is written, only the checked weights of
+    propagation.pass_weights: every sample of symbol k at point p is
+    held[p, k] = carrier * weights[p, k], so its mean is taken over a
+    zero-stride view of held, numpy's same pairwise sum over the same values
+    as a written block, and the spectrum head repeats the first symbols of
+    point 0. The results are those of the streamed pass, bit for bit.
     """
     sps = sc.samples_per_symbol * sc.oversample
     num_samples = frame.num_symbols * sps
     carrier = core.tone_envelope(num_samples, sc.envelope_rate(),
                                  sc.carrier_freq_hz).samples
     schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
-    if sc.noise_psd > 0.0:
-        return _stream_frame(sc, frame, lambda start, stop: carrier[start:stop],
-                             schedule, sc.stream_of_cell, channels, noise_seeds)
     held, _ = propagation.pass_weights(sc.envelope_rate(), num_samples, schedule,
                                        sc.stream_of_cell, channels)  # its own array
     del schedule  # freed before the means are formed
@@ -617,13 +612,54 @@ def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels,
     return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
 
 
+def _add_noise(sc: Scenario, means, head: core.ComplexEnvelope, noise_seeds,
+               expected_shift: float = 0.0) -> core.ComplexEnvelope:
+    """Add receiver noise, in place, to a frame's noiseless (points x
+    symbols) per-symbol means, and return its spectrum head at point 0 with
+    the noise added; no noise when noise_seeds is None.
+
+    Each point's received samples carry i.i.d. circular complex Gaussian
+    noise of variance noise_psd. The periodogram reads point 0's samples
+    over the head, so point 0 draws them over the c = ceil(len(head) / sps)
+    symbols the head covers, adds them to the head, and adds their
+    integrated mean, derotated by expected_shift as integrate_and_dump
+    derotates, to those symbols' means. Detection reads every other mean
+    only, and the mean of sps such samples is one circular Gaussian of
+    variance noise_psd / sps, so each other mean gets one draw of it.
+    Point p draws from default_rng(noise_seeds[p]), in this order: for
+    point 0, the c * sps real parts, then the c * sps imaginary parts of
+    its head samples; then, for every point, the real parts, then the
+    imaginary parts, of its remaining means in symbol order.
+    """
+    if noise_seeds is None:
+        return head
+    sps = sc.samples_per_symbol * sc.oversample
+    covered = -(-len(head) // sps)
+    for p, seed in enumerate(noise_seeds):
+        rng = np.random.default_rng(seed)
+        first = 0
+        if p == 0:
+            n = covered * sps
+            noise = np.sqrt(sc.noise_psd / 2.0) * (rng.standard_normal(n)
+                                                   + 1j * rng.standard_normal(n))
+            head = head.with_samples(head.samples + noise[:len(head)])
+            means[0, :covered] += txrx.integrate_and_dump(
+                noise[np.newaxis], sps, 0, expected_shift, sc.envelope_rate())[0]
+            first = covered
+        n = means.shape[1] - first
+        means[p, first:] += np.sqrt(sc.noise_psd / (2.0 * sps)) * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return head
+
+
 def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
                 noise_seeds, tag: str) -> txrx.LinkReport:
     """The surface writes a frame onto the feed's tone and the observation
     points receive it; the first point's spectrum goes under tag."""
     frame = sc.frame(int(sc.stream_of_cell.max()) + 1)
     bits, symbols = _payload(sc, frame, bits_seed)
-    means, head = _link_frame(sc, frame, symbols, channels, noise_seeds)
+    means, head = _link_frame(sc, frame, symbols, channels)
+    head = _add_noise(sc, means, head, noise_seeds)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     report.spectra[tag] = spectral.periodogram(head)
     return report
@@ -647,10 +683,11 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
         return txrx.symbols_to_waveform(sent[start // sps:stop // sps], sps,
                                         sc.envelope_rate(), sc.carrier_freq_hz).samples
 
+    shift = sc.staircase.frequency_shift
     means, head = _stream_frame(
         sc, frame, incident, _ramp(sc, len(sent) * sps),
-        np.zeros(channels.num_cells, dtype=np.int64), channels, noise_seeds,
-        sc.staircase.frequency_shift)
+        np.zeros(channels.num_cells, dtype=np.int64), channels, shift)
+    head = _add_noise(sc, means, head, noise_seeds, shift)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     report.spectra["sdc_rx0"] = spectral.periodogram(head)
     return report
@@ -695,18 +732,22 @@ def simulate(sc: Scenario) -> ScenarioResult:
     equals child i of spawn; noise children are built only when
     noise_psd > 0.
 
-    Each frame of a noisy link phase and of the receive phase is one
-    propagation.run_pass call, which hands _stream_frame blocks of whole
-    symbols (about propagation.BLOCK_SAMPLES samples per point) to
-    integrate and dump, so memory does not hold a whole received envelope.
-    Neither the seed layout nor a point's noise draw order (all real parts,
-    then all imaginary parts) depends on the blocks, so the results equal a
-    whole-envelope run bit for bit. A noiseless link frame writes no
-    samples: it takes its means from the held coefficients, carrier *
-    weights per point and symbol (propagation.pass_weights), and builds
-    only the spectrum head, with the same results bit for bit
-    (_link_frame). SDC mode takes its envelope whole, as the one block of
-    surface_pass, for the DFT over whole ramp periods.
+    A frame takes its noiseless per-symbol means first, and then its
+    receiver noise (_add_noise). Each point draws from its child: point 0
+    first the per-sample noise of the symbols its spectrum head covers (all
+    real parts, then all imaginary parts), which goes into the head and into
+    those symbols' means; then each point one draw of variance
+    noise_psd / sps per remaining symbol mean (all real parts, then all
+    imaginary parts). A link frame writes no samples: it takes its means
+    from the held coefficients, carrier * weights per point and symbol
+    (propagation.pass_weights), and builds only the spectrum head
+    (_link_frame). The receive phase is one propagation.run_pass call,
+    which hands _stream_frame blocks of whole symbols (about
+    propagation.BLOCK_SAMPLES samples per point) to integrate and dump, so
+    memory does not hold a whole received envelope. SDC mode takes its
+    envelope whole, as the one block of surface_pass, for the DFT over whole
+    ramp periods; each point adds per-sample noise over all of it (all real
+    parts, then all imaginary parts).
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"

@@ -12,8 +12,15 @@ scores txrx.detect forms from its error magnitudes and from demapping only
 the symbols that could be in error, surface_pass for the
 block kernel of propagation.run_pass and the weights of pass_weights,
 integrate for
-the blockwise txrx.integrate_and_dump, and simulate for scenario.simulate,
-which streams its frames in blocks.
+the blockwise txrx.integrate_and_dump, frame_noise for the receiver noise
+that scenario adds to a frame's per-symbol means and spectrum head, and
+simulate for scenario.simulate, which forms its link frames' means from the
+held coefficients and streams its receive phase in blocks.
+
+surface_pass draws noise per sample over whole envelopes, as
+propagation.surface_pass still does for space-down-conversion. Integrated,
+it is the reference that the tests hold scenario's per-symbol noise draw
+to, statistically.
 
 receive_frame is the only whole-envelope receiver: src/ has none. It
 checks that the envelopes share one rate and length and cover the frame in
@@ -195,9 +202,44 @@ def integrate(rx, num_symbols: int, expected_shift: float = 0.0) -> np.ndarray:
     return symbols
 
 
-def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None):
+def frame_noise(num_points: int, num_symbols: int, sps: int, head_length: int,
+                noise_psd: float, noise_seeds, expected_shift: float = 0.0,
+                sample_rate: float = 1.0) -> tuple:
+    """The receiver noise of one frame in simulate's draw layout, built whole.
+
+    Point 0 has per-sample noise over the symbols its head_length-sample
+    spectrum head covers, and every other (point, symbol) only the mean of
+    its samples' noise. Point p draws from default_rng(noise_seeds[p]): for
+    point 0, the real parts, then the imaginary parts, of those samples;
+    then the real parts, then the imaginary parts, of the noise means of its
+    remaining symbols, each of variance noise_psd / sps. Returns the
+    (points x symbols) per-symbol noise means, derotated by expected_shift
+    over the whole envelope as integrate derotates, and point 0's
+    per-sample noise.
+    """
+    covered = -(-head_length // sps)
+    means = np.empty((num_points, num_symbols), dtype=np.complex128)
+    samples = None
+    for p, seed in enumerate(noise_seeds):
+        rng = np.random.default_rng(seed)
+        if p == 0:
+            n = covered * sps
+            samples = np.sqrt(noise_psd / 2.0) * (rng.standard_normal(n)
+                                                  + 1j * rng.standard_normal(n))
+            env = core.ComplexEnvelope(samples, sample_rate, 0.0)
+            means[0, :covered] = integrate([env], covered, expected_shift)[0]
+        first = covered if p == 0 else 0
+        rest = num_symbols - first
+        means[p, first:] = np.sqrt(noise_psd / (2.0 * sps)) * (
+            rng.standard_normal(rest) + 1j * rng.standard_normal(rest))
+    return means, samples
+
+
+def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None,
+                  noise=None):
     """Demodulate with the general least-squares estimate inv(gram), and score
-    BER against bits demapped again from the reference symbols.
+    BER against bits demapped again from the reference symbols. noise, if
+    given, is added to the (antennas x symbols) integrated means.
 
     Returns a namespace with per-stream lists detected_symbols,
     reference_symbols, detected_bits and reference_bits, arrays evm_percent
@@ -225,6 +267,8 @@ def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None
             f"rx length {len(first)} != {frame.num_symbols} symbols x {sps} samples")
 
     symbols = integrate(rx, frame.num_symbols, expected_shift)
+    if noise is not None:
+        symbols = symbols + noise
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
@@ -298,10 +342,17 @@ def _link_report(ns) -> txrx.LinkReport:
         channel_estimate=ns.channel_estimate, condition_number=ns.condition_number)
 
 
-def _head_periodogram(sc, env):
-    """The periodogram of the first spectrum_length samples of env."""
-    return spectral.periodogram(
-        env.with_samples(env.samples[:sc.spectrum_length(len(env))]))
+def _received(sc, rx, num_symbols, noise_seeds, expected_shift=0.0):
+    """The noise simulate adds to a frame received as the noiseless
+    envelopes rx: (its per-symbol noise means, None without noise, and point
+    0's first spectrum_length samples with their noise)."""
+    head = rx[0].samples[:sc.spectrum_length(len(rx[0]))]
+    if sc.noise_psd == 0.0:
+        return None, rx[0].with_samples(head)
+    means, samples = frame_noise(len(rx), num_symbols, len(rx[0]) // num_symbols,
+                                 len(head), sc.noise_psd, noise_seeds, expected_shift,
+                                 rx[0].sample_rate)
+    return means, rx[0].with_samples(head + samples[:len(head)])
 
 
 def _link_phase(sc, data, channels, bits_seed, noise_seeds):
@@ -316,10 +367,11 @@ def _link_phase(sc, data, channels, bits_seed, noise_seeds):
     carrier = core.tone_envelope(
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)
-    rx = surface_pass(carrier, schedule, partition.stream_of_cell,
-                      channels, sc.noise_psd, noise_seeds)
-    report = _link_report(receive_frame(rx, frame, scheme, reference=symbols))
-    report.spectra["rx0"] = _head_periodogram(sc, rx[0])
+    rx = surface_pass(carrier, schedule, partition.stream_of_cell, channels)
+    noise, head = _received(sc, rx, frame.num_symbols, noise_seeds)
+    report = _link_report(receive_frame(rx, frame, scheme, reference=symbols,
+                                        noise=noise))
+    report.spectra["rx0"] = spectral.periodogram(head)
     return report
 
 
@@ -384,11 +436,12 @@ def _run_integrated(sc, data):
     ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
                                          len(incident) / env_rate)
     whole = _partition(sc, "full")
-    rx = surface_pass(incident, ramp, whole.stream_of_cell, channels_rx,
-                      sc.noise_psd, seeds[-1:])
-    rx_report = _link_report(receive_frame(
-        rx, frame, scheme, sc.staircase.frequency_shift, reference=symbols))
-    rx_report.spectra["sdc_rx0"] = _head_periodogram(sc, rx[0])
+    rx = surface_pass(incident, ramp, whole.stream_of_cell, channels_rx)
+    shift = sc.staircase.frequency_shift
+    noise, head = _received(sc, rx, frame.num_symbols, seeds[-1:], shift)
+    rx_report = _link_report(receive_frame(rx, frame, scheme, shift, reference=symbols,
+                                           noise=noise))
+    rx_report.spectra["sdc_rx0"] = spectral.periodogram(head)
 
     reports = {"transmit": tx_report, "receive": rx_report}
     summary = _summarize(sc, reports)

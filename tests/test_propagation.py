@@ -238,12 +238,12 @@ def test_superpose_matches_brute_force_double_sum():
         assert np.all(np.abs(out[p].samples - brute) <= 1e-12 * scale)
 
 
-def _run_pass(env, schedule, streams, channels, noise_psd=0.0, noise_seeds=None):
+def _run_pass(env, schedule, streams, channels):
     def take(start, rx):
         raise AssertionError("a pass that fails a check must not run a block")
 
     run_pass(lambda start, stop: env.samples[start:stop], env.sample_rate, len(env),
-             schedule, streams, channels, noise_psd, noise_seeds, 1, take)
+             schedule, streams, channels, 1, take)
 
 
 def _pass_weights(env, schedule, streams, channels):
@@ -261,11 +261,11 @@ MISMATCHES = {
 }
 
 
-# pass_weights runs every check but the noise ones, which run_pass adds
+# run_pass runs the checks of pass_weights; surface_pass adds the noise ones
 @pytest.mark.parametrize("run, case", [
     pytest.param(run, case, id=f"{run.__name__.lstrip('_')}-{case}")
     for run in (surface_pass, _run_pass, _pass_weights) for case in MISMATCHES
-    if not (run is _pass_weights and MISMATCHES[case][3])])
+    if run is surface_pass or not MISMATCHES[case][3]])
 def test_superpose_rejects_mismatched_envelopes(run, case):
     samples, schedule, streams, noise = MISMATCHES[case]
     unit = ChannelSet(np.ones(2), np.ones((2, 1)))
@@ -285,13 +285,12 @@ def test_surface_pass_rejects_gains_whose_power_overflows(gain, run):
         run(tone_envelope(4, 1e8, 4.25e9), ones_schedule(1, 4), [0, 0], big)
 
 
-@pytest.mark.parametrize("run", [surface_pass, _run_pass], ids=["surface_pass", "run_pass"])
 @pytest.mark.parametrize("noise_psd", [-0.1, -1e-300, float("nan")])
-def test_negative_or_nan_noise_level_is_rejected(noise_psd, run):
+def test_negative_or_nan_noise_level_is_rejected(noise_psd):
     # it must not read as "no noise" and return the noiseless envelope
     env = tone_envelope(32, 1e8, 4.25e9)
     with pytest.raises(ContractViolation, match="noise_psd"):
-        run(env, ones_schedule(1, 32), [0], UNIT_CELL, noise_psd, [0])
+        surface_pass(env, ones_schedule(1, 32), [0], UNIT_CELL, noise_psd, [0])
 
 
 @pytest.mark.parametrize("noise_psd", [0.0, 0.1])
@@ -410,28 +409,18 @@ def mixed_pass_inputs(steps=37, hold=5):
     return incident, schedule, [0, 1, 1], channels, seeds
 
 
-def test_chunked_normal_draws_equal_one_draw():
-    # the streamed noise order rests on this: a generator's draws do not
-    # depend on how they are split into calls
-    whole = np.random.default_rng(5).standard_normal(1000)
-    rng = np.random.default_rng(5)
-    parts = [rng.standard_normal(n) for n in (1, 333, 7, 659)]
-    assert np.array_equal(np.concatenate(parts), whole)
-
-
-@pytest.mark.parametrize("noise_psd", [0.0, 0.3])
 @pytest.mark.parametrize("block_samples", [5, 35, 62, 185, 1000])
-def test_blocks_match_the_whole_array_pass(noise_psd, block_samples, monkeypatch):
+def test_blocks_match_the_whole_array_pass(block_samples, monkeypatch):
     # 185 samples in steps of 5: blocks of 1 step, a short last block (62
     # rounds down to 60), exactly one block, and a block longer than the
-    # pass; the noise continues across blocks
+    # pass
     monkeypatch.setattr(propagation, "BLOCK_SAMPLES", block_samples)
-    incident, schedule, streams, channels, seeds = mixed_pass_inputs()
-    whole = whole_pass(incident, schedule, streams, channels, noise_psd, seeds)
+    incident, schedule, streams, channels, _ = mixed_pass_inputs()
+    whole = whole_pass(incident, schedule, streams, channels)
     want = np.stack([env.samples for env in whole])
     got = []
     run_pass(lambda start, stop: incident.samples[start:stop], incident.sample_rate,
-             len(incident), schedule, streams, channels, noise_psd, seeds, 1,
+             len(incident), schedule, streams, channels, 1,
              lambda start, rx: got.append(rx.copy()))
     assert got[0].shape == (3, min(block_samples // 5 * 5, 185))
     assert np.array_equal(np.concatenate(got, axis=1), want)
@@ -461,7 +450,7 @@ def test_blocks_are_whole_symbols_and_steps(num_samples, hold, symbol_samples, w
     blocks = []
     run_pass(lambda start, stop: incident[start:stop], 1e8, num_samples,
              ones_schedule(1, num_samples // hold, rate=1e8 / hold), [0], UNIT_CELL,
-             0.0, None, symbol_samples,
+             symbol_samples,
              lambda start, rx: blocks.append((start, rx.shape)))
     starts = range(0, num_samples, width)
     assert [start for start, _ in blocks] == list(starts)

@@ -14,7 +14,8 @@ from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.spectral import Spectrum
 from metalink.txrx import LinkReport
-from oracles import channel_estimate_pairs, write_constellation, write_spectrum
+from oracles import (channel_estimate_pairs, integrate, surface_pass, write_constellation,
+                     write_spectrum)
 
 
 @pytest.fixture()
@@ -363,14 +364,16 @@ def test_mimo_frame_simulates_in_bounded_memory():
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
-def test_long_noisy_frame_simulates_in_bounded_memory():
-    # 2 x 10^5 symbols with noise: the noise is drawn block by block too,
-    # so the peak grows only with the per-symbol arrays (whole envelopes
-    # and noise draws would take over 250 MB)
-    result, peak = traced_simulate({"frame.payload_symbols": 100000,
-                                    "channel.noise_psd": 1e-3})
+def test_long_noisy_frame_peaks_within_1_mib_of_the_noiseless_one():
+    # 2 x 10^5 symbols: noise is drawn per symbol mean, and per sample only
+    # over the spectrum head, so it adds no per-sample buffer (whole noisy
+    # envelopes would take over 250 MB, a streamed pass's buffer 2 MB)
+    long = {"frame.payload_symbols": 100000}
+    _, clean = traced_simulate(long)
+    result, peak = traced_simulate({**long, "channel.noise_psd": 1e-3})
     assert np.all(result.reports["link"].ber == 0.0)
-    assert peak < 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert peak <= clean + 2 ** 20, (
+        f"noisy peak {peak / 2 ** 20:.2f} MiB, noiseless {clean / 2 ** 20:.2f} MiB")
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 50), (64, 7)])
@@ -418,17 +421,12 @@ def spied_simulate(monkeypatch, overrides: dict) -> tuple:
     return scen.simulate(scen.Scenario.from_dict(data)), runs, len(weights)
 
 
-def test_a_noiseless_link_frame_writes_no_samples(monkeypatch):
-    result, runs, weights = spied_simulate(monkeypatch, {})
+@pytest.mark.parametrize("noise_psd", [0.0, 1e-3])
+def test_a_link_frame_writes_no_samples(noise_psd, monkeypatch):
+    # noisy or not, the means come from the held coefficients
+    result, runs, weights = spied_simulate(monkeypatch, {"channel.noise_psd": noise_psd})
     assert np.all(result.reports["link"].ber == 0.0)
     assert runs == [] and weights == 1
-
-
-def test_a_noisy_link_frame_still_streams_through_the_pass(monkeypatch):
-    result, runs, weights = spied_simulate(monkeypatch, {"channel.noise_psd": 1e-3})
-    assert np.all(result.reports["link"].ber == 0.0)
-    assert len(runs) == 1 and len(runs[0]) == 7 and sum(runs[0]) == 40 * 10008
-    assert weights == 1  # inside run_pass
 
 
 @pytest.mark.parametrize("overrides", [
@@ -437,25 +435,59 @@ def test_a_noisy_link_frame_still_streams_through_the_pass(monkeypatch):
         "phase_levels": 4, "amplitude_levels": 2, "phase_offset_rad": 0.1}},
     {"frame.payload_symbols": 3}])
 def test_a_noiseless_link_frame_equals_its_streamed_pass(overrides):
-    # the held means and spectrum head against the streamed pass, which a
-    # noisy frame runs, on the same schedule with no noise drawn
+    # the held means and spectrum head against the streamed pass, which the
+    # integrated receive phase runs, on the same schedule
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
     sc = scen.Scenario.from_dict(data)
     frame = sc.frame(2)
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     _, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
-    means, head = scen._link_frame(sc, frame, symbols, channels, None)
+    means, head = scen._link_frame(sc, frame, symbols, channels)
     carrier = core.tone_envelope(frame.num_symbols * sc.samples_per_symbol
                                  * sc.oversample, sc.envelope_rate(), 0.0).samples
     want_means, want_head = scen._stream_frame(
         sc, frame, lambda start, stop: carrier[start:stop],
         txrx.symbols_to_schedule(symbols, frame, sc.quantization),
-        sc.stream_of_cell, channels, None)
+        sc.stream_of_cell, channels)
     assert np.array_equal(means.view(np.uint64), want_means.view(np.uint64))
     assert np.array_equal(head.samples.view(np.uint64),
                           want_head.samples.view(np.uint64))
     assert (head.sample_rate, head.carrier_freq) == (want_head.sample_rate,
                                                      want_head.carrier_freq)
+
+
+def chi_square_z(noise, variance) -> float:
+    """sum |noise|^2 / (variance / 2) as a z-score of chi-square with 2 x
+    noise.size degrees of freedom, as i.i.d. circular noise of that
+    variance gives."""
+    dof = 2 * noise.size
+    return (np.sum(np.abs(noise) ** 2) / (variance / 2) - dof) / np.sqrt(2 * dof)
+
+
+@pytest.mark.parametrize("expected_shift", [0.0, 3e6])
+def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift):
+    # the old draw: noise on every sample of a silent envelope, integrated
+    # (and derotated); the new one: _add_noise on silent means and head
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), {
+        "channel.noise_psd": 0.3, "spectrum_bins": 4000})
+    sc = scen.Scenario.from_dict(data)
+    points, symbols, sps = 2, 5000, sc.samples_per_symbol * sc.oversample
+    fs = sc.envelope_rate()
+    seeds = np.random.SeedSequence(12).spawn(points)
+    silent = core.tone_envelope(symbols * sps, fs, 0.0, amplitude=0.0)
+    old = integrate(surface_pass(silent, core.CoefficientSchedule(
+        np.ones((1, symbols * sps), dtype=complex), fs), [0],
+        propagation.ChannelSet(np.ones(1), np.ones((1, points))), sc.noise_psd, seeds),
+        symbols, expected_shift)
+    new = np.zeros((points, symbols), dtype=complex)
+    head = scen._add_noise(sc, new, silent.with_samples(np.zeros(4000)), seeds,
+                           expected_shift)
+    for means in (old, new):
+        assert abs(chi_square_z(means, sc.noise_psd / sps)) < 5.0
+    assert abs(chi_square_z(head.samples, sc.noise_psd)) < 5.0
+    # the head's samples and the means of the symbols it covers agree
+    assert np.array_equal(new[0, :100], txrx.integrate_and_dump(
+        head.samples[np.newaxis], sps, 0, expected_shift, fs)[0])
 
 
 def test_integrated_switch_decodes_under_moderate_noise():

@@ -339,11 +339,12 @@ WIRING_CASES = [
         id="partition_list"),
 ]
 
-# simulate streams each frame in blocks of whole symbols; these cases restore
-# the bundled frame sizes, which span several blocks: 7 in mimo2x2_16qam,
-# whose 65 536-bin spectrum head ends in its second block, and 6 in each
-# phase of integrated_switch, which decodes at this noise level; without
-# noise the link phase takes its means from the held coefficients instead
+# these cases restore the bundled frame sizes, which span several blocks of
+# a streamed pass: 7 in mimo2x2_16qam, whose 65 536-bin spectrum head, over
+# which the first point draws per-sample noise, ends in its second block,
+# and 6 in each phase of integrated_switch, which decodes at this noise
+# level; only the receive phase streams, and a link frame takes its means
+# from the held coefficients, noisy or not
 FULL_SIZE = {"mimo2x2_16qam": {"frame.payload_symbols": 10000},
              "integrated_switch": {"frame.payload_symbols": 512, "oversample": 16}}
 STREAMED_CASES = [
