@@ -14,11 +14,12 @@ Columns, per Es/N0 point:
     (3 Q(x) + 2 Q(3x) - Q(5x)) / 4 with x = sqrt(Es / (5 N0)), and for
     8PSK the nearest-neighbour approximation (2/3) Q(sqrt(2 Es/N0) sin(pi/8));
   - given h_est (BPSK and QPSK): the closed form given the channel estimate
-    that detect formed from the frame's 4 noisy pilots. Each bit is decided
-    by the sign of one axis of g x + w, g = h / h_est and w of variance
-    N0 / |h_est|^2, so its error probability is a Q-function; the measured
-    error count has the sum of those as its mean, and z is its distance from
-    that mean in standard deviations of the Poisson-binomial count.
+    that detect formed from the frame's 4 noisy pilots, with H = 1, from
+    tests/test_noise_theory.py. Each bit is decided by the sign of one axis
+    of g x + w, g = H / h_est and w of variance N0 / |h_est|^2, so its error
+    probability is a Q-function; the measured error count has the sum of
+    those as its mean, and z is its distance from that mean in standard
+    deviations of the Poisson-binomial count.
 
 The estimate from 4 pilots is what moves the measured BER away from the
 ideal column, most for 16QAM, whose decisions also read the amplitude.
@@ -26,26 +27,27 @@ The script exits 1 when a BPSK or QPSK point lies more than 4 standard
 deviations from its given-h_est form.
 
 Usage:
-    python scripts/ber_curve.py [--symbols 1000000] [--es-n0-db 0 2 4 6 8 10]
+    python scripts/ber_curve.py
 """
 
-import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from metalink import scenario as scen
 from metalink.txrx import get_scheme
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_noise_theory import bit_error_probabilities, q_function as q  # noqa: E402
+
 SCHEMES = ("BPSK", "QPSK", "8PSK", "16QAM")
 GATED = ("BPSK", "QPSK")
 Z_LIMIT = 4.0
-
-
-def q(x):
-    return 0.5 * np.vectorize(math.erfc)(np.asarray(x, dtype=float) / math.sqrt(2.0))
+SYMBOLS = 10 ** 6
+ES_N0_DB = (0, 2, 4, 6, 8, 10)
 
 
 def ideal_ber(name: str, es_n0: float) -> float:
@@ -75,25 +77,7 @@ def unit_link(name: str, symbols: int, noise_psd: float) -> dict:
     }
 
 
-def bit_error_probabilities(report, noise_psd: float) -> np.ndarray:
-    """Per payload bit of a BPSK or QPSK frame on a unit channel, the
-    probability that its sign decision flips, given h_est."""
-    h_est = report.channel_estimate[0, 0]
-    sent = report.reference_symbols[0]
-    clean = sent / h_est
-    spread = math.sqrt(noise_psd / 2.0) / abs(h_est)
-    margins = [np.sign(sent.real) * clean.real]
-    if np.any(sent.imag != 0.0):
-        margins.append(np.sign(sent.imag) * clean.imag)
-    return q(np.concatenate(margins) / spread)
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--symbols", type=int, default=10 ** 6)
-    parser.add_argument("--es-n0-db", type=float, nargs="+",
-                        default=[0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
-    args = parser.parse_args()
     start = time.perf_counter()
     outside = []
     print(f"{'scheme':>6} {'Es/N0 dB':>8} {'measured':>11} {'ideal':>11} "
@@ -101,15 +85,16 @@ def main() -> int:
     for name in SCHEMES:
         scheme = get_scheme(name)
         es = float(np.mean(np.abs(scheme.points) ** 2))
-        for db in args.es_n0_db:
+        for db in ES_N0_DB:
             es_n0 = 10.0 ** (db / 10.0)
             noise_psd = es / es_n0
             report = scen.simulate(scen.Scenario.from_dict(
-                unit_link(name, args.symbols, noise_psd))).reports["link"]
+                unit_link(name, SYMBOLS, noise_psd))).reports["link"]
             measured = float(report.ber[0])
             given = z = ""
             if name in GATED:
-                p = bit_error_probabilities(report, noise_psd)
+                # one sample per symbol: each mean carries variance N0
+                p = bit_error_probabilities(report, np.ones((1, 1)), noise_psd)
                 sigma = math.sqrt(float(np.sum(p * (1.0 - p))))
                 score = (measured * p.size - p.sum()) / sigma
                 given, z = f"{p.mean():11.4e}", f"{score:6.2f}"
@@ -117,7 +102,7 @@ def main() -> int:
                     outside.append(f"{name} at {db:g} dB: z = {score:.2f}")
             print(f"{name:>6} {db:8.1f} {measured:11.4e} {ideal_ber(name, es_n0):11.4e} "
                   f"{given:>11} {z:>6}", flush=True)
-    print(f"{len(SCHEMES) * len(args.es_n0_db)} points of {args.symbols} symbols "
+    print(f"{len(SCHEMES) * len(ES_N0_DB)} points of {SYMBOLS} symbols "
           f"in {time.perf_counter() - start:.1f} s")
     if outside:
         print(f"outside the {Z_LIMIT:g} sigma band: " + "; ".join(outside), file=sys.stderr)

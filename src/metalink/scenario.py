@@ -557,23 +557,27 @@ def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
 
 def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
                   schedule: core.CoefficientSchedule, stream_of_cell, channels,
-                  expected_shift: float = 0.0) -> tuple:
-    """The noiseless surface pass and integrate-and-dump of a frame, block by
-    block (propagation.run_pass); incident(start, stop) gives the incident
-    samples of each block.
+                  expected_shift: float, noise) -> tuple:
+    """The surface pass and integrate-and-dump of a frame, block by block
+    (propagation.run_pass); incident(start, stop) gives the incident
+    samples of each block. Each block adds point 0's samples to noise
+    (_head_noise), where it covers them, before it integrates them.
 
     Returns the (points x symbols) per-symbol means and the envelope of the
-    first spectrum_length samples at the first point, which is all that
-    detection and the periodogram read, so no whole envelope is held. The
-    pass's weights and block buffer are freed on return, before detection.
+    first spectrum_length samples at the first point (a view of noise where
+    it covers them): all that detection and the periodogram read, so no
+    whole envelope is held. The pass's buffers are freed on return.
     """
     sps = sc.samples_per_symbol * sc.oversample
     num_samples = frame.num_symbols * sps
     means = np.empty((channels.num_points, frame.num_symbols), dtype=np.complex128)
-    head = np.empty(sc.spectrum_length(num_samples), dtype=np.complex128)
+    length = sc.spectrum_length(num_samples)
+    head = noise[:length] if len(noise) else np.empty(length, dtype=np.complex128)
 
     def take(start, rx):
         stop = start + rx.shape[1]
+        if start < len(noise):
+            rx[0, :len(noise) - start] += noise[start:stop]
         means[:, start // sps:stop // sps] = txrx.integrate_and_dump(
             rx, sps, start, expected_shift, sc.envelope_rate())
         if start < len(head):
@@ -584,8 +588,8 @@ def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
     return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
 
 
-def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels) -> tuple:
-    """The noiseless per-symbol means and spectrum head of a link frame, as
+def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels, noise) -> tuple:
+    """The per-symbol means and spectrum head of a link frame, as
     _stream_frame returns them: the surface writes the symbols onto the
     feed's constant tone.
 
@@ -594,7 +598,9 @@ def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels) -> tuple
     held[p, k] = carrier * weights[p, k], so its mean is taken over a
     zero-stride view of held, numpy's same pairwise sum over the same values
     as a written block, and the spectrum head repeats the first symbols of
-    point 0. The results are those of the streamed pass, bit for bit.
+    point 0. Where noise covers point 0, its held samples are added to it,
+    and the head and those means are taken from the sums. The results are
+    those of the streamed pass, bit for bit.
     """
     sps = sc.samples_per_symbol * sc.oversample
     num_samples = frame.num_symbols * sps
@@ -607,49 +613,52 @@ def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels) -> tuple
     held *= carrier[0]
     means = np.empty(held.shape, dtype=np.complex128)
     np.broadcast_to(held[:, :, np.newaxis], held.shape + (sps,)).mean(axis=2, out=means)
+    covered = len(noise) // sps
+    noise.reshape(covered, sps)[...] += held[0, :covered, np.newaxis]
+    means[0, :covered] = txrx.integrate_and_dump(noise[np.newaxis], sps)[0]
     length = sc.spectrum_length(num_samples)
-    head = np.repeat(held[0, :-(-length // sps)], sps)[:length]
+    head = (noise if covered else np.repeat(held[0, :-(-length // sps)], sps))[:length]
     return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
 
 
-def _add_noise(sc: Scenario, means, head: core.ComplexEnvelope, noise_seeds,
-               expected_shift: float = 0.0) -> core.ComplexEnvelope:
-    """Add receiver noise, in place, to a frame's noiseless (points x
-    symbols) per-symbol means, and return its spectrum head at point 0 with
-    the noise added; no noise when noise_seeds is None.
+def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
+    """Each point's noise generator, and the first draws of a frame's
+    receiver noise; none when noise_seeds is None.
 
     Each point's received samples carry i.i.d. circular complex Gaussian
-    noise of variance noise_psd. The periodogram reads point 0's samples
-    over the head, so point 0 draws them over the c = ceil(len(head) / sps)
-    symbols the head covers, adds them to the head, and adds their
-    integrated mean, derotated by expected_shift as integrate_and_dump
-    derotates, to those symbols' means. Detection reads every other mean
-    only, and the mean of sps such samples is one circular Gaussian of
-    variance noise_psd / sps, so each other mean gets one draw of it.
-    Point p draws from default_rng(noise_seeds[p]), in this order: for
-    point 0, the c * sps real parts, then the c * sps imaginary parts of
-    its head samples; then, for every point, the real parts, then the
-    imaginary parts, of its remaining means in symbol order.
+    noise of variance noise_psd. The periodogram reads point 0's first
+    spectrum_length samples, so point 0 draws the noise of the whole
+    symbols they cover, and the frame adds its samples to it before it
+    integrates them (_link_frame, _stream_frame), so the head and those
+    symbols' means agree. Point p draws from default_rng(noise_seeds[p])
+    standard normals in pairs, the real and then the imaginary part of one
+    value: point 0 first those samples, in order; then _add_noise.
     """
     if noise_seeds is None:
-        return head
+        return [], np.empty(0, dtype=np.complex128)
     sps = sc.samples_per_symbol * sc.oversample
-    covered = -(-len(head) // sps)
-    for p, seed in enumerate(noise_seeds):
-        rng = np.random.default_rng(seed)
-        first = 0
-        if p == 0:
-            n = covered * sps
-            noise = np.sqrt(sc.noise_psd / 2.0) * (rng.standard_normal(n)
-                                                   + 1j * rng.standard_normal(n))
-            head = head.with_samples(head.samples + noise[:len(head)])
-            means[0, :covered] += txrx.integrate_and_dump(
-                noise[np.newaxis], sps, 0, expected_shift, sc.envelope_rate())[0]
-            first = covered
-        n = means.shape[1] - first
-        means[p, first:] += np.sqrt(sc.noise_psd / (2.0 * sps)) * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return head
+    rngs = [np.random.default_rng(seed) for seed in noise_seeds]
+    covered = -(-sc.spectrum_length(num_symbols * sps) // sps)
+    noise = np.empty(covered * sps, dtype=np.complex128)
+    rngs[0].standard_normal(out=noise.view(np.float64))
+    noise *= np.sqrt(sc.noise_psd / 2.0)
+    return rngs, noise
+
+
+def _add_noise(sc: Scenario, means, rngs, noise) -> None:
+    """Add receiver noise, in place, to the (points x symbols) per-symbol
+    means that point 0's head noise (_head_noise) does not cover. The mean
+    of sps samples of noise of variance noise_psd is one circular Gaussian
+    of variance noise_psd / sps, so each such mean gets one draw of it:
+    each point, in order, continues its generator with one pair per mean."""
+    sps = sc.samples_per_symbol * sc.oversample
+    scale = np.sqrt(sc.noise_psd / (2.0 * sps))
+    for p, rng in enumerate(rngs):
+        first = len(noise) // sps if p == 0 else 0
+        noise = np.empty(means.shape[1] - first, dtype=np.complex128)
+        rng.standard_normal(out=noise.view(np.float64))
+        noise *= scale
+        means[p, first:] += noise
 
 
 def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
@@ -658,8 +667,9 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
     points receive it; the first point's spectrum goes under tag."""
     frame = sc.frame(int(sc.stream_of_cell.max()) + 1)
     bits, symbols = _payload(sc, frame, bits_seed)
-    means, head = _link_frame(sc, frame, symbols, channels)
-    head = _add_noise(sc, means, head, noise_seeds)
+    rngs, noise = _head_noise(sc, noise_seeds, frame.num_symbols)
+    means, head = _link_frame(sc, frame, symbols, channels, noise)
+    _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     report.spectra[tag] = spectral.periodogram(head)
     return report
@@ -683,11 +693,12 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
         return txrx.symbols_to_waveform(sent[start // sps:stop // sps], sps,
                                         sc.envelope_rate(), sc.carrier_freq_hz).samples
 
-    shift = sc.staircase.frequency_shift
+    rngs, noise = _head_noise(sc, noise_seeds, frame.num_symbols)
     means, head = _stream_frame(
         sc, frame, incident, _ramp(sc, len(sent) * sps),
-        np.zeros(channels.num_cells, dtype=np.int64), channels, shift)
-    head = _add_noise(sc, means, head, noise_seeds, shift)
+        np.zeros(channels.num_cells, dtype=np.int64), channels,
+        sc.staircase.frequency_shift, noise)
+    _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     report.spectra["sdc_rx0"] = spectral.periodogram(head)
     return report
@@ -732,22 +743,20 @@ def simulate(sc: Scenario) -> ScenarioResult:
     equals child i of spawn; noise children are built only when
     noise_psd > 0.
 
-    A frame takes its noiseless per-symbol means first, and then its
-    receiver noise (_add_noise). Each point draws from its child: point 0
-    first the per-sample noise of the symbols its spectrum head covers (all
-    real parts, then all imaginary parts), which goes into the head and into
-    those symbols' means; then each point one draw of variance
-    noise_psd / sps per remaining symbol mean (all real parts, then all
-    imaginary parts). A link frame writes no samples: it takes its means
-    from the held coefficients, carrier * weights per point and symbol
-    (propagation.pass_weights), and builds only the spectrum head
-    (_link_frame). The receive phase is one propagation.run_pass call,
+    Each point of a frame draws its receiver noise from its child, in pairs
+    of standard normals (real, then imaginary part): point 0 first per
+    sample over the whole symbols its spectrum head covers (_head_noise),
+    then each point one value of variance noise_psd / sps per other symbol
+    mean, in symbol order (_add_noise). A link frame writes no samples: it
+    takes its means from the held coefficients, carrier * weights per point
+    and symbol (propagation.pass_weights), and builds only the spectrum
+    head (_link_frame). The receive phase is one propagation.run_pass call,
     which hands _stream_frame blocks of whole symbols (about
     propagation.BLOCK_SAMPLES samples per point) to integrate and dump, so
     memory does not hold a whole received envelope. SDC mode takes its
-    envelope whole, as the one block of surface_pass, for the DFT over whole
-    ramp periods; each point adds per-sample noise over all of it (all real
-    parts, then all imaginary parts).
+    envelope whole, as the one block of surface_pass, for the DFT over
+    whole ramp periods; each point adds per-sample noise over all of it
+    (all real parts, then all imaginary parts).
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"

@@ -13,7 +13,7 @@ the symbols that could be in error, surface_pass for the
 block kernel of propagation.run_pass and the weights of pass_weights,
 integrate for
 the blockwise txrx.integrate_and_dump, frame_noise for the receiver noise
-that scenario adds to a frame's per-symbol means and spectrum head, and
+that scenario adds to a frame's head samples and per-symbol means, and
 simulate for scenario.simulate, which forms its link frames' means from the
 held coefficients and streams its receive phase in blocks.
 
@@ -203,36 +203,29 @@ def integrate(rx, num_symbols: int, expected_shift: float = 0.0) -> np.ndarray:
 
 
 def frame_noise(num_points: int, num_symbols: int, sps: int, head_length: int,
-                noise_psd: float, noise_seeds, expected_shift: float = 0.0,
-                sample_rate: float = 1.0) -> tuple:
+                noise_psd: float, noise_seeds) -> tuple:
     """The receiver noise of one frame in simulate's draw layout, built whole.
 
     Point 0 has per-sample noise over the symbols its head_length-sample
     spectrum head covers, and every other (point, symbol) only the mean of
-    its samples' noise. Point p draws from default_rng(noise_seeds[p]): for
-    point 0, the real parts, then the imaginary parts, of those samples;
-    then the real parts, then the imaginary parts, of the noise means of its
-    remaining symbols, each of variance noise_psd / sps. Returns the
-    (points x symbols) per-symbol noise means, derotated by expected_shift
-    over the whole envelope as integrate derotates, and point 0's
-    per-sample noise.
+    its samples' noise, of variance noise_psd / sps. Point p draws from
+    default_rng(noise_seeds[p]) standard normals in (real, imaginary)
+    pairs: for point 0, one pair per sample of those symbols; then one pair
+    per remaining symbol mean. Returns point 0's per-sample noise and the
+    (points x symbols) per-symbol noise means, zero where the samples cover.
     """
     covered = -(-head_length // sps)
-    means = np.empty((num_points, num_symbols), dtype=np.complex128)
+    means = np.zeros((num_points, num_symbols), dtype=np.complex128)
     samples = None
     for p, seed in enumerate(noise_seeds):
         rng = np.random.default_rng(seed)
         if p == 0:
-            n = covered * sps
-            samples = np.sqrt(noise_psd / 2.0) * (rng.standard_normal(n)
-                                                  + 1j * rng.standard_normal(n))
-            env = core.ComplexEnvelope(samples, sample_rate, 0.0)
-            means[0, :covered] = integrate([env], covered, expected_shift)[0]
+            pairs = rng.standard_normal((covered * sps, 2))
+            samples = np.sqrt(noise_psd / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1])
         first = covered if p == 0 else 0
-        rest = num_symbols - first
-        means[p, first:] = np.sqrt(noise_psd / (2.0 * sps)) * (
-            rng.standard_normal(rest) + 1j * rng.standard_normal(rest))
-    return means, samples
+        pairs = rng.standard_normal((num_symbols - first, 2))
+        means[p, first:] = np.sqrt(noise_psd / (2.0 * sps)) * (pairs[:, 0] + 1j * pairs[:, 1])
+    return samples, means
 
 
 def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None,
@@ -342,17 +335,19 @@ def _link_report(ns) -> txrx.LinkReport:
         channel_estimate=ns.channel_estimate, condition_number=ns.condition_number)
 
 
-def _received(sc, rx, num_symbols, noise_seeds, expected_shift=0.0):
-    """The noise simulate adds to a frame received as the noiseless
-    envelopes rx: (its per-symbol noise means, None without noise, and point
-    0's first spectrum_length samples with their noise)."""
-    head = rx[0].samples[:sc.spectrum_length(len(rx[0]))]
+def _received(sc, rx, num_symbols, noise_seeds):
+    """A frame received as the noiseless envelopes rx, with the noise that
+    simulate adds: (rx with point 0's per-sample noise added, the
+    per-symbol noise means or None without noise, and point 0's first
+    spectrum_length samples)."""
+    length = sc.spectrum_length(len(rx[0]))
     if sc.noise_psd == 0.0:
-        return None, rx[0].with_samples(head)
-    means, samples = frame_noise(len(rx), num_symbols, len(rx[0]) // num_symbols,
-                                 len(head), sc.noise_psd, noise_seeds, expected_shift,
-                                 rx[0].sample_rate)
-    return means, rx[0].with_samples(head + samples[:len(head)])
+        return rx, None, rx[0].with_samples(rx[0].samples[:length])
+    samples, means = frame_noise(len(rx), num_symbols, len(rx[0]) // num_symbols,
+                                 length, sc.noise_psd, noise_seeds)
+    first = rx[0].samples.copy()
+    first[:len(samples)] += samples
+    return [rx[0].with_samples(first)] + rx[1:], means, rx[0].with_samples(first[:length])
 
 
 def _link_phase(sc, data, channels, bits_seed, noise_seeds):
@@ -368,7 +363,7 @@ def _link_phase(sc, data, channels, bits_seed, noise_seeds):
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)
     rx = surface_pass(carrier, schedule, partition.stream_of_cell, channels)
-    noise, head = _received(sc, rx, frame.num_symbols, noise_seeds)
+    rx, noise, head = _received(sc, rx, frame.num_symbols, noise_seeds)
     report = _link_report(receive_frame(rx, frame, scheme, reference=symbols,
                                         noise=noise))
     report.spectra["rx0"] = spectral.periodogram(head)
@@ -438,7 +433,7 @@ def _run_integrated(sc, data):
     whole = _partition(sc, "full")
     rx = surface_pass(incident, ramp, whole.stream_of_cell, channels_rx)
     shift = sc.staircase.frequency_shift
-    noise, head = _received(sc, rx, frame.num_symbols, seeds[-1:], shift)
+    rx, noise, head = _received(sc, rx, frame.num_symbols, seeds[-1:])
     rx_report = _link_report(receive_frame(rx, frame, scheme, shift, reference=symbols,
                                            noise=noise))
     rx_report.spectra["sdc_rx0"] = spectral.periodogram(head)

@@ -341,9 +341,9 @@ def test_wide_surface_simulates_in_bounded_memory():
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
-def traced_simulate(overrides: dict) -> tuple:
-    """simulate(mimo2x2_16qam) with overrides: (result, tracemalloc peak)."""
-    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
+def traced_simulate(overrides: dict, name: str = "mimo2x2_16qam") -> tuple:
+    """simulate(name) with overrides: (result, tracemalloc peak)."""
+    data = scen.apply_overrides(scen.load_scenario(name), overrides)
     sc = scen.Scenario.from_dict(data)
     tracemalloc.start()
     try:
@@ -372,6 +372,20 @@ def test_long_noisy_frame_peaks_within_1_mib_of_the_noiseless_one():
     _, clean = traced_simulate(long)
     result, peak = traced_simulate({**long, "channel.noise_psd": 1e-3})
     assert np.all(result.reports["link"].ber == 0.0)
+    assert max(clean, peak) < 48 * 2 ** 20, (
+        f"peaks {clean / 2 ** 20:.1f} and {peak / 2 ** 20:.1f} MB")
+    assert peak <= clean + 2 ** 20, (
+        f"noisy peak {peak / 2 ** 20:.2f} MiB, noiseless {clean / 2 ** 20:.2f} MiB")
+
+
+def test_noise_over_a_whole_frame_head_is_drawn_into_the_head():
+    # without spectrum_bins the head covers the receive phase's whole frame
+    # (330 000 samples, 5 MB); its noise is drawn into the head's buffer, to
+    # which the pass adds the received samples, so it holds no second copy
+    _, clean = traced_simulate({"spectrum_bins": None}, "integrated_switch")
+    result, peak = traced_simulate({"spectrum_bins": None, "channel.noise_psd": 1e-7},
+                                   "integrated_switch")
+    assert np.all(result.reports["receive"].ber == 0.0)
     assert peak <= clean + 2 ** 20, (
         f"noisy peak {peak / 2 ** 20:.2f} MiB, noiseless {clean / 2 ** 20:.2f} MiB")
 
@@ -429,31 +443,53 @@ def test_a_link_frame_writes_no_samples(noise_psd, monkeypatch):
     assert runs == [] and weights == 1
 
 
+def held_and_streamed(overrides: dict) -> tuple:
+    """mimo2x2_16qam's link frame through _link_frame and through the
+    streamed pass, which the integrated receive phase runs, on the same
+    schedule and the same head noise, which must agree bit for bit: (sc,
+    the held frame's means and head)."""
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
+    sc = scen.Scenario.from_dict(data)
+    frame = sc.frame(2)
+    channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
+    _, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
+    _, noise = scen._head_noise(sc, scen._noise_seeds(sc, [1, 2]), frame.num_symbols)
+    held = scen._link_frame(sc, frame, symbols, channels, noise.copy())
+    carrier = core.tone_envelope(frame.num_symbols * sc.samples_per_symbol
+                                 * sc.oversample, sc.envelope_rate(), 0.0).samples
+    streamed = scen._stream_frame(
+        sc, frame, lambda start, stop: carrier[start:stop],
+        txrx.symbols_to_schedule(symbols, frame, sc.quantization),
+        sc.stream_of_cell, channels, 0.0, noise.copy())
+    (means, head), (want_means, want_head) = held, streamed
+    assert np.array_equal(means.view(np.uint64), want_means.view(np.uint64))
+    assert np.array_equal(head.samples.view(np.uint64),
+                          want_head.samples.view(np.uint64))
+    assert (head.sample_rate, head.carrier_freq) == (want_head.sample_rate,
+                                                     want_head.carrier_freq)
+    return sc, held
+
+
 @pytest.mark.parametrize("overrides", [
     {}, {"spectrum_bins": None}, {"spectrum_bins": 2}, {"spectrum_bins": 41},
     {"oversample": 3, "control_rate_hz": 1e8, "quantization": {
         "phase_levels": 4, "amplitude_levels": 2, "phase_offset_rad": 0.1}},
     {"frame.payload_symbols": 3}])
 def test_a_noiseless_link_frame_equals_its_streamed_pass(overrides):
-    # the held means and spectrum head against the streamed pass, which the
-    # integrated receive phase runs, on the same schedule
-    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
-    sc = scen.Scenario.from_dict(data)
-    frame = sc.frame(2)
-    channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
-    _, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
-    means, head = scen._link_frame(sc, frame, symbols, channels)
-    carrier = core.tone_envelope(frame.num_symbols * sc.samples_per_symbol
-                                 * sc.oversample, sc.envelope_rate(), 0.0).samples
-    want_means, want_head = scen._stream_frame(
-        sc, frame, lambda start, stop: carrier[start:stop],
-        txrx.symbols_to_schedule(symbols, frame, sc.quantization),
-        sc.stream_of_cell, channels)
-    assert np.array_equal(means.view(np.uint64), want_means.view(np.uint64))
-    assert np.array_equal(head.samples.view(np.uint64),
-                          want_head.samples.view(np.uint64))
-    assert (head.sample_rate, head.carrier_freq) == (want_head.sample_rate,
-                                                     want_head.carrier_freq)
+    held_and_streamed(overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"spectrum_bins": None}, {"spectrum_bins": 41}, {"spectrum_bins": 4000},
+    {"frame.payload_symbols": 3}])
+def test_a_noisy_link_frame_equals_its_streamed_pass(overrides):
+    # both add point 0's samples to its head noise before they integrate
+    # them, so the head and the means of the symbols it covers agree
+    sc, (means, head) = held_and_streamed({**overrides, "channel.noise_psd": 0.3})
+    sps = sc.samples_per_symbol * sc.oversample
+    covered = len(head) // sps
+    assert np.array_equal(means[0, :covered], txrx.integrate_and_dump(
+        head.samples[np.newaxis, :covered * sps], sps)[0])
 
 
 def chi_square_z(noise, variance) -> float:
@@ -467,7 +503,8 @@ def chi_square_z(noise, variance) -> float:
 @pytest.mark.parametrize("expected_shift", [0.0, 3e6])
 def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift):
     # the old draw: noise on every sample of a silent envelope, integrated
-    # (and derotated); the new one: _add_noise on silent means and head
+    # (and derotated); the new one: _head_noise integrated over the symbols
+    # it covers, and _add_noise on the other means
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), {
         "channel.noise_psd": 0.3, "spectrum_bins": 4000})
     sc = scen.Scenario.from_dict(data)
@@ -479,15 +516,15 @@ def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift
         np.ones((1, symbols * sps), dtype=complex), fs), [0],
         propagation.ChannelSet(np.ones(1), np.ones((1, points))), sc.noise_psd, seeds),
         symbols, expected_shift)
+    rngs, noise = scen._head_noise(sc, seeds, symbols)
     new = np.zeros((points, symbols), dtype=complex)
-    head = scen._add_noise(sc, new, silent.with_samples(np.zeros(4000)), seeds,
-                           expected_shift)
+    new[0, :len(noise) // sps] = txrx.integrate_and_dump(
+        noise[np.newaxis], sps, 0, expected_shift, fs)[0]
+    scen._add_noise(sc, new, rngs, noise)
+    assert len(noise) == 4000
     for means in (old, new):
         assert abs(chi_square_z(means, sc.noise_psd / sps)) < 5.0
-    assert abs(chi_square_z(head.samples, sc.noise_psd)) < 5.0
-    # the head's samples and the means of the symbols it covers agree
-    assert np.array_equal(new[0, :100], txrx.integrate_and_dump(
-        head.samples[np.newaxis], sps, 0, expected_shift, fs)[0])
+    assert abs(chi_square_z(noise, sc.noise_psd)) < 5.0
 
 
 def test_integrated_switch_decodes_under_moderate_noise():
