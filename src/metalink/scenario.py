@@ -39,6 +39,7 @@ from . import core, metasurface, propagation, spectral, txrx
 MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
+BIT_CHUNK = 1 << 16  # payload bits per int64 draw in _payload
 KINDS = propagation.CHANNEL_KINDS
 
 
@@ -541,11 +542,20 @@ def _noise_seeds(sc: Scenario, indices) -> list | None:
 
 
 def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
-    """Payload bits (streams x payload x bits per symbol) drawn from seed,
-    and the (streams x payload) symbols they map to."""
-    bits = np.random.default_rng(seed).integers(
-        0, 2, size=(frame.num_streams, frame.payload_length * sc.scheme.bits_per_symbol))
-    symbols = txrx.map_bits(bits.ravel(), sc.scheme).reshape(frame.num_streams, -1)
+    """Payload bits, uint8 (streams x payload x bits per symbol), drawn from
+    seed, and the (streams x payload) symbols they map to.
+
+    The bits are those of one int64 draw integers(0, 2, size=bits.shape),
+    taken BIT_CHUNK at a time: the chunks continue the one draw's stream (a
+    uint8 draw would not), and only one chunk is held as int64.
+    """
+    rng = np.random.default_rng(seed)
+    bits = np.empty((frame.num_streams, frame.payload_length * sc.scheme.bits_per_symbol),
+                    dtype=np.uint8)
+    flat = bits.reshape(-1)
+    for i in range(0, flat.size, BIT_CHUNK):
+        flat[i:i + BIT_CHUNK] = rng.integers(0, 2, size=min(BIT_CHUNK, flat.size - i))
+    symbols = txrx.map_bits(flat, sc.scheme).reshape(frame.num_streams, -1)
     return bits, symbols
 
 
@@ -671,6 +681,7 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
     means, head = _link_frame(sc, frame, symbols, channels, noise)
     _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
+    del bits, means  # freed before the periodogram
     report.spectra[tag] = spectral.periodogram(head)
     return report
 
@@ -700,6 +711,7 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
         sc.staircase.frequency_shift, noise)
     _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
+    del bits, means  # freed before the periodogram
     report.spectra["sdc_rx0"] = spectral.periodogram(head)
     return report
 

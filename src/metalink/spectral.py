@@ -42,16 +42,23 @@ class Spectrum:
 
 def periodogram(env: ComplexEnvelope) -> Spectrum:
     """Rectangular-window periodogram of the whole envelope; a caller that
-    wants fewer bins passes the samples it wants."""
+    wants fewer bins passes the samples it wants.
+
+    |X| is written straight into its shifted place in the power array, then
+    divided and squared in place."""
     length = len(env)
     spectrum = np.fft.fft(env.samples)
-    power = (np.abs(spectrum) / length) ** 2
     # bins span (-fs/2, fs/2]: bins above length // 2 are the negative ones
     h = length // 2
+    power = np.empty(length)
+    np.abs(spectrum[h + 1:], out=power[:length - h - 1])
+    np.abs(spectrum[:h + 1], out=power[length - h - 1:])
+    del spectrum
+    power /= length
+    power *= power
     k = np.arange(h + 1 - length, h + 1)
     resolution = env.sample_rate / length
-    return Spectrum(k * resolution, np.concatenate([power[h + 1:], power[:h + 1]]),
-                    resolution)
+    return Spectrum(k * resolution, power, resolution)
 
 
 def line_power(spec: Spectrum, freq: float) -> float:

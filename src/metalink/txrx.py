@@ -1,9 +1,9 @@
 """Digital baseband to coefficient schedules and the full receive chain.
 
-Transmit side: bits are Gray-mapped to peak-normalized constellation points
-and written directly into per-stream reflection coefficients, one coefficient
-per symbol interval, pilots first. There is no RF chain; the carrier is an
-air-fed single tone.
+Transmit side: bits, held as uint8, are Gray-mapped to peak-normalized
+constellation points and written directly into per-stream reflection
+coefficients, one coefficient per symbol interval, pilots first. There is
+no RF chain; the carrier is an air-fed single tone.
 
 Receive side: optional derotation by a known frequency shift, integrate-and-
 dump over symbol intervals (integrate_and_dump, which takes any block of
@@ -13,7 +13,8 @@ payload. The pilots are Hadamard rows, whose Gram matrix is pilot_length
 times the identity, so the estimate divides by the pilot length. A symbol
 closer to its reference point than the scheme's decision_radius cannot be
 decided wrongly, so detect runs nearest-point demapping only on the other
-symbols; demapping forms its distance table DEMAP_BLOCK symbols at a time.
+symbols; demapping forms its distance table DEMAP_BLOCK symbols at a time
+and returns uint8 bits.
 """
 
 from __future__ import annotations
@@ -114,36 +115,47 @@ def get_scheme(name: str) -> ModulationScheme:
 
 
 def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
-    """Gray-map a bit sequence to constellation points, MSB-first per symbol."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """Gray-map a bit sequence to constellation points, MSB-first per symbol.
+
+    Every bit must equal 0 or 1, checked before any cast, so 0.5 or NaN is
+    refused, not truncated; uint8 bits are read as they are, with no wider
+    copy.
+    """
+    bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bits must be 1-D")
-    if np.any((bits != 0) & (bits != 1)):
+    if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0 or 1")
     b = scheme.bits_per_symbol
     if bits.size % b != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {b}")
-    weights = 1 << np.arange(b - 1, -1, -1)
-    words = bits.reshape(-1, b) @ weights
+    word_type = _word_type(scheme)
+    weights = (1 << np.arange(b - 1, -1, -1)).astype(word_type)
+    words = bits.astype(word_type, copy=False).reshape(-1, b) @ weights
     return scheme.points[words]
 
 
 def demap_symbols(symbols, scheme: ModulationScheme):
-    """Nearest-point hard decisions: (bits, decided constellation points).
+    """Nearest-point hard decisions: (uint8 bits, decided constellation points).
 
     Distances are tabulated DEMAP_BLOCK symbols at a time, so memory stays
     bounded; a tie goes to the lowest bit word.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    words = np.empty(len(symbols), dtype=np.intp)
+    words = np.empty(len(symbols), dtype=_word_type(scheme))
     for i in range(0, len(symbols), DEMAP_BLOCK):
         block = symbols[i:i + DEMAP_BLOCK]
         words[i:i + DEMAP_BLOCK] = np.argmin(
             np.abs(block[:, np.newaxis] - scheme.points), axis=1)
     b = scheme.bits_per_symbol
-    shifts = np.arange(b - 1, -1, -1)
-    bits = ((words[:, np.newaxis] >> shifts) & 1).reshape(-1)
-    return bits, scheme.points[words]
+    shifts = np.arange(b - 1, -1, -1, dtype=words.dtype)
+    bits = ((words[:, np.newaxis] >> shifts) & 1).astype(np.uint8, copy=False)
+    return bits.reshape(-1), scheme.points[words]
+
+
+def _word_type(scheme: ModulationScheme) -> np.dtype:
+    """The smallest unsigned integer type that holds scheme's bit words."""
+    return np.min_scalar_type(scheme.points.size - 1)
 
 
 def _hadamard(order: int) -> np.ndarray:
@@ -296,17 +308,20 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     scenario._payload does; the BER below relies on it.
 
     EVM is the RMS of the error magnitudes |equalized - reference| in
-    percent of the reference RMS. BER is the share of reference bits that
-    differ from the nearest-point decisions of demap_symbols, which runs
-    only on the symbols whose error is not below r = scheme.decision_radius
-    (so a NaN error is demapped too). The others cannot be in error: the
-    point of every other word lies at least d_min from the reference point,
-    so a symbol closer than r < d_min / 2 to the reference point is farther
-    than d_min - r > r from every other word's point. The gap between the
-    two distances, above 1e-9 * d_min, dwarfs the rounding of the computed
-    distances (relative 1e-16), so demap_symbols would decide the reference
-    word, whose bits are the reference bits. When two words share a point,
-    r is 0 and every symbol is demapped.
+    percent of the reference RMS. Both are formed in one float buffer of
+    payload_length, reused by every stream: |reference|^2 first, then the
+    error magnitudes, DEMAP_BLOCK symbols at a time, squared in place; each
+    RMS is one np.mean over the whole buffer. BER is the share of reference
+    bits that differ from the nearest-point decisions of demap_symbols,
+    which runs only on the symbols whose error is not below r =
+    scheme.decision_radius (so a NaN error is demapped too). The others
+    cannot be in error: the point of every other word lies at least d_min
+    from the reference point, so a symbol closer than r < d_min / 2 to the
+    reference point is farther than d_min - r > r from every other word's
+    point. The gap between the two distances, above 1e-9 * d_min, dwarfs the
+    rounding of the computed distances (relative 1e-16), so demap_symbols
+    would decide the reference word, whose bits are the reference bits. When
+    two words share a point, r is 0 and every symbol is demapped.
     """
     num_streams = frame.num_streams
     if len(symbols) < num_streams:
@@ -334,13 +349,19 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
 
     evms = np.empty(num_streams)
     bers = np.empty(num_streams)
+    errors = np.empty(frame.payload_length)
     for s in range(num_streams):
-        ref_rms = np.sqrt(np.mean(np.abs(reference_symbols[s]) ** 2))
+        np.abs(reference_symbols[s], out=errors)
+        errors *= errors
+        ref_rms = np.sqrt(np.mean(errors))
         if ref_rms == 0.0:
             raise ValueError("reference power is zero")
-        errors = np.abs(equalized[s] - reference_symbols[s])
-        evms[s] = 100.0 * np.sqrt(np.mean(errors ** 2)) / ref_rms
+        for i in range(0, frame.payload_length, DEMAP_BLOCK):
+            block = slice(i, i + DEMAP_BLOCK)
+            np.abs(equalized[s, block] - reference_symbols[s, block], out=errors[block])
         doubtful = np.flatnonzero(~(errors < scheme.decision_radius))
+        errors *= errors
+        evms[s] = 100.0 * np.sqrt(np.mean(errors)) / ref_rms
         decided = demap_symbols(equalized[s, doubtful], scheme)[0]
         sent = reference_bits[s].reshape(-1, scheme.bits_per_symbol)[doubtful]
         bers[s] = np.count_nonzero(decided != sent.ravel()) / reference_bits.shape[1]

@@ -364,6 +364,30 @@ def test_mimo_frame_simulates_in_bounded_memory():
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
+def test_a_million_symbol_frame_peaks_under_112_mib():
+    # 2 x 10^6 16QAM symbols: the payload bits are bytes (7.6 MiB) and
+    # detect scores each stream through one reused float buffer; the
+    # symbols, the means and the equalized symbols (30.5 MiB each) remain
+    result, peak = traced_simulate({"frame.payload_symbols": 10 ** 6})
+    assert np.all(result.reports["link"].ber == 0.0)
+    assert peak <= 112 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_payload_bits_are_the_bytes_of_one_int64_draw():
+    # BIT_CHUNK-sized int64 draws continue the stream of the one draw; here
+    # 3 whole chunks and a partial one, across both streams
+    payload = 3 * scen.BIT_CHUNK // 8 + 1
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"),
+                                {"frame.payload_symbols": payload})
+    sc = scen.Scenario.from_dict(data)
+    frame = sc.frame(2)
+    bits, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
+    assert bits.size // scen.BIT_CHUNK == 3 and bits.size % scen.BIT_CHUNK != 0
+    want = np.random.default_rng(scen._seed(sc, 0)).integers(0, 2, size=(2, payload * 4))
+    assert bits.dtype == np.uint8 and np.array_equal(bits, want)
+    assert np.array_equal(symbols, txrx.map_bits(want.ravel(), sc.scheme).reshape(2, -1))
+
+
 def test_long_noisy_frame_peaks_within_1_mib_of_the_noiseless_one():
     # 2 x 10^5 symbols: noise is drawn per symbol mean, and per sample only
     # over the spectrum head, so it adds no per-sample buffer (whole noisy

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +162,36 @@ def test_map_bits_rejects_ragged_input():
         map_bits([0, 1, 0], get_scheme("QPSK"))
     with pytest.raises(ValueError):
         map_bits([0, 2], get_scheme("BPSK"))
+
+
+@pytest.mark.parametrize("bits", [[0.5, 1.0], [np.nan, 1.0], [1e300, 0.0], [-1, 1],
+                                  [2 ** 63, 0], [2 ** 70, 0]],
+                         ids=["half", "nan", "huge_float", "negative", "above_int64",
+                              "object_int"])
+def test_map_bits_refuses_anything_but_0_and_1_before_casting(bits):
+    # an int64 cast first would decode 0.5 as bit 0, and would raise numpy's
+    # own errors for NaN and values above int64
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        map_bits(bits, get_scheme("BPSK"))
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_uint8_bits_round_trip_without_a_wider_copy(name):
+    scheme = get_scheme(name)
+    bits = np.random.default_rng(3).integers(
+        0, 2, size=scheme.bits_per_symbol * 2 ** 16).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        symbols = map_bits(bits, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an int64 copy of the bits alone would take 8 bytes per bit
+    assert peak < symbols.nbytes + 4 * bits.nbytes, (peak, symbols.nbytes)
+    recovered, points = demap_symbols(symbols, scheme)
+    assert recovered.dtype == np.uint8
+    assert np.array_equal(recovered, bits)
+    assert np.array_equal(points, symbols)
 
 
 @pytest.mark.parametrize("size", [1, DEMAP_BLOCK - 1, DEMAP_BLOCK, DEMAP_BLOCK + 1,
