@@ -3,16 +3,12 @@
 Channels are narrowband: one complex gain per (source, destination) pair,
 valid across the whole envelope bandwidth. The free-space model is the
 scalar spherical wave (lambda / (4*pi*r)) * exp(-j*2*pi*r/lambda) with no
-element pattern or polarization. Receiver noise is injected only at the
-observation points; the surface itself is passive. surface_pass adds it to
-the whole envelope it returns. run_pass, which streams a pass in blocks,
-adds none: a frame's noise is drawn where its per-symbol means are formed
-(scenario).
+element pattern or polarization. The surface is passive and this module is
+noiseless: receiver noise is drawn where the receiver reads it (scenario).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +127,6 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
     return ChannelSet(feed, obs)
 
 
-BLOCK_SAMPLES = 2 ** 16  # envelope samples per point in one block of a streamed pass
-
-
 def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSchedule,
                  stream_of_cell, channels: ChannelSet) -> tuple:
     """Check a surface pass over num_samples envelope samples; return its
@@ -144,7 +137,7 @@ def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSche
     obs_gains[c, p]; G[s, p] sums feed_gains[c] * obs_gains[c, p] over the
     cells c of stream s. weights[p, k] is point p's gain while schedule
     step k holds, which is for hold envelope samples. The checks are those
-    surface_pass documents, but for the noise ones, which surface_pass adds.
+    surface_pass documents.
     """
     hold = _hold_ratio(schedule.control_rate, sample_rate)
     if hold is None:
@@ -173,40 +166,9 @@ def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSche
     return gains.T @ schedule.values, hold
 
 
-def run_pass(incident, sample_rate: float, num_samples: int,
-             schedule: CoefficientSchedule, stream_of_cell, channels: ChannelSet,
-             symbol_samples: int, take) -> None:
-    """Run a checked surface pass block by block, handing each block to
-    take(start, rx).
-
-    incident(start, stop) gives the incident samples start:stop of the
-    envelope. A block is the longest run of whole symbols of symbol_samples
-    and whole schedule steps that fits in BLOCK_SAMPLES, at least one of
-    each and at most the whole envelope; the last block may be shorter, and
-    a symbol as long as the envelope makes the pass one block. rx holds the
-    received samples start:start + rx.shape[1] at every point, (points, n):
-    rx[p, n] = incident[n] * weights[p, n // hold] (pass_weights), without
-    noise. It is a view of one buffer, which the next block overwrites. The
-    checks are those of pass_weights.
-    """
-    weights, hold = pass_weights(sample_rate, num_samples, schedule, stream_of_cell,
-                                 channels)
-    unit = math.lcm(hold, symbol_samples)
-    block_samples = min(max(1, BLOCK_SAMPLES // unit) * unit, num_samples)
-    buffer = np.empty((channels.num_points, block_samples), dtype=np.complex128)
-    for start in range(0, num_samples, block_samples):
-        stop = min(start + block_samples, num_samples)
-        k, n = start // hold, (stop - start) // hold
-        rx = buffer[:, :stop - start]
-        np.multiply(incident(start, stop).reshape(n, hold), weights[:, k:k + n, np.newaxis],
-                    out=rx.reshape(-1, n, hold))
-        take(start, rx)
-
-
 def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
-                 stream_of_cell, channels: ChannelSet, noise_psd: float = 0.0,
-                 noise_seeds=None) -> list:
-    """Received envelope at every observation point, in channel order.
+                 stream_of_cell, channels: ChannelSet) -> list:
+    """Noiseless received envelope at every observation point, in channel order.
 
     Cell c (row-major flat index) is lit by feed_gains[c] * incident, holds
     row stream_of_cell[c] of the schedule, and reaches point p through
@@ -218,31 +180,18 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     The schedule may run at any rate that divides the envelope rate a whole
     number of times, hold = sample_rate / control_rate; each of its steps
     covers hold envelope samples (zero-order hold), so
-    rx_p[n] = incident[n] * sum_s G[s, p] * w_s[n // hold], and the schedule
-    is never expanded to the envelope rate. Its steps must cover the
-    envelope exactly. When noise_psd > 0, point p adds i.i.d. circular
-    complex Gaussian noise of variance noise_psd per sample, drawn from
-    default_rng(noise_seeds[p]): real parts, then imaginary parts. A
-    negative or NaN noise_psd, or noise without one seed per point, is a
-    ContractViolation. Gains so large that the received power would
-    overflow are a ConfigurationError.
+    rx_p[n] = incident[n] * sum_s G[s, p] * w_s[n // hold], one whole-array
+    multiply on the weights of pass_weights, and the schedule is never
+    expanded to the envelope rate. Its steps must cover the envelope
+    exactly, and stream_of_cell must give each cell a schedule row; either
+    mismatch is a ContractViolation. Gains so large that the received power
+    would overflow are a ConfigurationError.
 
-    The whole envelope is one block of run_pass. Space-down-conversion mode
-    calls this, since its DFT reads the whole envelope, and it stays public
-    because the acceptance gate drives the surface through it.
+    Space-down-conversion mode calls this, since its DFT reads the whole
+    envelope, and it stays public because the acceptance gate drives the
+    surface through it.
     """
-    if not noise_psd >= 0.0:
-        raise ContractViolation(f"noise_psd must be a number >= 0, not {noise_psd}")
-    if noise_psd > 0.0 and (noise_seeds is None
-                            or len(noise_seeds) != channels.num_points):
-        raise ContractViolation("noise needs one seed per observation point")
-    rx = []
-    run_pass(lambda start, stop: incident.samples[start:stop], incident.sample_rate,
-             len(incident), schedule, stream_of_cell, channels, len(incident),
-             lambda start, block: rx.extend(block))
-    if noise_psd > 0.0:
-        scale = np.sqrt(noise_psd / 2.0)
-        for row, seed in zip(rx, noise_seeds):
-            rng = np.random.default_rng(seed)
-            row += scale * (rng.standard_normal(len(row)) + 1j * rng.standard_normal(len(row)))
-    return [incident.with_samples(row) for row in rx]
+    weights, hold = pass_weights(incident.sample_rate, len(incident), schedule,
+                                 stream_of_cell, channels)
+    rx = incident.samples.reshape(-1, hold) * weights[:, :, np.newaxis]
+    return [incident.with_samples(row) for row in rx.reshape(channels.num_points, -1)]

@@ -40,6 +40,7 @@ MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
 BIT_CHUNK = 1 << 16  # payload bits per int64 draw in _payload
+BLOCK_SAMPLES = 2 ** 16  # envelope samples in one block of the receive phase's loop
 KINDS = propagation.CHANNEL_KINDS
 
 
@@ -565,43 +566,11 @@ def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
                                          num_samples / sc.envelope_rate())
 
 
-def _stream_frame(sc: Scenario, frame: txrx.FrameSpec, incident,
-                  schedule: core.CoefficientSchedule, stream_of_cell, channels,
-                  expected_shift: float, noise) -> tuple:
-    """The surface pass and integrate-and-dump of a frame, block by block
-    (propagation.run_pass); incident(start, stop) gives the incident
-    samples of each block. Each block adds point 0's samples to noise
-    (_head_noise), where it covers them, before it integrates them.
-
-    Returns the (points x symbols) per-symbol means and the envelope of the
-    first spectrum_length samples at the first point (a view of noise where
-    it covers them): all that detection and the periodogram read, so no
-    whole envelope is held. The pass's buffers are freed on return.
-    """
-    sps = sc.samples_per_symbol * sc.oversample
-    num_samples = frame.num_symbols * sps
-    means = np.empty((channels.num_points, frame.num_symbols), dtype=np.complex128)
-    length = sc.spectrum_length(num_samples)
-    head = noise[:length] if len(noise) else np.empty(length, dtype=np.complex128)
-
-    def take(start, rx):
-        stop = start + rx.shape[1]
-        if start < len(noise):
-            rx[0, :len(noise) - start] += noise[start:stop]
-        means[:, start // sps:stop // sps] = txrx.integrate_and_dump(
-            rx, sps, start, expected_shift, sc.envelope_rate())
-        if start < len(head):
-            head[start:stop] = rx[0, :len(head) - start]
-
-    propagation.run_pass(incident, sc.envelope_rate(), num_samples, schedule,
-                         stream_of_cell, channels, sps, take)
-    return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
-
-
 def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels, noise) -> tuple:
-    """The per-symbol means and spectrum head of a link frame, as
-    _stream_frame returns them: the surface writes the symbols onto the
-    feed's constant tone.
+    """The (points x symbols) per-symbol means of a link frame and the
+    envelope of the first spectrum_length samples at the first point: all
+    that detection and the periodogram read, so no whole envelope is held.
+    The surface writes the symbols onto the feed's constant tone.
 
     No sample is written, only the checked weights of
     propagation.pass_weights: every sample of symbol k at point p is
@@ -609,8 +578,9 @@ def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels, noise) -
     zero-stride view of held, numpy's same pairwise sum over the same values
     as a written block, and the spectrum head repeats the first symbols of
     point 0. Where noise covers point 0, its held samples are added to it,
-    and the head and those means are taken from the sums. The results are
-    those of the streamed pass, bit for bit.
+    and the head and those means are taken from the sums. The results are,
+    bit for bit, those of writing every sample of the pass, adding the same
+    noise and integrating it.
     """
     sps = sc.samples_per_symbol * sc.oversample
     num_samples = frame.num_symbols * sps
@@ -639,7 +609,7 @@ def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
     noise of variance noise_psd. The periodogram reads point 0's first
     spectrum_length samples, so point 0 draws the noise of the whole
     symbols they cover, and the frame adds its samples to it before it
-    integrates them (_link_frame, _stream_frame), so the head and those
+    integrates them (_link_frame, _receive_phase), so the head and those
     symbols' means agree. Point p draws from default_rng(noise_seeds[p])
     standard normals in pairs, the real and then the imaginary part of one
     value: point 0 first those samples, in order; then _add_noise.
@@ -688,8 +658,15 @@ def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
 
 def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
     """The first rx point sends a one-stream frame, the surface ramps, and
-    the feed antenna, switched to a receive chain, observes. The frame's
-    waveform is built one block at a time."""
+    the feed antenna, switched to a receive chain, observes.
+
+    The received samples are written BLOCK_SAMPLES // sps whole symbols at
+    a time (at least one) into one buffer: the sent symbols, each held for
+    sps samples, times the ramp's weights (propagation.pass_weights). Each
+    block adds point 0's head noise (_head_noise) where it covers it,
+    integrates and dumps, and keeps the samples of the spectrum head, so no
+    whole received envelope is held.
+    """
     feed_idx = sc.points.indices_with_role("feed")[0]
     obs_idx = [i for i in range(len(sc.points)) if i != feed_idx]
     back_points = core.PointSet(
@@ -699,20 +676,35 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
     bits, symbols = _payload(sc, frame, bits_seed)
     sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
     sps = sc.samples_per_symbol * sc.oversample
-
-    def incident(start, stop):
-        return txrx.symbols_to_waveform(sent[start // sps:stop // sps], sps,
-                                        sc.envelope_rate(), sc.carrier_freq_hz).samples
-
+    num_samples = len(sent) * sps
+    weights, hold = propagation.pass_weights(
+        sc.envelope_rate(), num_samples, _ramp(sc, num_samples),
+        np.zeros(channels.num_cells, dtype=np.int64), channels)
+    steps = sps // hold  # ramp steps per symbol, each held for hold samples
+    weights = weights.reshape(channels.num_points, len(sent), steps, 1)
     rngs, noise = _head_noise(sc, noise_seeds, frame.num_symbols)
-    means, head = _stream_frame(
-        sc, frame, incident, _ramp(sc, len(sent) * sps),
-        np.zeros(channels.num_cells, dtype=np.int64), channels,
-        sc.staircase.frequency_shift, noise)
+    length = sc.spectrum_length(num_samples)
+    head = noise[:length] if len(noise) else np.empty(length, dtype=np.complex128)
+    means = np.empty((channels.num_points, len(sent)), dtype=np.complex128)
+    n = max(1, BLOCK_SAMPLES // sps)
+    buffer = np.empty((channels.num_points, min(n, len(sent)) * sps), dtype=np.complex128)
+    for k in range(0, len(sent), n):
+        start, m = k * sps, min(n, len(sent) - k)
+        rx = buffer[:, :m * sps]
+        np.multiply(sent[k:k + m, np.newaxis, np.newaxis], weights[:, k:k + m],
+                    out=rx.reshape(-1, m, steps, hold))
+        if start < len(noise):
+            rx[0, :len(noise) - start] += noise[start:start + m * sps]
+        means[:, k:k + m] = txrx.integrate_and_dump(
+            rx, sps, start, sc.staircase.frequency_shift, sc.envelope_rate())
+        if start < length:
+            head[start:start + m * sps] = rx[0, :length - start]
+    del buffer, rx, weights  # freed before detection
     _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     del bits, means  # freed before the periodogram
-    report.spectra["sdc_rx0"] = spectral.periodogram(head)
+    report.spectra["sdc_rx0"] = spectral.periodogram(
+        core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz))
     return report
 
 
@@ -727,8 +719,8 @@ def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
     rows = []
     for q, amplitude in zip(indices, spectral.staircase_harmonics(L, indices)):
         freq = q * ramp.frequency_shift
-        if abs(freq) > sc.envelope_rate() / 2:
-            continue
+        if not -sc.envelope_rate() / 2 < freq <= sc.envelope_rate() / 2:
+            continue  # the periodogram's bins span (-fs/2, fs/2]
         predicted = float(amplitude ** 2)
         measured = spectral.line_power(spectrum, freq) / total
         rows.append({"harmonic_index": q, "freq_hz": freq,
@@ -762,31 +754,36 @@ def simulate(sc: Scenario) -> ScenarioResult:
     mean, in symbol order (_add_noise). A link frame writes no samples: it
     takes its means from the held coefficients, carrier * weights per point
     and symbol (propagation.pass_weights), and builds only the spectrum
-    head (_link_frame). The receive phase is one propagation.run_pass call,
-    which hands _stream_frame blocks of whole symbols (about
-    propagation.BLOCK_SAMPLES samples per point) to integrate and dump, so
-    memory does not hold a whole received envelope. SDC mode takes its
-    envelope whole, as the one block of surface_pass, for the DFT over
-    whole ramp periods; each point adds per-sample noise over all of it
-    (all real parts, then all imaginary parts).
+    head (_link_frame). The receive phase writes its samples in blocks of
+    whole symbols, about BLOCK_SAMPLES per point, and integrates and dumps
+    each (_receive_phase), so memory does not hold a whole received
+    envelope. SDC mode takes its envelope whole from
+    propagation.surface_pass, for the DFT over whole ramp periods, and adds
+    per-sample noise to point 0's, the only one it reads: all real parts,
+    then all imaginary parts.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
-    first = 2 if integrated else 1
-    noise_seeds = _noise_seeds(sc, range(first, first + channels.num_points))
     if sc.mode == "space_down_conversion":
         carrier = core.tone_envelope(
             sc.sdc_periods * sc.staircase.steps_per_period * sc.oversample,
             sc.envelope_rate(), sc.carrier_freq_hz)
         # whole: the harmonic table needs a DFT over whole ramp periods
-        rx = propagation.surface_pass(
-            carrier, _ramp(sc, len(carrier)),
-            np.zeros(channels.num_cells, dtype=np.int64), channels, sc.noise_psd,
-            noise_seeds)
-        report = txrx.LinkReport(spectra={"input": spectral.periodogram(carrier),
-                                          "output": spectral.periodogram(rx[0])})
+        rx = propagation.surface_pass(carrier, _ramp(sc, len(carrier)),
+                                      np.zeros(channels.num_cells, dtype=np.int64),
+                                      channels)[0].samples
+        if sc.noise_psd > 0.0:  # from point 0's child, 1 + p
+            rng = np.random.default_rng(_seed(sc, 1))
+            rx += np.sqrt(sc.noise_psd / 2.0) * (
+                rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
+            del rng  # freed before the periodograms
+        report = txrx.LinkReport(spectra={
+            "input": spectral.periodogram(carrier),
+            "output": spectral.periodogram(carrier.with_samples(rx))})
     else:
-        report = _link_phase(sc, channels, _seed(sc, 0), noise_seeds,
+        first = 2 if integrated else 1
+        report = _link_phase(sc, channels, _seed(sc, 0),
+                             _noise_seeds(sc, range(first, first + channels.num_points)),
                              "tx_rx0" if integrated else "rx0")
     reports = {"link": report}
     if integrated:

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ComplexEnvelope,
-    CoefficientSchedule,
-    ConfigurationError,
-    ContractViolation,
-)
+from .core import CoefficientSchedule, ConfigurationError, ContractViolation
 from .metasurface import CONTINUOUS, QuantizationModel, quantize_values
 
 CONDITION_LIMIT = 1e8
@@ -240,16 +235,6 @@ def symbols_to_schedule(stream_symbols, frame: FrameSpec,
             f"payload_length {frame.payload_length}")
     full = quantize_values(np.concatenate([frame.pilots, symbols], axis=1), quant)
     return CoefficientSchedule(full, frame.symbol_rate)
-
-
-def symbols_to_waveform(symbols, samples_per_symbol: int, sample_rate: float,
-                        carrier_freq: float) -> ComplexEnvelope:
-    """Zero-order-hold symbol waveform, as a conventional transmitter emits."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.ndim != 1 or symbols.size == 0:
-        raise ValueError("symbols must form a non-empty 1-D sequence")
-    samples = np.repeat(symbols, samples_per_symbol)
-    return ComplexEnvelope(samples, sample_rate, carrier_freq)
 
 
 def _no_symbols() -> np.ndarray:

@@ -9,18 +9,20 @@ estimate in scenario summaries, the row-at-a-time csv.writer writers for
 the CSV that scenario.export_csv writes from each artifact table,
 demap_symbols for the blocked txrx.demap_symbols, evm and ber for the
 scores txrx.detect forms from its error magnitudes and from demapping only
-the symbols that could be in error, surface_pass for the
-block kernel of propagation.run_pass and the weights of pass_weights,
-integrate for
-the blockwise txrx.integrate_and_dump, frame_noise for the receiver noise
-that scenario adds to a frame's head samples and per-symbol means, and
-simulate for scenario.simulate, which forms its link frames' means from the
-held coefficients and streams its receive phase in blocks.
+the symbols that could be in error, surface_pass for
+propagation.surface_pass and the weights of pass_weights, written out
+sample by sample, symbols_to_waveform for the zero-order-hold waveform that
+the integrated receive phase writes block by block, integrate for the
+blockwise txrx.integrate_and_dump, frame_noise for the receiver noise that
+scenario adds to a frame's head samples and per-symbol means, and simulate
+for scenario.simulate, which forms its link frames' means from the held
+coefficients and writes its receive phase in blocks.
 
-surface_pass draws noise per sample over whole envelopes, as
-propagation.surface_pass still does for space-down-conversion. Integrated,
-it is the reference that the tests hold scenario's per-symbol noise draw
-to, statistically.
+surface_pass also draws noise per sample over whole envelopes, each point
+from its own seed, all real parts, then all imaginary parts: the draw that
+space-down-conversion mode adds to the one point it reads. Integrated, it
+is the reference that the tests hold scenario's per-symbol noise draw to,
+statistically.
 
 receive_frame is the only whole-envelope receiver: src/ has none. It
 checks that the envelopes share one rate and length and cover the frame in
@@ -184,6 +186,16 @@ def surface_pass(incident, schedule, stream_of_cell, channels, noise_psd=0.0,
             rng = np.random.default_rng(seed)
             rx[p] += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return [incident.with_samples(row) for row in rx]
+
+
+def symbols_to_waveform(symbols, samples_per_symbol: int, sample_rate: float,
+                        carrier_freq: float) -> core.ComplexEnvelope:
+    """Zero-order-hold symbol waveform, as a conventional transmitter emits."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim != 1 or symbols.size == 0:
+        raise ValueError("symbols must form a non-empty 1-D sequence")
+    samples = np.repeat(symbols, samples_per_symbol)
+    return core.ComplexEnvelope(samples, sample_rate, carrier_freq)
 
 
 def integrate(rx, num_symbols: int, expected_shift: float = 0.0) -> np.ndarray:
@@ -425,7 +437,7 @@ def _run_integrated(sc, data):
     symbols = txrx.map_bits(bits, scheme)
     all_symbols = np.concatenate([frame.pilots[0], symbols])
     env_rate = sc.envelope_rate()
-    incident = txrx.symbols_to_waveform(
+    incident = symbols_to_waveform(
         all_symbols, sc.samples_per_symbol * sc.oversample, env_rate,
         sc.carrier_freq_hz)
     ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,

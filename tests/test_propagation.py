@@ -13,14 +13,11 @@ from metalink.core import (
     tone_envelope,
     wavelength_of,
 )
-from metalink import propagation
 from metalink.propagation import (
-    BLOCK_SAMPLES,
     ChannelModel,
     ChannelSet,
     build_channels,
     pass_weights,
-    run_pass,
     surface_pass,
 )
 from oracles import free_space_gain, surface_pass as whole_pass
@@ -32,13 +29,11 @@ def ones_schedule(streams, steps, rate=1e8):
     return CoefficientSchedule(np.ones((streams, steps), dtype=complex), rate)
 
 
-def per_cell_pass(incident, values, feed_gains, obs_gains, noise_psd=0.0,
-                  noise_seeds=None):
+def per_cell_pass(incident, values, feed_gains, obs_gains):
     """Surface pass with one stream per cell, so each cell has its own row."""
     channels = ChannelSet(feed_gains, obs_gains)
     schedule = CoefficientSchedule(values, incident.sample_rate)
-    return surface_pass(incident, schedule, np.arange(channels.num_cells),
-                        channels, noise_psd, noise_seeds)
+    return surface_pass(incident, schedule, np.arange(channels.num_cells), channels)
 
 
 # ---------------------------------------------------------------------------
@@ -238,43 +233,33 @@ def test_superpose_matches_brute_force_double_sum():
         assert np.all(np.abs(out[p].samples - brute) <= 1e-12 * scale)
 
 
-def _run_pass(env, schedule, streams, channels):
-    def take(start, rx):
-        raise AssertionError("a pass that fails a check must not run a block")
-
-    run_pass(lambda start, stop: env.samples[start:stop], env.sample_rate, len(env),
-             schedule, streams, channels, 1, take)
-
-
 def _pass_weights(env, schedule, streams, channels):
     pass_weights(env.sample_rate, len(env), schedule, streams, channels)
 
 
 MISMATCHES = {
-    "short_schedule": (32, ones_schedule(1, 16), [0, 0], {}),
-    "faster_schedule": (32, ones_schedule(1, 32, rate=2e8), [0, 0], {}),
-    "one_id_two_cells": (32, ones_schedule(1, 32), [0], {}),
-    "no_noise_seeds": (32, ones_schedule(1, 32), [0, 0], {"noise_psd": 0.1}),
-    "hold_not_whole": (30, ones_schedule(1, 9, rate=3e7), [0, 0], {}),  # 1e8 / 3e7
-    "steps_miss": (30, ones_schedule(1, 2, rate=1e7), [0, 0], {}),  # 2 x hold 10 < 30
-    "steps_overrun": (30, ones_schedule(1, 4, rate=1e7), [0, 0], {}),  # 4 x hold 10 > 30
+    "short_schedule": (32, ones_schedule(1, 16), [0, 0]),
+    "faster_schedule": (32, ones_schedule(1, 32, rate=2e8), [0, 0]),
+    "one_id_two_cells": (32, ones_schedule(1, 32), [0]),
+    "hold_not_whole": (30, ones_schedule(1, 9, rate=3e7), [0, 0]),  # 1e8 / 3e7
+    "steps_miss": (30, ones_schedule(1, 2, rate=1e7), [0, 0]),  # 2 x hold 10 < 30
+    "steps_overrun": (30, ones_schedule(1, 4, rate=1e7), [0, 0]),  # 4 x hold 10 > 30
 }
 
 
-# run_pass runs the checks of pass_weights; surface_pass adds the noise ones
+# surface_pass runs the checks of pass_weights
 @pytest.mark.parametrize("run, case", [
     pytest.param(run, case, id=f"{run.__name__.lstrip('_')}-{case}")
-    for run in (surface_pass, _run_pass, _pass_weights) for case in MISMATCHES
-    if run is surface_pass or not MISMATCHES[case][3]])
+    for run in (surface_pass, _pass_weights) for case in MISMATCHES])
 def test_superpose_rejects_mismatched_envelopes(run, case):
-    samples, schedule, streams, noise = MISMATCHES[case]
+    samples, schedule, streams = MISMATCHES[case]
     unit = ChannelSet(np.ones(2), np.ones((2, 1)))
     with pytest.raises(ContractViolation):
-        run(tone_envelope(samples, 1e8, 4.25e9), schedule, streams, unit, **noise)
+        run(tone_envelope(samples, 1e8, 4.25e9), schedule, streams, unit)
 
 
-@pytest.mark.parametrize("run", [surface_pass, _run_pass, _pass_weights],
-                         ids=["surface_pass", "run_pass", "pass_weights"])
+@pytest.mark.parametrize("run", [surface_pass, _pass_weights],
+                         ids=["surface_pass", "pass_weights"])
 @pytest.mark.parametrize("gain", [1e200, 1e154], ids=["product_overflows",
                                                     "power_overflows"])
 def test_surface_pass_rejects_gains_whose_power_overflows(gain, run):
@@ -285,18 +270,9 @@ def test_surface_pass_rejects_gains_whose_power_overflows(gain, run):
         run(tone_envelope(4, 1e8, 4.25e9), ones_schedule(1, 4), [0, 0], big)
 
 
-@pytest.mark.parametrize("noise_psd", [-0.1, -1e-300, float("nan")])
-def test_negative_or_nan_noise_level_is_rejected(noise_psd):
-    # it must not read as "no noise" and return the noiseless envelope
-    env = tone_envelope(32, 1e8, 4.25e9)
-    with pytest.raises(ContractViolation, match="noise_psd"):
-        surface_pass(env, ones_schedule(1, 32), [0], UNIT_CELL, noise_psd, [0])
-
-
-@pytest.mark.parametrize("noise_psd", [0.0, 0.1])
 @pytest.mark.parametrize("hold", [1, 3, 16])
 @pytest.mark.parametrize("streams", [1, 2])
-def test_implicit_hold_equals_explicit_hold(streams, hold, noise_psd):
+def test_implicit_hold_equals_explicit_hold(streams, hold):
     # a control-rate schedule is held inside the pass exactly as
     # resample_hold holds it up to the envelope rate
     rng = np.random.default_rng(100 * streams + hold)
@@ -308,11 +284,9 @@ def test_implicit_hold_equals_explicit_hold(streams, hold, noise_psd):
     stream_of_cell = np.arange(6) % streams
     channels = ChannelSet(rng.standard_normal(6) + 1j * rng.standard_normal(6),
                           rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-    seeds = [11, 12, 13]
-    implicit = surface_pass(incident, schedule, stream_of_cell, channels,
-                            noise_psd, seeds)
+    implicit = surface_pass(incident, schedule, stream_of_cell, channels)
     explicit = surface_pass(incident, resample_hold(schedule, incident.sample_rate),
-                            stream_of_cell, channels, noise_psd, seeds)
+                            stream_of_cell, channels)
     for a, b in zip(implicit, explicit):
         assert np.array_equal(a.samples, b.samples)
 
@@ -360,15 +334,15 @@ def test_superpose_is_linear_in_each_field():
 
 
 # ---------------------------------------------------------------------------
-# receiver noise
+# receiver noise, as the whole-envelope reference draws it
 # ---------------------------------------------------------------------------
 
 def test_noise_is_deterministic_given_seed():
     env = tone_envelope(128, 1e8, 4.25e9)
 
     def noisy(seed):
-        return surface_pass(env, ones_schedule(1, 128), [0], UNIT_CELL,
-                            noise_psd=0.1, noise_seeds=[seed])[0]
+        return whole_pass(env, ones_schedule(1, 128), [0], UNIT_CELL,
+                          noise_psd=0.1, noise_seeds=[seed])[0]
 
     out1, out2, out3 = noisy(1234), noisy(1234), noisy(1235)
     assert np.array_equal(out1.samples, out2.samples)
@@ -377,8 +351,8 @@ def test_noise_is_deterministic_given_seed():
 
 def test_noise_variance_is_calibrated():
     env = tone_envelope(200_000, 1e8, 4.25e9, amplitude=0.0)
-    out = surface_pass(env, ones_schedule(1, 200_000), [0], UNIT_CELL,
-                       noise_psd=0.25, noise_seeds=[9])[0]
+    out = whole_pass(env, ones_schedule(1, 200_000), [0], UNIT_CELL,
+                     noise_psd=0.25, noise_seeds=[9])[0]
     measured = np.mean(np.abs(out.samples) ** 2)
     assert measured == pytest.approx(0.25, rel=0.02)
 
@@ -393,66 +367,21 @@ def test_single_cell_chain_reduces_to_reflection_product():
 
 
 # ---------------------------------------------------------------------------
-# the block kernel against the whole-array reference
+# the pass against the whole-array reference
 # ---------------------------------------------------------------------------
 
-def mixed_pass_inputs(steps=37, hold=5):
-    """Two streams over three cells into three points, held schedule, tone."""
+@pytest.mark.parametrize("hold", [1, 5, 16])
+def test_surface_pass_matches_the_whole_array_pass(hold):
+    # two streams over three cells into three points, held schedule, tone
     rng = np.random.default_rng(41)
+    steps = 37
     incident = tone_envelope(steps * hold, 1e8, 4.25e9, freq_offset=3e6)
-    values = 0.9 * np.exp(2j * np.pi * rng.random((2, steps)))
-    schedule = CoefficientSchedule(values, 1e8 / hold)
+    schedule = CoefficientSchedule(0.9 * np.exp(2j * np.pi * rng.random((2, steps))),
+                                   1e8 / hold)
     feed, obs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                  for shape in (3, (3, 3)))
     channels = ChannelSet(feed, obs)
-    seeds = np.random.SeedSequence(8).spawn(3)
-    return incident, schedule, [0, 1, 1], channels, seeds
-
-
-@pytest.mark.parametrize("block_samples", [5, 35, 62, 185, 1000])
-def test_blocks_match_the_whole_array_pass(block_samples, monkeypatch):
-    # 185 samples in steps of 5: blocks of 1 step, a short last block (62
-    # rounds down to 60), exactly one block, and a block longer than the
-    # pass
-    monkeypatch.setattr(propagation, "BLOCK_SAMPLES", block_samples)
-    incident, schedule, streams, channels, _ = mixed_pass_inputs()
-    whole = whole_pass(incident, schedule, streams, channels)
-    want = np.stack([env.samples for env in whole])
-    got = []
-    run_pass(lambda start, stop: incident.samples[start:stop], incident.sample_rate,
-             len(incident), schedule, streams, channels, 1,
-             lambda start, rx: got.append(rx.copy()))
-    assert got[0].shape == (3, min(block_samples // 5 * 5, 185))
-    assert np.array_equal(np.concatenate(got, axis=1), want)
-
-
-@pytest.mark.parametrize("noise_psd", [0.0, 0.3])
-def test_surface_pass_matches_the_whole_array_pass(noise_psd):
-    incident, schedule, streams, channels, seeds = mixed_pass_inputs()
-    got = surface_pass(incident, schedule, streams, channels, noise_psd, seeds)
-    want = whole_pass(incident, schedule, streams, channels, noise_psd, seeds)
+    got = surface_pass(incident, schedule, [0, 1, 1], channels)
+    want = whole_pass(incident, schedule, [0, 1, 1], channels)
     for a, b in zip(got, want):
         assert np.array_equal(a.samples, b.samples)
-
-
-@pytest.mark.parametrize("num_samples, hold, symbol_samples, width", [
-    # hold 16 and 640-sample symbols: the longest run of whole symbols
-    # within BLOCK_SAMPLES
-    (8192 * 16, 16, 640, BLOCK_SAMPLES // 640 * 640),
-    # hold 6 and 4-sample symbols: blocks of whole 12-sample runs
-    (6 * 2 ** 14, 6, 4, BLOCK_SAMPLES // 12 * 12),
-    # a pass shorter than one block, or one whole-envelope symbol, is one block
-    (64, 1, 1, 64),
-    (2 ** 17, 1, 2 ** 17, 2 ** 17),
-])
-def test_blocks_are_whole_symbols_and_steps(num_samples, hold, symbol_samples, width):
-    incident = np.ones(num_samples, dtype=complex)
-    blocks = []
-    run_pass(lambda start, stop: incident[start:stop], 1e8, num_samples,
-             ones_schedule(1, num_samples // hold, rate=1e8 / hold), [0], UNIT_CELL,
-             symbol_samples,
-             lambda start, rx: blocks.append((start, rx.shape)))
-    starts = range(0, num_samples, width)
-    assert [start for start, _ in blocks] == list(starts)
-    assert [shape for _, shape in blocks] == [
-        (1, min(width, num_samples - start)) for start in starts]

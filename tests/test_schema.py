@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metalink import cli, propagation
+from metalink import cli, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.txrx import DetectionError
@@ -212,6 +212,13 @@ def test_an_override_nested_too_deeply_names_it():
         scen.apply_overrides(base, {"frame.pilots": "[" * 5000 + "]" * 5000})
 
 
+@pytest.mark.parametrize("noise_psd", [-0.1, -1e-300, float("nan")])
+def test_a_negative_or_nan_noise_level_is_reported(noise_psd):
+    # it must not read as "no noise" and run noiseless
+    violations = scen.validate(bundled("sdc_5mhz", {"channel.noise_psd": noise_psd}))
+    assert any("channel.noise_psd" in v for v in violations), violations
+
+
 def test_from_dict_raises_with_the_violation_list():
     data = bundled("mimo2x2_16qam", {"oversampel": "2", "rng_seed": "-1"})
     with pytest.raises(scen.ValidationError) as excinfo:
@@ -337,14 +344,18 @@ WIRING_CASES = [
     pytest.param("mimo2x2_16qam", {
         "channel.noise_psd": 0.01, "partition": [0, 1] * 4 + [1, 0] * 4},
         id="partition_list"),
+    pytest.param("sdc_5mhz", {
+        "channel.noise_psd": 0.01, "points": SHRUNK_DATA["sdc_5mhz"]["points"] + [
+            {"position_m": [x, 0.1, 0.6], "role": "rx"} for x in (-0.2, 0.1)]},
+        id="sdc_three_points"),
 ]
 
-# these cases restore the bundled frame sizes, which span several blocks of
-# a streamed pass: 7 in mimo2x2_16qam, whose 65 536-bin spectrum head, over
-# which the first point draws per-sample noise, ends in its second block,
-# and 6 in each phase of integrated_switch, which decodes at this noise
-# level; only the receive phase streams, and a link frame takes its means
-# from the held coefficients, noisy or not
+# these cases restore the bundled frame sizes, which would span several
+# blocks of BLOCK_SAMPLES: 7 in mimo2x2_16qam, whose 65 536-bin spectrum
+# head, over which the first point draws per-sample noise, ends in its
+# second block, and 6 in each phase of integrated_switch, which decodes at
+# this noise level; only the receive phase writes its samples in blocks, and
+# a link frame takes its means from the held coefficients, noisy or not
 FULL_SIZE = {"mimo2x2_16qam": {"frame.payload_symbols": 10000},
              "integrated_switch": {"frame.payload_symbols": 512, "oversample": 16}}
 STREAMED_CASES = [
@@ -373,7 +384,7 @@ def test_overrides_leave_the_shared_scenarios_unchanged(name, overrides):
 def test_streamed_cases_span_several_blocks(name, overrides):
     sc = scen.Scenario.from_dict(scen.apply_overrides(SHRUNK_DATA[name], overrides))
     sps = sc.samples_per_symbol * sc.oversample
-    symbols_per_block = propagation.BLOCK_SAMPLES // sps
+    symbols_per_block = scen.BLOCK_SAMPLES // sps
     for streams in (1, 2):
         assert sc.frame(streams).num_symbols > 2 * symbols_per_block
     if sc.spectrum_bins is not None:
@@ -383,8 +394,12 @@ def test_streamed_cases_span_several_blocks(name, overrides):
 @pytest.mark.parametrize("name, overrides", WIRING_CASES + STREAMED_CASES)
 def test_simulate_matches_the_reference_runners(name, overrides):
     data = scen.apply_overrides(SHRUNK_DATA[name], overrides)
-    got = scen.simulate(scen.Scenario.from_dict(data))
-    want = oracles.simulate(data)
+    assert_same_result(scen.simulate(scen.Scenario.from_dict(data)),
+                       oracles.simulate(data))
+
+
+def assert_same_result(got, want):
+    """Equal summaries, and reports equal bit for bit."""
     assert got.summary == want.summary
     assert got.reports.keys() == want.reports.keys()
     for key, report in got.reports.items():
@@ -395,3 +410,33 @@ def test_simulate_matches_the_reference_runners(name, overrides):
         for tag, spectrum in report.spectra.items():
             assert np.array_equal(spectrum.frequencies, ref.spectra[tag].frequencies)
             assert np.array_equal(spectrum.power, ref.spectra[tag].power)
+
+
+@pytest.mark.parametrize("noise_psd", [0.0, 1e-7])
+@pytest.mark.parametrize("block_samples, symbols_per_block", [
+    (1, 1), (640, 1), (7 * 640 + 5, 7), (516 * 640, 516)],
+    ids=["one-sample", "one-symbol", "seven-symbols", "whole-frame"])
+def test_receive_phase_blocks_match_the_reference_runner(block_samples, symbols_per_block,
+                                                         noise_psd, monkeypatch):
+    # the receive phase writes, noises and integrates its frame a block of
+    # whole symbols at a time, at least one; blocks of any size give the
+    # reference's whole-envelope results, bit for bit
+    data = bundled("integrated_switch", {"channel.noise_psd": noise_psd})
+    sc = scen.Scenario.from_dict(data)
+    sps = sc.samples_per_symbol * sc.oversample
+    num_samples = sc.frame(1).num_symbols * sps
+    assert (sc.frame(1).num_symbols, sps) == (516, 640)
+    monkeypatch.setattr(scen, "BLOCK_SAMPLES", block_samples)
+    width = symbols_per_block * sps
+    blocks = []
+    integrate_and_dump = txrx.integrate_and_dump
+
+    def spy(samples, samples_per_symbol, start=0, *args):
+        if args:  # only the receive phase derotates
+            blocks.append((start, samples.shape[1]))
+        return integrate_and_dump(samples, samples_per_symbol, start, *args)
+
+    monkeypatch.setattr(txrx, "integrate_and_dump", spy)
+    assert_same_result(scen.simulate(sc), oracles.simulate(data))
+    starts = range(0, num_samples, width)
+    assert blocks == [(start, min(width, num_samples - start)) for start in starts]

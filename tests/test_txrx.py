@@ -25,7 +25,6 @@ from metalink.txrx import (
     make_pilots,
     map_bits,
     symbols_to_schedule,
-    symbols_to_waveform,
 )
 
 from oracles import (
@@ -35,6 +34,8 @@ from oracles import (
     hadamard_pilots,
     integrate as integrate_oracle,
     receive_frame as receive_oracle,
+    surface_pass as whole_pass,
+    symbols_to_waveform,
 )
 
 ALL_SCHEMES = ["BPSK", "QPSK", "8PSK", "16QAM"]
@@ -475,8 +476,8 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
                             frame.symbol_rate * frame.samples_per_symbol, 4.25e9,
                             freq_offset=freq_offset)
     noise_seeds = np.random.SeedSequence(seed).spawn(antennas)
-    rx = surface_pass(carrier, schedule, np.arange(streams),
-                      ChannelSet(np.ones(streams), h.T), noise_psd, noise_seeds)
+    rx = whole_pass(carrier, schedule, np.arange(streams),
+                    ChannelSet(np.ones(streams), h.T), noise_psd, noise_seeds)
     return rx, frame, bits, symbols
 
 
