@@ -662,10 +662,13 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
 
     The received samples are written BLOCK_SAMPLES // sps whole symbols at
     a time (at least one) into one buffer: the sent symbols, each held for
-    sps samples, times the ramp's weights (propagation.pass_weights). Each
-    block adds point 0's head noise (_head_noise) where it covers it,
-    integrates and dumps, and keeps the samples of the spectrum head, so no
-    whole received envelope is held.
+    sps samples, times the ramp's weights. The ramp repeats every L steps,
+    so propagation.pass_weights forms the weights of one period only, and
+    each block gathers the columns of its steps modulo L: the same values
+    as the whole frame's weights, bit for bit. Each block adds point 0's
+    head noise (_head_noise) where it covers it, integrates and dumps, and
+    keeps the samples of the spectrum head, so neither a whole received
+    envelope nor whole-frame weights are held.
     """
     feed_idx = sc.points.indices_with_role("feed")[0]
     obs_idx = [i for i in range(len(sc.points)) if i != feed_idx]
@@ -677,11 +680,11 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
     sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
     sps = sc.samples_per_symbol * sc.oversample
     num_samples = len(sent) * sps
-    weights, hold = propagation.pass_weights(
-        sc.envelope_rate(), num_samples, _ramp(sc, num_samples),
+    L = sc.staircase.steps_per_period
+    period, hold = propagation.pass_weights(
+        sc.envelope_rate(), L * sc.oversample, _ramp(sc, L * sc.oversample),
         np.zeros(channels.num_cells, dtype=np.int64), channels)
     steps = sps // hold  # ramp steps per symbol, each held for hold samples
-    weights = weights.reshape(channels.num_points, len(sent), steps, 1)
     rngs, noise = _head_noise(sc, noise_seeds, frame.num_symbols)
     length = sc.spectrum_length(num_samples)
     head = noise[:length] if len(noise) else np.empty(length, dtype=np.complex128)
@@ -691,15 +694,16 @@ def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
     for k in range(0, len(sent), n):
         start, m = k * sps, min(n, len(sent) - k)
         rx = buffer[:, :m * sps]
-        np.multiply(sent[k:k + m, np.newaxis, np.newaxis], weights[:, k:k + m],
-                    out=rx.reshape(-1, m, steps, hold))
+        weights = period[:, np.arange(k * steps, (k + m) * steps) % L]
+        np.multiply(sent[k:k + m, np.newaxis, np.newaxis],
+                    weights.reshape(-1, m, steps, 1), out=rx.reshape(-1, m, steps, hold))
         if start < len(noise):
             rx[0, :len(noise) - start] += noise[start:start + m * sps]
         means[:, k:k + m] = txrx.integrate_and_dump(
             rx, sps, start, sc.staircase.frequency_shift, sc.envelope_rate())
         if start < length:
             head[start:start + m * sps] = rx[0, :length - start]
-    del buffer, rx, weights  # freed before detection
+    del buffer, rx, weights, period  # freed before detection
     _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     del bits, means  # freed before the periodogram
@@ -755,12 +759,12 @@ def simulate(sc: Scenario) -> ScenarioResult:
     takes its means from the held coefficients, carrier * weights per point
     and symbol (propagation.pass_weights), and builds only the spectrum
     head (_link_frame). The receive phase writes its samples in blocks of
-    whole symbols, about BLOCK_SAMPLES per point, and integrates and dumps
-    each (_receive_phase), so memory does not hold a whole received
-    envelope. SDC mode takes its envelope whole from
-    propagation.surface_pass, for the DFT over whole ramp periods, and adds
-    per-sample noise to point 0's, the only one it reads: all real parts,
-    then all imaginary parts.
+    whole symbols, about BLOCK_SAMPLES per point, from the weights of one
+    ramp period, and integrates and dumps each (_receive_phase), so memory
+    does not hold a whole received envelope. SDC mode takes its envelope
+    whole from propagation.surface_pass, for the DFT over whole ramp
+    periods, over point 0's gains alone, since it reads no other point, and
+    adds per-sample noise to it: all real parts, then all imaginary parts.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
@@ -768,10 +772,11 @@ def simulate(sc: Scenario) -> ScenarioResult:
         carrier = core.tone_envelope(
             sc.sdc_periods * sc.staircase.steps_per_period * sc.oversample,
             sc.envelope_rate(), sc.carrier_freq_hz)
-        # whole: the harmonic table needs a DFT over whole ramp periods
-        rx = propagation.surface_pass(carrier, _ramp(sc, len(carrier)),
-                                      np.zeros(channels.num_cells, dtype=np.int64),
-                                      channels)[0].samples
+        # whole: the harmonic table needs a DFT over whole ramp periods;
+        # only point 0 is read, so only its row is formed
+        rx = propagation.surface_pass(
+            carrier, _ramp(sc, len(carrier)), np.zeros(channels.num_cells, dtype=np.int64),
+            propagation.ChannelSet(channels.feed_gains, channels.obs_gains[:, :1]))[0].samples
         if sc.noise_psd > 0.0:  # from point 0's child, 1 + p
             rng = np.random.default_rng(_seed(sc, 1))
             rx += np.sqrt(sc.noise_psd / 2.0) * (
@@ -793,7 +798,7 @@ def simulate(sc: Scenario) -> ScenarioResult:
     if sc.mode == "space_down_conversion":
         out_spec = report.spectra["output"]
         summary["strongest_line_hz"] = float(
-            out_spec.frequencies[int(np.argmax(out_spec.power))])
+            (out_spec.first_bin + int(np.argmax(out_spec.power))) * out_spec.resolution)
         summary["harmonics"] = _harmonic_table(sc, out_spec)
     if sc.staircase is not None:
         summary["expected_line_hz"] = sc.staircase.frequency_shift

@@ -4,10 +4,15 @@ Power normalization: a unit-amplitude tone centered on a bin carries power 1
 in that bin, and the sum over all bins equals the mean square of the time
 samples (Parseval). Scenario durations are arranged as integer periods of
 every tone present, so lines are bin-centered and no window is needed.
+
+A Spectrum stores its power and its bin spacing only; the bin grid is a
+function of the two, formed when it is read, and bins are found by
+arithmetic on it, so a kept spectrum costs one float per bin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,21 +24,37 @@ from .core import ComplexEnvelope
 class Spectrum:
     """One-sided-resolution power spectrum on a uniform bin grid.
 
-    frequencies are offsets from the envelope carrier, ascending, spanning
-    (-fs/2, fs/2]; power is linear (dimensionless).
+    power is linear (dimensionless), one value per bin, ascending in
+    frequency. The grid is not stored: bin i is centered on
+    (first_bin + i) * resolution Hz from the envelope carrier, so the bins
+    span (-fs/2, fs/2] for the n = len(power) bins of an fs-rate DFT.
     """
 
-    frequencies: np.ndarray
     power: np.ndarray
     resolution: float
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
         power = np.asarray(self.power, dtype=float)
-        if freqs.shape != power.shape or freqs.ndim != 1:
-            raise ValueError("frequencies and power must be matching 1-D arrays")
-        object.__setattr__(self, "frequencies", freqs)
+        if power.ndim != 1 or power.size == 0:
+            raise ValueError("power must be a 1-D array of at least one bin")
+        resolution = float(self.resolution)
+        if not (math.isfinite(resolution) and resolution > 0.0):
+            raise ValueError(f"resolution must be finite and > 0, not {resolution}")
         object.__setattr__(self, "power", power)
+        object.__setattr__(self, "resolution", resolution)
+
+    @property
+    def first_bin(self) -> int:
+        """Index k of the lowest bin, centered on k * resolution: of n DFT
+        bins, those above n // 2 are the negative ones, so k = n // 2 + 1 - n."""
+        n = len(self.power)
+        return n // 2 + 1 - n
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Bin centers in Hz, formed on each read (a new array)."""
+        first = self.first_bin
+        return np.arange(first, first + len(self.power)) * self.resolution
 
     @property
     def total_power(self) -> float:
@@ -56,22 +77,25 @@ def periodogram(env: ComplexEnvelope) -> Spectrum:
     del spectrum
     power /= length
     power *= power
-    k = np.arange(h + 1 - length, h + 1)
-    resolution = env.sample_rate / length
-    return Spectrum(k * resolution, power, resolution)
+    return Spectrum(power, env.sample_rate / length)
 
 
 def line_power(spec: Spectrum, freq: float) -> float:
     """Power at the bin centered exactly on freq (Hz offset from carrier).
 
-    Frequencies off the bin grid are a caller error; no interpolation is done.
+    The bin is found by arithmetic, the nearest grid index clamped to the
+    grid, and must lie within 1e-6 * resolution of freq. Frequencies off
+    the bin grid, or not finite, are a caller error (ValueError); no
+    interpolation is done.
     """
-    distances = np.abs(spec.frequencies - freq)
-    idx = int(np.argmin(distances))
-    if distances[idx] > 1e-6 * spec.resolution:
-        raise ValueError(
-            f"{freq} Hz is not a bin center (resolution {spec.resolution} Hz)")
-    return float(spec.power[idx])
+    freq = float(freq)
+    if math.isfinite(freq):
+        first = spec.first_bin
+        k = round(min(max(freq / spec.resolution, first), first + len(spec.power) - 1))
+        if abs(k * spec.resolution - freq) <= 1e-6 * spec.resolution:
+            return float(spec.power[k - first])
+    raise ValueError(
+        f"{freq} Hz is not a bin center (resolution {spec.resolution} Hz)")
 
 
 def staircase_harmonics(steps_per_period: int, harmonic_indices) -> np.ndarray:

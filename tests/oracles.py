@@ -4,7 +4,9 @@ Each one restates a formula element by element, independent of the
 vectorised code it checks: cell_position for core.cell_positions,
 hadamard_pilots for txrx.make_pilots, free_space_gain for the channel
 gains of propagation.build_channels, dft_direct for the fast transform
-behind spectral.periodogram, channel_estimate_pairs for the channel
+behind spectral.periodogram, line_power for spectral.line_power, which
+finds its bin by arithmetic rather than by argmin over the grid,
+channel_estimate_pairs for the channel
 estimate in scenario summaries, the row-at-a-time csv.writer writers for
 the CSV that scenario.export_csv writes from each artifact table,
 demap_symbols for the blocked txrx.demap_symbols, evm and ber for the
@@ -91,6 +93,17 @@ def dft_direct(x) -> np.ndarray:
 def channel_estimate_pairs(h) -> list:
     """The S x P complex matrix as nested [re, im] Python floats, per element."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in h]
+
+
+def line_power(spec, freq: float) -> float:
+    """Power at the bin whose center is nearest freq, by argmin over the
+    whole grid; ValueError when that bin lies over 1e-6 * resolution away."""
+    distances = np.abs(spec.frequencies - freq)
+    idx = int(np.argmin(distances))
+    if distances[idx] > 1e-6 * spec.resolution:
+        raise ValueError(
+            f"{freq} Hz is not a bin center (resolution {spec.resolution} Hz)")
+    return float(spec.power[idx])
 
 
 def _fmt(v: float) -> str:

@@ -204,14 +204,18 @@ def test_summary_channel_estimate_matches_loop_oracle():
     assert json.dumps(written) == json.dumps(channel_estimate_pairs(h))
 
 
-def _edge_spectrum(n, rng):
-    """n random bins with -0.0, nan, zero (-inf dB), subnormal and huge values."""
-    freqs = rng.uniform(-5e7, 5e7, n)
+# the smallest subnormal puts subnormal bin centers in freq_hz; the largest
+# finite float puts -inf and +inf there, from the second bin either side of 0
+EDGE_RESOLUTIONS = [5e-324, np.finfo(float).max]
+
+
+def _edge_spectrum(n, rng, resolution):
+    """n random bins with -0.0, zero (-inf dB), subnormal and huge powers."""
     power = rng.exponential(size=n)
-    freqs[0], power[0], power[-1] = -0.0, 0.0, 5e-324
+    power[0], power[-1] = 0.0, 5e-324
     if n > 3:
-        freqs[1], power[1], power[2] = np.nan, 1.7e308, -0.0
-    return Spectrum(freqs, power, 1.0)
+        power[1], power[2] = 1.7e308, -0.0
+    return Spectrum(power, resolution)
 
 
 def _write(report, out_dir):
@@ -242,15 +246,27 @@ BLOCK_SIZES = [2, scen.CSV_BLOCK_ROWS - 1, scen.CSV_BLOCK_ROWS,
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_spectrum_npy_round_trips_bit_exactly(n, tmp_path):
-    spectrum = _edge_spectrum(n, np.random.default_rng(n))
-    _write(LinkReport(spectra={"edge": spectrum}), tmp_path)
-    table = np.load(tmp_path / "spectrum_edge.npy", allow_pickle=False)
-    with np.errstate(divide="ignore"):
-        power_db = 10.0 * np.log10(spectrum.power)
-    assert table.dtype == scen.SPECTRUM_DTYPE
-    assert _same_bits(table["freq_hz"], spectrum.frequencies)
-    assert _same_bits(table["power_linear"], spectrum.power)
-    assert _same_bits(table["power_db"], power_db)
+    for resolution in EDGE_RESOLUTIONS:
+        spectrum = _edge_spectrum(n, np.random.default_rng(n), resolution)
+        with np.errstate(over="ignore"):  # the huge resolution's grid overflows
+            _write(LinkReport(spectra={"edge": spectrum}), tmp_path)
+            freqs = spectrum.frequencies
+        table = np.load(tmp_path / "spectrum_edge.npy", allow_pickle=False)
+        with np.errstate(divide="ignore"):
+            power_db = 10.0 * np.log10(spectrum.power)
+        assert table.dtype == scen.SPECTRUM_DTYPE
+        assert _same_bits(table["freq_hz"], freqs)
+        assert _same_bits(table["power_linear"], spectrum.power)
+        assert _same_bits(table["power_db"], power_db)
+
+
+def test_edge_resolutions_reach_subnormal_and_infinite_frequencies():
+    tiny, huge = (Spectrum(np.zeros(5), r) for r in EDGE_RESOLUTIONS)
+    assert np.array_equal(tiny.frequencies, [-2 * 5e-324, -5e-324, 0.0, 5e-324, 1e-323])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(huge.frequencies,
+                              [-np.inf, -EDGE_RESOLUTIONS[1], 0.0, EDGE_RESOLUTIONS[1],
+                               np.inf])
 
 
 def test_constellation_npy_round_trips_bit_exactly(tmp_path):
@@ -267,10 +283,13 @@ def test_constellation_npy_round_trips_bit_exactly(tmp_path):
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_spectrum_csv_matches_csv_writer_oracle(n, tmp_path):
-    spectrum = _edge_spectrum(n, np.random.default_rng(n))
-    written = _exported_bytes(LinkReport(spectra={"edge": spectrum}), tmp_path / "new")
-    write_spectrum(tmp_path / "ref.csv", spectrum)
-    assert written == {"spectrum_edge.csv": (tmp_path / "ref.csv").read_bytes()}
+    for resolution in EDGE_RESOLUTIONS:
+        spectrum = _edge_spectrum(n, np.random.default_rng(n), resolution)
+        with np.errstate(over="ignore"):  # the huge resolution's grid overflows
+            written = _exported_bytes(LinkReport(spectra={"edge": spectrum}),
+                                      tmp_path / "new")
+            write_spectrum(tmp_path / "ref.csv", spectrum)
+        assert written == {"spectrum_edge.csv": (tmp_path / "ref.csv").read_bytes()}
 
 
 def test_constellation_csv_matches_csv_writer_oracle(tmp_path):
@@ -406,8 +425,9 @@ def test_noise_over_a_whole_frame_head_is_drawn_into_the_head():
     # without spectrum_bins the head covers the receive phase's whole frame
     # (330 000 samples, 5 MB); its noise is drawn into the head's buffer, to
     # which each block adds the received samples, so it holds no second
-    # copy, and the block buffer is freed before detection (17.75 MiB on
-    # numpy 2.4.6; 19.06 MiB with the buffer kept alive through detect)
+    # copy, and the block buffer is freed before detection (15.16 MiB on
+    # numpy 2.4.6 with one ramp period of weights, 17.75 MiB with the whole
+    # frame's; 19.06 MiB with the buffer kept alive through detect)
     _, clean = traced_simulate({"spectrum_bins": None}, "integrated_switch")
     result, peak = traced_simulate({"spectrum_bins": None, "channel.noise_psd": 1e-7},
                                    "integrated_switch")
@@ -415,6 +435,32 @@ def test_noise_over_a_whole_frame_head_is_drawn_into_the_head():
     assert peak <= clean + 2 ** 20, (
         f"noisy peak {peak / 2 ** 20:.2f} MiB, noiseless {clean / 2 ** 20:.2f} MiB")
     assert peak < 18.5 * 2 ** 20, f"noisy peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_receive_phase_holds_one_ramp_period_of_weights():
+    # 20 000 payload symbols (about 3.3 x 10^6 samples per phase): the
+    # receive phase forms the weights of one 20-step ramp period and
+    # gathers each block's columns from them; whole-frame weights and the
+    # whole-frame ramp took 32.8 MiB traced
+    result, peak = traced_simulate({"frame.payload_symbols": 20000,
+                                    "channel.noise_psd": 1e-7}, "integrated_switch")
+    assert np.all(result.reports["receive"].ber == 0.0)
+    assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def _observers(count: int) -> dict:
+    return {"points": [{"position_m": [0.0, 0.0, 0.5], "role": "feed"}] + [
+        {"position_m": [0.3 - 0.04 * i, 0.1, 0.6], "role": "rx"} for i in range(count)]}
+
+
+def test_sdc_memory_does_not_grow_with_the_observation_points():
+    # SDC reads point 0's envelope only, so only its row is formed; the 16
+    # rows of 256 000 samples took 15.0 MiB traced against 3.1 MiB for one
+    one, alone = traced_simulate(_observers(1), "sdc_5mhz")
+    many, peak = traced_simulate(_observers(16), "sdc_5mhz")
+    assert many.summary["harmonics"] == one.summary["harmonics"]
+    assert peak <= alone + 2 ** 19, (
+        f"16 points {peak / 2 ** 20:.2f} MiB, one {alone / 2 ** 20:.2f} MiB")
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 50), (64, 7)])

@@ -10,10 +10,12 @@ from metalink.metasurface import (
 )
 from metalink.propagation import ChannelSet, surface_pass
 from metalink.spectral import (
+    Spectrum,
     line_power,
     periodogram,
     staircase_harmonics,
 )
+import oracles
 from oracles import dft_direct
 
 UNIT_CELL = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
@@ -74,6 +76,32 @@ def test_bins_span_half_open_interval():
     assert odd.frequencies[0] == -3.0 and odd.frequencies[-1] == 3.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4096, 4097, 12800])
+def test_bin_grid_is_formed_from_the_bin_count_and_resolution(n):
+    # the grid is not stored; each read forms the same bits that the
+    # periodogram once stored, arange(h + 1 - n, h + 1) * resolution
+    rate = 25.6e9
+    spectrum = periodogram(tone_envelope(n, rate, 0.0))
+    h = n // 2
+    want = np.arange(h + 1 - n, h + 1) * (rate / n)
+    got = spectrum.frequencies
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+    assert spectrum.first_bin == h + 1 - n and spectrum.resolution == rate / n
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, np.inf, np.nan])
+def test_spectrum_rejects_a_resolution_no_grid_can_have(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        Spectrum(np.ones(4), resolution)
+
+
+@pytest.mark.parametrize("power", [np.ones((2, 2)), np.ones(()), np.empty(0)])
+def test_spectrum_power_must_be_one_dimensional_bins(power):
+    with pytest.raises(ValueError, match="1-D"):
+        Spectrum(power, 1.0)
+
+
 def test_shift_theorem_circularly_shifts_the_spectrum():
     env = tone_envelope(128, 128.0, 0.0, freq_offset=7.0)
     base = periodogram(env)
@@ -99,6 +127,41 @@ def test_line_power_rejects_off_bin_frequency():
     spectrum = periodogram(tone_envelope(64, 64.0, 0.0))
     with pytest.raises(ValueError):
         line_power(spectrum, 2.5)
+
+
+def _power_or_error(find, spec, freq):
+    try:
+        return find(spec, freq)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("n, rate", [(1, 1.0), (2, 2.0), (7, 7.0), (64, 64.0),
+                                     (257, 25.6e9), (1000, 3.0)])
+def test_line_power_agrees_with_the_argmin_oracle(n, rate):
+    rng = np.random.default_rng(n)
+    spectrum = periodogram(ComplexEnvelope(
+        rng.standard_normal(n) + 1j * rng.standard_normal(n), rate, 0.0))
+    res, grid = spectrum.resolution, spectrum.frequencies
+    edges = [grid[0], grid[-1], grid[0] - res, grid[-1] + res,
+             grid[0] - 0.5e-6 * res, grid[-1] + 0.5e-6 * res,
+             grid[0] - 2e-6 * res, grid[-1] + 2e-6 * res, -rate, rate, 1e300, -1e300]
+    off = list(grid[:50] + 0.5 * res) + list(grid[:50] + 0.3e-6 * res) + list(
+        grid[:50] - 3e-6 * res) + list(rng.uniform(-rate, rate, 50))
+    for freq in list(grid) + edges + off + [np.inf, -np.inf]:
+        want = _power_or_error(oracles.line_power, spectrum, freq)
+        assert _power_or_error(line_power, spectrum, freq) == want, freq
+    # every bin centre is found
+    assert [line_power(spectrum, f) for f in grid] == spectrum.power.tolist()
+
+
+@pytest.mark.parametrize("freq", [np.nan, np.inf, -np.inf, float("nan")])
+def test_line_power_rejects_a_frequency_that_is_not_finite(freq):
+    # argmin over all-NaN distances picks bin 0, and nan > tolerance is
+    # False, so an argmin search returns bin 0's power for NaN
+    spectrum = periodogram(tone_envelope(64, 64.0, 0.0))
+    with pytest.raises(ValueError, match="not a bin center"):
+        line_power(spectrum, freq)
 
 
 def test_staircase_line_fraction_matches_closed_form():
