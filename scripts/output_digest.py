@@ -25,11 +25,20 @@ imported from src/ of the checkout that holds this script.
 tests/reference_digests.json holds these lines with the environment() they
 were recorded in, and tests/test_reference_digests.py compares against them.
 
+The same runs also give a tolerance-level reference, which holds on any
+platform: values() maps each run's label to its record, the numbers of
+every summary.json and a few moments of every .npy table, in named groups
+(record()). tests/reference_values.json holds these records, and
+tests/test_reference_digests.py compares them within RTOL of each group's
+scale (within_tolerance()).
+
 Usage, from anywhere:
-    python scripts/output_digest.py
+    python scripts/output_digest.py            # the digest lines
+    python scripts/output_digest.py --values   # the records, as JSON
 """
 
 import hashlib
+import json
 import platform
 import sys
 import tempfile
@@ -44,6 +53,7 @@ import metalink as ml  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SWEEP_SEEDS = range(1, 11)
+VALUE_SEEDS = (1,)  # the sweep seeds whose cases the records cover
 # um_mimo64, as overrides of mimo2x2_16qam
 UM_MIMO64 = {
     "geometry.rows": 16, "geometry.cols": 16, "modulation": "QPSK",
@@ -82,6 +92,94 @@ def _add_dir(digest, out_dir: Path) -> None:
         digest.update(path.read_bytes())
 
 
+# Tolerance level: a float x matches its recorded r when
+# |x - r| <= RTOL * max(the largest |r| of its group, FLOOR of its group).
+# 1e-9 is far above the rounding of any output (about 1e-16 relative, and a
+# few hundred times that after detection) and far below any modelling change.
+# A group whose values are rounding noise in a noiseless run takes the
+# natural unit of its quantity as a floor: constellation coordinates are
+# peak-normalized to 1, EVM is in percent of the reference RMS, and BER is
+# a share of 1.
+RTOL = 1e-9
+FLOOR = {"i": 1.0, "q": 1.0, "ref_i": 1.0, "ref_q": 1.0, "evm_percent": 100.0,
+         "ber": 1.0}
+
+
+def _leaves(value, path: str, out: dict) -> None:
+    """Add every scalar of a JSON value to out, grouped by its key path with
+    the list indices removed; a channel estimate is summarized by its RMS
+    magnitude and its mean real and imaginary parts."""
+    if isinstance(value, dict):
+        for key, v in sorted(value.items()):
+            if key == "channel_estimate":
+                h = np.asarray(v, dtype=float)
+                h = h[..., 0] + 1j * h[..., 1]
+                out[f"{path}{key}"] = [float(np.sqrt(np.mean(np.abs(h) ** 2))),
+                                       float(h.real.mean()), float(h.imag.mean())]
+            else:
+                _leaves(v, f"{path}{key}.", out)
+    elif isinstance(value, list):
+        for v in value:
+            _leaves(v, path, out)
+    else:
+        out.setdefault(path.rstrip("."), []).append(value)
+
+
+def _table_moments(table: np.ndarray) -> dict:
+    """The row count of an artifact table and a few moments of its float
+    columns: mean and RMS of a constellation column; the sum and the peak of
+    the spectrum's power; its first and last bin and its power-weighted mean
+    frequency. power_db is 10 log10 of the power, and symbol_index counts
+    the rows."""
+    out = {"rows": [len(table)]}
+    for column in table.dtype.names:
+        x = table[column]
+        if column == "power_linear":
+            out[column] = [float(x.sum()), float(x.max())]
+        elif column == "freq_hz":
+            power = table["power_linear"]
+            out[column] = [float(x[0]), float(x[-1]),
+                           float(np.sum(x * power) / power.sum())]
+        elif column not in ("symbol_index", "power_db"):
+            out[column] = [float(x.mean()), float(np.sqrt(np.mean(x * x)))]
+    return out
+
+
+def record(out_dir: Path) -> dict:
+    """{file: {group: [values]}} for every file under out_dir, by relative
+    path: the numbers of a summary.json, grouped by key path, and the
+    moments of a .npy table, grouped by column."""
+    out = {}
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        name = path.relative_to(out_dir).as_posix()
+        if path.suffix == ".json":
+            out[name] = {}
+            _leaves(json.loads(path.read_text()), "", out[name])
+        else:
+            out[name] = _table_moments(np.load(path, allow_pickle=False))
+    return out
+
+
+def within_tolerance(got: dict, want: dict) -> list:
+    """Where two records of a run differ beyond the tolerance level, one
+    message per file or group; strings and integers must be equal."""
+    errors = [f"{f}: missing" for f in want if f not in got]
+    errors += [f"{f}: not recorded" for f in got if f not in want]
+    for name in sorted(want.keys() & got.keys()):
+        for group in sorted(want[name].keys() | got[name].keys()):
+            x, r = got[name].get(group), want[name].get(group)
+            if x is None or r is None or len(x) != len(r):
+                errors.append(f"{name} {group}: {x} against the recorded {r}")
+                continue
+            floor = FLOOR.get(group.rpartition(".")[2], 0.0)
+            scale = max([abs(v) for v in r if isinstance(v, float)] + [floor])
+            if not all(abs(a - b) <= RTOL * scale
+                       if isinstance(b, float) and isinstance(a, (int, float))
+                       else type(a) is type(b) and a == b for a, b in zip(x, r)):
+                errors.append(f"{name} {group}: {x} against the recorded {r}")
+    return errors
+
+
 def environment() -> dict:
     """The numpy build and CPU on which the digests' bits depend."""
     config = np.show_config(mode="dicts")
@@ -92,27 +190,54 @@ def environment() -> dict:
             "simd_found": simd["found"]}
 
 
-def digest_lines():
-    """Yield one "<sha256>  <label>" line per reference run, in order."""
+def references():
+    """Yield (label, "<sha256>  <label>" line, record) per reference run, in
+    order; the record is None for a sweep seed outside VALUE_SEEDS."""
     sweep = WORKLOADS["param_sweep"]
     with tempfile.TemporaryDirectory() as tmp:
-        for index, (label, name, overrides) in enumerate(_bundled_runs()):
-            out_dir = Path(tmp, f"bundled-{index}")
-            ml.run_scenario(name, out_dir, overrides=overrides)
+        runs = [(label, name, overrides, Path(tmp, f"bundled-{index}"))
+                for index, (label, name, overrides) in enumerate(_bundled_runs())]
+        runs += [(f"param_sweep seed {seed}", None, seed, Path(tmp, f"param_sweep-{seed}"))
+                 for seed in SWEEP_SEEDS]
+        for label, name, how, out_dir in runs:
+            if name is None:  # how is the sweep's seed
+                for index, case in enumerate(sweep.build(ml, how)):
+                    result = sweep.run(ml, case, None)
+                    ml.scenario.write_artifacts(result, out_dir / f"{index:03d}")
+            else:
+                ml.run_scenario(name, out_dir, overrides=how)
             digest = hashlib.sha256()
             _add_dir(digest, out_dir)
-            yield f"{digest.hexdigest()}  {label}"
-        for seed in SWEEP_SEEDS:
-            out_dir = Path(tmp, f"param_sweep-{seed}")
-            for index, case in enumerate(sweep.build(ml, seed)):
-                result = sweep.run(ml, case, None)
-                ml.scenario.write_artifacts(result, out_dir / f"{index:03d}")
-            digest = hashlib.sha256()
-            _add_dir(digest, out_dir)
-            yield f"{digest.hexdigest()}  param_sweep seed {seed}"
+            keep = name is not None or how in VALUE_SEEDS
+            yield label, f"{digest.hexdigest()}  {label}", record(out_dir) if keep else None
+
+
+def digest_lines():
+    """Yield one "<sha256>  <label>" line per reference run, in order."""
+    for _, line, _ in references():
+        yield line
+
+
+def values() -> dict:
+    """Each reference run's label and its record."""
+    return {label: rec for label, _, rec in references() if rec is not None}
+
+
+def values_json(runs: dict) -> str:
+    """The records as JSON, with RTOL and FLOOR, one line per file of a run."""
+    files = ",\n".join(
+        f'  {json.dumps(label)}: {{\n' + ",\n".join(
+            f'   {json.dumps(name)}: {json.dumps(groups, sort_keys=True)}'
+            for name, groups in rec.items()) + "\n  }"
+        for label, rec in runs.items())
+    return (f'{{\n "rtol": {json.dumps(RTOL)},\n "floor": {json.dumps(FLOOR)},\n'
+            f' "runs": {{\n{files}\n }}\n}}\n')
 
 
 def main() -> None:
+    if sys.argv[1:] == ["--values"]:
+        print(values_json(values()), end="")
+        return
     for line in digest_lines():
         print(line, flush=True)
 
