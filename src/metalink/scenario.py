@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -40,7 +41,6 @@ MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
 BIT_CHUNK = 1 << 16  # payload bits per int64 draw in _payload
-BLOCK_SAMPLES = 2 ** 16  # envelope samples in one block of the receive phase's loop
 KINDS = propagation.CHANNEL_KINDS
 
 
@@ -566,39 +566,15 @@ def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
                                          num_samples / sc.envelope_rate())
 
 
-def _link_frame(sc: Scenario, frame: txrx.FrameSpec, symbols, channels, noise) -> tuple:
-    """The (points x symbols) per-symbol means of a link frame and the
-    envelope of the first spectrum_length samples at the first point: all
-    that detection and the periodogram read, so no whole envelope is held.
-    The surface writes the symbols onto the feed's constant tone.
-
-    No sample is written, only the checked weights of
-    propagation.pass_weights: every sample of symbol k at point p is
-    held[p, k] = carrier * weights[p, k], so its mean is taken over a
-    zero-stride view of held, numpy's same pairwise sum over the same values
-    as a written block, and the spectrum head repeats the first symbols of
-    point 0. Where noise covers point 0, its held samples are added to it,
-    and the head and those means are taken from the sums. The results are,
-    bit for bit, those of writing every sample of the pass, adding the same
-    noise and integrating it.
-    """
-    sps = sc.samples_per_symbol * sc.oversample
-    num_samples = frame.num_symbols * sps
-    carrier = core.tone_envelope(num_samples, sc.envelope_rate(),
-                                 sc.carrier_freq_hz).samples
-    schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
-    held, _ = propagation.pass_weights(sc.envelope_rate(), num_samples, schedule,
-                                       sc.stream_of_cell, channels)  # its own array
-    del schedule  # freed before the means are formed
-    held *= carrier[0]
-    means = np.empty(held.shape, dtype=np.complex128)
-    np.broadcast_to(held[:, :, np.newaxis], held.shape + (sps,)).mean(axis=2, out=means)
-    covered = len(noise) // sps
-    noise.reshape(covered, sps)[...] += held[0, :covered, np.newaxis]
-    means[0, :covered] = txrx.integrate_and_dump(noise[np.newaxis], sps)[0]
-    length = sc.spectrum_length(num_samples)
-    head = (noise if covered else np.repeat(held[0, :-(-length // sps)], sps))[:length]
-    return means, core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz)
+def _rotation(turns: Fraction, count: int) -> np.ndarray:
+    """exp(-2j*pi*turns*n) for n < count. Each phase n * turns drops its
+    whole turns in integers before it is rounded, so it is within half an
+    ulp of exact in [0, 1) whatever n; the phases repeat every
+    turns.denominator samples."""
+    period = min(count, turns.denominator)
+    phase = np.arange(period, dtype=object) * turns.numerator % turns.denominator
+    return np.resize(np.exp(-2j * np.pi * (phase / turns.denominator).astype(float)),
+                     count)
 
 
 def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
@@ -608,11 +584,11 @@ def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
     Each point's received samples carry i.i.d. circular complex Gaussian
     noise of variance noise_psd. The periodogram reads point 0's first
     spectrum_length samples, so point 0 draws the noise of the whole
-    symbols they cover, and the frame adds its samples to it before it
-    integrates them (_link_frame, _receive_phase), so the head and those
-    symbols' means agree. Point p draws from default_rng(noise_seeds[p])
-    standard normals in pairs, the real and then the imaginary part of one
-    value: point 0 first those samples, in order; then _add_noise.
+    symbols they cover, the frame adds its written head samples to it, and
+    those symbols' means add the mean of their (derotated) noise (_frame).
+    Point p draws from default_rng(noise_seeds[p]) standard normals in
+    pairs, the real and then the imaginary part of one value: point 0 first
+    those samples, in order; then _add_noise.
     """
     if noise_seeds is None:
         return [], np.empty(0, dtype=np.complex128)
@@ -641,75 +617,99 @@ def _add_noise(sc: Scenario, means, rngs, noise) -> None:
         means[p, first:] += noise
 
 
-def _link_phase(sc: Scenario, channels: propagation.ChannelSet, bits_seed,
-                noise_seeds, tag: str) -> txrx.LinkReport:
-    """The surface writes a frame onto the feed's tone and the observation
-    points receive it; the first point's spectrum goes under tag."""
-    frame = sc.frame(int(sc.stream_of_cell.max()) + 1)
-    bits, symbols = _payload(sc, frame, bits_seed)
-    rngs, noise = _head_noise(sc, noise_seeds, frame.num_symbols)
-    means, head = _link_frame(sc, frame, symbols, channels, noise)
-    _add_noise(sc, means, rngs, noise)
-    report = txrx.detect(means, frame, sc.scheme, bits, symbols)
-    del bits, means  # freed before the periodogram
-    report.spectra[tag] = spectral.periodogram(head)
-    return report
+def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bits_seed,
+           noise_seeds, tag: str, ramp: bool = False) -> txrx.LinkReport:
+    """Send one frame through the surface to the observation points of
+    channels and detect it there; the first point's spectrum goes under tag.
 
+    A link frame (ramp False): the surface writes num_streams streams of
+    symbols onto the feed's unit tone, so symbol k reaches point p as
+    weights[p, k] = sum_s G[s, p] * x[s, k] (propagation.pass_weights). The
+    integrated receive phase (ramp True): one stream of symbols sent[k]
+    reaches the ramping surface, so sample i of symbol k at point p is
+    sent[k] * w[p, (k * steps + i // hold) % L], w the weights of one ramp
+    period, and the receiver derotates sample n by exp(-2j*pi*nu*n): nu is
+    direction / P when the ramp's period is a whole number P of envelope
+    samples (in floating point), else the exact ratio of the floats
+    frequency_shift / envelope rate.
 
-def _receive_phase(sc: Scenario, bits_seed, noise_seeds) -> txrx.LinkReport:
-    """The first rx point sends a one-stream frame, the surface ramps, and
-    the feed antenna, switched to a receive chain, observes.
-
-    The received samples are written BLOCK_SAMPLES // sps whole symbols at
-    a time (at least one) into one buffer: the sent symbols, each held for
-    sps samples, times the ramp's weights. The ramp repeats every L steps,
-    so propagation.pass_weights forms the weights of one period only, and
-    each block gathers the columns of its steps modulo L: the same values
-    as the whole frame's weights, bit for bit. Each block adds point 0's
-    head noise (_head_noise) where it covers it, integrates and dumps, and
-    keeps the samples of the spectrum head, so neither a whole received
-    envelope nor whole-frame weights are held.
+    Each mean is taken in closed form, as sent[k] * c[class(k)]. A link
+    symbol holds one value, so c is carrier * weights with a unit carrier,
+    and the means are the weights. In the receive phase c is formed once
+    per class (_ramp_means). No sample is written but point 0's first
+    ceil(spectrum_length / sps) symbols, the spectrum head: they are added
+    to its head noise (_head_noise), and their means add the mean of their
+    derotated noise; then every other mean gets its noise (_add_noise).
     """
-    feed_idx = sc.points.indices_with_role("feed")[0]
-    obs_idx = [i for i in range(len(sc.points)) if i != feed_idx]
-    back_points = core.PointSet(
-        sc.points.positions[[obs_idx[0], feed_idx]], ("feed", "rx"))
-    channels = propagation.build_channels(sc.geometry, back_points, sc.channel)
-    frame = sc.frame(1)
+    frame = sc.frame(num_streams)
     bits, symbols = _payload(sc, frame, bits_seed)
-    sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
-    sps = sc.samples_per_symbol * sc.oversample
-    num_samples = len(sent) * sps
-    L = sc.staircase.steps_per_period
-    period, hold = propagation.pass_weights(
-        sc.envelope_rate(), L * sc.oversample, _ramp(sc, L * sc.oversample),
-        np.zeros(channels.num_cells, dtype=np.int64), channels)
-    steps = sps // hold  # ramp steps per symbol, each held for hold samples
-    rngs, noise = _head_noise(sc, noise_seeds, frame.num_symbols)
-    length = sc.spectrum_length(num_samples)
-    head = noise[:length] if len(noise) else np.empty(length, dtype=np.complex128)
-    means = np.empty((channels.num_points, len(sent)), dtype=np.complex128)
-    n = max(1, BLOCK_SAMPLES // sps)
-    buffer = np.empty((channels.num_points, min(n, len(sent)) * sps), dtype=np.complex128)
-    for k in range(0, len(sent), n):
-        start, m = k * sps, min(n, len(sent) - k)
-        rx = buffer[:, :m * sps]
-        weights = period[:, np.arange(k * steps, (k + m) * steps) % L]
-        np.multiply(sent[k:k + m, np.newaxis, np.newaxis],
-                    weights.reshape(-1, m, steps, 1), out=rx.reshape(-1, m, steps, hold))
-        if start < len(noise):
-            rx[0, :len(noise) - start] += noise[start:start + m * sps]
-        means[:, k:k + m] = txrx.integrate_and_dump(
-            rx, sps, start, sc.staircase.frequency_shift, sc.envelope_rate())
-        if start < length:
-            head[start:start + m * sps] = rx[0, :length - start]
-    del buffer, rx, weights, period  # freed before detection
+    rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
+    num = frame.num_symbols
+    if ramp:
+        L, period = sc.staircase.steps_per_period, sc.staircase.period * rate
+        weights, hold = propagation.pass_weights(
+            rate, L * sc.oversample, _ramp(sc, L * sc.oversample),
+            np.zeros(channels.num_cells, dtype=np.int64), channels)
+        sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
+        nu = (Fraction(sc.staircase.direction, int(period)) if period.is_integer() else
+              Fraction(sc.staircase.frequency_shift) / Fraction(rate))
+    else:
+        schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
+        weights, hold = propagation.pass_weights(rate, num * sps, schedule,
+                                                 sc.stream_of_cell, channels)
+        del schedule  # freed before the means are formed
+        sent, nu = None, Fraction(0)
+    steps = sps // hold
+    length = sc.spectrum_length(num * sps)
+    covered = -(-length // sps)
+    # point 0's head, one value per ramp step, each held for hold samples
+    signal = np.multiply(1.0 if sent is None else sent[:covered, np.newaxis, np.newaxis],
+                         weights[0, np.arange(covered * steps) % weights.shape[1]].reshape(
+                             covered, steps, 1))
+    means = weights if sent is None else _ramp_means(weights, steps, sps, nu, sent)
+    rngs, noise = _head_noise(sc, noise_seeds, num)
+    if len(noise):  # sample i of symbol k is derotated by start[k] * within[i]
+        means[0, :covered] += np.einsum(
+            "ki,i->k", noise.reshape(covered, sps), _rotation(nu, sps)) * (
+            _rotation(nu * sps, covered) / sps)
+        head = noise
+        held = head.reshape(covered, steps, hold)
+        held += signal
+    else:
+        head = np.broadcast_to(signal, (covered, steps, hold)).reshape(-1)
     _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     del bits, means  # freed before the periodogram
-    report.spectra["sdc_rx0"] = spectral.periodogram(
-        core.ComplexEnvelope(head, sc.envelope_rate(), sc.carrier_freq_hz))
+    report.spectra[tag] = spectral.periodogram(
+        core.ComplexEnvelope(head[:length], rate, sc.carrier_freq_hz))
     return report
+
+
+def _ramp_means(weights, steps: int, sps: int, nu: Fraction, sent) -> np.ndarray:
+    """The receive phase's noiseless (points x symbols) means.
+
+    Symbol k's class is its first ramp step k * steps mod L, which repeats
+    every L / gcd(steps, L) symbols, and its first derotation phase
+    k * sps * nu mod 1, which repeats every denominator of sps * nu symbols;
+    so class(k) = k mod K, K their least common multiple or the frame
+    length if shorter. c[:, j] is the rotation of class j's first sample
+    times the mean over one symbol of the weights times the rotation of its
+    own samples. Every phase is exact before exp (_rotation), so each mean
+    is within about 1e-15 of the derotated samples' mean, relative to its
+    magnitude, at any symbol index.
+    """
+    L, num, hold = weights.shape[1], len(sent), sps // steps
+    ramp_classes = min(num, L // math.gcd(steps, L))
+    phase_classes = min(num, (nu * sps).denominator)
+    K = min(num, math.lcm(ramp_classes, phase_classes))
+    step_rotation = _rotation(nu, sps).reshape(steps, hold).sum(axis=1) / sps
+    cols = np.arange(ramp_classes)[:, np.newaxis] * steps + np.arange(steps)
+    gains = weights[:, cols % L] @ step_rotation
+    j = np.arange(K)
+    c = gains[:, j % ramp_classes] * _rotation(nu * sps, phase_classes)[j % phase_classes]
+    means = c[:, np.arange(num) % K]
+    means *= sent
+    return means
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
@@ -755,16 +755,17 @@ def simulate(sc: Scenario) -> ScenarioResult:
     of standard normals (real, then imaginary part): point 0 first per
     sample over the whole symbols its spectrum head covers (_head_noise),
     then each point one value of variance noise_psd / sps per other symbol
-    mean, in symbol order (_add_noise). A link frame writes no samples: it
-    takes its means from the held coefficients, carrier * weights per point
-    and symbol (propagation.pass_weights), and builds only the spectrum
-    head (_link_frame). The receive phase writes its samples in blocks of
-    whole symbols, about BLOCK_SAMPLES per point, from the weights of one
-    ramp period, and integrates and dumps each (_receive_phase), so memory
-    does not hold a whole received envelope. SDC mode takes its envelope
-    whole from propagation.surface_pass, for the DFT over whole ramp
-    periods, over point 0's gains alone, since it reads no other point, and
-    adds per-sample noise to it: all real parts, then all imaginary parts.
+    mean, in symbol order (_add_noise). A frame writes no samples but that
+    head (_frame): a link frame's means are its held coefficients, carrier
+    * weights per point and symbol with a unit carrier
+    (propagation.pass_weights), and the receive phase's are each sent symbol
+    times a gain of its class, formed once per class from the weights of
+    one ramp period and the exact derotation (_ramp_means); so a frame
+    costs O(points x symbols) whatever samples_per_symbol and oversample
+    are. SDC mode takes its envelope whole from propagation.surface_pass,
+    for the DFT over whole ramp periods, over point 0's gains alone, since
+    it reads no other point, and adds per-sample noise to it: all real
+    parts, then all imaginary parts.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
@@ -787,13 +788,20 @@ def simulate(sc: Scenario) -> ScenarioResult:
             "output": spectral.periodogram(carrier.with_samples(rx))})
     else:
         first = 2 if integrated else 1
-        report = _link_phase(sc, channels, _seed(sc, 0),
-                             _noise_seeds(sc, range(first, first + channels.num_points)),
-                             "tx_rx0" if integrated else "rx0")
+        report = _frame(sc, channels, int(sc.stream_of_cell.max()) + 1, _seed(sc, 0),
+                        _noise_seeds(sc, range(first, first + channels.num_points)),
+                        "tx_rx0" if integrated else "rx0")
     reports = {"link": report}
     if integrated:
-        reports = {"transmit": report, "receive": _receive_phase(
-            sc, _seed(sc, 1), _noise_seeds(sc, [2 + len(sc.points)]))}
+        # the first rx point sends, the surface ramps, and the feed antenna,
+        # switched to a receive chain, observes
+        feed = sc.points.indices_with_role("feed")[0]
+        sender = next(i for i in range(len(sc.points)) if i != feed)
+        back = propagation.build_channels(sc.geometry, core.PointSet(
+            sc.points.positions[[sender, feed]], ("feed", "rx")), sc.channel)
+        reports = {"transmit": report, "receive": _frame(
+            sc, back, 1, _seed(sc, 1), _noise_seeds(sc, [2 + len(sc.points)]), "sdc_rx0",
+            ramp=True)}
     summary = _summarize(sc, reports)
     if sc.mode == "space_down_conversion":
         out_spec = report.spectra["output"]

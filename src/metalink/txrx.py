@@ -5,11 +5,10 @@ constellation points and written directly into per-stream reflection
 coefficients, one coefficient per symbol interval, pilots first. There is
 no RF chain; the carrier is an air-fed single tone.
 
-Receive side: optional derotation by a known frequency shift, integrate-and-
-dump over symbol intervals (integrate_and_dump, which takes any block of
-whole symbols), then detect: least-squares channel estimation from the
-pilot block, zero-forcing detection, and EVM/BER against the transmitted
-payload. The pilots are Hadamard rows, whose Gram matrix is pilot_length
+Receive side: detect takes the per-symbol means, which scenario forms in
+closed form (a rectangular matched filter, synchronized by construction):
+least-squares channel estimation from the pilot block, zero-forcing
+detection, and EVM/BER against the transmitted payload. The pilots are Hadamard rows, whose Gram matrix is pilot_length
 times the identity, so the estimate divides by the pilot length. A symbol
 closer to its reference point than the scheme's decision_radius cannot be
 decided wrongly, so detect runs nearest-point demapping only on the other
@@ -260,25 +259,6 @@ class LinkReport:
     @property
     def num_streams(self) -> int:
         return len(self.detected_symbols)
-
-
-def integrate_and_dump(samples, samples_per_symbol: int, start: int = 0,
-                       expected_shift: float = 0.0,
-                       sample_rate: float = 1.0) -> np.ndarray:
-    """Per-symbol means of a block of whole symbols: rectangular matched
-    filter, synchronized by construction.
-
-    samples is (antennas, n * samples_per_symbol) and starts at envelope
-    sample start; the result is (antennas, n). With expected_shift != 0 the
-    block is first derotated by exp(-j*2*pi*expected_shift*t) at the times
-    t = (start + i) / sample_rate of its own samples, so a frame integrated
-    block by block gives the means of one whole-frame call bit for bit.
-    """
-    samples = np.asarray(samples)
-    if expected_shift != 0.0:
-        n = np.arange(start, start + samples.shape[1])
-        samples = samples * np.exp(-2j * np.pi * expected_shift * n / sample_rate)
-    return samples.reshape(len(samples), -1, samples_per_symbol).mean(axis=2)
 
 
 def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,

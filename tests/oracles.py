@@ -36,6 +36,7 @@ txrx.detect.
 """
 
 import csv
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,20 +212,60 @@ def symbols_to_waveform(symbols, samples_per_symbol: int, sample_rate: float,
     return core.ComplexEnvelope(samples, sample_rate, carrier_freq)
 
 
+def exact_rotation(n, turns: Fraction) -> np.ndarray:
+    """exp(-2j*pi*t) at the sample indices n, t = n * turns mod 1 reduced in
+    integers, so the phase is exact before it is rounded whatever n."""
+    phase = np.asarray(n, dtype=object) * turns.numerator % turns.denominator
+    return np.exp(-2j * np.pi * (phase / turns.denominator).astype(float))
+
+
 def integrate(rx, num_symbols: int, expected_shift: float = 0.0) -> np.ndarray:
     """Per-symbol means of whole envelopes, one antenna at a time, derotated
-    by one rotation over the whole envelope."""
+    by one rotation over the whole envelope, at the exact phases of the
+    floats expected_shift / sample rate (exact_rotation)."""
     fs = rx[0].sample_rate
     sps = len(rx[0]) // num_symbols
     rotation = None
     if expected_shift != 0.0:
-        n = np.arange(len(rx[0]))
-        rotation = np.exp(-2j * np.pi * expected_shift * n / fs)
+        rotation = exact_rotation(np.arange(len(rx[0])),
+                                  Fraction(expected_shift) / Fraction(fs))
     symbols = np.empty((len(rx), num_symbols), dtype=np.complex128)
     for a, env in enumerate(rx):
         samples = env.samples if rotation is None else env.samples * rotation
         symbols[a] = samples.reshape(num_symbols, sps).mean(axis=1)
     return symbols
+
+
+def phase_exact_means(sc, sent, channels, first: int, stop: int) -> np.ndarray:
+    """The receive phase's noiseless means of symbols first..stop-1, written
+    sample by sample and derotated at phases reduced exactly.
+
+    sent is the whole frame's symbols and channels its back channels. The
+    window's samples n = first * sps ... stop * sps - 1 are the zero-order
+    hold of sent through surface_pass, with the staircase compiled from step
+    0 and cut at the window's first step. Sample n is derotated by
+    exp(-2j*pi*t), t = n * direction / P mod 1 when the ramp's period is a
+    whole number P of samples, else n * (shift / rate) mod 1 from the exact
+    ratio of the two floats; t is reduced in integers, so no phase grows
+    with n.
+    """
+    sps = sc.samples_per_symbol * sc.oversample
+    hold = sc.oversample
+    start, count = first * sps, (stop - first) * sps
+    L = sc.staircase.steps_per_period
+    skip = (start // hold) % L
+    ramp = metasurface.compile_staircase(
+        sc.staircase, sc.control_rate_hz, (skip + count // hold) / sc.control_rate_hz)
+    schedule = core.CoefficientSchedule(ramp.values[:, skip:], sc.control_rate_hz)
+    incident = symbols_to_waveform(sent[first:stop], sps, sc.envelope_rate(),
+                                   sc.carrier_freq_hz)
+    rx = surface_pass(incident, schedule, np.zeros(channels.num_cells, dtype=np.int64),
+                      channels)
+    period = sc.staircase.period * sc.envelope_rate()
+    turns = (Fraction(sc.staircase.direction, int(period)) if period == int(period) else
+             Fraction(sc.staircase.frequency_shift) / Fraction(sc.envelope_rate()))
+    rotation = exact_rotation(np.arange(start, start + count), turns)
+    return np.stack([(env.samples * rotation).reshape(-1, sps).mean(axis=1) for env in rx])
 
 
 def frame_noise(num_points: int, num_symbols: int, sps: int, head_length: int,

@@ -3,17 +3,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from metalink import cli, core, propagation, txrx
+from metalink import cli, core, propagation, spectral, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.spectral import Spectrum
 from metalink.txrx import LinkReport
+from oracles import _received as received
 from oracles import (channel_estimate_pairs, integrate, surface_pass, write_constellation,
                      write_spectrum)
 
@@ -424,10 +426,10 @@ def test_long_noisy_frame_peaks_within_1_mib_of_the_noiseless_one():
 def test_noise_over_a_whole_frame_head_is_drawn_into_the_head():
     # without spectrum_bins the head covers the receive phase's whole frame
     # (330 000 samples, 5 MB); its noise is drawn into the head's buffer, to
-    # which each block adds the received samples, so it holds no second
-    # copy, and the block buffer is freed before detection (15.16 MiB on
-    # numpy 2.4.6 with one ramp period of weights, 17.75 MiB with the whole
-    # frame's; 19.06 MiB with the buffer kept alive through detect)
+    # which the frame adds the received samples of each ramp step, so it
+    # holds no second copy, and the noise means are taken without a
+    # derotated copy (22.73 MiB with a signal head and a derotated noise
+    # copy beside the noise)
     _, clean = traced_simulate({"spectrum_bins": None}, "integrated_switch")
     result, peak = traced_simulate({"spectrum_bins": None, "channel.noise_psd": 1e-7},
                                    "integrated_switch")
@@ -439,9 +441,9 @@ def test_noise_over_a_whole_frame_head_is_drawn_into_the_head():
 
 def test_receive_phase_holds_one_ramp_period_of_weights():
     # 20 000 payload symbols (about 3.3 x 10^6 samples per phase): the
-    # receive phase forms the weights of one 20-step ramp period and
-    # gathers each block's columns from them; whole-frame weights and the
-    # whole-frame ramp took 32.8 MiB traced
+    # receive phase forms the weights of one 20-step ramp period and its
+    # means from them; whole-frame weights and the whole-frame ramp took
+    # 32.8 MiB traced
     result, peak = traced_simulate({"frame.payload_symbols": 20000,
                                     "channel.noise_psd": 1e-7}, "integrated_switch")
     assert np.all(result.reports["receive"].ber == 0.0)
@@ -461,23 +463,6 @@ def test_sdc_memory_does_not_grow_with_the_observation_points():
     assert many.summary["harmonics"] == one.summary["harmonics"]
     assert peak <= alone + 2 ** 19, (
         f"16 points {peak / 2 ** 20:.2f} MiB, one {alone / 2 ** 20:.2f} MiB")
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (2, 50), (64, 7)])
-def test_the_mean_over_a_held_view_equals_the_mean_of_a_written_block(shape):
-    # a noiseless link frame takes each per-symbol mean over a zero-stride
-    # view of its held coefficients; numpy must reduce that view as it
-    # reduces the same values written out sample by sample, bit for bit
-    rng = np.random.default_rng(sum(shape))
-    held = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    held[0, 0] = -0.0 - 0.0j
-    for sps in [*range(1, 141), 255, 256, 257, 1000, 4096]:
-        view = np.broadcast_to(held[:, :, np.newaxis], shape + (sps,))
-        block = np.repeat(held, sps, axis=1)
-        want = txrx.integrate_and_dump(block, sps)
-        got = np.empty(shape, dtype=np.complex128)
-        view.mean(axis=2, out=got)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), sps
 
 
 def spied_simulate(monkeypatch, overrides: dict) -> tuple:
@@ -509,32 +494,56 @@ def test_a_link_frame_writes_no_samples(noise_psd, monkeypatch):
     assert passes == 0 and weights == 1
 
 
-def held_and_written(overrides: dict) -> tuple:
-    """mimo2x2_16qam's link frame through _link_frame and through the
-    whole-envelope pass of oracles.surface_pass, with the same head noise
-    added to point 0's first samples before they are integrated; the two
-    must agree bit for bit: (sc, the held frame's means and head)."""
+def frame_taps(sc) -> list:
+    """simulate(sc), keeping per frame the means that txrx.detect receives
+    and the head samples that spectral.periodogram receives."""
+    taps = []
+    detect, periodogram = txrx.detect, spectral.periodogram
+
+    def tap_detect(means, *args):
+        taps.append([means.copy()])
+        return detect(means, *args)
+
+    def tap_periodogram(env):
+        if len(taps[-1]) == 1:
+            taps[-1].append(env.samples.copy())
+        return periodogram(env)
+
+    txrx.detect, spectral.periodogram = tap_detect, tap_periodogram
+    try:
+        scen.simulate(sc)
+    finally:
+        txrx.detect, spectral.periodogram = detect, periodogram
+    return taps
+
+
+def held_and_written(overrides: dict) -> None:
+    """mimo2x2_16qam's link frame through simulate and through the
+    whole-envelope pass of oracles.surface_pass, with the same noise
+    (oracles.frame_noise, in simulate's draw layout) added to point 0's
+    head samples and to the other means.
+
+    The head is written the same way by both, bit for bit. Each mean is the
+    held value plus the mean of its samples' noise, where the reference
+    averages sps written samples: summing sps terms in any order errs by at
+    most (sps - 1) u sum |x_i|, and the division adds u |mean|, so the two
+    differ by at most sps EPS M, M the largest sample magnitude (EPS = 2u).
+    """
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
     sc = scen.Scenario.from_dict(data)
+    (means, head), = frame_taps(sc)
     frame = sc.frame(2)
+    sps = sc.samples_per_symbol * sc.oversample
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     _, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
-    _, noise = scen._head_noise(sc, scen._noise_seeds(sc, [1, 2]), frame.num_symbols)
-    means, head = scen._link_frame(sc, frame, symbols, channels, noise.copy())
-    carrier = core.tone_envelope(frame.num_symbols * sc.samples_per_symbol
-                                 * sc.oversample, sc.envelope_rate(), 0.0)
+    carrier = core.tone_envelope(frame.num_symbols * sps, sc.envelope_rate(), 0.0)
     rx = surface_pass(carrier, txrx.symbols_to_schedule(symbols, frame, sc.quantization),
                       sc.stream_of_cell, channels)
-    first = rx[0].samples.copy()
-    first[:len(noise)] += noise
-    rx[0] = rx[0].with_samples(first)
-    want_means = integrate(rx, frame.num_symbols)
-    assert np.array_equal(means.view(np.uint64), want_means.view(np.uint64))
-    assert np.array_equal(head.samples.view(np.uint64),
-                          first[:sc.spectrum_length(len(first))].view(np.uint64))
-    assert (head.sample_rate, head.carrier_freq) == (sc.envelope_rate(),
-                                                     sc.carrier_freq_hz)
-    return sc, (means, head)
+    rx, noise, want_head = received(sc, rx, frame.num_symbols, scen._noise_seeds(sc, [1, 2]))
+    want = integrate(rx, frame.num_symbols) + (0.0 if noise is None else noise)
+    peak = max(np.max(np.abs(env.samples)) for env in rx)
+    assert np.max(np.abs(means - want)) <= sps * np.finfo(float).eps * peak
+    assert np.array_equal(head.view(np.uint64), want_head.samples.view(np.uint64))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -542,21 +551,70 @@ def held_and_written(overrides: dict) -> tuple:
     {"oversample": 3, "control_rate_hz": 1e8, "quantization": {
         "phase_levels": 4, "amplitude_levels": 2, "phase_offset_rad": 0.1}},
     {"frame.payload_symbols": 3}])
-def test_a_noiseless_link_frame_equals_its_written_pass(overrides):
+def test_a_noiseless_link_frame_matches_its_written_pass(overrides):
     held_and_written(overrides)
 
 
 @pytest.mark.parametrize("overrides", [
     {}, {"spectrum_bins": None}, {"spectrum_bins": 41}, {"spectrum_bins": 4000},
     {"frame.payload_symbols": 3}])
-def test_a_noisy_link_frame_equals_its_written_pass(overrides):
-    # both add point 0's samples to its head noise before they integrate
-    # them, so the head and the means of the symbols it covers agree
-    sc, (means, head) = held_and_written({**overrides, "channel.noise_psd": 0.3})
-    sps = sc.samples_per_symbol * sc.oversample
-    covered = len(head) // sps
-    assert np.array_equal(means[0, :covered], txrx.integrate_and_dump(
-        head.samples[np.newaxis, :covered * sps], sps)[0])
+def test_a_noisy_link_frame_matches_its_written_pass(overrides):
+    # both add point 0's samples to its head noise, so the head and the
+    # means of the symbols it covers agree
+    held_and_written({**overrides, "channel.noise_psd": 0.3})
+
+
+class CountingNumpy:
+    """numpy as scenario sees it, keeping the size of the largest array that
+    any numpy function returns to scenario."""
+
+    def __init__(self):
+        self.largest = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.largest = max(self.largest, out.size)
+            return out
+        return counted
+
+
+@pytest.mark.parametrize("name, noise_psd", [
+    ("mimo2x2_16qam", 0.0), ("mimo2x2_16qam", 1e-3),
+    ("integrated_switch", 0.0), ("integrated_switch", 1e-7)])
+def test_a_frame_writes_no_sample_beyond_its_spectrum_head(name, noise_psd, monkeypatch):
+    # 2 560 envelope samples per symbol and a 4 096-bin head: the head's two
+    # symbols are 5 120 samples and a frame is over 2.5 x 10^6 per point;
+    # the largest other array is the payload bits, 8 000 bytes for two
+    # streams of 1 000 16QAM symbols (the block loop wrote 65 536 samples)
+    counter = CountingNumpy()
+    monkeypatch.setattr(scen, "np", counter)
+    data = scen.apply_overrides(scen.load_scenario(name), {
+        "oversample": 64, "frame.payload_symbols": 1000, "spectrum_bins": 4096,
+        "channel.noise_psd": noise_psd})
+    sc = scen.Scenario.from_dict(data)
+    taps = frame_taps(sc)
+    assert [len(head) for _, head in taps] == [4096] * len(taps)
+    assert 0 < counter.largest <= 8000
+
+
+def test_a_long_integrated_frame_costs_points_times_symbols():
+    # 10^5 payload symbols of 640 samples each: writing, derotating and
+    # averaging every sample took 1.5 to 2.4 s a run
+    data = scen.apply_overrides(scen.load_scenario("integrated_switch"),
+                                {"frame.payload_symbols": 100000})
+    sc = scen.Scenario.from_dict(data)
+    scen.simulate(sc)
+    start = time.perf_counter()
+    result = scen.simulate(sc)
+    elapsed = time.perf_counter() - start
+    assert np.all(result.reports["receive"].ber == 0.0)
+    assert elapsed < 0.5, f"{elapsed:.3f} s"
 
 
 def chi_square_z(noise, variance) -> float:
@@ -578,15 +636,15 @@ def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift
     points, symbols, sps = 2, 5000, sc.samples_per_symbol * sc.oversample
     fs = sc.envelope_rate()
     seeds = np.random.SeedSequence(12).spawn(points)
-    silent = core.tone_envelope(symbols * sps, fs, 0.0, amplitude=0.0)
+    silent = core.ComplexEnvelope(np.zeros(symbols * sps), fs, 0.0)
     old = integrate(surface_pass(silent, core.CoefficientSchedule(
         np.ones((1, symbols * sps), dtype=complex), fs), [0],
         propagation.ChannelSet(np.ones(1), np.ones((1, points))), sc.noise_psd, seeds),
         symbols, expected_shift)
     rngs, noise = scen._head_noise(sc, seeds, symbols)
     new = np.zeros((points, symbols), dtype=complex)
-    new[0, :len(noise) // sps] = txrx.integrate_and_dump(
-        noise[np.newaxis], sps, 0, expected_shift, fs)[0]
+    covered = len(noise) // sps
+    new[0, :covered] = integrate([silent.with_samples(noise)], covered, expected_shift)[0]
     scen._add_noise(sc, new, rngs, noise)
     assert len(noise) == 4000
     for means in (old, new):

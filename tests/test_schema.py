@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metalink import cli, txrx
+from metalink import cli, core, propagation, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.txrx import DetectionError
@@ -350,93 +350,175 @@ WIRING_CASES = [
         id="sdc_three_points"),
 ]
 
-# these cases restore the bundled frame sizes, which would span several
-# blocks of BLOCK_SAMPLES: 7 in mimo2x2_16qam, whose 65 536-bin spectrum
-# head, over which the first point draws per-sample noise, ends in its
-# second block, and 6 in each phase of integrated_switch, which decodes at
-# this noise level; only the receive phase writes its samples in blocks, and
-# a link frame takes its means from the held coefficients, noisy or not
+# these cases restore the bundled frame sizes: in mimo2x2_16qam the first
+# point's 65 536-sample spectrum head, over which it draws per-sample noise,
+# covers part of the frame, or all of it without spectrum_bins; in
+# integrated_switch, which decodes at this noise level, it covers part of
+# each phase's frame
 FULL_SIZE = {"mimo2x2_16qam": {"frame.payload_symbols": 10000},
              "integrated_switch": {"frame.payload_symbols": 512, "oversample": 16}}
-STREAMED_CASES = [
+FULL_SIZE_CASES = [
     pytest.param("mimo2x2_16qam", {**FULL_SIZE["mimo2x2_16qam"],
-                                   "channel.noise_psd": 0.01}, id="blocks-head"),
+                                   "channel.noise_psd": 0.01}, id="head"),
     pytest.param("mimo2x2_16qam", {**FULL_SIZE["mimo2x2_16qam"],
                                    "channel.noise_psd": 0.01, "spectrum_bins": None},
-                 id="blocks-whole-spectrum"),
+                 id="whole-head"),
     pytest.param("integrated_switch", {**FULL_SIZE["integrated_switch"],
-                                       "channel.noise_psd": 1e-7},
-                 id="blocks-integrated"),
+                                       "channel.noise_psd": 1e-7}, id="integrated-head"),
     pytest.param("mimo2x2_16qam", FULL_SIZE["mimo2x2_16qam"], id="held-head"),
     pytest.param("integrated_switch", FULL_SIZE["integrated_switch"],
                  id="held-integrated"),
 ]
 
 
-@pytest.mark.parametrize("name, overrides", WIRING_CASES + STREAMED_CASES)
+@pytest.mark.parametrize("name, overrides", WIRING_CASES + FULL_SIZE_CASES)
 def test_overrides_leave_the_shared_scenarios_unchanged(name, overrides):
     before = copy.deepcopy(SHRUNK_DATA)
     scen.apply_overrides(SHRUNK_DATA[name], overrides)
     assert SHRUNK_DATA == before
 
 
-@pytest.mark.parametrize("name, overrides", STREAMED_CASES)
-def test_streamed_cases_span_several_blocks(name, overrides):
+@pytest.mark.parametrize("name, overrides", FULL_SIZE_CASES)
+def test_full_size_heads_cover_part_or_all_of_the_frame(name, overrides):
     sc = scen.Scenario.from_dict(scen.apply_overrides(SHRUNK_DATA[name], overrides))
     sps = sc.samples_per_symbol * sc.oversample
-    symbols_per_block = scen.BLOCK_SAMPLES // sps
     for streams in (1, 2):
-        assert sc.frame(streams).num_symbols > 2 * symbols_per_block
-    if sc.spectrum_bins is not None:
-        assert sc.spectrum_bins > symbols_per_block * sps
+        samples = sc.frame(streams).num_symbols * sps
+        whole = sc.spectrum_bins is None
+        assert (sc.spectrum_length(samples) == samples) == whole
+        assert sc.spectrum_length(samples) > 100 * sps
 
 
-@pytest.mark.parametrize("name, overrides", WIRING_CASES + STREAMED_CASES)
+@pytest.mark.parametrize("name, overrides", WIRING_CASES + FULL_SIZE_CASES)
 def test_simulate_matches_the_reference_runners(name, overrides):
     data = scen.apply_overrides(SHRUNK_DATA[name], overrides)
-    assert_same_result(scen.simulate(scen.Scenario.from_dict(data)),
-                       oracles.simulate(data))
+    sc = scen.Scenario.from_dict(data)
+    assert_close_result(scen.simulate(sc), oracles.simulate(data),
+                        (sc.samples_per_symbol or 1) * sc.oversample)
 
 
-def assert_same_result(got, want):
-    """Equal summaries, and reports equal bit for bit."""
-    assert got.summary == want.summary
+EPS = np.finfo(float).eps  # 2u, twice the unit roundoff
+
+
+def assert_close_result(got, want, sps: int):
+    """Equal spectra, bits and structure, and the detected numbers within
+    the rounding bound of the means.
+
+    The reference runner writes every sample and averages sps of them;
+    simulate takes each mean in closed form, and adds the mean of the
+    samples' noise to it. Summing n terms in any order errs by at most
+    (n - 1) u sum |x_i| (first order), and dividing by n adds u |mean|, so
+    each mean is within sps u M of exact, M the largest sample magnitude,
+    and the two means differ by at most t = sps EPS M. Both derotate at
+    exact phases (oracles.exact_rotation, scenario._rotation), which add a
+    few u more. Detection then forms h = y_pilot P^H / n_p, a mean of +-y,
+    so |dh| <= t per element, and x = pinv(h) y, so per element
+    |dx| <= ||pinv(h)|| (sqrt(P) t + ||dh|| sqrt(S) X) <= cond / ||h|| *
+    sqrt(P) t (1 + S X), for S streams, P points and X = max |x|. With
+    M <= ||h|| sqrt(S) X + (the noise, which the detected X carries too):
+    |dx| <= cond sps EPS sqrt(S P) X (1 + S X) (1 + noise) = tol_x, taken
+    here with a factor 4 for the rounding of detection itself, which is
+    of the order cond EPS X. The channel estimate moves by at most t, the
+    condition number by 2 cond ||dh|| / ||h||, and EVM by 100 |dx| /
+    reference RMS. The spectrum heads are written the same way by both, so
+    they agree bit for bit, and no bit decision moves.
+    """
+    assert got.summary.keys() == want.summary.keys()
     assert got.reports.keys() == want.reports.keys()
+    for key in got.summary:
+        if key != "reports":
+            assert got.summary[key] == want.summary[key], key
     for key, report in got.reports.items():
         ref = want.reports[key]
-        assert np.array_equal(report.detected_symbols, ref.detected_symbols)
-        assert np.array_equal(report.reference_symbols, ref.reference_symbols)
         assert report.spectra.keys() == ref.spectra.keys()
         for tag, spectrum in report.spectra.items():
-            assert np.array_equal(spectrum.frequencies, ref.spectra[tag].frequencies)
+            assert spectrum.resolution == ref.spectra[tag].resolution
             assert np.array_equal(spectrum.power, ref.spectra[tag].power)
+        assert np.array_equal(report.reference_symbols, ref.reference_symbols)
+        assert np.array_equal(report.ber, ref.ber)
+        if ref.channel_estimate is None:
+            assert report.channel_estimate is None
+            continue
+        h, x = ref.channel_estimate, ref.detected_symbols
+        streams, points = h.T.shape
+        cond, norm, X = ref.condition_number, np.linalg.norm(h, 2), np.max(np.abs(x))
+        t = sps * EPS * norm * np.sqrt(streams) * X
+        tol_x = 4 * cond * sps * EPS * np.sqrt(streams * points) * X * (1 + streams * X)
+        assert np.max(np.abs(report.detected_symbols - x)) <= tol_x
+        assert np.max(np.abs(report.channel_estimate - h)) <= 4 * t
+        assert abs(report.condition_number - cond) <= 8 * cond * np.sqrt(
+            streams * points) * t / norm
+        ref_rms = np.sqrt(np.mean(np.abs(ref.reference_symbols) ** 2, axis=1))
+        assert np.all(np.abs(report.evm_percent - ref.evm_percent)
+                      <= 100 * tol_x / ref_rms)
+        key_summary = got.summary["reports"][key]
+        assert key_summary["ber"] == want.summary["reports"][key]["ber"]
+        assert key_summary["streams"] == want.summary["reports"][key]["streams"]
 
 
-@pytest.mark.parametrize("noise_psd", [0.0, 1e-7])
-@pytest.mark.parametrize("block_samples, symbols_per_block", [
-    (1, 1), (640, 1), (7 * 640 + 5, 7), (516 * 640, 516)],
-    ids=["one-sample", "one-symbol", "seven-symbols", "whole-frame"])
-def test_receive_phase_blocks_match_the_reference_runner(block_samples, symbols_per_block,
-                                                         noise_psd, monkeypatch):
-    # the receive phase writes, noises and integrates its frame a block of
-    # whole symbols at a time, at least one; blocks of any size give the
-    # reference's whole-envelope results, bit for bit
-    data = bundled("integrated_switch", {"channel.noise_psd": noise_psd})
-    sc = scen.Scenario.from_dict(data)
+# receive-phase class structures: with samples_per_symbol 40 steps per
+# symbol, L = 20 puts every symbol in one class; L = 7 with oversample 3
+# (P = 21) gives 7 ramp classes and 7 start phases; a period of 7e-8 s
+# stretched by 3e-10, which validate accepts, is no whole number of samples,
+# so the derotation takes the exact ratio of the floats and its start phases
+# never repeat; L = 2 at one sample per symbol alternates the ramp's sign
+CLASS_CASES = {
+    "one-class": {},
+    "seven-classes": {"staircase.steps_per_period": 7, "staircase.period_s": 7e-8,
+                      "oversample": 3},
+    "seven-classes-up": {"staircase.steps_per_period": 7, "staircase.period_s": 7e-8,
+                         "oversample": 3, "staircase.direction": "up"},
+    "no-whole-period": {"staircase.steps_per_period": 7,
+                        "staircase.period_s": 7e-8 * (1 + 3e-10), "oversample": 3},
+    "two-steps": {"staircase.steps_per_period": 2, "staircase.period_s": 2e-8,
+                  "oversample": 1, "frame.symbol_rate_baud": 1e8,
+                  "frame.samples_per_symbol": 1},
+}
+
+
+def receive_phase_means(overrides: dict) -> tuple:
+    """simulate(integrated_switch) with overrides, spying on txrx.detect:
+    (sc, the receive phase's means, its sent symbols, its back channels)."""
+    sc = scen.Scenario.from_dict(bundled("integrated_switch", overrides))
+    seen = []
+    detect = txrx.detect
+
+    def spy(means, *args):
+        seen.append(means.copy())
+        return detect(means, *args)
+
+    txrx.detect = spy
+    try:
+        scen.simulate(sc)
+    finally:
+        txrx.detect = detect
+    frame = sc.frame(1)
+    _, symbols = scen._payload(sc, frame, scen._seed(sc, 1))
+    sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
+    feed = sc.points.indices_with_role("feed")[0]
+    back = propagation.build_channels(sc.geometry, core.PointSet(
+        sc.points.positions[[1, feed]], ("feed", "rx")), sc.channel)
+    return sc, seen[1], sent, back
+
+
+@pytest.mark.parametrize("overrides", CLASS_CASES.values(), ids=CLASS_CASES.keys())
+def test_receive_phase_means_match_the_phase_exact_samples(overrides):
+    # each closed-form mean against the mean of the frame's written,
+    # derotated samples: within sps EPS of the largest sample (see
+    # assert_close_result), at the first and at the last symbols
+    sc, means, sent, back = receive_phase_means(overrides)
     sps = sc.samples_per_symbol * sc.oversample
-    num_samples = sc.frame(1).num_symbols * sps
-    assert (sc.frame(1).num_symbols, sps) == (516, 640)
-    monkeypatch.setattr(scen, "BLOCK_SAMPLES", block_samples)
-    width = symbols_per_block * sps
-    blocks = []
-    integrate_and_dump = txrx.integrate_and_dump
+    for first in (0, len(sent) - 60):
+        want = oracles.phase_exact_means(sc, sent, back, first, first + 60)
+        peak = np.max(np.abs(back.feed_gains)) * np.sum(np.abs(back.obs_gains))
+        assert np.max(np.abs(means[:, first:first + 60] - want)) <= sps * EPS * peak
 
-    def spy(samples, samples_per_symbol, start=0, *args):
-        if args:  # only the receive phase derotates
-            blocks.append((start, samples.shape[1]))
-        return integrate_and_dump(samples, samples_per_symbol, start, *args)
 
-    monkeypatch.setattr(txrx, "integrate_and_dump", spy)
-    assert_same_result(scen.simulate(sc), oracles.simulate(data))
-    starts = range(0, num_samples, width)
-    assert blocks == [(start, min(width, num_samples - start)) for start in starts]
+def test_the_last_means_of_a_long_frame_keep_their_precision():
+    # at 10^5 payload symbols the last sample index is about 6.4 x 10^7, and
+    # a phase taken from it before exp drifted 5.0e-11 from the exact one;
+    # each phase now drops its whole turns exactly, so no error grows
+    sc, means, sent, back = receive_phase_means({"frame.payload_symbols": 100000})
+    last = len(sent) - 50
+    want = oracles.phase_exact_means(sc, sent, back, last, len(sent))
+    assert np.max(np.abs(means[:, last:] - want)) / np.max(np.abs(want)) < 1e-14

@@ -21,7 +21,6 @@ from metalink.txrx import (
     demap_symbols,
     detect,
     get_scheme,
-    integrate_and_dump,
     make_pilots,
     map_bits,
     symbols_to_schedule,
@@ -455,7 +454,7 @@ def test_the_noiseless_bundled_mimo_frame_demaps_no_symbol(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the receive chain: integrate_and_dump, then detect
+# the receive chain: per-symbol means, then detect
 # ---------------------------------------------------------------------------
 
 def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
@@ -481,17 +480,10 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
     return rx, frame, bits, symbols
 
 
-def receive(rx, frame, scheme, bits, symbols, expected_shift=0.0,
-            symbols_per_block=None):
-    """The receive chain simulate runs: integrate_and_dump over blocks of
-    symbols_per_block whole symbols (default the whole frame), then detect."""
-    samples = np.stack([env.samples for env in rx])
-    sps = samples.shape[1] // frame.num_symbols
-    step = sps * (symbols_per_block or frame.num_symbols)
-    means = np.concatenate(
-        [integrate_and_dump(samples[:, i:i + step], sps, i, expected_shift,
-                            rx[0].sample_rate)
-         for i in range(0, samples.shape[1], step)], axis=1)
+def receive(rx, frame, scheme, bits, symbols, expected_shift=0.0):
+    """The receive chain simulate runs, on the per-symbol means of the
+    envelopes rx (here integrated by oracles.integrate): detect."""
+    means = integrate_oracle(rx, frame.num_symbols, expected_shift)
     return detect(means, frame, scheme, bits, symbols)
 
 
@@ -508,17 +500,13 @@ def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
 def assert_detection_matches_oracle(rx, frame, scheme, bits, symbols,
                                     expected_shift=0.0):
     oracle = receive_oracle(rx, frame, scheme, expected_shift, reference=symbols)
-    for symbols_per_block in (1, 7, None):  # None: the whole frame at once
-        report = receive(rx, frame, scheme, bits, symbols, expected_shift,
-                         symbols_per_block)
-        assert np.array_equal(report.channel_estimate, oracle.channel_estimate)
-        assert report.condition_number == oracle.condition_number
-        assert np.array_equal(report.detected_symbols,
-                              np.stack(oracle.detected_symbols))
-        assert np.array_equal(report.reference_symbols,
-                              np.stack(oracle.reference_symbols))
-        assert np.array_equal(report.evm_percent, oracle.evm_percent)
-        assert np.array_equal(report.ber, oracle.ber)
+    report = receive(rx, frame, scheme, bits, symbols, expected_shift)
+    assert np.array_equal(report.channel_estimate, oracle.channel_estimate)
+    assert report.condition_number == oracle.condition_number
+    assert np.array_equal(report.detected_symbols, np.stack(oracle.detected_symbols))
+    assert np.array_equal(report.reference_symbols, np.stack(oracle.reference_symbols))
+    assert np.array_equal(report.evm_percent, oracle.evm_percent)
+    assert np.array_equal(report.ber, oracle.ber)
     return report
 
 
@@ -607,25 +595,6 @@ def test_expected_shift_derotation():
                      expected_shift=3e6)
     assert report.ber[0] == 0.0
     assert report.evm_percent[0] < 1e-9
-
-
-@pytest.mark.parametrize("expected_shift", [0.0, 3e6, -1.25e5])
-@pytest.mark.parametrize("symbols_per_block", [1, 3, 7, 40])
-def test_integrate_block_by_block_matches_whole_envelopes(expected_shift,
-                                                          symbols_per_block):
-    # each block derotates at its own sample times, so the means equal the
-    # whole-envelope loop bit for bit, short last block included
-    rng = np.random.default_rng(17)
-    sps, num_symbols, fs = 12, 40, 8e6
-    samples = (rng.standard_normal((3, sps * num_symbols))
-               + 1j * rng.standard_normal((3, sps * num_symbols)))
-    rx = [tone_envelope(sps * num_symbols, fs, 4.25e9).with_samples(row)
-          for row in samples]
-    step = symbols_per_block * sps
-    got = np.concatenate([integrate_and_dump(samples[:, i:i + step], sps, i,
-                                             expected_shift, fs)
-                          for i in range(0, samples.shape[1], step)], axis=1)
-    assert np.array_equal(got, integrate_oracle(rx, num_symbols, expected_shift))
 
 
 def test_detect_rejects_too_few_antennas_and_misshapen_references():
