@@ -71,19 +71,20 @@ class ComplexEnvelope:
 
 
 def tone_envelope(num_samples: int, sample_rate: float, carrier_freq: float,
-                  amplitude: float = 1.0, freq_offset: float = 0.0) -> ComplexEnvelope:
-    """Complex exponential at `freq_offset` from the carrier.
+                  freq_offset: float = 0.0) -> ComplexEnvelope:
+    """Unit complex exponential at `freq_offset` from the carrier.
 
-    For freq_offset 0 the samples are a read-only broadcast view of one
-    constant, so a carrier of any length allocates nothing.
+    At freq_offset 0, the feed's tone, the samples are a read-only
+    broadcast view of one value, so a carrier of any length allocates
+    nothing. Production reads only that tone; the offset stays because the
+    acceptance gate builds offset tones with it.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     if freq_offset == 0.0:
-        samples = np.broadcast_to(np.complex128(amplitude), (num_samples,))
+        samples = np.broadcast_to(np.complex128(1.0), (num_samples,))
     else:
-        n = np.arange(num_samples)
-        samples = amplitude * np.exp(2j * np.pi * freq_offset * n / sample_rate)
+        samples = np.exp(2j * np.pi * freq_offset * np.arange(num_samples) / sample_rate)
     return ComplexEnvelope(samples, sample_rate, carrier_freq)
 
 
@@ -145,7 +146,10 @@ class CoefficientSchedule:
     hold). control_rate is the rate the values change at: the DAC rate for a
     staircase, the symbol rate for a transmit frame. A per-cell schedule is
     the case of one stream per cell. Each coefficient A * exp(j*phi) is a
-    plain complex number; magnitudes must not exceed 1.
+    plain complex number of magnitude at most 1. The schedule does not check
+    each value; its makers keep the bound where they make the values: a
+    scheme's points (txrx.ModulationScheme), the quantizer
+    (metasurface.quantize_values) and the staircase (its amplitude).
     """
 
     values: np.ndarray
@@ -157,8 +161,6 @@ class CoefficientSchedule:
             raise ValueError("schedule values must form a non-empty 2-D array")
         if self.control_rate <= 0:
             raise ValueError("control_rate must be positive")
-        if np.max(np.abs(values)) > 1.0 + 1e-9:
-            raise ValueError("coefficient magnitudes must stay within [0, 1]")
         object.__setattr__(self, "values", values)
 
     @property

@@ -86,6 +86,7 @@ def compile_staircase(spec: StaircaseRampSpec, control_rate: float,
     Requires control_rate * period == steps_per_period exactly (one control
     sample per step); fractional ratios are rejected so spectra stay
     bit-reproducible. The pattern repeats every L samples for the duration.
+    Every value has magnitude spec.amplitude, at most 1.
     """
     L = spec.steps_per_period
     samples_per_period = control_rate * spec.period
@@ -140,7 +141,9 @@ def quantize_values(values: np.ndarray, model: QuantizationModel) -> np.ndarray:
     """Snap complex coefficients A * exp(j*phi) to the nearest levels.
 
     Phase distance is circular, amplitude distance Euclidean; exact ties go
-    to the lower level index. Continuous models return the input unchanged.
+    to the lower level index. Amplitudes above 1 are clipped to 1 first, so
+    every quantized value lies within the unit circle. Continuous models
+    return the input unchanged.
     """
     if model.is_continuous:
         return values

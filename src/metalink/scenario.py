@@ -41,6 +41,7 @@ MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
 BIT_CHUNK = 1 << 16  # payload bits per int64 draw in _payload
+LINE_TIE = 1e-9  # relative power within which two spectral lines tie
 KINDS = propagation.CHANNEL_KINDS
 
 
@@ -804,9 +805,13 @@ def simulate(sc: Scenario) -> ScenarioResult:
             ramp=True)}
     summary = _summarize(sc, reports)
     if sc.mode == "space_down_conversion":
+        # lines within LINE_TIE of the peak power tie, as a two-step ramp's
+        # lines at +-shift do; the tie goes to the line nearest the expected one
         out_spec = report.spectra["output"]
+        tied = np.flatnonzero(out_spec.power >= (1.0 - LINE_TIE) * out_spec.power.max())
+        lines = (out_spec.first_bin + tied) * out_spec.resolution
         summary["strongest_line_hz"] = float(
-            (out_spec.first_bin + int(np.argmax(out_spec.power))) * out_spec.resolution)
+            lines[np.argmin(np.abs(lines - sc.staircase.frequency_shift))])
         summary["harmonics"] = _harmonic_table(sc, out_spec)
     if sc.staircase is not None:
         summary["expected_line_hz"] = sc.staircase.frequency_shift

@@ -73,7 +73,10 @@ class ModulationScheme:
     """Gray-coded constellation, peak-normalized so max |point| = 1.
 
     points are indexed by the symbol's bit word read MSB-first, and are a
-    read-only copy, so decision_radius cannot go stale. decision_radius is
+    read-only copy, so decision_radius cannot go stale. A point beyond the
+    unit circle (by more than 1e-9) is refused: a surface coefficient
+    cannot exceed magnitude 1, and the schedule trusts its makers to keep
+    it there (core.CoefficientSchedule). decision_radius is
     (1 - 1e-9) * d_min / 2, where d_min is the smallest distance between
     the points of two different words, 0 when two words share a point.
     """
@@ -89,6 +92,8 @@ class ModulationScheme:
         points = np.array(self.points, dtype=np.complex128)
         if points.shape != (2 ** self.bits_per_symbol,):
             raise ConfigurationError("constellation size must be 2**bits_per_symbol")
+        if np.max(np.abs(points)) > 1.0 + 1e-9:
+            raise ConfigurationError("constellation points must lie within the unit circle")
         points.flags.writeable = False
         d_min = min(abs(a - b) for a, b in itertools.combinations(points.tolist(), 2))
         object.__setattr__(self, "points", points)
@@ -219,6 +224,8 @@ def symbols_to_schedule(stream_symbols, frame: FrameSpec,
 
     Row s holds (A, phi) = (|symbol|, arg symbol) of stream s, one column
     per symbol at frame.symbol_rate; the frame's pilots precede the payload.
+    The symbols are a scheme's points, so A <= 1; they are not checked one
+    by one.
     The surface pass holds each column for its symbol interval, so the
     schedule is never expanded to the control or envelope rate. Every cell
     of stream s carries row s (see propagation.surface_pass). Coefficients

@@ -71,6 +71,14 @@ def hadamard_pilots(num_streams: int) -> np.ndarray:
                      for row in rows[:num_streams]], dtype=np.complex128)
 
 
+def tone(num_samples: int, sample_rate: float, carrier_freq: float, amplitude=1.0,
+         freq_offset=0.0) -> core.ComplexEnvelope:
+    """amplitude * exp(j*2*pi*freq_offset*n / sample_rate), sample by sample."""
+    return core.ComplexEnvelope(
+        [amplitude * np.exp(2j * np.pi * freq_offset * n / sample_rate)
+         for n in range(num_samples)], sample_rate, carrier_freq)
+
+
 def free_space_gain(src, dst, wavelength: float) -> complex:
     """Spherical-wave gain (lambda / (4*pi*r)) * exp(-j*2*pi*r/lambda)."""
     r = float(np.linalg.norm(np.asarray(dst, float) - np.asarray(src, float)))
@@ -459,9 +467,13 @@ def _run_sdc(sc, data):
     report.spectra["output"] = spectral.periodogram(rx[0])
     summary = _summarize(sc, {"link": report})
     out_spec = report.spectra["output"]
-    summary["strongest_line_hz"] = float(
-        out_spec.frequencies[int(np.argmax(out_spec.power))])
-    summary["expected_line_hz"] = sc.staircase.frequency_shift
+    # of the lines within a relative 1e-9 of the peak power, the one nearest
+    # the expected line
+    peak, expected = max(out_spec.power), sc.staircase.frequency_shift
+    summary["strongest_line_hz"] = min(
+        (float(f) for f, p in zip(out_spec.frequencies, out_spec.power)
+         if p >= (1.0 - 1e-9) * peak), key=lambda f: abs(f - expected))
+    summary["expected_line_hz"] = expected
     summary["harmonics"] = _harmonic_table(sc, out_spec)
     return ScenarioResult(sc, {"link": report}, summary)
 

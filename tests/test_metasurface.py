@@ -23,6 +23,8 @@ from metalink.metasurface import (
 from metalink.propagation import ChannelSet, surface_pass
 from metalink.spectral import line_power, periodogram
 
+from oracles import tone
+
 UNIT_CELL = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
 
 
@@ -111,7 +113,7 @@ def test_output_power_never_exceeds_input_power(seed):
     values = (rng.uniform(0, 1, (1, 32))
               * np.exp(1j * rng.uniform(0, TWO_PI, (1, 32))))
     sched = CoefficientSchedule(values, 1e8)
-    env = tone_envelope(32, 1e8, 0.0, amplitude=2.0, freq_offset=1e6)
+    env = tone(32, 1e8, 0.0, amplitude=2.0, freq_offset=1e6)
     out = reflect_once(env, sched)
     assert np.all(np.abs(out.samples) <= np.abs(env.samples) * (1 + 1e-12))
 
@@ -216,6 +218,16 @@ def test_amplitude_quantization_levels():
     assert snap(0.9, 0.0, model)[0] == 1.0
     # exact tie at 0.25 goes down to 0
     assert snap(0.25, 0.0, model)[0] == 0.0
+
+
+@pytest.mark.parametrize("model", [QuantizationModel(phase_levels=4),
+                                   QuantizationModel(amplitude_levels=3),
+                                   QuantizationModel(8, 2, 0.3)])
+def test_quantized_values_lie_within_the_unit_circle(model):
+    # the quantizer is one of the makers of schedule values, which schedules
+    # do not check one by one
+    values = np.array([1.5, 1.0 + 1e-9, 2j, -0.3 + 1.2j, 0.5])
+    assert np.all(np.abs(quantize_values(values, model)) <= 1.0 + 1e-15)
 
 
 def test_phase_offset_shifts_the_grid():

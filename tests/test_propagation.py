@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from metalink.core import (
     CoefficientSchedule,
+    ComplexEnvelope,
     ConfigurationError,
     ContractViolation,
     PointSet,
@@ -350,7 +351,7 @@ def test_noise_is_deterministic_given_seed():
 
 
 def test_noise_variance_is_calibrated():
-    env = tone_envelope(200_000, 1e8, 4.25e9, amplitude=0.0)
+    env = ComplexEnvelope(np.zeros(200_000), 1e8, 4.25e9)
     out = whole_pass(env, ones_schedule(1, 200_000), [0], UNIT_CELL,
                      noise_psd=0.25, noise_seeds=[9])[0]
     measured = np.mean(np.abs(out.samples) ** 2)

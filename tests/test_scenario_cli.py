@@ -16,6 +16,7 @@ from metalink.core import ConfigurationError
 from metalink.spectral import Spectrum
 from metalink.txrx import LinkReport
 from oracles import _received as received
+from oracles import simulate as oracles_simulate
 from oracles import (channel_estimate_pairs, integrate, surface_pass, write_constellation,
                      write_spectrum)
 
@@ -344,6 +345,26 @@ def test_flipping_ramp_direction_mirrors_the_spectrum():
     assert mismatch <= 1e-12 * np.max(down.power)
     line = results["down"].summary["strongest_line_hz"]
     assert line != 0.0 and results["up"].summary["strongest_line_hz"] == -line
+
+
+@pytest.mark.parametrize("oversample", [3, 4, 16])
+@pytest.mark.parametrize("direction", ["down", "up"])
+def test_a_two_step_ramp_reports_the_expected_of_its_tied_lines(direction, oversample):
+    # L = 2 ramps the real sequence +1, -1, whose lines at +-shift carry
+    # equal power up to rounding (at oversample 4 the +50 MHz line read a
+    # hair stronger, at 3 and 16 the -50 MHz one); the tie goes to the
+    # expected line, and the reference runner restates that rule
+    data = scen.apply_overrides(scen.load_scenario("sdc_5mhz"), {
+        "staircase.steps_per_period": 2, "staircase.period_s": 2e-8,
+        "oversample": oversample, "staircase.direction": direction})
+    result = scen.simulate(scen.Scenario.from_dict(data))
+    summary = result.summary
+    assert summary["expected_line_hz"] == (5e7 if direction == "up" else -5e7)
+    assert summary["strongest_line_hz"] == summary["expected_line_hz"]
+    assert oracles_simulate(data).summary == summary
+    spectrum = result.reports["link"].spectra["output"]
+    assert (spectral.line_power(spectrum, 5e7)
+            == pytest.approx(spectral.line_power(spectrum, -5e7), rel=1e-12))
 
 
 def test_wide_surface_simulates_in_bounded_memory():

@@ -157,6 +157,16 @@ def test_a_repeated_point_gives_radius_zero_and_bad_shapes_are_refused():
         ModulationScheme("GRID", 2, [[1.0, -1.0], [1j, -1j]])
 
 
+def test_a_scheme_refuses_points_beyond_the_unit_circle():
+    # a surface coefficient cannot exceed magnitude 1, and schedules do not
+    # check their values one by one
+    with pytest.raises(ConfigurationError):
+        ModulationScheme("LOUD", 1, [1.0, -1.5])
+    ModulationScheme("EDGE", 1, [1.0 + 1e-12, -1.0])
+    for name in ALL_SCHEMES:
+        assert np.max(np.abs(get_scheme(name).points)) <= 1.0 + 1e-15
+
+
 def test_map_bits_rejects_ragged_input():
     with pytest.raises(ValueError):
         map_bits([0, 1, 0], get_scheme("QPSK"))
