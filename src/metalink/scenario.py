@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -567,15 +566,14 @@ def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
                                          num_samples / sc.envelope_rate())
 
 
-def _rotation(turns: Fraction, count: int) -> np.ndarray:
-    """exp(-2j*pi*turns*n) for n < count. Each phase n * turns drops its
-    whole turns in integers before it is rounded, so it is within half an
-    ulp of exact in [0, 1) whatever n; the phases repeat every
-    turns.denominator samples."""
-    period = min(count, turns.denominator)
-    phase = np.arange(period, dtype=object) * turns.numerator % turns.denominator
-    return np.resize(np.exp(-2j * np.pi * (phase / turns.denominator).astype(float)),
-                     count)
+def _rotation(num: int, den: int, count: int) -> np.ndarray:
+    """exp(-2j*pi*n*num/den) for n < count, den > 0. Each phase drops its
+    whole turns in integers, n * num mod den, before it is rounded, so it is
+    within half an ulp of exact in [0, 1) whatever n; the phases repeat
+    every den / gcd(num, den) samples."""
+    period = min(count, den // math.gcd(num, den))
+    phase = np.arange(period, dtype=object) * num % den
+    return np.resize(np.exp(-2j * np.pi * (phase / den).astype(float)), count)
 
 
 def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
@@ -629,9 +627,9 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     integrated receive phase (ramp True): one stream of symbols sent[k]
     reaches the ramping surface, so sample i of symbol k at point p is
     sent[k] * w[p, (k * steps + i // hold) % L], w the weights of one ramp
-    period, and the receiver derotates sample n by exp(-2j*pi*nu*n): nu is
-    direction / P when the ramp's period is a whole number P of envelope
-    samples (in floating point), else the exact ratio of the floats
+    period, and the receiver derotates sample n by exp(-2j*pi*n*num/den):
+    num/den is direction / P when the ramp's period is a whole number P of
+    envelope samples (in floating point), else the exact ratio of the floats
     frequency_shift / envelope rate.
 
     Each mean is taken in closed form, as sent[k] * c[class(k)]. A link
@@ -645,34 +643,38 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     frame = sc.frame(num_streams)
     bits, symbols = _payload(sc, frame, bits_seed)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
-    num = frame.num_symbols
+    num_symbols = frame.num_symbols
     if ramp:
         L, period = sc.staircase.steps_per_period, sc.staircase.period * rate
         weights, hold = propagation.pass_weights(
             rate, L * sc.oversample, _ramp(sc, L * sc.oversample),
             np.zeros(channels.num_cells, dtype=np.int64), channels)
         sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
-        nu = (Fraction(sc.staircase.direction, int(period)) if period.is_integer() else
-              Fraction(sc.staircase.frequency_shift) / Fraction(rate))
+        if period.is_integer():
+            num, den = sc.staircase.direction, int(period)
+        else:
+            (a, b), (c, d) = (sc.staircase.frequency_shift.as_integer_ratio(),
+                              rate.as_integer_ratio())
+            num, den = a * d, b * c
     else:
         schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
-        weights, hold = propagation.pass_weights(rate, num * sps, schedule,
+        weights, hold = propagation.pass_weights(rate, num_symbols * sps, schedule,
                                                  sc.stream_of_cell, channels)
         del schedule  # freed before the means are formed
-        sent, nu = None, Fraction(0)
+        sent, num, den = None, 0, 1
     steps = sps // hold
-    length = sc.spectrum_length(num * sps)
+    length = sc.spectrum_length(num_symbols * sps)
     covered = -(-length // sps)
     # point 0's head, one value per ramp step, each held for hold samples
     signal = np.multiply(1.0 if sent is None else sent[:covered, np.newaxis, np.newaxis],
                          weights[0, np.arange(covered * steps) % weights.shape[1]].reshape(
                              covered, steps, 1))
-    means = weights if sent is None else _ramp_means(weights, steps, sps, nu, sent)
-    rngs, noise = _head_noise(sc, noise_seeds, num)
+    means = weights if sent is None else _ramp_means(weights, steps, sps, num, den, sent)
+    rngs, noise = _head_noise(sc, noise_seeds, num_symbols)
     if len(noise):  # sample i of symbol k is derotated by start[k] * within[i]
         means[0, :covered] += np.einsum(
-            "ki,i->k", noise.reshape(covered, sps), _rotation(nu, sps)) * (
-            _rotation(nu * sps, covered) / sps)
+            "ki,i->k", noise.reshape(covered, sps), _rotation(num, den, sps)) * (
+            _rotation(num * sps, den, covered) / sps)
         head = noise
         held = head.reshape(covered, steps, hold)
         held += signal
@@ -686,29 +688,30 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     return report
 
 
-def _ramp_means(weights, steps: int, sps: int, nu: Fraction, sent) -> np.ndarray:
+def _ramp_means(weights, steps: int, sps: int, num: int, den: int, sent) -> np.ndarray:
     """The receive phase's noiseless (points x symbols) means.
 
     Symbol k's class is its first ramp step k * steps mod L, which repeats
     every L / gcd(steps, L) symbols, and its first derotation phase
-    k * sps * nu mod 1, which repeats every denominator of sps * nu symbols;
-    so class(k) = k mod K, K their least common multiple or the frame
+    k * sps * num / den mod 1, which repeats every den / gcd(sps * num, den)
+    symbols; so class(k) = k mod K, K their least common multiple or the frame
     length if shorter. c[:, j] is the rotation of class j's first sample
     times the mean over one symbol of the weights times the rotation of its
     own samples. Every phase is exact before exp (_rotation), so each mean
     is within about 1e-15 of the derotated samples' mean, relative to its
     magnitude, at any symbol index.
     """
-    L, num, hold = weights.shape[1], len(sent), sps // steps
-    ramp_classes = min(num, L // math.gcd(steps, L))
-    phase_classes = min(num, (nu * sps).denominator)
-    K = min(num, math.lcm(ramp_classes, phase_classes))
-    step_rotation = _rotation(nu, sps).reshape(steps, hold).sum(axis=1) / sps
+    L, count, hold = weights.shape[1], len(sent), sps // steps
+    ramp_classes = min(count, L // math.gcd(steps, L))
+    phase_classes = min(count, den // math.gcd(num * sps, den))
+    K = min(count, math.lcm(ramp_classes, phase_classes))
+    step_rotation = _rotation(num, den, sps).reshape(steps, hold).sum(axis=1) / sps
     cols = np.arange(ramp_classes)[:, np.newaxis] * steps + np.arange(steps)
     gains = weights[:, cols % L] @ step_rotation
     j = np.arange(K)
-    c = gains[:, j % ramp_classes] * _rotation(nu * sps, phase_classes)[j % phase_classes]
-    means = c[:, np.arange(num) % K]
+    c = gains[:, j % ramp_classes] * _rotation(num * sps, den, phase_classes)[
+        j % phase_classes]
+    means = c[:, np.arange(count) % K]
     means *= sent
     return means
 
