@@ -682,7 +682,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
         head = np.broadcast_to(signal, (covered, steps, hold)).reshape(-1)
     _add_noise(sc, means, rngs, noise)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
-    del bits, means  # freed before the periodogram
+    del bits, means, weights, sent, signal  # freed before the periodogram
     report.spectra[tag] = spectral.periodogram(
         core.ComplexEnvelope(head[:length], rate, sc.carrier_freq_hz))
     return report
