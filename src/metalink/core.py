@@ -74,10 +74,9 @@ def tone_envelope(num_samples: int, sample_rate: float, carrier_freq: float,
                   freq_offset: float = 0.0) -> ComplexEnvelope:
     """Unit complex exponential at `freq_offset` from the carrier.
 
-    At freq_offset 0, the feed's tone, the samples are a read-only
-    broadcast view of one value, so a carrier of any length allocates
-    nothing. Production reads only that tone; the offset stays because the
-    acceptance gate builds offset tones with it.
+    At freq_offset 0, the feed's tone, the samples are a read-only broadcast
+    view of one value, so a carrier of any length allocates nothing. Only
+    the acceptance gate builds offset tones.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
@@ -146,10 +145,8 @@ class CoefficientSchedule:
     hold). control_rate is the rate the values change at: the DAC rate for a
     staircase, the symbol rate for a transmit frame. A per-cell schedule is
     the case of one stream per cell. Each coefficient A * exp(j*phi) is a
-    plain complex number of magnitude at most 1. The schedule does not check
-    each value; its makers keep the bound where they make the values: a
-    scheme's points (txrx.ModulationScheme), the quantizer
-    (metasurface.quantize_values) and the staircase (its amplitude).
+    plain complex number with A <= 1, which the makers of the values keep
+    (scheme points, quantize_values, the staircase); none is checked here.
     """
 
     values: np.ndarray

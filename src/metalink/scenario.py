@@ -621,24 +621,22 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     """Send one frame through the surface to the observation points of
     channels and detect it there; the first point's spectrum goes under tag.
 
-    A link frame (ramp False): the surface writes num_streams streams of
-    symbols onto the feed's unit tone, so symbol k reaches point p as
-    weights[p, k] = sum_s G[s, p] * x[s, k] (propagation.pass_weights). The
-    integrated receive phase (ramp True): one stream of symbols sent[k]
-    reaches the ramping surface, so sample i of symbol k at point p is
-    sent[k] * w[p, (k * steps + i // hold) % L], w the weights of one ramp
-    period, and the receiver derotates sample n by exp(-2j*pi*n*num/den):
-    num/den is direction / P when the ramp's period is a whole number P of
-    envelope samples (in floating point), else the exact ratio of the floats
-    frequency_shift / envelope rate.
+    A link frame (ramp False) writes num_streams streams of symbols onto the
+    feed's unit tone, so symbol k reaches point p as weights[p, k] =
+    sum_s G[s, p] * x[s, k] (propagation.pass_weights). In the receive phase
+    (ramp True) one stream sent[k] reaches the ramping surface: sample i of
+    symbol k at point p is sent[k] * w[p, (k * steps + i // hold) % L], w
+    the weights of one ramp period, derotated by exp(-2j*pi*n*num/den) at
+    sample n, where num/den is direction / P when the ramp period is a whole
+    number P of samples (in floating point), else the exact ratio of the
+    floats frequency_shift / envelope rate.
 
-    Each mean is taken in closed form, as sent[k] * c[class(k)]. A link
-    symbol holds one value, so c is carrier * weights with a unit carrier,
-    and the means are the weights. In the receive phase c is formed once
-    per class (_ramp_means). No sample is written but point 0's first
-    ceil(spectrum_length / sps) symbols, the spectrum head: they are added
-    to its head noise (_head_noise), and their means add the mean of their
-    derotated noise; then every other mean gets its noise (_add_noise).
+    Each mean is sent[k] * c[class(k)] in closed form: a link symbol holds
+    one value, its mean, so c is carrier * weights with a unit carrier; the
+    receive phase forms c once per class (_ramp_means). Only point 0's first
+    ceil(spectrum_length / sps) symbols, the spectrum head, are written; with
+    noise they are added to its head noise (_head_noise), whose derotated
+    mean their means add; then every other mean gets its noise (_add_noise).
     """
     frame = sc.frame(num_streams)
     bits, symbols = _payload(sc, frame, bits_seed)
@@ -676,8 +674,8 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
             "ki,i->k", noise.reshape(covered, sps), _rotation(num, den, sps)) * (
             _rotation(num * sps, den, covered) / sps)
         head = noise
-        held = head.reshape(covered, steps, hold)
-        held += signal
+        by_step = head.reshape(covered, steps, hold)
+        by_step += signal
     else:
         head = np.broadcast_to(signal, (covered, steps, hold)).reshape(-1)
     _add_noise(sc, means, rngs, noise)
@@ -693,13 +691,12 @@ def _ramp_means(weights, steps: int, sps: int, num: int, den: int, sent) -> np.n
 
     Symbol k's class is its first ramp step k * steps mod L, which repeats
     every L / gcd(steps, L) symbols, and its first derotation phase
-    k * sps * num / den mod 1, which repeats every den / gcd(sps * num, den)
-    symbols; so class(k) = k mod K, K their least common multiple or the frame
-    length if shorter. c[:, j] is the rotation of class j's first sample
-    times the mean over one symbol of the weights times the rotation of its
-    own samples. Every phase is exact before exp (_rotation), so each mean
-    is within about 1e-15 of the derotated samples' mean, relative to its
-    magnitude, at any symbol index.
+    k * sps * num / den mod 1, which repeats every den / gcd(sps * num, den):
+    class(k) = k mod K, K their least common multiple or the frame length.
+    c[:, j] is the rotation of class j's first sample times the mean over a
+    symbol of the weights times the rotation of its own samples. Phases are
+    exact before exp (_rotation), so each mean is within about 1e-15 of the
+    derotated samples' mean, relative to its magnitude, at any symbol index.
     """
     L, count, hold = weights.shape[1], len(sent), sps // steps
     ramp_classes = min(count, L // math.gcd(steps, L))
@@ -759,17 +756,13 @@ def simulate(sc: Scenario) -> ScenarioResult:
     of standard normals (real, then imaginary part): point 0 first per
     sample over the whole symbols its spectrum head covers (_head_noise),
     then each point one value of variance noise_psd / sps per other symbol
-    mean, in symbol order (_add_noise). A frame writes no samples but that
-    head (_frame): a link frame's means are its held coefficients, carrier
-    * weights per point and symbol with a unit carrier
-    (propagation.pass_weights), and the receive phase's are each sent symbol
-    times a gain of its class, formed once per class from the weights of
-    one ramp period and the exact derotation (_ramp_means); so a frame
-    costs O(points x symbols) whatever samples_per_symbol and oversample
-    are. SDC mode takes its envelope whole from propagation.surface_pass,
-    for the DFT over whole ramp periods, over point 0's gains alone, since
-    it reads no other point, and adds per-sample noise to it: all real
-    parts, then all imaginary parts.
+    mean, in symbol order (_add_noise). A frame writes no sample but that
+    head (_frame): its means are taken in closed form, so a frame costs
+    O(points x symbols) whatever samples_per_symbol and oversample are. SDC
+    mode takes its envelope whole from propagation.surface_pass, for the DFT
+    over whole ramp periods, over point 0's gains alone, since it reads no
+    other point, and adds per-sample noise to it: all real parts, then all
+    imaginary parts.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
@@ -808,8 +801,7 @@ def simulate(sc: Scenario) -> ScenarioResult:
             ramp=True)}
     summary = _summarize(sc, reports)
     if sc.mode == "space_down_conversion":
-        # lines within LINE_TIE of the peak power tie, as a two-step ramp's
-        # lines at +-shift do; the tie goes to the line nearest the expected one
+        # tied lines (a two-step ramp's at +-shift) go to the expected one
         out_spec = report.spectra["output"]
         tied = np.flatnonzero(out_spec.power >= (1.0 - LINE_TIE) * out_spec.power.max())
         lines = (out_spec.first_bin + tied) * out_spec.resolution

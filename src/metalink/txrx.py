@@ -74,9 +74,8 @@ class ModulationScheme:
 
     points are indexed by the symbol's bit word read MSB-first, and are a
     read-only copy, so decision_radius cannot go stale. A point beyond the
-    unit circle (by more than 1e-9) is refused: a surface coefficient
-    cannot exceed magnitude 1, and the schedule trusts its makers to keep
-    it there (core.CoefficientSchedule). decision_radius is
+    unit circle (by over 1e-9) is refused: it is a surface coefficient.
+    decision_radius is
     (1 - 1e-9) * d_min / 2, where d_min is the smallest distance between
     the points of two different words, 0 when two words share a point.
     """
@@ -224,8 +223,7 @@ def symbols_to_schedule(stream_symbols, frame: FrameSpec,
 
     Row s holds (A, phi) = (|symbol|, arg symbol) of stream s, one column
     per symbol at frame.symbol_rate; the frame's pilots precede the payload.
-    The symbols are a scheme's points, so A <= 1; they are not checked one
-    by one.
+    The symbols are a scheme's points, so A <= 1 without a check.
     The surface pass holds each column for its symbol interval, so the
     schedule is never expanded to the control or envelope rate. Every cell
     of stream s carries row s (see propagation.surface_pass). Coefficients

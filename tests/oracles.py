@@ -13,12 +13,14 @@ demap_symbols for the blocked txrx.demap_symbols, evm and ber for the
 scores txrx.detect forms from its error magnitudes and from demapping only
 the symbols that could be in error, surface_pass for
 propagation.surface_pass and the weights of pass_weights, written out
-sample by sample, symbols_to_waveform for the zero-order-hold waveform that
-the integrated receive phase writes block by block, integrate for the
-blockwise txrx.integrate_and_dump, frame_noise for the receiver noise that
-scenario adds to a frame's head samples and per-symbol means, and simulate
-for scenario.simulate, which forms its link frames' means from the held
-coefficients and writes its receive phase in blocks.
+sample by sample, tone for the offset and scaled tones that core no longer
+makes, symbols_to_waveform for the zero-order-hold waveform that the
+integrated receive phase receives, integrate and phase_exact_means for the
+per-symbol means that scenario takes in closed form, averaging written
+samples derotated at exact phases (exact_rotation), frame_noise for the
+receiver noise that scenario adds to a frame's head samples and per-symbol
+means, and simulate for scenario.simulate, which writes no sample but the
+spectrum heads.
 
 surface_pass also draws noise per sample over whole envelopes, each point
 from its own seed, all real parts, then all imaginary parts: the draw that
@@ -30,9 +32,8 @@ receive_frame is the only whole-envelope receiver: src/ has none. It
 checks that the envelopes share one rate and length and cover the frame in
 whole symbols, integrates each antenna over the whole envelope, estimates
 the channel with the general inv(gram) least squares, and scores BER on
-bits demapped again from the reference symbols. The tests hold it against
-the chain simulate runs: txrx.integrate_and_dump block by block, then
-txrx.detect.
+bits demapped again from the reference symbols. The tests hold txrx.detect
+against it on the same means.
 """
 
 import csv

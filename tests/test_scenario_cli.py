@@ -676,7 +676,7 @@ def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift
 def test_integrated_switch_decodes_under_moderate_noise():
     # noise_psd is an absolute per-sample variance, and the free-space legs
     # receive about 1.5e-7; at 1e-7 both phases decode with a few percent
-    # EVM, each over about 330 000 samples in several blocks
+    # EVM, each phase a frame of about 330 000 samples
     data = scen.apply_overrides(scen.load_scenario("integrated_switch"),
                                 {"channel.noise_psd": 1e-7})
     reports = scen.simulate(scen.Scenario.from_dict(data)).reports
