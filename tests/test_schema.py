@@ -393,36 +393,35 @@ def test_full_size_heads_cover_part_or_all_of_the_frame(name, overrides):
 def test_simulate_matches_the_reference_runners(name, overrides):
     data = scen.apply_overrides(SHRUNK_DATA[name], overrides)
     sc = scen.Scenario.from_dict(data)
-    assert_close_result(scen.simulate(sc), oracles.simulate(data),
-                        (sc.samples_per_symbol or 1) * sc.oversample)
+    assert_close_result(scen.simulate(sc), oracles.simulate(data), sc)
 
 
 EPS = np.finfo(float).eps  # 2u, twice the unit roundoff
 
 
-def assert_close_result(got, want, sps: int):
+def assert_close_result(got, want, sc):
     """Equal spectra, bits and structure, and the detected numbers within
     the rounding bound of the means.
 
     The reference runner writes every sample and averages sps of them;
-    simulate takes each mean in closed form, and adds the mean of the
+    simulate takes each mean in closed form and adds the mean of the
     samples' noise to it. Summing n terms in any order errs by at most
-    (n - 1) u sum |x_i| (first order), and dividing by n adds u |mean|, so
-    each mean is within sps u M of exact, M the largest sample magnitude,
-    and the two means differ by at most t = sps EPS M. Both derotate at
-    exact phases (oracles.exact_rotation, scenario._rotation), which add a
-    few u more. Detection then forms h = y_pilot P^H / n_p, a mean of +-y,
-    so |dh| <= t per element, and x = pinv(h) y, so per element
-    |dx| <= ||pinv(h)|| (sqrt(P) t + ||dh|| sqrt(S) X) <= cond / ||h|| *
-    sqrt(P) t (1 + S X), for S streams, P points and X = max |x|. With
-    M <= ||h|| sqrt(S) X + (the noise, which the detected X carries too):
-    |dx| <= cond sps EPS sqrt(S P) X (1 + S X) (1 + noise) = tol_x, taken
-    here with a factor 4 for the rounding of detection itself, which is
-    of the order cond EPS X. The channel estimate moves by at most t, the
-    condition number by 2 cond ||dh|| / ||h||, and EVM by 100 |dx| /
-    reference RMS. The spectrum heads are written the same way by both, so
-    they agree bit for bit, and no bit decision moves.
+    (n - 1) u sum |x_i| (first order, u = EPS / 2), and dividing by n adds
+    u |mean|, so each mean is within sps u M of exact and the two differ by
+    at most t = sps EPS M, M the largest sample magnitude. A sample is the
+    signal, at most ||h|| sqrt(S) R for S streams of peak R, plus its noise,
+    below 6 sqrt(noise_psd) here. Both derotate at exact phases, which add a
+    few u. Detection forms h = y_pilot P^H / n_p, a mean of +-y, so
+    |dh| <= t per element, and x = pinv(h) y, so per element
+    |dx| <= ||pinv(h)|| (sqrt(P) t + ||dh|| sqrt(S) X)
+         <= cond / ||h|| sqrt(P) t (1 + S X) = tol_x
+    for P points and X = max |x|; it is taken with a factor 4 for the
+    rounding of detection itself, of order cond EPS X. The channel estimate
+    moves by at most t, the condition number by 2 cond ||dh|| / ||h||, and
+    EVM by 100 |dx| / reference RMS. The spectrum heads are written the same
+    way by both, so they agree bit for bit, and no bit decision moves.
     """
+    sps = (sc.samples_per_symbol or 1) * sc.oversample
     assert got.summary.keys() == want.summary.keys()
     assert got.reports.keys() == want.reports.keys()
     for key in got.summary:
@@ -442,11 +441,12 @@ def assert_close_result(got, want, sps: int):
         h, x = ref.channel_estimate, ref.detected_symbols
         streams, points = h.T.shape
         cond, norm, X = ref.condition_number, np.linalg.norm(h, 2), np.max(np.abs(x))
-        t = sps * EPS * norm * np.sqrt(streams) * X
-        tol_x = 4 * cond * sps * EPS * np.sqrt(streams * points) * X * (1 + streams * X)
+        peak = norm * np.sqrt(streams) * np.max(np.abs(ref.reference_symbols))
+        t = sps * EPS * (peak + 6 * np.sqrt(sc.noise_psd))
+        tol_x = 4 * cond / norm * np.sqrt(points) * t * (1 + streams * X)
         assert np.max(np.abs(report.detected_symbols - x)) <= tol_x
-        assert np.max(np.abs(report.channel_estimate - h)) <= 4 * t
-        assert abs(report.condition_number - cond) <= 8 * cond * np.sqrt(
+        assert np.max(np.abs(report.channel_estimate - h)) <= t
+        assert abs(report.condition_number - cond) <= 2 * cond * np.sqrt(
             streams * points) * t / norm
         ref_rms = np.sqrt(np.mean(np.abs(ref.reference_symbols) ** 2, axis=1))
         assert np.all(np.abs(report.evm_percent - ref.evm_percent)
