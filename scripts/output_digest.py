@@ -16,7 +16,7 @@ bit, on these runs:
     first point's per-sample noise is the only noise it reads;
   - integrated_switch at spectrum_bins=null and channel.noise_psd=1e-7: the
     receive phase's spectrum head covers its whole frame, so per-sample
-    noise reaches every block of its block loop;
+    noise reaches every symbol mean of that phase;
   - the param_sweep cases of bench/workloads.py for seeds 1 to 10, one line
     per seed covering its 136 cases in order.
 
