@@ -152,7 +152,7 @@ def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSche
     if streams.shape != (channels.num_cells,):
         raise ContractViolation(
             f"need one stream id per cell: {streams.shape} vs {channels.num_cells} cells")
-    if np.any(streams < 0) or np.any(streams >= schedule.num_streams):
+    if streams.size and (streams.min() < 0 or streams.max() >= schedule.num_streams):
         raise ContractViolation(
             f"stream ids must index the {schedule.num_streams} schedule rows")
     gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)

@@ -355,12 +355,11 @@ def _cross_field_violations(valid: dict) -> list:
             cells = core.cell_positions(
                 core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
             at = np.array([p["position_m"] for p in points], dtype=float)
-            # a huge geometry overflows to inf or nan, which never reads as
-            # coincident; a free-space run then names the non-finite gains
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                d = np.linalg.norm(cells[:, np.newaxis] - at, axis=2)  # (cells, points)
+            # a zero distance, as build_channels finds it; inf or nan never is
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.square(cells[:, np.newaxis] - at).sum(axis=2)  # (cells, points)
             errs.extend(f"points[{i}]: coincides with a unit-cell position"
-                        for i in np.flatnonzero(np.any(d == 0.0, axis=0)))
+                        for i in np.flatnonzero((d == 0.0).any(axis=0)))
 
     matrix = valid.get("channel.matrix")
     if matrix is not None and None not in (num_cells, num_obs) \
@@ -514,6 +513,11 @@ class Scenario:
     def envelope_rate(self) -> float:
         return self.oversample * self.control_rate_hz
 
+    def ramp_line_hz(self) -> float:
+        """The staircase's line: compile_staircase ramps L control steps a period."""
+        return (self.staircase.direction * self.control_rate_hz
+                / self.staircase.steps_per_period)
+
     def spectrum_length(self, available: int) -> int:
         if self.spectrum_bins is None:
             return available
@@ -560,20 +564,20 @@ def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
     return bits, symbols
 
 
-def _ramp(sc: Scenario, num_samples: int) -> core.CoefficientSchedule:
-    """The staircase that every cell holds for num_samples envelope samples."""
-    return metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                         num_samples / sc.envelope_rate())
-
-
 def _rotation(num: int, den: int, count: int) -> np.ndarray:
     """exp(-2j*pi*n*num/den) for n < count, den > 0. Each phase drops its
     whole turns in integers, n * num mod den, before it is rounded, so it is
     within half an ulp of exact in [0, 1) whatever n; the phases repeat
-    every den / gcd(num, den) samples."""
+    every den / gcd(num, den) samples, and a period of 1 is all ones. n * num
+    (n < den) is exact in int64 while den * |num| < 2**63, which is checked."""
     period = min(count, den // math.gcd(num, den))
-    phase = np.arange(period, dtype=object) * num % den
-    return np.resize(np.exp(-2j * np.pi * (phase / den).astype(float)), count)
+    if period <= 1:
+        return np.ones(count, dtype=np.complex128)
+    if den * abs(num) >= 1 << 63:
+        raise core.ConfigurationError(
+            f"a ramp period of {den} samples is too long to derotate exactly")
+    phase = np.arange(period, dtype=np.int64) * num % den
+    return np.resize(np.exp(-2j * np.pi * (phase / den)), count)
 
 
 def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
@@ -627,9 +631,8 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     (ramp True) one stream sent[k] reaches the ramping surface: sample i of
     symbol k at point p is sent[k] * w[p, (k * steps + i // hold) % L], w
     the weights of one ramp period, derotated by exp(-2j*pi*n*num/den) at
-    sample n, where num/den is direction / P when the ramp period is a whole
-    number P of samples (in floating point), else the exact ratio of the
-    floats frequency_shift / envelope rate.
+    sample n, num/den = direction / (L * oversample), the ramp's own line
+    (Scenario.ramp_line_hz) whatever period_s rounds to.
 
     Each mean is sent[k] * c[class(k)] in closed form: a link symbol holds
     one value, its mean, so c is carrier * weights with a unit carrier; the
@@ -643,17 +646,12 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
-        L, period = sc.staircase.steps_per_period, sc.staircase.period * rate
+        num, den = sc.staircase.direction, sc.staircase.steps_per_period * sc.oversample
+        one_period = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                                   den / rate)
         weights, hold = propagation.pass_weights(
-            rate, L * sc.oversample, _ramp(sc, L * sc.oversample),
-            np.zeros(channels.num_cells, dtype=np.int64), channels)
+            rate, den, one_period, np.zeros(channels.num_cells, dtype=np.int64), channels)
         sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
-        if period.is_integer():
-            num, den = sc.staircase.direction, int(period)
-        else:
-            (a, b), (c, d) = (sc.staircase.frequency_shift.as_integer_ratio(),
-                              rate.as_integer_ratio())
-            num, den = a * d, b * c
     else:
         schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
         weights, hold = propagation.pass_weights(rate, num_symbols * sps, schedule,
@@ -689,42 +687,36 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
 def _ramp_means(weights, steps: int, sps: int, num: int, den: int, sent) -> np.ndarray:
     """The receive phase's noiseless (points x symbols) means.
 
-    Symbol k's class is its first ramp step k * steps mod L, which repeats
-    every L / gcd(steps, L) symbols, and its first derotation phase
-    k * sps * num / den mod 1, which repeats every den / gcd(sps * num, den):
-    class(k) = k mod K, K their least common multiple or the frame length.
+    Symbol k starts at ramp step k * steps mod L and, as den = L * sps /
+    steps, at derotation phase k * sps * num / den = k * steps * num / L mod
+    1: both repeat every K = L / gcd(steps, L) symbols, so class(k) = k mod K.
     c[:, j] is the rotation of class j's first sample times the mean over a
     symbol of the weights times the rotation of its own samples. Phases are
     exact before exp (_rotation), so each mean is within about 1e-15 of the
     derotated samples' mean, relative to its magnitude, at any symbol index.
     """
     L, count, hold = weights.shape[1], len(sent), sps // steps
-    ramp_classes = min(count, L // math.gcd(steps, L))
-    phase_classes = min(count, den // math.gcd(num * sps, den))
-    K = min(count, math.lcm(ramp_classes, phase_classes))
+    K = min(count, L // math.gcd(steps, L))
     step_rotation = _rotation(num, den, sps).reshape(steps, hold).sum(axis=1) / sps
-    cols = np.arange(ramp_classes)[:, np.newaxis] * steps + np.arange(steps)
-    gains = weights[:, cols % L] @ step_rotation
-    j = np.arange(K)
-    c = gains[:, j % ramp_classes] * _rotation(num * sps, den, phase_classes)[
-        j % phase_classes]
+    cols = np.arange(K)[:, np.newaxis] * steps + np.arange(steps)
+    c = (weights[:, cols % L] @ step_rotation) * _rotation(num * sps, den, K)
     means = c[:, np.arange(count) % K]
     means *= sent
     return means
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
-    ramp = sc.staircase
-    L = ramp.steps_per_period
+    L = sc.staircase.steps_per_period
     total = spectrum.total_power
     if total == 0.0:  # a zero channel, or a power that underflowed
         raise txrx.DetectionError("space-down-converted output carries no power",
                                   math.inf)
     indices = [1 + k * L for k in range(-3, 4)]
     rows = []
+    line, nyquist = sc.ramp_line_hz(), sc.envelope_rate() / 2
     for q, amplitude in zip(indices, spectral.staircase_harmonics(L, indices)):
-        freq = q * ramp.frequency_shift
-        if not -sc.envelope_rate() / 2 < freq <= sc.envelope_rate() / 2:
+        freq = q * line
+        if not -nyquist < freq <= nyquist:
             continue  # the periodogram's bins span (-fs/2, fs/2]
         predicted = float(amplitude ** 2)
         measured = spectral.line_power(spectrum, freq) / total
@@ -739,30 +731,24 @@ def simulate(sc: Scenario) -> ScenarioResult:
 
     The feed lights the surface and the observation points receive. In
     space_down_conversion mode the surface ramps a plain tone; otherwise it
-    carries a frame, and in integrated mode the receive phase follows.
+    carries a frame (_frame), and in integrated mode the receive phase
+    follows, over the transmit phase's channels reversed: identity and
+    free-space gains are reciprocal.
 
     Seed layout, on which a noisy run's bytes depend: rng_seed seeds a
-    SeedSequence with 3 + len(points) children. Child 0 draws the
-    transmitted payload and child 1 the integrated receive payload.
+    SeedSequence with 3 + len(points) children, each built by its index when
+    the run reads it, as SeedSequence(rng_seed, spawn_key=(i,)), which equals
+    child i of spawn; noise children only when noise_psd > 0. Child 0 draws
+    the transmitted payload and child 1 the integrated receive payload.
     Observation point p draws its noise from child 1 + p, or 2 + p in
     integrated mode, and the feed antenna of the receive phase from the last
-    child. A child depends only on its index, so each mode draws what it
-    drew when it spawned fewer children. Each child is built by its index
-    when the run reads it, as SeedSequence(rng_seed, spawn_key=(i,)), which
-    equals child i of spawn; noise children are built only when
-    noise_psd > 0.
+    child, so each mode draws what it drew when it spawned fewer children.
 
-    Each point of a frame draws its receiver noise from its child, in pairs
-    of standard normals (real, then imaginary part): point 0 first per
-    sample over the whole symbols its spectrum head covers (_head_noise),
-    then each point one value of variance noise_psd / sps per other symbol
-    mean, in symbol order (_add_noise). A frame writes no sample but that
-    head (_frame): its means are taken in closed form, so a frame costs
-    O(points x symbols) whatever samples_per_symbol and oversample are. SDC
-    mode takes its envelope whole from propagation.surface_pass, for the DFT
-    over whole ramp periods, over point 0's gains alone, since it reads no
-    other point, and adds per-sample noise to it: all real parts, then all
-    imaginary parts.
+    A frame draws its noise as _head_noise and _add_noise say. SDC mode takes
+    point 0's envelope whole from propagation.surface_pass, for the DFT over
+    whole ramp periods, and adds per-sample noise to it: all real parts, then
+    all imaginary parts. Its input spectrum, the feed's unit tone's, is in
+    closed form: power 1 in the 0 Hz bin and 0 in every other.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
@@ -772,16 +758,20 @@ def simulate(sc: Scenario) -> ScenarioResult:
             sc.envelope_rate(), sc.carrier_freq_hz)
         # whole: the harmonic table needs a DFT over whole ramp periods;
         # only point 0 is read, so only its row is formed
+        ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                             len(carrier) / sc.envelope_rate())
         rx = propagation.surface_pass(
-            carrier, _ramp(sc, len(carrier)), np.zeros(channels.num_cells, dtype=np.int64),
+            carrier, ramp, np.zeros(channels.num_cells, dtype=np.int64),
             propagation.ChannelSet(channels.feed_gains, channels.obs_gains[:, :1]))[0].samples
         if sc.noise_psd > 0.0:  # from point 0's child, 1 + p
             rng = np.random.default_rng(_seed(sc, 1))
             rx += np.sqrt(sc.noise_psd / 2.0) * (
                 rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
             del rng  # freed before the periodograms
+        tone = np.zeros(len(carrier))
+        tone[len(carrier) - len(carrier) // 2 - 1] = 1.0
         report = txrx.LinkReport(spectra={
-            "input": spectral.periodogram(carrier),
+            "input": spectral.Spectrum(tone, carrier.sample_rate / len(carrier)),
             "output": spectral.periodogram(carrier.with_samples(rx))})
     else:
         first = 2 if integrated else 1
@@ -791,11 +781,10 @@ def simulate(sc: Scenario) -> ScenarioResult:
     reports = {"link": report}
     if integrated:
         # the first rx point sends, the surface ramps, and the feed antenna,
-        # switched to a receive chain, observes
-        feed = sc.points.indices_with_role("feed")[0]
-        sender = next(i for i in range(len(sc.points)) if i != feed)
-        back = propagation.build_channels(sc.geometry, core.PointSet(
-            sc.points.positions[[sender, feed]], ("feed", "rx")), sc.channel)
+        # switched to a receive chain, observes: identity and free-space
+        # gains are reciprocal, so these are the transmit channels reversed
+        back = propagation.ChannelSet(channels.obs_gains[:, 0],
+                                      channels.feed_gains[:, np.newaxis])
         reports = {"transmit": report, "receive": _frame(
             sc, back, 1, _seed(sc, 1), _noise_seeds(sc, [2 + len(sc.points)]), "sdc_rx0",
             ramp=True)}
@@ -806,10 +795,10 @@ def simulate(sc: Scenario) -> ScenarioResult:
         tied = np.flatnonzero(out_spec.power >= (1.0 - LINE_TIE) * out_spec.power.max())
         lines = (out_spec.first_bin + tied) * out_spec.resolution
         summary["strongest_line_hz"] = float(
-            lines[np.argmin(np.abs(lines - sc.staircase.frequency_shift))])
+            lines[np.argmin(np.abs(lines - sc.ramp_line_hz()))])
         summary["harmonics"] = _harmonic_table(sc, out_spec)
     if sc.staircase is not None:
-        summary["expected_line_hz"] = sc.staircase.frequency_shift
+        summary["expected_line_hz"] = sc.ramp_line_hz()
     return ScenarioResult(sc, reports, summary)
 
 

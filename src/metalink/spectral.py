@@ -112,12 +112,8 @@ def staircase_harmonics(steps_per_period: int, harmonic_indices) -> np.ndarray:
         raise ValueError("steps_per_period must be >= 2")
     q = np.asarray(harmonic_indices, dtype=np.int64)
     steps = np.exp(-2j * np.pi * np.arange(L) / L)
-    out = np.empty(q.shape, dtype=float)
-    for i, qi in np.ndenumerate(q):
-        if qi == 0:
-            out[i] = abs(np.sum(steps)) / L
-            continue
-        edges = np.exp(2j * np.pi * qi * np.arange(L + 1) / L)
-        coeff = np.sum(steps * (edges[1:] - edges[:-1])) / (2j * np.pi * qi)
-        out[i] = abs(coeff)
-    return out
+    edges = np.exp(2j * np.pi * q[..., np.newaxis] * np.arange(L + 1) / L)
+    with np.errstate(divide="ignore", invalid="ignore"):  # q == 0 is taken apart
+        coeff = np.sum(steps * np.diff(edges), axis=-1) / (2j * np.pi * q)
+    # hypot, as abs() of a complex scalar takes it (np.abs of an array may not)
+    return np.where(q == 0, abs(np.sum(steps)) / L, np.hypot(coeff.real, coeff.imag))

@@ -122,7 +122,7 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bits must be 1-D")
-    if not np.all((bits == 0) | (bits == 1)):
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
     b = scheme.bits_per_symbol
     if bits.size % b != 0:
@@ -277,21 +277,31 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     map_bits gives for them. Callers must pass exactly those points, as
     scenario._payload does; the BER below relies on it.
 
+    One SVD of conj(h_est) gives the condition number sigma_max / sigma_min
+    and the pseudo-inverse, formed as np.linalg.pinv forms it, bit for bit
+    (within CONDITION_LIMIT no singular value is below its cutoff). Each of
+    this SVD and np.linalg.cond's is exact for a matrix within about
+    S * eps * sigma_max of h_est (S streams), so by Weyl's bound the two
+    condition numbers differ by at most about 2 * S * eps * (1 + cond),
+    relative. A non-finite or zero h_est raises DetectionError.
+
     EVM is the RMS of the error magnitudes |equalized - reference| in
     percent of the reference RMS. Both are formed in one float buffer of
     payload_length, reused by every stream: |reference|^2 first, then the
     error magnitudes, DEMAP_BLOCK symbols at a time, squared in place; each
-    RMS is one np.mean over the whole buffer. BER is the share of reference
-    bits that differ from the nearest-point decisions of demap_symbols,
-    which runs only on the symbols whose error is not below r =
-    scheme.decision_radius (so a NaN error is demapped too). The others
+    RMS is one sum over the whole buffer, divided by its length (the bits
+    of np.mean). BER is the share of reference bits that differ from the
+    nearest-point decisions of demap_symbols, which runs only on the
+    symbols whose error is not below r = scheme.decision_radius (so a NaN
+    error is demapped too). The others
     cannot be in error: the point of every other word lies at least d_min
     from the reference point, so a symbol closer than r < d_min / 2 to the
     reference point is farther than d_min - r > r from every other word's
     point. The gap between the two distances, above 1e-9 * d_min, dwarfs the
     rounding of the computed distances (relative 1e-16), so demap_symbols
     would decide the reference word, whose bits are the reference bits. When
-    two words share a point, r is 0 and every symbol is demapped.
+    two words share a point, r is 0 and every symbol is demapped; when no
+    symbol is doubtful, demap_symbols is not called.
     """
     num_streams = frame.num_streams
     if len(symbols) < num_streams:
@@ -312,18 +322,22 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
 
     # Hadamard pilots: pilots @ pilots^H == pilot_length * I exactly
     h_est = y_pilot @ frame.pilots.conj().T / frame.pilot_length
-    cond = float(np.linalg.cond(h_est))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    if not np.isfinite(h_est).all():
+        raise DetectionError("estimated channel is not finite", np.inf)
+    u, sigma, vt = np.linalg.svd(h_est.conj(), full_matrices=False)
+    # as np.linalg.cond, a zero sigma_min reads inf; float division never warns
+    cond = float(sigma[0]) / float(sigma[-1]) if sigma[-1] > 0.0 else np.inf
+    if not cond <= CONDITION_LIMIT:
         raise DetectionError("estimated channel is rank deficient", cond)
-    equalized = np.linalg.pinv(h_est) @ y_payload
+    equalized = np.matmul(vt.T, np.multiply((1.0 / sigma)[:, np.newaxis], u.T)) @ y_payload
 
     evms = np.empty(num_streams)
-    bers = np.empty(num_streams)
+    bers = np.zeros(num_streams)  # stays 0 for a stream without a doubtful symbol
     errors = np.empty(frame.payload_length)
     for s in range(num_streams):
         np.abs(reference_symbols[s], out=errors)
         errors *= errors
-        ref_rms = np.sqrt(np.mean(errors))
+        ref_rms = np.sqrt(errors.sum() / len(errors))
         if ref_rms == 0.0:
             raise ValueError("reference power is zero")
         for i in range(0, frame.payload_length, DEMAP_BLOCK):
@@ -331,10 +345,11 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
             np.abs(equalized[s, block] - reference_symbols[s, block], out=errors[block])
         doubtful = np.flatnonzero(~(errors < scheme.decision_radius))
         errors *= errors
-        evms[s] = 100.0 * np.sqrt(np.mean(errors)) / ref_rms
-        decided = demap_symbols(equalized[s, doubtful], scheme)[0]
-        sent = reference_bits[s].reshape(-1, scheme.bits_per_symbol)[doubtful]
-        bers[s] = np.count_nonzero(decided != sent.ravel()) / reference_bits.shape[1]
+        evms[s] = 100.0 * np.sqrt(errors.sum() / len(errors)) / ref_rms
+        if len(doubtful):
+            decided = demap_symbols(equalized[s, doubtful], scheme)[0]
+            sent = reference_bits[s].reshape(-1, scheme.bits_per_symbol)[doubtful]
+            bers[s] = np.count_nonzero(decided != sent.ravel()) / reference_bits.shape[1]
     return LinkReport(detected_symbols=equalized, reference_symbols=reference_symbols,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)

@@ -253,10 +253,10 @@ def phase_exact_means(sc, sent, channels, first: int, stop: int) -> np.ndarray:
     window's samples n = first * sps ... stop * sps - 1 are the zero-order
     hold of sent through surface_pass, with the staircase compiled from step
     0 and cut at the window's first step. Sample n is derotated by
-    exp(-2j*pi*t), t = n * direction / P mod 1 when the ramp's period is a
-    whole number P of samples, else n * (shift / rate) mod 1 from the exact
-    ratio of the two floats; t is reduced in integers, so no phase grows
-    with n.
+    exp(-2j*pi*t), t = n * direction / (L * oversample) mod 1, at the
+    fundamental of the staircase, which holds each of its L steps for one
+    control step, oversample samples; t is reduced in integers, so no phase
+    grows with n.
     """
     sps = sc.samples_per_symbol * sc.oversample
     hold = sc.oversample
@@ -270,10 +270,8 @@ def phase_exact_means(sc, sent, channels, first: int, stop: int) -> np.ndarray:
                                    sc.carrier_freq_hz)
     rx = surface_pass(incident, schedule, np.zeros(channels.num_cells, dtype=np.int64),
                       channels)
-    period = sc.staircase.period * sc.envelope_rate()
-    turns = (Fraction(sc.staircase.direction, int(period)) if period == int(period) else
-             Fraction(sc.staircase.frequency_shift) / Fraction(sc.envelope_rate()))
-    rotation = exact_rotation(np.arange(start, start + count), turns)
+    rotation = exact_rotation(np.arange(start, start + count),
+                              Fraction(sc.staircase.direction, L * sc.oversample))
     return np.stack([(env.samples * rotation).reshape(-1, sps).mean(axis=1) for env in rx])
 
 

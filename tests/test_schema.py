@@ -5,6 +5,7 @@ named error, and simulate's seeds and wiring against the reference runners."""
 import copy
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -522,3 +523,68 @@ def test_the_last_means_of_a_long_frame_keep_their_precision():
     last = len(sent) - 50
     want = oracles.phase_exact_means(sc, sent, back, last, len(sent))
     assert np.max(np.abs(means[:, last:] - want)) / np.max(np.abs(want)) < 1e-14
+
+
+@pytest.mark.parametrize("overrides", [
+    {"staircase.steps_per_period": 7, "staircase.period_s": 7e-8 * (1 + 3e-10),
+     "oversample": 3},
+    {"staircase.steps_per_period": 13, "staircase.period_s": 13e-8 * (1 - 2e-10),
+     "oversample": 2, "frame.payload_symbols": 20000},
+], ids=["L7-longer", "L13-shorter"])
+def test_a_period_off_the_sample_grid_derotates_at_the_ramps_fundamental(overrides):
+    # compile_staircase ramps L control steps per period whatever period_s
+    # rounds to; derotating at 1 / period_s left 3.2e-4 % and 4.5e-3 % EVM
+    sc = scen.Scenario.from_dict(bundled("integrated_switch", overrides))
+    result = scen.simulate(sc)
+    assert result.reports["receive"].evm_percent[0] < 1e-10
+    assert result.summary["expected_line_hz"] == -sc.control_rate_hz / (
+        sc.staircase.steps_per_period)
+
+
+@pytest.mark.parametrize("kind", ["identity", "free_space"])
+def test_the_receive_phase_reads_the_transmit_channels_backwards(kind, monkeypatch):
+    # bit for bit the channels of the sender lighting the surface and the
+    # feed antenna observing it
+    sc = scen.Scenario.from_dict(bundled("integrated_switch", {
+        **SHRUNK["integrated_switch"], "channel.kind": kind}))
+    seen, frame = [], scen._frame
+    monkeypatch.setattr(scen, "_frame", lambda sc, channels, *args, **kwargs: (
+        seen.append(channels) or frame(sc, channels, *args, **kwargs)))
+    scen.simulate(sc)
+    feed = sc.points.indices_with_role("feed")[0]
+    sender = next(i for i in range(len(sc.points)) if i != feed)
+    want = propagation.build_channels(sc.geometry, core.PointSet(
+        sc.points.positions[[sender, feed]], ("feed", "rx")), sc.channel)
+    got = seen[1]
+    for name in ("feed_gains", "obs_gains"):
+        assert getattr(got, name).shape == getattr(want, name).shape
+        assert np.ascontiguousarray(getattr(got, name)).tobytes() == \
+            getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("num, den, count", [
+    (0, 1, 5), (1, 1, 3), (-1, 7, 30), (1, 7, 3), (3, 12, 40), (-40, 320, 700),
+    (120, 21, 100), (-5, 2, 1), (7, 13, 0), (1, 1 << 40, 9)])
+def test_rotation_equals_the_python_integer_oracle(num, den, count):
+    got = scen._rotation(num, den, count)
+    want = oracles.exact_rotation(np.arange(count), Fraction(num, den))
+    assert got.shape == (count,) and np.array_equal(got, want)
+
+
+def test_a_rotation_beyond_the_int64_bound_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="too long to derotate"):
+        scen._rotation(3, 1 << 62, 10)
+
+
+@pytest.mark.parametrize("steps, oversample, periods", [
+    (20, 2, 2), (20, 64, 10), (7, 1, 1), (2, 3, 5), (8, 17, 1)])
+def test_the_feed_tone_spectrum_is_one_line_at_zero_hz(steps, oversample, periods):
+    # a unit tone puts power 1 in the 0 Hz bin and none elsewhere; the fast
+    # transform of the tone left rounding residue at 7 and 136 samples
+    sc = scen.Scenario.from_dict(bundled("sdc_5mhz", {
+        "staircase.steps_per_period": steps, "staircase.period_s": steps / 1e8,
+        "oversample": oversample, "sdc_periods": periods}))
+    spectrum = scen.simulate(sc).reports["link"].spectra["input"]
+    n = steps * oversample * periods
+    assert spectrum.resolution == sc.envelope_rate() / n
+    assert spectrum.power.tolist() == [float(f == 0.0) for f in spectrum.frequencies]
