@@ -9,6 +9,8 @@ bit, on these runs:
     channel.noise_psd=1e-3: both take their means from the held
     coefficients, and the noisy one draws per-sample noise over its
     65 536-sample spectrum head and one value per other symbol mean;
+  - the same noisy frame as QPSK on an 8-level phase grid: the only
+    quantized reference run, at BER 0 and EVM 0.57 %;
   - um_mimo64: 64 QPSK streams on 2 x 2-cell blocks of a 16 x 16 surface,
     fed from 2 m, each received at its own point of an 8 x 8 grid of
     0.07 m pitch 0.15 m above the surface, free space, noiseless;
@@ -63,6 +65,9 @@ UM_MIMO64 = {
     "channel": {"kind": "free_space", "noise_psd": 0.0},
     "partition": [(n // 2) * 8 + m // 2 for n in range(16) for m in range(16)],
 }
+# mimo2x2_16qam as a quantized QPSK frame, as overrides
+QPSK_PHASE8 = {"modulation": "QPSK", "quantization.phase_levels": 8,
+               "frame.payload_symbols": 100000, "channel.noise_psd": 1e-3}
 # sdc_5mhz with three observation points, as overrides
 SDC_THREE_POINTS = {
     "points": [{"position_m": [0.0, 0.0, 0.5], "role": "feed"}] + [
@@ -79,6 +84,8 @@ def _bundled_runs():
            {"frame.payload_symbols": 100000, "channel.noise_psd": 1e-3})
     yield ("mimo2x2_16qam payload_symbols=100000", "mimo2x2_16qam",
            {"frame.payload_symbols": 100000})
+    yield ("mimo2x2_16qam QPSK phase_levels=8 payload_symbols=100000 noise_psd=1e-3",
+           "mimo2x2_16qam", QPSK_PHASE8)
     yield "um_mimo64", "mimo2x2_16qam", UM_MIMO64
     yield "sdc_5mhz three points noise_psd=0.01", "sdc_5mhz", SDC_THREE_POINTS
     yield ("integrated_switch spectrum_bins=null noise_psd=1e-7", "integrated_switch",
