@@ -26,6 +26,7 @@ rng_seed, so repeated runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -354,12 +355,14 @@ def _cross_field_violations(valid: dict) -> list:
         if None not in (num_cells, spacing, origin):
             cells = core.cell_positions(
                 core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
-            at = np.array([p["position_m"] for p in points], dtype=float)
-            # a zero distance, as build_channels finds it; inf or nan never is
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = np.square(cells[:, np.newaxis] - at).sum(axis=2)  # (cells, points)
+            # a zero distance, as build_channels finds it, is a zero square
+            # on each axis (inf or nan never is); the cells are every
+            # combination of one row's xs, one column's ys and the one z
+            axes = cells[:cols, 0].tolist(), cells[::cols, 1].tolist(), cells[:1, 2].tolist()
             errs.extend(f"points[{i}]: coincides with a unit-cell position"
-                        for i in np.flatnonzero((d == 0.0).any(axis=0)))
+                        for i, p in enumerate(points)
+                        if all(any((c - v) * (c - v) == 0.0 for c in axis)
+                               for v, axis in zip(p["position_m"], axes)))
 
     matrix = valid.get("channel.matrix")
     if matrix is not None and None not in (num_cells, num_obs) \
@@ -568,16 +571,27 @@ def _rotation(num: int, den: int, count: int) -> np.ndarray:
     """exp(-2j*pi*n*num/den) for n < count, den > 0. Each phase drops its
     whole turns in integers, n * num mod den, before it is rounded, so it is
     within half an ulp of exact in [0, 1) whatever n; the phases repeat
-    every den / gcd(num, den) samples, and a period of 1 is all ones. n * num
-    (n < den) is exact in int64 while den * |num| < 2**63, which is checked."""
-    period = min(count, den // math.gcd(num, den))
-    if period <= 1:
-        return np.ones(count, dtype=np.complex128)
-    if den * abs(num) >= 1 << 63:
+    every den / gcd(num, den) samples, and a period of 1 is all ones. The
+    first period, or the first count values if fewer, is formed once per
+    shape (_rotation_head) and repeated."""
+    head = _rotation_head(num, den, min(count, den // math.gcd(num, den)))
+    return head[np.arange(count) % len(head)]
+
+
+@functools.lru_cache(maxsize=64)
+def _rotation_head(num: int, den: int, length: int) -> np.ndarray:
+    """The first length <= den / gcd(num, den) values of _rotation, read-only;
+    one value when length <= 1. n * num (n < den) is exact in int64 while
+    den * |num| < 2**63, which is checked."""
+    if length <= 1:
+        head = np.ones(1, dtype=np.complex128)
+    elif den * abs(num) >= 1 << 63:
         raise core.ConfigurationError(
             f"a ramp period of {den} samples is too long to derotate exactly")
-    phase = np.arange(period, dtype=np.int64) * num % den
-    return np.resize(np.exp(-2j * np.pi * (phase / den)), count)
+    else:
+        head = np.exp(-2j * np.pi * (np.arange(length, dtype=np.int64) * num % den / den))
+    head.flags.writeable = False
+    return head
 
 
 def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
@@ -636,7 +650,8 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
 
     Each mean is sent[k] * c[class(k)] in closed form: a link symbol holds
     one value, its mean, so c is carrier * weights with a unit carrier; the
-    receive phase forms c once per class (_ramp_means). Only point 0's first
+    receive phase forms c once per class (_ramp_means) from the constants of
+    its shape (_ramp_table). Only point 0's first
     ceil(spectrum_length / sps) symbols, the spectrum head, are written; with
     noise they are added to its head noise (_head_noise), whose derotated
     mean their means add; then every other mean gets its noise (_add_noise).
@@ -646,18 +661,18 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
-        num, den = sc.staircase.direction, sc.staircase.steps_per_period * sc.oversample
-        one_period = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                                   den / rate)
+        table = _ramp_table(sc.staircase, sc.control_rate_hz, sc.oversample,
+                            sc.samples_per_symbol)
+        one_period, num, den = table[:3]
         weights, hold = propagation.pass_weights(
             rate, den, one_period, np.zeros(channels.num_cells, dtype=np.int64), channels)
-        sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
     else:
-        schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
+        schedule = txrx.symbols_to_schedule(bits, frame, sc.scheme, sc.quantization)
         weights, hold = propagation.pass_weights(rate, num_symbols * sps, schedule,
                                                  sc.stream_of_cell, channels)
         del schedule  # freed before the means are formed
-        sent, num, den = None, 0, 1
+        num, den = 0, 1
+    sent = np.concatenate([frame.pilots, symbols], axis=1)[0] if ramp else None
     steps = sps // hold
     length = sc.spectrum_length(num_symbols * sps)
     covered = -(-length // sps)
@@ -665,7 +680,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     signal = np.multiply(1.0 if sent is None else sent[:covered, np.newaxis, np.newaxis],
                          weights[0, np.arange(covered * steps) % weights.shape[1]].reshape(
                              covered, steps, 1))
-    means = weights if sent is None else _ramp_means(weights, steps, sps, num, den, sent)
+    means = weights if sent is None else _ramp_means(weights, table, sps, sent)
     rngs, noise = _head_noise(sc, noise_seeds, num_symbols)
     if len(noise):  # sample i of symbol k is derotated by start[k] * within[i]
         means[0, :covered] += np.einsum(
@@ -684,7 +699,27 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     return report
 
 
-def _ramp_means(weights, steps: int, sps: int, num: int, den: int, sent) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _ramp_table(staircase: metasurface.StaircaseRampSpec, control_rate: float,
+                oversample: int, steps: int) -> tuple:
+    """The receive phase's constants for one frame shape, steps control
+    steps a symbol, arrays read-only: the staircase's one-period schedule;
+    num and den, the derotation num/den = direction / (L * oversample) per
+    sample; the mean rotation of each of a symbol's steps; and the ramp step
+    of each step of each of the L / gcd(steps, L) symbol classes."""
+    L = staircase.steps_per_period
+    num, den, sps = staircase.direction, L * oversample, steps * oversample
+    one_period = metasurface.compile_staircase(staircase, control_rate,
+                                               den / (oversample * control_rate))
+    step_rotation = _rotation(num, den, sps).reshape(steps, oversample).sum(axis=1) / sps
+    cols = (np.arange(L // math.gcd(steps, L))[:, np.newaxis] * steps
+            + np.arange(steps)) % L
+    for array in (one_period.values, step_rotation, cols):
+        array.flags.writeable = False
+    return one_period, num, den, step_rotation, cols
+
+
+def _ramp_means(weights, table: tuple, sps: int, sent) -> np.ndarray:
     """The receive phase's noiseless (points x symbols) means.
 
     Symbol k starts at ramp step k * steps mod L and, as den = L * sps /
@@ -695,11 +730,10 @@ def _ramp_means(weights, steps: int, sps: int, num: int, den: int, sent) -> np.n
     exact before exp (_rotation), so each mean is within about 1e-15 of the
     derotated samples' mean, relative to its magnitude, at any symbol index.
     """
-    L, count, hold = weights.shape[1], len(sent), sps // steps
-    K = min(count, L // math.gcd(steps, L))
-    step_rotation = _rotation(num, den, sps).reshape(steps, hold).sum(axis=1) / sps
-    cols = np.arange(K)[:, np.newaxis] * steps + np.arange(steps)
-    c = (weights[:, cols % L] @ step_rotation) * _rotation(num * sps, den, K)
+    _, num, den, step_rotation, cols = table
+    count = len(sent)
+    K = min(count, len(cols))
+    c = (weights[:, cols[:K]] @ step_rotation) * _rotation(num * sps, den, K)
     means = c[:, np.arange(count) % K]
     means *= sent
     return means
@@ -808,13 +842,13 @@ def _summarize(sc: Scenario, reports: dict) -> dict:
     for key, report in reports.items():
         entry = {
             "streams": report.num_streams,
-            "evm_percent": [float(v) for v in report.evm_percent],
-            "ber": [float(v) for v in report.ber],
+            "evm_percent": report.evm_percent.tolist(),
+            "ber": report.ber.tolist(),
             "condition_number": report.condition_number,
         }
         if report.channel_estimate is not None:
-            h = report.channel_estimate
-            entry["channel_estimate"] = np.stack([h.real, h.imag], axis=-1).tolist()
+            entry["channel_estimate"] = [[[h.real, h.imag] for h in row]
+                                         for row in report.channel_estimate.tolist()]
         out["reports"][key] = entry
     return out
 

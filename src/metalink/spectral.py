@@ -12,6 +12,7 @@ arithmetic on it, so a kept spectrum costs one float per bin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,15 +106,24 @@ def staircase_harmonics(steps_per_period: int, harmonic_indices) -> np.ndarray:
     frequency -q/period for the down-shifting ramp (mirror q for an
     up-shifting one). Lines are nonzero only for q == 1 (mod L); the desired
     line is q = 1 and the strongest spur q = 1 - L. Values come from the
-    exact per-step Fourier integral of one held period.
+    exact per-step Fourier integral of one held period, formed once per
+    (L, indices) and returned read-only.
     """
     L = int(steps_per_period)
     if L < 2:
         raise ValueError("steps_per_period must be >= 2")
     q = np.asarray(harmonic_indices, dtype=np.int64)
+    return _harmonics(L, tuple(q.ravel().tolist())).reshape(q.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _harmonics(L: int, indices: tuple) -> np.ndarray:
+    q = np.array(indices, dtype=np.int64)
     steps = np.exp(-2j * np.pi * np.arange(L) / L)
     edges = np.exp(2j * np.pi * q[..., np.newaxis] * np.arange(L + 1) / L)
     with np.errstate(divide="ignore", invalid="ignore"):  # q == 0 is taken apart
         coeff = np.sum(steps * np.diff(edges), axis=-1) / (2j * np.pi * q)
     # hypot, as abs() of a complex scalar takes it (np.abs of an array may not)
-    return np.where(q == 0, abs(np.sum(steps)) / L, np.hypot(coeff.real, coeff.imag))
+    amplitudes = np.where(q == 0, abs(np.sum(steps)) / L, np.hypot(coeff.real, coeff.imag))
+    amplitudes.flags.writeable = False
+    return amplitudes

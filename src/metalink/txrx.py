@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -113,12 +114,15 @@ def get_scheme(name: str) -> ModulationScheme:
 
 
 def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
-    """Gray-map a bit sequence to constellation points, MSB-first per symbol.
+    """Gray-map a bit sequence to constellation points, MSB-first per symbol."""
+    return scheme.points[_bit_words(bits, scheme)]
 
-    Every bit must equal 0 or 1, checked before any cast, so 0.5 or NaN is
-    refused, not truncated; uint8 bits are read as they are, with no wider
-    copy.
-    """
+
+def _bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
+    """The bit words of a bit sequence, MSB-first per symbol: the indices of
+    map_bits's points. Every bit must equal 0 or 1, checked before any
+    cast, so 0.5 or NaN is refused, not truncated; uint8 bits are read as
+    they are, with no wider copy."""
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bits must be 1-D")
@@ -129,8 +133,7 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
         raise ValueError(f"bit count {bits.size} not divisible by {b}")
     word_type = _word_type(scheme)
     weights = (1 << np.arange(b - 1, -1, -1)).astype(word_type)
-    words = bits.astype(word_type, copy=False).reshape(-1, b) @ weights
-    return scheme.points[words]
+    return bits.astype(word_type, copy=False).reshape(-1, b) @ weights
 
 
 def demap_symbols(symbols, scheme: ModulationScheme):
@@ -185,6 +188,31 @@ def _pilots(num_streams: int) -> np.ndarray:
     return pilots
 
 
+@functools.lru_cache(maxsize=8)
+def _pilot_inverse(num_streams: int) -> np.ndarray:
+    """pilots^H / pilot_length, read-only: the pilots' Gram matrix is
+    pilot_length * I, and pilot_length is a power of two, so y @ this equals
+    (y @ pilots^H) / pilot_length bit for bit."""
+    pilots = _pilots(num_streams)
+    inverse = pilots.conj().T / pilots.shape[1]
+    inverse.flags.writeable = False
+    return inverse
+
+
+@functools.lru_cache(maxsize=64)
+def _quantized_tables(scheme: ModulationScheme, num_streams: int,
+                      quant: QuantizationModel) -> tuple:
+    """quantize_values of the pilots and of scheme's points, read-only.
+    quantize_values works value by value, so a frame's quantized
+    coefficients are these tables' entries; continuous, they are the
+    pilots and the points themselves."""
+    tables = (quantize_values(_pilots(num_streams), quant),
+              quantize_values(scheme.points, quant))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @dataclass(frozen=True, eq=False)
 class FrameSpec:
     """Pilot block plus payload dimensions and symbol timing.
@@ -217,27 +245,32 @@ class FrameSpec:
         return self.pilot_length + self.payload_length
 
 
-def symbols_to_schedule(stream_symbols, frame: FrameSpec,
+def symbols_to_schedule(bits, frame: FrameSpec, scheme: ModulationScheme,
                         quant: QuantizationModel = CONTINUOUS) -> CoefficientSchedule:
-    """Compile per-stream symbol sequences into the per-stream schedule.
+    """Compile the per-stream payload bits, (streams x payload x
+    bits_per_symbol), into the per-stream schedule of their symbols.
 
-    Row s holds (A, phi) = (|symbol|, arg symbol) of stream s, one column
-    per symbol at frame.symbol_rate; the frame's pilots precede the payload.
-    The symbols are a scheme's points, so A <= 1 without a check.
-    The surface pass holds each column for its symbol interval, so the
-    schedule is never expanded to the control or envelope rate. Every cell
-    of stream s carries row s (see propagation.surface_pass). Coefficients
-    are quantized per quant.
+    Row s holds stream s's coefficients, one column per symbol at
+    frame.symbol_rate; the frame's pilots precede the payload. The
+    coefficients are quantized per quant: each is looked up by its bit word
+    in the tables of _quantized_tables, whose values lie within the unit
+    circle. The surface pass holds each column for its symbol interval, so
+    the schedule is never expanded to the control or envelope rate. Every
+    cell of stream s carries row s (see propagation.surface_pass).
     """
-    symbols = np.atleast_2d(np.asarray(stream_symbols, dtype=np.complex128))
-    if symbols.shape[0] != frame.num_streams:
+    bits = np.atleast_2d(bits)
+    if bits.shape[0] != frame.num_streams:
         raise ValueError(
-            f"{symbols.shape[0]} symbol streams for a {frame.num_streams}-stream frame")
-    if symbols.shape[1] != frame.payload_length:
+            f"{bits.shape[0]} symbol streams for a {frame.num_streams}-stream frame")
+    if bits.shape[1] != frame.payload_length * scheme.bits_per_symbol:
         raise ValueError(
-            f"payload length {symbols.shape[1]} does not match frame "
-            f"payload_length {frame.payload_length}")
-    full = quantize_values(np.concatenate([frame.pilots, symbols], axis=1), quant)
+            f"{bits.shape[1]} bits per stream do not make the frame's "
+            f"payload_length {frame.payload_length} symbols")
+    pilots, points = _quantized_tables(scheme, frame.pilots.shape[0], quant)
+    full = np.empty((frame.num_streams, frame.num_symbols), dtype=np.complex128)
+    full[:, :frame.pilot_length] = pilots
+    full[:, frame.pilot_length:] = points[
+        _bit_words(bits.reshape(-1), scheme).reshape(frame.num_streams, -1)]
     return CoefficientSchedule(full, frame.symbol_rate)
 
 
@@ -320,8 +353,7 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
-    # Hadamard pilots: pilots @ pilots^H == pilot_length * I exactly
-    h_est = y_pilot @ frame.pilots.conj().T / frame.pilot_length
+    h_est = y_pilot @ _pilot_inverse(frame.pilots.shape[0])
     if not np.isfinite(h_est).all():
         raise DetectionError("estimated channel is not finite", np.inf)
     u, sigma, vt = np.linalg.svd(h_est.conj(), full_matrices=False)
@@ -337,15 +369,15 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     for s in range(num_streams):
         np.abs(reference_symbols[s], out=errors)
         errors *= errors
-        ref_rms = np.sqrt(errors.sum() / len(errors))
+        ref_rms = math.sqrt(errors.sum() / len(errors))
         if ref_rms == 0.0:
             raise ValueError("reference power is zero")
         for i in range(0, frame.payload_length, DEMAP_BLOCK):
             block = slice(i, i + DEMAP_BLOCK)
             np.abs(equalized[s, block] - reference_symbols[s, block], out=errors[block])
-        doubtful = np.flatnonzero(~(errors < scheme.decision_radius))
+        doubtful = (~(errors < scheme.decision_radius)).nonzero()[0]
         errors *= errors
-        evms[s] = 100.0 * np.sqrt(errors.sum() / len(errors)) / ref_rms
+        evms[s] = 100.0 * math.sqrt(errors.sum() / len(errors)) / ref_rms
         if len(doubtful):
             decided = demap_symbols(equalized[s, doubtful], scheme)[0]
             sent = reference_bits[s].reshape(-1, scheme.bits_per_symbol)[doubtful]

@@ -431,7 +431,10 @@ def _link_phase(sc, data, channels, bits_seed, noise_seeds):
     bits = rng.integers(0, 2, size=(partition.num_streams,
                                     frame.payload_length * scheme.bits_per_symbol))
     symbols = txrx.map_bits(bits.ravel(), scheme).reshape(partition.num_streams, -1)
-    schedule = txrx.symbols_to_schedule(symbols, frame, sc.quantization)
+    # every coefficient quantized on its own, not looked up in a table
+    schedule = core.CoefficientSchedule(metasurface.quantize_values(
+        np.concatenate([frame.pilots, symbols], axis=1), sc.quantization),
+        frame.symbol_rate)
     carrier = core.tone_envelope(
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)

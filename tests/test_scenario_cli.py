@@ -556,9 +556,10 @@ def held_and_written(overrides: dict) -> None:
     frame = sc.frame(2)
     sps = sc.samples_per_symbol * sc.oversample
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
-    _, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
+    bits, _ = scen._payload(sc, frame, scen._seed(sc, 0))
     carrier = core.tone_envelope(frame.num_symbols * sps, sc.envelope_rate(), 0.0)
-    rx = surface_pass(carrier, txrx.symbols_to_schedule(symbols, frame, sc.quantization),
+    rx = surface_pass(carrier, txrx.symbols_to_schedule(bits, frame, sc.scheme,
+                                                        sc.quantization),
                       sc.stream_of_cell, channels)
     rx, noise, want_head = received(sc, rx, frame.num_symbols, scen._noise_seeds(sc, [1, 2]))
     want = integrate(rx, frame.num_symbols) + (0.0 if noise is None else noise)

@@ -276,7 +276,7 @@ def test_frame_control_rate():
 
 def test_single_constant_symbol_schedule():
     frame = FrameSpec(1, 1, 1e6, 4)
-    sched = symbols_to_schedule([[1.0 + 0j]], frame)
+    sched = symbols_to_schedule([[0]], frame, get_scheme("BPSK"))  # the point 1.0
     assert sched.num_streams == 1
     assert sched.num_steps == 4 + 1  # one column per symbol
     assert sched.control_rate == frame.symbol_rate
@@ -289,7 +289,7 @@ def test_single_constant_symbol_schedule():
 def test_two_stream_bpsk_schedule_sets_halves():
     stream_of_cell = np.array([0, 0, 1, 1, 0, 0, 1, 1])  # left and right halves
     frame = FrameSpec(2, 1, 1e6, 2)
-    held = resample_hold(symbols_to_schedule([[1.0], [-1.0]], frame),
+    held = resample_hold(symbols_to_schedule([[0], [1]], frame, get_scheme("BPSK")),
                          frame.symbol_rate * frame.samples_per_symbol)
     payload = held.values[stream_of_cell, -2:]  # what each cell holds
     left = stream_of_cell == 0
@@ -309,16 +309,17 @@ def test_symbol_rate_for_20mbps_aggregate():
 def test_quantized_schedule_snaps_payload():
     frame = FrameSpec(1, 1, 1e6, 1)
     quant = QuantizationModel(phase_levels=2)
-    sched = symbols_to_schedule([[np.exp(0.4j * np.pi)]], frame, quant)
+    # 8PSK word 0b001 is the point at pi/4, nearer phase 0 than phase pi
+    sched = symbols_to_schedule([[0, 0, 1]], frame, get_scheme("8PSK"), quant)
     assert sched.values[0, -1] == pytest.approx(1.0)
 
 
 def test_schedule_length_mismatch_is_rejected():
     frame = FrameSpec(1, 2, 1e6, 1)
     with pytest.raises(ValueError):
-        symbols_to_schedule([[1.0]], frame)
+        symbols_to_schedule([[0]], frame, get_scheme("BPSK"))
     with pytest.raises(ValueError):
-        symbols_to_schedule([[1.0, 1.0], [1.0, 1.0]], frame)
+        symbols_to_schedule([[0, 0], [0, 0]], frame, get_scheme("BPSK"))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
     symbols = np.stack([map_bits(bits[s], scheme) for s in range(streams)])
     frame = FrameSpec(streams, payload, 1e6, samples_per_symbol)
     # one unit-fed cell per stream whose gain to antenna a is h[a, s]
-    schedule = symbols_to_schedule(symbols, frame)
+    schedule = symbols_to_schedule(bits, frame, scheme)
     carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
                             frame.symbol_rate * frame.samples_per_symbol, 4.25e9,
                             freq_offset=freq_offset)
@@ -687,9 +688,7 @@ def test_partition_permutation_leaves_stream_products_unchanged():
     frame = FrameSpec(2, 8, 1e6, 2)
     rng = np.random.default_rng(23)
     scheme = get_scheme("QPSK")
-    symbols = np.stack([map_bits(rng.integers(0, 2, 16), scheme)
-                        for _ in range(2)])
-    sched = symbols_to_schedule(symbols, frame)
+    sched = symbols_to_schedule(rng.integers(0, 2, (2, 16)), frame, scheme)
     feed = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     obs = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
 
