@@ -100,7 +100,6 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
     if len(feed_idx) > 1:
         raise ConfigurationError("at most one point may have role 'feed'")
     obs_idx = [i for i in range(len(points)) if i not in feed_idx]
-    cells = cell_positions(geometry)
     num_cells = geometry.num_cells
 
     if model.kind == "identity":
@@ -109,7 +108,7 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
     elif model.kind == "free_space":
         # (feed, then each observation point) x cells, in one call
         gains = _spherical_gains(points.positions[feed_idx + obs_idx, np.newaxis],
-                                 cells, model.wavelength)
+                                 cell_positions(geometry), model.wavelength)
         feed = gains[0] if feed_idx else np.ones(num_cells, dtype=np.complex128)
         obs = np.ascontiguousarray(gains[len(feed_idx):].T)
     else:  # explicit_matrix

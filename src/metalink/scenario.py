@@ -188,12 +188,15 @@ def _int_from(low):
 
 
 def _point3(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == 3 and all(_is_num(x) for x in v)
+    return isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_num, v))
 
 
 def _is_point(p) -> bool:
-    return (isinstance(p, dict) and p.keys() == {"position_m", "role"}
+    return (isinstance(p, dict) and p.keys() == _POINT_KEYS
             and _point3(p["position_m"]) and isinstance(p["role"], str))
+
+
+_POINT_KEYS = frozenset({"position_m", "role"})
 
 
 def _is_matrix(m) -> bool:
@@ -394,9 +397,14 @@ def _cross_field_violations(valid: dict) -> list:
         errs.append(f"points: {num_obs} observation antennas cannot resolve "
                     f"{num_streams} streams")
 
+    oversample = valid.get("oversample")
+    if None not in (oversample, control) and _product(oversample, control) == math.inf:
+        errs.append("oversample: the envelope rate oversample * control_rate_hz "
+                    "overflows a float")
     rate = valid.get("frame.symbol_rate_baud")
     sps = valid.get("frame.samples_per_symbol")
-    if None not in (rate, sps, control) and abs(rate * sps - control) > 1e-9 * control:
+    if None not in (rate, sps, control) and \
+            abs(_product(rate, sps) - control) > 1e-9 * control:
         errs.append("frame: symbol_rate_baud * samples_per_symbol must equal "
                     "control_rate_hz")
     steps = valid.get("staircase.steps_per_period")
@@ -406,6 +414,15 @@ def _cross_field_violations(valid: dict) -> list:
         errs.append("staircase: control_rate_hz * period_s must equal "
                     "steps_per_period exactly (integer samples per period)")
     return errs
+
+
+def _product(a, b) -> float:
+    """a * b of two numbers >= 0; inf where it overflows, as a float, or
+    an integer factor is too large to become one."""
+    try:
+        return a * b
+    except OverflowError:
+        return math.inf
 
 
 class ValidationError(core.ConfigurationError):

@@ -131,9 +131,8 @@ def _bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
     b = scheme.bits_per_symbol
     if bits.size % b != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {b}")
-    word_type = _word_type(scheme)
-    weights = (1 << np.arange(b - 1, -1, -1)).astype(word_type)
-    return bits.astype(word_type, copy=False).reshape(-1, b) @ weights
+    weights = _word_bits(scheme)[1]
+    return bits.astype(weights.dtype, copy=False).reshape(-1, b) @ weights
 
 
 def demap_symbols(symbols, scheme: ModulationScheme):
@@ -143,20 +142,26 @@ def demap_symbols(symbols, scheme: ModulationScheme):
     bounded; a tie goes to the lowest bit word.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    words = np.empty(len(symbols), dtype=_word_type(scheme))
+    shifts = _word_bits(scheme)[0]
+    words = np.empty(len(symbols), dtype=shifts.dtype)
     for i in range(0, len(symbols), DEMAP_BLOCK):
         block = symbols[i:i + DEMAP_BLOCK]
         words[i:i + DEMAP_BLOCK] = np.argmin(
             np.abs(block[:, np.newaxis] - scheme.points), axis=1)
-    b = scheme.bits_per_symbol
-    shifts = np.arange(b - 1, -1, -1, dtype=words.dtype)
     bits = ((words[:, np.newaxis] >> shifts) & 1).astype(np.uint8, copy=False)
     return bits.reshape(-1), scheme.points[words]
 
 
-def _word_type(scheme: ModulationScheme) -> np.dtype:
-    """The smallest unsigned integer type that holds scheme's bit words."""
-    return np.min_scalar_type(scheme.points.size - 1)
+@functools.lru_cache(maxsize=16)
+def _word_bits(scheme: ModulationScheme) -> tuple:
+    """The shift and the weight of each bit of scheme's bit words, MSB
+    first, read-only, in the smallest unsigned type that holds the words."""
+    shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1,
+                       dtype=np.min_scalar_type(scheme.points.size - 1))
+    weights = 1 << shifts
+    for array in (shifts, weights):
+        array.flags.writeable = False
+    return shifts, weights
 
 
 def _hadamard(order: int) -> np.ndarray:

@@ -239,6 +239,44 @@ def test_cli_run_prints_one_line_per_violation(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+ENVELOPE_OVERFLOW = ("oversample: the envelope rate oversample * control_rate_hz "
+                     "overflows a float")
+# link and SDC scenarios whose every rate is finite but whose envelope rate
+# is not; the run would fail on an infinite envelope rate
+ENVELOPE_OVERFLOWS = {
+    "link": ("mimo2x2_16qam", {"control_rate_hz": 1e308, "oversample": 4,
+                               "frame.symbol_rate_baud": 2.5e306}),
+    "sdc": ("sdc_5mhz", {"control_rate_hz": 1e308, "staircase.period_s": 2e-307}),
+    "huge_oversample": ("mimo2x2_16qam", {"oversample": 10 ** 400}),
+}
+
+
+@pytest.mark.parametrize("name, overrides", ENVELOPE_OVERFLOWS.values(),
+                         ids=ENVELOPE_OVERFLOWS.keys())
+def test_an_envelope_rate_that_overflows_is_a_violation(name, overrides):
+    assert scen.validate(bundled(name, overrides)) == [ENVELOPE_OVERFLOW]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, overrides", ENVELOPE_OVERFLOWS.values(),
+                         ids=ENVELOPE_OVERFLOWS.keys())
+def test_the_cli_names_an_envelope_rate_that_overflows(command, name, overrides,
+                                                        tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+    pairs = [arg for key, value in overrides.items()
+             for arg in ("--override", f"{key}={json.dumps(value)}")]
+    assert cli.main([command, name, *out, *pairs]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"violation: {ENVELOPE_OVERFLOW}"]
+
+
+def test_a_samples_per_symbol_too_large_for_a_float_is_a_violation():
+    # symbol_rate_baud * samples_per_symbol cannot be formed as a float
+    violations = scen.validate(bundled("mimo2x2_16qam",
+                                       {"frame.samples_per_symbol": 10 ** 400}))
+    assert violations == ["frame: symbol_rate_baud * samples_per_symbol must equal "
+                          "control_rate_hz"]
+
+
 # ---------------------------------------------------------------------------
 # runs that validate but cannot produce finite numbers raise a named error
 # ---------------------------------------------------------------------------
