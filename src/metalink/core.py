@@ -35,6 +35,12 @@ def wrap_phase(phase):
     return wrapped
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: the value of a table that every caller shares."""
+    array.flags.writeable = False
+    return array
+
+
 def wavelength_of(frequency_hz: float) -> float:
     """Free-space wavelength in meters for a given frequency."""
     if frequency_hz <= 0:
@@ -131,9 +137,7 @@ def _cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
     ox, oy, oz = geometry.origin
     x = ox + (m - (geometry.cols - 1) / 2) * geometry.spacing
     y = oy + (n - (geometry.rows - 1) / 2) * geometry.spacing
-    cells = np.column_stack([x, y, np.full_like(x, oz)])
-    cells.flags.writeable = False
-    return cells
+    return read_only(np.column_stack([x, y, np.full_like(x, oz)]))
 
 
 @dataclass(frozen=True, eq=False)

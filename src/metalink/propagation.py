@@ -169,12 +169,9 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
                  stream_of_cell, channels: ChannelSet) -> list:
     """Noiseless received envelope at every observation point, in channel order.
 
-    Cell c (row-major flat index) is lit by feed_gains[c] * incident, holds
-    row stream_of_cell[c] of the schedule, and reaches point p through
-    obs_gains[c, p]. The chain is linear and narrowband, so each point sees
-    rx_p = incident * sum_s G[s, p] * w_s with the effective per-stream gain
-    G[s, p] = sum over the cells c of stream s of feed_gains[c] * obs_gains[c, p].
-    The cost is O(streams x samples) whatever the cell count.
+    The chain is linear and narrowband, so each point sees rx_p = incident *
+    sum_s G[s, p] * w_s, G the effective per-stream gains of pass_weights,
+    at a cost of O(streams x samples) whatever the cell count.
 
     The schedule may run at any rate that divides the envelope rate a whole
     number of times, hold = sample_rate / control_rate; each of its steps

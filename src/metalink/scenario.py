@@ -192,11 +192,8 @@ def _point3(v) -> bool:
 
 
 def _is_point(p) -> bool:
-    return (isinstance(p, dict) and p.keys() == _POINT_KEYS
+    return (isinstance(p, dict) and p.keys() == {"position_m", "role"}
             and _point3(p["position_m"]) and isinstance(p["role"], str))
-
-
-_POINT_KEYS = frozenset({"position_m", "role"})
 
 
 def _is_matrix(m) -> bool:
@@ -358,9 +355,8 @@ def _cross_field_violations(valid: dict) -> list:
         if None not in (num_cells, spacing, origin):
             cells = core.cell_positions(
                 core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
-            # a zero distance, as build_channels finds it, is a zero square
-            # on each axis (inf or nan never is); the cells are every
-            # combination of one row's xs, one column's ys and the one z
+            # a zero distance, as build_channels finds it, is a zero square on
+            # each axis; the cells are every (x of a column, y of a row, z)
             axes = cells[:cols, 0].tolist(), cells[::cols, 1].tolist(), cells[:1, 2].tolist()
             errs.extend(f"points[{i}]: coincides with a unit-cell position"
                         for i, p in enumerate(points)
@@ -399,8 +395,7 @@ def _cross_field_violations(valid: dict) -> list:
 
     oversample = valid.get("oversample")
     if None not in (oversample, control) and _product(oversample, control) == math.inf:
-        errs.append("oversample: the envelope rate oversample * control_rate_hz "
-                    "overflows a float")
+        errs.append("oversample: envelope rate oversample * control_rate_hz overflows")
     rate = valid.get("frame.symbol_rate_baud")
     sps = valid.get("frame.samples_per_symbol")
     if None not in (rate, sps, control) and \
@@ -417,8 +412,7 @@ def _cross_field_violations(valid: dict) -> list:
 
 
 def _product(a, b) -> float:
-    """a * b of two numbers >= 0; inf where it overflows, as a float, or
-    an integer factor is too large to become one."""
+    """a * b, or inf where an integer factor is too large for a float."""
     try:
         return a * b
     except OverflowError:
@@ -539,9 +533,8 @@ class Scenario:
                 / self.staircase.steps_per_period)
 
     def spectrum_length(self, available: int) -> int:
-        if self.spectrum_bins is None:
-            return available
-        return min(self.spectrum_bins, available)
+        return available if self.spectrum_bins is None else min(self.spectrum_bins,
+                                                                 available)
 
 
 @dataclass
@@ -580,35 +573,29 @@ def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
     flat = bits.reshape(-1)
     for i in range(0, flat.size, BIT_CHUNK):
         flat[i:i + BIT_CHUNK] = rng.integers(0, 2, size=min(BIT_CHUNK, flat.size - i))
-    symbols = txrx.map_bits(flat, sc.scheme).reshape(frame.num_streams, -1)
-    return bits, symbols
+    return bits, txrx.map_bits(flat, sc.scheme).reshape(frame.num_streams, -1)
 
 
 def _rotation(num: int, den: int, count: int) -> np.ndarray:
     """exp(-2j*pi*n*num/den) for n < count, den > 0. Each phase drops its
     whole turns in integers, n * num mod den, before it is rounded, so it is
-    within half an ulp of exact in [0, 1) whatever n; the phases repeat
-    every den / gcd(num, den) samples, and a period of 1 is all ones. The
-    first period, or the first count values if fewer, is formed once per
-    shape (_rotation_head) and repeated."""
+    within half an ulp of exact in [0, 1) whatever n; they repeat every
+    den / gcd(num, den) samples, from _rotation_head."""
     head = _rotation_head(num, den, min(count, den // math.gcd(num, den)))
     return head[np.arange(count) % len(head)]
 
 
 @functools.lru_cache(maxsize=64)
 def _rotation_head(num: int, den: int, length: int) -> np.ndarray:
-    """The first length <= den / gcd(num, den) values of _rotation, read-only;
-    one value when length <= 1. n * num (n < den) is exact in int64 while
-    den * |num| < 2**63, which is checked."""
+    """The first length values of _rotation, at most a period (1: all ones);
+    n * num (n < den) is exact in int64 while den * |num| < 2**63, checked."""
     if length <= 1:
-        head = np.ones(1, dtype=np.complex128)
-    elif den * abs(num) >= 1 << 63:
+        return core.read_only(np.ones(1, dtype=np.complex128))
+    if den * abs(num) >= 1 << 63:
         raise core.ConfigurationError(
             f"a ramp period of {den} samples is too long to derotate exactly")
-    else:
-        head = np.exp(-2j * np.pi * (np.arange(length, dtype=np.int64) * num % den / den))
-    head.flags.writeable = False
-    return head
+    return core.read_only(
+        np.exp(-2j * np.pi * (np.arange(length, dtype=np.int64) * num % den / den)))
 
 
 def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
@@ -667,8 +654,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
 
     Each mean is sent[k] * c[class(k)] in closed form: a link symbol holds
     one value, its mean, so c is carrier * weights with a unit carrier; the
-    receive phase forms c once per class (_ramp_means) from the constants of
-    its shape (_ramp_table). Only point 0's first
+    receive phase forms c once per class (_ramp_table). Only point 0's first
     ceil(spectrum_length / sps) symbols, the spectrum head, are written; with
     noise they are added to its head noise (_head_noise), whose derotated
     mean their means add; then every other mean gets its noise (_add_noise).
@@ -678,9 +664,8 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
-        table = _ramp_table(sc.staircase, sc.control_rate_hz, sc.oversample,
-                            sc.samples_per_symbol)
-        one_period, num, den = table[:3]
+        one_period, num, den, step_rotation, cols = _ramp_table(
+            sc.staircase, sc.control_rate_hz, sc.oversample, sc.samples_per_symbol)
         weights, hold = propagation.pass_weights(
             rate, den, one_period, np.zeros(channels.num_cells, dtype=np.int64), channels)
     else:
@@ -697,7 +682,12 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     signal = np.multiply(1.0 if sent is None else sent[:covered, np.newaxis, np.newaxis],
                          weights[0, np.arange(covered * steps) % weights.shape[1]].reshape(
                              covered, steps, 1))
-    means = weights if sent is None else _ramp_means(weights, table, sps, sent)
+    means = weights
+    if ramp:  # mean k is sent[k] * c[:, k mod K] (_ramp_table)
+        K = min(len(sent), len(cols))
+        c = (weights[:, cols[:K]] @ step_rotation) * _rotation(num * sps, den, K)
+        means = c[:, np.arange(len(sent)) % K]
+        means *= sent
     rngs, noise = _head_noise(sc, noise_seeds, num_symbols)
     if len(noise):  # sample i of symbol k is derotated by start[k] * within[i]
         means[0, :covered] += np.einsum(
@@ -719,41 +709,28 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
 @functools.lru_cache(maxsize=32)
 def _ramp_table(staircase: metasurface.StaircaseRampSpec, control_rate: float,
                 oversample: int, steps: int) -> tuple:
-    """The receive phase's constants for one frame shape, steps control
-    steps a symbol, arrays read-only: the staircase's one-period schedule;
-    num and den, the derotation num/den = direction / (L * oversample) per
-    sample; the mean rotation of each of a symbol's steps; and the ramp step
-    of each step of each of the L / gcd(steps, L) symbol classes."""
-    L = staircase.steps_per_period
-    num, den, sps = staircase.direction, L * oversample, steps * oversample
-    one_period = metasurface.compile_staircase(staircase, control_rate,
-                                               den / (oversample * control_rate))
-    step_rotation = _rotation(num, den, sps).reshape(steps, oversample).sum(axis=1) / sps
-    cols = (np.arange(L // math.gcd(steps, L))[:, np.newaxis] * steps
-            + np.arange(steps)) % L
-    for array in (one_period.values, step_rotation, cols):
-        array.flags.writeable = False
-    return one_period, num, den, step_rotation, cols
-
-
-def _ramp_means(weights, table: tuple, sps: int, sent) -> np.ndarray:
-    """The receive phase's noiseless (points x symbols) means.
+    """The receive phase's constants at steps control steps a symbol.
 
     Symbol k starts at ramp step k * steps mod L and, as den = L * sps /
     steps, at derotation phase k * sps * num / den = k * steps * num / L mod
     1: both repeat every K = L / gcd(steps, L) symbols, so class(k) = k mod K.
-    c[:, j] is the rotation of class j's first sample times the mean over a
-    symbol of the weights times the rotation of its own samples. Phases are
-    exact before exp (_rotation), so each mean is within about 1e-15 of the
-    derotated samples' mean, relative to its magnitude, at any symbol index.
+    The table holds the one-period staircase schedule, num/den = direction /
+    (L * oversample), the mean rotation of each step of a symbol, and each
+    class's ramp steps; _frame forms c[:, j], the rotation of class j's first
+    sample times the symbol's mean of the weights times its own samples'
+    rotation. Phases are exact before exp (_rotation), so each mean is within
+    about 1e-15 of the derotated samples' mean, relative to its magnitude, at
+    any symbol index.
     """
-    _, num, den, step_rotation, cols = table
-    count = len(sent)
-    K = min(count, len(cols))
-    c = (weights[:, cols[:K]] @ step_rotation) * _rotation(num * sps, den, K)
-    means = c[:, np.arange(count) % K]
-    means *= sent
-    return means
+    L = staircase.steps_per_period
+    num, den, sps = staircase.direction, L * oversample, steps * oversample
+    one_period = metasurface.compile_staircase(staircase, control_rate,
+                                               den / (oversample * control_rate))
+    core.read_only(one_period.values)
+    step_rotation = _rotation(num, den, sps).reshape(steps, oversample).sum(axis=1) / sps
+    cols = (np.arange(L // math.gcd(steps, L))[:, np.newaxis] * steps
+            + np.arange(steps)) % L
+    return one_period, num, den, core.read_only(step_rotation), core.read_only(cols)
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
@@ -807,8 +784,6 @@ def simulate(sc: Scenario) -> ScenarioResult:
         carrier = core.tone_envelope(
             sc.sdc_periods * sc.staircase.steps_per_period * sc.oversample,
             sc.envelope_rate(), sc.carrier_freq_hz)
-        # whole: the harmonic table needs a DFT over whole ramp periods;
-        # only point 0 is read, so only its row is formed
         ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
                                              len(carrier) / sc.envelope_rate())
         rx = propagation.surface_pass(
@@ -818,7 +793,6 @@ def simulate(sc: Scenario) -> ScenarioResult:
             rng = np.random.default_rng(_seed(sc, 1))
             rx += np.sqrt(sc.noise_psd / 2.0) * (
                 rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
-            del rng  # freed before the periodograms
         tone = np.zeros(len(carrier))
         tone[len(carrier) - len(carrier) // 2 - 1] = 1.0
         report = txrx.LinkReport(spectra={
@@ -831,9 +805,6 @@ def simulate(sc: Scenario) -> ScenarioResult:
                         "tx_rx0" if integrated else "rx0")
     reports = {"link": report}
     if integrated:
-        # the first rx point sends, the surface ramps, and the feed antenna,
-        # switched to a receive chain, observes: identity and free-space
-        # gains are reciprocal, so these are the transmit channels reversed
         back = propagation.ChannelSet(channels.obs_gains[:, 0],
                                       channels.feed_gains[:, np.newaxis])
         reports = {"transmit": report, "receive": _frame(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexEnvelope
+from .core import ComplexEnvelope, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +106,8 @@ def staircase_harmonics(steps_per_period: int, harmonic_indices) -> np.ndarray:
     frequency -q/period for the down-shifting ramp (mirror q for an
     up-shifting one). Lines are nonzero only for q == 1 (mod L); the desired
     line is q = 1 and the strongest spur q = 1 - L. Values come from the
-    exact per-step Fourier integral of one held period, formed once per
-    (L, indices) and returned read-only.
+    exact per-step Fourier integral of one held period, one read-only table
+    per (L, indices).
     """
     L = int(steps_per_period)
     if L < 2:
@@ -124,6 +124,5 @@ def _harmonics(L: int, indices: tuple) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # q == 0 is taken apart
         coeff = np.sum(steps * np.diff(edges), axis=-1) / (2j * np.pi * q)
     # hypot, as abs() of a complex scalar takes it (np.abs of an array may not)
-    amplitudes = np.where(q == 0, abs(np.sum(steps)) / L, np.hypot(coeff.real, coeff.imag))
-    amplitudes.flags.writeable = False
-    return amplitudes
+    return read_only(np.where(q == 0, abs(np.sum(steps)) / L,
+                              np.hypot(coeff.real, coeff.imag)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CoefficientSchedule, ConfigurationError, ContractViolation
+from .core import CoefficientSchedule, ConfigurationError, ContractViolation, read_only
 from .metasurface import CONTINUOUS, QuantizationModel, quantize_values
 
 CONDITION_LIMIT = 1e8
@@ -76,15 +76,17 @@ class ModulationScheme:
     points are indexed by the symbol's bit word read MSB-first, and are a
     read-only copy, so decision_radius cannot go stale. A point beyond the
     unit circle (by over 1e-9) is refused: it is a surface coefficient.
-    decision_radius is
-    (1 - 1e-9) * d_min / 2, where d_min is the smallest distance between
-    the points of two different words, 0 when two words share a point.
+    decision_radius is (1 - 1e-9) * d_min / 2, where d_min is the smallest
+    distance between the points of two different words, 0 when two words
+    share a point. word_weights weigh a word's bits, MSB first, in the
+    smallest unsigned type that holds the words.
     """
 
     name: str
     bits_per_symbol: int
     points: np.ndarray
     decision_radius: float = field(init=False, repr=False)
+    word_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.bits_per_symbol < 1:
@@ -98,6 +100,9 @@ class ModulationScheme:
         d_min = min(abs(a - b) for a, b in itertools.combinations(points.tolist(), 2))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "decision_radius", float((1.0 - 1e-9) * d_min / 2.0))
+        weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
+        object.__setattr__(self, "word_weights", read_only(
+            weights.astype(np.min_scalar_type(points.size - 1))))
 
 
 _SCHEMES = {name: ModulationScheme(name, int(np.log2(points.size)), points)
@@ -119,10 +124,8 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
 
 
 def _bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
-    """The bit words of a bit sequence, MSB-first per symbol: the indices of
-    map_bits's points. Every bit must equal 0 or 1, checked before any
-    cast, so 0.5 or NaN is refused, not truncated; uint8 bits are read as
-    they are, with no wider copy."""
+    """The indices of map_bits's points. Every bit must equal 0 or 1, checked
+    before any cast, so 0.5 or NaN is refused, not truncated."""
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bits must be 1-D")
@@ -131,7 +134,7 @@ def _bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
     b = scheme.bits_per_symbol
     if bits.size % b != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {b}")
-    weights = _word_bits(scheme)[1]
+    weights = scheme.word_weights  # uint8 bits are read without a wider copy
     return bits.astype(weights.dtype, copy=False).reshape(-1, b) @ weights
 
 
@@ -142,26 +145,15 @@ def demap_symbols(symbols, scheme: ModulationScheme):
     bounded; a tie goes to the lowest bit word.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    shifts = _word_bits(scheme)[0]
-    words = np.empty(len(symbols), dtype=shifts.dtype)
+    words = np.empty(len(symbols), dtype=scheme.word_weights.dtype)
     for i in range(0, len(symbols), DEMAP_BLOCK):
         block = symbols[i:i + DEMAP_BLOCK]
         words[i:i + DEMAP_BLOCK] = np.argmin(
             np.abs(block[:, np.newaxis] - scheme.points), axis=1)
+    b = scheme.bits_per_symbol
+    shifts = np.arange(b - 1, -1, -1, dtype=words.dtype)
     bits = ((words[:, np.newaxis] >> shifts) & 1).astype(np.uint8, copy=False)
     return bits.reshape(-1), scheme.points[words]
-
-
-@functools.lru_cache(maxsize=16)
-def _word_bits(scheme: ModulationScheme) -> tuple:
-    """The shift and the weight of each bit of scheme's bit words, MSB
-    first, read-only, in the smallest unsigned type that holds the words."""
-    shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1,
-                       dtype=np.min_scalar_type(scheme.points.size - 1))
-    weights = 1 << shifts
-    for array in (shifts, weights):
-        array.flags.writeable = False
-    return shifts, weights
 
 
 def _hadamard(order: int) -> np.ndarray:
@@ -179,43 +171,26 @@ def make_pilots(num_streams: int) -> np.ndarray:
     num_streams = operator.index(num_streams)  # 2.0 must not share 2's entry
     if num_streams < 1:
         raise ConfigurationError("need at least one stream")
-    return _pilots(num_streams)
+    return _pilots(num_streams)[0]
 
 
 @functools.lru_cache(maxsize=8)
-def _pilots(num_streams: int) -> np.ndarray:
-    order = 1
-    while order < num_streams:
-        order *= 2
-    rows = _hadamard(order)[:num_streams]
-    pilots = np.kron(rows, np.ones(4)).astype(np.complex128)
-    pilots.flags.writeable = False
-    return pilots
-
-
-@functools.lru_cache(maxsize=8)
-def _pilot_inverse(num_streams: int) -> np.ndarray:
-    """pilots^H / pilot_length, read-only: the pilots' Gram matrix is
-    pilot_length * I, and pilot_length is a power of two, so y @ this equals
+def _pilots(num_streams: int) -> tuple:
+    """The pilots, and pilots^H / pilot_length: their Gram matrix is
+    pilot_length * I, a power of two, so y @ the latter equals
     (y @ pilots^H) / pilot_length bit for bit."""
-    pilots = _pilots(num_streams)
-    inverse = pilots.conj().T / pilots.shape[1]
-    inverse.flags.writeable = False
-    return inverse
+    order = 1 << (num_streams - 1).bit_length()  # the least power of two >= it
+    pilots = np.kron(_hadamard(order)[:num_streams], np.ones(4)).astype(np.complex128)
+    return read_only(pilots), read_only(pilots.conj().T / pilots.shape[1])
 
 
 @functools.lru_cache(maxsize=64)
 def _quantized_tables(scheme: ModulationScheme, num_streams: int,
                       quant: QuantizationModel) -> tuple:
-    """quantize_values of the pilots and of scheme's points, read-only.
-    quantize_values works value by value, so a frame's quantized
-    coefficients are these tables' entries; continuous, they are the
-    pilots and the points themselves."""
-    tables = (quantize_values(_pilots(num_streams), quant),
-              quantize_values(scheme.points, quant))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    """quantize_values, which works value by value, of the pilots and of
+    scheme's points; continuous, they are the pilots and points themselves."""
+    return tuple(read_only(quantize_values(table, quant))
+                 for table in (_pilots(num_streams)[0], scheme.points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,25 +227,21 @@ class FrameSpec:
 
 def symbols_to_schedule(bits, frame: FrameSpec, scheme: ModulationScheme,
                         quant: QuantizationModel = CONTINUOUS) -> CoefficientSchedule:
-    """Compile the per-stream payload bits, (streams x payload x
-    bits_per_symbol), into the per-stream schedule of their symbols.
+    """Compile per-stream payload bits, (streams x payload x bits per
+    symbol), into the per-stream schedule of their symbols.
 
     Row s holds stream s's coefficients, one column per symbol at
-    frame.symbol_rate; the frame's pilots precede the payload. The
-    coefficients are quantized per quant: each is looked up by its bit word
-    in the tables of _quantized_tables, whose values lie within the unit
-    circle. The surface pass holds each column for its symbol interval, so
-    the schedule is never expanded to the control or envelope rate. Every
-    cell of stream s carries row s (see propagation.surface_pass).
-    """
+    frame.symbol_rate, the pilots first, quantized per quant: each is looked
+    up by its bit word in _quantized_tables, within the unit circle. The
+    surface pass holds each column for its symbol interval, and every cell
+    of stream s carries row s (propagation.surface_pass)."""
     bits = np.atleast_2d(bits)
     if bits.shape[0] != frame.num_streams:
         raise ValueError(
             f"{bits.shape[0]} symbol streams for a {frame.num_streams}-stream frame")
     if bits.shape[1] != frame.payload_length * scheme.bits_per_symbol:
-        raise ValueError(
-            f"{bits.shape[1]} bits per stream do not make the frame's "
-            f"payload_length {frame.payload_length} symbols")
+        raise ValueError(f"{bits.shape[1]} bits per stream for a "
+                         f"{frame.payload_length}-symbol payload")
     pilots, points = _quantized_tables(scheme, frame.pilots.shape[0], quant)
     full = np.empty((frame.num_streams, frame.num_symbols), dtype=np.complex128)
     full[:, :frame.pilot_length] = pilots
@@ -358,7 +329,7 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
-    h_est = y_pilot @ _pilot_inverse(frame.pilots.shape[0])
+    h_est = y_pilot @ _pilots(frame.pilots.shape[0])[1]
     if not np.isfinite(h_est).all():
         raise DetectionError("estimated channel is not finite", np.inf)
     u, sigma, vt = np.linalg.svd(h_est.conj(), full_matrices=False)

@@ -239,8 +239,7 @@ def test_cli_run_prints_one_line_per_violation(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-ENVELOPE_OVERFLOW = ("oversample: the envelope rate oversample * control_rate_hz "
-                     "overflows a float")
+ENVELOPE_OVERFLOW = "oversample: envelope rate oversample * control_rate_hz overflows"
 # link and SDC scenarios whose every rate is finite but whose envelope rate
 # is not; the run would fail on an infinite envelope rate
 ENVELOPE_OVERFLOWS = {

@@ -58,8 +58,8 @@ def _run_all(out_dir: Path) -> dict:
 def test_the_caches_are_the_expected_ones():
     assert set(CACHES) == {
         "metalink.core._cell_positions", "metalink.txrx._pilots",
-        "metalink.txrx._pilot_inverse", "metalink.txrx._quantized_tables",
-        "metalink.txrx._word_bits", "metalink.scenario._rotation_head",
+        "metalink.txrx._quantized_tables",
+        "metalink.scenario._rotation_head",
         "metalink.scenario._ramp_table", "metalink.spectral._harmonics"}
 
 
