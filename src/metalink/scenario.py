@@ -533,8 +533,9 @@ class Scenario:
                 / self.staircase.steps_per_period)
 
     def spectrum_length(self, available: int) -> int:
-        return available if self.spectrum_bins is None else min(self.spectrum_bins,
-                                                                 available)
+        if self.spectrum_bins is None:
+            return available
+        return min(self.spectrum_bins, available)
 
 
 @dataclass
@@ -714,13 +715,12 @@ def _ramp_table(staircase: metasurface.StaircaseRampSpec, control_rate: float,
     Symbol k starts at ramp step k * steps mod L and, as den = L * sps /
     steps, at derotation phase k * sps * num / den = k * steps * num / L mod
     1: both repeat every K = L / gcd(steps, L) symbols, so class(k) = k mod K.
-    The table holds the one-period staircase schedule, num/den = direction /
-    (L * oversample), the mean rotation of each step of a symbol, and each
-    class's ramp steps; _frame forms c[:, j], the rotation of class j's first
-    sample times the symbol's mean of the weights times its own samples'
-    rotation. Phases are exact before exp (_rotation), so each mean is within
-    about 1e-15 of the derotated samples' mean, relative to its magnitude, at
-    any symbol index.
+    Held: the one-period staircase, num/den = direction / (L * oversample),
+    each step's mean rotation over a symbol and each class's ramp steps, from
+    which _frame forms c[:, j], class j's first rotation times the symbol's
+    mean of the derotated weights. Phases are exact before exp (_rotation),
+    so each mean is within about 1e-15 of the derotated samples' mean,
+    relative to its magnitude, at any symbol index.
     """
     L = staircase.steps_per_period
     num, den, sps = staircase.direction, L * oversample, steps * oversample

@@ -50,7 +50,8 @@ def _run_all(out_dir: Path) -> dict:
         scen.run_scenario(name, out_dir / name)
     sweep = _workloads().WORKLOADS["param_sweep"]
     for index, case in enumerate(sweep.build(metalink, 1)):
-        scen.write_artifacts(sweep.run(metalink, case, None), out_dir / f"sweep-{index:03d}")
+        result = sweep.run(metalink, case, None)
+        scen.write_artifacts(result, out_dir / f"sweep-{index:03d}")
     return {p.relative_to(out_dir).as_posix(): p.read_bytes()
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
@@ -76,8 +77,10 @@ def test_every_cache_has_a_constant_size():
     for name, cache in CACHES.items():
         module = inspect.getmodule(cache)
         tree = ast.parse(inspect.getsource(module))
-        decorators = [d for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                      and node.name == name.rpartition(".")[2] for d in node.decorator_list]
+        decorators = [d for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == name.rpartition(".")[2]
+                      for d in node.decorator_list]
         assert len(decorators) == 1, name
         (keyword,) = decorators[0].keywords
         assert keyword.arg == "maxsize" and isinstance(keyword.value, ast.Constant)
@@ -144,7 +147,8 @@ def test_no_cached_array_grows_with_the_frame(name, monkeypatch):
         data = scen.apply_overrides(scen.load_scenario(name), {
             "frame.payload_symbols": payload, "channel.noise_psd": 1e-7,
             "spectrum_bins": 512})
-        calls = _recorded(monkeypatch, lambda: scen.simulate(scen.Scenario.from_dict(data)))
+        sc = scen.Scenario.from_dict(data)
+        calls = _recorded(monkeypatch, lambda: scen.simulate(sc))
         return {name: sorted(a.size for _, value in c for a in _arrays(value))
                 for name, c in calls.items()}
     assert sizes(64) == sizes(6400)
@@ -197,7 +201,8 @@ def test_a_quantized_million_symbol_frame_costs_what_a_continuous_one_does():
     continuous = _traced_peak(qpsk)
     quantized = _traced_peak({**qpsk, "quantization.phase_levels": 8})
     assert quantized <= continuous + 2 ** 21, (
-        f"quantized {quantized / 2 ** 20:.1f} MiB, continuous {continuous / 2 ** 20:.1f} MiB")
+        f"quantized {quantized / 2 ** 20:.1f} MiB, "
+        f"continuous {continuous / 2 ** 20:.1f} MiB")
 
 
 @pytest.mark.parametrize("rows, cols, spacing, origin", [
@@ -217,6 +222,7 @@ def test_the_coincidence_check_finds_what_the_distance_finds(rows, cols, spacing
     at = np.array([p["position_m"] for p in data["points"]])
     with np.errstate(over="ignore", invalid="ignore"):
         zero = (np.square(cells[:, np.newaxis] - at).sum(axis=2) == 0.0).any(axis=0)
-    want = [f"points[{i}]: coincides with a unit-cell position" for i in np.flatnonzero(zero)]
+    want = [f"points[{i}]: coincides with a unit-cell position"
+            for i in np.flatnonzero(zero)]
     got = [v for v in scen.validate(data) if "coincides" in v]
     assert got == want and 0 < len(want) < len(points)
