@@ -562,7 +562,7 @@ def _noise_seeds(sc: Scenario, indices) -> list | None:
 
 def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
     """Payload bits, uint8 (streams x payload x bits per symbol), drawn from
-    seed, and the (streams x payload) symbols they map to.
+    seed, and the (streams x payload) bit words they map to (txrx.bit_words).
 
     The bits are those of one int64 draw integers(0, 2, size=bits.shape),
     taken BIT_CHUNK at a time: the chunks continue the one draw's stream (a
@@ -574,7 +574,7 @@ def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
     flat = bits.reshape(-1)
     for i in range(0, flat.size, BIT_CHUNK):
         flat[i:i + BIT_CHUNK] = rng.integers(0, 2, size=min(BIT_CHUNK, flat.size - i))
-    return bits, txrx.map_bits(flat, sc.scheme).reshape(frame.num_streams, -1)
+    return bits, txrx.bit_words(flat, sc.scheme).reshape(frame.num_streams, -1)
 
 
 def _rotation(num: int, den: int, count: int) -> np.ndarray:
@@ -661,7 +661,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     mean their means add; then every other mean gets its noise (_add_noise).
     """
     frame = sc.frame(num_streams)
-    bits, symbols = _payload(sc, frame, bits_seed)
+    bits, words = _payload(sc, frame, bits_seed)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
@@ -670,11 +670,13 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
         weights, hold = propagation.pass_weights(
             rate, den, one_period, np.zeros(channels.num_cells, dtype=np.int64), channels)
     else:
-        schedule = txrx.symbols_to_schedule(bits, frame, sc.scheme, sc.quantization)
+        schedule = txrx.symbols_to_schedule(words, frame, sc.scheme, sc.quantization)
         weights, hold = propagation.pass_weights(rate, num_symbols * sps, schedule,
                                                  sc.stream_of_cell, channels)
         del schedule  # freed before the means are formed
         num, den = 0, 1
+    symbols = sc.scheme.points[words]  # map_bits of the bits
+    del words
     sent = np.concatenate([frame.pilots, symbols], axis=1)[0] if ramp else None
     steps = sps // hold
     length = sc.spectrum_length(num_symbols * sps)

@@ -106,8 +106,7 @@ def staircase_harmonics(steps_per_period: int, harmonic_indices) -> np.ndarray:
     frequency -q/period for the down-shifting ramp (mirror q for an
     up-shifting one). Lines are nonzero only for q == 1 (mod L); the desired
     line is q = 1 and the strongest spur q = 1 - L. Values come from the
-    exact per-step Fourier integral of one held period, one read-only table
-    per (L, indices).
+    exact per-step Fourier integral of one held period, read-only and cached.
     """
     L = int(steps_per_period)
     if L < 2:

@@ -120,12 +120,12 @@ def get_scheme(name: str) -> ModulationScheme:
 
 def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
     """Gray-map a bit sequence to constellation points, MSB-first per symbol."""
-    return scheme.points[_bit_words(bits, scheme)]
+    return scheme.points[bit_words(bits, scheme)]
 
 
-def _bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
-    """The indices of map_bits's points. Every bit must equal 0 or 1, checked
-    before any cast, so 0.5 or NaN is refused, not truncated."""
+def bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
+    """The bit words of a bit sequence, MSB-first per symbol (map_bits's point
+    indices); any bit but 0 or 1, 0.5 or NaN say, is refused before a cast."""
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bits must be 1-D")
@@ -225,28 +225,28 @@ class FrameSpec:
         return self.pilot_length + self.payload_length
 
 
-def symbols_to_schedule(bits, frame: FrameSpec, scheme: ModulationScheme,
+def symbols_to_schedule(words, frame: FrameSpec, scheme: ModulationScheme,
                         quant: QuantizationModel = CONTINUOUS) -> CoefficientSchedule:
-    """Compile per-stream payload bits, (streams x payload x bits per
-    symbol), into the per-stream schedule of their symbols.
+    """Compile per-stream symbols, given as scheme's bit words (bit_words),
+    into the per-stream schedule.
 
     Row s holds stream s's coefficients, one column per symbol at
     frame.symbol_rate, the pilots first, quantized per quant: each is looked
     up by its bit word in _quantized_tables, within the unit circle. The
     surface pass holds each column for its symbol interval, and every cell
     of stream s carries row s (propagation.surface_pass)."""
-    bits = np.atleast_2d(bits)
-    if bits.shape[0] != frame.num_streams:
+    words = np.atleast_2d(words)
+    if words.shape[0] != frame.num_streams:
         raise ValueError(
-            f"{bits.shape[0]} symbol streams for a {frame.num_streams}-stream frame")
-    if bits.shape[1] != frame.payload_length * scheme.bits_per_symbol:
-        raise ValueError(f"{bits.shape[1]} bits per stream for a "
-                         f"{frame.payload_length}-symbol payload")
+            f"{words.shape[0]} symbol streams for a {frame.num_streams}-stream frame")
+    if words.shape[1] != frame.payload_length:
+        raise ValueError(
+            f"payload length {words.shape[1]} does not match frame "
+            f"payload_length {frame.payload_length}")
     pilots, points = _quantized_tables(scheme, frame.pilots.shape[0], quant)
     full = np.empty((frame.num_streams, frame.num_symbols), dtype=np.complex128)
     full[:, :frame.pilot_length] = pilots
-    full[:, frame.pilot_length:] = points[
-        _bit_words(bits.reshape(-1), scheme).reshape(frame.num_streams, -1)]
+    full[:, frame.pilot_length:] = points[words]
     return CoefficientSchedule(full, frame.symbol_rate)
 
 
@@ -284,7 +284,7 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     reference_bits, (num_streams, payload_length * bits_per_symbol), and
     reference_symbols, the (num_streams, payload_length) points that
     map_bits gives for them. Callers must pass exactly those points, as
-    scenario._payload does; the BER below relies on it.
+    scenario._frame does; the BER below relies on it.
 
     One SVD of conj(h_est) gives the condition number sigma_max / sigma_min
     and the pseudo-inverse, formed as np.linalg.pinv forms it, bit for bit

@@ -423,11 +423,12 @@ def test_payload_bits_are_the_bytes_of_one_int64_draw():
                                 {"frame.payload_symbols": payload})
     sc = scen.Scenario.from_dict(data)
     frame = sc.frame(2)
-    bits, symbols = scen._payload(sc, frame, scen._seed(sc, 0))
+    bits, words = scen._payload(sc, frame, scen._seed(sc, 0))
     assert bits.size // scen.BIT_CHUNK == 3 and bits.size % scen.BIT_CHUNK != 0
     want = np.random.default_rng(scen._seed(sc, 0)).integers(0, 2, size=(2, payload * 4))
     assert bits.dtype == np.uint8 and np.array_equal(bits, want)
-    assert np.array_equal(symbols, txrx.map_bits(want.ravel(), sc.scheme).reshape(2, -1))
+    assert np.array_equal(sc.scheme.points[words],
+                          txrx.map_bits(want.ravel(), sc.scheme).reshape(2, -1))
 
 
 def test_long_noisy_frame_peaks_within_1_mib_of_the_noiseless_one():
@@ -556,9 +557,9 @@ def held_and_written(overrides: dict) -> None:
     frame = sc.frame(2)
     sps = sc.samples_per_symbol * sc.oversample
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
-    bits, _ = scen._payload(sc, frame, scen._seed(sc, 0))
+    _, words = scen._payload(sc, frame, scen._seed(sc, 0))
     carrier = core.tone_envelope(frame.num_symbols * sps, sc.envelope_rate(), 0.0)
-    rx = surface_pass(carrier, txrx.symbols_to_schedule(bits, frame, sc.scheme,
+    rx = surface_pass(carrier, txrx.symbols_to_schedule(words, frame, sc.scheme,
                                                         sc.quantization),
                       sc.stream_of_cell, channels)
     rx, noise, want_head = received(sc, rx, frame.num_symbols, scen._noise_seeds(sc, [1, 2]))

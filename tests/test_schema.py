@@ -531,8 +531,8 @@ def receive_phase_means(overrides: dict) -> tuple:
     finally:
         txrx.detect = detect
     frame = sc.frame(1)
-    _, symbols = scen._payload(sc, frame, scen._seed(sc, 1))
-    sent = np.concatenate([frame.pilots, symbols], axis=1)[0]
+    _, words = scen._payload(sc, frame, scen._seed(sc, 1))
+    sent = np.concatenate([frame.pilots, sc.scheme.points[words]], axis=1)[0]
     feed = sc.points.indices_with_role("feed")[0]
     back = propagation.build_channels(sc.geometry, core.PointSet(
         sc.points.positions[[1, feed]], ("feed", "rx")), sc.channel)

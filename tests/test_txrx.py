@@ -19,6 +19,7 @@ from metalink.txrx import (
     DetectionError,
     FrameSpec,
     ModulationScheme,
+    bit_words,
     demap_symbols,
     detect,
     get_scheme,
@@ -310,7 +311,7 @@ def test_quantized_schedule_snaps_payload():
     frame = FrameSpec(1, 1, 1e6, 1)
     quant = QuantizationModel(phase_levels=2)
     # 8PSK word 0b001 is the point at pi/4, nearer phase 0 than phase pi
-    sched = symbols_to_schedule([[0, 0, 1]], frame, get_scheme("8PSK"), quant)
+    sched = symbols_to_schedule([[0b001]], frame, get_scheme("8PSK"), quant)
     assert sched.values[0, -1] == pytest.approx(1.0)
 
 
@@ -482,7 +483,8 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
     symbols = np.stack([map_bits(bits[s], scheme) for s in range(streams)])
     frame = FrameSpec(streams, payload, 1e6, samples_per_symbol)
     # one unit-fed cell per stream whose gain to antenna a is h[a, s]
-    schedule = symbols_to_schedule(bits, frame, scheme)
+    schedule = symbols_to_schedule(
+        np.stack([bit_words(bits[s], scheme) for s in range(streams)]), frame, scheme)
     carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
                             frame.symbol_rate * frame.samples_per_symbol, 4.25e9,
                             freq_offset=freq_offset)
@@ -688,7 +690,7 @@ def test_partition_permutation_leaves_stream_products_unchanged():
     frame = FrameSpec(2, 8, 1e6, 2)
     rng = np.random.default_rng(23)
     scheme = get_scheme("QPSK")
-    sched = symbols_to_schedule(rng.integers(0, 2, (2, 16)), frame, scheme)
+    sched = symbols_to_schedule(rng.integers(0, 4, (2, 8)), frame, scheme)
     feed = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     obs = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
 
