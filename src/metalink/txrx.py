@@ -124,8 +124,8 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
 
 
 def bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
-    """The bit words of a bit sequence, MSB-first per symbol (map_bits's point
-    indices); any bit but 0 or 1, 0.5 or NaN say, is refused before a cast."""
+    """The bit words of a bit sequence, MSB-first per symbol: map_bits's point
+    indices. A bit other than 0 or 1 (0.5, NaN) is refused before any cast."""
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bits must be 1-D")
