@@ -665,7 +665,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
-        one_period, num, den, step_rotation, cols = _ramp_table(
+        one_period, num, den, step_rotation, starts = _ramp_table(
             sc.staircase, sc.control_rate_hz, sc.oversample, sc.samples_per_symbol)
         weights, hold = propagation.pass_weights(
             rate, den, one_period, np.zeros(channels.num_cells, dtype=np.int64), channels)
@@ -687,8 +687,9 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
                              covered, steps, 1))
     means = weights
     if ramp:  # mean k is sent[k] * c[:, k mod K] (_ramp_table)
-        K = min(len(sent), len(cols))
-        c = (weights[:, cols[:K]] @ step_rotation) * _rotation(num * sps, den, K)
+        K = min(len(sent), len(starts))
+        cols = (starts[:K, np.newaxis] + np.arange(steps)) % weights.shape[1]
+        c = (weights[:, cols] @ step_rotation) * _rotation(num * sps, den, K)
         means = c[:, np.arange(len(sent)) % K]
         means *= sent
     rngs, noise = _head_noise(sc, noise_seeds, num_symbols)
@@ -718,11 +719,11 @@ def _ramp_table(staircase: metasurface.StaircaseRampSpec, control_rate: float,
     steps, at derotation phase k * sps * num / den = k * steps * num / L mod
     1: both repeat every K = L / gcd(steps, L) symbols, so class(k) = k mod K.
     Held: the one-period staircase, num/den = direction / (L * oversample),
-    each step's mean rotation over a symbol and each class's ramp steps, from
-    which _frame forms c[:, j], class j's first rotation times the symbol's
-    mean of the derotated weights. Phases are exact before exp (_rotation),
-    so each mean is within about 1e-15 of the derotated samples' mean,
-    relative to its magnitude, at any symbol index.
+    each step's mean rotation over a symbol and each class's first ramp
+    step, from which _frame forms c[:, j], class j's first rotation times
+    the symbol's mean of the derotated weights. Phases are exact before exp
+    (_rotation), so each mean is within about 1e-15 of the derotated
+    samples' mean, relative to its magnitude, at any symbol index.
     """
     L = staircase.steps_per_period
     num, den, sps = staircase.direction, L * oversample, steps * oversample
@@ -730,9 +731,8 @@ def _ramp_table(staircase: metasurface.StaircaseRampSpec, control_rate: float,
                                                den / (oversample * control_rate))
     core.read_only(one_period.values)
     step_rotation = _rotation(num, den, sps).reshape(steps, oversample).sum(axis=1) / sps
-    cols = (np.arange(L // math.gcd(steps, L))[:, np.newaxis] * steps
-            + np.arange(steps)) % L
-    return one_period, num, den, core.read_only(step_rotation), core.read_only(cols)
+    starts = np.arange(L // math.gcd(steps, L)) * steps % L
+    return one_period, num, den, core.read_only(step_rotation), core.read_only(starts)
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
