@@ -233,8 +233,8 @@ def symbols_to_schedule(words, frame: FrameSpec, scheme: ModulationScheme,
     Row s holds stream s's coefficients, one column per symbol at
     frame.symbol_rate, the pilots first, quantized per quant: each is looked
     up by its bit word in _quantized_tables, within the unit circle. The
-    surface pass holds each column for its symbol interval, and every cell
-    of stream s carries row s (propagation.surface_pass)."""
+    surface pass holds each column for its symbol interval, never expanded
+    to the envelope rate; every cell of stream s carries row s."""
     words = np.atleast_2d(words)
     if words.shape[0] != frame.num_streams:
         raise ValueError(
