@@ -183,9 +183,9 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     mismatch is a ContractViolation. Gains so large that the received power
     would overflow are a ConfigurationError.
 
-    Space-down-conversion mode calls this, since its DFT reads the whole
-    envelope, and it stays public because the acceptance gate drives the
-    surface through it.
+    Production forms its samples from pass_weights, so it never calls
+    this; it stays public because the acceptance gate and
+    scripts/conversion_loss_sweep.py drive the surface through it.
     """
     weights, hold = pass_weights(incident.sample_rate, len(incident), schedule,
                                  stream_of_cell, channels)

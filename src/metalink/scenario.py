@@ -404,10 +404,13 @@ def _cross_field_violations(valid: dict) -> list:
                     "control_rate_hz")
     steps = valid.get("staircase.steps_per_period")
     period = valid.get("staircase.period_s")
-    if None not in (steps, period, control) and \
-            abs(control * period - steps) > 1e-9 * steps:
+    if None not in (steps, period, control) and (
+            _product(steps, 1.0) == math.inf or abs(control * period - steps) > 1e-9 * steps):
         errs.append("staircase: control_rate_hz * period_s must equal "
                     "steps_per_period exactly (integer samples per period)")
+    errs.extend(f"quantization.{key}: must be at most 2**53 (the levels are "
+                "counted in float64)" for key in ("phase_levels", "amplitude_levels")
+                if (valid.get(f"quantization.{key}") or 0) > 2 ** 53)
     return errs
 
 
@@ -599,40 +602,49 @@ def _rotation_head(num: int, den: int, length: int) -> np.ndarray:
         np.exp(-2j * np.pi * (np.arange(length, dtype=np.int64) * num % den / den)))
 
 
-def _head_noise(sc: Scenario, noise_seeds, num_symbols: int) -> tuple:
-    """Each point's noise generator, and the first draws of a frame's
-    receiver noise; none when noise_seeds is None.
+def _held(row: np.ndarray, sent, count: int, steps: int, hold: int) -> np.ndarray:
+    """count symbols of samples from one row of weights: value j of symbol
+    k is sent[k] * row[(k * steps + j) mod len(row)], held for hold samples.
+    sent is one number for all symbols, or one per symbol (at least count).
+    The samples are written once, into a fresh array."""
+    samples = np.empty((count, steps, hold), dtype=np.complex128)
+    np.multiply(np.reshape(sent, (-1, 1, 1))[:count],
+                row[np.arange(count * steps) % len(row)].reshape(count, steps, 1),
+                out=samples)
+    return samples.reshape(-1)
+
+
+def _add_noise(sc: Scenario, noise_seeds, means, head, num: int, den: int) -> None:
+    """Add a frame's receiver noise, in place, to point 0's head samples and
+    to the (points x symbols) per-symbol means; none when noise_seeds is None.
 
     Each point's received samples carry i.i.d. circular complex Gaussian
-    noise of variance noise_psd. The periodogram reads point 0's first
-    spectrum_length samples, so point 0 draws the noise of the whole
-    symbols they cover, the frame adds its written head samples to it, and
-    those symbols' means add the mean of their (derotated) noise (_frame).
-    Point p draws from default_rng(noise_seeds[p]) standard normals in
-    pairs, the real and then the imaginary part of one value: point 0 first
-    those samples, in order; then _add_noise.
+    noise of variance noise_psd. Point p draws from default_rng(noise_seeds[p])
+    standard normals in pairs, the real and then the imaginary part of one
+    value. Point 0 first draws one value per head sample, in order: the
+    head adds it, and each symbol the head covers adds the mean of its
+    samples' noise, derotated by exp(-2j*pi*n*num/den) at sample n. The
+    mean of sps samples of noise of variance noise_psd is one circular
+    Gaussian of variance noise_psd / sps, so each other mean gets one draw
+    of it: each point, in order, continues its generator with one pair per
+    mean.
     """
     if noise_seeds is None:
-        return [], np.empty(0, dtype=np.complex128)
+        return
     sps = sc.samples_per_symbol * sc.oversample
+    covered = len(head) // sps
     rngs = [np.random.default_rng(seed) for seed in noise_seeds]
-    covered = -(-sc.spectrum_length(num_symbols * sps) // sps)
-    noise = np.empty(covered * sps, dtype=np.complex128)
+    noise = np.empty(len(head), dtype=np.complex128)
     rngs[0].standard_normal(out=noise.view(np.float64))
     noise *= np.sqrt(sc.noise_psd / 2.0)
-    return rngs, noise
-
-
-def _add_noise(sc: Scenario, means, rngs, noise) -> None:
-    """Add receiver noise, in place, to the (points x symbols) per-symbol
-    means that point 0's head noise (_head_noise) does not cover. The mean
-    of sps samples of noise of variance noise_psd is one circular Gaussian
-    of variance noise_psd / sps, so each such mean gets one draw of it:
-    each point, in order, continues its generator with one pair per mean."""
-    sps = sc.samples_per_symbol * sc.oversample
+    # sample i of symbol k is derotated by start[k] * within[i]
+    means[0, :covered] += np.einsum(
+        "ki,i->k", noise.reshape(covered, sps), _rotation(num, den, sps)) * (
+        _rotation(num * sps, den, covered) / sps)
+    head += noise
     scale = np.sqrt(sc.noise_psd / (2.0 * sps))
     for p, rng in enumerate(rngs):
-        first = len(noise) // sps if p == 0 else 0
+        first = covered if p == 0 else 0
         noise = np.empty(means.shape[1] - first, dtype=np.complex128)
         rng.standard_normal(out=noise.view(np.float64))
         noise *= scale
@@ -656,9 +668,8 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     Each mean is sent[k] * c[class(k)] in closed form: a link symbol holds
     one value, its mean, so c is carrier * weights with a unit carrier; the
     receive phase forms c once per class (_ramp_table). Only point 0's first
-    ceil(spectrum_length / sps) symbols, the spectrum head, are written; with
-    noise they are added to its head noise (_head_noise), whose derotated
-    mean their means add; then every other mean gets its noise (_add_noise).
+    ceil(spectrum_length / sps) symbols, the spectrum head, are written
+    (_held); _add_noise then adds the noise to the head and to the means.
     """
     frame = sc.frame(num_streams)
     bits, words = _payload(sc, frame, bits_seed)
@@ -677,14 +688,10 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
         num, den = 0, 1
     symbols = sc.scheme.points[words]  # map_bits of the bits
     del words
-    sent = np.concatenate([frame.pilots, symbols], axis=1)[0] if ramp else None
+    sent = np.concatenate([frame.pilots, symbols], axis=1)[0] if ramp else 1.0
     steps = sps // hold
     length = sc.spectrum_length(num_symbols * sps)
-    covered = -(-length // sps)
-    # point 0's head, one value per ramp step, each held for hold samples
-    signal = np.multiply(1.0 if sent is None else sent[:covered, np.newaxis, np.newaxis],
-                         weights[0, np.arange(covered * steps) % weights.shape[1]].reshape(
-                             covered, steps, 1))
+    head = _held(weights[0], sent, -(-length // sps), steps, hold)
     means = weights
     if ramp:  # mean k is sent[k] * c[:, k mod K] (_ramp_table)
         K = min(len(sent), len(starts))
@@ -692,19 +699,9 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
         c = (weights[:, cols] @ step_rotation) * _rotation(num * sps, den, K)
         means = c[:, np.arange(len(sent)) % K]
         means *= sent
-    rngs, noise = _head_noise(sc, noise_seeds, num_symbols)
-    if len(noise):  # sample i of symbol k is derotated by start[k] * within[i]
-        means[0, :covered] += np.einsum(
-            "ki,i->k", noise.reshape(covered, sps), _rotation(num, den, sps)) * (
-            _rotation(num * sps, den, covered) / sps)
-        head = noise
-        by_step = head.reshape(covered, steps, hold)
-        by_step += signal
-    else:
-        head = np.broadcast_to(signal, (covered, steps, hold)).reshape(-1)
-    _add_noise(sc, means, rngs, noise)
+    _add_noise(sc, noise_seeds, means, head, num, den)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
-    del bits, means, weights, sent, signal  # freed before the periodogram
+    del bits, means, weights, sent  # freed before the periodogram
     report.spectra[tag] = spectral.periodogram(
         core.ComplexEnvelope(head[:length], rate, sc.carrier_freq_hz))
     return report
@@ -727,8 +724,7 @@ def _ramp_table(staircase: metasurface.StaircaseRampSpec, control_rate: float,
     """
     L = staircase.steps_per_period
     num, den, sps = staircase.direction, L * oversample, steps * oversample
-    one_period = metasurface.compile_staircase(staircase, control_rate,
-                                               den / (oversample * control_rate))
+    one_period = metasurface.compile_staircase(staircase, control_rate, L / control_rate)
     core.read_only(one_period.values)
     step_rotation = _rotation(num, den, sps).reshape(steps, oversample).sum(axis=1) / sps
     starts = np.arange(L // math.gcd(steps, L)) * steps % L
@@ -774,32 +770,32 @@ def simulate(sc: Scenario) -> ScenarioResult:
     integrated mode, and the feed antenna of the receive phase from the last
     child, so each mode draws what it drew when it spawned fewer children.
 
-    A frame draws its noise as _head_noise and _add_noise say. SDC mode takes
-    point 0's envelope whole from propagation.surface_pass, for the DFT over
-    whole ramp periods, and adds per-sample noise to it: all real parts, then
-    all imaginary parts. Its input spectrum, the feed's unit tone's, is in
-    closed form: power 1 in the 0 Hz bin and 0 in every other.
+    A frame draws its noise as _add_noise says. SDC mode writes point 0's
+    whole envelope, for the DFT over whole ramp periods: the weights of one
+    ramp period (propagation.pass_weights) repeated sdc_periods times on the
+    feed's unit tone (_held). It adds per-sample noise to it: all real
+    parts, then all imaginary parts. Its input spectrum, the unit tone's, is
+    in closed form: power 1 in the 0 Hz bin and 0 in every other.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
     if sc.mode == "space_down_conversion":
-        carrier = core.tone_envelope(
-            sc.sdc_periods * sc.staircase.steps_per_period * sc.oversample,
-            sc.envelope_rate(), sc.carrier_freq_hz)
-        ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                             len(carrier) / sc.envelope_rate())
-        rx = propagation.surface_pass(
-            carrier, ramp, np.zeros(channels.num_cells, dtype=np.int64),
-            propagation.ChannelSet(channels.feed_gains, channels.obs_gains[:, :1]))[0].samples
+        L, rate = sc.staircase.steps_per_period, sc.envelope_rate()
+        one_period = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                                   L / sc.control_rate_hz)
+        weights, hold = propagation.pass_weights(
+            rate, L * sc.oversample, one_period, np.zeros(channels.num_cells, dtype=np.int64),
+            propagation.ChannelSet(channels.feed_gains, channels.obs_gains[:, :1]))
+        rx = _held(weights[0], 1.0, sc.sdc_periods, L, hold)
         if sc.noise_psd > 0.0:  # from point 0's child, 1 + p
             rng = np.random.default_rng(_seed(sc, 1))
             rx += np.sqrt(sc.noise_psd / 2.0) * (
                 rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
-        tone = np.zeros(len(carrier))
-        tone[len(carrier) - len(carrier) // 2 - 1] = 1.0
+        tone = np.zeros(len(rx))
+        tone[len(rx) - len(rx) // 2 - 1] = 1.0
         report = txrx.LinkReport(spectra={
-            "input": spectral.Spectrum(tone, carrier.sample_rate / len(carrier)),
-            "output": spectral.periodogram(carrier.with_samples(rx))})
+            "input": spectral.Spectrum(tone, rate / len(rx)),
+            "output": spectral.periodogram(core.ComplexEnvelope(rx, rate, sc.carrier_freq_hz))})
     else:
         first = 2 if integrated else 1
         report = _frame(sc, channels, int(sc.stream_of_cell.max()) + 1, _seed(sc, 0),

@@ -465,7 +465,11 @@ def _run_sdc(sc, data):
     rx = surface_pass(carrier, ramp, whole.stream_of_cell, channels,
                       sc.noise_psd, seeds[1:1 + channels.num_points])
     report = txrx.LinkReport()
-    report.spectra["input"] = spectral.periodogram(carrier)
+    # the unit tone's exact spectrum, power 1 at 0 Hz: the fast transform of
+    # the tone leaves rounding residue in the other bins at some lengths
+    grid = spectral.periodogram(carrier)
+    report.spectra["input"] = spectral.Spectrum(
+        (grid.frequencies == 0.0).astype(float), grid.resolution)
     report.spectra["output"] = spectral.periodogram(rx[0])
     summary = _summarize(sc, {"link": report})
     out_spec = report.spectra["output"]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -651,8 +652,9 @@ def chi_square_z(noise, variance) -> float:
 @pytest.mark.parametrize("expected_shift", [0.0, 3e6])
 def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift):
     # the old draw: noise on every sample of a silent envelope, integrated
-    # (and derotated); the new one: _head_noise integrated over the symbols
-    # it covers, and _add_noise on the other means
+    # (and derotated); the new one: _add_noise on a silent 4000-sample head,
+    # whose symbols' means it derotates at num/den = expected_shift / fs,
+    # and on the other means
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), {
         "channel.noise_psd": 0.3, "spectrum_bins": 4000})
     sc = scen.Scenario.from_dict(data)
@@ -664,15 +666,20 @@ def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift
         np.ones((1, symbols * sps), dtype=complex), fs), [0],
         propagation.ChannelSet(np.ones(1), np.ones((1, points))), sc.noise_psd, seeds),
         symbols, expected_shift)
-    rngs, noise = scen._head_noise(sc, seeds, symbols)
+    shift = Fraction(expected_shift) / Fraction(fs)
+    head = np.zeros(sc.spectrum_length(symbols * sps), dtype=complex)
     new = np.zeros((points, symbols), dtype=complex)
-    covered = len(noise) // sps
-    new[0, :covered] = integrate([silent.with_samples(noise)], covered, expected_shift)[0]
-    scen._add_noise(sc, new, rngs, noise)
-    assert len(noise) == 4000
+    scen._add_noise(sc, seeds, new, head, shift.numerator, shift.denominator)
+    covered = len(head) // sps
+    assert covered * sps == 4000
+    # the head holds the noise whose derotated means the covered symbols
+    # hold, within the rounding of a mean of sps samples (assert_close_result)
+    np.testing.assert_allclose(
+        new[0, :covered], integrate([silent.with_samples(head)], covered, expected_shift)[0],
+        rtol=0, atol=4 * sps * np.finfo(float).eps * np.abs(head).max())
     for means in (old, new):
         assert abs(chi_square_z(means, sc.noise_psd / sps)) < 5.0
-    assert abs(chi_square_z(noise, sc.noise_psd)) < 5.0
+    assert abs(chi_square_z(head, sc.noise_psd)) < 5.0
 
 
 def test_integrated_switch_decodes_under_moderate_noise():

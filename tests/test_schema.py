@@ -256,24 +256,69 @@ def test_an_envelope_rate_that_overflows_is_a_violation(name, overrides):
     assert scen.validate(bundled(name, overrides)) == [ENVELOPE_OVERFLOW]
 
 
+def cli_violations(command, name, overrides, tmp_path, capsys) -> list:
+    """The stderr lines of metalink validate or run, which must exit 1."""
+    out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+    pairs = [arg for key, value in overrides.items()
+             for arg in ("--override", f"{key}={json.dumps(value)}")]
+    assert cli.main([command, name, *out, *pairs]) == 1
+    return capsys.readouterr().err.splitlines()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("name, overrides", ENVELOPE_OVERFLOWS.values(),
                          ids=ENVELOPE_OVERFLOWS.keys())
 def test_the_cli_names_an_envelope_rate_that_overflows(command, name, overrides,
                                                         tmp_path, capsys):
-    out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
-    pairs = [arg for key, value in overrides.items()
-             for arg in ("--override", f"{key}={json.dumps(value)}")]
-    assert cli.main([command, name, *out, *pairs]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"violation: {ENVELOPE_OVERFLOW}"]
+    assert cli_violations(command, name, overrides, tmp_path, capsys) == [
+        f"violation: {ENVELOPE_OVERFLOW}"]
 
 
-def test_a_samples_per_symbol_too_large_for_a_float_is_a_violation():
+STAIRCASE_RULE = ("staircase: control_rate_hz * period_s must equal steps_per_period "
+                  "exactly (integer samples per period)")
+LEVELS_RULE = "quantization.{}: must be at most 2**53 (the levels are counted in float64)"
+# integers too large for a float, each named by the rule it breaks
+HUGE_INTEGERS = {
     # symbol_rate_baud * samples_per_symbol cannot be formed as a float
-    violations = scen.validate(bundled("mimo2x2_16qam",
-                                       {"frame.samples_per_symbol": 10 ** 400}))
-    assert violations == ["frame: symbol_rate_baud * samples_per_symbol must equal "
-                          "control_rate_hz"]
+    "samples_per_symbol": ("mimo2x2_16qam", {"frame.samples_per_symbol": 10 ** 400},
+                           "frame: symbol_rate_baud * samples_per_symbol must equal "
+                           "control_rate_hz"),
+    # nor control_rate_hz * period_s - steps_per_period
+    "sdc_steps": ("sdc_5mhz", {"staircase.steps_per_period": 10 ** 400}, STAIRCASE_RULE),
+    "integrated_steps": ("integrated_switch", {"staircase.steps_per_period": 10 ** 400},
+                         STAIRCASE_RULE),
+    # the quantizer would scale its phases and amplitudes by these
+    "phase_levels": ("mimo2x2_16qam", {"quantization.phase_levels": 10 ** 400},
+                     LEVELS_RULE.format("phase_levels")),
+    "amplitude_levels": ("mimo2x2_16qam", {"quantization.amplitude_levels": 10 ** 400},
+                         LEVELS_RULE.format("amplitude_levels")),
+    # an int64 phase grid index overflows from 2**63 levels
+    "phase_levels_int64": ("integrated_switch", {"quantization.phase_levels": 2 ** 63},
+                           LEVELS_RULE.format("phase_levels")),
+}
+
+
+@pytest.mark.parametrize("name, overrides, violation", HUGE_INTEGERS.values(),
+                         ids=HUGE_INTEGERS.keys())
+def test_an_integer_too_large_for_a_float_is_a_violation(name, overrides, violation):
+    assert scen.validate(bundled(name, overrides)) == [violation]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, overrides, violation", HUGE_INTEGERS.values(),
+                         ids=HUGE_INTEGERS.keys())
+def test_the_cli_names_an_integer_too_large_for_a_float(command, name, overrides,
+                                                        violation, tmp_path, capsys):
+    assert cli_violations(command, name, overrides, tmp_path, capsys) == [
+        f"violation: {violation}"]
+
+
+@pytest.mark.parametrize("key", ["phase_levels", "amplitude_levels"])
+def test_2_to_the_53_levels_run(key):
+    data = bundled("mimo2x2_16qam", {**SHRUNK["mimo2x2_16qam"],
+                                     f"quantization.{key}": 2 ** 53})
+    result = scen.simulate(scen.Scenario.from_dict(data))
+    assert np.all(result.reports["link"].ber == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +431,18 @@ WIRING_CASES = [
         "channel.noise_psd": 0.01, "points": SHRUNK_DATA["sdc_5mhz"]["points"] + [
             {"position_m": [x, 0.1, 0.6], "role": "rx"} for x in (-0.2, 0.1)]},
         id="sdc_three_points"),
+] + [
+    # simulate writes the SDC envelope from one ramp period, the reference
+    # runner passes a whole-run staircase: odd periods, one sample a step; at
+    # a control rate of 2**27 Hz the period is exact, so the runners' two
+    # forms of the expected line, direction / period_s and direction *
+    # control_rate_hz / L, agree
+    pytest.param("sdc_5mhz", {
+        "control_rate_hz": 2 ** 27, "staircase.steps_per_period": L,
+        "staircase.period_s": L / 2 ** 27, "oversample": 1, "staircase.direction": "up",
+        "staircase.amplitude": 0.8, "channel.noise_psd": psd},
+        id=f"sdc_L{L}_up-psd{psd}")
+    for L in (3, 7) for psd in (0, 0.01)
 ]
 
 # these cases restore the bundled frame sizes: in mimo2x2_16qam the first
