@@ -658,28 +658,30 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
 
     A link frame (ramp False) writes num_streams streams of symbols onto the
     feed's unit tone, so symbol k reaches point p as weights[p, k] =
-    sum_s G[s, p] * x[s, k] (propagation.pass_weights). In the receive phase
-    (ramp True) one stream sent[k] reaches the ramping surface: sample i of
-    symbol k at point p is sent[k] * w[p, (k * steps + i // hold) % L], w
-    the weights of one ramp period, derotated by exp(-2j*pi*n*num/den) at
-    sample n, num/den = direction / (L * oversample), the ramp's own line
-    (Scenario.ramp_line_hz) whatever period_s rounds to.
+    sum_s G[s, p] * x[s, k] (propagation.pass_weights), and a symbol holds
+    one value, its mean. In the receive phase (ramp True) one stream sent[k]
+    reaches the ramping surface, whose one-period weights (_ramp_weights)
+    are w[p, m] = w[p, 0] * exp(2j*pi*direction*m/L) to rounding. Sample
+    n = (k * steps + j) * hold + i of symbol k (j < steps, i < hold) is
+    sent[k] * w[p, (k * steps + j) mod L], derotated by exp(-2j*pi*n*num/den),
+    num/den = direction / (L * hold), the ramp's own line
+    (Scenario.ramp_line_hz) whatever period_s rounds to. Each step's phase
+    cancels that of its derotation, so every mean is sent[k] * w[p, 0] * rho,
+    rho the mean of exp(-2j*pi*i*num/den) over i < hold (_rotation, its
+    phases exact); |rho| = sin(pi/L) / (hold sin(pi/(L hold))) is the
+    ramp's conversion gain.
 
-    Each mean is sent[k] * c[class(k)] in closed form: a link symbol holds
-    one value, its mean, so c is carrier * weights with a unit carrier; the
-    receive phase forms c once per class (_ramp_table). Only point 0's first
-    ceil(spectrum_length / sps) symbols, the spectrum head, are written
-    (_held); _add_noise then adds the noise to the head and to the means.
+    Only point 0's first ceil(spectrum_length / sps) symbols, the spectrum
+    head, are written (_held); _add_noise then adds the noise to the head
+    and to the means.
     """
     frame = sc.frame(num_streams)
     bits, words = _payload(sc, frame, bits_seed)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
-        one_period, num, den, step_rotation, starts = _ramp_table(
-            sc.staircase, sc.control_rate_hz, sc.oversample, sc.samples_per_symbol)
-        weights, hold = propagation.pass_weights(
-            rate, den, one_period, np.zeros(channels.num_cells, dtype=np.int64), channels)
+        weights, hold = _ramp_weights(sc, channels)
+        num, den = sc.staircase.direction, sc.staircase.steps_per_period * hold
     else:
         schedule = txrx.symbols_to_schedule(words, frame, sc.scheme, sc.quantization)
         weights, hold = propagation.pass_weights(rate, num_symbols * sps, schedule,
@@ -689,16 +691,11 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     symbols = sc.scheme.points[words]  # map_bits of the bits
     del words
     sent = np.concatenate([frame.pilots, symbols], axis=1)[0] if ramp else 1.0
-    steps = sps // hold
     length = sc.spectrum_length(num_symbols * sps)
-    head = _held(weights[0], sent, -(-length // sps), steps, hold)
+    head = _held(weights[0], sent, -(-length // sps), sps // hold, hold)
     means = weights
-    if ramp:  # mean k is sent[k] * c[:, k mod K] (_ramp_table)
-        K = min(len(sent), len(starts))
-        cols = (starts[:K, np.newaxis] + np.arange(steps)) % weights.shape[1]
-        c = (weights[:, cols] @ step_rotation) * _rotation(num * sps, den, K)
-        means = c[:, np.arange(len(sent)) % K]
-        means *= sent
+    if ramp:
+        means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
     _add_noise(sc, noise_seeds, means, head, num, den)
     report = txrx.detect(means, frame, sc.scheme, bits, symbols)
     del bits, means, weights, sent  # freed before the periodogram
@@ -707,28 +704,15 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     return report
 
 
-@functools.lru_cache(maxsize=32)
-def _ramp_table(staircase: metasurface.StaircaseRampSpec, control_rate: float,
-                oversample: int, steps: int) -> tuple:
-    """The receive phase's constants at steps control steps a symbol.
-
-    Symbol k starts at ramp step k * steps mod L and, as den = L * sps /
-    steps, at derotation phase k * sps * num / den = k * steps * num / L mod
-    1: both repeat every K = L / gcd(steps, L) symbols, so class(k) = k mod K.
-    Held: the one-period staircase, num/den = direction / (L * oversample),
-    each step's mean rotation over a symbol and each class's first ramp
-    step, from which _frame forms c[:, j], class j's first rotation times
-    the symbol's mean of the derotated weights. Phases are exact before exp
-    (_rotation), so each mean is within about 1e-15 of the derotated
-    samples' mean, relative to its magnitude, at any symbol index.
-    """
-    L = staircase.steps_per_period
-    num, den, sps = staircase.direction, L * oversample, steps * oversample
-    one_period = metasurface.compile_staircase(staircase, control_rate, L / control_rate)
-    core.read_only(one_period.values)
-    step_rotation = _rotation(num, den, sps).reshape(steps, oversample).sum(axis=1) / sps
-    starts = np.arange(L // math.gcd(steps, L)) * steps % L
-    return one_period, num, den, core.read_only(step_rotation), core.read_only(starts)
+def _ramp_weights(sc: Scenario, channels: propagation.ChannelSet) -> tuple:
+    """(weights, hold) of one ramp period at the observation points of
+    channels: weights[p, m] is point p's gain while step m of the staircase
+    holds, for hold samples, and the ramp repeats them every L steps."""
+    L = sc.staircase.steps_per_period
+    one_period = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
+                                               L / sc.control_rate_hz)
+    return propagation.pass_weights(sc.envelope_rate(), L * sc.oversample, one_period,
+                                    np.zeros(channels.num_cells, dtype=np.int64), channels)
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
@@ -772,7 +756,7 @@ def simulate(sc: Scenario) -> ScenarioResult:
 
     A frame draws its noise as _add_noise says. SDC mode writes point 0's
     whole envelope, for the DFT over whole ramp periods: the weights of one
-    ramp period (propagation.pass_weights) repeated sdc_periods times on the
+    ramp period (_ramp_weights) repeated sdc_periods times on the
     feed's unit tone (_held). It adds per-sample noise to it: all real
     parts, then all imaginary parts. Its input spectrum, the unit tone's, is
     in closed form: power 1 in the 0 Hz bin and 0 in every other.
@@ -780,13 +764,10 @@ def simulate(sc: Scenario) -> ScenarioResult:
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
     if sc.mode == "space_down_conversion":
-        L, rate = sc.staircase.steps_per_period, sc.envelope_rate()
-        one_period = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                                   L / sc.control_rate_hz)
-        weights, hold = propagation.pass_weights(
-            rate, L * sc.oversample, one_period, np.zeros(channels.num_cells, dtype=np.int64),
-            propagation.ChannelSet(channels.feed_gains, channels.obs_gains[:, :1]))
-        rx = _held(weights[0], 1.0, sc.sdc_periods, L, hold)
+        weights, hold = _ramp_weights(sc, propagation.ChannelSet(
+            channels.feed_gains, channels.obs_gains[:, :1]))
+        rx = _held(weights[0], 1.0, sc.sdc_periods, weights.shape[1], hold)
+        rate = sc.envelope_rate()
         if sc.noise_psd > 0.0:  # from point 0's child, 1 + p
             rng = np.random.default_rng(_seed(sc, 1))
             rx += np.sqrt(sc.noise_psd / 2.0) * (

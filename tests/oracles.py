@@ -454,6 +454,12 @@ def _run_transmit_link(sc, data):
     return ScenarioResult(sc, {"link": report}, summary)
 
 
+def _ramp_line(sc) -> float:
+    """The staircase's fundamental: compile_staircase steps through its L
+    values once per L control steps, whatever period_s rounds to."""
+    return sc.staircase.direction * sc.control_rate_hz / sc.staircase.steps_per_period
+
+
 def _run_sdc(sc, data):
     seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
     channels = propagation.build_channels(sc.geometry, sc.points, _channel_model(data))
@@ -475,7 +481,7 @@ def _run_sdc(sc, data):
     out_spec = report.spectra["output"]
     # of the lines within a relative 1e-9 of the peak power, the one nearest
     # the expected line
-    peak, expected = max(out_spec.power), sc.staircase.frequency_shift
+    peak, expected = max(out_spec.power), _ramp_line(sc)
     summary["strongest_line_hz"] = min(
         (float(f) for f, p in zip(out_spec.frequencies, out_spec.power)
          if p >= (1.0 - 1e-9) * peak), key=lambda f: abs(f - expected))
@@ -516,7 +522,7 @@ def _run_integrated(sc, data):
                                          len(incident) / env_rate)
     whole = _partition(sc, "full")
     rx = surface_pass(incident, ramp, whole.stream_of_cell, channels_rx)
-    shift = sc.staircase.frequency_shift
+    shift = _ramp_line(sc)
     rx, noise, head = _received(sc, rx, frame.num_symbols, seeds[-1:])
     rx_report = _link_report(receive_frame(rx, frame, scheme, shift, reference=symbols,
                                            noise=noise))
@@ -524,7 +530,7 @@ def _run_integrated(sc, data):
 
     reports = {"transmit": tx_report, "receive": rx_report}
     summary = _summarize(sc, reports)
-    summary["expected_line_hz"] = sc.staircase.frequency_shift
+    summary["expected_line_hz"] = shift
     return ScenarioResult(sc, reports, summary)
 
 

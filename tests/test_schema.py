@@ -433,16 +433,23 @@ WIRING_CASES = [
         id="sdc_three_points"),
 ] + [
     # simulate writes the SDC envelope from one ramp period, the reference
-    # runner passes a whole-run staircase: odd periods, one sample a step; at
-    # a control rate of 2**27 Hz the period is exact, so the runners' two
-    # forms of the expected line, direction / period_s and direction *
-    # control_rate_hz / L, agree
+    # runner passes a whole-run staircase: odd periods, one sample a step;
+    # both take the line as direction * control_rate_hz / L, which a period
+    # of L * 1e-8 s does not give exactly as direction / period_s
     pytest.param("sdc_5mhz", {
-        "control_rate_hz": 2 ** 27, "staircase.steps_per_period": L,
-        "staircase.period_s": L / 2 ** 27, "oversample": 1, "staircase.direction": "up",
-        "staircase.amplitude": 0.8, "channel.noise_psd": psd},
+        "staircase.steps_per_period": L, "staircase.period_s": L * 1e-8,
+        "oversample": 1, "staircase.direction": "up", "staircase.amplitude": 0.8,
+        "channel.noise_psd": psd},
         id=f"sdc_L{L}_up-psd{psd}")
     for L in (3, 7) for psd in (0, 0.01)
+] + [
+    # the receive phase at an odd ramp period of 21 samples, against the
+    # reference runner's derotation of every written sample
+    pytest.param("integrated_switch", {
+        "staircase.steps_per_period": 7, "staircase.period_s": 7e-8, "oversample": 3,
+        "staircase.direction": direction, "channel.noise_psd": psd},
+        id=f"integrated_L7_{direction}-psd{psd}")
+    for direction in ("down", "up") for psd in (0, 0.01)
 ]
 
 # these cases restore the bundled frame sizes: in mimo2x2_16qam the first
@@ -551,18 +558,18 @@ def assert_close_result(got, want, sc):
         assert key_summary["streams"] == want.summary["reports"][key]["streams"]
 
 
-# receive-phase class structures: with samples_per_symbol 40 steps per
-# symbol, L = 20 puts every symbol in one class; L = 7 with oversample 3
-# (P = 21) gives 7 ramp classes and 7 start phases; a period of 7e-8 s
-# stretched by 3e-10, which validate accepts, is no whole number of samples,
-# so the derotation takes the exact ratio of the floats and its start phases
-# never repeat; L = 2 at one sample per symbol alternates the ramp's sign
+# receive-phase ramps: at samples_per_symbol 40 control steps a symbol,
+# L = 20 starts every symbol on the ramp's first step; L = 7 with oversample
+# 3 (a 21-sample period) starts the symbols on each of its 7 steps in turn,
+# in both directions; a period of 7e-8 s stretched by 3e-10, which validate
+# accepts, is no whole number of samples, and the derotation still runs at
+# the ramp's line; L = 2 at one sample per symbol alternates the ramp's sign
 CLASS_CASES = {
-    "one-class": {},
-    "seven-classes": {"staircase.steps_per_period": 7, "staircase.period_s": 7e-8,
-                      "oversample": 3},
-    "seven-classes-up": {"staircase.steps_per_period": 7, "staircase.period_s": 7e-8,
-                         "oversample": 3, "staircase.direction": "up"},
+    "bundled": {},
+    "L7-os3-down": {"staircase.steps_per_period": 7, "staircase.period_s": 7e-8,
+                    "oversample": 3},
+    "L7-os3-up": {"staircase.steps_per_period": 7, "staircase.period_s": 7e-8,
+                  "oversample": 3, "staircase.direction": "up"},
     "no-whole-period": {"staircase.steps_per_period": 7,
                         "staircase.period_s": 7e-8 * (1 + 3e-10), "oversample": 3},
     "two-steps": {"staircase.steps_per_period": 2, "staircase.period_s": 2e-8,
@@ -617,6 +624,28 @@ def test_the_last_means_of_a_long_frame_keep_their_precision():
     last = len(sent) - 50
     want = oracles.phase_exact_means(sc, sent, back, last, len(sent))
     assert np.max(np.abs(means[:, last:] - want)) / np.max(np.abs(want)) < 1e-14
+
+
+@pytest.mark.parametrize("direction", ["down", "up"])
+@pytest.mark.parametrize("oversample", [1, 2, 3, 16])
+@pytest.mark.parametrize("L", [2, 3, 7, 20])
+def test_receive_phase_means_carry_the_ramps_conversion_gain(L, oversample, direction):
+    # step m of the ramp is a exp(2j pi d m / L), and sample i of a step is
+    # derotated by exp(-2j pi d (m oversample + i) / (L oversample)), so the
+    # step's phase cancels and each mean is sent times the surface's gain
+    # sum feed obs, the amplitude a and the mean over i of the sample
+    # rotations, a Dirichlet kernel:
+    # sin(pi / L) / (os sin(pi / (L os))) exp(-j pi d (os - 1) / (L os))
+    sc, means, sent, back = receive_phase_means({
+        "staircase.steps_per_period": L, "staircase.period_s": L * 1e-8,
+        "oversample": oversample, "staircase.direction": direction,
+        "staircase.amplitude": 0.8})
+    d, os_ = sc.staircase.direction, oversample
+    gain = np.sum(back.feed_gains[:, np.newaxis] * back.obs_gains, axis=0)
+    rho = (np.sin(np.pi / L) / (os_ * np.sin(np.pi / (L * os_)))
+           * np.exp(-1j * np.pi * d * (os_ - 1) / (L * os_)))
+    ratio = means / (sent * gain[:, np.newaxis] * 0.8)
+    assert np.max(np.abs(ratio - rho)) <= 1e-14 * abs(rho)
 
 
 @pytest.mark.parametrize("overrides", [

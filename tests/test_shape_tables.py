@@ -60,8 +60,7 @@ def test_the_caches_are_the_expected_ones():
     assert set(CACHES) == {
         "metalink.core._cell_positions", "metalink.txrx._pilots",
         "metalink.txrx._quantized_tables",
-        "metalink.scenario._rotation_head",
-        "metalink.scenario._ramp_table", "metalink.spectral._harmonics"}
+        "metalink.scenario._rotation_head", "metalink.spectral._harmonics"}
 
 
 def test_cold_and_warm_caches_write_the_same_bytes(tmp_path):
