@@ -11,6 +11,10 @@ bit, on these runs:
     65 536-sample spectrum head and one value per other symbol mean;
   - the same noisy frame as QPSK on an 8-level phase grid: the only
     quantized reference run, at BER 0 and EVM 0.57 %;
+  - mimo2x2_16qam as 8PSK at frame.payload_symbols=50000 and
+    channel.noise_psd=1.0: 150 000 bits a stream, so its payload spans
+    several BIT_CHUNK draws, and a BER near 1e-3, so doubtful symbols are
+    demapped and scored;
   - um_mimo64: 64 QPSK streams on 2 x 2-cell blocks of a 16 x 16 surface,
     fed from 2 m, each received at its own point of an 8 x 8 grid of
     0.07 m pitch 0.15 m above the surface, free space, noiseless;
@@ -68,6 +72,9 @@ UM_MIMO64 = {
 # mimo2x2_16qam as a quantized QPSK frame, as overrides
 QPSK_PHASE8 = {"modulation": "QPSK", "quantization.phase_levels": 8,
                "frame.payload_symbols": 100000, "channel.noise_psd": 1e-3}
+# mimo2x2_16qam as a noisy multi-chunk 8PSK frame, as overrides
+PSK8_NOISY = {"modulation": "8PSK", "frame.payload_symbols": 50000,
+              "channel.noise_psd": 1.0}
 # sdc_5mhz with three observation points, as overrides
 SDC_THREE_POINTS = {
     "points": [{"position_m": [0.0, 0.0, 0.5], "role": "feed"}] + [
@@ -86,6 +93,8 @@ def _bundled_runs():
            {"frame.payload_symbols": 100000})
     yield ("mimo2x2_16qam QPSK phase_levels=8 payload_symbols=100000 noise_psd=1e-3",
            "mimo2x2_16qam", QPSK_PHASE8)
+    yield ("mimo2x2_16qam 8PSK payload_symbols=50000 noise_psd=1.0", "mimo2x2_16qam",
+           PSK8_NOISY)
     yield "um_mimo64", "mimo2x2_16qam", UM_MIMO64
     yield "sdc_5mhz three points noise_psd=0.01", "sdc_5mhz", SDC_THREE_POINTS
     yield ("integrated_switch spectrum_bins=null noise_psd=1e-7", "integrated_switch",

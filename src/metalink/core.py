@@ -131,13 +131,18 @@ def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
     return _cell_positions(geometry)
 
 
+def cell_axes(geometry: SurfaceGeometry) -> tuple:
+    """(x of each column, y of each row, z): cell (n, m) lies at (x[m], y[n], z)."""
+    ox, oy, oz = geometry.origin
+    x = ox + (np.arange(geometry.cols) - (geometry.cols - 1) / 2) * geometry.spacing
+    y = oy + (np.arange(geometry.rows) - (geometry.rows - 1) / 2) * geometry.spacing
+    return x, y, oz
+
+
 @functools.lru_cache(maxsize=4)  # a run reads one geometry; large ones are MBs
 def _cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
-    n, m = np.divmod(np.arange(geometry.num_cells), geometry.cols)
-    ox, oy, oz = geometry.origin
-    x = ox + (m - (geometry.cols - 1) / 2) * geometry.spacing
-    y = oy + (n - (geometry.rows - 1) / 2) * geometry.spacing
-    return read_only(np.column_stack([x, y, np.full_like(x, oz)]))
+    x, y, z = cell_axes(geometry)
+    return read_only(np.stack(np.broadcast_arrays(x, y[:, np.newaxis], z), -1).reshape(-1, 3))
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ from . import core, metasurface, propagation, spectral, txrx
 MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
-BIT_CHUNK = 1 << 16  # payload bits per int64 draw in _payload
+BIT_CHUNK = 1 << 16  # _payload draws at most this many bits at once, in whole symbols
 LINE_TIE = 1e-9  # relative power within which two spectral lines tie
 KINDS = propagation.CHANNEL_KINDS
 
@@ -338,7 +338,10 @@ def _walk(data: dict) -> tuple:
 
 def _cross_field_violations(valid: dict) -> list:
     """The rules that tie accepted fields together."""
-    errs = []
+    errs = [f"{key}: must be at most 2**53 (it is counted in float64)" for key in (
+        "geometry.rows", "geometry.cols", "sdc_periods", "frame.payload_symbols",
+        "quantization.phase_levels", "quantization.amplitude_levels")
+        if (valid.get(key) or 0) > 2 ** 53]
     mode, control = valid.get("mode"), valid.get("control_rate_hz")
     rows, cols, spacing, origin = (valid.get(f"geometry.{k}") for k in
                                    ("rows", "cols", "spacing_m", "origin_m"))
@@ -352,12 +355,11 @@ def _cross_field_violations(valid: dict) -> list:
         num_obs = len(points) - feeds
         if num_obs < 1:
             errs.append("points: at least one observation (non-feed) point required")
-        if None not in (num_cells, spacing, origin):
-            cells = core.cell_positions(
-                core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
+        if None not in (num_cells, spacing, origin) and max(rows, cols) <= 2 ** 53:
+            x, y, z = core.cell_axes(core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
             # a zero distance, as build_channels finds it, is a zero square on
             # each axis; the cells are every (x of a column, y of a row, z)
-            axes = cells[:cols, 0].tolist(), cells[::cols, 1].tolist(), cells[:1, 2].tolist()
+            axes = x.tolist(), y.tolist(), [z]
             errs.extend(f"points[{i}]: coincides with a unit-cell position"
                         for i, p in enumerate(points)
                         if all(any((c - v) * (c - v) == 0.0 for c in axis)
@@ -408,9 +410,6 @@ def _cross_field_violations(valid: dict) -> list:
             _product(steps, 1.0) == math.inf or abs(control * period - steps) > 1e-9 * steps):
         errs.append("staircase: control_rate_hz * period_s must equal "
                     "steps_per_period exactly (integer samples per period)")
-    errs.extend(f"quantization.{key}: must be at most 2**53 (the levels are "
-                "counted in float64)" for key in ("phase_levels", "amplitude_levels")
-                if (valid.get(f"quantization.{key}") or 0) > 2 ** 53)
     return errs
 
 
@@ -563,21 +562,22 @@ def _noise_seeds(sc: Scenario, indices) -> list | None:
     return [_seed(sc, i) for i in indices] if sc.noise_psd > 0.0 else None
 
 
-def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> tuple:
-    """Payload bits, uint8 (streams x payload x bits per symbol), drawn from
-    seed, and the (streams x payload) bit words they map to (txrx.bit_words).
+def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> np.ndarray:
+    """The payload's (streams x payload) bit words, drawn from seed, in
+    scheme.word_weights.dtype: txrx.bit_words of the bits of one int64 draw
+    integers(0, 2, size=streams * payload * bits per symbol).
 
-    The bits are those of one int64 draw integers(0, 2, size=bits.shape),
-    taken BIT_CHUNK at a time: the chunks continue the one draw's stream (a
-    uint8 draw would not), and only one chunk is held as int64.
+    The bits are drawn BIT_CHUNK // bits_per_symbol symbols at a time and
+    folded into words as drawn: the chunks continue the one draw's stream
+    (a uint8 draw would not), and only one chunk's bits are held.
     """
     rng = np.random.default_rng(seed)
-    bits = np.empty((frame.num_streams, frame.payload_length * sc.scheme.bits_per_symbol),
-                    dtype=np.uint8)
-    flat = bits.reshape(-1)
-    for i in range(0, flat.size, BIT_CHUNK):
-        flat[i:i + BIT_CHUNK] = rng.integers(0, 2, size=min(BIT_CHUNK, flat.size - i))
-    return bits, txrx.bit_words(flat, sc.scheme).reshape(frame.num_streams, -1)
+    b = sc.scheme.bits_per_symbol
+    words = np.empty(frame.num_streams * frame.payload_length, sc.scheme.word_weights.dtype)
+    for i in range(0, words.size, BIT_CHUNK // b):
+        chunk = words[i:i + BIT_CHUNK // b]
+        chunk[:] = txrx.bit_words(rng.integers(0, 2, size=chunk.size * b), sc.scheme)
+    return words.reshape(frame.num_streams, -1)
 
 
 def _rotation(num: int, den: int, count: int) -> np.ndarray:
@@ -676,7 +676,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     and to the means.
     """
     frame = sc.frame(num_streams)
-    bits, words = _payload(sc, frame, bits_seed)
+    words = _payload(sc, frame, bits_seed)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
@@ -688,17 +688,15 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
                                                  sc.stream_of_cell, channels)
         del schedule  # freed before the means are formed
         num, den = 0, 1
-    symbols = sc.scheme.points[words]  # map_bits of the bits
-    del words
-    sent = np.concatenate([frame.pilots, symbols], axis=1)[0] if ramp else 1.0
+    sent = np.concatenate([frame.pilots[0], sc.scheme.points[words[0]]]) if ramp else 1.0
     length = sc.spectrum_length(num_symbols * sps)
     head = _held(weights[0], sent, -(-length // sps), sps // hold, hold)
     means = weights
     if ramp:
         means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
     _add_noise(sc, noise_seeds, means, head, num, den)
-    report = txrx.detect(means, frame, sc.scheme, bits, symbols)
-    del bits, means, weights, sent  # freed before the periodogram
+    report = txrx.detect(means, frame, sc.scheme, words)
+    del words, means, weights, sent  # freed before the periodogram
     report.spectra[tag] = spectral.periodogram(
         core.ComplexEnvelope(head[:length], rate, sc.carrier_freq_hz))
     return report

@@ -1,19 +1,20 @@
 """Digital baseband to coefficient schedules and the full receive chain.
 
-Transmit side: bits, held as uint8, are Gray-mapped to peak-normalized
-constellation points and written directly into per-stream reflection
-coefficients, one coefficient per symbol interval, pilots first. There is
-no RF chain; the carrier is an air-fed single tone.
+Transmit side: each symbol's bit word (bit_words, MSB first) picks its
+Gray-coded, peak-normalized constellation point, written directly into
+per-stream reflection coefficients, one coefficient per symbol interval,
+pilots first. There is no RF chain; the carrier is an air-fed single tone.
 
 Receive side: detect takes the per-symbol means, which scenario forms in
 closed form (a rectangular matched filter, synchronized by construction):
 least-squares channel estimation from the pilot block, zero-forcing
-detection, and EVM/BER against the transmitted payload. The pilots are Hadamard rows, whose Gram matrix is pilot_length
-times the identity, so the estimate divides by the pilot length. A symbol
-closer to its reference point than the scheme's decision_radius cannot be
-decided wrongly, so detect runs nearest-point demapping only on the other
-symbols; demapping forms its distance table DEMAP_BLOCK symbols at a time
-and returns uint8 bits.
+detection, and EVM/BER against the sent words. The pilots are Hadamard
+rows, whose Gram matrix is pilot_length times the identity, so the
+estimate divides by the pilot length. A symbol closer to its reference
+point than the scheme's decision_radius cannot be decided wrongly, so
+detect runs nearest-point demapping only on the other symbols; demapping
+forms its distance table DEMAP_BLOCK symbols at a time and returns uint8
+bits.
 """
 
 from __future__ import annotations
@@ -275,16 +276,13 @@ class LinkReport:
         return len(self.detected_symbols)
 
 
-def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
-           reference_symbols) -> LinkReport:
+def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, words) -> LinkReport:
     """Detect one frame from its per-symbol means, (antennas, frame.num_symbols).
 
     LS-estimate the channel from the pilot block, zero-force with the
-    pseudo-inverse, and score each stream against the transmitted payload:
-    reference_bits, (num_streams, payload_length * bits_per_symbol), and
-    reference_symbols, the (num_streams, payload_length) points that
-    map_bits gives for them. Callers must pass exactly those points, as
-    scenario._frame does; the BER below relies on it.
+    pseudo-inverse, and score each stream against the transmitted payload,
+    given as its (num_streams, payload_length) bit words (bit_words): the
+    reference symbols are their points, scheme.points[words].
 
     One SVD of conj(h_est) gives the condition number sigma_max / sigma_min
     and the pseudo-inverse, formed as np.linalg.pinv forms it, bit for bit
@@ -299,18 +297,19 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
     payload_length, reused by every stream: |reference|^2 first, then the
     error magnitudes, DEMAP_BLOCK symbols at a time, squared in place; each
     RMS is one sum over the whole buffer, divided by its length (the bits
-    of np.mean). BER is the share of reference bits that differ from the
-    nearest-point decisions of demap_symbols, which runs only on the
-    symbols whose error is not below r = scheme.decision_radius (so a NaN
-    error is demapped too). The others
+    of np.mean). BER is the share of the payload_length * bits_per_symbol
+    sent bits, each word's read MSB first as word_weights weigh them, that
+    differ from the nearest-point decisions of demap_symbols. demap_symbols
+    runs only on the symbols whose error is not below
+    r = scheme.decision_radius (so a NaN error is demapped too). The others
     cannot be in error: the point of every other word lies at least d_min
     from the reference point, so a symbol closer than r < d_min / 2 to the
     reference point is farther than d_min - r > r from every other word's
     point. The gap between the two distances, above 1e-9 * d_min, dwarfs the
     rounding of the computed distances (relative 1e-16), so demap_symbols
-    would decide the reference word, whose bits are the reference bits. When
-    two words share a point, r is 0 and every symbol is demapped; when no
-    symbol is doubtful, demap_symbols is not called.
+    would decide the sent word. When two words share a point, r is 0 and
+    every symbol is demapped; when no symbol is doubtful, demap_symbols is
+    not called.
     """
     num_streams = frame.num_streams
     if len(symbols) < num_streams:
@@ -318,14 +317,10 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
             f"{len(symbols)} antennas cannot resolve {num_streams} streams")
     if np.shape(symbols)[1] != frame.num_symbols:
         raise ContractViolation("means must cover the frame's symbols")
-    if np.shape(reference_bits) != (num_streams,
-                                    frame.payload_length * scheme.bits_per_symbol):
-        raise ContractViolation(
-            "reference bits must be (streams, payload x bits per symbol)")
-    if np.shape(reference_symbols) != (num_streams, frame.payload_length):
-        raise ContractViolation("reference symbols must be (streams, payload)")
-    reference_bits = np.asarray(reference_bits)
-    reference_symbols = np.asarray(reference_symbols, dtype=np.complex128)
+    if np.shape(words) != (num_streams, frame.payload_length):
+        raise ContractViolation("words must be (streams, payload)")
+    words = np.asarray(words)
+    reference_symbols = scheme.points[words]
     y_pilot = symbols[:, :frame.pilot_length]
     y_payload = symbols[:, frame.pilot_length:]
 
@@ -356,8 +351,9 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, reference_bits,
         evms[s] = 100.0 * math.sqrt(errors.sum() / len(errors)) / ref_rms
         if len(doubtful):
             decided = demap_symbols(equalized[s, doubtful], scheme)[0]
-            sent = reference_bits[s].reshape(-1, scheme.bits_per_symbol)[doubtful]
-            bers[s] = np.count_nonzero(decided != sent.ravel()) / reference_bits.shape[1]
+            sent = (words[s, doubtful, np.newaxis] & scheme.word_weights) != 0
+            bers[s] = np.count_nonzero(decided != sent.ravel()) / (
+                frame.payload_length * scheme.bits_per_symbol)
     return LinkReport(detected_symbols=equalized, reference_symbols=reference_symbols,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)

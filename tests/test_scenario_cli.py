@@ -400,36 +400,39 @@ def traced_simulate(overrides: dict, name: str = "mimo2x2_16qam") -> tuple:
 def test_mimo_frame_simulates_in_bounded_memory():
     # 2 x 10^4 symbols over 400 320 samples: the link frame takes its means
     # from the held coefficients, so no received envelope is held (each
-    # would be 6.4 MB); the payload bits, the schedule, the per-symbol means
+    # would be 6.4 MB); the payload words, the schedule, the per-symbol means
     # and the detected and reference symbols remain
     result, peak = traced_simulate({})
     assert np.all(result.reports["link"].ber == 0.0)
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
-def test_a_million_symbol_frame_peaks_under_112_mib():
-    # 2 x 10^6 16QAM symbols: the payload bits are bytes (7.6 MiB) and
-    # detect scores each stream through one reused float buffer; the
-    # symbols, the means and the equalized symbols (30.5 MiB each) remain
+def test_a_million_symbol_frame_peaks_under_106_mib():
+    # 2 x 10^6 16QAM symbols: the payload is held as its bit words, one byte
+    # a symbol (1.9 MiB), drawn a chunk of bits at a time, and detect scores
+    # each stream through one reused float buffer; the reference symbols,
+    # the means and the equalized symbols (30.5 MiB each) remain
     result, peak = traced_simulate({"frame.payload_symbols": 10 ** 6})
     assert np.all(result.reports["link"].ber == 0.0)
-    assert peak <= 112 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak <= 106 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
-def test_payload_bits_are_the_bytes_of_one_int64_draw():
-    # BIT_CHUNK-sized int64 draws continue the stream of the one draw; here
-    # 3 whole chunks and a partial one, across both streams
-    payload = 3 * scen.BIT_CHUNK // 8 + 1
+@pytest.mark.parametrize("modulation", txrx.SCHEME_NAMES)
+def test_payload_words_are_those_of_one_int64_draw(modulation):
+    # int64 draws of BIT_CHUNK // bits_per_symbol symbols' bits continue the
+    # stream of the one draw, also where a chunk ends on an odd bit (8PSK's
+    # 65 535); here 3 whole chunks and a partial one, across both streams
+    b = txrx.get_scheme(modulation).bits_per_symbol
+    chunk = scen.BIT_CHUNK // b
+    payload = (3 * chunk + 5) // 2
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"),
-                                {"frame.payload_symbols": payload})
+                                {"modulation": modulation, "frame.payload_symbols": payload})
     sc = scen.Scenario.from_dict(data)
-    frame = sc.frame(2)
-    bits, words = scen._payload(sc, frame, scen._seed(sc, 0))
-    assert bits.size // scen.BIT_CHUNK == 3 and bits.size % scen.BIT_CHUNK != 0
-    want = np.random.default_rng(scen._seed(sc, 0)).integers(0, 2, size=(2, payload * 4))
-    assert bits.dtype == np.uint8 and np.array_equal(bits, want)
-    assert np.array_equal(sc.scheme.points[words],
-                          txrx.map_bits(want.ravel(), sc.scheme).reshape(2, -1))
+    words = scen._payload(sc, sc.frame(2), scen._seed(sc, 0))
+    assert (2 * payload) // chunk == 3 and (2 * payload) % chunk != 0
+    want = np.random.default_rng(scen._seed(sc, 0)).integers(0, 2, size=2 * payload * b)
+    assert words.dtype == sc.scheme.word_weights.dtype
+    assert np.array_equal(words, txrx.bit_words(want, sc.scheme).reshape(2, payload))
 
 
 def test_long_noisy_frame_peaks_within_1_mib_of_the_noiseless_one():
@@ -558,7 +561,7 @@ def held_and_written(overrides: dict) -> None:
     frame = sc.frame(2)
     sps = sc.samples_per_symbol * sc.oversample
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
-    _, words = scen._payload(sc, frame, scen._seed(sc, 0))
+    words = scen._payload(sc, frame, scen._seed(sc, 0))
     carrier = core.tone_envelope(frame.num_symbols * sps, sc.envelope_rate(), 0.0)
     rx = surface_pass(carrier, txrx.symbols_to_schedule(words, frame, sc.scheme,
                                                         sc.quantization),
@@ -614,8 +617,9 @@ class CountingNumpy:
 def test_a_frame_writes_no_sample_beyond_its_spectrum_head(name, noise_psd, monkeypatch):
     # 2 560 envelope samples per symbol and a 4 096-bin head: the head's two
     # symbols are 5 120 samples and a frame is over 2.5 x 10^6 per point;
-    # the largest other array is the payload bits, 8 000 bytes for two
-    # streams of 1 000 16QAM symbols (the block loop wrote 65 536 samples)
+    # no other array is larger: the payload words of two streams of 1 000
+    # 16QAM symbols are 2 000 bytes (the block loop wrote 65 536 samples,
+    # and the payload bits, 8 000 bytes, were held before the words)
     counter = CountingNumpy()
     monkeypatch.setattr(scen, "np", counter)
     data = scen.apply_overrides(scen.load_scenario(name), {
@@ -624,7 +628,7 @@ def test_a_frame_writes_no_sample_beyond_its_spectrum_head(name, noise_psd, monk
     sc = scen.Scenario.from_dict(data)
     taps = frame_taps(sc)
     assert [len(head) for _, head in taps] == [4096] * len(taps)
-    assert 0 < counter.largest <= 8000
+    assert 0 < counter.largest <= 5120
 
 
 def test_a_long_integrated_frame_costs_points_times_symbols():

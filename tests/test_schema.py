@@ -5,6 +5,7 @@ named error, and simulate's seeds and wiring against the reference runners."""
 import copy
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -276,7 +277,7 @@ def test_the_cli_names_an_envelope_rate_that_overflows(command, name, overrides,
 
 STAIRCASE_RULE = ("staircase: control_rate_hz * period_s must equal steps_per_period "
                   "exactly (integer samples per period)")
-LEVELS_RULE = "quantization.{}: must be at most 2**53 (the levels are counted in float64)"
+COUNT_RULE = "{}: must be at most 2**53 (it is counted in float64)"
 # integers too large for a float, each named by the rule it breaks
 HUGE_INTEGERS = {
     # symbol_rate_baud * samples_per_symbol cannot be formed as a float
@@ -289,12 +290,20 @@ HUGE_INTEGERS = {
                          STAIRCASE_RULE),
     # the quantizer would scale its phases and amplitudes by these
     "phase_levels": ("mimo2x2_16qam", {"quantization.phase_levels": 10 ** 400},
-                     LEVELS_RULE.format("phase_levels")),
+                     COUNT_RULE.format("quantization.phase_levels")),
     "amplitude_levels": ("mimo2x2_16qam", {"quantization.amplitude_levels": 10 ** 400},
-                         LEVELS_RULE.format("amplitude_levels")),
+                         COUNT_RULE.format("quantization.amplitude_levels")),
     # an int64 phase grid index overflows from 2**63 levels
     "phase_levels_int64": ("integrated_switch", {"quantization.phase_levels": 2 ** 63},
-                           LEVELS_RULE.format("phase_levels")),
+                           COUNT_RULE.format("quantization.phase_levels")),
+    # the cell axes, a frame's symbols and an SDC tone's samples are sized by these
+    "rows": ("integrated_switch", {"geometry.rows": 10 ** 400},
+             COUNT_RULE.format("geometry.rows")),
+    "cols": ("integrated_switch", {"geometry.cols": 10 ** 400},
+             COUNT_RULE.format("geometry.cols")),
+    "payload_symbols": ("mimo2x2_16qam", {"frame.payload_symbols": 10 ** 400},
+                        COUNT_RULE.format("frame.payload_symbols")),
+    "sdc_periods": ("sdc_5mhz", {"sdc_periods": 10 ** 400}, COUNT_RULE.format("sdc_periods")),
 }
 
 
@@ -311,6 +320,25 @@ def test_the_cli_names_an_integer_too_large_for_a_float(command, name, overrides
                                                         violation, tmp_path, capsys):
     assert cli_violations(command, name, overrides, tmp_path, capsys) == [
         f"violation: {violation}"]
+
+
+def test_validate_holds_no_per_cell_array_of_a_10_to_the_5_square_surface():
+    # the coincidence check reads the cell axes, 10^5 values each, not the
+    # 10^10 cell positions (224 GiB as float64); the in-plane point at the
+    # cell of the last row and first column coincides, the one beside it not
+    half = (10 ** 5 - 1) / 2 * 0.5
+    data = bundled("integrated_switch", {
+        "geometry.rows": 10 ** 5, "geometry.cols": 10 ** 5, "geometry.spacing_m": 0.5})
+    data["points"] += [{"position_m": [-half, half, 0.0], "role": "rx"},
+                       {"position_m": [-half + 0.25, half, 0.0], "role": "rx"}]
+    tracemalloc.start()
+    try:
+        violations = scen.validate(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == ["points[2]: coincides with a unit-cell position"]
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("key", ["phase_levels", "amplitude_levels"])
@@ -595,7 +623,7 @@ def receive_phase_means(overrides: dict) -> tuple:
     finally:
         txrx.detect = detect
     frame = sc.frame(1)
-    _, words = scen._payload(sc, frame, scen._seed(sc, 1))
+    words = scen._payload(sc, frame, scen._seed(sc, 1))
     sent = np.concatenate([frame.pilots, sc.scheme.points[words]], axis=1)[0]
     feed = sc.points.indices_with_role("feed")[0]
     back = propagation.build_channels(sc.geometry, core.PointSet(

@@ -395,7 +395,7 @@ def detect_as_equalized(received, words, scheme):
     bits = word_bits(words, scheme.bits_per_symbol)[None, :]
     frame = FrameSpec(1, len(received), 1e6, 1)
     means = np.concatenate([frame.pilots[0], received])[None, :]
-    report = detect(means, frame, scheme, bits, map_bits(bits[0], scheme)[None, :])
+    report = detect(means, frame, scheme, np.asarray(words)[None, :])
     assert np.array_equal(report.detected_symbols[0], received)
     return report, bits
 
@@ -409,14 +409,14 @@ def test_scores_match_brute_force_from_0_to_40_db(name, monkeypatch):
     demapped = count_demapped(monkeypatch)
     for snr_db in range(0, 41, 5):
         bits = rng.integers(0, 2, size=(2, frame.payload_length * scheme.bits_per_symbol))
-        symbols = np.stack([map_bits(row, scheme) for row in bits])
-        sent = np.concatenate([frame.pilots, symbols], axis=1)
+        words = np.stack([bit_words(row, scheme) for row in bits])
+        sent = np.concatenate([frame.pilots, scheme.points[words]], axis=1)
         clean = h @ sent
         sigma = np.sqrt(np.mean(np.abs(clean) ** 2) / 10 ** (snr_db / 10) / 2)
         noise = sigma * (rng.standard_normal(clean.shape)
                          + 1j * rng.standard_normal(clean.shape))
         demapped.clear()
-        report = detect(clean + noise, frame, scheme, bits, symbols)
+        report = detect(clean + noise, frame, scheme, words)
         assert_scores_match_brute_force(report, scheme, bits)
         if snr_db == 0:  # both the demapped and the skipped symbols occur
             assert np.all(report.ber > 0)
@@ -474,31 +474,32 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
                             samples_per_symbol=4, freq_offset=0.0):
     """Received envelopes of a random frame through a channel matrix h (A x S).
 
-    Returns (rx, frame, bits, symbols); the carrier sits freq_offset from
+    Returns (rx, frame, words, symbols), symbols the map_bits points of the
+    drawn bits and words their bit words; the carrier sits freq_offset from
     the nominal one.
     """
     antennas, streams = h.shape
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(streams, payload * scheme.bits_per_symbol))
     symbols = np.stack([map_bits(bits[s], scheme) for s in range(streams)])
+    words = np.stack([bit_words(bits[s], scheme) for s in range(streams)])
     frame = FrameSpec(streams, payload, 1e6, samples_per_symbol)
     # one unit-fed cell per stream whose gain to antenna a is h[a, s]
-    schedule = symbols_to_schedule(
-        np.stack([bit_words(bits[s], scheme) for s in range(streams)]), frame, scheme)
+    schedule = symbols_to_schedule(words, frame, scheme)
     carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
                             frame.symbol_rate * frame.samples_per_symbol, 4.25e9,
                             freq_offset=freq_offset)
     noise_seeds = np.random.SeedSequence(seed).spawn(antennas)
     rx = whole_pass(carrier, schedule, np.arange(streams),
                     ChannelSet(np.ones(streams), h.T), noise_psd, noise_seeds)
-    return rx, frame, bits, symbols
+    return rx, frame, words, symbols
 
 
-def receive(rx, frame, scheme, bits, symbols, expected_shift=0.0):
+def receive(rx, frame, scheme, words, expected_shift=0.0):
     """The receive chain simulate runs, on the per-symbol means of the
     envelopes rx (here integrated by oracles.integrate): detect."""
     means = integrate_oracle(rx, frame.num_symbols, expected_shift)
-    return detect(means, frame, scheme, bits, symbols)
+    return detect(means, frame, scheme, words)
 
 
 def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
@@ -506,15 +507,15 @@ def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
     """Loopback through an explicit stream-level channel matrix h (A x S)."""
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     scheme = get_scheme(scheme_name)
-    rx, frame, bits, symbols = explicit_link_envelopes(
+    rx, frame, words, symbols = explicit_link_envelopes(
         h, scheme, payload, noise_psd, seed, samples_per_symbol)
-    return receive(rx, frame, scheme, bits, symbols), h, symbols
+    return receive(rx, frame, scheme, words), h, symbols
 
 
-def assert_detection_matches_oracle(rx, frame, scheme, bits, symbols,
+def assert_detection_matches_oracle(rx, frame, scheme, words, symbols,
                                     expected_shift=0.0):
     oracle = receive_oracle(rx, frame, scheme, expected_shift, reference=symbols)
-    report = receive(rx, frame, scheme, bits, symbols, expected_shift)
+    report = receive(rx, frame, scheme, words, expected_shift)
     assert np.array_equal(report.channel_estimate, oracle.channel_estimate)
     assert_condition_number_close(report.condition_number, oracle.channel_estimate)
     assert np.array_equal(report.detected_symbols, np.stack(oracle.detected_symbols))
@@ -539,9 +540,9 @@ def test_detection_matches_inverse_gram_oracle(streams, extra_antennas, noise_ps
          + 0.3 * (rng.standard_normal((antennas, streams))
                   + 1j * rng.standard_normal((antennas, streams))))
     scheme = get_scheme(name)
-    rx, frame, bits, symbols = explicit_link_envelopes(
+    rx, frame, words, symbols = explicit_link_envelopes(
         h, scheme, 32, noise_psd, seed, samples_per_symbol=2)
-    report = assert_detection_matches_oracle(rx, frame, scheme, bits, symbols)
+    report = assert_detection_matches_oracle(rx, frame, scheme, words, symbols)
     if noise_psd == 0.0:
         assert np.all(report.ber == 0.0)
 
@@ -549,9 +550,9 @@ def test_detection_matches_inverse_gram_oracle(streams, extra_antennas, noise_ps
 def test_derotated_detection_matches_inverse_gram_oracle():
     h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j], [0.2, 0.1j]])
     scheme = get_scheme("16QAM")
-    rx, frame, bits, symbols = explicit_link_envelopes(
+    rx, frame, words, symbols = explicit_link_envelopes(
         h, scheme, 64, 1e-3, 7, samples_per_symbol=8, freq_offset=3e6)
-    assert_detection_matches_oracle(rx, frame, scheme, bits, symbols,
+    assert_detection_matches_oracle(rx, frame, scheme, words, symbols,
                                     expected_shift=3e6)
 
 
@@ -603,14 +604,14 @@ def assert_condition_number_close(cond, h_est):
 
 
 def random_frame_means(rng, antennas, streams, scheme, payload=16):
-    """(means, frame, bits, symbols) of a noiseless frame through a random
-    complex channel of antennas x streams."""
+    """(means, frame, words) of a noiseless frame through a random complex
+    channel of antennas x streams."""
     h = rng.standard_normal((antennas, streams)) + 1j * rng.standard_normal(
         (antennas, streams))
     frame = FrameSpec(streams, payload, 1e6, 1)
     bits = rng.integers(0, 2, size=(streams, payload * scheme.bits_per_symbol))
-    symbols = np.stack([map_bits(row, scheme) for row in bits])
-    return h @ np.concatenate([frame.pilots, symbols], axis=1), frame, bits, symbols
+    words = np.stack([bit_words(row, scheme) for row in bits])
+    return h @ np.concatenate([frame.pilots, scheme.points[words]], axis=1), frame, words
 
 
 @pytest.mark.parametrize("streams", [1, 2, 3, 4, 8, 64])
@@ -621,9 +622,9 @@ def test_one_svd_gives_numpys_pseudo_inverse_and_condition_number(streams,
     rng = np.random.default_rng(10 * streams + extra_antennas)
     scheme = get_scheme("QPSK")
     for _ in range(4 if streams == 64 else 40):
-        means, frame, bits, symbols = random_frame_means(
+        means, frame, words = random_frame_means(
             rng, streams + extra_antennas, streams, scheme)
-        report = detect(means, frame, scheme, bits, symbols)
+        report = detect(means, frame, scheme, words)
         h_est = report.channel_estimate
         assert np.array_equal(report.detected_symbols,
                               np.linalg.pinv(h_est) @ means[:, frame.pilot_length:])
@@ -637,8 +638,8 @@ def test_one_svd_gives_numpys_pseudo_inverse_and_condition_number(streams,
 def test_an_uninvertible_estimate_raises_detection_error_without_a_warning(h_est):
     scheme = get_scheme("BPSK")
     frame = FrameSpec(2, 4, 1e6, 1)
-    bits = np.zeros((2, 4), dtype=np.uint8)
-    symbols = map_bits(bits.ravel(), scheme).reshape(2, 4)
+    words = np.zeros((2, 4), dtype=np.uint8)
+    symbols = scheme.points[words]
     # pilots @ pilots^H / pilot_length is the identity, so a finite h_est
     # is estimated as given; inf * 0 makes the inf case's estimate NaN too
     with np.errstate(invalid="ignore"):
@@ -646,7 +647,7 @@ def test_an_uninvertible_estimate_raises_detection_error_without_a_warning(h_est
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DetectionError) as excinfo:
-            detect(means, frame, scheme, bits, symbols)
+            detect(means, frame, scheme, words)
     assert not excinfo.value.condition_number <= txrx.CONDITION_LIMIT
 
 
@@ -661,7 +662,7 @@ def test_expected_shift_derotation():
                                8, 8e6, 4.25e9)
     n = np.arange(len(wave))
     shifted = wave.with_samples(wave.samples * np.exp(2j * np.pi * 3e6 * n / 8e6))
-    report = receive([shifted], frame, scheme, bits[None, :], symbols[None, :],
+    report = receive([shifted], frame, scheme, bit_words(bits, scheme)[None, :],
                      expected_shift=3e6)
     assert report.ber[0] == 0.0
     assert report.evm_percent[0] < 1e-9
@@ -670,17 +671,15 @@ def test_expected_shift_derotation():
 def test_detect_rejects_too_few_antennas_and_misshapen_references():
     scheme = get_scheme("QPSK")
     h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j]])
-    rx, frame, bits, sent = explicit_link_envelopes(h, scheme, 48, 1e-3, seed=3)
+    rx, frame, words, _ = explicit_link_envelopes(h, scheme, 48, 1e-3, seed=3)
     means = integrate_oracle(rx, frame.num_symbols)
-    detect(means, frame, scheme, bits, sent)
+    detect(means, frame, scheme, words)
     with pytest.raises(ContractViolation):  # one antenna for two streams
-        detect(means[:1], frame, scheme, bits, sent)
+        detect(means[:1], frame, scheme, words)
     with pytest.raises(ContractViolation):  # one symbol short of the frame
-        detect(means[:, 1:], frame, scheme, bits, sent)
-    with pytest.raises(ContractViolation):  # one bit short of the payload
-        detect(means, frame, scheme, bits[:, 1:], sent)
-    with pytest.raises(ContractViolation):  # one symbol short of the payload
-        detect(means, frame, scheme, bits, sent[:, 1:])
+        detect(means[:, 1:], frame, scheme, words)
+    with pytest.raises(ContractViolation):  # one word short of the payload
+        detect(means, frame, scheme, words[:, 1:])
 
 
 def test_partition_permutation_leaves_stream_products_unchanged():
