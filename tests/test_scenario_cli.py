@@ -316,10 +316,14 @@ def test_integrated_scenario_round_trip(tmp_path):
     table = np.load(tmp_path / "constellation_receive_0.npy")
     assert table.dtype.names == ("symbol_index", "i", "q", "ref_i", "ref_q")
     assert table.shape == (64,)
-    # the received spectrum peaks 5 MHz below the incoming carrier
+    # the ramp moves the received frame 5 MHz below the incoming carrier: its
+    # strongest bin, and most of its power, lie within one symbol rate of
+    # -5 MHz, whatever the payload (the exact peak bin depends on it)
     spectrum = result.reports["receive"].spectra["sdc_rx0"]
-    peak = spectrum.frequencies[np.argmax(spectrum.power)]
-    assert peak == pytest.approx(-5e6, abs=spectrum.resolution / 2)
+    offset = spectrum.frequencies + 5e6
+    assert abs(offset[np.argmax(spectrum.power)]) <= 2.5e6
+    near = np.abs(offset) <= 2.5e6
+    assert spectrum.power[near].sum() > 0.8 * spectrum.power.sum()
 
 
 def test_integrated_mode_caps_artifact_spectra(tmp_path):
