@@ -10,10 +10,9 @@ bit, on these runs:
     coefficients, and the noisy one draws per-sample noise over its
     65 536-sample spectrum head and one value per other symbol mean;
   - the same noisy frame as QPSK on an 8-level phase grid: the only
-    quantized reference run, at BER 0 and EVM 0.57 %;
+    quantized reference run, at BER 0 and EVM about 0.5 %;
   - mimo2x2_16qam as 8PSK at frame.payload_symbols=50000 and
-    channel.noise_psd=1.0: 150 000 bits a stream, so its payload spans
-    several BIT_CHUNK draws, and a BER near 1e-3, so doubtful symbols are
+    channel.noise_psd=1.0: a BER of a few 1e-4, so doubtful symbols are
     demapped and scored;
   - um_mimo64: 64 QPSK streams on 2 x 2-cell blocks of a 16 x 16 surface,
     fed from 2 m, each received at its own point of an 8 x 8 grid of
@@ -72,7 +71,7 @@ UM_MIMO64 = {
 # mimo2x2_16qam as a quantized QPSK frame, as overrides
 QPSK_PHASE8 = {"modulation": "QPSK", "quantization.phase_levels": 8,
                "frame.payload_symbols": 100000, "channel.noise_psd": 1e-3}
-# mimo2x2_16qam as a noisy multi-chunk 8PSK frame, as overrides
+# mimo2x2_16qam as a noisy 8PSK frame with doubtful symbols, as overrides
 PSK8_NOISY = {"modulation": "8PSK", "frame.payload_symbols": 50000,
               "channel.noise_psd": 1.0}
 # sdc_5mhz with three observation points, as overrides

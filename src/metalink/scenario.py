@@ -40,7 +40,6 @@ from . import core, metasurface, propagation, spectral, txrx
 MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
-BIT_CHUNK = 1 << 16  # _payload draws at most this many bits at once, in whole symbols
 LINE_TIE = 1e-9  # relative power within which two spectral lines tie
 KINDS = propagation.CHANNEL_KINDS
 
@@ -356,14 +355,12 @@ def _cross_field_violations(valid: dict) -> list:
         if num_obs < 1:
             errs.append("points: at least one observation (non-feed) point required")
         if None not in (num_cells, spacing, origin) and max(rows, cols) <= 2 ** 53:
-            x, y, z = core.cell_axes(core.SurfaceGeometry(rows, cols, spacing, tuple(origin)))
             # a zero distance, as build_channels finds it, is a zero square on
             # each axis; the cells are every (x of a column, y of a row, z)
-            axes = x.tolist(), y.tolist(), [z]
             errs.extend(f"points[{i}]: coincides with a unit-cell position"
                         for i, p in enumerate(points)
-                        if all(any((c - v) * (c - v) == 0.0 for c in axis)
-                               for v, axis in zip(p["position_m"], axes)))
+                        if all(_on_axis(float(v), float(o), n, spacing) for v, o, n in
+                               zip(p["position_m"], origin, (cols, rows, 1))))
 
     matrix = valid.get("channel.matrix")
     if matrix is not None and None not in (num_cells, num_obs) \
@@ -411,6 +408,17 @@ def _cross_field_violations(valid: dict) -> list:
         errs.append("staircase: control_rate_hz * period_s must equal "
                     "steps_per_period exactly (integer samples per period)")
     return errs
+
+
+def _on_axis(v: float, o: float, n: int, s: float) -> bool:
+    """Whether (c - v) * (c - v) == 0.0 for some value c of the axis of n
+    values about o at pitch s, each formed as core.cell_axes forms it.
+    The values rise with their index, so those that close to v are
+    consecutive, and the index nearest v, taken in floats, is one of them or
+    next to one."""
+    k = round(min(max((v - o) / s + (n - 1) / 2, 0.0), n - 1.0))
+    return any((c - v) * (c - v) == 0.0 for c in (
+        o + (m - (n - 1) / 2) * s for m in range(max(k - 1, 0), min(k + 2, n))))
 
 
 def _product(a, b) -> float:
@@ -552,32 +560,26 @@ class ScenarioResult:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _seed(sc: Scenario, index: int) -> np.random.SeedSequence:
-    """Child index of SeedSequence(sc.rng_seed), as spawn would make it."""
-    return np.random.SeedSequence(sc.rng_seed, spawn_key=(index,))
+def _rng(sc: Scenario, index: int) -> np.random.Generator:
+    """Frame index's generator, from child index of SeedSequence(sc.rng_seed)
+    built alone, as spawn would build it."""
+    return np.random.default_rng(np.random.SeedSequence(sc.rng_seed, spawn_key=(index,)))
 
 
-def _noise_seeds(sc: Scenario, indices) -> list | None:
-    """The children of indices when the run draws noise, else None."""
-    return [_seed(sc, i) for i in indices] if sc.noise_psd > 0.0 else None
+def _payload(sc: Scenario, frame: txrx.FrameSpec, rng) -> np.ndarray:
+    """The payload's (streams x payload) bit words, one integers draw from
+    rng in scheme.word_weights.dtype."""
+    return rng.integers(0, len(sc.scheme.points), (frame.num_streams, frame.payload_length),
+                        dtype=sc.scheme.word_weights.dtype)
 
 
-def _payload(sc: Scenario, frame: txrx.FrameSpec, seed) -> np.ndarray:
-    """The payload's (streams x payload) bit words, drawn from seed, in
-    scheme.word_weights.dtype: txrx.bit_words of the bits of one int64 draw
-    integers(0, 2, size=streams * payload * bits per symbol).
-
-    The bits are drawn BIT_CHUNK // bits_per_symbol symbols at a time and
-    folded into words as drawn: the chunks continue the one draw's stream
-    (a uint8 draw would not), and only one chunk's bits are held.
-    """
-    rng = np.random.default_rng(seed)
-    b = sc.scheme.bits_per_symbol
-    words = np.empty(frame.num_streams * frame.payload_length, sc.scheme.word_weights.dtype)
-    for i in range(0, words.size, BIT_CHUNK // b):
-        chunk = words[i:i + BIT_CHUNK // b]
-        chunk[:] = txrx.bit_words(rng.integers(0, 2, size=chunk.size * b), sc.scheme)
-    return words.reshape(frame.num_streams, -1)
+def _normal_pairs(rng, count: int, variance: float) -> np.ndarray:
+    """count i.i.d. circular complex Gaussians of that variance, each drawn
+    from rng as a pair of standard normals, the real part first."""
+    noise = np.empty(count, dtype=np.complex128)
+    rng.standard_normal(out=noise.view(np.float64))
+    noise *= np.sqrt(variance / 2.0)
+    return noise
 
 
 def _rotation(num: int, den: int, count: int) -> np.ndarray:
@@ -614,47 +616,41 @@ def _held(row: np.ndarray, sent, count: int, steps: int, hold: int) -> np.ndarra
     return samples.reshape(-1)
 
 
-def _add_noise(sc: Scenario, noise_seeds, means, head, num: int, den: int) -> None:
-    """Add a frame's receiver noise, in place, to point 0's head samples and
-    to the (points x symbols) per-symbol means; none when noise_seeds is None.
+def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
+    """Add a frame's receiver noise, drawn from rng, in place to point 0's
+    head samples and to the (points x symbols) per-symbol means; none when
+    noise_psd is 0.
 
     Each point's received samples carry i.i.d. circular complex Gaussian
-    noise of variance noise_psd. Point p draws from default_rng(noise_seeds[p])
-    standard normals in pairs, the real and then the imaginary part of one
-    value. Point 0 first draws one value per head sample, in order: the
-    head adds it, and each symbol the head covers adds the mean of its
-    samples' noise, derotated by exp(-2j*pi*n*num/den) at sample n. The
-    mean of sps samples of noise of variance noise_psd is one circular
-    Gaussian of variance noise_psd / sps, so each other mean gets one draw
-    of it: each point, in order, continues its generator with one pair per
-    mean.
+    noise of variance noise_psd, drawn as _normal_pairs. First one value per
+    head sample, in order: the head adds it, and each symbol the head covers
+    adds the mean of its samples' noise, derotated by exp(-2j*pi*n*num/den)
+    at sample n. The mean of sps samples of that noise is one circular
+    Gaussian of variance noise_psd / sps, so then each remaining mean gets
+    one draw of it: point 0's uncovered symbols, then each other point's.
     """
-    if noise_seeds is None:
+    if sc.noise_psd == 0.0:
         return
     sps = sc.samples_per_symbol * sc.oversample
     covered = len(head) // sps
-    rngs = [np.random.default_rng(seed) for seed in noise_seeds]
-    noise = np.empty(len(head), dtype=np.complex128)
-    rngs[0].standard_normal(out=noise.view(np.float64))
-    noise *= np.sqrt(sc.noise_psd / 2.0)
+    noise = _normal_pairs(rng, len(head), sc.noise_psd)
     # sample i of symbol k is derotated by start[k] * within[i]
     means[0, :covered] += np.einsum(
         "ki,i->k", noise.reshape(covered, sps), _rotation(num, den, sps)) * (
         _rotation(num * sps, den, covered) / sps)
     head += noise
-    scale = np.sqrt(sc.noise_psd / (2.0 * sps))
-    for p, rng in enumerate(rngs):
-        first = covered if p == 0 else 0
-        noise = np.empty(means.shape[1] - first, dtype=np.complex128)
-        rng.standard_normal(out=noise.view(np.float64))
-        noise *= scale
-        means[p, first:] += noise
+    noise = _normal_pairs(rng, means.size - covered, sc.noise_psd / sps)
+    rest = means.shape[1] - covered  # point 0's uncovered means
+    means[0, covered:] += noise[:rest]
+    means[1:] += noise[rest:].reshape(-1, means.shape[1])
 
 
-def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bits_seed,
-           noise_seeds, tag: str, ramp: bool = False) -> txrx.LinkReport:
+def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng,
+           tag: str, ramp: bool = False) -> txrx.LinkReport:
     """Send one frame through the surface to the observation points of
     channels and detect it there; the first point's spectrum goes under tag.
+    The frame draws its payload (_payload) and then its noise (_add_noise)
+    from rng, and nothing else.
 
     A link frame (ramp False) writes num_streams streams of symbols onto the
     feed's unit tone, so symbol k reaches point p as weights[p, k] =
@@ -676,7 +672,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     and to the means.
     """
     frame = sc.frame(num_streams)
-    words = _payload(sc, frame, bits_seed)
+    words = _payload(sc, frame, rng)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     num_symbols = frame.num_symbols
     if ramp:
@@ -694,7 +690,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, bit
     means = weights
     if ramp:
         means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
-    _add_noise(sc, noise_seeds, means, head, num, den)
+    _add_noise(sc, rng, means, head, num, den)
     report = txrx.detect(means, frame, sc.scheme, words)
     del words, means, weights, sent  # freed before the periodogram
     report.spectra[tag] = spectral.periodogram(
@@ -743,21 +739,19 @@ def simulate(sc: Scenario) -> ScenarioResult:
     follows, over the transmit phase's channels reversed: identity and
     free-space gains are reciprocal.
 
-    Seed layout, on which a noisy run's bytes depend: rng_seed seeds a
-    SeedSequence with 3 + len(points) children, each built by its index when
-    the run reads it, as SeedSequence(rng_seed, spawn_key=(i,)), which equals
-    child i of spawn; noise children only when noise_psd > 0. Child 0 draws
-    the transmitted payload and child 1 the integrated receive payload.
-    Observation point p draws its noise from child 1 + p, or 2 + p in
-    integrated mode, and the feed antenna of the receive phase from the last
-    child, so each mode draws what it drew when it spawned fewer children.
+    Draw order, on which a run's bytes depend: frame f draws everything
+    from its own generator, _rng(sc, f), built only when it draws. Frame 0
+    is the link frame, the integrated transmit phase or the SDC envelope;
+    frame 1 is the integrated receive phase. A frame draws its payload
+    first (_payload), so the payload depends on neither noise_psd nor
+    spectrum_bins, and then, when noise_psd > 0, its noise (_add_noise).
 
-    A frame draws its noise as _add_noise says. SDC mode writes point 0's
-    whole envelope, for the DFT over whole ramp periods: the weights of one
-    ramp period (_ramp_weights) repeated sdc_periods times on the
-    feed's unit tone (_held). It adds per-sample noise to it: all real
-    parts, then all imaginary parts. Its input spectrum, the unit tone's, is
-    in closed form: power 1 in the 0 Hz bin and 0 in every other.
+    SDC mode writes point 0's whole envelope, for the DFT over whole ramp
+    periods: the weights of one ramp period (_ramp_weights) repeated
+    sdc_periods times on the feed's unit tone (_held). It adds per-sample
+    noise to it from frame 0, as _normal_pairs. Its input spectrum, the
+    unit tone's, is in closed form: power 1 in the 0 Hz bin and 0 in every
+    other.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
@@ -766,27 +760,22 @@ def simulate(sc: Scenario) -> ScenarioResult:
             channels.feed_gains, channels.obs_gains[:, :1]))
         rx = _held(weights[0], 1.0, sc.sdc_periods, weights.shape[1], hold)
         rate = sc.envelope_rate()
-        if sc.noise_psd > 0.0:  # from point 0's child, 1 + p
-            rng = np.random.default_rng(_seed(sc, 1))
-            rx += np.sqrt(sc.noise_psd / 2.0) * (
-                rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
+        if sc.noise_psd > 0.0:
+            rx += _normal_pairs(_rng(sc, 0), len(rx), sc.noise_psd)
         tone = np.zeros(len(rx))
         tone[len(rx) - len(rx) // 2 - 1] = 1.0
         report = txrx.LinkReport(spectra={
             "input": spectral.Spectrum(tone, rate / len(rx)),
             "output": spectral.periodogram(core.ComplexEnvelope(rx, rate, sc.carrier_freq_hz))})
     else:
-        first = 2 if integrated else 1
-        report = _frame(sc, channels, int(sc.stream_of_cell.max()) + 1, _seed(sc, 0),
-                        _noise_seeds(sc, range(first, first + channels.num_points)),
+        report = _frame(sc, channels, int(sc.stream_of_cell.max()) + 1, _rng(sc, 0),
                         "tx_rx0" if integrated else "rx0")
     reports = {"link": report}
     if integrated:
         back = propagation.ChannelSet(channels.obs_gains[:, 0],
                                       channels.feed_gains[:, np.newaxis])
-        reports = {"transmit": report, "receive": _frame(
-            sc, back, 1, _seed(sc, 1), _noise_seeds(sc, [2 + len(sc.points)]), "sdc_rx0",
-            ramp=True)}
+        reports = {"transmit": report,
+                   "receive": _frame(sc, back, 1, _rng(sc, 1), "sdc_rx0", ramp=True)}
     summary = _summarize(sc, reports)
     if sc.mode == "space_down_conversion":
         # tied lines (a two-step ramp's at +-shift) go to the expected one

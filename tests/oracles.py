@@ -276,25 +276,23 @@ def phase_exact_means(sc, sent, channels, first: int, stop: int) -> np.ndarray:
 
 
 def frame_noise(num_points: int, num_symbols: int, sps: int, head_length: int,
-                noise_psd: float, noise_seeds) -> tuple:
-    """The receiver noise of one frame in simulate's draw layout, built whole.
+                noise_psd: float, rng) -> tuple:
+    """The receiver noise of one frame in simulate's draw order, built whole.
 
     Point 0 has per-sample noise over the symbols its head_length-sample
     spectrum head covers, and every other (point, symbol) only the mean of
-    its samples' noise, of variance noise_psd / sps. Point p draws from
-    default_rng(noise_seeds[p]) standard normals in (real, imaginary)
-    pairs: for point 0, one pair per sample of those symbols; then one pair
-    per remaining symbol mean. Returns point 0's per-sample noise and the
-    (points x symbols) per-symbol noise means, zero where the samples cover.
+    its samples' noise, of variance noise_psd / sps. The frame's generator
+    rng, past its payload, gives standard normals in (real, imaginary)
+    pairs: one pair per sample of those symbols; then, point by point, one
+    pair per remaining symbol mean. Returns point 0's per-sample noise and
+    the (points x symbols) per-symbol noise means, zero where the samples
+    cover.
     """
     covered = -(-head_length // sps)
     means = np.zeros((num_points, num_symbols), dtype=np.complex128)
-    samples = None
-    for p, seed in enumerate(noise_seeds):
-        rng = np.random.default_rng(seed)
-        if p == 0:
-            pairs = rng.standard_normal((covered * sps, 2))
-            samples = np.sqrt(noise_psd / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1])
+    pairs = rng.standard_normal((covered * sps, 2))
+    samples = np.sqrt(noise_psd / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1])
+    for p in range(num_points):
         first = covered if p == 0 else 0
         pairs = rng.standard_normal((num_symbols - first, 2))
         means[p, first:] = np.sqrt(noise_psd / (2.0 * sps)) * (pairs[:, 0] + 1j * pairs[:, 1])
@@ -371,7 +369,7 @@ def receive_frame(rx, frame, scheme, expected_shift: float = 0.0, reference=None
 
 
 # ---------------------------------------------------------------------------
-# simulate: one runner per mode, each with its own seeds and channels
+# simulate: one runner per mode, each with its own generators and channels
 # ---------------------------------------------------------------------------
 
 def _channel_model(data: dict) -> propagation.ChannelModel:
@@ -408,28 +406,35 @@ def _link_report(ns) -> txrx.LinkReport:
         channel_estimate=ns.channel_estimate, condition_number=ns.condition_number)
 
 
-def _received(sc, rx, num_symbols, noise_seeds):
+def _received(sc, rx, num_symbols, rng):
     """A frame received as the noiseless envelopes rx, with the noise that
-    simulate adds: (rx with point 0's per-sample noise added, the
+    simulate adds, drawn from rng: (rx with point 0's per-sample noise added, the
     per-symbol noise means or None without noise, and point 0's first
     spectrum_length samples)."""
     length = sc.spectrum_length(len(rx[0]))
     if sc.noise_psd == 0.0:
         return rx, None, rx[0].with_samples(rx[0].samples[:length])
     samples, means = frame_noise(len(rx), num_symbols, len(rx[0]) // num_symbols,
-                                 length, sc.noise_psd, noise_seeds)
+                                 length, sc.noise_psd, rng)
     first = rx[0].samples.copy()
     first[:len(samples)] += samples
     return [rx[0].with_samples(first)] + rx[1:], means, rx[0].with_samples(first[:length])
 
 
-def _link_phase(sc, data, channels, bits_seed, noise_seeds):
+def _payload_bits(rng, scheme, shape) -> np.ndarray:
+    """The bits, MSB first, of the (streams x payload) symbol words that a
+    frame draws first from its generator rng, as uint8 integers below
+    2 ** bits_per_symbol; one row of bits per stream."""
+    words = rng.integers(0, 2 ** scheme.bits_per_symbol, size=shape, dtype=np.uint8)
+    shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1)
+    return ((words[..., np.newaxis] >> shifts) & 1).reshape(shape[0], -1)
+
+
+def _link_phase(sc, data, channels, rng):
     scheme = txrx.get_scheme(data["modulation"])
     partition = _partition(sc, data["partition"])
     frame = sc.frame(partition.num_streams)
-    rng = np.random.default_rng(bits_seed)
-    bits = rng.integers(0, 2, size=(partition.num_streams,
-                                    frame.payload_length * scheme.bits_per_symbol))
+    bits = _payload_bits(rng, scheme, (partition.num_streams, frame.payload_length))
     symbols = txrx.map_bits(bits.ravel(), scheme).reshape(partition.num_streams, -1)
     # every coefficient quantized on its own, not looked up in a table
     schedule = core.CoefficientSchedule(metasurface.quantize_values(
@@ -439,17 +444,23 @@ def _link_phase(sc, data, channels, bits_seed, noise_seeds):
         frame.num_symbols * frame.samples_per_symbol * sc.oversample,
         sc.envelope_rate(), sc.carrier_freq_hz)
     rx = surface_pass(carrier, schedule, partition.stream_of_cell, channels)
-    rx, noise, head = _received(sc, rx, frame.num_symbols, noise_seeds)
+    rx, noise, head = _received(sc, rx, frame.num_symbols, rng)
     report = _link_report(receive_frame(rx, frame, scheme, reference=symbols,
                                         noise=noise))
     report.spectra["rx0"] = spectral.periodogram(head)
     return report
 
 
+def _frame_rngs(sc, count: int) -> list:
+    """One generator per frame, from the first count children of rng_seed."""
+    return [np.random.default_rng(seed)
+            for seed in np.random.SeedSequence(sc.rng_seed).spawn(count)]
+
+
 def _run_transmit_link(sc, data):
-    seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
+    rng, = _frame_rngs(sc, 1)
     channels = propagation.build_channels(sc.geometry, sc.points, _channel_model(data))
-    report = _link_phase(sc, data, channels, seeds[0], seeds[1:1 + channels.num_points])
+    report = _link_phase(sc, data, channels, rng)
     summary = _summarize(sc, {"link": report})
     return ScenarioResult(sc, {"link": report}, summary)
 
@@ -461,15 +472,17 @@ def _ramp_line(sc) -> float:
 
 
 def _run_sdc(sc, data):
-    seeds = np.random.SeedSequence(sc.rng_seed).spawn(1 + len(sc.points))
     channels = propagation.build_channels(sc.geometry, sc.points, _channel_model(data))
     duration = sc.sdc_periods * sc.staircase.period
     ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz, duration)
     carrier = core.tone_envelope(ramp.num_steps * sc.oversample, sc.envelope_rate(),
                                  sc.carrier_freq_hz)
     whole = _partition(sc, "full")
-    rx = surface_pass(carrier, ramp, whole.stream_of_cell, channels,
-                      sc.noise_psd, seeds[1:1 + channels.num_points])
+    rx = surface_pass(carrier, ramp, whole.stream_of_cell, channels)
+    if sc.noise_psd > 0.0:  # point 0's samples, from frame 0's generator
+        pairs = _frame_rngs(sc, 1)[0].standard_normal((len(carrier), 2))
+        rx[0] = rx[0].with_samples(
+            rx[0].samples + np.sqrt(sc.noise_psd / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1]))
     report = txrx.LinkReport()
     # the unit tone's exact spectrum, power 1 at 0 Hz: the fast transform of
     # the tone leaves rounding residue in the other bins at some lengths
@@ -491,13 +504,12 @@ def _run_sdc(sc, data):
 
 
 def _run_integrated(sc, data):
-    seeds = np.random.SeedSequence(sc.rng_seed).spawn(2 + len(sc.points) + 1)
+    tx_rng, rx_rng = _frame_rngs(sc, 2)
     model = _channel_model(data)
 
     # transmit phase: feed lights the surface, surface modulates, rx points observe
     channels_tx = propagation.build_channels(sc.geometry, sc.points, model)
-    tx_report = _link_phase(sc, data, channels_tx, seeds[0],
-                            seeds[2:2 + channels_tx.num_points])
+    tx_report = _link_phase(sc, data, channels_tx, tx_rng)
     tx_report.spectra["tx_rx0"] = tx_report.spectra.pop("rx0")
 
     # receive phase: the first rx point transmits a frame, the surface ramps,
@@ -510,9 +522,8 @@ def _run_integrated(sc, data):
 
     scheme = txrx.get_scheme(data["modulation"])
     frame = sc.frame(1)
-    rng = np.random.default_rng(seeds[1])
-    bits = rng.integers(0, 2, size=frame.payload_length * scheme.bits_per_symbol)
-    symbols = txrx.map_bits(bits, scheme)
+    symbols = txrx.map_bits(_payload_bits(rx_rng, scheme, (1, frame.payload_length))[0],
+                            scheme)
     all_symbols = np.concatenate([frame.pilots[0], symbols])
     env_rate = sc.envelope_rate()
     incident = symbols_to_waveform(
@@ -523,7 +534,7 @@ def _run_integrated(sc, data):
     whole = _partition(sc, "full")
     rx = surface_pass(incident, ramp, whole.stream_of_cell, channels_rx)
     shift = _ramp_line(sc)
-    rx, noise, head = _received(sc, rx, frame.num_symbols, seeds[-1:])
+    rx, noise, head = _received(sc, rx, frame.num_symbols, rx_rng)
     rx_report = _link_report(receive_frame(rx, frame, scheme, shift, reference=symbols,
                                            noise=noise))
     rx_report.spectra["sdc_rx0"] = spectral.periodogram(head)

@@ -413,7 +413,7 @@ def test_mimo_frame_simulates_in_bounded_memory():
 
 def test_a_million_symbol_frame_peaks_under_106_mib():
     # 2 x 10^6 16QAM symbols: the payload is held as its bit words, one byte
-    # a symbol (1.9 MiB), drawn a chunk of bits at a time, and detect scores
+    # a symbol (1.9 MiB), drawn as such in one draw, and detect scores
     # each stream through one reused float buffer; the reference symbols,
     # the means and the equalized symbols (30.5 MiB each) remain
     result, peak = traced_simulate({"frame.payload_symbols": 10 ** 6})
@@ -422,21 +422,73 @@ def test_a_million_symbol_frame_peaks_under_106_mib():
 
 
 @pytest.mark.parametrize("modulation", txrx.SCHEME_NAMES)
-def test_payload_words_are_those_of_one_int64_draw(modulation):
-    # int64 draws of BIT_CHUNK // bits_per_symbol symbols' bits continue the
-    # stream of the one draw, also where a chunk ends on an odd bit (8PSK's
-    # 65 535); here 3 whole chunks and a partial one, across both streams
-    b = txrx.get_scheme(modulation).bits_per_symbol
-    chunk = scen.BIT_CHUNK // b
-    payload = (3 * chunk + 5) // 2
+def test_payload_words_are_one_integers_draw(modulation):
+    # frame 0's generator is child 0 of SeedSequence(rng_seed).spawn, and
+    # the payload is its first draw: one word per symbol, across both streams
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"),
-                                {"modulation": modulation, "frame.payload_symbols": payload})
+                                {"modulation": modulation, "frame.payload_symbols": 1001})
     sc = scen.Scenario.from_dict(data)
-    words = scen._payload(sc, sc.frame(2), scen._seed(sc, 0))
-    assert (2 * payload) // chunk == 3 and (2 * payload) % chunk != 0
-    want = np.random.default_rng(scen._seed(sc, 0)).integers(0, 2, size=2 * payload * b)
-    assert words.dtype == sc.scheme.word_weights.dtype
-    assert np.array_equal(words, txrx.bit_words(want, sc.scheme).reshape(2, payload))
+    words = scen._payload(sc, sc.frame(2), scen._rng(sc, 0))
+    child = np.random.SeedSequence(sc.rng_seed).spawn(1)[0]
+    want = np.random.default_rng(child).integers(
+        0, 2 ** sc.scheme.bits_per_symbol, size=(2, 1001), dtype=np.uint8)
+    assert words.dtype == sc.scheme.word_weights.dtype == np.uint8
+    assert np.array_equal(words, want)
+
+
+def constellation_tables(name: str, out_dir, overrides: dict) -> dict:
+    """{file name: constellation table} of one run of a bundled scenario."""
+    scen.run_scenario(name, out_dir, overrides)
+    return {p.name: np.load(p) for p in sorted(out_dir.glob("constellation_*.npy"))}
+
+
+@pytest.mark.parametrize("name, noise_psd", [("mimo2x2_16qam", 0.01),
+                                             ("integrated_switch", 1e-7)])
+def test_noise_leaves_the_sent_symbols_as_they_are(name, noise_psd, tmp_path):
+    # each frame draws its payload before its noise, from the same generator
+    quiet = constellation_tables(name, tmp_path / "quiet", {})
+    noisy = constellation_tables(name, tmp_path / "noisy", {"channel.noise_psd": noise_psd})
+    assert quiet.keys() == noisy.keys() and len(quiet) == 2
+    for file, table in quiet.items():
+        for column in ("ref_i", "ref_q"):
+            assert np.array_equal(table[column], noisy[file][column])
+        assert not np.array_equal(table["i"], noisy[file]["i"])
+
+
+def test_the_spectrum_head_leaves_both_payloads_as_they_are():
+    # the head's length sets how many per-sample noise values a frame
+    # draws, after its payload
+    sent = []
+    for bins in (None, 1024, 4097):
+        data = scen.apply_overrides(scen.load_scenario("integrated_switch"),
+                                    {"spectrum_bins": bins, "channel.noise_psd": 1e-7})
+        reports = scen.simulate(scen.Scenario.from_dict(data)).reports
+        sent.append([reports[key].reference_symbols for key in ("transmit", "receive")])
+    for other in sent[1:]:
+        for want, got in zip(sent[0], other):
+            assert np.array_equal(want, got)
+
+
+class CountingSeedSequence(np.random.SeedSequence):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        CountingSeedSequence.made += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name, noise_psd, made", [
+    ("mimo2x2_16qam", 0.0, 1), ("mimo2x2_16qam", 0.01, 1),
+    ("sdc_5mhz", 0.0, 0), ("sdc_5mhz", 0.01, 1),
+    ("integrated_switch", 0.0, 2), ("integrated_switch", 0.01, 2)])
+def test_a_run_builds_one_seed_sequence_per_frame_that_draws(name, noise_psd, made,
+                                                            monkeypatch):
+    # a noiseless SDC run draws nothing, so it builds none
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    monkeypatch.setattr(CountingSeedSequence, "made", 0)
+    data = scen.apply_overrides(scen.load_scenario(name), {"channel.noise_psd": noise_psd})
+    scen.simulate(scen.Scenario.from_dict(data))
+    assert CountingSeedSequence.made == made
 
 
 def test_long_noisy_frame_peaks_within_1_mib_of_the_noiseless_one():
@@ -565,12 +617,13 @@ def held_and_written(overrides: dict) -> None:
     frame = sc.frame(2)
     sps = sc.samples_per_symbol * sc.oversample
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
-    words = scen._payload(sc, frame, scen._seed(sc, 0))
+    rng = scen._rng(sc, 0)
+    words = scen._payload(sc, frame, rng)
     carrier = core.tone_envelope(frame.num_symbols * sps, sc.envelope_rate(), 0.0)
     rx = surface_pass(carrier, txrx.symbols_to_schedule(words, frame, sc.scheme,
                                                         sc.quantization),
                       sc.stream_of_cell, channels)
-    rx, noise, want_head = received(sc, rx, frame.num_symbols, scen._noise_seeds(sc, [1, 2]))
+    rx, noise, want_head = received(sc, rx, frame.num_symbols, rng)
     want = integrate(rx, frame.num_symbols) + (0.0 if noise is None else noise)
     peak = max(np.max(np.abs(env.samples)) for env in rx)
     assert np.max(np.abs(means - want)) <= sps * np.finfo(float).eps * peak
@@ -668,7 +721,7 @@ def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift
     sc = scen.Scenario.from_dict(data)
     points, symbols, sps = 2, 5000, sc.samples_per_symbol * sc.oversample
     fs = sc.envelope_rate()
-    seeds = np.random.SeedSequence(12).spawn(points)
+    seeds = np.random.SeedSequence(12).spawn(points)  # one per point, for the old draw
     silent = core.ComplexEnvelope(np.zeros(symbols * sps), fs, 0.0)
     old = integrate(surface_pass(silent, core.CoefficientSchedule(
         np.ones((1, symbols * sps), dtype=complex), fs), [0],
@@ -677,7 +730,8 @@ def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift
     shift = Fraction(expected_shift) / Fraction(fs)
     head = np.zeros(sc.spectrum_length(symbols * sps), dtype=complex)
     new = np.zeros((points, symbols), dtype=complex)
-    scen._add_noise(sc, seeds, new, head, shift.numerator, shift.denominator)
+    scen._add_noise(sc, np.random.default_rng(12), new, head, shift.numerator,
+                    shift.denominator)
     covered = len(head) // sps
     assert covered * sps == 4000
     # the head holds the noise whose derotated means the covered symbols

@@ -323,9 +323,10 @@ def test_the_cli_names_an_integer_too_large_for_a_float(command, name, overrides
 
 
 def test_validate_holds_no_per_cell_array_of_a_10_to_the_5_square_surface():
-    # the coincidence check reads the cell axes, 10^5 values each, not the
-    # 10^10 cell positions (224 GiB as float64); the in-plane point at the
-    # cell of the last row and first column coincides, the one beside it not
+    # the coincidence check forms three values of each axis per point, not
+    # the 10^10 cell positions (224 GiB as float64) nor the axes (7.6 MiB);
+    # the in-plane point at the cell of the last row and first column
+    # coincides, the one beside it not
     half = (10 ** 5 - 1) / 2 * 0.5
     data = bundled("integrated_switch", {
         "geometry.rows": 10 ** 5, "geometry.cols": 10 ** 5, "geometry.spacing_m": 0.5})
@@ -338,7 +339,101 @@ def test_validate_holds_no_per_cell_array_of_a_10_to_the_5_square_surface():
     finally:
         tracemalloc.stop()
     assert violations == ["points[2]: coincides with a unit-cell position"]
-    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < 2 ** 16, f"peak {peak / 2 ** 10:.1f} KiB"
+
+
+def test_a_surface_too_large_to_allocate_validates():
+    # 10^12 rows: one axis alone would be 7.28 TiB; running it is left to a
+    # size budget
+    data = bundled("sdc_5mhz", {"geometry.rows": 10 ** 12})
+    tracemalloc.start()
+    try:
+        violations = scen.validate(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    assert peak < 2 ** 16, f"peak {peak / 2 ** 10:.1f} KiB"
+
+
+def axis_scan_coincides(geometry: core.SurfaceGeometry, point) -> bool:
+    """The coincidence rule over every value of core.cell_axes: a zero
+    square, as Python floats form it, on each axis."""
+    x, y, z = core.cell_axes(geometry)
+    return all(any((c - v) * (c - v) == 0.0 for c in axis)
+               for v, axis in zip(point, (x.tolist(), y.tolist(), [z])))
+
+
+def coincidence_cases(rng) -> list:
+    """(geometry, points): a random grid, and points at random, on its cell
+    values exactly, a subnormal or a tiny normal offset or an ulp away from
+    them, and beyond its ends."""
+    rows, cols = (int(n) for n in rng.integers(1, 40, 2))
+    spacing = float(10.0 ** rng.uniform(-170, 300)) if rng.random() < 0.3 else \
+        float(rng.uniform(1e-3, 1.0))
+    origin = tuple(float(v) for v in rng.choice(
+        [0.0, 1.0, -2.5, 1e-170, 1e10], 3) * rng.uniform(0.5, 2.0, 3))
+    geometry = core.SurfaceGeometry(rows, cols, spacing, origin)
+    x, y, z = core.cell_axes(geometry)
+    points = []
+    for _ in range(30):
+        exact = np.array([rng.choice(x), rng.choice(y), z])
+        how = rng.integers(6)
+        if how == 0:
+            exact = exact + rng.uniform(-1, 1, 3) * spacing * max(rows, cols)
+        elif how == 1:
+            exact[rng.integers(3)] += rng.choice([5e-324, -1e-320, 1e-170, -1e-163])
+        elif how == 2:
+            exact[rng.integers(3)] += rng.choice([1e-150, -1e-161])
+        elif how == 3:
+            i = rng.integers(3)
+            exact[i] = np.nextafter(exact[i], rng.choice([-np.inf, np.inf]))
+        elif how == 4:
+            exact[:2] += rng.choice([-1, 1], 2) * spacing * (max(rows, cols) + 1)
+        points.append([float(v) for v in exact])
+    return geometry, points
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_coincidence_check_agrees_with_the_full_axis_scan(seed):
+    geometry, points = coincidence_cases(np.random.default_rng(seed))
+    data = {"name": "grid", "mode": "transmit_link", "geometry": {
+        "rows": geometry.rows, "cols": geometry.cols, "spacing_m": geometry.spacing,
+        "origin_m": list(geometry.origin)},
+        "points": [{"position_m": p, "role": "rx"} for p in points]}
+    want = [f"points[{i}]: coincides with a unit-cell position"
+            for i, p in enumerate(points) if axis_scan_coincides(geometry, p)]
+    assert [v for v in scen.validate(data) if "coincides" in v] == want
+
+
+def test_the_coincidence_check_takes_integers_whose_difference_overflows_a_float():
+    # JSON integers: 10^308 - (-10^308) is an integer no float holds, so the
+    # check takes each coordinate as a float first
+    data = {"name": "grid", "mode": "transmit_link", "geometry": {
+        "rows": 3, "cols": 3, "spacing_m": 1, "origin_m": [-10 ** 308, 0, 0]},
+        "points": [{"position_m": [10 ** 308, 0, 0], "role": "rx"},
+                   {"position_m": [-10 ** 308, 1, 0], "role": "rx"}]}
+    assert [v for v in scen.validate(data) if "coincides" in v] == [
+        "points[1]: coincides with a unit-cell position"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_cell_of_an_axis_of_2_to_the_53_values_coincides(seed):
+    # no scan can run here; each point is a cell's position, formed as
+    # core.cell_axes forms it (on a one-value slice of its arange), and the
+    # index nearest it, as a float, may be a neighbour of the cell's own
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 ** 50, 2 ** 53 + 1))
+    spacing = float(10.0 ** rng.uniform(-12, 0))
+    points = []
+    for m in rng.integers(0, n, (20, 2)):
+        x, y = ((np.arange(k, k + 1) - (n - 1) / 2) * spacing + 0.0 for k in m)
+        points.append({"position_m": [float(x[0]), float(y[0]), 0.0], "role": "rx"})
+    data = {"name": "grid", "mode": "transmit_link", "geometry": {
+        "rows": n, "cols": n, "spacing_m": spacing, "origin_m": [0.0, 0.0, 0.0]},
+        "points": points}
+    assert [v for v in scen.validate(data) if "coincides" in v] == [
+        f"points[{i}]: coincides with a unit-cell position" for i in range(20)]
 
 
 @pytest.mark.parametrize("key", ["phase_levels", "amplitude_levels"])
@@ -623,7 +718,7 @@ def receive_phase_means(overrides: dict) -> tuple:
     finally:
         txrx.detect = detect
     frame = sc.frame(1)
-    words = scen._payload(sc, frame, scen._seed(sc, 1))
+    words = scen._payload(sc, frame, scen._rng(sc, 1))
     sent = np.concatenate([frame.pilots, sc.scheme.points[words]], axis=1)[0]
     feed = sc.points.indices_with_role("feed")[0]
     back = propagation.build_channels(sc.geometry, core.PointSet(
