@@ -82,7 +82,9 @@ def _spherical_gains(src: np.ndarray, dsts: np.ndarray, wavelength: float) -> np
     # a huge distance or a tiny wavelength gives inf or nan gains, which
     # build_channels names; numpy's warnings about them would be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = np.linalg.norm(dsts - src, axis=-1)
+        d = dsts - src
+        # the sum in the order np.linalg.norm reduces a length-3 axis
+        r = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
         if np.any(r == 0.0):
             raise ValueError("a point coincides with a cell position (zero distance)")
         return (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)

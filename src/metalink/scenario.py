@@ -741,32 +741,44 @@ def simulate(sc: Scenario) -> ScenarioResult:
 
     Draw order, on which a run's bytes depend: frame f draws everything
     from its own generator, _rng(sc, f), built only when it draws. Frame 0
-    is the link frame, the integrated transmit phase or the SDC envelope;
+    is the link frame, the integrated transmit phase or the SDC capture;
     frame 1 is the integrated receive phase. A frame draws its payload
     first (_payload), so the payload depends on neither noise_psd nor
     spectrum_bins, and then, when noise_psd > 0, its noise (_add_noise).
 
-    SDC mode writes point 0's whole envelope, for the DFT over whole ramp
-    periods: the weights of one ramp period (_ramp_weights) repeated
-    sdc_periods times on the feed's unit tone (_held). It adds per-sample
-    noise to it from frame 0, as _normal_pairs. Its input spectrum, the
-    unit tone's, is in closed form: power 1 in the 0 Hz bin and 0 in every
-    other.
+    SDC mode writes one ramp period of point 0's envelope: the weights of
+    one period (_ramp_weights) on the feed's unit tone (_held). Its capture
+    is that period repeated P = sdc_periods times, whose DFT is P times
+    the period's DFT on every P-th bin and 0 on every other. So a noiseless
+    output spectrum is the period's periodogram on every P-th bin and
+    exactly 0 elsewhere. A noisy one draws the capture's per-sample noise
+    from frame 0, as _normal_pairs, adds P times the period's DFT to every
+    P-th bin of the noise's DFT, and takes their power_spectrum. Its input
+    spectrum, the unit tone's, is in closed form: power 1 in the 0 Hz bin
+    and 0 in every other.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
     if sc.mode == "space_down_conversion":
         weights, hold = _ramp_weights(sc, propagation.ChannelSet(
             channels.feed_gains, channels.obs_gains[:, :1]))
-        rx = _held(weights[0], 1.0, sc.sdc_periods, weights.shape[1], hold)
-        rate = sc.envelope_rate()
+        period = _held(weights[0], 1.0, 1, weights.shape[1], hold)
+        rate, periods = sc.envelope_rate(), sc.sdc_periods
+        length = periods * len(period)
         if sc.noise_psd > 0.0:
-            rx += _normal_pairs(_rng(sc, 0), len(rx), sc.noise_psd)
-        tone = np.zeros(len(rx))
-        tone[len(rx) - len(rx) // 2 - 1] = 1.0
+            bins = np.fft.fft(_normal_pairs(_rng(sc, 0), length, sc.noise_psd))
+            bins[::periods] += periods * np.fft.fft(period)
+            output = spectral.power_spectrum(bins, rate)
+            del bins  # freed before the input spectrum
+        else:
+            one = spectral.periodogram(core.ComplexEnvelope(period, rate, sc.carrier_freq_hz))
+            output = spectral.Spectrum(np.zeros(length), rate / length)
+            # every periods-th bin, from the one at one's lowest frequency
+            output.power[one.first_bin * periods - output.first_bin::periods] = one.power
+        tone = np.zeros(length)
+        tone[-output.first_bin] = 1.0
         report = txrx.LinkReport(spectra={
-            "input": spectral.Spectrum(tone, rate / len(rx)),
-            "output": spectral.periodogram(core.ComplexEnvelope(rx, rate, sc.carrier_freq_hz))})
+            "input": spectral.Spectrum(tone, rate / length), "output": output})
     else:
         report = _frame(sc, channels, int(sc.stream_of_cell.max()) + 1, _rng(sc, 0),
                         "tx_rx0" if integrated else "rx0")
@@ -829,6 +841,18 @@ def _table(dtype: np.dtype, columns) -> np.ndarray:
     return table
 
 
+def _spectrum_table(spectrum: spectral.Spectrum) -> np.ndarray:
+    """spectrum as a SPECTRUM_DTYPE table: its bin grid, its power, and
+    10 log10 of the power, formed in its field."""
+    table = np.empty(len(spectrum.power), SPECTRUM_DTYPE)
+    table["freq_hz"] = spectrum.frequencies
+    table["power_linear"] = spectrum.power
+    with np.errstate(divide="ignore"):
+        np.log10(spectrum.power, out=table["power_db"])
+    table["power_db"] *= 10.0
+    return table
+
+
 def _unlinked(path: Path) -> Path:
     """path, with any file already there removed so that a new one is written.
 
@@ -872,11 +896,7 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
             paths.append(path)
         for tag, spectrum in report.spectra.items():
             path = _unlinked(out / f"spectrum_{tag}.npy")
-            with np.errstate(divide="ignore"):
-                power_db = 10.0 * np.log10(spectrum.power)
-            np.save(path, _table(SPECTRUM_DTYPE, (spectrum.frequencies, spectrum.power,
-                                                  power_db)),
-                    allow_pickle=False)
+            np.save(path, _spectrum_table(spectrum), allow_pickle=False)
             paths.append(path)
     result.summary["artifacts"] = sorted(p.name for p in paths) + ["summary.json"]
     summary_path = _unlinked(out / "summary.json")

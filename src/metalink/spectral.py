@@ -62,23 +62,28 @@ class Spectrum:
         return float(self.power.sum())
 
 
-def periodogram(env: ComplexEnvelope) -> Spectrum:
-    """Rectangular-window periodogram of the whole envelope; a caller that
-    wants fewer bins passes the samples it wants.
+def power_spectrum(bins: np.ndarray, sample_rate: float) -> Spectrum:
+    """The spectrum of an fs-rate signal from its n DFT bins X_k: power
+    |X_k / n|^2, in ascending frequency over (-fs/2, fs/2].
 
     |X| is written straight into its shifted place in the power array, then
     divided and squared in place."""
-    length = len(env)
-    spectrum = np.fft.fft(env.samples)
+    length = len(bins)
     # bins span (-fs/2, fs/2]: bins above length // 2 are the negative ones
     h = length // 2
     power = np.empty(length)
-    np.abs(spectrum[h + 1:], out=power[:length - h - 1])
-    np.abs(spectrum[:h + 1], out=power[length - h - 1:])
-    del spectrum
+    np.abs(bins[h + 1:], out=power[:length - h - 1])
+    np.abs(bins[:h + 1], out=power[length - h - 1:])
     power /= length
     power *= power
-    return Spectrum(power, env.sample_rate / length)
+    return Spectrum(power, sample_rate / length)
+
+
+def periodogram(env: ComplexEnvelope) -> Spectrum:
+    """Rectangular-window periodogram of the whole envelope, the
+    power_spectrum of its DFT; a caller that wants fewer bins passes the
+    samples it wants."""
+    return power_spectrum(np.fft.fft(env.samples), env.sample_rate)
 
 
 def line_power(spec: Spectrum, freq: float) -> float:

@@ -34,6 +34,11 @@ whole symbols, integrates each antenna over the whole envelope, estimates
 the channel with the general inv(gram) least squares, and scores BER on
 bits demapped again from the reference symbols. The tests hold txrx.detect
 against it on the same means.
+
+_run_sdc takes the SDC output spectrum over the whole capture, where
+scenario.simulate takes it from one ramp period; the two agree to rounding,
+within SDC_RTOL of the peak power (spectra) or of each value (the harmonic
+table's measured fractions, assert_close_harmonics).
 """
 
 import csv
@@ -543,6 +548,23 @@ def _run_integrated(sc, data):
     summary = _summarize(sc, reports)
     summary["expected_line_hz"] = shift
     return ScenarioResult(sc, reports, summary)
+
+
+# the acceptance gate's brute-force bound
+SDC_RTOL = 1e-12
+
+
+def assert_close_harmonics(got: list, want: list) -> None:
+    """Equal harmonic tables, but that each measured power_fraction need
+    only lie within SDC_RTOL of the reference's."""
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert row.keys() == ref.keys()
+        for key, value in row.items():
+            if key == "power_fraction":
+                assert abs(value - ref[key]) <= SDC_RTOL * abs(ref[key]), row
+            else:
+                assert value == ref[key], row
 
 
 def simulate(data: dict) -> ScenarioResult:

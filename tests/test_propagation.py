@@ -17,6 +17,7 @@ from metalink.core import (
 from metalink.propagation import (
     ChannelModel,
     ChannelSet,
+    _spherical_gains,
     build_channels,
     pass_weights,
     surface_pass,
@@ -122,6 +123,23 @@ def test_grid_gains_match_elementwise_oracle():
         for p, pos in enumerate(positions[1:]):
             assert chans.obs_gains[c, p] == pytest.approx(
                 free_space_gain(pos, cells[c], wavelength), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-150, 1.0, 1e150, 1e154])
+def test_gains_take_each_distance_bit_for_bit_as_linalg_norm(scale):
+    # the wavelength follows the scale, so every gain whose distance is
+    # finite is a finite function of it; at 1e-158 the squares are
+    # subnormal, and at 1e154 three in four distances overflow
+    rng = np.random.default_rng(29)
+    src = rng.standard_normal((5, 1, 3)) * scale
+    dsts = rng.standard_normal((40, 3)) * scale
+    wavelength = 0.07 * scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = np.linalg.norm(dsts - src, axis=-1)
+        want = (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
+    got = _spherical_gains(src, dsts, wavelength)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isfinite(got).any()
 
 
 def test_explicit_matrix_is_copied_through():
