@@ -8,7 +8,6 @@ operation in this package mutates its inputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +122,6 @@ class SurfaceGeometry:
         return self.rows * self.cols
 
 
-def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
-    """All cell positions, shape (num_cells, 3), row-major from lower-left.
-
-    The array is built once per geometry and shared, so it is read-only.
-    """
-    return _cell_positions(geometry)
-
-
 def cell_axes(geometry: SurfaceGeometry) -> tuple:
     """(x of each column, y of each row, z): cell (n, m) lies at (x[m], y[n], z)."""
     ox, oy, oz = geometry.origin
@@ -139,10 +130,15 @@ def cell_axes(geometry: SurfaceGeometry) -> tuple:
     return x, y, oz
 
 
-@functools.lru_cache(maxsize=4)  # a run reads one geometry; large ones are MBs
-def _cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
+def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
+    """All cell positions, shape (num_cells, 3), row-major from lower-left,
+    formed from cell_axes on each call.
+
+    Production reads the axes alone; this table stays public because the
+    acceptance gate places its cells with it.
+    """
     x, y, z = cell_axes(geometry)
-    return read_only(np.stack(np.broadcast_arrays(x, y[:, np.newaxis], z), -1).reshape(-1, 3))
+    return np.stack(np.broadcast_arrays(x, y[:, np.newaxis], z), -1).reshape(-1, 3)
 
 
 @dataclass(frozen=True, eq=False)

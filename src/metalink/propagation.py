@@ -21,7 +21,7 @@ from .core import (
     PointSet,
     SurfaceGeometry,
     _hold_ratio,
-    cell_positions,
+    cell_axes,
 )
 
 CHANNEL_KINDS = ("identity", "free_space", "explicit_matrix")
@@ -77,14 +77,19 @@ class ChannelSet:
         return self.obs_gains.shape[1]
 
 
-def _spherical_gains(src: np.ndarray, dsts: np.ndarray, wavelength: float) -> np.ndarray:
-    # src and dsts broadcast over their leading axes, the last holds x, y, z;
-    # a huge distance or a tiny wavelength gives inf or nan gains, which
+def _spherical_gains(srcs: np.ndarray, geometry: SurfaceGeometry,
+                     wavelength: float) -> np.ndarray:
+    # (sources, rows, cols) gains from each (x, y, z) row of srcs to each
+    # cell, formed from the grid's axes: each difference broadcasts on its
+    # own axis, so no (sources x cells x 3) array is formed; a huge
+    # distance or a tiny wavelength gives inf or nan gains, which
     # build_channels names; numpy's warnings about them would be noise
+    x, y, z = cell_axes(geometry)
+    sx, sy, sz = srcs.T[..., np.newaxis, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = dsts - src
+        dx, dy, dz = x - sx, y[:, np.newaxis] - sy, z - sz
         # the sum in the order np.linalg.norm reduces a length-3 axis
-        r = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
+        r = np.sqrt((dx * dx + dy * dy) + dz * dz)
         if np.any(r == 0.0):
             raise ValueError("a point coincides with a cell position (zero distance)")
         return (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
@@ -109,8 +114,8 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
         obs = np.ones((num_cells, len(obs_idx)), dtype=np.complex128)
     elif model.kind == "free_space":
         # (feed, then each observation point) x cells, in one call
-        gains = _spherical_gains(points.positions[feed_idx + obs_idx, np.newaxis],
-                                 cell_positions(geometry), model.wavelength)
+        gains = _spherical_gains(points.positions[feed_idx + obs_idx], geometry,
+                                 model.wavelength).reshape(-1, num_cells)
         feed = gains[0] if feed_idx else np.ones(num_cells, dtype=np.complex128)
         obs = np.ascontiguousarray(gains[len(feed_idx):].T)
     else:  # explicit_matrix

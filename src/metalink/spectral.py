@@ -12,13 +12,12 @@ arithmetic on it, so a kept spectrum costs one float per bin.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexEnvelope, read_only
+from .core import ComplexEnvelope
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,24 +108,14 @@ def staircase_harmonics(steps_per_period: int, harmonic_indices) -> np.ndarray:
 
     Index q refers to the basis exp(-j*2*pi*q*t/period), i.e. the line at
     frequency -q/period for the down-shifting ramp (mirror q for an
-    up-shifting one). Lines are nonzero only for q == 1 (mod L); the desired
-    line is q = 1 and the strongest spur q = 1 - L. Values come from the
-    exact per-step Fourier integral of one held period, read-only and cached.
+    up-shifting one). Lines lie only on the lattice q == 1 (mod L), where
+    |c_q| = sin(pi/L) * L / (pi * |q|), since there sin(pi*q/L) is
+    +-sin(pi/L) and no large argument is ever reduced; off it they are
+    exactly 0. The desired line is q = 1 and the strongest spur q = 1 - L.
     """
     L = int(steps_per_period)
     if L < 2:
         raise ValueError("steps_per_period must be >= 2")
     q = np.asarray(harmonic_indices, dtype=np.int64)
-    return _harmonics(L, tuple(q.ravel().tolist())).reshape(q.shape)
-
-
-@functools.lru_cache(maxsize=16)
-def _harmonics(L: int, indices: tuple) -> np.ndarray:
-    q = np.array(indices, dtype=np.int64)
-    steps = np.exp(-2j * np.pi * np.arange(L) / L)
-    edges = np.exp(2j * np.pi * q[..., np.newaxis] * np.arange(L + 1) / L)
-    with np.errstate(divide="ignore", invalid="ignore"):  # q == 0 is taken apart
-        coeff = np.sum(steps * np.diff(edges), axis=-1) / (2j * np.pi * q)
-    # hypot, as abs() of a complex scalar takes it (np.abs of an array may not)
-    return read_only(np.where(q == 0, abs(np.sum(steps)) / L,
-                              np.hypot(coeff.real, coeff.imag)))
+    return np.divide(math.sin(math.pi / L) * L, np.pi * np.abs(q),
+                     out=np.zeros(q.shape), where=(q - 1) % L == 0)

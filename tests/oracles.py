@@ -4,8 +4,10 @@ Each one restates a formula element by element, independent of the
 vectorised code it checks: cell_position for core.cell_positions,
 hadamard_pilots for txrx.make_pilots, free_space_gain for the channel
 gains of propagation.build_channels, dft_direct for the fast transform
-behind spectral.periodogram, line_power for spectral.line_power, which
-finds its bin by arithmetic rather than by argmin over the grid,
+behind spectral.periodogram, staircase_harmonic, the per-step Fourier
+integral, for the closed form of spectral.staircase_harmonics,
+line_power for spectral.line_power, which finds its bin by arithmetic
+rather than by argmin over the grid,
 channel_estimate_pairs for the channel
 estimate in scenario summaries, the row-at-a-time csv.writer writers for
 the CSV that scenario.export_csv writes from each artifact table,
@@ -103,6 +105,17 @@ def dft_direct(x) -> np.ndarray:
         k = np.arange(start, min(start + 256, n_total))
         out[k] = np.exp(-2j * np.pi * np.outer(k, n) / n_total) @ x
     return out
+
+
+def staircase_harmonic(L: int, q: int) -> float:
+    """|c_q| of the unit-amplitude L-step down-ramp staircase, q != 0, from
+    the Fourier integral of one held period taken step by step: step m
+    holds exp(-j*2*pi*m/L) over [m/L, (m+1)/L) of the period, where
+    exp(j*2*pi*q*t) integrates to its difference at the two edges over
+    j*2*pi*q."""
+    edges = np.exp(2j * np.pi * q * np.arange(L + 1) / L)
+    steps = np.exp(-2j * np.pi * np.arange(L) / L)
+    return abs(np.sum(steps * np.diff(edges)) / (2j * np.pi * q))
 
 
 def channel_estimate_pairs(h) -> list:

@@ -35,6 +35,7 @@ KEPT_FOR_THE_GATE = {
     "resample_hold": "tests/test_acceptance.py builds its held schedules with it",
     "frequency_shift": "tests/test_acceptance.py shifts an envelope with it",
     "map_bits": "tests/test_acceptance.py maps its bits with it",
+    "cell_positions": "tests/test_acceptance.py places its cells with it",
 }
 
 # members of a shared name whose uses have receivers of no known class,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -125,21 +127,43 @@ def test_grid_gains_match_elementwise_oracle():
                 free_space_gain(pos, cells[c], wavelength), rel=1e-12)
 
 
+@pytest.mark.parametrize("rows, cols, origin", [
+    (8, 6, (0.0, 0.0, 0.0)), (7, 5, (0.3, -1.1, 0.4))], ids=["even_centred", "odd_off_centre"])
 @pytest.mark.parametrize("scale", [1e-158, 1e-150, 1.0, 1e150, 1e154])
-def test_gains_take_each_distance_bit_for_bit_as_linalg_norm(scale):
-    # the wavelength follows the scale, so every gain whose distance is
-    # finite is a finite function of it; at 1e-158 the squares are
-    # subnormal, and at 1e154 three in four distances overflow
-    rng = np.random.default_rng(29)
-    src = rng.standard_normal((5, 1, 3)) * scale
-    dsts = rng.standard_normal((40, 3)) * scale
+def test_gains_take_each_distance_bit_for_bit_as_linalg_norm(scale, rows, cols, origin):
+    # the pitch, the origin and the wavelength follow the scale, so every
+    # gain whose distance is finite is a finite function of it; at 1e-158
+    # the squares are subnormal, and at 1e154 some distances overflow
+    geometry = SurfaceGeometry(rows, cols, 0.3 * scale, tuple(v * scale for v in origin))
+    srcs = np.random.default_rng(29).standard_normal((5, 3)) * scale
     wavelength = 0.07 * scale
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = np.linalg.norm(dsts - src, axis=-1)
+        r = np.linalg.norm(cell_positions(geometry) - srcs[:, np.newaxis], axis=-1)
         want = (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
-    got = _spherical_gains(src, dsts, wavelength)
-    assert np.array_equal(got, want, equal_nan=True)
+    got = _spherical_gains(srcs, geometry, wavelength)
+    assert got.shape == (5, rows, cols)
+    assert np.array_equal(got.reshape(5, -1), want, equal_nan=True)
     assert np.isfinite(got).any()
+
+
+def test_a_wide_free_space_surface_holds_its_gains_and_little_more():
+    # a 256 x 256 surface from a feed to 64 points: the gains are
+    # 65 x 65 536 complex values, 65 MiB; a (points x cells x 3) difference
+    # array alone would add 1.5 times that
+    geometry = SurfaceGeometry(256, 256, 0.0353)
+    positions = [[0.0, 0.0, 2.0]] + [[(i - 3.5) * 0.07, (j - 3.5) * 0.07, 0.15]
+                                      for j in range(8) for i in range(8)]
+    points = PointSet(np.array(positions), ("feed",) + ("rx",) * 64)
+    model = ChannelModel("free_space", wavelength=0.0706)
+    tracemalloc.start()
+    try:
+        channels = build_channels(geometry, points, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gains = 65 * geometry.num_cells * 16
+    assert channels.obs_gains.shape == (geometry.num_cells, 64)
+    assert peak <= 3.25 * gains, f"{peak / gains:.2f} x the gains"
 
 
 def test_explicit_matrix_is_copied_through():

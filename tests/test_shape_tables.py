@@ -58,9 +58,8 @@ def _run_all(out_dir: Path) -> dict:
 
 def test_the_caches_are_the_expected_ones():
     assert set(CACHES) == {
-        "metalink.core._cell_positions", "metalink.txrx._pilots",
-        "metalink.txrx._quantized_tables",
-        "metalink.scenario._rotation_head", "metalink.spectral._harmonics"}
+        "metalink.txrx._pilots", "metalink.txrx._quantized_tables",
+        "metalink.scenario._rotation_head"}
 
 
 def test_cold_and_warm_caches_write_the_same_bytes(tmp_path):

@@ -210,8 +210,18 @@ def test_lines_exist_only_on_the_harmonic_lattice(L):
     q = np.arange(-2 * L, 2 * L + 1)
     amps = staircase_harmonics(L, q)
     on_lattice = (q - 1) % L == 0
-    assert np.all(amps[~on_lattice] < 1e-14)
+    assert np.all(amps[~on_lattice] == 0.0)
     assert np.all(amps[on_lattice] > 0)
+
+
+def test_closed_form_harmonics_match_the_per_step_integral():
+    # sin(pi*q/L) is +-sin(pi/L) on the lattice, so the closed form reduces
+    # no large argument; the integral sums L steps and rounds in each
+    for L in range(2, 257):
+        q = np.arange(-3 * L, 3 * L + 1)
+        q = q[(q - 1) % L == 0]
+        want = [oracles.staircase_harmonic(L, int(k)) for k in q]
+        np.testing.assert_allclose(staircase_harmonics(L, q), want, rtol=1e-12, atol=0)
 
 
 def test_fundamental_approaches_one_for_fine_staircases():
