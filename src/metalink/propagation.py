@@ -81,18 +81,30 @@ def _spherical_gains(srcs: np.ndarray, geometry: SurfaceGeometry,
                      wavelength: float) -> np.ndarray:
     # (sources, rows, cols) gains from each (x, y, z) row of srcs to each
     # cell, formed from the grid's axes: each difference broadcasts on its
-    # own axis, so no (sources x cells x 3) array is formed; a huge
-    # distance or a tiny wavelength gives inf or nan gains, which
-    # build_channels names; numpy's warnings about them would be noise
+    # own axis, so no (sources x cells x 3) array is formed. They are laid
+    # out cell-major, each cell's sources side by side, so build_channels
+    # takes the observation gains as a (cells, points) view, and formed in
+    # place: the distances, then the phase and its exponential, then the
+    # amplitude in the distances' buffer. A huge distance or a tiny
+    # wavelength gives inf or nan gains, which build_channels names;
+    # numpy's warnings about them would be noise
     x, y, z = cell_axes(geometry)
-    sx, sy, sz = srcs.T[..., np.newaxis, np.newaxis]
+    sx, sy, sz = srcs.T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dx, dy, dz = x - sx, y[:, np.newaxis] - sy, z - sz
+        dx, dy, dz = x[:, np.newaxis] - sx, y[:, np.newaxis, np.newaxis] - sy, z - sz
         # the sum in the order np.linalg.norm reduces a length-3 axis
-        r = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        r = dx * dx + dy * dy
+        r += dz * dz
+        np.sqrt(r, out=r)
         if np.any(r == 0.0):
             raise ValueError("a point coincides with a cell position (zero distance)")
-        return (wavelength / (4.0 * np.pi * r)) * np.exp(-2j * np.pi * r / wavelength)
+        gains = np.multiply(r, -2j * np.pi)
+        gains /= wavelength
+        np.exp(gains, out=gains)
+        r *= 4.0 * np.pi
+        np.divide(wavelength, r, out=r)
+        gains *= r
+    return gains.transpose(2, 0, 1)
 
 
 def build_channels(geometry: SurfaceGeometry, points: PointSet,
@@ -113,11 +125,12 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
         feed = np.ones(num_cells, dtype=np.complex128)
         obs = np.ones((num_cells, len(obs_idx)), dtype=np.complex128)
     elif model.kind == "free_space":
-        # (feed, then each observation point) x cells, in one call
+        # (feed, then each observation point) x cells, in one call; both are
+        # views of its cell-major gains
         gains = _spherical_gains(points.positions[feed_idx + obs_idx], geometry,
                                  model.wavelength).reshape(-1, num_cells)
         feed = gains[0] if feed_idx else np.ones(num_cells, dtype=np.complex128)
-        obs = np.ascontiguousarray(gains[len(feed_idx):].T)
+        obs = gains[len(feed_idx):].T
     else:  # explicit_matrix
         if model.matrix.shape != (num_cells, len(obs_idx)):
             raise ConfigurationError(

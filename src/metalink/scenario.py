@@ -41,6 +41,7 @@ MODES = ("transmit_link", "space_down_conversion", "integrated")
 LINK_MODES = ("transmit_link", "integrated")
 SDC_MODES = ("space_down_conversion", "integrated")
 LINE_TIE = 1e-9  # relative power within which two spectral lines tie
+BLOCK = 65536  # noise values drawn, or .npy table rows written, at a time
 KINDS = propagation.CHANNEL_KINDS
 
 
@@ -628,21 +629,37 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
     at sample n. The mean of sps samples of that noise is one circular
     Gaussian of variance noise_psd / sps, so then each remaining mean gets
     one draw of it: point 0's uncovered symbols, then each other point's.
+
+    The values are drawn and added one block of at most BLOCK values, whole
+    symbols on the head, at a time into one reused buffer: a generator
+    draws the same values in blocks as at once, so no noise array of the
+    head's or the means' size is formed.
     """
     if sc.noise_psd == 0.0:
         return
     sps = sc.samples_per_symbol * sc.oversample
     covered = len(head) // sps
-    noise = _normal_pairs(rng, len(head), sc.noise_psd)
+    symbols = max(1, BLOCK // sps)  # whole symbols of head noise a block
+    buffer = np.empty(max(min(covered, symbols) * sps, min(means.shape[1], BLOCK)),
+                      dtype=np.complex128)
+    scale = np.sqrt(sc.noise_psd / 2.0)
     # sample i of symbol k is derotated by start[k] * within[i]
-    means[0, :covered] += np.einsum(
-        "ki,i->k", noise.reshape(covered, sps), _rotation(num, den, sps)) * (
-        _rotation(num * sps, den, covered) / sps)
-    head += noise
-    noise = _normal_pairs(rng, means.size - covered, sc.noise_psd / sps)
-    rest = means.shape[1] - covered  # point 0's uncovered means
-    means[0, covered:] += noise[:rest]
-    means[1:] += noise[rest:].reshape(-1, means.shape[1])
+    within, start = _rotation(num, den, sps), _rotation(num * sps, den, covered)
+    for k in range(0, covered, symbols):
+        count = min(symbols, covered - k)
+        noise = buffer[:count * sps]
+        rng.standard_normal(out=noise.view(np.float64))
+        noise *= scale
+        means[0, k:k + count] += np.einsum(
+            "ki,i->k", noise.reshape(count, sps), within) * (start[k:k + count] / sps)
+        head[k * sps:(k + count) * sps] += noise
+    scale = np.sqrt(sc.noise_psd / sps / 2.0)
+    for row in (means[0, covered:], *means[1:]):
+        for i in range(0, len(row), BLOCK):
+            noise = buffer[:min(BLOCK, len(row) - i)]
+            rng.standard_normal(out=noise.view(np.float64))
+            noise *= scale
+            row[i:i + len(noise)] += noise
 
 
 def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng,
@@ -669,7 +686,9 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
 
     Only point 0's first ceil(spectrum_length / sps) symbols, the spectrum
     head, are written (_held); _add_noise then adds the noise to the head
-    and to the means.
+    and to the means. The head's first spectrum_length samples are then
+    transformed in place and their power_spectrum taken, so the head is
+    freed, and holds no second copy, before detect runs.
     """
     frame = sc.frame(num_streams)
     words = _payload(sc, frame, rng)
@@ -691,10 +710,12 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     if ramp:
         means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
     _add_noise(sc, rng, means, head, num, den)
+    bins = head[:length]
+    np.fft.fft(bins, out=bins)  # in place: the head becomes its DFT
+    spectrum = spectral.power_spectrum(bins, rate)
+    del head, bins  # freed before detection
     report = txrx.detect(means, frame, sc.scheme, words)
-    del words, means, weights, sent  # freed before the periodogram
-    report.spectra[tag] = spectral.periodogram(
-        core.ComplexEnvelope(head[:length], rate, sc.carrier_freq_hz))
+    report.spectra[tag] = spectrum
     return report
 
 
@@ -752,8 +773,9 @@ def simulate(sc: Scenario) -> ScenarioResult:
     the period's DFT on every P-th bin and 0 on every other. So a noiseless
     output spectrum is the period's periodogram on every P-th bin and
     exactly 0 elsewhere. A noisy one draws the capture's per-sample noise
-    from frame 0, as _normal_pairs, adds P times the period's DFT to every
-    P-th bin of the noise's DFT, and takes their power_spectrum. Its input
+    from frame 0, as _normal_pairs, transforms it in place, adds P times
+    the period's DFT to every P-th bin of the noise's DFT, and takes their
+    power_spectrum. Its input
     spectrum, the unit tone's, is in closed form: power 1 in the 0 Hz bin
     and 0 in every other.
     """
@@ -766,7 +788,8 @@ def simulate(sc: Scenario) -> ScenarioResult:
         rate, periods = sc.envelope_rate(), sc.sdc_periods
         length = periods * len(period)
         if sc.noise_psd > 0.0:
-            bins = np.fft.fft(_normal_pairs(_rng(sc, 0), length, sc.noise_psd))
+            bins = _normal_pairs(_rng(sc, 0), length, sc.noise_psd)
+            np.fft.fft(bins, out=bins)  # in place: the noise becomes its DFT
             bins[::periods] += periods * np.fft.fft(period)
             output = spectral.power_spectrum(bins, rate)
             del bins  # freed before the input spectrum
@@ -833,24 +856,48 @@ ARTIFACT_DTYPES = {"constellation_": CONSTELLATION_DTYPE, "spectrum_": SPECTRUM_
 CSV_BLOCK_ROWS = 4096
 
 
-def _table(dtype: np.dtype, columns) -> np.ndarray:
-    """A structured array whose fields, in dtype order, hold columns."""
-    table = np.empty(len(columns[0]), dtype)
-    for name, column in zip(dtype.names, columns):
-        table[name] = column
-    return table
+def _write_table(path: Path, dtype: np.dtype, length: int, fill) -> None:
+    """Write a table of length rows of dtype to path as np.save writes it:
+    the header for the whole shape, then the rows, BLOCK at a time through
+    one block buffer, which fill(rows, start) fills with the rows from
+    start on. No whole table is formed."""
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+              "shape": (length,)}
+    block = np.empty(min(length, BLOCK), dtype)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, length, BLOCK):
+            rows = block[:min(BLOCK, length - start)]
+            fill(rows, start)
+            rows.tofile(fh)
 
 
-def _spectrum_table(spectrum: spectral.Spectrum) -> np.ndarray:
-    """spectrum as a SPECTRUM_DTYPE table: its bin grid, its power, and
-    10 log10 of the power, formed in its field."""
-    table = np.empty(len(spectrum.power), SPECTRUM_DTYPE)
-    table["freq_hz"] = spectrum.frequencies
-    table["power_linear"] = spectrum.power
-    with np.errstate(divide="ignore"):
-        np.log10(spectrum.power, out=table["power_db"])
-    table["power_db"] *= 10.0
-    return table
+def _constellation_rows(detected: np.ndarray, reference: np.ndarray):
+    """fill for _write_table: the CONSTELLATION_DTYPE rows of one stream."""
+    columns = (detected.real, detected.imag, reference.real, reference.imag)
+
+    def fill(rows, start):
+        stop = start + len(rows)
+        rows["symbol_index"] = np.arange(start, stop)
+        for name, column in zip(CONSTELLATION_DTYPE.names[1:], columns):
+            rows[name] = column[start:stop]
+    return fill
+
+
+def _spectrum_rows(spectrum: spectral.Spectrum):
+    """fill for _write_table: spectrum's SPECTRUM_DTYPE rows, its bin
+    centres, its power, and 10 log10 of the power, formed in its field from
+    the power's contiguous slice."""
+    def fill(rows, start):
+        stop = start + len(rows)
+        first = spectrum.first_bin
+        rows["freq_hz"] = np.arange(first + start, first + stop) * spectrum.resolution
+        power = spectrum.power[start:stop]
+        rows["power_linear"] = power
+        with np.errstate(divide="ignore"):
+            np.log10(power, out=rows["power_db"])
+        rows["power_db"] *= 10.0
+    return fill
 
 
 def _unlinked(path: Path) -> Path:
@@ -880,7 +927,12 @@ def _write_csv(path: Path, header: str, row_fmt: str, columns) -> None:
 
 
 def write_artifacts(result: ScenarioResult, out_dir) -> list:
-    """Write each constellation and spectrum as a .npy table, then summary.json."""
+    """Write each constellation and spectrum as a .npy table, then summary.json.
+
+    Each table is written BLOCK rows at a time (_write_table), so writing
+    holds no table, index or frequency grid of a frame's length; the files
+    are those np.save writes of the whole tables, byte for byte.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -890,13 +942,11 @@ def write_artifacts(result: ScenarioResult, out_dir) -> list:
         for s, (d, r) in enumerate(zip(report.detected_symbols,
                                        report.reference_symbols)):
             path = _unlinked(out / f"constellation_{prefix}{s}.npy")
-            np.save(path, _table(CONSTELLATION_DTYPE, (np.arange(len(d)), d.real,
-                                                       d.imag, r.real, r.imag)),
-                    allow_pickle=False)
+            _write_table(path, CONSTELLATION_DTYPE, len(d), _constellation_rows(d, r))
             paths.append(path)
         for tag, spectrum in report.spectra.items():
             path = _unlinked(out / f"spectrum_{tag}.npy")
-            np.save(path, _spectrum_table(spectrum), allow_pickle=False)
+            _write_table(path, SPECTRUM_DTYPE, len(spectrum.power), _spectrum_rows(spectrum))
             paths.append(path)
     result.summary["artifacts"] = sorted(p.name for p in paths) + ["summary.json"]
     summary_path = _unlinked(out / "summary.json")

@@ -1,5 +1,6 @@
 """The calls into metalink's own functions during one simulate do not grow
-with the run's size.
+with the run's size: its frame length, cell count, spectrum length or
+ramp periods.
 
 A per-symbol or per-cell Python loop shows here as a count that grows with
 the frame or the surface, where a timing would need many runs to show it.
@@ -49,6 +50,12 @@ def metalink_calls(name: str, overrides: dict) -> int:
      {"frame.payload_symbols": 10 ** 5, "channel.noise_psd": 1e-3}),
     ("integrated_switch", {"frame.payload_symbols": 10 ** 3},
      {"frame.payload_symbols": 10 ** 4}),
-], ids=["sdc_cells", "link_symbols", "noisy_link_symbols", "integrated_symbols"])
+    # a 4 096-sample head is one block of noise; the whole 400 320-sample
+    # head is drawn and added in seven
+    ("mimo2x2_16qam", {"spectrum_bins": 4096, "channel.noise_psd": 1e-3},
+     {"spectrum_bins": None, "channel.noise_psd": 1e-3}),
+    ("sdc_5mhz", {"sdc_periods": 10}, {"sdc_periods": 1000}),
+], ids=["sdc_cells", "link_symbols", "noisy_link_symbols", "integrated_symbols",
+        "noisy_link_spectrum_bins", "sdc_periods"])
 def test_the_calls_into_metalink_do_not_depend_on_size(name, small, large):
     assert metalink_calls(name, small) == metalink_calls(name, large) > 0

@@ -149,7 +149,10 @@ def test_gains_take_each_distance_bit_for_bit_as_linalg_norm(scale, rows, cols, 
 def test_a_wide_free_space_surface_holds_its_gains_and_little_more():
     # a 256 x 256 surface from a feed to 64 points: the gains are
     # 65 x 65 536 complex values, 65 MiB; a (points x cells x 3) difference
-    # array alone would add 1.5 times that
+    # array alone would add 1.5 times that. The distances, 8 bytes a gain,
+    # are the only other array of that size; the feed and observation
+    # gains are views of one cell-major array (out of place, with a
+    # contiguous copy of the observation gains, the build peaked at 3.0x)
     geometry = SurfaceGeometry(256, 256, 0.0353)
     positions = [[0.0, 0.0, 2.0]] + [[(i - 3.5) * 0.07, (j - 3.5) * 0.07, 0.15]
                                       for j in range(8) for i in range(8)]
@@ -163,7 +166,7 @@ def test_a_wide_free_space_surface_holds_its_gains_and_little_more():
         tracemalloc.stop()
     gains = 65 * geometry.num_cells * 16
     assert channels.obs_gains.shape == (geometry.num_cells, 64)
-    assert peak <= 3.25 * gains, f"{peak / gains:.2f} x the gains"
+    assert peak <= 1.6 * gains, f"{peak / gains:.2f} x the gains"
 
 
 def test_explicit_matrix_is_copied_through():
