@@ -687,8 +687,9 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     Only point 0's first ceil(spectrum_length / sps) symbols, the spectrum
     head, are written (_held); _add_noise then adds the noise to the head
     and to the means. The head's first spectrum_length samples are then
-    transformed in place and their power_spectrum taken, so the head is
-    freed, and holds no second copy, before detect runs.
+    transformed in place and their power_spectrum taken, so the head holds
+    no second copy, and it is freed before detect runs, as are the receive
+    phase's sent symbols, which detect forms again from the words.
     """
     frame = sc.frame(num_streams)
     words = _payload(sc, frame, rng)
@@ -713,7 +714,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     bins = head[:length]
     np.fft.fft(bins, out=bins)  # in place: the head becomes its DFT
     spectrum = spectral.power_spectrum(bins, rate)
-    del head, bins  # freed before detection
+    del head, bins, sent  # freed before detection
     report = txrx.detect(means, frame, sc.scheme, words)
     report.spectra[tag] = spectrum
     return report

@@ -625,6 +625,17 @@ def test_receive_phase_holds_one_ramp_period_of_weights():
     assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
+def test_a_receive_frame_frees_its_sent_symbols_before_detection():
+    # 10^5 payload symbols: the receive phase's sent symbols (1.5 MiB) are
+    # freed with the head before detect forms its reference symbols from
+    # the words; held through detection they took the warm peak to 11.2 MiB
+    long = {"frame.payload_symbols": 100000, "channel.noise_psd": 1e-7}
+    traced_simulate(long, "integrated_switch")  # builds the cached tables
+    result, peak = traced_simulate(long, "integrated_switch")
+    assert np.all(result.reports["receive"].ber == 0.0)
+    assert peak <= 10.25 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
 def _observers(count: int) -> dict:
     return {"points": [{"position_m": [0.0, 0.0, 0.5], "role": "feed"}] + [
         {"position_m": [0.3 - 0.04 * i, 0.1, 0.6], "role": "rx"} for i in range(count)]}
