@@ -55,6 +55,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 import metalink as ml  # noqa: E402
+from metalink import artifacts  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SWEEP_SEEDS = range(1, 11)
@@ -218,7 +219,7 @@ def references():
             if name is None:  # how is the sweep's seed
                 for index, case in enumerate(sweep.build(ml, how)):
                     result = sweep.run(ml, case, None)
-                    ml.scenario.write_artifacts(result, out_dir / f"{index:03d}")
+                    artifacts.write_artifacts(result, out_dir / f"{index:03d}")
             else:
                 ml.run_scenario(name, out_dir, overrides=how)
             digest = hashlib.sha256()

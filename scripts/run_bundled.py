@@ -8,7 +8,8 @@ Usage:
 import argparse
 import time
 
-from metalink import scenario as scen
+from metalink.scenario import run_scenario
+from metalink.schema import bundled_scenario_names
 
 
 def main():
@@ -18,9 +19,9 @@ def main():
     args = parser.parse_args()
     overrides = {} if args.seed is None else {"rng_seed": args.seed}
 
-    for name in scen.bundled_scenario_names():
+    for name in bundled_scenario_names():
         start = time.perf_counter()
-        result = scen.run_scenario(name, f"{args.out}/{name}", overrides=overrides)
+        result = run_scenario(name, f"{args.out}/{name}", overrides=overrides)
         elapsed = time.perf_counter() - start
         parts = [f"{name:18s} {elapsed:6.2f} s"]
         for key, entry in result.summary["reports"].items():

@@ -9,17 +9,11 @@ chain, and spectral metrology needed to score both.
 
 The package re-exports the scenario API and txrx.make_pilots; everything else
 is imported from its submodule (core, metasurface, propagation, spectral,
-txrx, scenario).
+txrx, schema, scenario, artifacts).
 """
 
-from .scenario import (
-    Scenario,
-    bundled_scenario_names,
-    load_scenario,
-    run_scenario,
-    simulate,
-    validate,
-)
+from .scenario import run_scenario, simulate
+from .schema import Scenario, bundled_scenario_names, load_scenario, validate
 from .txrx import make_pilots
 
 __version__ = "0.1.0"

@@ -9,8 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .artifacts import export_csv
 from .core import ConfigurationError
-from . import scenario as scen
+from .scenario import run_scenario
+from .schema import (ValidationError, apply_overrides, bundled_scenario_names,
+                     load_scenario, validate)
 
 
 def _parse_overrides(pairs) -> dict:
@@ -61,15 +64,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-scenarios":
-        for name in scen.bundled_scenario_names():
-            data = scen.load_scenario(name)
+        for name in bundled_scenario_names():
+            data = load_scenario(name)
             desc = data.get("description")
             print(f"{name}: {desc}" if desc else name)
         return 0
 
     if args.command == "export":
         try:
-            paths = scen.export_csv(args.dir)
+            paths = export_csv(args.dir)
         except ConfigurationError as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return 1
@@ -80,14 +83,14 @@ def main(argv=None) -> int:
         overrides = _parse_overrides(args.override)
         if getattr(args, "seed", None) is not None:  # wins over --override rng_seed=
             overrides["rng_seed"] = args.seed
-        data = scen.load_scenario(args.scenario)
-        data = scen.apply_overrides(data, overrides)
+        data = load_scenario(args.scenario)
+        data = apply_overrides(data, overrides)
     except ConfigurationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 
     if args.command == "validate":
-        violations = scen.validate(data)
+        violations = validate(data)
         if violations:
             return _report(violations)
         print(f"{data['name']}: ok")
@@ -96,8 +99,8 @@ def main(argv=None) -> int:
     # run
     out_dir = args.out_dir or f"metalink_out/{data.get('name')}"
     try:
-        result = scen.run_scenario(data, out_dir)
-    except scen.ValidationError as exc:
+        result = run_scenario(data, out_dir)
+    except ValidationError as exc:
         return _report(exc.violations)
     except Exception as exc:  # noqa: BLE001 - map any failure to exit code 2
         print(f"runtime error in scenario {data.get('name')!r}: {exc}",

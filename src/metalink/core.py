@@ -14,6 +14,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 TWO_PI = 2.0 * np.pi
+BLOCK = 65536  # noise values drawn, or .npy table rows written, at a time
 
 
 class ConfigurationError(ValueError):

@@ -51,7 +51,8 @@ import numpy as np
 
 from metalink import core, metasurface, propagation, spectral, txrx
 from metalink.core import ConfigurationError, ContractViolation
-from metalink.scenario import Scenario, ScenarioResult, _harmonic_table, _summarize
+from metalink.scenario import ScenarioResult, _harmonic_table, _summarize
+from metalink.schema import Scenario
 from metalink.txrx import CONDITION_LIMIT, DetectionError
 
 

@@ -1,12 +1,14 @@
 """The calls into metalink's own functions during one simulate do not grow
-with the run's size: its frame length, cell count, spectrum length or
-ramp periods.
+with the run's size: its frame length, cell count, spectrum length, ramp
+periods or oversampling. Each observation point and each stream adds at
+most one call.
 
 A per-symbol or per-cell Python loop shows here as a count that grows with
 the frame or the surface, where a timing would need many runs to show it.
 Only calls into functions of src/metalink are counted, which keeps the
 counts mostly independent of numpy's internals; the tests pin their
-equality across sizes, not their values.
+equality across sizes, or their growth with points and streams, not their
+values.
 """
 
 import os
@@ -55,7 +57,34 @@ def metalink_calls(name: str, overrides: dict) -> int:
     ("mimo2x2_16qam", {"spectrum_bins": 4096, "channel.noise_psd": 1e-3},
      {"spectrum_bins": None, "channel.noise_psd": 1e-3}),
     ("sdc_5mhz", {"sdc_periods": 10}, {"sdc_periods": 1000}),
+    ("sdc_5mhz", {"oversample": 16}, {"oversample": 256}),
+    ("mimo2x2_16qam", {"oversample": 1}, {"oversample": 8}),
+    ("integrated_switch", {"oversample": 2}, {"oversample": 16}),
 ], ids=["sdc_cells", "link_symbols", "noisy_link_symbols", "integrated_symbols",
-        "noisy_link_spectrum_bins", "sdc_periods"])
+        "noisy_link_spectrum_bins", "sdc_periods", "sdc_oversample", "link_oversample",
+        "integrated_oversample"])
 def test_the_calls_into_metalink_do_not_depend_on_size(name, small, large):
     assert metalink_calls(name, small) == metalink_calls(name, large) > 0
+
+
+FREE_SPACE = {"channel.kind": "free_space", "channel.matrix": None}
+
+
+def _points(observers: int) -> list:
+    """The feed, then observers rx points spread over 1 m, 1 m above the surface."""
+    return [{"position_m": [0.0, 0.0, 0.5], "role": "feed"}] + [
+        {"position_m": [-0.5 + i / (observers - 1), 0.1 * i, 1.0], "role": "rx"}
+        for i in range(observers)]
+
+
+@pytest.mark.parametrize("small, large, added", [
+    # _summarize writes one channel-estimate row per point
+    ({**FREE_SPACE, "points": _points(2)}, {**FREE_SPACE, "points": _points(8)}, 6),
+    # a noisy frame demaps each stream once
+    ({**FREE_SPACE, "points": _points(4), "partition": "full", "channel.noise_psd": 1e-3},
+     {**FREE_SPACE, "points": _points(4), "partition": [c % 4 for c in range(16)],
+      "channel.noise_psd": 1e-3}, 3),
+], ids=["link_points", "noisy_link_streams"])
+def test_each_point_and_each_stream_adds_at_most_one_call(small, large, added):
+    few = metalink_calls("mimo2x2_16qam", small)
+    assert 0 < few <= metalink_calls("mimo2x2_16qam", large) <= few + added

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from metalink import cli, core, propagation, spectral, txrx
+from metalink import artifacts, cli, core, propagation, spectral, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.spectral import Spectrum
@@ -179,12 +179,12 @@ def test_run_scenario_writes_expected_artifacts(tiny_link, tmp_path):
     spectrum = np.load(tmp_path / "out" / "spectrum_rx0.npy")
     assert spectrum.dtype.names == ("freq_hz", "power_linear", "power_db")
     assert spectrum.shape == (len(result.reports["link"].spectra["rx0"].power),)
-    assert result.artifact_paths
 
 
 def test_rerun_replaces_artifacts_instead_of_rewriting_them(tiny_link, tmp_path):
     out, kept = tmp_path / "out", tmp_path / "kept"
-    first = {p.name: p.read_bytes() for p in scen.run_scenario(tiny_link, out).artifact_paths}
+    first = {name: (out / name).read_bytes()
+             for name in scen.run_scenario(tiny_link, out).summary["artifacts"]}
     kept.mkdir()
     for name in first:  # a second link to each file shows whether it is rewritten
         os.link(out / name, kept / name)
@@ -223,13 +223,13 @@ def _edge_spectrum(n, rng, resolution):
 
 
 def _write(report, out_dir):
-    return scen.write_artifacts(scen.ScenarioResult(None, {"link": report}, {}),
-                                out_dir)
+    return artifacts.write_artifacts(scen.ScenarioResult(None, {"link": report}, {}),
+                                     out_dir)
 
 
 def _exported_bytes(report, out_dir):
     _write(report, out_dir)
-    return {p.name: p.read_bytes() for p in scen.export_csv(out_dir)}
+    return {p.name: p.read_bytes() for p in artifacts.export_csv(out_dir)}
 
 
 def _edge_constellation():
@@ -244,8 +244,8 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-BLOCK_SIZES = [2, scen.CSV_BLOCK_ROWS - 1, scen.CSV_BLOCK_ROWS,
-               scen.CSV_BLOCK_ROWS + 1, 2 * scen.CSV_BLOCK_ROWS + 3]
+BLOCK_SIZES = [2, artifacts.CSV_BLOCK_ROWS - 1, artifacts.CSV_BLOCK_ROWS,
+               artifacts.CSV_BLOCK_ROWS + 1, 2 * artifacts.CSV_BLOCK_ROWS + 3]
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -258,7 +258,7 @@ def test_spectrum_npy_round_trips_bit_exactly(n, tmp_path):
         table = np.load(tmp_path / "spectrum_edge.npy", allow_pickle=False)
         with np.errstate(divide="ignore"):
             power_db = 10.0 * np.log10(spectrum.power)
-        assert table.dtype == scen.SPECTRUM_DTYPE
+        assert table.dtype == artifacts.SPECTRUM_DTYPE
         assert _same_bits(table["freq_hz"], freqs)
         assert _same_bits(table["power_linear"], spectrum.power)
         assert _same_bits(table["power_db"], power_db)
@@ -278,15 +278,15 @@ def test_constellation_npy_round_trips_bit_exactly(tmp_path):
     _write(LinkReport(detected_symbols=detected[np.newaxis],
                       reference_symbols=reference[np.newaxis]), tmp_path)
     table = np.load(tmp_path / "constellation_0.npy", allow_pickle=False)
-    assert table.dtype == scen.CONSTELLATION_DTYPE
+    assert table.dtype == artifacts.CONSTELLATION_DTYPE
     assert np.array_equal(table["symbol_index"], np.arange(len(detected)))
     for name, column in (("i", detected.real), ("q", detected.imag),
                          ("ref_i", reference.real), ("ref_q", reference.imag)):
         assert _same_bits(table[name], column), name
 
 
-@pytest.mark.parametrize("n", [scen.BLOCK - 1, scen.BLOCK, scen.BLOCK + 1,
-                               2 * scen.BLOCK + 3])
+@pytest.mark.parametrize("n", [core.BLOCK - 1, core.BLOCK, core.BLOCK + 1,
+                               2 * core.BLOCK + 3])
 def test_tables_written_in_blocks_are_the_files_np_save_writes(n, tmp_path):
     # each table is written a block of rows at a time; its file is the one
     # np.save writes of the whole table, formed at once as below
@@ -296,11 +296,11 @@ def test_tables_written_in_blocks_are_the_files_np_save_writes(n, tmp_path):
     _write(LinkReport(detected_symbols=detected[np.newaxis],
                       reference_symbols=reference[np.newaxis],
                       spectra={"edge": spectrum}), tmp_path / "blocks")
-    constellation = np.empty(n, scen.CONSTELLATION_DTYPE)
+    constellation = np.empty(n, artifacts.CONSTELLATION_DTYPE)
     for name, column in zip(constellation.dtype.names, (
             np.arange(n), detected.real, detected.imag, reference.real, reference.imag)):
         constellation[name] = column
-    whole = np.empty(n, scen.SPECTRUM_DTYPE)
+    whole = np.empty(n, artifacts.SPECTRUM_DTYPE)
     whole["freq_hz"] = spectrum.frequencies
     whole["power_linear"] = spectrum.power
     with np.errstate(divide="ignore"):
@@ -421,9 +421,11 @@ def test_wide_surface_simulates_in_bounded_memory():
 
 
 def traced_simulate(overrides: dict, name: str = "mimo2x2_16qam") -> tuple:
-    """simulate(name) with overrides: (result, tracemalloc peak)."""
+    """simulate(name) with overrides: (result, tracemalloc peak) of a warm
+    run, after one untraced run has built the cached tables."""
     data = scen.apply_overrides(scen.load_scenario(name), overrides)
     sc = scen.Scenario.from_dict(data)
+    scen.simulate(sc)
     tracemalloc.start()
     try:
         result = scen.simulate(sc)
@@ -477,7 +479,6 @@ def test_mimo_frame_simulates_in_bounded_memory():
     # and the detected and reference symbols remain. The 65 540-sample
     # spectrum head (1 MiB) is transformed in place and freed before
     # detection, which took the warm peak from 3.11 to 1.83 MiB
-    traced_simulate({})  # builds the cached tables
     result, peak = traced_simulate({})
     assert np.all(result.reports["link"].ber == 0.0)
     assert peak <= 2.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
@@ -506,7 +507,7 @@ def test_writing_a_million_symbol_frame_holds_no_whole_table(tmp_path):
     try:
         result = scen.simulate(sc)
         tracemalloc.reset_peak()
-        scen.write_artifacts(result, tmp_path)
+        artifacts.write_artifacts(result, tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -630,7 +631,6 @@ def test_a_receive_frame_frees_its_sent_symbols_before_detection():
     # freed with the head before detect forms its reference symbols from
     # the words; held through detection they took the warm peak to 11.2 MiB
     long = {"frame.payload_symbols": 100000, "channel.noise_psd": 1e-7}
-    traced_simulate(long, "integrated_switch")  # builds the cached tables
     result, peak = traced_simulate(long, "integrated_switch")
     assert np.all(result.reports["receive"].ber == 0.0)
     assert peak <= 10.25 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
@@ -870,10 +870,10 @@ def test_noise_drawn_in_blocks_has_the_bits_of_one_draw(num, den):
                                 {"channel.noise_psd": 0.3})
     sc = scen.Scenario.from_dict(data)
     sps = sc.samples_per_symbol * sc.oversample
-    covered = 2 * (scen.BLOCK // sps) + 7
+    covered = 2 * (core.BLOCK // sps) + 7
     rng = np.random.default_rng(3)
     head = rng.normal(size=(covered * sps, 2)) @ np.array([1.0, 1j])
-    means = rng.normal(size=(3, covered + scen.BLOCK + 11, 2)) @ np.array([1.0, 1j])
+    means = rng.normal(size=(3, covered + core.BLOCK + 11, 2)) @ np.array([1.0, 1j])
     want_head, want_means = head.copy(), means.copy()
     scen._add_noise(sc, np.random.default_rng(4), means, head, num, den)
     whole_head_noise(sc, np.random.default_rng(4), want_means, want_head, num, den)
@@ -990,6 +990,29 @@ def test_cli_unreadable_scenario_file_exits_one_naming_it(command, text, tmp_pat
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key, repeat", [
+    ("name", ('{"name": "sdc_5mhz",', '{"name": "first", "name": "sdc_5mhz",')),
+    ("rows", ('"geometry": {"rows": 16,', '"geometry": {"rows": 8, "rows": 16,')),
+], ids=["top_level", "nested"])
+def test_cli_scenario_file_repeating_a_key_exits_one_naming_it(command, key, repeat,
+                                                               tmp_path, capsys):
+    # json.loads alone keeps the last value of a repeated key, and the file
+    # would run without a word
+    text = json.dumps(scen.load_scenario("sdc_5mhz"))
+    assert text.count(repeat[0]) == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(*repeat))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert f"key {key!r} is repeated" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_override_nested_too_deeply_exits_one_naming_it(command, tmp_path,
                                                             capsys):
     argv = [command, "mimo2x2_16qam", "--override", f"frame.pilots={DEEP_ARRAY}"]
@@ -1064,16 +1087,16 @@ def _npy_bytes(array) -> bytes:
 
 @pytest.mark.parametrize("content", [
     _npy_bytes(np.zeros(4)),
-    _npy_bytes(np.zeros((2, 2), scen.SPECTRUM_DTYPE)),
+    _npy_bytes(np.zeros((2, 2), artifacts.SPECTRUM_DTYPE)),
     b"",
-    _npy_bytes(np.zeros(64, scen.SPECTRUM_DTYPE))[:-100],
+    _npy_bytes(np.zeros(64, artifacts.SPECTRUM_DTYPE))[:-100],
     b"not a numpy file",
 ], ids=["plain_array", "two_dimensional", "empty", "truncated", "not_npy"])
 def test_export_rejects_an_unreadable_or_foreign_table(content, tmp_path):
     path = tmp_path / "spectrum_rx0.npy"
     path.write_bytes(content)
     with pytest.raises(ConfigurationError, match="spectrum_rx0.npy"):
-        scen.export_csv(tmp_path)
+        artifacts.export_csv(tmp_path)
     assert not path.with_suffix(".csv").exists()
 
 

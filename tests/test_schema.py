@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metalink import cli, core, propagation, txrx
+from metalink import cli, core, propagation, schema, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.txrx import DetectionError
@@ -98,7 +98,7 @@ def test_wavelength_on_a_channel_without_one_is_reported(name, kind, value):
 
 def test_mode_gated_fields_wait_for_a_valid_mode():
     data = bundled("sdc_5mhz", {"mode": "null"})
-    assert scen.validate(data) == [f"mode: required; must be one of {scen.MODES}"]
+    assert scen.validate(data) == [f"mode: required; must be one of {schema.MODES}"]
 
 
 def test_absent_and_null_read_the_same_default():
@@ -116,7 +116,6 @@ def test_absent_and_null_read_the_same_default():
         sc = scen.Scenario.from_dict(data)
         assert (sc.oversample, sc.geometry.origin, sc.noise_psd) == (16, (0, 0, 0), 0)
         assert (sc.staircase.direction, sc.staircase.amplitude) == (-1, 1.0)
-        assert sc.description == ""
 
 
 # a link on a 2 x 4 surface with unit gains
@@ -223,7 +222,7 @@ def test_a_negative_or_nan_noise_level_is_reported(noise_psd):
 
 def test_from_dict_raises_with_the_violation_list():
     data = bundled("mimo2x2_16qam", {"oversampel": "2", "rng_seed": "-1"})
-    with pytest.raises(scen.ValidationError) as excinfo:
+    with pytest.raises(schema.ValidationError) as excinfo:
         scen.Scenario.from_dict(data)
     assert excinfo.value.violations == scen.validate(data)
     assert isinstance(excinfo.value, ConfigurationError)
@@ -519,7 +518,7 @@ def check_runs_or_names_its_error(name, changes):
     assert all(math.isfinite(v) for v in _numbers(result.summary)), changes
 
 
-@pytest.mark.parametrize("path", [f.path for f in scen.FIELDS])
+@pytest.mark.parametrize("path", [f.path for f in schema.FIELDS])
 @pytest.mark.parametrize("name", sorted(SHRUNK))
 def test_every_single_change_runs_to_finite_numbers_or_a_named_error(name, path):
     for value in VALUES:
@@ -528,7 +527,7 @@ def test_every_single_change_runs_to_finite_numbers_or_a_named_error(name, path)
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(SHRUNK)),
-       changes=st.dictionaries(st.sampled_from([f.path for f in scen.FIELDS]),
+       changes=st.dictionaries(st.sampled_from([f.path for f in schema.FIELDS]),
                                st.sampled_from(VALUES), min_size=2, max_size=2))
 def test_pairs_of_changes_run_to_finite_numbers_or_a_named_error(name, changes):
     check_runs_or_names_its_error(name, changes)

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 import metalink
-from metalink import core, metasurface, propagation, scenario as scen, spectral, txrx
+from metalink import (artifacts, core, metasurface, propagation, scenario as scen, schema,
+                      spectral, txrx)
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = (core, metasurface, propagation, scen, spectral, txrx)
+MODULES = (core, metasurface, propagation, schema, scen, artifacts, spectral, txrx)
 CACHES = {f"{module.__name__}.{name}": value for module in MODULES
           for name, value in vars(module).items() if hasattr(value, "cache_info")}
 
@@ -46,12 +47,12 @@ def _clear_caches():
 def _run_all(out_dir: Path) -> dict:
     """The bundled scenarios and param_sweep seed 1, written under out_dir;
     {relative path: bytes} of every file written."""
-    for name in scen.bundled_scenario_names():
+    for name in schema.bundled_scenario_names():
         scen.run_scenario(name, out_dir / name)
     sweep = _workloads().WORKLOADS["param_sweep"]
     for index, case in enumerate(sweep.build(metalink, 1)):
         result = sweep.run(metalink, case, None)
-        scen.write_artifacts(result, out_dir / f"sweep-{index:03d}")
+        artifacts.write_artifacts(result, out_dir / f"sweep-{index:03d}")
     return {p.relative_to(out_dir).as_posix(): p.read_bytes()
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
@@ -117,7 +118,7 @@ def _sweep_and_bundled():
     sweep = _workloads().WORKLOADS["param_sweep"]
     for case in sweep.build(metalink, 2):
         sweep.run(metalink, case, None)
-    for name in scen.bundled_scenario_names():
+    for name in schema.bundled_scenario_names():
         scen.simulate(scen.Scenario.from_dict(scen.load_scenario(name)))
 
 
