@@ -22,6 +22,8 @@ def _parse_overrides(pairs) -> dict:
         if "=" not in pair:
             raise ConfigurationError(f"override {pair!r} must look like key=value")
         key, value = pair.split("=", 1)
+        if key in overrides:
+            raise ConfigurationError(f"override key {key!r} is given more than once")
         overrides[key] = value
     return overrides
 

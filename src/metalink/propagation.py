@@ -5,6 +5,9 @@ valid across the whole envelope bandwidth. The free-space model is the
 scalar spherical wave (lambda / (4*pi*r)) * exp(-j*2*pi*r/lambda) with no
 element pattern or polarization. The surface is passive and this module is
 noiseless: receiver noise is drawn where the receiver reads it (scenario).
+
+stream_gains sums each stream's cells into one gain a point; a pass is the
+product of those gains with its per-stream coefficient table.
 """
 
 from __future__ import annotations
@@ -146,35 +149,19 @@ def build_channels(geometry: SurfaceGeometry, points: PointSet,
     return ChannelSet(feed, obs)
 
 
-def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSchedule,
-                 stream_of_cell, channels: ChannelSet) -> tuple:
-    """Check a surface pass over num_samples envelope samples; return its
-    per-point weights = G.T @ schedule.values and its hold.
-
-    Cell c (row-major flat index) is lit by feed_gains[c], holds row
-    stream_of_cell[c] of the schedule, and reaches point p through
-    obs_gains[c, p]; G[s, p] sums feed_gains[c] * obs_gains[c, p] over the
-    cells c of stream s. weights[p, k] is point p's gain while schedule
-    step k holds, which is for hold envelope samples. The checks are those
-    surface_pass documents.
-    """
-    hold = _hold_ratio(schedule.control_rate, sample_rate)
-    if hold is None:
-        raise ContractViolation(
-            f"envelope rate {sample_rate} Hz is not a whole multiple of "
-            f"schedule rate {schedule.control_rate} Hz")
-    if schedule.num_steps * hold != num_samples:
-        raise ContractViolation(
-            f"schedule covers {schedule.num_steps} x {hold} samples, envelope "
-            f"has {num_samples}")
+def stream_gains(stream_of_cell, num_streams: int, channels: ChannelSet) -> np.ndarray:
+    """The (num_streams, num_points) effective gains G: G[s, p] sums
+    feed_gains[c] * obs_gains[c, p] over the cells c (row-major flat index)
+    whose stream_of_cell[c] is s. Stream ids that are not one a cell, each
+    below num_streams, are a ContractViolation; gains so large that the
+    received power would overflow are a ConfigurationError."""
     streams = np.asarray(stream_of_cell, dtype=np.int64)
     if streams.shape != (channels.num_cells,):
         raise ContractViolation(
             f"need one stream id per cell: {streams.shape} vs {channels.num_cells} cells")
-    if streams.size and (streams.min() < 0 or streams.max() >= schedule.num_streams):
-        raise ContractViolation(
-            f"stream ids must index the {schedule.num_streams} schedule rows")
-    gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
+    if streams.size and (streams.min() < 0 or streams.max() >= num_streams):
+        raise ContractViolation(f"stream ids must index the {num_streams} streams")
+    gains = np.zeros((num_streams, channels.num_points), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(gains, streams,
                   channels.feed_gains[:, np.newaxis] * channels.obs_gains)
@@ -182,7 +169,7 @@ def pass_weights(sample_rate: float, num_samples: int, schedule: CoefficientSche
             raise ConfigurationError(
                 "effective stream gains are too large: the received power would "
                 "overflow; check the channel gains and the wavelength")
-    return gains.T @ schedule.values, hold
+    return gains
 
 
 def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
@@ -190,24 +177,33 @@ def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
     """Noiseless received envelope at every observation point, in channel order.
 
     The chain is linear and narrowband, so each point sees rx_p = incident *
-    sum_s G[s, p] * w_s, G the effective per-stream gains of pass_weights,
+    sum_s G[s, p] * w_s, G the effective per-stream gains of stream_gains,
     at a cost of O(streams x samples) whatever the cell count.
 
     The schedule may run at any rate that divides the envelope rate a whole
     number of times, hold = sample_rate / control_rate; each of its steps
     covers hold envelope samples (zero-order hold), so
     rx_p[n] = incident[n] * sum_s G[s, p] * w_s[n // hold], one whole-array
-    multiply on the weights of pass_weights, and the schedule is never
+    multiply on the weights G.T @ schedule.values, and the schedule is never
     expanded to the envelope rate. Its steps must cover the envelope
     exactly, and stream_of_cell must give each cell a schedule row; either
     mismatch is a ContractViolation. Gains so large that the received power
     would overflow are a ConfigurationError.
 
-    Production forms its samples from pass_weights, so it never calls
-    this; it stays public because the acceptance gate and
+    Production multiplies its coefficient tables by stream_gains directly,
+    so it never calls this; it stays public because the acceptance gate and
     scripts/conversion_loss_sweep.py drive the surface through it.
     """
-    weights, hold = pass_weights(incident.sample_rate, len(incident), schedule,
-                                 stream_of_cell, channels)
+    hold = _hold_ratio(schedule.control_rate, incident.sample_rate)
+    if hold is None:
+        raise ContractViolation(
+            f"envelope rate {incident.sample_rate} Hz is not a whole multiple of "
+            f"schedule rate {schedule.control_rate} Hz")
+    if schedule.num_steps * hold != len(incident):
+        raise ContractViolation(
+            f"schedule covers {schedule.num_steps} x {hold} samples, envelope "
+            f"has {len(incident)}")
+    gains = stream_gains(stream_of_cell, schedule.num_streams, channels)
+    weights = gains.T @ schedule.values
     rx = incident.samples.reshape(-1, hold) * weights[:, :, np.newaxis]
     return [incident.with_samples(row) for row in rx.reshape(channels.num_points, -1)]

@@ -30,7 +30,6 @@ LINE_TIE = 1e-9  # relative power within which two spectral lines tie
 
 @dataclass
 class ScenarioResult:
-    scenario: Scenario
     reports: dict
     summary: dict
 
@@ -41,20 +40,18 @@ def _rng(sc: Scenario, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(sc.rng_seed, spawn_key=(index,)))
 
 
-def _payload(sc: Scenario, frame: txrx.FrameSpec, rng) -> np.ndarray:
+def _payload(sc: Scenario, num_streams: int, rng) -> np.ndarray:
     """The payload's (streams x payload) bit words, one integers draw from
     rng in scheme.word_weights.dtype."""
-    return rng.integers(0, len(sc.scheme.points), (frame.num_streams, frame.payload_length),
+    return rng.integers(0, len(sc.scheme.points), (num_streams, sc.payload_symbols),
                         dtype=sc.scheme.word_weights.dtype)
 
 
-def _normal_pairs(rng, count: int, variance: float) -> np.ndarray:
-    """count i.i.d. circular complex Gaussians of that variance, each drawn
-    from rng as a pair of standard normals, the real part first."""
-    noise = np.empty(count, dtype=np.complex128)
-    rng.standard_normal(out=noise.view(np.float64))
-    noise *= np.sqrt(variance / 2.0)
-    return noise
+def _fill_noise(rng, out: np.ndarray, variance: float) -> None:
+    """Fill the complex array out with i.i.d. circular complex Gaussians of
+    that variance, each drawn from rng as a standard-normal pair, real first."""
+    rng.standard_normal(out=out.view(np.float64))
+    out *= np.sqrt(variance / 2.0)
 
 
 def _rotation(num: int, den: int, count: int) -> np.ndarray:
@@ -97,7 +94,7 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
     noise_psd is 0.
 
     Each point's received samples carry i.i.d. circular complex Gaussian
-    noise of variance noise_psd, drawn as _normal_pairs. First one value per
+    noise of variance noise_psd, drawn as _fill_noise. First one value per
     head sample, in order: the head adds it, and each symbol the head covers
     adds the mean of its samples' noise, derotated by exp(-2j*pi*n*num/den)
     at sample n. The mean of sps samples of that noise is one circular
@@ -107,7 +104,8 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
     The values are drawn and added one block of at most BLOCK values, whole
     symbols on the head, at a time into one reused buffer: a generator
     draws the same values in blocks as at once, so no noise array of the
-    head's or the means' size is formed.
+    head's or the means' size is formed; each is filled inline as _fill_noise
+    fills, so the calls do not grow with the frame.
     """
     if sc.noise_psd == 0.0:
         return
@@ -145,8 +143,9 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
 
     A link frame (ramp False) writes num_streams streams of symbols onto the
     feed's unit tone, so symbol k reaches point p as weights[p, k] =
-    sum_s G[s, p] * x[s, k] (propagation.pass_weights), and a symbol holds
-    one value, its mean. In the receive phase (ramp True) one stream sent[k]
+    sum_s G[s, p] * x[s, k], G the gains of propagation.stream_gains and x
+    the coefficients of txrx.symbol_coefficients, and a symbol holds one
+    value, its mean. In the receive phase (ramp True) one stream sent[k]
     reaches the ramping surface, whose one-period weights (_ramp_weights)
     are w[p, m] = w[p, 0] * exp(2j*pi*direction*m/L) to rounding. Sample
     n = (k * steps + j) * hold + i of symbol k (j < steps, i < hold) is
@@ -165,31 +164,27 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     no second copy, and it is freed before detect runs, as are the receive
     phase's sent symbols, which detect forms again from the words.
     """
-    frame = sc.frame(num_streams)
-    words = _payload(sc, frame, rng)
+    words = _payload(sc, num_streams, rng)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
-    num_symbols = frame.num_symbols
     if ramp:
         weights, hold = _ramp_weights(sc, channels)
         num, den = sc.staircase.direction, sc.staircase.steps_per_period * hold
-    else:
-        schedule = txrx.symbols_to_schedule(words, frame, sc.scheme, sc.quantization)
-        weights, hold = propagation.pass_weights(rate, num_symbols * sps, schedule,
-                                                 sc.stream_of_cell, channels)
-        del schedule  # freed before the means are formed
-        num, den = 0, 1
-    sent = np.concatenate([frame.pilots[0], sc.scheme.points[words[0]]]) if ramp else 1.0
-    length = sc.spectrum_length(num_symbols * sps)
-    head = _held(weights[0], sent, -(-length // sps), sps // hold, hold)
-    means = weights
-    if ramp:
+        sent = np.concatenate([txrx.make_pilots(1)[0], sc.scheme.points[words[0]]])
         means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
+    else:
+        gains = propagation.stream_gains(sc.stream_of_cell, num_streams, channels)
+        # the coefficient table is freed once the weights are formed
+        means = weights = gains.T @ txrx.symbol_coefficients(words, sc.scheme,
+                                                             sc.quantization)
+        hold, num, den, sent = sps, 0, 1, 1.0
+    length = sc.spectrum_length(means.shape[1] * sps)
+    head = _held(weights[0], sent, -(-length // sps), sps // hold, hold)
     _add_noise(sc, rng, means, head, num, den)
     bins = head[:length]
     np.fft.fft(bins, out=bins)  # in place: the head becomes its DFT
     spectrum = spectral.power_spectrum(bins, rate)
     del head, bins, sent  # freed before detection
-    report = txrx.detect(means, frame, sc.scheme, words)
+    report = txrx.detect(means, sc.scheme, words)
     report.spectra[tag] = spectrum
     return report
 
@@ -197,12 +192,13 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
 def _ramp_weights(sc: Scenario, channels: propagation.ChannelSet) -> tuple:
     """(weights, hold) of one ramp period at the observation points of
     channels: weights[p, m] is point p's gain while step m of the staircase
-    holds, for hold samples, and the ramp repeats them every L steps."""
+    holds, for hold = oversample samples, and the ramp repeats them every L
+    steps. Every cell carries the ramp, one stream."""
     L = sc.staircase.steps_per_period
     one_period = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
                                                L / sc.control_rate_hz)
-    return propagation.pass_weights(sc.envelope_rate(), L * sc.oversample, one_period,
-                                    np.zeros(channels.num_cells, dtype=np.int64), channels)
+    gains = propagation.stream_gains(np.zeros(channels.num_cells, np.int64), 1, channels)
+    return gains.T @ one_period.values, sc.oversample
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
@@ -248,7 +244,7 @@ def simulate(sc: Scenario) -> ScenarioResult:
     the period's DFT on every P-th bin and 0 on every other. So a noiseless
     output spectrum is the period's periodogram on every P-th bin and
     exactly 0 elsewhere. A noisy one draws the capture's per-sample noise
-    from frame 0, as _normal_pairs, transforms it in place, adds P times
+    from frame 0, as _fill_noise, transforms it in place, adds P times
     the period's DFT to every P-th bin of the noise's DFT, and takes their
     power_spectrum. Its input
     spectrum, the unit tone's, is in closed form: power 1 in the 0 Hz bin
@@ -263,13 +259,14 @@ def simulate(sc: Scenario) -> ScenarioResult:
         rate, periods = sc.envelope_rate(), sc.sdc_periods
         length = periods * len(period)
         if sc.noise_psd > 0.0:
-            bins = _normal_pairs(_rng(sc, 0), length, sc.noise_psd)
+            bins = np.empty(length, dtype=np.complex128)
+            _fill_noise(_rng(sc, 0), bins, sc.noise_psd)
             np.fft.fft(bins, out=bins)  # in place: the noise becomes its DFT
             bins[::periods] += periods * np.fft.fft(period)
             output = spectral.power_spectrum(bins, rate)
             del bins  # freed before the input spectrum
         else:
-            one = spectral.periodogram(core.ComplexEnvelope(period, rate, sc.carrier_freq_hz))
+            one = spectral.power_spectrum(np.fft.fft(period), rate)
             output = spectral.Spectrum(np.zeros(length), rate / length)
             # every periods-th bin, from the one at one's lowest frequency
             output.power[one.first_bin * periods - output.first_bin::periods] = one.power
@@ -297,7 +294,7 @@ def simulate(sc: Scenario) -> ScenarioResult:
         summary["harmonics"] = _harmonic_table(sc, out_spec)
     if sc.staircase is not None:
         summary["expected_line_hz"] = sc.ramp_line_hz()
-    return ScenarioResult(sc, reports, summary)
+    return ScenarioResult(reports, summary)
 
 
 def _summarize(sc: Scenario, reports: dict) -> dict:

@@ -443,7 +443,9 @@ class Scenario:
     """Validated, typed view of a scenario dict.
 
     stream_of_cell assigns each cell (row-major flat index) to a transmit
-    stream; it and scheme are None outside the link modes.
+    stream; it and scheme are None outside the link modes. The frame's
+    symbol_rate_baud is validated but not kept: a symbol lasts
+    samples_per_symbol control steps, which the rate rule ties to it.
     """
 
     name: str
@@ -458,7 +460,6 @@ class Scenario:
     noise_psd: float
     stream_of_cell: np.ndarray | None
     scheme: txrx.ModulationScheme | None
-    symbol_rate_baud: float | None
     samples_per_symbol: int | None
     payload_symbols: int | None
     staircase: metasurface.StaircaseRampSpec | None
@@ -519,15 +520,10 @@ class Scenario:
             geometry=geometry, points=points, channel=channel,
             noise_psd=float(get("channel.noise_psd")), stream_of_cell=stream_of_cell,
             scheme=None if modulation is None else txrx.get_scheme(modulation),
-            symbol_rate_baud=get("frame.symbol_rate_baud"),
             samples_per_symbol=get("frame.samples_per_symbol"),
             payload_symbols=get("frame.payload_symbols"),
             staircase=staircase, sdc_periods=get("sdc_periods"),
             quantization=quant, spectrum_bins=get("spectrum_bins"))
-
-    def frame(self, num_streams: int) -> txrx.FrameSpec:
-        return txrx.FrameSpec(num_streams, self.payload_symbols,
-                              self.symbol_rate_baud, self.samples_per_symbol)
 
     def envelope_rate(self) -> float:
         return self.oversample * self.control_rate_hz

@@ -1,9 +1,11 @@
-"""Digital baseband to coefficient schedules and the full receive chain.
+"""Digital baseband to per-stream coefficients, and the full receive chain.
 
 Transmit side: each symbol's bit word (bit_words, MSB first) picks its
 Gray-coded, peak-normalized constellation point, written directly into
 per-stream reflection coefficients, one coefficient per symbol interval,
-pilots first. There is no RF chain; the carrier is an air-fed single tone.
+pilots first (symbol_coefficients). There is no RF chain; the carrier is
+an air-fed single tone. The words array is the frame's only description:
+its shape gives the stream count and the payload length.
 
 Receive side: detect takes the per-symbol means, which scenario forms in
 closed form (a rectangular matched filter, synchronized by construction):
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CoefficientSchedule, ConfigurationError, ContractViolation, read_only
+from .core import ConfigurationError, ContractViolation, read_only
 from .metasurface import CONTINUOUS, QuantizationModel, quantize_values
 
 CONDITION_LIMIT = 1e8
@@ -194,61 +196,23 @@ def _quantized_tables(scheme: ModulationScheme, num_streams: int,
                  for table in (_pilots(num_streams)[0], scheme.points))
 
 
-@dataclass(frozen=True, eq=False)
-class FrameSpec:
-    """Pilot block plus payload dimensions and symbol timing.
+def symbol_coefficients(words, scheme: ModulationScheme,
+                        quant: QuantizationModel = CONTINUOUS) -> np.ndarray:
+    """The (streams, pilots + payload) coefficients of a frame whose
+    per-stream payload is words, scheme's bit words (bit_words), one row
+    per stream.
 
-    pilots are make_pilots(num_streams), shape (num_streams, pilot_length);
-    the control rate is symbol_rate * samples_per_symbol.
-    """
-
-    num_streams: int
-    payload_length: int
-    symbol_rate: float
-    samples_per_symbol: int
-    pilots: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.payload_length < 1:
-            raise ConfigurationError("payload_length must be >= 1")
-        if self.symbol_rate <= 0:
-            raise ConfigurationError("symbol_rate must be positive")
-        if self.samples_per_symbol < 1:
-            raise ConfigurationError("samples_per_symbol must be >= 1")
-        object.__setattr__(self, "pilots", make_pilots(self.num_streams))
-
-    @property
-    def pilot_length(self) -> int:
-        return self.pilots.shape[1]
-
-    @property
-    def num_symbols(self) -> int:
-        return self.pilot_length + self.payload_length
-
-
-def symbols_to_schedule(words, frame: FrameSpec, scheme: ModulationScheme,
-                        quant: QuantizationModel = CONTINUOUS) -> CoefficientSchedule:
-    """Compile per-stream symbols, given as scheme's bit words (bit_words),
-    into the per-stream schedule.
-
-    Row s holds stream s's coefficients, one column per symbol at
-    frame.symbol_rate, the pilots first, quantized per quant: each is looked
-    up by its bit word in _quantized_tables, within the unit circle. The
-    surface pass holds each column for its symbol interval, never expanded
-    to the envelope rate; every cell of stream s carries row s."""
+    Row s holds stream s's coefficients, one per symbol, the pilots
+    (make_pilots of the stream count) first, quantized per quant: each is
+    looked up by its bit word in _quantized_tables, within the unit
+    circle. The link pass holds each for its symbol interval, never
+    expanded to the envelope rate; every cell of stream s carries row s."""
     words = np.atleast_2d(words)
-    if words.shape[0] != frame.num_streams:
-        raise ValueError(
-            f"{words.shape[0]} symbol streams for a {frame.num_streams}-stream frame")
-    if words.shape[1] != frame.payload_length:
-        raise ValueError(
-            f"payload length {words.shape[1]} does not match frame "
-            f"payload_length {frame.payload_length}")
-    pilots, points = _quantized_tables(scheme, frame.pilots.shape[0], quant)
-    full = np.empty((frame.num_streams, frame.num_symbols), dtype=np.complex128)
-    full[:, :frame.pilot_length] = pilots
-    full[:, frame.pilot_length:] = points[words]
-    return CoefficientSchedule(full, frame.symbol_rate)
+    pilots, points = _quantized_tables(scheme, len(words), quant)
+    full = np.empty((len(words), pilots.shape[1] + words.shape[1]), dtype=np.complex128)
+    full[:, :pilots.shape[1]] = pilots
+    full[:, pilots.shape[1]:] = points[words]
+    return full
 
 
 def _no_symbols() -> np.ndarray:
@@ -276,13 +240,14 @@ class LinkReport:
         return len(self.detected_symbols)
 
 
-def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, words) -> LinkReport:
-    """Detect one frame from its per-symbol means, (antennas, frame.num_symbols).
+def detect(symbols, scheme: ModulationScheme, words) -> LinkReport:
+    """Detect one frame from its per-symbol means, (antennas, pilots + payload).
 
+    The frame is given by its payload, the (streams, payload) bit words
+    (bit_words) of the sent symbols, at least one each: the pilots are
+    make_pilots(streams), and the reference symbols are scheme.points[words].
     LS-estimate the channel from the pilot block, zero-force with the
-    pseudo-inverse, and score each stream against the transmitted payload,
-    given as its (num_streams, payload_length) bit words (bit_words): the
-    reference symbols are their points, scheme.points[words].
+    pseudo-inverse, and score each stream against its reference symbols.
 
     One SVD of conj(h_est) gives the condition number sigma_max / sigma_min
     and the pseudo-inverse, formed as np.linalg.pinv forms it, bit for bit
@@ -311,20 +276,22 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, words) -> LinkRe
     every symbol is demapped; when no symbol is doubtful, demap_symbols is
     not called.
     """
-    num_streams = frame.num_streams
+    words = np.asarray(words)
+    if words.ndim != 2 or 0 in words.shape:
+        raise ContractViolation("words must be (streams, payload), neither of them 0")
+    num_streams, payload_length = words.shape
+    pilots, pilots_h = _pilots(num_streams)
+    pilot_length = pilots.shape[1]
     if len(symbols) < num_streams:
         raise ContractViolation(
             f"{len(symbols)} antennas cannot resolve {num_streams} streams")
-    if np.shape(symbols)[1] != frame.num_symbols:
+    if np.shape(symbols)[1] != pilot_length + payload_length:
         raise ContractViolation("means must cover the frame's symbols")
-    if np.shape(words) != (num_streams, frame.payload_length):
-        raise ContractViolation("words must be (streams, payload)")
-    words = np.asarray(words)
     reference_symbols = scheme.points[words]
-    y_pilot = symbols[:, :frame.pilot_length]
-    y_payload = symbols[:, frame.pilot_length:]
+    y_pilot = symbols[:, :pilot_length]
+    y_payload = symbols[:, pilot_length:]
 
-    h_est = y_pilot @ _pilots(frame.pilots.shape[0])[1]
+    h_est = y_pilot @ pilots_h
     if not np.isfinite(h_est).all():
         raise DetectionError("estimated channel is not finite", np.inf)
     u, sigma, vt = np.linalg.svd(h_est.conj(), full_matrices=False)
@@ -336,14 +303,14 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, words) -> LinkRe
 
     evms = np.empty(num_streams)
     bers = np.zeros(num_streams)  # stays 0 for a stream without a doubtful symbol
-    errors = np.empty(frame.payload_length)
+    errors = np.empty(payload_length)
     for s in range(num_streams):
         np.abs(reference_symbols[s], out=errors)
         errors *= errors
         ref_rms = math.sqrt(errors.sum() / len(errors))
         if ref_rms == 0.0:
             raise ValueError("reference power is zero")
-        for i in range(0, frame.payload_length, DEMAP_BLOCK):
+        for i in range(0, payload_length, DEMAP_BLOCK):
             block = slice(i, i + DEMAP_BLOCK)
             np.abs(equalized[s, block] - reference_symbols[s, block], out=errors[block])
         doubtful = (~(errors < scheme.decision_radius)).nonzero()[0]
@@ -353,7 +320,7 @@ def detect(symbols, frame: FrameSpec, scheme: ModulationScheme, words) -> LinkRe
             decided = demap_symbols(equalized[s, doubtful], scheme)[0]
             sent = (words[s, doubtful, np.newaxis] & scheme.word_weights) != 0
             bers[s] = np.count_nonzero(decided != sent.ravel()) / (
-                frame.payload_length * scheme.bits_per_symbol)
+                payload_length * scheme.bits_per_symbol)
     return LinkReport(detected_symbols=equalized, reference_symbols=reference_symbols,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)

@@ -2,7 +2,9 @@
 
 Each one restates a formula element by element, independent of the
 vectorised code it checks: cell_position for core.cell_positions,
-hadamard_pilots for txrx.make_pilots, free_space_gain for the channel
+hadamard_pilots for txrx.make_pilots, frame_record (and
+scenario_frame, from a scenario dict) for the frame layout that txrx reads
+off a payload's bit words, free_space_gain for the channel
 gains of propagation.build_channels, dft_direct for the fast transform
 behind spectral.periodogram, staircase_harmonic, the per-step Fourier
 integral, for the closed form of spectral.staircase_harmonics,
@@ -14,7 +16,7 @@ the CSV that scenario.export_csv writes from each artifact table,
 demap_symbols for the blocked txrx.demap_symbols, evm and ber for the
 scores txrx.detect forms from its error magnitudes and from demapping only
 the symbols that could be in error, surface_pass for
-propagation.surface_pass and the weights of pass_weights, written out
+propagation.surface_pass and the weights of stream_gains, written out
 sample by sample, tone for the offset and scaled tones that core no longer
 makes, symbols_to_waveform for the zero-order-hold waveform that the
 integrated receive phase receives, integrate and phase_exact_means for the
@@ -78,6 +80,25 @@ def hadamard_pilots(num_streams: int) -> np.ndarray:
         rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
     return np.array([[chip for chip in row for _ in range(4)]
                      for row in rows[:num_streams]], dtype=np.complex128)
+
+
+def frame_record(num_streams: int, payload_length: int, symbol_rate: float,
+                 samples_per_symbol: int) -> SimpleNamespace:
+    """A frame's dimensions and timing: the hadamard_pilots(num_streams)
+    block, then payload_length symbols per stream, at symbol_rate, each
+    samples_per_symbol control steps long."""
+    pilots = hadamard_pilots(num_streams)
+    return SimpleNamespace(num_streams=num_streams, payload_length=payload_length,
+                           symbol_rate=symbol_rate, samples_per_symbol=samples_per_symbol,
+                           pilots=pilots, pilot_length=pilots.shape[1],
+                           num_symbols=pilots.shape[1] + payload_length)
+
+
+def scenario_frame(data: dict, num_streams: int) -> SimpleNamespace:
+    """The frame_record of a scenario dict's frame object."""
+    frame = data["frame"]
+    return frame_record(num_streams, frame["payload_symbols"],
+                        float(frame["symbol_rate_baud"]), frame["samples_per_symbol"])
 
 
 def tone(num_samples: int, sample_rate: float, carrier_freq: float, amplitude=1.0,
@@ -452,7 +473,7 @@ def _payload_bits(rng, scheme, shape) -> np.ndarray:
 def _link_phase(sc, data, channels, rng):
     scheme = txrx.get_scheme(data["modulation"])
     partition = _partition(sc, data["partition"])
-    frame = sc.frame(partition.num_streams)
+    frame = scenario_frame(data, partition.num_streams)
     bits = _payload_bits(rng, scheme, (partition.num_streams, frame.payload_length))
     symbols = txrx.map_bits(bits.ravel(), scheme).reshape(partition.num_streams, -1)
     # every coefficient quantized on its own, not looked up in a table
@@ -481,7 +502,7 @@ def _run_transmit_link(sc, data):
     channels = propagation.build_channels(sc.geometry, sc.points, _channel_model(data))
     report = _link_phase(sc, data, channels, rng)
     summary = _summarize(sc, {"link": report})
-    return ScenarioResult(sc, {"link": report}, summary)
+    return ScenarioResult({"link": report}, summary)
 
 
 def _ramp_line(sc) -> float:
@@ -519,7 +540,7 @@ def _run_sdc(sc, data):
          if p >= (1.0 - 1e-9) * peak), key=lambda f: abs(f - expected))
     summary["expected_line_hz"] = expected
     summary["harmonics"] = _harmonic_table(sc, out_spec)
-    return ScenarioResult(sc, {"link": report}, summary)
+    return ScenarioResult({"link": report}, summary)
 
 
 def _run_integrated(sc, data):
@@ -540,7 +561,7 @@ def _run_integrated(sc, data):
     channels_rx = propagation.build_channels(sc.geometry, back_points, model)
 
     scheme = txrx.get_scheme(data["modulation"])
-    frame = sc.frame(1)
+    frame = scenario_frame(data, 1)
     symbols = txrx.map_bits(_payload_bits(rx_rng, scheme, (1, frame.payload_length))[0],
                             scheme)
     all_symbols = np.concatenate([frame.pilots[0], symbols])
@@ -561,7 +582,7 @@ def _run_integrated(sc, data):
     reports = {"transmit": tx_report, "receive": rx_report}
     summary = _summarize(sc, reports)
     summary["expected_line_hz"] = shift
-    return ScenarioResult(sc, reports, summary)
+    return ScenarioResult(reports, summary)
 
 
 # the acceptance gate's brute-force bound

@@ -12,7 +12,7 @@ a variable that only shares the function's name, such as report.ber or a
 local evm, is not a use. A use of a public method or property is an
 attribute with its name, since the class of an instance is mostly not
 known statically. When another class of src/metalink defines a field or
-a member of the same name, such as the num_streams field of FrameSpec
+a member of the same name, such as the LinkReport.num_streams property
 next to the CoefficientSchedule.num_streams property, an attribute counts
 only when its receiver is known to be of the class: self in the class's
 own methods, a parameter annotated with the class, or a variable assigned

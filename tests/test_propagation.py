@@ -21,7 +21,7 @@ from metalink.propagation import (
     ChannelSet,
     _spherical_gains,
     build_channels,
-    pass_weights,
+    stream_gains,
     surface_pass,
 )
 from oracles import free_space_gain, surface_pass as whole_pass
@@ -279,8 +279,8 @@ def test_superpose_matches_brute_force_double_sum():
         assert np.all(np.abs(out[p].samples - brute) <= 1e-12 * scale)
 
 
-def _pass_weights(env, schedule, streams, channels):
-    pass_weights(env.sample_rate, len(env), schedule, streams, channels)
+def _stream_gains(env, schedule, streams, channels):
+    stream_gains(streams, schedule.num_streams, channels)
 
 
 MISMATCHES = {
@@ -293,19 +293,28 @@ MISMATCHES = {
 }
 
 
-# surface_pass runs the checks of pass_weights
-@pytest.mark.parametrize("run, case", [
-    pytest.param(run, case, id=f"{run.__name__.lstrip('_')}-{case}")
-    for run in (surface_pass, _pass_weights) for case in MISMATCHES])
-def test_superpose_rejects_mismatched_envelopes(run, case):
+@pytest.mark.parametrize("case", MISMATCHES)
+def test_superpose_rejects_mismatched_envelopes(case):
     samples, schedule, streams = MISMATCHES[case]
     unit = ChannelSet(np.ones(2), np.ones((2, 1)))
     with pytest.raises(ContractViolation):
-        run(tone_envelope(samples, 1e8, 4.25e9), schedule, streams, unit)
+        surface_pass(tone_envelope(samples, 1e8, 4.25e9), schedule, streams, unit)
 
 
-@pytest.mark.parametrize("run", [surface_pass, _pass_weights],
-                         ids=["surface_pass", "pass_weights"])
+def test_stream_gains_sum_each_streams_cells_and_refuse_bad_stream_ids():
+    rng = np.random.default_rng(8)
+    feed = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    obs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    channels = ChannelSet(feed, obs)
+    want = [feed[0] * obs[0] + feed[2] * obs[2], feed[1] * obs[1]]
+    np.testing.assert_allclose(stream_gains([0, 1, 0], 2, channels), want, rtol=1e-15)
+    for streams in ([0, 1], [0, 2, 0], [0, -1, 0]):  # short, beyond, negative
+        with pytest.raises(ContractViolation):
+            stream_gains(streams, 2, channels)
+
+
+@pytest.mark.parametrize("run", [surface_pass, _stream_gains],
+                         ids=["surface_pass", "stream_gains"])
 @pytest.mark.parametrize("gain", [1e200, 1e154], ids=["product_overflows",
                                                     "power_overflows"])
 def test_surface_pass_rejects_gains_whose_power_overflows(gain, run):

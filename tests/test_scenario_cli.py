@@ -19,7 +19,7 @@ from metalink.txrx import LinkReport
 from oracles import _received as received
 from oracles import simulate as oracles_simulate
 from oracles import (assert_close_harmonics, channel_estimate_pairs, integrate,
-                     surface_pass, write_constellation, write_spectrum)
+                     scenario_frame, surface_pass, write_constellation, write_spectrum)
 
 
 @pytest.fixture()
@@ -223,8 +223,7 @@ def _edge_spectrum(n, rng, resolution):
 
 
 def _write(report, out_dir):
-    return artifacts.write_artifacts(scen.ScenarioResult(None, {"link": report}, {}),
-                                     out_dir)
+    return artifacts.write_artifacts(scen.ScenarioResult({"link": report}, {}), out_dir)
 
 
 def _exported_bytes(report, out_dir):
@@ -522,7 +521,7 @@ def test_payload_words_are_one_integers_draw(modulation):
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"),
                                 {"modulation": modulation, "frame.payload_symbols": 1001})
     sc = scen.Scenario.from_dict(data)
-    words = scen._payload(sc, sc.frame(2), scen._rng(sc, 0))
+    words = scen._payload(sc, 2, scen._rng(sc, 0))
     child = np.random.SeedSequence(sc.rng_seed).spawn(1)[0]
     want = np.random.default_rng(child).integers(
         0, 2 ** sc.scheme.bits_per_symbol, size=(2, 1001), dtype=np.uint8)
@@ -651,33 +650,39 @@ def test_sdc_memory_does_not_grow_with_the_observation_points():
         f"16 points {peak / 2 ** 20:.2f} MiB, one {alone / 2 ** 20:.2f} MiB")
 
 
-def spied_simulate(monkeypatch, overrides: dict) -> tuple:
-    """simulate(mimo2x2_16qam) with overrides, counting the calls of
-    propagation.surface_pass and propagation.pass_weights: (result, the
-    surface_pass calls, the pass_weights calls)."""
-    calls = {"surface_pass": 0, "pass_weights": 0}
+def spied_simulate(monkeypatch, name: str, overrides: dict) -> tuple:
+    """simulate(name) with overrides, counting the calls of
+    propagation.surface_pass, propagation.stream_gains and
+    spectral.periodogram: (result, {function name: calls})."""
+    calls = {}
 
-    def spy(name):
-        original = getattr(propagation, name)
+    def spy(module, function):
+        original = getattr(module, function)
+        calls[function] = 0
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[function] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(propagation, name, counted)
+        monkeypatch.setattr(module, function, counted)
 
-    spy("surface_pass")
-    spy("pass_weights")
-    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
-    result = scen.simulate(scen.Scenario.from_dict(data))
-    return result, calls["surface_pass"], calls["pass_weights"]
+    spy(propagation, "surface_pass")
+    spy(propagation, "stream_gains")
+    spy(spectral, "periodogram")
+    data = scen.apply_overrides(scen.load_scenario(name), overrides)
+    return scen.simulate(scen.Scenario.from_dict(data)), calls
 
 
+@pytest.mark.parametrize("name, frames", [
+    ("mimo2x2_16qam", 1), ("sdc_5mhz", 1), ("integrated_switch", 2)])
 @pytest.mark.parametrize("noise_psd", [0.0, 1e-3])
-def test_a_link_frame_writes_no_samples(noise_psd, monkeypatch):
-    # noisy or not, the means come from the held coefficients
-    result, passes, weights = spied_simulate(monkeypatch, {"channel.noise_psd": noise_psd})
-    assert np.all(result.reports["link"].ber == 0.0)
-    assert passes == 0 and weights == 1
+def test_a_run_multiplies_coefficient_tables_by_stream_gains(name, frames, noise_psd,
+                                                             monkeypatch):
+    # noisy or not, each link frame and each ramp forms its weights from one
+    # stream_gains call; no envelope is passed whole and no periodogram taken
+    result, calls = spied_simulate(monkeypatch, name, {"channel.noise_psd": noise_psd})
+    assert calls == {"surface_pass": 0, "stream_gains": frames, "periodogram": 0}
+    if name == "mimo2x2_16qam":
+        assert np.all(result.reports["link"].ber == 0.0)
 
 
 def frame_taps(sc) -> list:
@@ -717,15 +722,15 @@ def held_and_written(overrides: dict) -> None:
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
     sc = scen.Scenario.from_dict(data)
     (means, head), = frame_taps(sc)
-    frame = sc.frame(2)
+    frame = scenario_frame(data, 2)
     sps = sc.samples_per_symbol * sc.oversample
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     rng = scen._rng(sc, 0)
-    words = scen._payload(sc, frame, rng)
+    words = scen._payload(sc, 2, rng)
     carrier = core.tone_envelope(frame.num_symbols * sps, sc.envelope_rate(), 0.0)
-    rx = surface_pass(carrier, txrx.symbols_to_schedule(words, frame, sc.scheme,
-                                                        sc.quantization),
-                      sc.stream_of_cell, channels)
+    schedule = core.CoefficientSchedule(
+        txrx.symbol_coefficients(words, sc.scheme, sc.quantization), frame.symbol_rate)
+    rx = surface_pass(carrier, schedule, sc.stream_of_cell, channels)
     rx, noise, want_head = received(sc, rx, frame.num_symbols, rng)
     want = integrate(rx, frame.num_symbols) + (0.0 if noise is None else noise)
     peak = max(np.max(np.abs(env.samples)) for env in rx)
@@ -851,12 +856,14 @@ def whole_head_noise(sc, rng, means, head, num: int, den: int) -> None:
     """_add_noise as one draw over the head and one over the other means."""
     sps = sc.samples_per_symbol * sc.oversample
     covered = len(head) // sps
-    noise = scen._normal_pairs(rng, len(head), sc.noise_psd)
+    noise = np.empty(len(head), dtype=complex)
+    scen._fill_noise(rng, noise, sc.noise_psd)
     means[0, :covered] += np.einsum(
         "ki,i->k", noise.reshape(covered, sps), scen._rotation(num, den, sps)) * (
         scen._rotation(num * sps, den, covered) / sps)
     head += noise
-    noise = scen._normal_pairs(rng, means.size - covered, sc.noise_psd / sps)
+    noise = np.empty(means.size - covered, dtype=complex)
+    scen._fill_noise(rng, noise, sc.noise_psd / sps)
     rest = means.shape[1] - covered
     means[0, covered:] += noise[:rest]
     means[1:] += noise[rest:].reshape(-1, means.shape[1])
@@ -1113,6 +1120,20 @@ def test_cli_export_of_a_directory_named_like_a_table_exits_one(tiny_link,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
     assert "constellation_0.npy" in err[0] and "cannot be read" in err[0]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_repeated_override_key_exits_one_naming_it(command, tmp_path, capsys):
+    # the last value used to win, so an invalid first value went unseen
+    argv = [command, "mimo2x2_16qam", "--override", "frame.payload_symbols=-3",
+            "--override", "frame.payload_symbols=5"]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert "'frame.payload_symbols'" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_flag_overrides_seed(tiny_link, tmp_path):

@@ -607,7 +607,7 @@ def test_full_size_heads_cover_part_or_all_of_the_frame(name, overrides):
     sc = scen.Scenario.from_dict(scen.apply_overrides(SHRUNK_DATA[name], overrides))
     sps = sc.samples_per_symbol * sc.oversample
     for streams in (1, 2):
-        samples = sc.frame(streams).num_symbols * sps
+        samples = (len(txrx.make_pilots(streams)[0]) + sc.payload_symbols) * sps
         whole = sc.spectrum_bins is None
         assert (sc.spectrum_length(samples) == samples) == whole
         assert sc.spectrum_length(samples) > 100 * sps
@@ -753,9 +753,8 @@ def receive_phase_means(overrides: dict) -> tuple:
         scen.simulate(sc)
     finally:
         txrx.detect = detect
-    frame = sc.frame(1)
-    words = scen._payload(sc, frame, scen._rng(sc, 1))
-    sent = np.concatenate([frame.pilots, sc.scheme.points[words]], axis=1)[0]
+    words = scen._payload(sc, 1, scen._rng(sc, 1))
+    sent = np.concatenate([txrx.make_pilots(1)[0], sc.scheme.points[words[0]]])
     feed = sc.points.indices_with_role("feed")[0]
     back = propagation.build_channels(sc.geometry, core.PointSet(
         sc.points.positions[[1, feed]], ("feed", "rx")), sc.channel)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metalink import scenario as scen, txrx
 from metalink.core import (
+    CoefficientSchedule,
     ConfigurationError,
     ContractViolation,
     resample_hold,
@@ -17,7 +18,6 @@ from metalink.propagation import ChannelSet, surface_pass
 from metalink.txrx import (
     DEMAP_BLOCK,
     DetectionError,
-    FrameSpec,
     ModulationScheme,
     bit_words,
     demap_symbols,
@@ -25,13 +25,14 @@ from metalink.txrx import (
     get_scheme,
     make_pilots,
     map_bits,
-    symbols_to_schedule,
+    symbol_coefficients,
 )
 
 from oracles import (
     ber,
     demap_symbols as demap_oracle,
     evm,
+    frame_record,
     hadamard_pilots,
     integrate as integrate_oracle,
     receive_frame as receive_oracle,
@@ -265,33 +266,32 @@ def test_a_non_integer_stream_count_is_refused_even_when_its_value_is_cached():
 
 
 def test_frame_control_rate():
-    frame = FrameSpec(2, 100, 2.5e6, 40)
-    assert frame.symbol_rate * frame.samples_per_symbol == 1e8
-    assert frame.pilot_length == 8
-    assert frame.num_symbols == 108
+    frame = scen.load_scenario("mimo2x2_16qam")["frame"]
+    assert frame["symbol_rate_baud"] * frame["samples_per_symbol"] == 1e8
+    assert make_pilots(2).shape == (2, 8)
+    words = np.zeros((2, 100), dtype=np.uint8)
+    assert symbol_coefficients(words, get_scheme("16QAM")).shape == (2, 108)
 
 
 # ---------------------------------------------------------------------------
-# symbols_to_schedule
+# symbol_coefficients
 # ---------------------------------------------------------------------------
 
 def test_single_constant_symbol_schedule():
-    frame = FrameSpec(1, 1, 1e6, 4)
-    sched = symbols_to_schedule([[0]], frame, get_scheme("BPSK"))  # the point 1.0
+    # the point 1.0, one column per symbol at 1 MBd, held 4 samples a symbol
+    sched = CoefficientSchedule(symbol_coefficients([[0]], get_scheme("BPSK")), 1e6)
     assert sched.num_streams == 1
-    assert sched.num_steps == 4 + 1  # one column per symbol
-    assert sched.control_rate == frame.symbol_rate
-    held = resample_hold(sched, frame.symbol_rate * frame.samples_per_symbol)
+    assert sched.num_steps == 4 + 1
+    held = resample_hold(sched, 4e6)
     assert held.num_steps == (4 + 1) * 4
     assert np.all(held.values[:, -4:] == 1.0)  # payload after the pilots
-    assert np.array_equal(held.values[0, :16], np.repeat(frame.pilots[0], 4))
+    assert np.array_equal(held.values[0, :16], np.repeat(make_pilots(1)[0], 4))
 
 
 def test_two_stream_bpsk_schedule_sets_halves():
     stream_of_cell = np.array([0, 0, 1, 1, 0, 0, 1, 1])  # left and right halves
-    frame = FrameSpec(2, 1, 1e6, 2)
-    held = resample_hold(symbols_to_schedule([[0], [1]], frame, get_scheme("BPSK")),
-                         frame.symbol_rate * frame.samples_per_symbol)
+    sched = CoefficientSchedule(symbol_coefficients([[0], [1]], get_scheme("BPSK")), 1e6)
+    held = resample_hold(sched, 2e6)
     payload = held.values[stream_of_cell, -2:]  # what each cell holds
     left = stream_of_cell == 0
     assert np.all(payload[left] == 1.0)
@@ -300,27 +300,23 @@ def test_two_stream_bpsk_schedule_sets_halves():
 
 def test_symbol_rate_for_20mbps_aggregate():
     # 2 streams x 4 bits x 2.5 MBd = 20 Mbps; 100 MHz control -> 40 samples
-    frame = FrameSpec(2, 10, 2.5e6, 40)
-    assert frame.samples_per_symbol == 40
-    assert frame.symbol_rate * frame.samples_per_symbol == pytest.approx(1e8)
-    aggregate_bps = 2 * 4 * frame.symbol_rate
+    data = scen.load_scenario("mimo2x2_16qam")
+    frame = data["frame"]
+    assert frame["samples_per_symbol"] == 40
+    assert data["control_rate_hz"] == 1e8
+    assert frame["symbol_rate_baud"] * frame["samples_per_symbol"] == pytest.approx(
+        data["control_rate_hz"])
+    assert data["partition"] == "left_right"  # two streams
+    aggregate_bps = (2 * get_scheme(data["modulation"]).bits_per_symbol
+                     * frame["symbol_rate_baud"])
     assert aggregate_bps == pytest.approx(20e6)
 
 
 def test_quantized_schedule_snaps_payload():
-    frame = FrameSpec(1, 1, 1e6, 1)
     quant = QuantizationModel(phase_levels=2)
     # 8PSK word 0b001 is the point at pi/4, nearer phase 0 than phase pi
-    sched = symbols_to_schedule([[0b001]], frame, get_scheme("8PSK"), quant)
-    assert sched.values[0, -1] == pytest.approx(1.0)
-
-
-def test_schedule_length_mismatch_is_rejected():
-    frame = FrameSpec(1, 2, 1e6, 1)
-    with pytest.raises(ValueError):
-        symbols_to_schedule([[0]], frame, get_scheme("BPSK"))
-    with pytest.raises(ValueError):
-        symbols_to_schedule([[0, 0], [0, 0]], frame, get_scheme("BPSK"))
+    coefficients = symbol_coefficients([[0b001]], get_scheme("8PSK"), quant)
+    assert coefficients[0, -1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +389,8 @@ def detect_as_equalized(received, words, scheme):
     the equalized symbols are received bit for bit; the references are the
     points of words."""
     bits = word_bits(words, scheme.bits_per_symbol)[None, :]
-    frame = FrameSpec(1, len(received), 1e6, 1)
-    means = np.concatenate([frame.pilots[0], received])[None, :]
-    report = detect(means, frame, scheme, np.asarray(words)[None, :])
+    means = np.concatenate([make_pilots(1)[0], received])[None, :]
+    report = detect(means, scheme, np.asarray(words)[None, :])
     assert np.array_equal(report.detected_symbols[0], received)
     return report, bits
 
@@ -405,7 +400,7 @@ def test_scores_match_brute_force_from_0_to_40_db(name, monkeypatch):
     scheme = get_scheme(name)
     rng = np.random.default_rng(ALL_SCHEMES.index(name))
     h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j], [0.2, 0.1j]])
-    frame = FrameSpec(2, 2000, 1e6, 1)
+    frame = frame_record(2, 2000, 1e6, 1)
     demapped = count_demapped(monkeypatch)
     for snr_db in range(0, 41, 5):
         bits = rng.integers(0, 2, size=(2, frame.payload_length * scheme.bits_per_symbol))
@@ -416,7 +411,7 @@ def test_scores_match_brute_force_from_0_to_40_db(name, monkeypatch):
         noise = sigma * (rng.standard_normal(clean.shape)
                          + 1j * rng.standard_normal(clean.shape))
         demapped.clear()
-        report = detect(clean + noise, frame, scheme, words)
+        report = detect(clean + noise, scheme, words)
         assert_scores_match_brute_force(report, scheme, bits)
         if snr_db == 0:  # both the demapped and the skipped symbols occur
             assert np.all(report.ber > 0)
@@ -483,9 +478,9 @@ def explicit_link_envelopes(h, scheme, payload, noise_psd=0.0, seed=0,
     bits = rng.integers(0, 2, size=(streams, payload * scheme.bits_per_symbol))
     symbols = np.stack([map_bits(bits[s], scheme) for s in range(streams)])
     words = np.stack([bit_words(bits[s], scheme) for s in range(streams)])
-    frame = FrameSpec(streams, payload, 1e6, samples_per_symbol)
+    frame = frame_record(streams, payload, 1e6, samples_per_symbol)
     # one unit-fed cell per stream whose gain to antenna a is h[a, s]
-    schedule = symbols_to_schedule(words, frame, scheme)
+    schedule = CoefficientSchedule(symbol_coefficients(words, scheme), frame.symbol_rate)
     carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
                             frame.symbol_rate * frame.samples_per_symbol, 4.25e9,
                             freq_offset=freq_offset)
@@ -499,7 +494,7 @@ def receive(rx, frame, scheme, words, expected_shift=0.0):
     """The receive chain simulate runs, on the per-symbol means of the
     envelopes rx (here integrated by oracles.integrate): detect."""
     means = integrate_oracle(rx, frame.num_symbols, expected_shift)
-    return detect(means, frame, scheme, words)
+    return detect(means, scheme, words)
 
 
 def run_explicit_link(h, scheme_name, payload, noise_psd=0.0, seed=0,
@@ -608,7 +603,7 @@ def random_frame_means(rng, antennas, streams, scheme, payload=16):
     channel of antennas x streams."""
     h = rng.standard_normal((antennas, streams)) + 1j * rng.standard_normal(
         (antennas, streams))
-    frame = FrameSpec(streams, payload, 1e6, 1)
+    frame = frame_record(streams, payload, 1e6, 1)
     bits = rng.integers(0, 2, size=(streams, payload * scheme.bits_per_symbol))
     words = np.stack([bit_words(row, scheme) for row in bits])
     return h @ np.concatenate([frame.pilots, scheme.points[words]], axis=1), frame, words
@@ -624,7 +619,7 @@ def test_one_svd_gives_numpys_pseudo_inverse_and_condition_number(streams,
     for _ in range(4 if streams == 64 else 40):
         means, frame, words = random_frame_means(
             rng, streams + extra_antennas, streams, scheme)
-        report = detect(means, frame, scheme, words)
+        report = detect(means, scheme, words)
         h_est = report.channel_estimate
         assert np.array_equal(report.detected_symbols,
                               np.linalg.pinv(h_est) @ means[:, frame.pilot_length:])
@@ -637,17 +632,16 @@ def test_one_svd_gives_numpys_pseudo_inverse_and_condition_number(streams,
     ids=["zero", "nan", "inf", "rank_one", "cond_1e9"])
 def test_an_uninvertible_estimate_raises_detection_error_without_a_warning(h_est):
     scheme = get_scheme("BPSK")
-    frame = FrameSpec(2, 4, 1e6, 1)
     words = np.zeros((2, 4), dtype=np.uint8)
     symbols = scheme.points[words]
     # pilots @ pilots^H / pilot_length is the identity, so a finite h_est
     # is estimated as given; inf * 0 makes the inf case's estimate NaN too
     with np.errstate(invalid="ignore"):
-        means = h_est @ np.concatenate([frame.pilots, symbols], axis=1)
+        means = h_est @ np.concatenate([make_pilots(2), symbols], axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DetectionError) as excinfo:
-            detect(means, frame, scheme, words)
+            detect(means, scheme, words)
     assert not excinfo.value.condition_number <= txrx.CONDITION_LIMIT
 
 
@@ -657,7 +651,7 @@ def test_expected_shift_derotation():
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, size=2 * 128)
     symbols = map_bits(bits, scheme)
-    frame = FrameSpec(1, 128, 1e6, 8)
+    frame = frame_record(1, 128, 1e6, 8)
     wave = symbols_to_waveform(np.concatenate([frame.pilots[0], symbols]),
                                8, 8e6, 4.25e9)
     n = np.arange(len(wave))
@@ -673,23 +667,34 @@ def test_detect_rejects_too_few_antennas_and_misshapen_references():
     h = np.array([[0.9 + 0.3j, -0.2j], [0.4, 1.1 - 0.5j]])
     rx, frame, words, _ = explicit_link_envelopes(h, scheme, 48, 1e-3, seed=3)
     means = integrate_oracle(rx, frame.num_symbols)
-    detect(means, frame, scheme, words)
+    detect(means, scheme, words)
     with pytest.raises(ContractViolation):  # one antenna for two streams
-        detect(means[:1], frame, scheme, words)
+        detect(means[:1], scheme, words)
     with pytest.raises(ContractViolation):  # one symbol short of the frame
-        detect(means[:, 1:], frame, scheme, words)
+        detect(means[:, 1:], scheme, words)
     with pytest.raises(ContractViolation):  # one word short of the payload
-        detect(means, frame, scheme, words[:, 1:])
+        detect(means, scheme, words[:, 1:])
+    with pytest.raises(ContractViolation):  # one stream's words, not a table
+        detect(means, scheme, words[0])
+
+
+def test_detect_refuses_an_empty_payload():
+    # the pilots alone: the reference RMS of no symbols would be 0 / 0
+    scheme = get_scheme("QPSK")
+    means = np.asarray(make_pilots(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation):
+            detect(means, scheme, np.zeros((2, 0), dtype=np.uint8))
 
 
 def test_partition_permutation_leaves_stream_products_unchanged():
     # swapping the channel gains of cells within a stream keeps every
     # effective stream gain, so the received envelopes cannot change
     stream_of_cell = np.array([0, 0, 1, 1, 0, 0, 1, 1])  # left and right halves
-    frame = FrameSpec(2, 8, 1e6, 2)
     rng = np.random.default_rng(23)
     scheme = get_scheme("QPSK")
-    sched = symbols_to_schedule(rng.integers(0, 4, (2, 8)), frame, scheme)
+    sched = CoefficientSchedule(symbol_coefficients(rng.integers(0, 4, (2, 8)), scheme), 1e6)
     feed = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     obs = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
 
@@ -699,8 +704,7 @@ def test_partition_permutation_leaves_stream_products_unchanged():
         perm[cells] = rng.permutation(cells)
     assert not np.array_equal(perm, np.arange(8))
 
-    carrier = tone_envelope(frame.num_symbols * frame.samples_per_symbol,
-                            frame.symbol_rate * frame.samples_per_symbol, 4.25e9)
+    carrier = tone_envelope(sched.num_steps * 2, 2e6, 4.25e9)  # two samples a symbol
     out = surface_pass(carrier, sched, stream_of_cell, ChannelSet(feed, obs))
     out_perm = surface_pass(carrier, sched, stream_of_cell,
                             ChannelSet(feed[perm], obs[perm]))
