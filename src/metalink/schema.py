@@ -42,18 +42,14 @@ def bundled_scenario_names() -> list:
 def load_scenario(source) -> dict:
     """Load a scenario dict from a mapping, a JSON file path, or a bundled name.
 
-    A mapping is deep-copied through JSON; one that holds a value JSON
-    cannot (an array, say), contains itself or nests too deeply for the
-    JSON codec raises ConfigurationError saying which; a file that is not
-    readable UTF-8 JSON, or that repeats a key within one object, raises
-    one naming the file.
+    A mapping is returned as it is given: validate names any value in it
+    that the schema cannot take, and neither apply_overrides nor
+    Scenario.from_dict writes into it or keeps its lists. A file that is
+    not readable UTF-8 JSON, or that repeats a key within one object,
+    raises ConfigurationError naming the file.
     """
     if isinstance(source, dict):
-        try:
-            return json.loads(json.dumps(source))  # deep copy, JSON-clean
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise core.ConfigurationError(
-                f"scenario must hold only JSON values: {exc}") from None
+        return source
     name = str(source)
     path = Path(name)
     if not path.is_file():
@@ -104,13 +100,15 @@ def _override_value(dotted: str, value):
 def apply_overrides(data: dict, overrides: dict) -> dict:
     """Apply {"dotted.key": value} overrides; values may be JSON literals.
 
-    data is left as it is: the result copies the objects on each
-    override's path and shares every other value with data.
+    A key applies after every key that is a dotted prefix of it, so a child
+    key sets its value inside an object its parent key gives, whatever
+    their order. data is left as it is: the result copies the objects on
+    each override's path and shares every other value with data.
     """
     out = dict(data)
     # the objects made here, by id; holding them keeps their ids unique
     copies = {id(out): out}
-    for dotted, value in overrides.items():
+    for dotted, value in sorted(overrides.items(), key=lambda kv: kv[0].count(".")):
         node = out
         *parents, leaf = dotted.split(".")
         for part in parents:
@@ -140,7 +138,7 @@ REQUIRED = object()  # the default of a field that must be given
 class Field:
     """One schema field: where it sits, what it accepts and who reads it.
 
-    check is applied to non-null values, and rule says what it accepts.
+    check takes any non-null value and never raises; rule says what it accepts.
     An absent or null value takes default, unless that is REQUIRED. In a
     mode outside modes, or with a channel kind outside kinds, the field
     must be absent or null.
@@ -183,8 +181,20 @@ def _int_from(low):
     return lambda v: _is_int(v) and v >= low
 
 
-def _point3(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_num, v))
+def _one_of(choices):
+    return lambda v: isinstance(v, str) and v in choices
+
+
+# a list's checks, which accept a tuple wherever they accept a list
+def _list_of(each):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(each, v))
+
+
+def _numbers(n):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_num, v))
+
+
+_point3 = _numbers(3)
 
 
 def _is_point(p) -> bool:
@@ -193,22 +203,12 @@ def _is_point(p) -> bool:
 
 
 def _is_matrix(m) -> bool:
-    if not (isinstance(m, list) and m and isinstance(m[0], list)):
-        return False
-    width = len(m[0])
-    for row in m:
-        if not (isinstance(row, list) and len(row) == width):
-            return False
-        for e in row:
-            if not (isinstance(e, list) and len(e) == 2
-                    and _is_num(e[0]) and _is_num(e[1])):
-                return False
-    return True
+    """Rows of one width, of [re, im] pairs."""
+    return _list_of(_list_of(_numbers(2)))(m) and len({len(row) for row in m}) == 1
 
 
 def _is_partition(v) -> bool:
-    return v in ("full", "left_right") or (
-        isinstance(v, list) and len(v) > 0 and all(_is_int(s) and s >= 0 for s in v))
+    return _one_of(("full", "left_right"))(v) or _list_of(_int_from(0))(v)
 
 
 def _is_object(v) -> bool:
@@ -223,7 +223,7 @@ FIELDS = (
           "must be a non-empty string without '/', '\\' or NUL, other than '.' "
           "and '..' (it names the default output directory)"),
     Field("description", lambda v: isinstance(v, str), "must be a string", ""),
-    Field("mode", MODES.__contains__, f"must be one of {MODES}"),
+    Field("mode", _one_of(MODES), f"must be one of {MODES}"),
     Field("carrier_freq_hz", _positive, "must be a number > 0"),
     Field("control_rate_hz", _positive, "must be a number > 0 (DAC update rate)"),
     Field("oversample", _int_from(1),
@@ -236,11 +236,11 @@ FIELDS = (
     Field("geometry.spacing_m", _positive, "must be > 0 (cell pitch in meters)"),
     Field("geometry.origin_m", _point3, "must be a 3-number list (grid center)",
           (0.0, 0.0, 0.0)),
-    Field("points", lambda v: isinstance(v, list) and v and all(map(_is_point, v)),
+    Field("points", _list_of(_is_point),
           "must be a non-empty list of {position_m: [x, y, z], role: string}; "
           "role 'feed' marks the feed antenna, every other point observes"),
     Field("channel", _is_object, "must be an object {kind, noise_psd, ...}"),
-    Field("channel.kind", KINDS.__contains__, f"must be one of {KINDS}"),
+    Field("channel.kind", _one_of(KINDS), f"must be one of {KINDS}"),
     Field("channel.noise_psd", lambda v: _is_num(v) and v >= 0,
           "must be a number >= 0 (noise variance per received sample)", 0.0),
     Field("channel.matrix", _is_matrix, "must be [[[re, im] per point] per cell]",
@@ -273,7 +273,7 @@ FIELDS = (
           modes=SDC_MODES),
     Field("staircase.steps_per_period", _int_from(2), "must be an integer >= 2"),
     Field("staircase.period_s", _positive, "must be a number > 0"),
-    Field("staircase.direction", ("down", "up").__contains__,
+    Field("staircase.direction", _one_of(("down", "up")),
           "must be 'down' or 'up'", "down"),
     Field("staircase.amplitude", lambda v: _is_num(v) and 0 <= v <= 1,
           "must lie in [0, 1]", 1.0),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metalink import cli, core, propagation, schema, txrx
+from metalink import artifacts, cli, core, propagation, schema, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.txrx import DetectionError
@@ -169,11 +169,47 @@ def test_a_later_override_leaves_an_earlier_value_unchanged():
     assert frame == {"symbol_rate_baud": 1e6}
 
 
-def test_loading_a_dict_that_holds_a_non_json_value_names_its_type():
-    data = scen.load_scenario("mimo2x2_16qam")
-    data["points"][0]["position_m"] = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ConfigurationError, match="ndarray"):
-        scen.load_scenario(data)
+# a parent key and one of its children in both orders; the child applies
+# after its parent either way
+FRAME = {"symbol_rate_baud": 2.5e6, "samples_per_symbol": 40, "payload_symbols": 7}
+OVERLAPS = {"child_first": {"frame.payload_symbols": 5, "frame": FRAME},
+            "parent_first": {"frame": FRAME, "frame.payload_symbols": 5}}
+
+
+def artifact_bytes(out_dir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("overrides", OVERLAPS.values(), ids=OVERLAPS.keys())
+def test_a_child_override_applies_after_its_parent_in_either_order(overrides):
+    data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
+    assert data["frame"] == {**FRAME, "payload_symbols": 5}
+    assert FRAME["payload_symbols"] == 7
+
+
+@pytest.mark.parametrize("overrides", OVERLAPS.values(), ids=OVERLAPS.keys())
+def test_overlapping_overrides_write_the_childs_artifacts(overrides, tmp_path):
+    scen.run_scenario("mimo2x2_16qam", tmp_path / "want",
+                      overrides={"frame.payload_symbols": 5})
+    scen.run_scenario("mimo2x2_16qam", tmp_path / "api", overrides=overrides)
+    pairs = [arg for key, value in overrides.items()
+             for arg in ("--override", f"{key}={json.dumps(value)}")]
+    assert cli.main(["run", "mimo2x2_16qam", "--out-dir", str(tmp_path / "cli"),
+                     *pairs]) == 0
+    want = artifact_bytes(tmp_path / "want")
+    assert artifact_bytes(tmp_path / "api") == want
+    assert artifact_bytes(tmp_path / "cli") == want
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("child_first", [True, False])
+def test_the_cli_checks_the_child_of_an_overlapping_override(command, child_first,
+                                                            tmp_path, capsys):
+    # a valid parent value used to hide an invalid child given before it
+    overrides = [("frame.payload_symbols", -3), ("frame", FRAME)]
+    overrides = dict(overrides if child_first else overrides[::-1])
+    assert cli_violations(command, "mimo2x2_16qam", overrides, tmp_path, capsys) == [
+        "violation: frame.payload_symbols: must be an integer >= 1"]
 
 
 def _nested(depth: int) -> list:
@@ -183,18 +219,72 @@ def _nested(depth: int) -> list:
     return value
 
 
-def test_loading_a_dict_that_contains_itself_is_a_configuration_error():
+def holding(what: str) -> dict:
+    """mimo2x2_16qam holding a value no JSON text spells: an array, the
+    scenario itself, or a list nested deeper than the JSON codec recurses."""
     data = scen.load_scenario("mimo2x2_16qam")
-    data["frame"]["self"] = data
-    with pytest.raises(ConfigurationError, match="Circular reference"):
-        scen.load_scenario(data)
+    if what == "array":
+        data["points"][0]["position_m"] = np.array([0.0, 0.0, 1.0])
+    elif what == "itself":
+        data["frame"]["self"] = data
+    else:
+        data["description"] = _nested(5000)
+    return data
 
 
-def test_loading_a_dict_nested_too_deeply_is_a_configuration_error():
-    data = scen.load_scenario("mimo2x2_16qam")
-    data["description"] = _nested(5000)
-    with pytest.raises(ConfigurationError, match="only JSON values"):
-        scen.load_scenario(data)
+@pytest.mark.parametrize("what, path", [
+    ("array", "points"), ("itself", "frame.self"), ("nested", "description")])
+def test_a_dict_holding_a_value_json_cannot_spell_names_its_field(what, path):
+    data = holding(what)
+    violations = scen.validate(data)
+    assert [v.split(":")[0] for v in violations] == [path]
+    with pytest.raises(schema.ValidationError) as excinfo:
+        scen.Scenario.from_dict(data)
+    assert excinfo.value.violations == violations
+
+
+def _tuples(value):
+    """value with each list in it, at any depth, made a tuple."""
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    if isinstance(value, dict):
+        return {key: _tuples(v) for key, v in value.items()}
+    return value
+
+
+# mimo2x2_16qam's left_right partition as one stream id per cell
+LISTED = {**SHRUNK["mimo2x2_16qam"], "partition": [0, 0, 1, 1] * 4}
+
+
+def test_tuple_inputs_write_the_artifacts_of_list_inputs(tmp_path):
+    lists = bundled("mimo2x2_16qam", LISTED)
+    tuples = {"points": _tuples(lists["points"]), "partition": _tuples(lists["partition"]),
+              "channel.matrix": _tuples(lists["channel"]["matrix"])}
+    source = {**lists, "points": tuples["points"], "partition": tuples["partition"],
+              "channel": {**lists["channel"], "matrix": tuples["channel.matrix"]}}
+    assert scen.validate(source) == []
+    scen.run_scenario(lists, tmp_path / "lists")
+    scen.run_scenario(source, tmp_path / "dict")
+    scen.run_scenario(lists, tmp_path / "overrides", overrides=tuples)
+    want = artifact_bytes(tmp_path / "lists")
+    assert artifact_bytes(tmp_path / "dict") == want
+    assert artifact_bytes(tmp_path / "overrides") == want
+
+
+def test_a_run_neither_changes_nor_keeps_the_callers_dict(tmp_path):
+    data = bundled("mimo2x2_16qam", LISTED)
+    before = copy.deepcopy(data)
+    scen.run_scenario(data, tmp_path / "run", overrides={"frame.payload_symbols": 9})
+    sc = scen.Scenario.from_dict(data)
+    assert data == before
+    # writes into the lists the Scenario was read from
+    data["points"][1]["position_m"][0] += 0.25
+    data["channel"]["matrix"][0][0][0] += 1.0
+    data["partition"][0] = 1
+    data["geometry"]["origin_m"][0] = 1.0
+    artifacts.write_artifacts(scen.simulate(sc), tmp_path / "kept")
+    scen.run_scenario(before, tmp_path / "fresh")
+    assert artifact_bytes(tmp_path / "kept") == artifact_bytes(tmp_path / "fresh")
 
 
 @pytest.mark.parametrize("text", [b'{"name": "\xff\xfe"}', b"[" * 5000 + b"]" * 5000],
@@ -481,7 +571,16 @@ def test_non_finite_channel_gains_raise_a_configuration_error(name):
 
 SHRUNK_DATA = {name: bundled(name, overrides) for name, overrides in SHRUNK.items()}
 VALUES = [None, 0, 1, -1, 2, 0.5, 1e-300, 1e300, "", "abc", "down", [], {},
-          [0.0, 0.0, 1.0], {"kind": "identity"}, {"rows": 1}]
+          [0.0, 0.0, 1.0], {"kind": "identity"}, {"rows": 1},
+          # values no JSON text spells, as a dict or an override may give them
+          np.array(["transmit_link"]), np.array([0, 1] * 8), np.array([0.0, 0.0, 1.0]),
+          np.int64(2), np.float64(0.5), np.str_("down"), (0.0, 0.0, 1.0), {"a"}, b"QPSK"]
+
+
+@pytest.mark.parametrize("field", schema.FIELDS, ids=lambda f: f.path)
+def test_every_check_returns_a_bool_for_any_value(field):
+    for value in VALUES + [_nested(5000)]:
+        assert type(field.check(value)) in (bool, np.bool_), value
 
 
 def _set(data, path, value):
@@ -509,8 +608,14 @@ def check_runs_or_names_its_error(name, changes):
     # deeper paths first, so a later parent value replaces what they set
     for path in sorted(changes, key=lambda p: -p.count(".")):
         _set(data, path, changes[path])
-    if scen.validate(data):
+    violations = scen.validate(data)
+    assert isinstance(violations, list) and all(isinstance(v, str) for v in violations)
+    if violations:
+        with pytest.raises(schema.ValidationError) as excinfo:
+            scen.Scenario.from_dict(data)
+        assert excinfo.value.violations == violations, changes
         return
+    json.dumps(data)  # the encoding the summary writer uses
     try:
         result = scen.simulate(scen.Scenario.from_dict(data))
     except (DetectionError, ConfigurationError):
