@@ -22,13 +22,38 @@ bit, on these runs:
   - integrated_switch at spectrum_bins=null and channel.noise_psd=1e-7: the
     receive phase's spectrum head covers its whole frame, so per-sample
     noise reaches every symbol mean of that phase;
+  - integrated_switch at channel.noise_psd=1e-7, where it decodes (at 0.01
+    both phases see only noise), and again at frame.payload_symbols=100000,
+    where each phase's spectrum head is a small part of its frame: every
+    frame takes its symbol means in closed form, the first point adds
+    per-sample noise over the head, and one draw of noise goes to every
+    other mean at each point;
+  - integrated_switch with ramp periods that are no whole number of
+    samples: L = 7 at oversample 3 with its period a little longer, and
+    L = 13 at oversample 2 over 20 000 payload symbols with its period a
+    little shorter; each derotates at the ramp's own line;
+  - integrated_switch's up-ramp at L = 7, oversample 3 and
+    channel.noise_psd=1e-7: the receive phase takes every mean as the sent
+    symbol times one gain per point, with the head's noise derotated at the
+    ramp's line over a 21-sample period;
+  - sdc_5mhz at L = 7 samples a period: its input spectrum is the closed
+    form, not an FFT;
+  - sdc_5mhz's up-ramp at amplitude 0.8, oversample 1 and
+    channel.noise_psd=0.01: each value of its one-period envelope is held
+    for one sample;
+  - sdc_5mhz over 37 periods, noiseless and at channel.noise_psd=0.01: the
+    output comes from one period's DFT; noiseless, its power on every 37th
+    bin and exactly 0 elsewhere; noisy, 37 times it added to every 37th bin
+    of the noise's DFT, a scaling that rounds at an odd period count;
   - the param_sweep cases of bench/workloads.py for seeds 1 to 10, one line
     per seed covering its 136 cases in order.
 
 A digest covers every file a run writes, by name and content. metalink is
 imported from src/ of the checkout that holds this script.
-tests/reference_digests.json holds these lines with the environment() they
-were recorded in, and tests/test_reference_digests.py compares against them.
+tests/reference_digests.json holds these lines and a list of environments:
+each an environment() on which this script printed every line.
+tests/test_reference_digests.py compares the lines bit for bit where the
+current environment is on that list, and skips the comparison elsewhere.
 
 The same runs also give a tolerance-level reference, which holds on any
 platform: values() maps each run's label to its record, the numbers of
@@ -99,6 +124,29 @@ def _bundled_runs():
     yield "sdc_5mhz three points noise_psd=0.01", "sdc_5mhz", SDC_THREE_POINTS
     yield ("integrated_switch spectrum_bins=null noise_psd=1e-7", "integrated_switch",
            {"spectrum_bins": None, "channel.noise_psd": 1e-7})
+    yield ("integrated_switch noise_psd=1e-7", "integrated_switch",
+           {"channel.noise_psd": 1e-7})
+    yield ("integrated_switch payload_symbols=100000 noise_psd=1e-7", "integrated_switch",
+           {"frame.payload_symbols": 100000, "channel.noise_psd": 1e-7})
+    yield ("integrated_switch steps_per_period=7 period_s=7.0000000021e-08 oversample=3",
+           "integrated_switch", {"staircase.steps_per_period": 7,
+                                 "staircase.period_s": 7.0000000021e-08, "oversample": 3})
+    yield ("integrated_switch steps_per_period=13 period_s=1.29999999974e-07 oversample=2 "
+           "payload_symbols=20000", "integrated_switch",
+           {"staircase.steps_per_period": 13, "staircase.period_s": 1.29999999974e-07,
+            "oversample": 2, "frame.payload_symbols": 20000})
+    yield ("integrated_switch up steps_per_period=7 period_s=7e-08 oversample=3 "
+           "noise_psd=1e-7", "integrated_switch",
+           {"staircase.steps_per_period": 7, "staircase.period_s": 7e-08, "oversample": 3,
+            "staircase.direction": "up", "channel.noise_psd": 1e-7})
+    yield ("sdc_5mhz steps_per_period=7 period_s=7e-08", "sdc_5mhz",
+           {"staircase.steps_per_period": 7, "staircase.period_s": 7e-08})
+    yield ("sdc_5mhz up amplitude=0.8 oversample=1 noise_psd=0.01", "sdc_5mhz",
+           {"oversample": 1, "staircase.direction": "up", "staircase.amplitude": 0.8,
+            "channel.noise_psd": 0.01})
+    yield "sdc_5mhz sdc_periods=37", "sdc_5mhz", {"sdc_periods": 37}
+    yield ("sdc_5mhz sdc_periods=37 noise_psd=0.01", "sdc_5mhz",
+           {"sdc_periods": 37, "channel.noise_psd": 0.01})
 
 
 def _add_dir(digest, out_dir: Path) -> None:

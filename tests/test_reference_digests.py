@@ -3,8 +3,9 @@
 Exact: the runs write the artifacts whose digests reference_digests.json
 records, bit for bit. The bits of a float result depend on numpy's
 version, its BLAS, the CPU architecture and the SIMD extensions numpy
-dispatches to, so the lines are compared only where that environment
-equals the recorded one; elsewhere the test skips and names both.
+dispatches to, so the lines are compared only where that environment is
+one of the file's environments, each one on which the script printed
+every recorded line; elsewhere the test skips and names them.
 
 Tolerance: on any platform, every number of each run's summaries and a
 few moments of its tables match reference_values.json within the script's
@@ -12,14 +13,16 @@ RTOL of their group's scale (output_digest.within_tolerance). Rounding
 moves them by about 1e-16 relative, so a platform or an intended last-bit
 change passes, and a change of the model does not.
 
-A change that moves outputs on purpose records the new digest lines, from
-the root of the checkout:
+A change that moves outputs on purpose, or adds a run, records the digest
+lines from the root of the checkout:
 
     python -c 'import json, sys; sys.path.insert(0, "scripts");
-    import output_digest as d; print(json.dumps({"environment": d.environment(),
+    import output_digest as d; print(json.dumps({"environments": [d.environment()],
     "lines": list(d.digest_lines())}, indent=2))' > tests/reference_digests.json
 
-and says in CHANGES.md which lines changed and why. The tolerance level is
+and says in CHANGES.md which lines changed and why. That leaves the
+recording environment alone on the list; another joins it once the script
+prints every line there. The tolerance level is
 recorded with `python scripts/output_digest.py --values >
 tests/reference_values.json`; it is rewritten only when a change moves
 outputs beyond the tolerance, on purpose.
@@ -65,11 +68,17 @@ def test_reference_runs_write_the_recorded_artifacts():
         environment = digest.environment()
     except (TypeError, KeyError) as exc:  # numpy before show_config(mode=...)
         pytest.skip(f"this numpy does not report its build and SIMD extensions: {exc!r}")
-    if environment != REFERENCE["environment"]:
-        pytest.skip(f"digests recorded on {REFERENCE['environment']}, "
+    if environment not in REFERENCE["environments"]:
+        pytest.skip(f"digests recorded on {REFERENCE['environments']}, "
                     f"this environment is {environment}; the tolerance level "
                     "ran instead")
     assert _references()[0] == REFERENCE["lines"]
+
+
+def test_reference_labels_are_unique():
+    # the records are keyed by label: a repeated one would hide a run
+    labels = [line.partition("  ")[2] for line in _references()[0]]
+    assert len(set(labels)) == len(labels)
 
 
 def test_reference_runs_match_the_recorded_values_within_tolerance():
