@@ -3,8 +3,11 @@
 
 For an L-step ramp the desired shifted line carries sin(pi/L)/(pi/L) of the
 phasor amplitude; the rest leaks into harmonics at indices 1 mod L. This
-sweep measures the loss from a simulated staircase and compares it with the
-closed form, printing one row per L (optionally as CSV).
+sweep measures the loss with simulate, on the bundled sdc_5mhz scenario
+with an identity channel and an L-step ramp at the 100 MHz control rate,
+from the shifted line's share of the output power (its harmonic table's
+row 1). It compares the loss with the closed form, printing one row per L
+(optionally as CSV).
 
 Usage:
     python scripts/conversion_loss_sweep.py [--steps 2 4 8 20 64] [--csv out.csv]
@@ -15,19 +18,19 @@ import csv
 
 import numpy as np
 
-from metalink.core import tone_envelope
-from metalink.metasurface import StaircaseRampSpec, compile_staircase
-from metalink.propagation import ChannelSet, surface_pass
-from metalink.spectral import line_power, periodogram, staircase_harmonics
+from metalink import Scenario, load_scenario, simulate
+from metalink.schema import apply_overrides
+from metalink.spectral import staircase_harmonics
 
 
 def measure_loss_db(L, oversample=256, periods=8):
-    spec = StaircaseRampSpec(period=L * 1e-8, steps_per_period=L)
-    sched = compile_staircase(spec, 1e8, duration=periods * L * 1e-8)
-    env = tone_envelope(sched.num_steps * oversample, oversample * 1e8, 0.0)
-    unit_cell = ChannelSet(np.ones(1), np.ones((1, 1)))  # 1x1 surface, unit gains
-    spectrum = periodogram(surface_pass(env, sched, [0], unit_cell)[0])
-    fraction = line_power(spectrum, spec.frequency_shift) / spectrum.total_power
+    data = apply_overrides(load_scenario("sdc_5mhz"), {
+        "channel.kind": "identity", "staircase.steps_per_period": L,
+        "staircase.period_s": L * 1e-8, "oversample": oversample,
+        "sdc_periods": periods})
+    harmonics = simulate(Scenario.from_dict(data)).summary["harmonics"]
+    fraction = next(row["power_fraction"] for row in harmonics
+                    if row["harmonic_index"] == 1)
     strongest_spur = staircase_harmonics(L, [1 - L])[0]
     return -10 * np.log10(fraction), strongest_spur
 

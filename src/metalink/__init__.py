@@ -9,7 +9,7 @@ chain, and spectral metrology needed to score both.
 
 The package re-exports the scenario API and txrx.make_pilots; everything else
 is imported from its submodule (core, metasurface, propagation, spectral,
-txrx, schema, scenario, artifacts).
+txrx, schema, scenario, artifacts, envelope).
 """
 
 from .scenario import run_scenario, simulate

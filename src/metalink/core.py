@@ -1,9 +1,8 @@
-"""Shared signal, geometry, and coefficient types used across the simulator.
+"""Shared geometry, coefficient and point types used across the simulator.
 
-All RF quantities live in complex baseband: a waveform is a sequence of
-complex samples referenced to an explicit carrier frequency. Instances of
-the types below are treated as immutable values after construction; no
-operation in this package mutates its inputs.
+All RF quantities live in complex baseband, referenced to an explicit
+carrier frequency. Instances of the types below are treated as immutable
+values after construction; no operation in this package mutates its inputs.
 """
 
 from __future__ import annotations
@@ -48,49 +47,18 @@ def wavelength_of(frequency_hz: float) -> float:
     return SPEED_OF_LIGHT / frequency_hz
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexEnvelope:
-    """Uniformly sampled complex baseband waveform around a reference carrier.
-
-    samples are dimensionless field amplitudes; sample_rate and carrier_freq
-    are in Hz. Sample i lies at time i / sample_rate.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-    carrier_freq: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("envelope samples must form a non-empty 1-D array")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def with_samples(self, samples) -> "ComplexEnvelope":
-        """New envelope with the same rates but different samples."""
-        return ComplexEnvelope(samples, self.sample_rate, self.carrier_freq)
+def _from_envelope(module: str):
+    """module's __getattr__: its envelope.FORMER_HOMES names, from envelope."""
+    def __getattr__(name):
+        if not name.startswith("__"):  # a dunder probe loads nothing
+            from . import envelope
+            if name in envelope.FORMER_HOMES[module.rpartition(".")[2]]:
+                return getattr(envelope, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    return __getattr__
 
 
-def tone_envelope(num_samples: int, sample_rate: float, carrier_freq: float,
-                  freq_offset: float = 0.0) -> ComplexEnvelope:
-    """Unit complex exponential at `freq_offset` from the carrier.
-
-    At freq_offset 0, the feed's tone, the samples are a read-only broadcast
-    view of one value, so a carrier of any length allocates nothing. Only
-    the acceptance gate builds offset tones.
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    if freq_offset == 0.0:
-        samples = np.broadcast_to(np.complex128(1.0), (num_samples,))
-    else:
-        samples = np.exp(2j * np.pi * freq_offset * np.arange(num_samples) / sample_rate)
-    return ComplexEnvelope(samples, sample_rate, carrier_freq)
+__getattr__ = _from_envelope(__name__)
 
 
 @dataclass(frozen=True)
@@ -131,17 +99,6 @@ def cell_axes(geometry: SurfaceGeometry) -> tuple:
     return x, y, oz
 
 
-def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:
-    """All cell positions, shape (num_cells, 3), row-major from lower-left,
-    formed from cell_axes on each call.
-
-    Production reads the axes alone; this table stays public because the
-    acceptance gate places its cells with it.
-    """
-    x, y, z = cell_axes(geometry)
-    return np.stack(np.broadcast_arrays(x, y[:, np.newaxis], z), -1).reshape(-1, 3)
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientSchedule:
     """Per-stream piecewise-constant reflection coefficients at their update rate.
@@ -167,39 +124,8 @@ class CoefficientSchedule:
         object.__setattr__(self, "values", values)
 
     @property
-    def num_streams(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def num_steps(self) -> int:
         return self.values.shape[1]
-
-
-def _hold_ratio(rate: float, target_rate: float) -> int | None:
-    """target_rate / rate when it is a whole number >= 1 (within 1e-9), else None."""
-    ratio_f = target_rate / rate
-    ratio = int(round(ratio_f))
-    if ratio < 1 or abs(ratio_f - ratio) > 1e-9 * ratio_f:
-        return None
-    return ratio
-
-
-def resample_hold(schedule: CoefficientSchedule, target_rate: float) -> CoefficientSchedule:
-    """Zero-order-hold resampling of a schedule to an integer multiple rate.
-
-    Each coefficient is repeated target_rate / control_rate times; fractional
-    ratios are rejected rather than interpolated. The surface pass holds each
-    step itself, so production never calls this; it stays public because
-    the acceptance gate builds its held schedules with it.
-    """
-    ratio = _hold_ratio(schedule.control_rate, target_rate)
-    if ratio is None:
-        raise ConfigurationError(
-            f"target_rate must be an integer multiple of control_rate "
-            f"(got ratio {target_rate / schedule.control_rate})")
-    if ratio == 1:
-        return schedule
-    return CoefficientSchedule(np.repeat(schedule.values, ratio, axis=1), target_rate)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,10 +16,12 @@ import numpy as np
 from .core import (
     TWO_PI,
     CoefficientSchedule,
-    ComplexEnvelope,
     ConfigurationError,
+    _from_envelope,
     wrap_phase,
 )
+
+__getattr__ = _from_envelope(__name__)
 
 
 @dataclass(frozen=True)
@@ -100,19 +102,6 @@ def compile_staircase(spec: StaircaseRampSpec, control_rate: float,
     phases = spec.direction * TWO_PI * (np.arange(num_steps) % L) / L
     values = spec.amplitude * np.exp(1j * phases)
     return CoefficientSchedule(values[np.newaxis, :], control_rate)
-
-
-def frequency_shift(envelope: ComplexEnvelope, shift_hz: float) -> ComplexEnvelope:
-    """Ideal continuous-phase ramp: exact frequency translation by shift_hz.
-
-    The ramp is referenced to the first sample, matching a schedule that
-    starts at the envelope start. Production ramps with staircases, so it
-    never calls this; it stays public because the acceptance gate checks
-    the ideal-ramp limit with it.
-    """
-    n = np.arange(len(envelope))
-    ramp = np.exp(2j * np.pi * shift_hz * n / envelope.sample_rate)
-    return envelope.with_samples(envelope.samples * ramp)
 
 
 def _quantize_phases(phases: np.ndarray, levels: int, offset: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Feed-to-cell and cell-to-point channels, and the surface pass.
+"""Feed-to-cell and cell-to-point channels, and per-stream effective gains.
 
 Channels are narrowband: one complex gain per (source, destination) pair,
 valid across the whole envelope bandwidth. The free-space model is the
@@ -17,16 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CoefficientSchedule,
-    ComplexEnvelope,
     ConfigurationError,
     ContractViolation,
     PointSet,
     SurfaceGeometry,
-    _hold_ratio,
+    _from_envelope,
     cell_axes,
 )
 
+__getattr__ = _from_envelope(__name__)
 CHANNEL_KINDS = ("identity", "free_space", "explicit_matrix")
 
 
@@ -171,39 +170,3 @@ def stream_gains(stream_of_cell, num_streams: int, channels: ChannelSet) -> np.n
                 "overflow; check the channel gains and the wavelength")
     return gains
 
-
-def surface_pass(incident: ComplexEnvelope, schedule: CoefficientSchedule,
-                 stream_of_cell, channels: ChannelSet) -> list:
-    """Noiseless received envelope at every observation point, in channel order.
-
-    The chain is linear and narrowband, so each point sees rx_p = incident *
-    sum_s G[s, p] * w_s, G the effective per-stream gains of stream_gains,
-    at a cost of O(streams x samples) whatever the cell count.
-
-    The schedule may run at any rate that divides the envelope rate a whole
-    number of times, hold = sample_rate / control_rate; each of its steps
-    covers hold envelope samples (zero-order hold), so
-    rx_p[n] = incident[n] * sum_s G[s, p] * w_s[n // hold], one whole-array
-    multiply on the weights G.T @ schedule.values, and the schedule is never
-    expanded to the envelope rate. Its steps must cover the envelope
-    exactly, and stream_of_cell must give each cell a schedule row; either
-    mismatch is a ContractViolation. Gains so large that the received power
-    would overflow are a ConfigurationError.
-
-    Production multiplies its coefficient tables by stream_gains directly,
-    so it never calls this; it stays public because the acceptance gate and
-    scripts/conversion_loss_sweep.py drive the surface through it.
-    """
-    hold = _hold_ratio(schedule.control_rate, incident.sample_rate)
-    if hold is None:
-        raise ContractViolation(
-            f"envelope rate {incident.sample_rate} Hz is not a whole multiple of "
-            f"schedule rate {schedule.control_rate} Hz")
-    if schedule.num_steps * hold != len(incident):
-        raise ContractViolation(
-            f"schedule covers {schedule.num_steps} x {hold} samples, envelope "
-            f"has {len(incident)}")
-    gains = stream_gains(stream_of_cell, schedule.num_streams, channels)
-    weights = gains.T @ schedule.values
-    rx = incident.samples.reshape(-1, hold) * weights[:, :, np.newaxis]
-    return [incident.with_samples(row) for row in rx.reshape(channels.num_points, -1)]

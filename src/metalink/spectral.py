@@ -1,4 +1,4 @@
-"""Periodogram spectrum estimation and staircase harmonic bookkeeping.
+"""Power spectra of DFT bins, line powers and staircase harmonic bookkeeping.
 
 Power normalization: a unit-amplitude tone centered on a bin carries power 1
 in that bin, and the sum over all bins equals the mean square of the time
@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexEnvelope
+from .core import _from_envelope
+
+__getattr__ = _from_envelope(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +78,6 @@ def power_spectrum(bins: np.ndarray, sample_rate: float) -> Spectrum:
     power /= length
     power *= power
     return Spectrum(power, sample_rate / length)
-
-
-def periodogram(env: ComplexEnvelope) -> Spectrum:
-    """Rectangular-window periodogram of the whole envelope, the
-    power_spectrum of its DFT; a caller that wants fewer bins passes the
-    samples it wants."""
-    return power_spectrum(np.fft.fft(env.samples), env.sample_rate)
 
 
 def line_power(spec: Spectrum, freq: float) -> float:

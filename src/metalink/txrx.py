@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigurationError, ContractViolation, read_only
+from .core import ConfigurationError, ContractViolation, _from_envelope, read_only
 from .metasurface import CONTINUOUS, QuantizationModel, quantize_values
 
+__getattr__ = _from_envelope(__name__)
 CONDITION_LIMIT = 1e8
 DEMAP_BLOCK = 4096  # symbols per (block x points) distance table in demap_symbols
 
@@ -119,26 +120,6 @@ def get_scheme(name: str) -> ModulationScheme:
     if key not in _SCHEMES:
         raise ConfigurationError(f"unknown modulation {name!r}; choose from {SCHEME_NAMES}")
     return _SCHEMES[key]
-
-
-def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
-    """Gray-map a bit sequence to constellation points, MSB-first per symbol."""
-    return scheme.points[bit_words(bits, scheme)]
-
-
-def bit_words(bits, scheme: ModulationScheme) -> np.ndarray:
-    """The bit words of a bit sequence, MSB-first per symbol: map_bits's point
-    indices. A bit other than 0 or 1 (0.5, NaN) is refused before any cast."""
-    bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ValueError("bits must be 1-D")
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0 or 1")
-    b = scheme.bits_per_symbol
-    if bits.size % b != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by {b}")
-    weights = scheme.word_weights  # uint8 bits are read without a wider copy
-    return bits.astype(weights.dtype, copy=False).reshape(-1, b) @ weights
 
 
 def demap_symbols(symbols, scheme: ModulationScheme):

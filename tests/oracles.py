@@ -228,9 +228,9 @@ def surface_pass(incident, schedule, stream_of_cell, channels, noise_psd=0.0,
     streams = np.asarray(stream_of_cell, dtype=np.int64)
     if streams.shape != (channels.num_cells,):
         raise ContractViolation("need one stream id per cell")
-    if np.any(streams < 0) or np.any(streams >= schedule.num_streams):
+    if np.any(streams < 0) or np.any(streams >= len(schedule.values)):
         raise ContractViolation("stream ids must index the schedule rows")
-    gains = np.zeros((schedule.num_streams, channels.num_points), dtype=np.complex128)
+    gains = np.zeros((len(schedule.values), channels.num_points), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(gains, streams,
                   channels.feed_gains[:, np.newaxis] * channels.obs_gains)

@@ -24,7 +24,9 @@ def test_a_failing_given_test_leaves_the_session_running(tmp_path):
     shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
     (tmp_path / "pytest.ini").write_text("[pytest]\nfilterwarnings = error\n")
     (tmp_path / "test_cases.py").write_text(CASES)
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+    # plain asserts: the child would otherwise rewrite hypothesis's modules
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--assert=plain"],
                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), \
         run.stdout + run.stderr

@@ -280,7 +280,7 @@ def test_superpose_matches_brute_force_double_sum():
 
 
 def _stream_gains(env, schedule, streams, channels):
-    stream_gains(streams, schedule.num_streams, channels)
+    stream_gains(streams, len(schedule.values), channels)
 
 
 MISMATCHES = {

@@ -280,7 +280,7 @@ def test_frame_control_rate():
 def test_single_constant_symbol_schedule():
     # the point 1.0, one column per symbol at 1 MBd, held 4 samples a symbol
     sched = CoefficientSchedule(symbol_coefficients([[0]], get_scheme("BPSK")), 1e6)
-    assert sched.num_streams == 1
+    assert len(sched.values) == 1
     assert sched.num_steps == 4 + 1
     held = resample_hold(sched, 4e6)
     assert held.num_steps == (4 + 1) * 4
