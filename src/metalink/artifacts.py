@@ -40,26 +40,28 @@ def _write_table(path: Path, dtype: np.dtype, length: int, fill) -> None:
             rows.tofile(fh)
 
 
-def _constellation_rows(detected: np.ndarray, reference: np.ndarray):
-    """fill for _write_table: the CONSTELLATION_DTYPE rows of one stream."""
-    columns = (detected.real, detected.imag, reference.real, reference.imag)
-
+def _constellation_rows(detected: np.ndarray, words: np.ndarray, points: np.ndarray):
+    """fill for _write_table: the CONSTELLATION_DTYPE rows of one stream,
+    detected its equalized symbols and points[words] its reference symbols,
+    looked up one block of rows at a time."""
     def fill(rows, start):
         stop = start + len(rows)
         rows["symbol_index"] = np.arange(start, stop)
-        for name, column in zip(CONSTELLATION_DTYPE.names[1:], columns):
-            rows[name] = column[start:stop]
+        rows["i"], rows["q"] = detected.real[start:stop], detected.imag[start:stop]
+        rows["ref_i"] = points.real.take(words[start:stop])
+        rows["ref_q"] = points.imag.take(words[start:stop])
     return fill
 
 
 def _spectrum_rows(spectrum: spectral.Spectrum):
     """fill for _write_table: spectrum's SPECTRUM_DTYPE rows, its bin
-    centres, its power, and 10 log10 of the power, formed in its field from
-    the power's contiguous slice."""
+    centres, its power, and 10 log10 of the power, each centre and decibel
+    value formed in its field, the latter from the power's contiguous slice."""
     def fill(rows, start):
         stop = start + len(rows)
         first = spectrum.first_bin
-        rows["freq_hz"] = np.arange(first + start, first + stop) * spectrum.resolution
+        np.multiply(np.arange(first + start, first + stop), spectrum.resolution,
+                    out=rows["freq_hz"])
         power = spectrum.power[start:stop]
         rows["power_linear"] = power
         with np.errstate(divide="ignore"):
@@ -99,9 +101,11 @@ def write_artifacts(result, out_dir) -> list:
     as a .npy table, then its summary, with the artifact names, as
     summary.json.
 
-    Each table is written BLOCK rows at a time (_write_table), so writing
-    holds no table, index or frequency grid of a frame's length; the files
-    are those np.save writes of the whole tables, byte for byte.
+    Each table is written BLOCK rows at a time (_write_table), each
+    block's reference symbols looked up from the report's sent_words and
+    points, so writing holds no table, index, reference column or
+    frequency grid of a frame's length; the files are those np.save
+    writes of the whole tables, byte for byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,10 +113,10 @@ def write_artifacts(result, out_dir) -> list:
     single = len(result.reports) == 1
     for key, report in result.reports.items():
         prefix = "" if single else f"{key}_"
-        for s, (d, r) in enumerate(zip(report.detected_symbols,
-                                       report.reference_symbols)):
+        for s, (d, w) in enumerate(zip(report.detected_symbols, report.sent_words)):
             path = _unlinked(out / f"constellation_{prefix}{s}.npy")
-            _write_table(path, CONSTELLATION_DTYPE, len(d), _constellation_rows(d, r))
+            _write_table(path, CONSTELLATION_DTYPE, len(d),
+                         _constellation_rows(d, w, report.points))
             paths.append(path)
         for tag, spectrum in report.spectra.items():
             path = _unlinked(out / f"spectrum_{tag}.npy")
@@ -131,9 +135,10 @@ def export_csv(out_dir) -> list:
 
     The header is the table's field names and each row formats integer
     fields with %d and float fields with %.17g, so a float64 reads back
-    exactly. Raises ConfigurationError naming out_dir when it is missing or
-    holds no artifact, and naming the file when an artifact cannot be read
-    or has another layout.
+    exactly. Each table is mapped, not loaded, and read CSV_BLOCK_ROWS rows
+    at a time, so exporting holds no whole table. Raises ConfigurationError
+    naming out_dir when it is missing or holds no artifact, and naming the
+    file when an artifact cannot be read or has another layout.
     """
     out = Path(out_dir)
     if not out.is_dir():
@@ -147,7 +152,7 @@ def export_csv(out_dir) -> list:
     paths = []
     for npy, dtype in tables:
         try:
-            table = np.load(npy, allow_pickle=False)
+            table = np.load(npy, allow_pickle=False, mmap_mode="r")
         except (ValueError, EOFError, OSError) as exc:  # truncated, not .npy, a directory
             raise core.ConfigurationError(f"{str(npy)!r} cannot be read: {exc}")
         if table.dtype != dtype or table.ndim != 1:

@@ -13,7 +13,10 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 TWO_PI = 2.0 * np.pi
-BLOCK = 65536  # noise values drawn, or .npy table rows written, at a time
+# noise values drawn, or .npy table rows written, at a time; a writer's
+# block (24 or 40 bytes a row) and its block-sized temporaries must stay
+# below a small run's own transient peak, or writing sets the run's peak
+BLOCK = 16384
 
 
 class ConfigurationError(ValueError):

@@ -204,12 +204,16 @@ def _no_symbols() -> np.ndarray:
 class LinkReport:
     """Outputs of one demodulated frame (or one spectral measurement).
 
-    detected_symbols and reference_symbols are (streams, payload) arrays,
-    0 x 0 when no frame was demodulated.
+    detected_symbols is the (streams, payload) array of equalized symbols
+    and sent_words the frame's (streams, payload) bit words, both 0 x 0
+    when no frame was demodulated. The reference symbols are
+    points[sent_words], points the scheme's constellation; no whole array
+    of them is held, and each reader looks them up a block at a time.
     """
 
     detected_symbols: np.ndarray = field(default_factory=_no_symbols)
-    reference_symbols: np.ndarray = field(default_factory=_no_symbols)
+    sent_words: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.uint8))
+    points: np.ndarray = field(default_factory=lambda: np.zeros(0, np.complex128))
     evm_percent: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ber: np.ndarray = field(default_factory=lambda: np.zeros(0))
     channel_estimate: np.ndarray | None = None
@@ -226,9 +230,11 @@ def detect(symbols, scheme: ModulationScheme, words) -> LinkReport:
 
     The frame is given by its payload, the (streams, payload) bit words
     (bit_words) of the sent symbols, at least one each: the pilots are
-    make_pilots(streams), and the reference symbols are scheme.points[words].
-    LS-estimate the channel from the pilot block, zero-force with the
-    pseudo-inverse, and score each stream against its reference symbols.
+    make_pilots(streams), and the reference symbols are scheme.points[words],
+    looked up DEMAP_BLOCK symbols at a time and never formed whole; the
+    report keeps words and scheme.points in their place. LS-estimate the
+    channel from the pilot block, zero-force with the pseudo-inverse, and
+    score each stream against its reference symbols.
 
     One SVD of conj(h_est) gives the condition number sigma_max / sigma_min
     and the pseudo-inverse, formed as np.linalg.pinv forms it, bit for bit
@@ -240,8 +246,10 @@ def detect(symbols, scheme: ModulationScheme, words) -> LinkReport:
 
     EVM is the RMS of the error magnitudes |equalized - reference| in
     percent of the reference RMS. Both are formed in one float buffer of
-    payload_length, reused by every stream: |reference|^2 first, then the
-    error magnitudes, DEMAP_BLOCK symbols at a time, squared in place; each
+    payload_length, reused by every stream: |reference|^2 first, each
+    |reference| one lookup of its word in np.abs(scheme.points) (the bits of
+    np.abs of the looked-up point), then the error magnitudes, each block
+    one lookup of its words in scheme.points, squared in place; each
     RMS is one sum over the whole buffer, divided by its length (the bits
     of np.mean). BER is the share of the payload_length * bits_per_symbol
     sent bits, each word's read MSB first as word_weights weigh them, that
@@ -268,7 +276,6 @@ def detect(symbols, scheme: ModulationScheme, words) -> LinkReport:
             f"{len(symbols)} antennas cannot resolve {num_streams} streams")
     if np.shape(symbols)[1] != pilot_length + payload_length:
         raise ContractViolation("means must cover the frame's symbols")
-    reference_symbols = scheme.points[words]
     y_pilot = symbols[:, :pilot_length]
     y_payload = symbols[:, pilot_length:]
 
@@ -282,18 +289,21 @@ def detect(symbols, scheme: ModulationScheme, words) -> LinkReport:
         raise DetectionError("estimated channel is rank deficient", cond)
     equalized = np.matmul(vt.T, np.multiply((1.0 / sigma)[:, np.newaxis], u.T)) @ y_payload
 
+    points, magnitudes = scheme.points, np.abs(scheme.points)
+    blocks = [slice(i, i + DEMAP_BLOCK) for i in range(0, payload_length, DEMAP_BLOCK)]
     evms = np.empty(num_streams)
     bers = np.zeros(num_streams)  # stays 0 for a stream without a doubtful symbol
     errors = np.empty(payload_length)
     for s in range(num_streams):
-        np.abs(reference_symbols[s], out=errors)
+        for block in blocks:
+            errors[block] = magnitudes.take(words[s, block])
         errors *= errors
         ref_rms = math.sqrt(errors.sum() / len(errors))
         if ref_rms == 0.0:
             raise ValueError("reference power is zero")
-        for i in range(0, payload_length, DEMAP_BLOCK):
-            block = slice(i, i + DEMAP_BLOCK)
-            np.abs(equalized[s, block] - reference_symbols[s, block], out=errors[block])
+        for block in blocks:
+            np.abs(equalized[s, block] - points.take(words[s, block]),
+                   out=errors[block])
         doubtful = (~(errors < scheme.decision_radius)).nonzero()[0]
         errors *= errors
         evms[s] = 100.0 * math.sqrt(errors.sum() / len(errors)) / ref_rms
@@ -302,7 +312,7 @@ def detect(symbols, scheme: ModulationScheme, words) -> LinkReport:
             sent = (words[s, doubtful, np.newaxis] & scheme.word_weights) != 0
             bers[s] = np.count_nonzero(decided != sent.ravel()) / (
                 payload_length * scheme.bits_per_symbol)
-    return LinkReport(detected_symbols=equalized, reference_symbols=reference_symbols,
+    return LinkReport(detected_symbols=equalized, sent_words=words, points=points,
                       evm_percent=evms, ber=bers, channel_estimate=h_est,
                       condition_number=cond)
 

@@ -437,12 +437,12 @@ def _partition(sc: Scenario, spec) -> SimpleNamespace:
                            num_streams=int(ids.max()) + 1)
 
 
-def _link_report(ns) -> txrx.LinkReport:
-    """A scored receive_frame namespace as the LinkReport simulate returns."""
+def _link_report(ns, words, scheme) -> txrx.LinkReport:
+    """A scored receive_frame namespace, of a frame that sent words of
+    scheme, as the LinkReport simulate returns."""
     return txrx.LinkReport(
-        detected_symbols=np.stack(ns.detected_symbols),
-        reference_symbols=np.stack(ns.reference_symbols),
-        evm_percent=ns.evm_percent, ber=ns.ber,
+        detected_symbols=np.stack(ns.detected_symbols), sent_words=words,
+        points=scheme.points, evm_percent=ns.evm_percent, ber=ns.ber,
         channel_estimate=ns.channel_estimate, condition_number=ns.condition_number)
 
 
@@ -461,21 +461,26 @@ def _received(sc, rx, num_symbols, rng):
     return [rx[0].with_samples(first)] + rx[1:], means, rx[0].with_samples(first[:length])
 
 
-def _payload_bits(rng, scheme, shape) -> np.ndarray:
-    """The bits, MSB first, of the (streams x payload) symbol words that a
-    frame draws first from its generator rng, as uint8 integers below
-    2 ** bits_per_symbol; one row of bits per stream."""
-    words = rng.integers(0, 2 ** scheme.bits_per_symbol, size=shape, dtype=np.uint8)
+def _payload_words(rng, scheme, shape) -> np.ndarray:
+    """The (streams x payload) symbol words that a frame draws first from
+    its generator rng, as uint8 integers below 2 ** bits_per_symbol."""
+    return rng.integers(0, 2 ** scheme.bits_per_symbol, size=shape, dtype=np.uint8)
+
+
+def _payload_symbols(words, scheme) -> np.ndarray:
+    """The map_bits points of the bits of words, MSB first, one row per
+    stream."""
     shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1)
-    return ((words[..., np.newaxis] >> shifts) & 1).reshape(shape[0], -1)
+    bits = ((words[..., np.newaxis] >> shifts) & 1).reshape(-1)
+    return txrx.map_bits(bits, scheme).reshape(words.shape)
 
 
 def _link_phase(sc, data, channels, rng):
     scheme = txrx.get_scheme(data["modulation"])
     partition = _partition(sc, data["partition"])
     frame = scenario_frame(data, partition.num_streams)
-    bits = _payload_bits(rng, scheme, (partition.num_streams, frame.payload_length))
-    symbols = txrx.map_bits(bits.ravel(), scheme).reshape(partition.num_streams, -1)
+    words = _payload_words(rng, scheme, (partition.num_streams, frame.payload_length))
+    symbols = _payload_symbols(words, scheme)
     # every coefficient quantized on its own, not looked up in a table
     schedule = core.CoefficientSchedule(metasurface.quantize_values(
         np.concatenate([frame.pilots, symbols], axis=1), sc.quantization),
@@ -486,7 +491,7 @@ def _link_phase(sc, data, channels, rng):
     rx = surface_pass(carrier, schedule, partition.stream_of_cell, channels)
     rx, noise, head = _received(sc, rx, frame.num_symbols, rng)
     report = _link_report(receive_frame(rx, frame, scheme, reference=symbols,
-                                        noise=noise))
+                                        noise=noise), words, scheme)
     report.spectra["rx0"] = spectral.periodogram(head)
     return report
 
@@ -562,8 +567,8 @@ def _run_integrated(sc, data):
 
     scheme = txrx.get_scheme(data["modulation"])
     frame = scenario_frame(data, 1)
-    symbols = txrx.map_bits(_payload_bits(rx_rng, scheme, (1, frame.payload_length))[0],
-                            scheme)
+    words = _payload_words(rx_rng, scheme, (1, frame.payload_length))
+    symbols = _payload_symbols(words, scheme)[0]
     all_symbols = np.concatenate([frame.pilots[0], symbols])
     env_rate = sc.envelope_rate()
     incident = symbols_to_waveform(
@@ -576,7 +581,7 @@ def _run_integrated(sc, data):
     shift = _ramp_line(sc)
     rx, noise, head = _received(sc, rx, frame.num_symbols, rx_rng)
     rx_report = _link_report(receive_frame(rx, frame, scheme, shift, reference=symbols,
-                                           noise=noise))
+                                           noise=noise), words, scheme)
     rx_report.spectra["sdc_rx0"] = spectral.periodogram(head)
 
     reports = {"transmit": tx_report, "receive": rx_report}

@@ -59,7 +59,7 @@ def evm_z_scores(report, gains, variance) -> list:
     """Per stream, the reported EVM^2 as a z-score of its noncentral
     chi-square law."""
     inverse = np.linalg.pinv(report.channel_estimate)
-    sent = report.reference_symbols
+    sent = report.points[report.sent_words]
     fixed = inverse @ gains @ sent - sent
     scores = []
     for s in range(len(sent)):
@@ -116,7 +116,7 @@ def bit_error_probabilities(report, gains, variance) -> np.ndarray:
     """Per payload bit of a one-stream BPSK or QPSK link, the probability
     that the sign decision on its axis flips it, given h_est."""
     inverse = np.linalg.pinv(report.channel_estimate)
-    sent = report.reference_symbols[0]
+    sent = report.points[report.sent_words[0]]
     spread = math.sqrt(variance * np.sum(np.abs(inverse[0]) ** 2) / 2.0)
     clean = (inverse @ gains)[0, 0] * sent
     margins = [np.sign(sent.real) * clean.real]
