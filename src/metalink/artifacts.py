@@ -83,19 +83,6 @@ def _unlinked(path: Path) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: str, row_fmt: str, columns) -> None:
-    """Write equal-length columns with one %-format per block of rows.
-
-    %.17g prints what f"{v:.17g}" prints, numbers never need CSV quoting,
-    and only one block is stacked at a time, so memory stays bounded.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
-
-
 def write_artifacts(result, out_dir) -> list:
     """Write each constellation and spectrum of a ScenarioResult's reports
     as a .npy table, then its summary, with the artifact names, as
@@ -160,9 +147,14 @@ def export_csv(out_dir) -> list:
                 f"{str(npy)!r} is not a metalink artifact: expected a 1-D "
                 f"{dtype} table, found a {table.shape} {table.dtype} array")
         path = npy.with_suffix(".csv")
+        # %.17g prints what f"{v:.17g}" prints, and numbers never need CSV quoting
         row_fmt = ",".join("%d" if dtype[n].kind == "i" else "%.17g"
                            for n in dtype.names) + "\n"
-        _write_csv(path, ",".join(dtype.names), row_fmt,
-                   [table[n] for n in dtype.names])
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(dtype.names) + "\n")
+            for i in range(0, len(table), CSV_BLOCK_ROWS):
+                block = np.column_stack([table[n][i:i + CSV_BLOCK_ROWS]
+                                         for n in dtype.names])
+                fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
         paths.append(path)
     return paths

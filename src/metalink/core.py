@@ -1,8 +1,10 @@
-"""Shared geometry, coefficient and point types used across the simulator.
+"""Shared constants, errors, geometry and point types used across the simulator.
 
 All RF quantities live in complex baseband, referenced to an explicit
 carrier frequency. Instances of the types below are treated as immutable
 values after construction; no operation in this package mutates its inputs.
+The envelope-level names first defined here, the waveform and the
+coefficient schedule among them, are served from envelope (_from_envelope).
 """
 
 from __future__ import annotations
@@ -100,35 +102,6 @@ def cell_axes(geometry: SurfaceGeometry) -> tuple:
     x = ox + (np.arange(geometry.cols) - (geometry.cols - 1) / 2) * geometry.spacing
     y = oy + (np.arange(geometry.rows) - (geometry.rows - 1) / 2) * geometry.spacing
     return x, y, oz
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientSchedule:
-    """Per-stream piecewise-constant reflection coefficients at their update rate.
-
-    values has shape (num_streams, num_steps); every cell of stream s holds
-    row s, and each value is held for 1 / control_rate seconds (zero-order
-    hold). control_rate is the rate the values change at: the DAC rate for a
-    staircase, the symbol rate for a transmit frame. A per-cell schedule is
-    the case of one stream per cell. Each coefficient A * exp(j*phi) is a
-    plain complex number with A <= 1, which the makers of the values keep
-    (scheme points, quantize_values, the staircase); none is checked here.
-    """
-
-    values: np.ndarray
-    control_rate: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 2 or values.size == 0:
-            raise ValueError("schedule values must form a non-empty 2-D array")
-        if self.control_rate <= 0:
-            raise ValueError("control_rate must be positive")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def num_steps(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

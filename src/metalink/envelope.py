@@ -1,9 +1,11 @@
-"""The envelope-level API: whole complex-baseband waveforms, driven
-through the surface one envelope at a time, for the acceptance gate and
-the tests. simulate never reaches it: it multiplies per-stream coefficient
-tables by stream_gains and forms its spectra from DFT bins. FORMER_HOMES
-lists the module each name was first defined in, which still serves it
-(core._from_envelope) and loads this module at the first such read.
+"""The envelope-level API: whole complex-baseband waveforms and
+coefficient schedules, driven through the surface one envelope at a time,
+for the acceptance gate and the tests. simulate never reaches it: it
+multiplies per-stream coefficient tables, such as one ramp period
+(metasurface.ramp_period), by stream_gains and forms its spectra from DFT
+bins. FORMER_HOMES lists the module each name was first defined in, which
+still serves it (core._from_envelope) and loads this module at the first
+such read.
 """
 
 from __future__ import annotations
@@ -12,17 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CoefficientSchedule, ConfigurationError, ContractViolation,
-                   SurfaceGeometry, cell_axes)
+from .core import ConfigurationError, ContractViolation, SurfaceGeometry, cell_axes
+from .metasurface import StaircaseRampSpec, ramp_period
 from .propagation import ChannelSet, stream_gains
 from .spectral import Spectrum, power_spectrum
 from .txrx import ModulationScheme
 
 FORMER_HOMES = {
     "core": ("ComplexEnvelope", "tone_envelope", "cell_positions", "_hold_ratio",
-             "resample_hold"),
+             "resample_hold", "CoefficientSchedule"),
     "propagation": ("surface_pass",),
-    "metasurface": ("frequency_shift",),
+    "metasurface": ("frequency_shift", "compile_staircase"),
     "spectral": ("periodogram",),
     "txrx": ("map_bits", "bit_words"),
 }
@@ -70,6 +72,57 @@ def tone_envelope(num_samples: int, sample_rate: float, carrier_freq: float,
     else:
         samples = np.exp(2j * np.pi * freq_offset * np.arange(num_samples) / sample_rate)
     return ComplexEnvelope(samples, sample_rate, carrier_freq)
+
+
+@dataclass(frozen=True, eq=False)
+class CoefficientSchedule:
+    """Per-stream piecewise-constant reflection coefficients at their update rate.
+
+    values has shape (num_streams, num_steps); every cell of stream s holds
+    row s, and each value is held for 1 / control_rate seconds (zero-order
+    hold). control_rate is the rate the values change at: the DAC rate for a
+    staircase, the symbol rate for a transmit frame. A per-cell schedule is
+    the case of one stream per cell. Each coefficient A * exp(j*phi) is a
+    plain complex number with A <= 1, which the makers of the values keep
+    (scheme points, quantize_values, the staircase); none is checked here.
+    """
+
+    values: np.ndarray
+    control_rate: float
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.complex128)
+        if values.ndim != 2 or values.size == 0:
+            raise ValueError("schedule values must form a non-empty 2-D array")
+        if self.control_rate <= 0:
+            raise ValueError("control_rate must be positive")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def num_steps(self) -> int:
+        return self.values.shape[1]
+
+
+def compile_staircase(spec: StaircaseRampSpec, control_rate: float,
+                      duration: float) -> CoefficientSchedule:
+    """One-stream schedule of the staircase's period (metasurface.ramp_period)
+    repeated for the duration, one control sample a step.
+
+    Requires control_rate * period == steps_per_period exactly (one control
+    sample per step); fractional ratios are rejected so spectra stay
+    bit-reproducible.
+    """
+    L = spec.steps_per_period
+    samples_per_period = control_rate * spec.period
+    if abs(samples_per_period - L) > 1e-9 * L:
+        raise ConfigurationError(
+            f"control_rate * period = {samples_per_period} must equal "
+            f"steps_per_period = {L} (integer samples per period)")
+    num_steps = int(round(control_rate * duration))
+    if num_steps < 1:
+        raise ConfigurationError("duration too short for one control sample")
+    return CoefficientSchedule(ramp_period(spec)[np.arange(num_steps) % L][np.newaxis],
+                               control_rate)
 
 
 def cell_positions(geometry: SurfaceGeometry) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Time-varying reflection control of the unit-cell grid.
 
-Implements staircase phase ramps for frequency translation and
-finite-resolution coefficient quantization. A down-shifting ramp with
+Implements the staircase phase ramp for frequency translation, as the L
+coefficients of its period (ramp_period), and finite-resolution
+coefficient quantization. A down-shifting ramp with
 period T moves a tone by -1/T; the L-step staircase approximation
 concentrates sin(pi/L)/(pi/L) of the phasor amplitude at that line and
 spreads the remainder over harmonics.
@@ -13,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    TWO_PI,
-    CoefficientSchedule,
-    ConfigurationError,
-    _from_envelope,
-    wrap_phase,
-)
+from .core import TWO_PI, ConfigurationError, _from_envelope, wrap_phase
 
 __getattr__ = _from_envelope(__name__)
 
@@ -81,27 +76,13 @@ class StaircaseRampSpec:
         return self.direction / self.period
 
 
-def compile_staircase(spec: StaircaseRampSpec, control_rate: float,
-                      duration: float) -> CoefficientSchedule:
-    """One-stream schedule stepping the phase linearly through 2*pi per period.
-
-    Requires control_rate * period == steps_per_period exactly (one control
-    sample per step); fractional ratios are rejected so spectra stay
-    bit-reproducible. The pattern repeats every L samples for the duration.
-    Every value has magnitude spec.amplitude, at most 1.
+def ramp_period(spec: StaircaseRampSpec) -> np.ndarray:
+    """The L values of one period of the staircase, each held for one
+    control step: value m is spec.amplitude * exp(j * direction * 2*pi*m/L),
+    so the phase steps linearly through 2*pi a period, at magnitude at most 1.
     """
     L = spec.steps_per_period
-    samples_per_period = control_rate * spec.period
-    if abs(samples_per_period - L) > 1e-9 * L:
-        raise ConfigurationError(
-            f"control_rate * period = {samples_per_period} must equal "
-            f"steps_per_period = {L} (integer samples per period)")
-    num_steps = int(round(control_rate * duration))
-    if num_steps < 1:
-        raise ConfigurationError("duration too short for one control sample")
-    phases = spec.direction * TWO_PI * (np.arange(num_steps) % L) / L
-    values = spec.amplitude * np.exp(1j * phases)
-    return CoefficientSchedule(values[np.newaxis, :], control_rate)
+    return spec.amplitude * np.exp(1j * (spec.direction * TWO_PI * np.arange(L) / L))
 
 
 def _quantize_phases(phases: np.ndarray, levels: int, offset: float) -> np.ndarray:

@@ -112,7 +112,9 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
     sps = sc.samples_per_symbol * sc.oversample
     covered = len(head) // sps
     symbols = max(1, BLOCK // sps)  # whole symbols of head noise a block
-    buffer = np.empty(max(min(covered, symbols) * sps, min(means.shape[1], BLOCK)),
+    # point 0's uncovered means, then each other point's, in memory order
+    rest = means.reshape(-1)[covered:]
+    buffer = np.empty(max(min(covered, symbols) * sps, min(len(rest), BLOCK)),
                       dtype=np.complex128)
     scale = np.sqrt(sc.noise_psd / 2.0)
     # sample i of symbol k is derotated by start[k] * within[i]
@@ -126,12 +128,11 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
             "ki,i->k", noise.reshape(count, sps), within) * (start[k:k + count] / sps)
         head[k * sps:(k + count) * sps] += noise
     scale = np.sqrt(sc.noise_psd / sps / 2.0)
-    for row in (means[0, covered:], *means[1:]):
-        for i in range(0, len(row), BLOCK):
-            noise = buffer[:min(BLOCK, len(row) - i)]
-            rng.standard_normal(out=noise.view(np.float64))
-            noise *= scale
-            row[i:i + len(noise)] += noise
+    for i in range(0, len(rest), BLOCK):
+        noise = buffer[:min(BLOCK, len(rest) - i)]
+        rng.standard_normal(out=noise.view(np.float64))
+        noise *= scale
+        rest[i:i + len(noise)] += noise
 
 
 def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng,
@@ -167,7 +168,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     words = _payload(sc, num_streams, rng)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     if ramp:
-        weights, hold = _ramp_weights(sc, channels)
+        weights, hold = _ramp_weights(sc, channels), sc.oversample
         num, den = sc.staircase.direction, sc.staircase.steps_per_period * hold
         sent = np.concatenate([txrx.make_pilots(1)[0], sc.scheme.points[words[0]]])
         means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
@@ -189,16 +190,13 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     return report
 
 
-def _ramp_weights(sc: Scenario, channels: propagation.ChannelSet) -> tuple:
-    """(weights, hold) of one ramp period at the observation points of
-    channels: weights[p, m] is point p's gain while step m of the staircase
-    holds, for hold = oversample samples, and the ramp repeats them every L
-    steps. Every cell carries the ramp, one stream."""
-    L = sc.staircase.steps_per_period
-    one_period = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                               L / sc.control_rate_hz)
+def _ramp_weights(sc: Scenario, channels: propagation.ChannelSet) -> np.ndarray:
+    """The weights of one ramp period at the observation points of channels:
+    weights[p, m] is point p's gain while step m of the staircase
+    (metasurface.ramp_period) holds, for oversample samples, and the ramp
+    repeats them every L steps. Every cell carries the ramp, one stream."""
     gains = propagation.stream_gains(np.zeros(channels.num_cells, np.int64), 1, channels)
-    return gains.T @ one_period.values, sc.oversample
+    return gains.T @ metasurface.ramp_period(sc.staircase)[np.newaxis]
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
@@ -253,9 +251,9 @@ def simulate(sc: Scenario) -> ScenarioResult:
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
     if sc.mode == "space_down_conversion":
-        weights, hold = _ramp_weights(sc, propagation.ChannelSet(
+        weights = _ramp_weights(sc, propagation.ChannelSet(
             channels.feed_gains, channels.obs_gains[:, :1]))
-        period = _held(weights[0], 1.0, 1, weights.shape[1], hold)
+        period = _held(weights[0], 1.0, 1, weights.shape[1], sc.oversample)
         rate, periods = sc.envelope_rate(), sc.sdc_periods
         length = periods * len(period)
         if sc.noise_psd > 0.0:

@@ -529,7 +529,7 @@ class Scenario:
         return self.oversample * self.control_rate_hz
 
     def ramp_line_hz(self) -> float:
-        """The staircase's line: compile_staircase ramps L control steps a period."""
+        """The staircase's line: each of its L values (ramp_period) holds a control step."""
         return (self.staircase.direction * self.control_rate_hz
                 / self.staircase.steps_per_period)
 

@@ -16,7 +16,8 @@ from metalink import envelope
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "metalink"
 MOVED = [("core", "ComplexEnvelope"), ("core", "tone_envelope"),
          ("core", "cell_positions"), ("core", "_hold_ratio"), ("core", "resample_hold"),
-         ("propagation", "surface_pass"), ("metasurface", "frequency_shift"),
+         ("core", "CoefficientSchedule"), ("propagation", "surface_pass"),
+         ("metasurface", "frequency_shift"), ("metasurface", "compile_staircase"),
          ("spectral", "periodogram"), ("txrx", "map_bits"), ("txrx", "bit_words")]
 
 
@@ -72,9 +73,25 @@ def test_envelope_imports_are_found_at_module_level_and_in_functions():
     assert list(_envelope_imports(tree)) == [None, None, "f"]
 
 
+SIMULATE_EVERY_MODE = """
+import sys, metalink, metalink.cli
+from metalink import scenario
+print('metalink.scenario' in sys.modules, 'metalink.envelope' in sys.modules)
+for name, overrides in [
+        ("mimo2x2_16qam", {"frame.payload_symbols": 64}),
+        ("sdc_5mhz", {"sdc_periods": 3}),
+        ("sdc_5mhz", {"sdc_periods": 3, "channel.noise_psd": 0.01}),
+        ("integrated_switch", {"frame.payload_symbols": 64, "channel.noise_psd": 1e-7})]:
+    data = scenario.apply_overrides(scenario.load_scenario(name), overrides)
+    scenario.simulate(scenario.Scenario.from_dict(data))
+    print(name, 'metalink.envelope' in sys.modules)
+"""
+
+
 def test_importing_metalink_leaves_envelope_unloaded():
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys, metalink, metalink.cli; print("
-         "'metalink.scenario' in sys.modules, 'metalink.envelope' in sys.modules)"],
-        capture_output=True, text=True, check=True)
-    assert run.stdout == "True False\n"
+    # and so does simulate in every mode: no run reaches a schedule or an envelope
+    run = subprocess.run([sys.executable, "-c", SIMULATE_EVERY_MODE],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == [
+        "True False", "mimo2x2_16qam False", "sdc_5mhz False", "sdc_5mhz False",
+        "integrated_switch False"]

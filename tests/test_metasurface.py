@@ -19,6 +19,7 @@ from metalink.metasurface import (
     compile_staircase,
     frequency_shift,
     quantize_values,
+    ramp_period,
 )
 from metalink.propagation import ChannelSet, surface_pass
 from metalink.spectral import line_power, periodogram
@@ -158,6 +159,23 @@ def test_staircase_is_periodic_in_l_samples():
     sched = compile_staircase(spec, control_rate=1e8, duration=2e-6)
     tiled = sched.values[0].reshape(-1, 20)
     assert np.array_equal(tiled, np.broadcast_to(tiled[0], tiled.shape))
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["whole", "partial"])
+@pytest.mark.parametrize("amplitude", [1.0, 0.8, 0.0])
+@pytest.mark.parametrize("direction", [-1, 1])
+@pytest.mark.parametrize("L", [2, 3, 7, 20, 64])
+def test_a_schedule_is_the_whole_duration_ramp_bit_for_bit(L, direction, amplitude,
+                                                           partial):
+    # compile_staircase repeats ramp_period's L values; the phase of each
+    # step formed over the whole duration gives the same bits, for whole
+    # periods and for a last period cut one step short
+    n = 3 * L + (L - 1 if partial else 0)
+    spec = StaircaseRampSpec(L * 1e-8, L, direction, amplitude)
+    sched = compile_staircase(spec, 1e8, n * 1e-8)
+    whole = spec.amplitude * np.exp(1j * (spec.direction * TWO_PI * (np.arange(n) % L) / L))
+    assert np.array_equal(sched.values[0], whole)
+    assert np.array_equal(ramp_period(spec), whole[:L])
 
 
 def test_compile_rejects_fractional_samples_per_period():

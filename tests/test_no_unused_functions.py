@@ -36,8 +36,6 @@ SUBMODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 # Class.member names of production classes that nothing in src/ or
 # scripts/ uses, each with its reason
 KEPT_FOR_THE_GATE = {
-    "CoefficientSchedule.num_steps": "tests/test_acceptance.py sizes its envelopes "
-                                     "with it, as envelope.surface_pass checks them",
     "Spectrum.frequencies": "tests/test_acceptance.py reads its spectra's bin grid",
     "StaircaseRampSpec.frequency_shift": "tests/test_acceptance.py reads its "
                                          "ramps' shifted line",

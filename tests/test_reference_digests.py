@@ -22,10 +22,24 @@ lines from the root of the checkout:
 
 and says in CHANGES.md which lines changed and why. That leaves the
 recording environment alone on the list; another joins it once the script
-prints every line there. The tolerance level is
-recorded with `python scripts/output_digest.py --values >
-tests/reference_values.json`; it is rewritten only when a change moves
-outputs beyond the tolerance, on purpose.
+prints every line there.
+
+The tolerance level is not re-recorded whole: `python
+scripts/output_digest.py --values` prints every record afresh, and on
+another machine than the recording one the last digits of records that
+did not move differ, where summary.json and numpy's reductions round
+differently. So a change that adds a run splices in only the labels that
+are new and keeps every recorded label as it stands:
+
+    python -c 'import json, sys; sys.path.insert(0, "scripts");
+    import output_digest as d; old = json.load(open("tests/reference_values.json"));
+    print(d.values_json({label: old["runs"].get(label, record)
+                         for label, record in d.values().items()}), end="")' > values.json
+    mv values.json tests/reference_values.json
+
+A record is replaced only when a change moves its run beyond the
+tolerance on purpose: delete its label from the file first, and say so
+in CHANGES.md.
 """
 
 import functools

@@ -924,7 +924,7 @@ def test_receive_phase_means_carry_the_ramps_conversion_gain(L, oversample, dire
      "oversample": 2, "frame.payload_symbols": 20000},
 ], ids=["L7-longer", "L13-shorter"])
 def test_a_period_off_the_sample_grid_derotates_at_the_ramps_fundamental(overrides):
-    # compile_staircase ramps L control steps per period whatever period_s
+    # the ramp's L values take one control step each, whatever period_s
     # rounds to; derotating at 1 / period_s left 3.2e-4 % and 4.5e-3 % EVM
     sc = scen.Scenario.from_dict(bundled("integrated_switch", overrides))
     result = scen.simulate(sc)
