@@ -76,22 +76,26 @@ def _rotation_head(num: int, den: int, length: int) -> np.ndarray:
         np.exp(-2j * np.pi * (np.arange(length, dtype=np.int64) * num % den / den)))
 
 
-def _held(row: np.ndarray, sent, count: int, steps: int, hold: int) -> np.ndarray:
-    """count symbols of samples from one row of weights: value j of symbol
-    k is sent[k] * row[(k * steps + j) mod len(row)], held for hold samples.
-    sent is one number for all symbols, or one per symbol (at least count).
-    The samples are written once, into a fresh array."""
-    samples = np.empty((count, steps, hold), dtype=np.complex128)
-    np.multiply(np.reshape(sent, (-1, 1, 1))[:count],
-                row[np.arange(count * steps) % len(row)].reshape(count, steps, 1),
-                out=samples)
-    return samples.reshape(-1)
+def _held(row: np.ndarray, sent, steps: int, hold: int, length: int) -> np.ndarray:
+    """The first length samples of a zero-order hold of row's weights:
+    value v = k * steps + j of symbol k (j < steps) is
+    sent[k] * row[v mod len(row)], held for hold samples. sent is one number
+    for all symbols, or one per symbol (at least those begun). The samples
+    are written once, into a fresh array of length samples."""
+    count = -(-length // hold)  # values begun; the last may be cut short
+    v = np.arange(count)
+    values = np.multiply(np.reshape(sent, -1)[v // steps if np.ndim(sent) else 0],
+                         row[v % len(row)])
+    samples = np.empty(length, dtype=np.complex128)
+    whole = length // hold
+    samples[:whole * hold].reshape(whole, hold)[...] = values[:whole, np.newaxis]
+    samples[whole * hold:] = values[whole:]
+    return samples
 
 
 def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
     """Add a frame's receiver noise, drawn from rng, in place to point 0's
-    head samples and to the (points x symbols) per-symbol means; none when
-    noise_psd is 0.
+    head samples and to the (points x symbols) per-symbol means.
 
     Each point's received samples carry i.i.d. circular complex Gaussian
     noise of variance noise_psd, drawn as _fill_noise. First one value per
@@ -107,8 +111,6 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
     head's or the means' size is formed; each is filled inline as _fill_noise
     fills, so the calls do not grow with the frame.
     """
-    if sc.noise_psd == 0.0:
-        return
     sps = sc.samples_per_symbol * sc.oversample
     covered = len(head) // sps
     symbols = max(1, BLOCK // sps)  # whole symbols of head noise a block
@@ -158,12 +160,17 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     phases exact); |rho| = sin(pi/L) / (hold sin(pi/(L hold))) is the
     ramp's conversion gain.
 
-    Only point 0's first ceil(spectrum_length / sps) symbols, the spectrum
-    head, are written (_held); _add_noise then adds the noise to the head
-    and to the means. The head's first spectrum_length samples are then
-    transformed in place and their power_spectrum taken, so the head holds
-    no second copy, and it is freed before detect runs, as are the receive
-    phase's sent symbols, which detect forms again from the words.
+    Only point 0's spectrum head is written (_held). A noisy frame writes
+    its first ceil(spectrum_length / sps) symbols, _add_noise adds the
+    noise to them and to the means, and their first spectrum_length samples
+    are transformed. A noiseless head x holds each value for hold samples,
+    so with g = gcd(hold, spectrum_length), x[g * m + s] = y[m] for s < g:
+    only the spectrum_length / g samples y are written and transformed, and
+    power_spectrum forms x's spectrum from them with the hold's kernel
+    (within about 1e-15 of the peak power of a transform of x). The head is
+    transformed in place, so it holds no second copy, and it is freed
+    before detect runs, as are the receive phase's sent symbols, which
+    detect forms again from the words.
     """
     words = _payload(sc, num_streams, rng)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
@@ -179,11 +186,16 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
                                                              sc.quantization)
         hold, num, den, sent = sps, 0, 1, 1.0
     length = sc.spectrum_length(means.shape[1] * sps)
-    head = _held(weights[0], sent, -(-length // sps), sps // hold, hold)
-    _add_noise(sc, rng, means, head, num, den)
-    bins = head[:length]
+    if sc.noise_psd == 0.0:  # every g-th sample of the held head
+        g = math.gcd(hold, length)
+        head = _held(weights[0], sent, sps // hold, hold // g, length // g)
+    else:  # whole symbols, which _add_noise covers sample by sample
+        g = 1
+        head = _held(weights[0], sent, sps // hold, hold, -(-length // sps) * sps)
+        _add_noise(sc, rng, means, head, num, den)
+    bins = head[:length // g]
     np.fft.fft(bins, out=bins)  # in place: the head becomes its DFT
-    spectrum = spectral.power_spectrum(bins, rate)
+    spectrum = spectral.power_spectrum(bins, rate, g)
     del head, bins, sent  # freed before detection
     report = txrx.detect(means, sc.scheme, words)
     report.spectra[tag] = spectrum
@@ -253,7 +265,8 @@ def simulate(sc: Scenario) -> ScenarioResult:
     if sc.mode == "space_down_conversion":
         weights = _ramp_weights(sc, propagation.ChannelSet(
             channels.feed_gains, channels.obs_gains[:, :1]))
-        period = _held(weights[0], 1.0, 1, weights.shape[1], sc.oversample)
+        period = _held(weights[0], 1.0, weights.shape[1], sc.oversample,
+                       weights.shape[1] * sc.oversample)
         rate, periods = sc.envelope_rate(), sc.sdc_periods
         length = periods * len(period)
         if sc.noise_psd > 0.0:

@@ -63,21 +63,69 @@ class Spectrum:
         return float(self.power.sum())
 
 
-def power_spectrum(bins: np.ndarray, sample_rate: float) -> Spectrum:
-    """The spectrum of an fs-rate signal from its n DFT bins X_k: power
-    |X_k / n|^2, in ascending frequency over (-fs/2, fs/2].
+def power_spectrum(bins: np.ndarray, sample_rate: float, repeat: int = 1) -> Spectrum:
+    """The spectrum of an fs-rate signal x of n = len(bins) * repeat
+    samples, each of whose samples y[m] = x[repeat * m] is held for repeat
+    samples, x[repeat * m + s] = y[m] for s < repeat, from the M = len(bins)
+    DFT bins Y_k of y: power |X_k / n|^2, in ascending frequency over
+    (-fs/2, fs/2].
 
-    |X| is written straight into its shifted place in the power array, then
-    divided and squared in place."""
-    length = len(bins)
-    # bins span (-fs/2, fs/2]: bins above length // 2 are the negative ones
+    X_k = Y[k mod M] * sum_{s < repeat} exp(-2j*pi*k*s/n), so the power is
+    |Y[k mod M] / n|^2 times the hold's Fejer kernel
+    sin^2(pi*k/M) / sin^2(pi*k/n), repeat^2 at k = 0 and 0 at the other
+    multiples of M. repeat 1 takes |X_k / n|^2 of the bins themselves.
+
+    |Y| is written straight into its shifted place in the power array's
+    first M bins, then divided and squared in place; with repeat > 1 it
+    is multiplied by the kernel's numerator there, repeated over the other
+    bins and divided by the denominator, both from one table of _sines."""
+    size = len(bins)
+    length = size * repeat
+    # bins span (-fs/2, fs/2]: bins above length // 2 are the negative ones,
+    # so power[i] is bin k = i + h + 1 mod length
     h = length // 2
+    shift = (h + 1) % size
     power = np.empty(length)
-    np.abs(bins[h + 1:], out=power[:length - h - 1])
-    np.abs(bins[:h + 1], out=power[length - h - 1:])
-    power /= length
-    power *= power
+    np.abs(bins[shift:], out=power[:size - shift])
+    np.abs(bins[:shift], out=power[size - shift:size])
+    power[:size] /= length
+    power[:size] *= power[:size]
+    if repeat > 1:
+        period = power[:size]
+        zero = period[(size - shift) % size]  # bin 0's |Y_0 / n|^2
+        sines = _sines(length, h + 1)
+        # sin(pi*j/M) = sines[j * repeat] for j <= M / 2, and sin^2(pi*j/M)
+        # is symmetric in j -> M - j; j = k mod M = i + shift mod M here
+        numerator = np.empty(size)
+        numerator[:size // 2 + 1] = sines[::repeat]
+        numerator[size // 2 + 1:] = numerator[(size + 1) // 2 - 1:0:-1]
+        numerator *= numerator
+        period[:size - shift] *= numerator[shift:]
+        period[size - shift:] *= numerator[:shift]
+        power[size:].reshape(repeat - 1, size)[...] = period
+        # bin k = +-m sits at power[centre +- m]: divide both halves by
+        # sin^2(pi*m/n), and give bin 0 its kernel repeat^2
+        centre = length - h - 1
+        sines *= sines
+        sines[0] = 1.0
+        power[centre:] /= sines
+        power[:centre + 1] /= sines[centre::-1]
+        power[centre] = zero * repeat * repeat
     return Spectrum(power, sample_rate / length)
+
+
+def _sines(n: int, stop: int) -> np.ndarray:
+    """sin(pi*m/n) for m < stop <= n // 2 + 1, from O(sqrt(stop)) sines and
+    cosines: with m = r*b + c, c < b, each is
+    sin(pi*r*b/n) cos(pi*c/n) + cos(pi*r*b/n) sin(pi*c/n), one product of a
+    (rows x 2) and a (2 x b) table. Both angles lie in [0, pi/2], so every
+    term is >= 0 and the sum loses no digits."""
+    b = math.isqrt(stop - 1) + 1
+    coarse = np.pi / n * (np.arange(-(-stop // b)) * b)
+    fine = np.pi / n * np.arange(b)
+    table = np.stack([np.sin(coarse), np.cos(coarse)], 1) @ np.stack([np.cos(fine),
+                                                                      np.sin(fine)])
+    return table.reshape(-1)[:stop]
 
 
 def line_power(spec: Spectrum, freq: float) -> float:

@@ -19,9 +19,11 @@ the symbols that could be in error, surface_pass for
 propagation.surface_pass and the weights of stream_gains, written out
 sample by sample, tone for the offset and scaled tones that core no longer
 makes, symbols_to_waveform for the zero-order-hold waveform that the
-integrated receive phase receives, integrate and phase_exact_means for the
-per-symbol means that scenario takes in closed form, averaging written
-samples derotated at exact phases (exact_rotation), frame_noise for the
+integrated receive phase receives, _ramp_schedule for the staircase of
+metasurface.ramp_period, its phases formed again, integrate and
+phase_exact_means for the per-symbol means that scenario takes in closed
+form, averaging written samples derotated at exact phases
+(exact_rotation), frame_noise for the
 receiver noise that scenario adds to a frame's head samples and per-symbol
 means, and simulate for scenario.simulate, which writes no sample but the
 spectrum heads.
@@ -118,14 +120,16 @@ def free_space_gain(src, dst, wavelength: float) -> complex:
 
 
 def dft_direct(x) -> np.ndarray:
-    """O(N^2) direct DFT, the anti-regression oracle for the fast transform."""
+    """O(N^2) direct DFT, the anti-regression oracle for the fast transform.
+    Each phase k * n / N drops its whole turns in integers, k * n mod N,
+    before it is rounded, so it is within half an ulp of exact in [0, 1)."""
     x = np.asarray(x, dtype=np.complex128)
     n_total = x.size
     n = np.arange(n_total)
     out = np.empty(n_total, dtype=np.complex128)
     for start in range(0, n_total, 256):  # bound the (k, n) phase matrix size
         k = np.arange(start, min(start + 256, n_total))
-        out[k] = np.exp(-2j * np.pi * np.outer(k, n) / n_total) @ x
+        out[k] = np.exp(-2j * np.pi * (np.outer(k, n) % n_total / n_total)) @ x
     return out
 
 
@@ -291,8 +295,8 @@ def phase_exact_means(sc, sent, channels, first: int, stop: int) -> np.ndarray:
 
     sent is the whole frame's symbols and channels its back channels. The
     window's samples n = first * sps ... stop * sps - 1 are the zero-order
-    hold of sent through surface_pass, with the staircase compiled from step
-    0 and cut at the window's first step. Sample n is derotated by
+    hold of sent through surface_pass, with the staircase's steps from the
+    window's first (_ramp_schedule). Sample n is derotated by
     exp(-2j*pi*t), t = n * direction / (L * oversample) mod 1, at the
     fundamental of the staircase, which holds each of its L steps for one
     control step, oversample samples; t is reduced in integers, so no phase
@@ -302,10 +306,7 @@ def phase_exact_means(sc, sent, channels, first: int, stop: int) -> np.ndarray:
     hold = sc.oversample
     start, count = first * sps, (stop - first) * sps
     L = sc.staircase.steps_per_period
-    skip = (start // hold) % L
-    ramp = metasurface.compile_staircase(
-        sc.staircase, sc.control_rate_hz, (skip + count // hold) / sc.control_rate_hz)
-    schedule = core.CoefficientSchedule(ramp.values[:, skip:], sc.control_rate_hz)
+    schedule = _ramp_schedule(sc, start // hold, count // hold)
     incident = symbols_to_waveform(sent[first:stop], sps, sc.envelope_rate(),
                                    sc.carrier_freq_hz)
     rx = surface_pass(incident, schedule, np.zeros(channels.num_cells, dtype=np.int64),
@@ -510,16 +511,27 @@ def _run_transmit_link(sc, data):
     return ScenarioResult({"link": report}, summary)
 
 
+def _ramp_schedule(sc, first: int, num_steps: int) -> core.CoefficientSchedule:
+    """Steps first .. first + num_steps - 1 of the staircase as a one-stream
+    schedule, one control sample a step: step m holds
+    amplitude * exp(j * direction * 2*pi * (m mod L) / L), its phases formed
+    here and not taken from metasurface, whose ramp simulate uses."""
+    spec = sc.staircase
+    L = spec.steps_per_period
+    m = (first + np.arange(num_steps)) % L
+    values = spec.amplitude * np.exp(1j * (spec.direction * 2 * np.pi * m / L))
+    return core.CoefficientSchedule(values[np.newaxis], sc.control_rate_hz)
+
+
 def _ramp_line(sc) -> float:
-    """The staircase's fundamental: compile_staircase steps through its L
+    """The staircase's fundamental: _ramp_schedule steps through its L
     values once per L control steps, whatever period_s rounds to."""
     return sc.staircase.direction * sc.control_rate_hz / sc.staircase.steps_per_period
 
 
 def _run_sdc(sc, data):
     channels = propagation.build_channels(sc.geometry, sc.points, _channel_model(data))
-    duration = sc.sdc_periods * sc.staircase.period
-    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz, duration)
+    ramp = _ramp_schedule(sc, 0, sc.sdc_periods * sc.staircase.steps_per_period)
     carrier = core.tone_envelope(ramp.num_steps * sc.oversample, sc.envelope_rate(),
                                  sc.carrier_freq_hz)
     whole = _partition(sc, "full")
@@ -574,8 +586,7 @@ def _run_integrated(sc, data):
     incident = symbols_to_waveform(
         all_symbols, sc.samples_per_symbol * sc.oversample, env_rate,
         sc.carrier_freq_hz)
-    ramp = metasurface.compile_staircase(sc.staircase, sc.control_rate_hz,
-                                         len(incident) / env_rate)
+    ramp = _ramp_schedule(sc, 0, len(incident) // sc.oversample)
     whole = _partition(sc, "full")
     rx = surface_pass(incident, ramp, whole.stream_of_cell, channels_rx)
     shift = _ramp_line(sc)
