@@ -45,6 +45,13 @@ bit, on these runs:
     output comes from one period's DFT; noiseless, its power on every 37th
     bin and exactly 0 elsewhere; noisy, 37 times it added to every 37th bin
     of the noise's DFT, a scaling that rounds at an odd period count;
+  - mimo2x2_16qam at oversample=1000 and channel.noise_psd=1e-3: a symbol
+    is 40 000 samples, more than core.BLOCK, so its noise is drawn one
+    symbol a block, and its 65 536-sample spectrum head ends inside its
+    second symbol;
+  - integrated_switch at oversample=1000 and channel.noise_psd=1e-7: the
+    receive phase derotates the noise of each 40 000-sample symbol by a
+    ramp period of 20 000 samples, repeated;
   - the param_sweep cases of bench/workloads.py for seeds 1 to 10, one line
     per seed covering its 136 cases in order.
 
@@ -147,6 +154,10 @@ def _bundled_runs():
     yield "sdc_5mhz sdc_periods=37", "sdc_5mhz", {"sdc_periods": 37}
     yield ("sdc_5mhz sdc_periods=37 noise_psd=0.01", "sdc_5mhz",
            {"sdc_periods": 37, "channel.noise_psd": 0.01})
+    yield ("mimo2x2_16qam oversample=1000 noise_psd=1e-3", "mimo2x2_16qam",
+           {"oversample": 1000, "channel.noise_psd": 1e-3})
+    yield ("integrated_switch oversample=1000 noise_psd=1e-7", "integrated_switch",
+           {"oversample": 1000, "channel.noise_psd": 1e-7})
 
 
 def _add_dir(digest, out_dir: Path) -> None:

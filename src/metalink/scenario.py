@@ -58,9 +58,10 @@ def _rotation(num: int, den: int, count: int) -> np.ndarray:
     """exp(-2j*pi*n*num/den) for n < count, den > 0. Each phase drops its
     whole turns in integers, n * num mod den, before it is rounded, so it is
     within half an ulp of exact in [0, 1) whatever n; they repeat every
-    den / gcd(num, den) samples, from _rotation_head."""
+    den / gcd(num, den) samples, from _rotation_head: a read-only view of a
+    period of one value or of count values, else a cyclic copy of it."""
     head = _rotation_head(num, den, min(count, den // math.gcd(num, den)))
-    return head[np.arange(count) % len(head)]
+    return np.broadcast_to(head, (-(-count // len(head)), len(head))).reshape(-1)[:count]
 
 
 @functools.lru_cache(maxsize=64)
@@ -99,20 +100,22 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
 
     Each point's received samples carry i.i.d. circular complex Gaussian
     noise of variance noise_psd, drawn as _fill_noise. First one value per
-    head sample, in order: the head adds it, and each symbol the head covers
-    adds the mean of its samples' noise, derotated by exp(-2j*pi*n*num/den)
-    at sample n. The mean of sps samples of that noise is one circular
-    Gaussian of variance noise_psd / sps, so then each remaining mean gets
-    one draw of it: point 0's uncovered symbols, then each other point's.
+    sample of each symbol the head covers, its last perhaps cut short, in
+    order: the head adds the values of the samples it holds, and each
+    covered symbol adds the mean of all its samples' noise, derotated by
+    exp(-2j*pi*n*num/den) at sample n. The mean of sps samples of that noise
+    is one circular Gaussian of variance noise_psd / sps, so then each
+    remaining mean gets one draw of it: point 0's uncovered symbols, then
+    each other point's.
 
-    The values are drawn and added one block of at most BLOCK values, whole
-    symbols on the head, at a time into one reused buffer: a generator
-    draws the same values in blocks as at once, so no noise array of the
-    head's or the means' size is formed; each is filled inline as _fill_noise
-    fills, so the calls do not grow with the frame.
+    The values are drawn and added one block at a time into one reused
+    buffer: whole covered symbols, at most BLOCK values or one symbol, then
+    at most BLOCK means. A generator draws the same values in blocks as at
+    once, so no noise array of the means' size is formed; each is filled
+    inline as _fill_noise fills, so the calls do not grow with the frame.
     """
     sps = sc.samples_per_symbol * sc.oversample
-    covered = len(head) // sps
+    covered = -(-len(head) // sps)  # the head's last symbol may be cut short
     symbols = max(1, BLOCK // sps)  # whole symbols of head noise a block
     # point 0's uncovered means, then each other point's, in memory order
     rest = means.reshape(-1)[covered:]
@@ -128,7 +131,8 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
         noise *= scale
         means[0, k:k + count] += np.einsum(
             "ki,i->k", noise.reshape(count, sps), within) * (start[k:k + count] / sps)
-        head[k * sps:(k + count) * sps] += noise
+        part = head[k * sps:(k + count) * sps]
+        part += noise[:len(part)]
     scale = np.sqrt(sc.noise_psd / sps / 2.0)
     for i in range(0, len(rest), BLOCK):
         noise = buffer[:min(BLOCK, len(rest) - i)]
@@ -160,17 +164,16 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     phases exact); |rho| = sin(pi/L) / (hold sin(pi/(L hold))) is the
     ramp's conversion gain.
 
-    Only point 0's spectrum head is written (_held). A noisy frame writes
-    its first ceil(spectrum_length / sps) symbols, _add_noise adds the
-    noise to them and to the means, and their first spectrum_length samples
-    are transformed. A noiseless head x holds each value for hold samples,
-    so with g = gcd(hold, spectrum_length), x[g * m + s] = y[m] for s < g:
-    only the spectrum_length / g samples y are written and transformed, and
-    power_spectrum forms x's spectrum from them with the hold's kernel
-    (within about 1e-15 of the peak power of a transform of x). The head is
-    transformed in place, so it holds no second copy, and it is freed
-    before detect runs, as are the receive phase's sent symbols, which
-    detect forms again from the words.
+    Only point 0's spectrum head is written (_held), one rule for every
+    frame. Its spectrum_length samples x hold each value for hold samples,
+    so with g = gcd(hold, spectrum_length), x[g * m + s] = y[m] for s < g.
+    A noiseless head is the spectrum_length / g samples y, and
+    power_spectrum forms x's spectrum from their transform with the hold's
+    kernel (within about 1e-15 of the peak power of a transform of x). A
+    noisy head takes g = 1, and _add_noise adds the noise to its samples
+    and to the means. The head is transformed in place, so it holds no
+    second copy, and it is freed before detect runs, as are the receive
+    phase's sent symbols, which detect forms again from the words.
     """
     words = _payload(sc, num_streams, rng)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
@@ -186,17 +189,13 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
                                                              sc.quantization)
         hold, num, den, sent = sps, 0, 1, 1.0
     length = sc.spectrum_length(means.shape[1] * sps)
-    if sc.noise_psd == 0.0:  # every g-th sample of the held head
-        g = math.gcd(hold, length)
-        head = _held(weights[0], sent, sps // hold, hold // g, length // g)
-    else:  # whole symbols, which _add_noise covers sample by sample
-        g = 1
-        head = _held(weights[0], sent, sps // hold, hold, -(-length // sps) * sps)
+    g = math.gcd(hold, length) if sc.noise_psd == 0.0 else 1
+    head = _held(weights[0], sent, sps // hold, hold // g, length // g)
+    if sc.noise_psd > 0.0:
         _add_noise(sc, rng, means, head, num, den)
-    bins = head[:length // g]
-    np.fft.fft(bins, out=bins)  # in place: the head becomes its DFT
-    spectrum = spectral.power_spectrum(bins, rate, g)
-    del head, bins, sent  # freed before detection
+    np.fft.fft(head, out=head)  # in place: the head becomes its DFT
+    spectrum = spectral.power_spectrum(head, rate, g)
+    del head, sent  # freed before detection
     report = txrx.detect(means, sc.scheme, words)
     report.spectra[tag] = spectrum
     return report

@@ -743,13 +743,15 @@ def test_a_run_multiplies_coefficient_tables_by_stream_gains(name, frames, noise
 
 
 def frame_taps(sc) -> list:
-    """simulate(sc), keeping per frame the means that txrx.detect receives
-    and the head samples that np.fft.fft transforms in place before it."""
+    """simulate(sc), keeping per frame the means that txrx.detect receives,
+    the head samples that np.fft.fft transforms in place before it, and
+    whether that array owns its memory (no slice of a longer head)."""
     taps = []
     detect, fft = txrx.detect, np.fft.fft
 
     def tap_fft(a, *args, **kwargs):
-        taps.append([None, a.copy()])  # the head, before it becomes its DFT
+        # the head, before it becomes its DFT
+        taps.append([None, a.copy(), a.base is None])
         return fft(a, *args, **kwargs)
 
     def tap_detect(means, *args):
@@ -780,7 +782,8 @@ def held_and_written(overrides: dict) -> None:
     """
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"), overrides)
     sc = scen.Scenario.from_dict(data)
-    (means, head), = frame_taps(sc)
+    (means, head, owned), = frame_taps(sc)
+    assert owned
     frame = scenario_frame(data, 2)
     sps = sc.samples_per_symbol * sc.oversample
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
@@ -874,6 +877,20 @@ def test_a_noiseless_head_is_bounded_whatever_oversample():
     assert peak <= 1.45 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
+def test_a_noisy_head_holds_its_spectrum_samples_and_one_symbol_of_noise():
+    # at oversample 100 000 a symbol is sps = 4 x 10^6 samples, more than a
+    # block, so its noise is drawn one whole symbol (61 MiB) at a time; the
+    # head holds the 65 536 samples its spectrum reads. A head of whole
+    # symbols beside it, and the link's derotation of ones gathered through
+    # an int64 index, read 213.95 MiB traced
+    result, peak = traced_simulate({"oversample": 100000, "channel.noise_psd": 1e-3})
+    sc = scen.Scenario.from_dict(scen.load_scenario("mimo2x2_16qam"))
+    sps = sc.samples_per_symbol * 100000
+    assert np.all(result.reports["link"].ber == 0.0)
+    assert len(result.reports["link"].spectra["rx0"].power) == 65536
+    assert peak <= 16 * sps + 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
 class CountingNumpy:
     """numpy as scenario sees it, keeping the size of the largest array that
     any numpy function returns to scenario."""
@@ -898,14 +915,16 @@ class CountingNumpy:
     ("mimo2x2_16qam", 0.0), ("mimo2x2_16qam", 1e-3),
     ("integrated_switch", 0.0), ("integrated_switch", 1e-7)])
 def test_a_frame_writes_no_sample_beyond_its_spectrum_head(name, noise_psd, monkeypatch):
-    # 2 560 envelope samples per symbol and a 4 096-bin head: the head's two
-    # symbols are 5 120 samples and a frame is over 2.5 x 10^6 per point;
-    # no other array is larger: the payload words of two streams of 1 000
-    # 16QAM symbols are 2 000 bytes (the block loop wrote 65 536 samples,
-    # and the payload bits, 8 000 bytes, were held before the words). A
-    # noiseless head is written at every g-th sample, g = gcd(hold, 4 096):
-    # the link frame holds each symbol's value for its 2 560 samples (g =
-    # 512), the receive phase each ramp step for 64 (g = 64)
+    # 2 560 envelope samples per symbol and a 4 096-bin head, which ends
+    # inside its second symbol, and a frame of over 2.5 x 10^6 samples per
+    # point; no array is larger than the noise of the head's two symbols,
+    # 5 120 samples: the payload words of two streams of 1 000 16QAM symbols
+    # are 2 000 bytes (the block loop wrote 65 536 samples, and the payload
+    # bits, 8 000 bytes, were held before the words). A noiseless head is
+    # written at every g-th sample, g = gcd(hold, 4 096): the link frame
+    # holds each symbol's value for its 2 560 samples (g = 512), the receive
+    # phase each ramp step for 64 (g = 64). The array transformed is the
+    # head itself: a noisy one was a slice of a head of 5 120 samples
     counter = CountingNumpy()
     monkeypatch.setattr(scen, "np", counter)
     data = scen.apply_overrides(scen.load_scenario(name), {
@@ -914,7 +933,8 @@ def test_a_frame_writes_no_sample_beyond_its_spectrum_head(name, noise_psd, monk
     sc = scen.Scenario.from_dict(data)
     taps = frame_taps(sc)
     strides = [512, 64] if noise_psd == 0.0 else [1, 1]  # each frame's g
-    assert [len(head) for _, head in taps] == [4096 // g for g in strides[:len(taps)]]
+    assert [(len(head), owned) for _, head, owned in taps] == [
+        (4096 // g, True) for g in strides[:len(taps)]]
     assert 0 < counter.largest <= 5120
 
 
@@ -975,15 +995,16 @@ def test_per_symbol_noise_has_the_variance_of_the_per_sample_draw(expected_shift
 
 
 def whole_head_noise(sc, rng, means, head, num: int, den: int) -> None:
-    """_add_noise as one draw over the head and one over the other means."""
+    """_add_noise as one draw over the whole symbols the head covers, whose
+    first len(head) samples the head adds, and one over the other means."""
     sps = sc.samples_per_symbol * sc.oversample
-    covered = len(head) // sps
-    noise = np.empty(len(head), dtype=complex)
+    covered = -(-len(head) // sps)
+    noise = np.empty(covered * sps, dtype=complex)
     scen._fill_noise(rng, noise, sc.noise_psd)
     means[0, :covered] += np.einsum(
         "ki,i->k", noise.reshape(covered, sps), scen._rotation(num, den, sps)) * (
         scen._rotation(num * sps, den, covered) / sps)
-    head += noise
+    head += noise[:len(head)]
     noise = np.empty(means.size - covered, dtype=complex)
     scen._fill_noise(rng, noise, sc.noise_psd / sps)
     rest = means.shape[1] - covered
@@ -991,17 +1012,20 @@ def whole_head_noise(sc, rng, means, head, num: int, den: int) -> None:
     means[1:] += noise[rest:].reshape(-1, means.shape[1])
 
 
+@pytest.mark.parametrize("cut", [0, 13], ids=["whole", "cut"])
 @pytest.mark.parametrize("num, den", [(0, 1), (-1, 7 * 20)], ids=["link", "ramp"])
-def test_noise_drawn_in_blocks_has_the_bits_of_one_draw(num, den):
+def test_noise_drawn_in_blocks_has_the_bits_of_one_draw(num, den, cut):
     # a head of two blocks and a part, and other means longer than a block,
-    # each drawn from the same generator in blocks and in one piece
+    # each drawn from the same generator in blocks and in one piece; a head
+    # cut 13 samples short of its last symbol adds the noise it holds, and
+    # that symbol's mean the noise of all its samples
     data = scen.apply_overrides(scen.load_scenario("mimo2x2_16qam"),
                                 {"channel.noise_psd": 0.3})
     sc = scen.Scenario.from_dict(data)
     sps = sc.samples_per_symbol * sc.oversample
     covered = 2 * (core.BLOCK // sps) + 7
     rng = np.random.default_rng(3)
-    head = rng.normal(size=(covered * sps, 2)) @ np.array([1.0, 1j])
+    head = rng.normal(size=(covered * sps - cut, 2)) @ np.array([1.0, 1j])
     means = rng.normal(size=(3, covered + core.BLOCK + 11, 2)) @ np.array([1.0, 1j])
     want_head, want_means = head.copy(), means.copy()
     scen._add_noise(sc, np.random.default_rng(4), means, head, num, den)
