@@ -52,6 +52,9 @@ bit, on these runs:
   - integrated_switch at oversample=1000 and channel.noise_psd=1e-7: the
     receive phase derotates the noise of each 40 000-sample symbol by a
     ramp period of 20 000 samples, repeated;
+  - the same at L = 39 (period_s=3.9e-07): a ramp period of 39 000
+    samples, tiled over each 40 000-sample symbol to exactly its length,
+    and a spectrum head that holds the ramp's 39 weights cyclically;
   - the param_sweep cases of bench/workloads.py for seeds 1 to 10, one line
     per seed covering its 136 cases in order.
 
@@ -158,6 +161,10 @@ def _bundled_runs():
            {"oversample": 1000, "channel.noise_psd": 1e-3})
     yield ("integrated_switch oversample=1000 noise_psd=1e-7", "integrated_switch",
            {"oversample": 1000, "channel.noise_psd": 1e-7})
+    yield ("integrated_switch steps_per_period=39 period_s=3.9e-07 oversample=1000 "
+           "noise_psd=1e-7", "integrated_switch",
+           {"staircase.steps_per_period": 39, "staircase.period_s": 3.9e-07,
+            "oversample": 1000, "channel.noise_psd": 1e-7})
 
 
 def _add_dir(digest, out_dir: Path) -> None:

@@ -14,7 +14,6 @@ plus rng_seed, so repeated runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,36 +56,42 @@ def _fill_noise(rng, out: np.ndarray, variance: float) -> None:
 def _rotation(num: int, den: int, count: int) -> np.ndarray:
     """exp(-2j*pi*n*num/den) for n < count, den > 0. Each phase drops its
     whole turns in integers, n * num mod den, before it is rounded, so it is
-    within half an ulp of exact in [0, 1) whatever n; they repeat every
-    den / gcd(num, den) samples, from _rotation_head: a read-only view of a
-    period of one value or of count values, else a cyclic copy of it."""
-    head = _rotation_head(num, den, min(count, den // math.gcd(num, den)))
-    return np.broadcast_to(head, (-(-count // len(head)), len(head))).reshape(-1)[:count]
-
-
-@functools.lru_cache(maxsize=64)
-def _rotation_head(num: int, den: int, length: int) -> np.ndarray:
-    """The first length values of _rotation, at most a period (1: all ones);
-    n * num (n < den) is exact in int64 while den * |num| < 2**63, checked."""
+    within half an ulp of exact in [0, 1) whatever n; n * num (n < den) is
+    exact in int64 while den * |num| < 2**63, checked. One period of
+    den / gcd(num, den) values, or count if fewer, is formed and tiled
+    (_tile); a one-value period is a read-only broadcast of 1."""
+    length = min(count, den // math.gcd(num, den))
     if length <= 1:
-        return core.read_only(np.ones(1, dtype=np.complex128))
+        return np.broadcast_to(np.ones(1, dtype=np.complex128), count)
     if den * abs(num) >= 1 << 63:
         raise core.ConfigurationError(
             f"a ramp period of {den} samples is too long to derotate exactly")
-    return core.read_only(
-        np.exp(-2j * np.pi * (np.arange(length, dtype=np.int64) * num % den / den)))
+    return _tile(np.exp(-2j * np.pi * (np.arange(length, dtype=np.int64) * num % den / den)),
+                 count)
+
+
+def _tile(period: np.ndarray, count: int) -> np.ndarray:
+    """period repeated end to end to count values: period itself, cut to
+    count, when it covers count, else one array of exactly count values."""
+    if len(period) >= count:
+        return period[:count]
+    whole, tail = divmod(count, len(period))
+    tiled = np.empty(count, dtype=period.dtype)
+    tiled[:count - tail].reshape(whole, -1)[...] = period
+    tiled[count - tail:] = period[:tail]
+    return tiled
 
 
 def _held(row: np.ndarray, sent, steps: int, hold: int, length: int) -> np.ndarray:
     """The first length samples of a zero-order hold of row's weights:
     value v = k * steps + j of symbol k (j < steps) is
     sent[k] * row[v mod len(row)], held for hold samples. sent is one number
-    for all symbols, or one per symbol (at least those begun). The samples
+    for all symbols, or one per symbol (at least those begun), repeated
+    steps times; row is tiled (_tile), so nothing is gathered. The samples
     are written once, into a fresh array of length samples."""
     count = -(-length // hold)  # values begun; the last may be cut short
-    v = np.arange(count)
-    values = np.multiply(np.reshape(sent, -1)[v // steps if np.ndim(sent) else 0],
-                         row[v % len(row)])
+    sent = np.repeat(sent[:-(-count // steps)], steps)[:count] if np.ndim(sent) else sent
+    values = np.multiply(sent, _tile(row, count))
     samples = np.empty(length, dtype=np.complex128)
     whole = length // hold
     samples[:whole * hold].reshape(whole, hold)[...] = values[:whole, np.newaxis]

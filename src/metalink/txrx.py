@@ -140,13 +140,6 @@ def demap_symbols(symbols, scheme: ModulationScheme):
     return bits.reshape(-1), scheme.points[words]
 
 
-def _hadamard(order: int) -> np.ndarray:
-    h = np.ones((1, 1))
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
 def make_pilots(num_streams: int) -> np.ndarray:
     """Orthogonal +/-1 pilot rows: Hadamard rows, each chip repeated 4 times.
 
@@ -160,11 +153,13 @@ def make_pilots(num_streams: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _pilots(num_streams: int) -> tuple:
-    """The pilots, and pilots^H / pilot_length: their Gram matrix is
-    pilot_length * I, a power of two, so y @ the latter equals
-    (y @ pilots^H) / pilot_length bit for bit."""
+    """The pilots, Hadamard rows (-1)^popcount(s & j) for s < num_streams and
+    j < order, each chip repeated 4 times, and pilots^H / pilot_length: their
+    Gram matrix is pilot_length * I, a power of two, so y @ the latter
+    equals (y @ pilots^H) / pilot_length bit for bit."""
     order = 1 << (num_streams - 1).bit_length()  # the least power of two >= it
-    pilots = np.kron(_hadamard(order)[:num_streams], np.ones(4)).astype(np.complex128)
+    odd = np.bitwise_count(np.arange(num_streams)[:, np.newaxis] & np.arange(order)) & 1
+    pilots = np.repeat(1.0 - 2.0 * odd, 4, axis=1).astype(np.complex128)
     return read_only(pilots), read_only(pilots.conj().T / pilots.shape[1])
 
 

@@ -2,7 +2,8 @@
 
 Each one restates a formula element by element, independent of the
 vectorised code it checks: cell_position for core.cell_positions,
-hadamard_pilots for txrx.make_pilots, frame_record (and
+hadamard_pilots for txrx.make_pilots, sylvester_hadamard for the
+closed-form Hadamard rows of its table (txrx._pilots), frame_record (and
 scenario_frame, from a scenario dict) for the frame layout that txrx reads
 off a payload's bit words, free_space_gain for the channel
 gains of propagation.build_channels, dft_direct for the fast transform
@@ -71,6 +72,15 @@ def cell_position(geometry, n: int, m: int) -> np.ndarray:
         oy + (n - (geometry.rows - 1) / 2) * geometry.spacing,
         oz,
     ])
+
+
+def sylvester_hadamard(order: int) -> np.ndarray:
+    """The Sylvester-Hadamard matrix of a power-of-two order, built by the
+    block recursion H -> [[H, H], [H, -H]] from [[1]]."""
+    h = np.ones((1, 1))
+    while h.shape[0] < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def hadamard_pilots(num_streams: int) -> np.ndarray:

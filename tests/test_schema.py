@@ -96,6 +96,22 @@ def test_wavelength_on_a_channel_without_one_is_reported(name, kind, value):
         "remove it or set it to null"]
 
 
+@pytest.mark.parametrize("name, overrides, reaches", [
+    ("mimo2x2_16qam", {}, False), ("sdc_5mhz", {"channel.wavelength_m": 0.07}, False),
+    ("sdc_5mhz", {}, True)])
+def test_the_carrier_reaches_outputs_only_as_the_free_space_wavelength(
+        name, overrides, reaches, tmp_path):
+    # carrier_freq_hz is the envelopes' reference and no output names it: it
+    # moves a byte only as the wavelength of a free_space channel that gives
+    # no channel.wavelength_m
+    written = []
+    for carrier in (4.25e9, 5e9):
+        scen.run_scenario(name, tmp_path / str(carrier), overrides={
+            **SHRUNK[name], **overrides, "carrier_freq_hz": carrier})
+        written.append(artifact_bytes(tmp_path / str(carrier)))
+    assert (written[0] != written[1]) == reaches
+
+
 def test_mode_gated_fields_wait_for_a_valid_mode():
     data = bundled("sdc_5mhz", {"mode": "null"})
     assert scen.validate(data) == [f"mode: required; must be one of {schema.MODES}"]

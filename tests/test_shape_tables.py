@@ -1,18 +1,22 @@
 """The tables of values that depend only on a frame's shape.
 
-Each lives in a functools.lru_cache of a constant size and holds read-only
-arrays, so a run with a warm cache writes what a run with a cold one
-writes; none grows with the frame's length. Quantized frames look their
-coefficients up by bit word, which equals quantizing every coefficient on
-its own, bit for bit, and costs what a continuous frame costs.
+Two live in a functools.lru_cache of a constant size, the pilots per
+stream count (txrx._pilots) and the quantized pilots and points
+(txrx._quantized_tables). They hold read-only arrays, so a run with a warm
+cache writes what a run with a cold one writes; neither grows with the
+frame's length. Derotation periods are formed per run, at exactly the size
+a run asks for, so a run holds nothing after it ends. Quantized frames
+look their coefficients up by bit word, which equals quantizing every
+coefficient on its own, bit for bit, and costs what a continuous frame
+costs.
 """
 
 import ast
 import importlib.util
 import inspect
-import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,8 @@ import pytest
 import metalink
 from metalink import (artifacts, core, metasurface, propagation, scenario as scen, schema,
                       spectral, txrx)
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = (core, metasurface, propagation, schema, scen, artifacts, spectral, txrx)
@@ -58,9 +64,7 @@ def _run_all(out_dir: Path) -> dict:
 
 
 def test_the_caches_are_the_expected_ones():
-    assert set(CACHES) == {
-        "metalink.txrx._pilots", "metalink.txrx._quantized_tables",
-        "metalink.scenario._rotation_head"}
+    assert set(CACHES) == {"metalink.txrx._pilots", "metalink.txrx._quantized_tables"}
 
 
 def test_cold_and_warm_caches_write_the_same_bytes(tmp_path):
@@ -132,12 +136,47 @@ def test_every_cached_array_is_read_only(monkeypatch):
             assert not any(a.flags.writeable for a in arrays), (name, args)
 
 
-def test_a_rotation_entry_holds_at_most_one_period(monkeypatch):
-    calls = _recorded(monkeypatch, _sweep_and_bundled)["metalink.scenario._rotation_head"]
-    for (num, den, length), head in calls:
-        assert len(head) <= max(1, min(length, den // math.gcd(num, den)))
+def test_a_rotation_holds_exactly_the_values_asked_for():
+    # a 39 000-value period over 40 000 values: a cyclic copy of two whole
+    # periods, sliced, held 78 000
+    got = scen._rotation(1, 39_000, 40_000)
+    assert got.base is None and got.shape == (40_000,)
+    assert np.array_equal(got, oracles.exact_rotation(np.arange(40_000),
+                                                      Fraction(1, 39_000)))
     # a period far too long to form whole costs only the values asked for
-    assert len(scen._rotation_head(1, 1 << 40, 9)) == 9
+    tracemalloc.start()
+    try:
+        got = scen._rotation(1, 1 << 40, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (9,) and peak < 4096, f"peak {peak} bytes"
+
+
+def test_a_runs_memory_does_not_depend_on_the_runs_before_it():
+    # a cache of derotation periods kept each noisy integrated run's periods:
+    # at oversample 5 000 the first run traced 9.24 MiB and held 1.6 MiB
+    # after it, and the second, which found them, traced 7.64 MiB
+    def integrated(oversample):
+        return scen.Scenario.from_dict(scen.apply_overrides(
+            scen.load_scenario("integrated_switch"),
+            {"oversample": oversample, "channel.noise_psd": 1e-7}))
+    _clear_caches()
+    scen.simulate(integrated(1))  # warms the pilot and quantizer tables
+    sc, readings = integrated(5000), []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            result = scen.simulate(sc)
+            _, peak = tracemalloc.get_traced_memory()
+            del result
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        readings.append((peak, held))
+    (first, held_first), (second, held_second) = readings
+    assert abs(first - second) < 2 ** 16, readings
+    assert held_first < 2 ** 16 and held_second < 2 ** 16, readings
 
 
 @pytest.mark.parametrize("name", ["integrated_switch", "mimo2x2_16qam"])

@@ -37,6 +37,7 @@ from oracles import (
     integrate as integrate_oracle,
     receive_frame as receive_oracle,
     surface_pass as whole_pass,
+    sylvester_hadamard,
     symbols_to_waveform,
 )
 
@@ -250,6 +251,17 @@ def test_pilots_are_built_once_read_only_and_equal_the_recursion(streams):
     assert not pilots.flags.writeable
     with pytest.raises(ValueError):
         pilots[0, 0] = -1.0
+
+
+def test_the_pilot_table_is_the_sylvester_rows_bit_for_bit():
+    # each row is (-1)^popcount(s & j) in closed form; the reference builds
+    # the whole matrix by the block recursion
+    for streams in range(1, 301):
+        order = 1 << (streams - 1).bit_length()
+        want = np.kron(sylvester_hadamard(order)[:streams], np.ones(4)).astype(np.complex128)
+        pilots, pilots_h = txrx._pilots(streams)
+        assert pilots.tobytes() == want.tobytes(), streams
+        assert pilots_h.tobytes() == (want.conj().T / want.shape[1]).tobytes(), streams
 
 
 def test_zero_streams_raise_on_every_call():
