@@ -56,17 +56,27 @@ def _constellation_rows(detected: np.ndarray, words: np.ndarray, points: np.ndar
 def _spectrum_rows(spectrum: spectral.Spectrum):
     """fill for _write_table: spectrum's SPECTRUM_DTYPE rows, its bin
     centres, its power, and 10 log10 of the power, each centre and decibel
-    value formed in its field, the latter from the power's contiguous slice."""
+    value formed in its field. The block's rows on the lattice, every
+    stride-th (every row of a dense spectrum), take a contiguous slice of
+    values and its decibels; at stride > 1 the other rows are first set to
+    0 and -inf dB, so no log10 of their zero power is taken."""
+    first, stride, values = spectrum.first_bin, spectrum.stride, spectrum.values
+    offset = spectrum.first_line - first  # the row of values[0]
+
     def fill(rows, start):
         stop = start + len(rows)
-        first = spectrum.first_bin
         np.multiply(np.arange(first + start, first + stop), spectrum.resolution,
                     out=rows["freq_hz"])
-        power = spectrum.power[start:stop]
-        rows["power_linear"] = power
+        if stride > 1:
+            rows["power_linear"], rows["power_db"] = 0.0, -np.inf
+        skip = (offset - start) % stride  # rows before the block's first line
+        begin = (start + skip - offset) // stride
+        lines = values[begin:begin + -(-(len(rows) - skip) // stride)]
+        rows["power_linear"][skip::stride] = lines
+        db = rows["power_db"][skip::stride]
         with np.errstate(divide="ignore"):
-            np.log10(power, out=rows["power_db"])
-        rows["power_db"] *= 10.0
+            np.log10(lines, out=db)
+        db *= 10.0
     return fill
 
 
@@ -107,7 +117,7 @@ def write_artifacts(result, out_dir) -> list:
             paths.append(path)
         for tag, spectrum in report.spectra.items():
             path = _unlinked(out / f"spectrum_{tag}.npy")
-            _write_table(path, SPECTRUM_DTYPE, len(spectrum.power), _spectrum_rows(spectrum))
+            _write_table(path, SPECTRUM_DTYPE, spectrum.num_bins, _spectrum_rows(spectrum))
             paths.append(path)
     result.summary["artifacts"] = sorted(p.name for p in paths) + ["summary.json"]
     summary_path = _unlinked(out / "summary.json")

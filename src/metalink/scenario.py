@@ -257,12 +257,12 @@ def simulate(sc: Scenario) -> ScenarioResult:
     is that period repeated P = sdc_periods times, whose DFT is P times
     the period's DFT on every P-th bin and 0 on every other. So a noiseless
     output spectrum is the period's periodogram on every P-th bin and
-    exactly 0 elsewhere. A noisy one draws the capture's per-sample noise
-    from frame 0, as _fill_noise, transforms it in place, adds P times
-    the period's DFT to every P-th bin of the noise's DFT, and takes their
-    power_spectrum. Its input
-    spectrum, the unit tone's, is in closed form: power 1 in the 0 Hz bin
-    and 0 in every other.
+    exactly 0 elsewhere, held as a Spectrum of stride P. A noisy one draws
+    the capture's per-sample noise from frame 0, as _fill_noise, transforms
+    it in place, adds P times the period's DFT to every P-th bin of the
+    noise's DFT, and takes their power_spectrum. Its input spectrum, the
+    unit tone's, is in closed form: power 1 in the 0 Hz bin and 0 in every
+    other, one value at the capture's length as stride.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
@@ -280,15 +280,12 @@ def simulate(sc: Scenario) -> ScenarioResult:
             bins[::periods] += periods * np.fft.fft(period)
             output = spectral.power_spectrum(bins, rate)
             del bins  # freed before the input spectrum
-        else:
+        else:  # one's bin j is the capture's bin j * periods
             one = spectral.power_spectrum(np.fft.fft(period), rate)
-            output = spectral.Spectrum(np.zeros(length), rate / length)
-            # every periods-th bin, from the one at one's lowest frequency
-            output.power[one.first_bin * periods - output.first_bin::periods] = one.power
-        tone = np.zeros(length)
-        tone[-output.first_bin] = 1.0
+            output = spectral.Spectrum(one.values, rate / length, periods)
         report = txrx.LinkReport(spectra={
-            "input": spectral.Spectrum(tone, rate / length), "output": output})
+            "input": spectral.Spectrum(np.ones(1), rate / length, length),
+            "output": output})
     else:
         report = _frame(sc, channels, int(sc.stream_of_cell.max()) + 1, _rng(sc, 0),
                         "tx_rx0" if integrated else "rx0")
@@ -302,8 +299,9 @@ def simulate(sc: Scenario) -> ScenarioResult:
     if sc.mode == "space_down_conversion":
         # tied lines (a two-step ramp's at +-shift) go to the expected one
         out_spec = report.spectra["output"]
-        tied = np.flatnonzero(out_spec.power >= (1.0 - LINE_TIE) * out_spec.power.max())
-        lines = (out_spec.first_bin + tied) * out_spec.resolution
+        values = out_spec.values
+        tied = np.flatnonzero(values >= (1.0 - LINE_TIE) * values.max())
+        lines = (out_spec.first_line + tied * out_spec.stride) * out_spec.resolution
         summary["strongest_line_hz"] = float(
             lines[np.argmin(np.abs(lines - sc.ramp_line_hz()))])
         summary["harmonics"] = _harmonic_table(sc, out_spec)

@@ -5,9 +5,12 @@ in that bin, and the sum over all bins equals the mean square of the time
 samples (Parseval). Scenario durations are arranged as integer periods of
 every tone present, so lines are bin-centered and no window is needed.
 
-A Spectrum stores its power and its bin spacing only; the bin grid is a
-function of the two, formed when it is read, and bins are found by
-arithmetic on it, so a kept spectrum costs one float per bin.
+A Spectrum stores the power of the bins on its lattice, every stride-th bin
+counted from 0 Hz, and its bin spacing; every other bin is exactly 0. The
+bin grid and the dense power are functions of the three, formed when they
+are read, and bins are found by arithmetic on them, so a kept spectrum
+costs one float per lattice bin: per bin at stride 1, one float in all for
+a single tone.
 """
 
 from __future__ import annotations
@@ -26,40 +29,71 @@ __getattr__ = _from_envelope(__name__)
 class Spectrum:
     """One-sided-resolution power spectrum on a uniform bin grid.
 
-    power is linear (dimensionless), one value per bin, ascending in
-    frequency. The grid is not stored: bin i is centered on
-    (first_bin + i) * resolution Hz from the envelope carrier, so the bins
-    span (-fs/2, fs/2] for the n = len(power) bins of an fs-rate DFT.
+    Of the n = len(values) * stride bins, ascending in frequency, bin k is
+    centered on k * resolution Hz from the envelope carrier, for
+    first_bin <= k < first_bin + n, so the bins span (-fs/2, fs/2] for the n
+    bins of an fs-rate DFT. The grid is not stored. values holds the linear
+    (dimensionless) power of the bins k = 0 (mod stride), ascending, and
+    every other bin is exactly 0: stride 1 is a dense spectrum, and stride n
+    a single line at 0 Hz.
     """
 
-    power: np.ndarray
+    values: np.ndarray
     resolution: float
+    stride: int = 1
 
     def __post_init__(self):
-        power = np.asarray(self.power, dtype=float)
-        if power.ndim != 1 or power.size == 0:
-            raise ValueError("power must be a 1-D array of at least one bin")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("values must be a 1-D array of at least one bin")
         resolution = float(self.resolution)
         if not (math.isfinite(resolution) and resolution > 0.0):
             raise ValueError(f"resolution must be finite and > 0, not {resolution}")
-        object.__setattr__(self, "power", power)
+        stride = int(self.stride)
+        if stride != self.stride or stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, not {self.stride}")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "stride", stride)
+
+    @property
+    def num_bins(self) -> int:
+        return len(self.values) * self.stride
 
     @property
     def first_bin(self) -> int:
         """Index k of the lowest bin, centered on k * resolution: of n DFT
         bins, those above n // 2 are the negative ones, so k = n // 2 + 1 - n."""
-        n = len(self.power)
+        n = self.num_bins
         return n // 2 + 1 - n
+
+    @property
+    def first_line(self) -> int:
+        """Index k of the bin values[0] holds: the lowest multiple of stride
+        on the grid. Of any n = len(values) * stride consecutive bins, exactly
+        len(values) are multiples of stride."""
+        return -(-self.first_bin // self.stride) * self.stride
+
+    @property
+    def power(self) -> np.ndarray:
+        """The power of every bin: values itself at stride 1, else a new
+        dense array, 0 off the lattice, formed on each read."""
+        if self.stride == 1:
+            return self.values
+        power = np.zeros(self.num_bins)
+        power[self.first_line - self.first_bin::self.stride] = self.values
+        return power
 
     @property
     def frequencies(self) -> np.ndarray:
         """Bin centers in Hz, formed on each read (a new array)."""
         first = self.first_bin
-        return np.arange(first, first + len(self.power)) * self.resolution
+        return np.arange(first, first + self.num_bins) * self.resolution
 
     @property
     def total_power(self) -> float:
+        # numpy's pairwise sum over the dense bins: a sum of values alone
+        # adds in another order and may round differently
         return float(self.power.sum())
 
 
@@ -132,16 +166,18 @@ def line_power(spec: Spectrum, freq: float) -> float:
     """Power at the bin centered exactly on freq (Hz offset from carrier).
 
     The bin is found by arithmetic, the nearest grid index clamped to the
-    grid, and must lie within 1e-6 * resolution of freq. Frequencies off
-    the bin grid, or not finite, are a caller error (ValueError); no
-    interpolation is done.
+    grid, and must lie within 1e-6 * resolution of freq; a bin off the
+    lattice reads 0.0. Frequencies off the bin grid, or not finite, are a
+    caller error (ValueError); no interpolation is done.
     """
     freq = float(freq)
     if math.isfinite(freq):
         first = spec.first_bin
-        k = round(min(max(freq / spec.resolution, first), first + len(spec.power) - 1))
+        k = round(min(max(freq / spec.resolution, first), first + spec.num_bins - 1))
         if abs(k * spec.resolution - freq) <= 1e-6 * spec.resolution:
-            return float(spec.power[k - first])
+            if k % spec.stride:
+                return 0.0
+            return float(spec.values[(k - spec.first_line) // spec.stride])
     raise ValueError(
         f"{freq} Hz is not a bin center (resolution {spec.resolution} Hz)")
 

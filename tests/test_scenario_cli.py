@@ -293,28 +293,46 @@ def test_constellation_npy_round_trips_bit_exactly(tmp_path):
         assert _same_bits(table[name], column), name
 
 
+def _dense_table(values, resolution, stride):
+    """The SPECTRUM_DTYPE table of the n = len(values) * stride bins of a
+    lattice spectrum, formed whole: bin k = n // 2 + 1 - n + i of row i
+    holds the next of values when stride divides k, and power 0 otherwise."""
+    n = len(values) * stride
+    k = np.arange(n // 2 + 1 - n, n // 2 + 1)
+    power = np.zeros(n)
+    power[k % stride == 0] = values
+    table = np.empty(n, artifacts.SPECTRUM_DTYPE)
+    table["freq_hz"] = k * resolution
+    table["power_linear"] = power
+    with np.errstate(divide="ignore"):
+        np.log10(power, out=table["power_db"])
+    table["power_db"] *= 10.0
+    return table
+
+
 @pytest.mark.parametrize("n", [core.BLOCK - 1, core.BLOCK, core.BLOCK + 1,
                                2 * core.BLOCK + 3])
 def test_tables_written_in_blocks_are_the_files_np_save_writes(n, tmp_path):
     # each table is written a block of rows at a time; its file is the one
-    # np.save writes of the whole table, formed at once as below
+    # np.save writes of the whole table, formed at once as below. Lattice
+    # spectra at strides 2 and 37 take n rounded to whole strides, and the
+    # tone is one line at stride n
     rng = np.random.default_rng(n)
     detected, reference = rng.normal(size=(2, n, 2)) @ np.array([1.0, 1j])
-    spectrum = _edge_spectrum(n, rng, 1e3)
-    _write(_constellation_report(detected, reference, spectra={"edge": spectrum}),
-           tmp_path / "blocks")
+    spectra = {"edge": _edge_spectrum(n, rng, 1e3)}
+    for stride in (2, 37):
+        spectra[f"lattice{stride}"] = Spectrum(
+            _edge_spectrum(round(n / stride), rng, 1e3).values, 1e3, stride)
+    spectra["tone"] = Spectrum(np.ones(1), 1e3, n)
+    _write(_constellation_report(detected, reference, spectra=spectra), tmp_path / "blocks")
     constellation = np.empty(n, artifacts.CONSTELLATION_DTYPE)
     for name, column in zip(constellation.dtype.names, (
             np.arange(n), detected.real, detected.imag, reference.real, reference.imag)):
         constellation[name] = column
-    whole = np.empty(n, artifacts.SPECTRUM_DTYPE)
-    whole["freq_hz"] = spectrum.frequencies
-    whole["power_linear"] = spectrum.power
-    with np.errstate(divide="ignore"):
-        np.log10(spectrum.power, out=whole["power_db"])
-    whole["power_db"] *= 10.0
-    for file, table in (("constellation_0.npy", constellation),
-                        ("spectrum_edge.npy", whole)):
+    tables = {"constellation_0.npy": constellation}
+    for tag, spectrum in spectra.items():
+        tables[f"spectrum_{tag}.npy"] = _dense_table(spectrum.values, 1e3, spectrum.stride)
+    for file, table in tables.items():
         np.save(tmp_path / file, table, allow_pickle=False)
         assert (tmp_path / "blocks" / file).read_bytes() == (tmp_path / file).read_bytes()
 
@@ -441,13 +459,44 @@ def traced_simulate(overrides: dict, name: str = "mimo2x2_16qam") -> tuple:
     return result, peak
 
 
-def test_a_long_noiseless_capture_holds_its_two_spectra_only():
-    # 1000 ramp periods of 5 120 samples: the input and output spectra hold
-    # 8 bytes a bin each (78 MiB); no envelope and no complex bins of the
-    # whole capture are formed (those took the peak to 234 MiB)
-    result, peak = traced_simulate({"sdc_periods": 1000}, "sdc_5mhz")
+def test_a_long_noiseless_capture_holds_no_array_of_its_length():
+    # 1000 ramp periods of 5 120 samples: the input spectrum is one value
+    # and the output one value a period, so the result holds under 1 MiB
+    # (dense spectra held 8 bytes a bin each, 78 MiB). The peak is the
+    # dense power that total_power sums, 8 bytes a bin; no envelope and no
+    # complex bins of the whole capture are formed (those took it to 234 MiB)
+    bins = 1000 * 5120
+    sc = scen.Scenario.from_dict(scen.apply_overrides(scen.load_scenario("sdc_5mhz"),
+                                                      {"sdc_periods": 1000}))
+    tracemalloc.start()
+    try:
+        result = scen.simulate(sc)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert result.summary["strongest_line_hz"] == -5e6
-    assert peak < 100 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert held < 2 ** 20, f"held {held / 2 ** 20:.2f} MiB"
+    assert peak <= 8 * bins + 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_a_lattice_is_written_with_the_log10_of_its_lattice_bins_only(monkeypatch,
+                                                                       tmp_path):
+    # sdc_5mhz at 37 periods of 5 120 samples: the output holds one value a
+    # period and the input tone one value; every other row is written as 0
+    # and -inf dB without a log10
+    data = scen.apply_overrides(scen.load_scenario("sdc_5mhz"), {"sdc_periods": 37})
+    result = scen.simulate(scen.Scenario.from_dict(data))
+    sizes, log10 = [], np.log10
+
+    def counted_log10(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return log10(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log10", counted_log10)
+    artifacts.write_artifacts(result, tmp_path)
+    assert sum(sizes) == 5120 + 1
+    table = np.load(tmp_path / "spectrum_input.npy", allow_pickle=False)
+    assert np.flatnonzero(np.isfinite(table["power_db"])).tolist() == [37 * 5120 // 2 - 1]
 
 
 def test_a_noisy_capture_is_transformed_in_its_noise_buffer():

@@ -155,6 +155,32 @@ def test_line_power_agrees_with_the_argmin_oracle(n, rate):
     assert [line_power(spectrum, f) for f in grid] == spectrum.power.tolist()
 
 
+@pytest.mark.parametrize("size, stride", [(1, 1), (1, 7), (5, 2), (8, 3), (33, 37),
+                                          (64, 64), (1000, 5), (1025, 2)])
+def test_a_lattice_spectrum_reads_as_its_dense_twin(size, stride):
+    # the twin holds values on the bins k that stride divides, ascending,
+    # and 0 on every other bin; a sum of 1e3 or more bins rounds differently
+    # in another order, and total_power keeps the dense one
+    rng = np.random.default_rng(size * stride)
+    values = rng.exponential(size=size)
+    n = size * stride
+    k = np.arange(n // 2 + 1 - n, n // 2 + 1)
+    dense = np.zeros(n)
+    dense[k % stride == 0] = values
+    lattice, twin = Spectrum(values, 1e3, stride), Spectrum(dense, 1e3)
+    assert np.array_equal(lattice.power, dense)
+    assert np.array_equal(lattice.frequencies, twin.frequencies)
+    grid = twin.frequencies
+    assert [line_power(lattice, f) for f in grid] == [line_power(twin, f) for f in grid]
+    assert lattice.total_power.hex() == float(dense.sum()).hex()
+
+
+@pytest.mark.parametrize("stride", [0, -1, 1.5])
+def test_spectrum_stride_is_a_positive_integer(stride):
+    with pytest.raises(ValueError, match="stride"):
+        Spectrum(np.ones(4), 1.0, stride)
+
+
 @pytest.mark.parametrize("freq", [np.nan, np.inf, -np.inf, float("nan")])
 def test_line_power_rejects_a_frequency_that_is_not_finite(freq):
     # argmin over all-NaN distances picks bin 0, and nan > tolerance is
