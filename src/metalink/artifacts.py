@@ -95,8 +95,9 @@ def _unlinked(path: Path) -> Path:
 
 def write_artifacts(result, out_dir) -> list:
     """Write each constellation and spectrum of a ScenarioResult's reports
-    as a .npy table, then its summary, with the artifact names, as
-    summary.json.
+    as a .npy table, then its summary as summary.json, after adding the
+    artifact names to result.summary as "artifacts": the one input that an
+    operation of this package mutates.
 
     Each table is written BLOCK rows at a time (_write_table), each
     block's reference symbols looked up from the report's sent_words and

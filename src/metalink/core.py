@@ -2,7 +2,8 @@
 
 All RF quantities live in complex baseband, referenced to an explicit
 carrier frequency. Instances of the types below are treated as immutable
-values after construction; no operation in this package mutates its inputs.
+values after construction; no operation in this package mutates its inputs
+but write_artifacts, which adds an artifacts list to the result's summary.
 The envelope-level names first defined here, the waveform and the
 coefficient schedule among them, are served from envelope (_from_envelope).
 """

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts, core, metasurface, propagation, spectral, txrx
+from . import artifacts, core, metasurface, propagation, schema, spectral, txrx
 from .core import BLOCK
 # re-exported, so that scenario.<name> keeps reaching them
 from .schema import Scenario, apply_overrides, load_scenario, validate  # noqa: F401
@@ -185,7 +185,7 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     if ramp:
         weights, hold = _ramp_weights(sc, channels), sc.oversample
         num, den = sc.staircase.direction, sc.staircase.steps_per_period * hold
-        sent = np.concatenate([txrx.make_pilots(1)[0], sc.scheme.points[words[0]]])
+        sent = txrx.symbol_coefficients(words, sc.scheme)[0]
         means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
     else:
         gains = propagation.stream_gains(sc.stream_of_cell, num_streams, channels)
@@ -253,24 +253,23 @@ def simulate(sc: Scenario) -> ScenarioResult:
     spectrum_bins, and then, when noise_psd > 0, its noise (_add_noise).
 
     SDC mode writes one ramp period of point 0's envelope: the weights of
-    one period (_ramp_weights) on the feed's unit tone (_held). Its capture
-    is that period repeated P = sdc_periods times, whose DFT is P times
-    the period's DFT on every P-th bin and 0 on every other. So a noiseless
-    output spectrum is the period's periodogram on every P-th bin and
-    exactly 0 elsewhere, held as a Spectrum of stride P. A noisy one draws
-    the capture's per-sample noise from frame 0, as _fill_noise, transforms
-    it in place, adds P times the period's DFT to every P-th bin of the
-    noise's DFT, and takes their power_spectrum. Its input spectrum, the
-    unit tone's, is in closed form: power 1 in the 0 Hz bin and 0 in every
-    other, one value at the capture's length as stride.
+    one period (_ramp_weights) on the feed's unit tone, each held for
+    oversample samples. Its capture is that period repeated P = sdc_periods
+    times, whose DFT is P times the period's DFT on every P-th bin and 0 on
+    every other. So a noiseless output spectrum is the period's periodogram
+    on every P-th bin and exactly 0 elsewhere, held as a Spectrum of stride
+    P. A noisy one draws the capture's per-sample noise from frame 0, as
+    _fill_noise, transforms it in place, adds P times the period's DFT to
+    every P-th bin of the noise's DFT, and takes their power_spectrum. Its
+    input spectrum, the unit tone's, is in closed form: power 1 in the 0 Hz
+    bin and 0 in every other, one value at the capture's length as stride.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
     if sc.mode == "space_down_conversion":
         weights = _ramp_weights(sc, propagation.ChannelSet(
             channels.feed_gains, channels.obs_gains[:, :1]))
-        period = _held(weights[0], 1.0, weights.shape[1], sc.oversample,
-                       weights.shape[1] * sc.oversample)
+        period = np.repeat(weights[0], sc.oversample)
         rate, periods = sc.envelope_rate(), sc.sdc_periods
         length = periods * len(period)
         if sc.noise_psd > 0.0:
@@ -295,19 +294,7 @@ def simulate(sc: Scenario) -> ScenarioResult:
                                       channels.feed_gains[:, np.newaxis])
         reports = {"transmit": report,
                    "receive": _frame(sc, back, 1, _rng(sc, 1), "sdc_rx0", ramp=True)}
-    summary = _summarize(sc, reports)
-    if sc.mode == "space_down_conversion":
-        # tied lines (a two-step ramp's at +-shift) go to the expected one
-        out_spec = report.spectra["output"]
-        values = out_spec.values
-        tied = np.flatnonzero(values >= (1.0 - LINE_TIE) * values.max())
-        lines = (out_spec.first_line + tied * out_spec.stride) * out_spec.resolution
-        summary["strongest_line_hz"] = float(
-            lines[np.argmin(np.abs(lines - sc.ramp_line_hz()))])
-        summary["harmonics"] = _harmonic_table(sc, out_spec)
-    if sc.staircase is not None:
-        summary["expected_line_hz"] = sc.ramp_line_hz()
-    return ScenarioResult(reports, summary)
+    return ScenarioResult(reports, _summarize(sc, reports))
 
 
 def _summarize(sc: Scenario, reports: dict) -> dict:
@@ -324,6 +311,16 @@ def _summarize(sc: Scenario, reports: dict) -> dict:
             entry["channel_estimate"] = [[[h.real, h.imag] for h in row]
                                          for row in report.channel_estimate.tolist()]
         out["reports"][key] = entry
+    if sc.mode == "space_down_conversion":
+        # tied lines (a two-step ramp's at +-shift) go to the expected one
+        spectrum = reports["link"].spectra["output"]
+        values = spectrum.values
+        tied = np.flatnonzero(values >= (1.0 - LINE_TIE) * values.max())
+        lines = (spectrum.first_line + tied * spectrum.stride) * spectrum.resolution
+        out["strongest_line_hz"] = float(lines[np.argmin(np.abs(lines - sc.ramp_line_hz()))])
+        out["harmonics"] = _harmonic_table(sc, spectrum)
+    if sc.mode in schema.SDC_MODES:  # the modes whose staircase validate requires
+        out["expected_line_hz"] = sc.ramp_line_hz()
     return out
 
 

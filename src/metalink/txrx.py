@@ -169,7 +169,7 @@ def _quantized_tables(scheme: ModulationScheme, num_streams: int,
     """quantize_values, which works value by value, of the pilots and of
     scheme's points; continuous, they are the pilots and points themselves."""
     return tuple(read_only(quantize_values(table, quant))
-                 for table in (_pilots(num_streams)[0], scheme.points))
+                 for table in (make_pilots(num_streams), scheme.points))
 
 
 def symbol_coefficients(words, scheme: ModulationScheme,
@@ -180,9 +180,9 @@ def symbol_coefficients(words, scheme: ModulationScheme,
 
     Row s holds stream s's coefficients, one per symbol, the pilots
     (make_pilots of the stream count) first, quantized per quant: each is
-    looked up by its bit word in _quantized_tables, within the unit
-    circle. The link pass holds each for its symbol interval, never
-    expanded to the envelope rate; every cell of stream s carries row s."""
+    looked up by its bit word in _quantized_tables, within the unit circle.
+    Every cell of stream s carries row s, each value held for its symbol;
+    the integrated receive phase sends row 0 of one continuous stream."""
     words = np.atleast_2d(words)
     pilots, points = _quantized_tables(scheme, len(words), quant)
     full = np.empty((len(words), pilots.shape[1] + words.shape[1]), dtype=np.complex128)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from metalink import artifacts, cli, core, propagation, spectral, txrx
+from metalink import artifacts, cli, core, propagation, schema, spectral, txrx
 from metalink import scenario as scen
 from metalink.core import ConfigurationError
 from metalink.spectral import Spectrum
@@ -1349,6 +1349,26 @@ def test_cli_seed_flag_overrides_seed(tiny_link, tmp_path):
                      "--out-dir", str(tmp_path / "b")]) == 0
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     assert summary["rng_seed"] == 99
+
+
+@pytest.mark.parametrize("name, overrides", [
+    *((name, {}) for name in schema.bundled_scenario_names()),
+    ("sdc_5mhz", {"channel.noise_psd": 0.01})])
+def test_the_summary_is_summarize_of_the_reports(name, overrides):
+    sc = scen.Scenario.from_dict(scen.apply_overrides(scen.load_scenario(name), overrides))
+    result = scen.simulate(sc)
+    assert result.summary == scen._summarize(sc, result.reports)
+
+
+def test_run_bundled_exits_with_the_cli_code_of_a_failed_run(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_bundled.py")
+    proc = subprocess.run([sys.executable, script, "--out", str(blocker / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2  # the CLI's runtime error, not a traceback's 1
+    assert proc.stderr.count("runtime error in scenario") == len(
+        schema.bundled_scenario_names())
 
 
 def test_cli_module_entry_point():
