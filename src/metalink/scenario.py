@@ -146,20 +146,21 @@ def _add_noise(sc: Scenario, rng, means, head, num: int, den: int) -> None:
         rest[i:i + len(noise)] += noise
 
 
-def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng,
-           tag: str, ramp: bool = False) -> txrx.LinkReport:
-    """Send one frame through the surface to the observation points of
-    channels and detect it there; the first point's spectrum goes under tag.
-    The frame draws its payload (_payload) and then its noise (_add_noise)
-    from rng, and nothing else.
+def _frame(sc: Scenario, gains: np.ndarray, rng, tag: str,
+           ramp: bool = False) -> txrx.LinkReport:
+    """Send one frame through the surface, whose (streams x points) stream
+    gains G simulate folds, and detect it at the points; the first point's
+    spectrum goes under tag. The frame draws its payload (_payload) and
+    then its noise (_add_noise) from rng, and nothing else.
 
-    A link frame (ramp False) writes num_streams streams of symbols onto the
+    A link frame (ramp False) writes len(gains) streams of symbols onto the
     feed's unit tone, so symbol k reaches point p as weights[p, k] =
-    sum_s G[s, p] * x[s, k], G the gains of propagation.stream_gains and x
-    the coefficients of txrx.symbol_coefficients, and a symbol holds one
-    value, its mean. In the receive phase (ramp True) one stream sent[k]
-    reaches the ramping surface, whose one-period weights (_ramp_weights)
-    are w[p, m] = w[p, 0] * exp(2j*pi*direction*m/L) to rounding. Sample
+    sum_s G[s, p] * x[s, k], x the coefficients of
+    txrx.symbol_coefficients, and a symbol holds one value, its mean. In the
+    receive phase (ramp True) one stream sent[k] reaches the ramping
+    surface, every cell carrying the ramp, so its one-period weights
+    w = G.T @ metasurface.ramp_period are w[p, m] = w[p, 0] *
+    exp(2j*pi*direction*m/L) to rounding. Sample
     n = (k * steps + j) * hold + i of symbol k (j < steps, i < hold) is
     sent[k] * w[p, (k * steps + j) mod L], derotated by exp(-2j*pi*n*num/den),
     num/den = direction / (L * hold), the ramp's own line
@@ -180,15 +181,15 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     second copy, and it is freed before detect runs, as are the receive
     phase's sent symbols, which detect forms again from the words.
     """
-    words = _payload(sc, num_streams, rng)
+    words = _payload(sc, len(gains), rng)
     rate, sps = sc.envelope_rate(), sc.samples_per_symbol * sc.oversample
     if ramp:
-        weights, hold = _ramp_weights(sc, channels), sc.oversample
+        weights = gains.T @ metasurface.ramp_period(sc.staircase)[np.newaxis]
+        hold = sc.oversample
         num, den = sc.staircase.direction, sc.staircase.steps_per_period * hold
         sent = txrx.symbol_coefficients(words, sc.scheme)[0]
         means = weights[:, :1] * _rotation(num, den, hold).mean() * sent
     else:
-        gains = propagation.stream_gains(sc.stream_of_cell, num_streams, channels)
         # the coefficient table is freed once the weights are formed
         means = weights = gains.T @ txrx.symbol_coefficients(words, sc.scheme,
                                                              sc.quantization)
@@ -204,15 +205,6 @@ def _frame(sc: Scenario, channels: propagation.ChannelSet, num_streams: int, rng
     report = txrx.detect(means, sc.scheme, words)
     report.spectra[tag] = spectrum
     return report
-
-
-def _ramp_weights(sc: Scenario, channels: propagation.ChannelSet) -> np.ndarray:
-    """The weights of one ramp period at the observation points of channels:
-    weights[p, m] is point p's gain while step m of the staircase
-    (metasurface.ramp_period) holds, for oversample samples, and the ramp
-    repeats them every L steps. Every cell carries the ramp, one stream."""
-    gains = propagation.stream_gains(np.zeros(channels.num_cells, np.int64), 1, channels)
-    return gains.T @ metasurface.ramp_period(sc.staircase)[np.newaxis]
 
 
 def _harmonic_table(sc: Scenario, spectrum: spectral.Spectrum) -> list:
@@ -245,6 +237,14 @@ def simulate(sc: Scenario) -> ScenarioResult:
     follows, over the transmit phase's channels reversed: identity and
     free-space gains are reciprocal.
 
+    Each frame's stream gains are folded here (propagation.stream_gains):
+    by partition for a link frame, every cell as one stream for a ramp. A
+    run's bytes depend on two forms: the SDC fold multiplies
+    feed * obs[:, :1] and the receive phase's, over the swapped ChannelSet,
+    obs[:, 0] * feed, which numpy may round differently; and a ramp's
+    weights are the matmul G.T @ metasurface.ramp_period, not a product
+    with the scalar G[0, 0].
+
     Draw order, on which a run's bytes depend: frame f draws everything
     from its own generator, _rng(sc, f), built only when it draws. Frame 0
     is the link frame, the integrated transmit phase or the SDC capture;
@@ -253,22 +253,24 @@ def simulate(sc: Scenario) -> ScenarioResult:
     spectrum_bins, and then, when noise_psd > 0, its noise (_add_noise).
 
     SDC mode writes one ramp period of point 0's envelope: the weights of
-    one period (_ramp_weights) on the feed's unit tone, each held for
-    oversample samples. Its capture is that period repeated P = sdc_periods
-    times, whose DFT is P times the period's DFT on every P-th bin and 0 on
-    every other. So a noiseless output spectrum is the period's periodogram
-    on every P-th bin and exactly 0 elsewhere, held as a Spectrum of stride
-    P. A noisy one draws the capture's per-sample noise from frame 0, as
-    _fill_noise, transforms it in place, adds P times the period's DFT to
-    every P-th bin of the noise's DFT, and takes their power_spectrum. Its
-    input spectrum, the unit tone's, is in closed form: power 1 in the 0 Hz
-    bin and 0 in every other, one value at the capture's length as stride.
+    one period on the feed's unit tone, each held for oversample samples.
+    Its capture is that period repeated P = sdc_periods times, whose DFT is
+    P times the period's DFT on every P-th bin and 0 on every other. So a
+    noiseless output spectrum is the period's periodogram on every P-th bin
+    and exactly 0 elsewhere, held as a Spectrum of stride P. A noisy one
+    draws the capture's per-sample noise from frame 0, as _fill_noise,
+    transforms it in place, adds P times the period's DFT to every P-th bin
+    of the noise's DFT, and takes their power_spectrum. Its input spectrum,
+    the unit tone's, is in closed form: power 1 in the 0 Hz bin and 0 in
+    every other, one value at the capture's length as stride.
     """
     channels = propagation.build_channels(sc.geometry, sc.points, sc.channel)
     integrated = sc.mode == "integrated"
     if sc.mode == "space_down_conversion":
-        weights = _ramp_weights(sc, propagation.ChannelSet(
-            channels.feed_gains, channels.obs_gains[:, :1]))
+        gains = propagation.stream_gains(
+            np.zeros(channels.num_cells, np.int64), 1,  # every cell carries the ramp
+            propagation.ChannelSet(channels.feed_gains, channels.obs_gains[:, :1]))
+        weights = gains.T @ metasurface.ramp_period(sc.staircase)[np.newaxis]
         period = np.repeat(weights[0], sc.oversample)
         rate, periods = sc.envelope_rate(), sc.sdc_periods
         length = periods * len(period)
@@ -286,14 +288,16 @@ def simulate(sc: Scenario) -> ScenarioResult:
             "input": spectral.Spectrum(np.ones(1), rate / length, length),
             "output": output})
     else:
-        report = _frame(sc, channels, int(sc.stream_of_cell.max()) + 1, _rng(sc, 0),
-                        "tx_rx0" if integrated else "rx0")
+        gains = propagation.stream_gains(sc.stream_of_cell,
+                                         int(sc.stream_of_cell.max()) + 1, channels)
+        report = _frame(sc, gains, _rng(sc, 0), "tx_rx0" if integrated else "rx0")
     reports = {"link": report}
     if integrated:
-        back = propagation.ChannelSet(channels.obs_gains[:, 0],
-                                      channels.feed_gains[:, np.newaxis])
+        back = propagation.stream_gains(
+            np.zeros(channels.num_cells, np.int64), 1, propagation.ChannelSet(
+                channels.obs_gains[:, 0], channels.feed_gains[:, np.newaxis]))
         reports = {"transmit": report,
-                   "receive": _frame(sc, back, 1, _rng(sc, 1), "sdc_rx0", ramp=True)}
+                   "receive": _frame(sc, back, _rng(sc, 1), "sdc_rx0", ramp=True)}
     return ScenarioResult(reports, _summarize(sc, reports))
 
 

@@ -245,9 +245,6 @@ FIELDS = (
           "must be a number >= 0 (noise variance per received sample)", 0.0),
     Field("channel.matrix", _is_matrix, "must be [[[re, im] per point] per cell]",
           kinds=("explicit_matrix",)),
-    Field("channel.wavelength_m", _positive,
-          "must be a number > 0 (overrides the carrier's wavelength)", None,
-          kinds=("free_space",)),
     Field("partition", _is_partition,
           "must be 'full', 'left_right', or a list of stream ids >= 0, one per cell",
           modes=LINK_MODES),
@@ -281,7 +278,8 @@ FIELDS = (
           "must be an integer >= 1 (tone duration in staircase periods)",
           modes=("space_down_conversion",)),
     Field("spectrum_bins", _int_from(2),
-          "must be an integer >= 2 (cap on the artifact DFT length)", None),
+          "must be an integer >= 2 (cap on the artifact DFT length)", None,
+          modes=LINK_MODES),
 )
 _NAMES = {}  # the keys of each object the table describes
 for _f in FIELDS:
@@ -367,9 +365,6 @@ def _cross_field_violations(valid: dict) -> list:
     if mode == "integrated" and valid.get("channel.kind") == "explicit_matrix":
         errs.append("channel.kind: integrated mode needs identity or free_space "
                     "(the two phases observe from different points)")
-    if mode == "space_down_conversion" and valid.get("spectrum_bins") is not None:
-        errs.append("spectrum_bins: must be null in space_down_conversion mode, since "
-                    "the harmonic table needs the DFT to span whole ramp periods")
 
     partition, num_streams = valid.get("partition"), None
     if partition == "full":
@@ -486,9 +481,7 @@ class Scenario:
             raw = np.asarray(matrix, dtype=float)
             matrix = raw[..., 0] + 1j * raw[..., 1]
         channel = propagation.ChannelModel(
-            kind=get("channel.kind"),
-            wavelength=get("channel.wavelength_m") or core.wavelength_of(carrier),
-            matrix=matrix)
+            kind=get("channel.kind"), wavelength=core.wavelength_of(carrier), matrix=matrix)
         partition = get("partition")
         if partition == "full":
             stream_of_cell = np.zeros(geometry.num_cells, dtype=np.int64)

@@ -429,8 +429,7 @@ def _channel_model(data: dict) -> propagation.ChannelModel:
     if matrix is not None:
         raw = np.asarray(matrix, dtype=float)
         matrix = raw[..., 0] + 1j * raw[..., 1]
-    wavelength = channel.get("wavelength_m") or core.wavelength_of(
-        float(data["carrier_freq_hz"]))
+    wavelength = core.wavelength_of(float(data["carrier_freq_hz"]))
     return propagation.ChannelModel(kind=channel["kind"], wavelength=wavelength,
                                     matrix=matrix)
 
